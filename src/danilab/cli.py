@@ -264,9 +264,11 @@ def _validate_parameters(subcommand: str, params: dict, curve: MatrixPolyCurve, 
         if not isinstance(rep, dict) or rep.get("kind") not in ("exterior", "adjoint"):
             raise ConfigError("parameters.rep: expected {'kind': 'exterior'|'adjoint', ...}")
         if rep["kind"] == "exterior":
+            # k = 2n is the trivial representation: its V- is empty, and the
+            # transport suite draws its test vectors from V-.
             k = rep.setdefault("k", 1)
-            if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= 2 * n:
-                raise ConfigError(f"parameters.rep.k: expected integer in [1, {2 * n}]")
+            if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k < 2 * n:
+                raise ConfigError(f"parameters.rep.k: expected integer in [1, {2 * n - 1}]")
         r_list = out.setdefault("r_list", [1, -1, 0.5, -0.5])
         if not isinstance(r_list, list) or not r_list or any(
                 isinstance(r, bool) or not isinstance(r, (int, float)) or r == 0 for r in r_list):

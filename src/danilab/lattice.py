@@ -2,15 +2,22 @@
 
 Bases are square matrices whose columns generate the lattice. Everything
 runs in one of two scalar modes, python floats or Fractions, chosen by the
-basis dtype; the algorithms are identical. Enumeration is exhaustive inside
-provably sufficient coefficient boxes derived from the reduced basis, so
-minima and counts are exact (in the Fraction mode, exactly exact).
+basis dtype; the algorithms are identical.
+
+Every query LLL-reduces the basis once and hands the reduced basis with its
+Gram-Schmidt data to one depth-first enumerator of the Euclidean ball
+||v||_2 <= R (Fincke-Pohst; each level is tried outward from its projected
+center, as in Schnorr-Euchner). A box of halfwidths w lies inside the ball
+of radius ||w||_2, so walking that ball and testing each vector exactly
+against the box gives exact minima and counts. Pruning compares squared
+lengths, so it needs no square roots: in the Fraction mode every decision
+is exact, and in the float mode the radius is widened by a small relative
+slack so that rounding never drops a lattice vector.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -20,7 +27,13 @@ from .errors import (DegenerateInputError, DomainError, InternalIdentityError,
 
 UNIMODULAR_TOL = 1e-8
 MAX_DIM = 8
-_MAX_CANDIDATES = 4_000_000
+_MAX_NODES = 4_000_000
+# Relative widening of the squared search radius in the float mode. It covers
+# the rounding in the Gram-Schmidt data, which stays near 1e-12 on flowed
+# lattices up to t = 14.
+_FLOAT_SLACK = 1e-9
+# Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
+_MINKOWSKI_FLOAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,7 +72,7 @@ class LatticeBasis:
 class ShortVectorResult:
     vector: np.ndarray
     length: object  # float or Fraction
-    coeffs: np.ndarray
+    coeffs: np.ndarray  # int64 in float mode, Python ints in Fraction mode
 
 
 def _columns_as_lists(cols: np.ndarray):
@@ -73,133 +86,182 @@ def _columns_as_lists(cols: np.ndarray):
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
-def _gram_schmidt(b):
-    m = len(b)
-    mu = [[0] * m for _ in range(m)]
-    bstar = []
-    norms = []
-    for i in range(m):
-        v = list(b[i])
-        for j in range(i):
-            if norms[j] == 0:
-                continue
-            mu_ij = _dot(b[i], bstar[j]) / norms[j]
-            mu[i][j] = mu_ij
-            v = [x - mu_ij * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-        norms.append(_dot(v, v))
-    return mu, norms
+def _gs_row(b, bstar, mu, norms, i):
+    """Gram-Schmidt row i of the current columns: mu[i][j] (j < i), b*_i and
+    norms[i] = ||b*_i||^2, from b[i] and the rows below it."""
+    bi = b[i]
+    v = list(bi)
+    mu_i = mu[i]
+    for j in range(i):
+        bs = bstar[j]
+        mu_ij = mu_i[j] = _dot(bi, bs) / norms[j]
+        v = [x - mu_ij * y for x, y in zip(v, bs)]
+    bstar[i] = v
+    norms[i] = _dot(v, v)
 
 
 def _lll(cols, exact: bool, delta=None):
-    """LLL reduction of the column list; returns (reduced columns, U columns)
-    with reduced[j] = sum_i original[i] * U[j][i]."""
+    """LLL reduction of the column list; returns (reduced columns, U columns,
+    mu, norms) with reduced[j] = sum_i original[i] * U[j][i], and mu[i][j]
+    (j < i) and norms[i] = ||b*_i||^2 the Gram-Schmidt data of the reduced
+    columns.
+
+    A size-reduction step updates row k of mu in place. A swap invalidates
+    the Gram-Schmidt rows from k-1 up, and a row is recomputed from the
+    current columns only when the stage index reaches it again. The two-row
+    swap update (Cohen, Alg. 2.6.3) would avoid those recomputations and is
+    exact in the Fraction mode, but in floats it drifts away from the
+    columns: on flowed lattices a_t u(phi) at n = 2, t = 8 its ||b*||^2 are
+    off by several percent.
+    """
     if delta is None:
         delta = Fraction(99, 100) if exact else 0.99
     m = len(cols)
     b = [list(c) for c in cols]
     u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    mu, norms = _gram_schmidt(b)
+    mu = [[0] * m for _ in range(m)]
+    bstar = [None] * m
+    norms = [0] * m
+    _gs_row(b, bstar, mu, norms, 0)
+    fresh = 1  # Gram-Schmidt rows below `fresh` match the current columns
     k = 1
     steps = 0
     while k < m:
         steps += 1
         if steps > 20000:
             raise InternalIdentityError("LLL failed to terminate at desk scale")
+        while fresh <= k:
+            _gs_row(b, bstar, mu, norms, fresh)
+            fresh += 1
+        mu_k = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(mu_k[j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                mu, norms = _gram_schmidt(b)
-        if norms[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+                mu_j = mu[j]
+                for i in range(j):
+                    mu_k[i] -= q * mu_j[i]
+                mu_k[j] -= q
+        if norms[k] >= (delta - mu_k[k - 1] * mu_k[k - 1]) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            mu, norms = _gram_schmidt(b)
+            fresh = k - 1
             k = max(k - 1, 1)
-    return b, u
+    return b, u, mu, norms
 
 
 def _sup(v):
     return max(abs(x) for x in v)
 
 
-def _inverse_rows(bred, exact: bool):
-    """Rows of the inverse of the matrix whose columns are bred."""
-    m = len(bred)
-    if exact:
-        mat = _linalg.frac_matrix([[bred[j][i] for j in range(m)] for i in range(m)])
-        inv = _linalg._inv_exact(mat)
-        return [[inv[i, j] for j in range(m)] for i in range(m)]
-    mat = np.array(bred, dtype=float).T
-    inv = np.linalg.inv(mat)
-    return [list(map(float, inv[i])) for i in range(m)]
+class _BallWalk:
+    """Depth-first walk over the lattice vectors v = sum_j c_j b_j, c != 0,
+    with ||v||_2^2 <= r2, one of each +-v pair; yields (c, v).
 
+    mu and norms are the Gram-Schmidt data of the columns b. Level j fixes
+    c_j given c_{j+1..m-1}; it adds (c_j - center_j)^2 * norms[j] to
+    ||v||^2, so each level sweeps up and then down from the integer nearest
+    its center and stops a direction at the first value outside the ball.
+    While every coefficient above a level is zero, that level sweeps up from
+    0 only, which keeps one of each +-v pair. `shrink` may lower r2 between
+    yields. More than _MAX_NODES nodes inside the ball raise
+    DegenerateInputError.
+    """
 
-def _coeff_bounds(inv_rows, weights, exact: bool):
-    """Per-coordinate integer bound K_i >= |c_i| for any lattice vector inside
-    the weighted box: c = B^-1 v gives |c_i| <= sum_j |B^-1_ij| w_j."""
-    bounds = []
-    for row in inv_rows:
-        s = sum(abs(x) * w for x, w in zip(row, weights))
-        if exact:
-            bounds.append(int(s))  # floor for nonnegative Fraction
-        else:
-            bounds.append(int(math.floor(s * (1 + 1e-12) + 1e-12)))
-    return bounds
+    def __init__(self, b, mu, norms, r2, exact: bool):
+        self.b, self.mu, self.norms, self.exact = b, mu, norms, exact
+        self.shrink(r2)
 
+    def shrink(self, r2):
+        self.limit = r2 if self.exact else r2 * (1 + _FLOAT_SLACK)
 
-def _check_box(bounds):
-    total = 1
-    for k in bounds:
-        total *= 2 * k + 1
-        if total > _MAX_CANDIDATES:
+    def _count_node(self):
+        self.nodes += 1
+        if self.nodes > _MAX_NODES:
             raise DegenerateInputError(
-                "enumeration box exceeds the desk-scale candidate budget; "
+                "enumeration exceeds the desk-scale node budget; "
                 "basis is too ill-conditioned after reduction")
-    return total
 
+    def __iter__(self):
+        b, mu, norms = self.b, self.mu, self.norms
+        m = len(norms)
+        self.nodes = 0
+        c = [0] * m
+        center = [0] * m
+        start = [0] * m
+        step = [1] * m
+        partial = [0] * (m + 1)  # partial[j]: ||v||^2 contributed by levels j..m-1
+        vec = [None] * m + [[0] * m]  # vec[j] = sum of c_i b_i over i >= j
+        top = [True] * m  # top[j]: every coefficient above level j is zero
+        j = m - 1
+        while True:
+            if j == 0:
+                yield from self._leaves(c, center[0], partial[1], vec[1], top[0])
+                if m == 1:
+                    return
+                j = 1
+                c[1] += step[1]
+                continue
+            d = c[j] - center[j]
+            length = partial[j + 1] + d * d * norms[j]
+            if length <= self.limit:
+                self._count_node()
+                partial[j] = length
+                cj = c[j]
+                vec[j] = [p + cj * x for p, x in zip(vec[j + 1], b[j])] if cj else vec[j + 1]
+                top[j - 1] = top[j] and not cj
+                j -= 1
+                ctr = -sum(c[i] * mu[i][j] for i in range(j + 1, m) if c[i])
+                center[j] = ctr
+                start[j] = c[j] = round(ctr)
+                step[j] = 1
+                continue
+            if step[j] == 1 and not top[j]:
+                step[j] = -1
+                c[j] = start[j] - 1
+                continue
+            j += 1
+            if j == m:
+                return
+            c[j] += step[j]
 
-def _iter_candidates(bounds):
-    """All integer coefficient tuples in the box with first nonzero entry
-    positive (one representative per +-v pair)."""
-    ranges = [range(-k, k + 1) for k in bounds]
-    for c in itertools.product(*ranges):
-        lead = next((x for x in c if x != 0), None)
-        if lead is None or lead < 0:
-            continue
-        yield c
-
-
-def _combine(bred, c):
-    m = len(bred[0])
-    v = [0] * m
-    for cj, col in zip(c, bred):
-        if cj:
-            for i in range(m):
-                v[i] += cj * col[i]
-    return v
+    def _leaves(self, c, ctr, above, p, top):
+        """Level 0: every c_0 with (c_0 - ctr)^2 * norms[0] + above in the ball."""
+        n0, b0 = self.norms[0], self.b[0]
+        x0 = round(ctr)
+        for x, direction in ((1, 1),) if top else ((x0, 1), (x0 - 1, -1)):
+            while True:
+                d = x - ctr
+                if above + d * d * n0 > self.limit:
+                    break
+                self._count_node()
+                c[0] = x
+                yield tuple(c), [q + x * y for q, y in zip(p, b0)]
+                x += direction
 
 
 def reduce(basis: LatticeBasis, delta: float = None):
     """LLL-reduce the basis (delta defaults to 0.99); returns the reduced
     basis together with the unimodular integer transform for audit:
-    reduced.cols = basis.cols @ transform."""
+    reduced.cols = basis.cols @ transform. The transform is int64 in the
+    float mode and holds Python ints in the Fraction mode."""
     cols, exact = _columns_as_lists(basis.cols)
     if exact and delta is not None:
         delta = Fraction(delta).limit_denominator(10**6)
-    bred, ucols = _lll(cols, exact, delta)
+    bred, ucols, _, _ = _lll(cols, exact, delta)
     m = basis.m
     if exact:
         out = _linalg.frac_matrix([[bred[j][i] for j in range(m)] for i in range(m)])
     else:
         out = np.array(bred, dtype=float).T
-    transform = np.array([[ucols[j][i] for j in range(m)] for i in range(m)], dtype=np.int64)
+    transform = np.array([[ucols[j][i] for j in range(m)] for i in range(m)],
+                         dtype=object if exact else np.int64)
     return LatticeBasis(out), transform
 
 
@@ -207,44 +269,45 @@ def _prepare(basis: LatticeBasis):
     if basis.m > MAX_DIM:
         raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
     cols, exact = _columns_as_lists(basis.cols)
-    bred, ucols = _lll(cols, exact)
-    return cols, bred, ucols, exact
+    bred, ucols, mu, norms = _lll(cols, exact)
+    return bred, ucols, mu, norms, exact
+
+
+def _scalar(x, exact: bool):
+    """A radius or halfwidth in the basis's scalar mode (Fractions are exact,
+    so float inputs convert without rounding)."""
+    return Fraction(x) if exact else float(x)
 
 
 def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
     """Exact shortest nonzero vector in sup-norm.
 
-    After LLL reduction the minimum-norm reduced column gives an upper bound
-    L; every candidate with ||v|| <= L has |c_i| <= ||row_i(B^-1)||_1 * L,
-    so exhausting that coefficient box is a proof of minimality. The box is
-    re-derived and re-exhausted whenever the bound improves. Ties are broken
+    The minimum-norm reduced column gives an upper bound L. Every v with
+    ||v||_inf <= L has ||v||_2^2 <= m L^2, so walking that Euclidean ball
+    and comparing sup-norms exactly is a proof of minimality; the ball
+    shrinks to m L'^2 whenever a shorter vector L' turns up. Ties are broken
     by the lexicographically smallest sign-normalized coefficient vector in
-    the input basis.
+    the input basis. A result above Minkowski's bound 1 (beyond a relative
+    1e-9 in the float mode) means the float arithmetic has broken down and
+    raises InvariantError.
     """
-    cols, bred, ucols, exact = _prepare(basis)
+    bred, ucols, mu, norms, exact = _prepare(basis)
     m = basis.m
-    inv_rows = _inverse_rows(bred, exact)
     best = min(_sup(col) for col in bred)
     if best == 0:
         raise InvariantError("reduced basis contains the zero vector")
-    while True:
-        bounds = _coeff_bounds(inv_rows, [best] * m, exact)
-        _check_box(bounds)
-        best_len = None
-        best_cands = []
-        for c in _iter_candidates(bounds):
-            length = _sup(_combine(bred, c))
-            if best_len is None or length < best_len:
-                best_len = length
-                best_cands = [c]
-            elif length == best_len:
-                best_cands.append(c)
-        if best_len is None:
-            raise InternalIdentityError("enumeration box unexpectedly empty")
-        if best_len < best:
-            best = best_len
-            continue
-        break
+    walk = _BallWalk(bred, mu, norms, m * best * best, exact)
+    best_cands = []
+    for c, v in walk:
+        length = _sup(v)
+        if length < best:
+            best = length
+            best_cands = [c]
+            walk.shrink(m * best * best)
+        elif length == best:
+            best_cands.append(c)
+    if not best_cands:
+        raise InternalIdentityError("enumeration missed the shortest reduced column")
 
     originals = []
     for c in best_cands:
@@ -253,12 +316,16 @@ def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
         if lead < 0:
             oc = tuple(-x for x in oc)
         originals.append(oc)
-    coeffs = np.array(min(originals), dtype=np.int64)
+    coeffs = np.array(min(originals), dtype=object if exact else np.int64)
     vector = basis.cols @ coeffs if not exact else basis.cols @ _linalg.frac_vector(coeffs)
     length = max(abs(x) for x in vector)
     if not exact:
         length = float(length)
         vector = np.asarray(vector, dtype=float)
+    if length > (1 if exact else 1 + _MINKOWSKI_FLOAT_TOL):
+        raise InvariantError(
+            f"sup-norm minimum {length} exceeds Minkowski's bound 1 for a unimodular "
+            "lattice; the float arithmetic has lost precision")
     return ShortVectorResult(vector=vector, length=length, coeffs=coeffs)
 
 
@@ -269,17 +336,10 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
         raise DomainError("halfwidths length must match basis dimension")
     if any(x <= 0 for x in w):
         raise DomainError("halfwidths must be positive")
-    cols, bred, ucols, exact = _prepare(basis)
-    if exact:
-        w = [Fraction(x) if isinstance(x, (int, Fraction)) else x for x in w]
-    else:
-        w = [float(x) for x in w]
-    inv_rows = _inverse_rows(bred, exact)
-    bounds = _coeff_bounds(inv_rows, w, exact)
-    _check_box(bounds)
+    bred, _, mu, norms, exact = _prepare(basis)
+    w = [_scalar(x, exact) for x in w]
     count = 0
-    for c in _iter_candidates(bounds):
-        v = _combine(bred, c)
+    for _, v in _BallWalk(bred, mu, norms, sum(x * x for x in w), exact):
         if all(abs(x) <= wx for x, wx in zip(v, w)):
             count += 1
     return 2 * count
@@ -289,16 +349,11 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     """Is there a nonzero lattice vector with ||v||_inf strictly below bound?"""
     if bound <= 0:
         return False
-    cols, bred, ucols, exact = _prepare(basis)
+    bred, _, mu, norms, exact = _prepare(basis)
     if any(_sup(col) < bound for col in bred):
         return True
-    inv_rows = _inverse_rows(bred, exact)
-    bounds = _coeff_bounds(inv_rows, [bound] * basis.m, exact)
-    _check_box(bounds)
-    for c in _iter_candidates(bounds):
-        if _sup(_combine(bred, c)) < bound:
-            return True
-    return False
+    r = _scalar(bound, exact)
+    return any(_sup(v) < bound for _, v in _BallWalk(bred, mu, norms, basis.m * r * r, exact))
 
 
 def in_kmu(basis: LatticeBasis, mu) -> bool:

@@ -68,6 +68,16 @@ def test_mu_validation_message():
     assert "mu must lie in (0,1)" in str(info.value)
 
 
+def test_rep_verify_refuses_top_exterior_power():
+    cfg = base_config(subcommand="rep-verify",
+                      parameters={"rep": {"kind": "exterior", "k": 2}})
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(cfg))
+    assert "parameters.rep.k" in str(info.value)
+    cfg["parameters"]["rep"]["k"] = 1
+    assert parse_config(json.dumps(cfg)).parameters["rep"]["k"] == 1
+
+
 def test_curve_shape_error_names_offending_block():
     cfg = base_config()
     cfg["curve"]["coeffs"][1] = [[1, 2]]

@@ -1,12 +1,15 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from danilab import (LatticeBasis, count_in_box, in_kmu, in_mahler_compact,
-                     reduce, shortest_supnorm)
-from danilab.errors import DomainError, InvariantError, UnsupportedSizeError
+                     lattice, reduce, shortest_supnorm)
+from danilab.errors import (DegenerateInputError, DomainError, InvariantError,
+                            UnsupportedSizeError)
+from danilab.flow import a_diag, a_scale, u_embed
 
 
 _COMBO_CACHE = {}
@@ -90,6 +93,8 @@ def test_count_in_box_examples():
     assert count_in_box(LatticeBasis(np.eye(2)), (1.0, 1.0)) == 8
     assert count_in_box(LatticeBasis(np.diag([2.0, 0.5])), (1.0, 1.0)) == 4
     assert count_in_box(LatticeBasis(np.eye(2)), (0.1, 0.1)) == 0
+    # (1, 1) sits on the box corner, hence on the boundary of the search ball
+    assert count_in_box(LatticeBasis.from_rational([[1, 0], [0, 1]]), (1, 1)) == 8
 
 
 def test_count_in_box_is_even():
@@ -146,6 +151,37 @@ def test_in_mahler_compact():
     assert not in_mahler_compact(LatticeBasis(np.diag([2.0, 0.5])), 0.6)
     flowed = LatticeBasis(np.diag([np.exp(2.5), np.exp(-2.5)]))
     assert not in_mahler_compact(flowed, 0.1)
+
+
+def test_exact_flowed_lattice_keeps_python_ints():
+    # a_t u(s) at s = 1 + 1/pi with the expansion factor round(e^t): the exact
+    # run used to overflow int64 at t = 8.
+    s = Fraction(1 + 1 / math.pi)
+    for t in (2, 4, 6, 8):
+        f = Fraction(round(math.exp(t)))
+        exact = LatticeBasis((a_scale(f, 1) @ u_embed(np.array([[s]], dtype=object))).entries)
+        floats = LatticeBasis((a_scale(float(f), 1) @ u_embed(np.array([[float(s)]]))).entries)
+        res = shortest_supnorm(exact)
+        assert all(type(x) is int for x in res.coeffs)
+        assert float(res.length) == pytest.approx(shortest_supnorm(floats).length, rel=1e-12)
+        _, transform = reduce(exact)
+        assert all(type(x) is int for x in transform.ravel())
+
+
+def test_minkowski_bound_refuses_lost_precision():
+    # At t = 24 the float orbit lattice is too ill-conditioned for doubles;
+    # its computed minimum (2322) breaks lambda_1 <= 1.
+    flowed = LatticeBasis((a_diag(24, 1) @ u_embed(np.array([[1 + 1 / math.pi]]))).entries)
+    with pytest.raises(InvariantError, match="Minkowski"):
+        shortest_supnorm(flowed)
+
+
+def test_node_budget_refuses_huge_enumerations(monkeypatch):
+    monkeypatch.setattr(lattice, "_MAX_NODES", 1000)
+    needle = LatticeBasis(np.diag([1e-4, 1e4]))
+    with pytest.raises(DegenerateInputError):
+        count_in_box(needle, (1.0, 1.0))
+    assert count_in_box(LatticeBasis(np.diag([0.1, 10.0])), (1.0, 1.0)) == 20
 
 
 def test_dimension_cap():
