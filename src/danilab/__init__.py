@@ -10,7 +10,7 @@ from .errors import (DegenerateInputError, DomainError, HypothesisViolationError
                      InternalIdentityError, InvariantError, OrientationError,
                      SingularMatrixError, UnsupportedSizeError)
 from .flow import (GroupElement, Sl2Copy, a_diag, a_scale, conj_by_E, dani_vector,
-                   orbit_point, sl2_copy, sl2_image, u_embed, z_embed)
+                   orbit_point, orbit_points, sl2_copy, sl2_image, u_embed, z_embed)
 from .lattice import (LatticeBasis, ShortVectorResult, count_in_box, in_kmu,
                       in_mahler_compact, reduce, shortest_supnorm)
 from .reptheory import (Representation, WeightDecomposition, adjoint,
@@ -34,7 +34,7 @@ __all__ = [
     "InternalIdentityError", "InvariantError", "OrientationError",
     "SingularMatrixError", "UnsupportedSizeError",
     "GroupElement", "Sl2Copy", "a_diag", "a_scale", "conj_by_E", "dani_vector",
-    "orbit_point", "sl2_copy", "sl2_image", "u_embed", "z_embed",
+    "orbit_point", "orbit_points", "sl2_copy", "sl2_image", "u_embed", "z_embed",
     "LatticeBasis", "ShortVectorResult", "count_in_box", "in_kmu",
     "in_mahler_compact", "reduce", "shortest_supnorm",
     "Representation", "WeightDecomposition", "adjoint", "constrained_subspace",

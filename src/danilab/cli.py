@@ -356,7 +356,7 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _run_genericity(config: ExperimentConfig, threads: int):
+def _run_genericity(config: ExperimentConfig):
     p = config.parameters
     s0 = _scalar(p["s0"], "parameters.s0")
     verdict = genericity_test(config.curve, s0, m=p["m"], tol=p["tol"])
@@ -372,7 +372,7 @@ def _run_genericity(config: ExperimentConfig, threads: int):
     }]
 
 
-def _run_dirichlet_scan(config: ExperimentConfig, threads: int):
+def _run_dirichlet_scan(config: ExperimentConfig):
     p = config.parameters
     mu = _scalar(p["mu"], "parameters.mu")
     table = improvability_scan(config.curve, mu, _check_s_grid(p, config.curve),
@@ -382,7 +382,7 @@ def _run_dirichlet_scan(config: ExperimentConfig, threads: int):
     return [payload], table
 
 
-def _run_correspondence(config: ExperimentConfig, threads: int):
+def _run_correspondence(config: ExperimentConfig):
     p = config.parameters
     mu = _scalar(p["mu"], "parameters.mu")
     payloads = []
@@ -404,24 +404,24 @@ def _run_correspondence(config: ExperimentConfig, threads: int):
     return payloads
 
 
-def _run_equidist(config: ExperimentConfig, threads: int):
+def _run_equidist(config: ExperimentConfig):
     p = config.parameters
     payloads = []
     for t in _check_t_list(p):
         rec = stats.siegel_average(config.curve, t, p["box"], config.sampler,
-                                   normalize=p["normalize"], threads=threads)
+                                   normalize=p["normalize"])
         payloads.append(rec.payload())
     return payloads
 
 
-def _run_nondiv(config: ExperimentConfig, threads: int):
+def _run_nondiv(config: ExperimentConfig):
     p = config.parameters
     records = stats.nondivergence_profile(config.curve, _check_t_list(p), float(p["eps"]),
-                                          config.sampler, threads=threads)
+                                          config.sampler)
     return [rec.payload() for rec in records]
 
 
-def _run_rep_verify(config: ExperimentConfig, threads: int):
+def _run_rep_verify(config: ExperimentConfig):
     p = config.parameters
     n = config.n
     rep_spec = p["rep"]
@@ -485,13 +485,13 @@ def _random_minus_vector(decomp, dim: int, seed: int, base_index: int) -> np.nda
     return v / norm
 
 
-def _run_w_invariance(config: ExperimentConfig, threads: int):
+def _run_w_invariance(config: ExperimentConfig):
     p = config.parameters
     obs = _build_observable(p["observable"])
     payloads = []
     for t in _check_t_list(p):
         payloads.append(stats.w_invariance_gap(config.curve, t, float(p["r"]), obs,
-                                               config.sampler, threads=threads))
+                                               config.sampler))
     return payloads
 
 
@@ -506,10 +506,10 @@ _DISPATCH = {
 }
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> list:
+def run(config: ExperimentConfig) -> list:
     """Execute the experiment, write <output>.jsonl (and <output>.csv for
     scan tables), and return the written records."""
-    result = _DISPATCH[config.subcommand](config, threads)
+    result = _DISPATCH[config.subcommand](config)
     table = None
     if isinstance(result, tuple):
         payloads, table = result
@@ -577,7 +577,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--assert", dest="baseline", default=None, metavar="BASELINE",
                        help="JSONL baseline to compare records against")
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -591,8 +590,6 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"subcommand: config says {config.subcommand!r} but CLI invoked "
                 f"{args.cli_subcommand!r}")
-        if args.threads < 1:
-            raise ConfigError("--threads: must be >= 1")
     except ConfigError as exc:
         print(f"danilab: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -606,7 +603,7 @@ def main(argv=None) -> int:
             print(f"danilab: cannot read baseline: {exc}", file=sys.stderr)
             return EXIT_ASSERT
     try:
-        records = run(config, threads=args.threads)
+        records = run(config)
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal exit code
         print(f"danilab: runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

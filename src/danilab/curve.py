@@ -9,6 +9,7 @@ lower is a witness of degeneracy.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -23,6 +24,17 @@ INVERTIBILITY_TOL = 1e-9
 
 def _is_exact_scalar(s) -> bool:
     return isinstance(s, (int, Fraction)) and not isinstance(s, bool)
+
+
+def _horner(coeffs: np.ndarray, s, shape) -> np.ndarray:
+    """sum_k coeffs[k] s^k by Horner's rule as a new array of the given shape;
+    s is a float or an (M, 1, 1) array of floats."""
+    if len(coeffs) == 1:
+        return np.array(np.broadcast_to(coeffs[0], shape))
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * s + c
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,8 +103,14 @@ class MatrixPolyCurve:
     def exact(self) -> bool:
         return all(_linalg.is_exact(c) for c in self.coeffs)
 
+    @cached_property
     def _float_coeffs(self):
-        return [_linalg.to_float(c) for c in self.coeffs]
+        """Float coefficient stacks of phi and of phi' (outer index = power),
+        converted once per curve."""
+        cs = np.array([_linalg.to_float(c) for c in self.coeffs])
+        ds = cs[1:] * np.arange(1.0, len(cs))[:, None, None]
+        cs.flags.writeable = ds.flags.writeable = False
+        return cs, ds
 
     def _check_domain(self, s):
         a, b = self.interval
@@ -100,10 +118,15 @@ class MatrixPolyCurve:
             if not a <= Fraction(s) <= b:
                 raise DomainError(f"s = {s} outside the curve interval [{a}, {b}]")
             return
-        lo, hi = float(a), float(b)
-        slack = (hi - lo) * 1e-12  # float samplers may land one ulp outside
-        if not lo - slack <= float(s) <= hi + slack:
+        if not self.in_float_domain(float(s)):
             raise DomainError(f"s = {s} outside the curve interval [{a}, {b}]")
+
+    def in_float_domain(self, s):
+        """Whether the float point(s) s lie in the interval, widened by a
+        relative 1e-12 because float samplers may land one ulp outside."""
+        lo, hi = float(self.interval[0]), float(self.interval[1])
+        slack = (hi - lo) * 1e-12
+        return (lo - slack <= s) & (s <= hi + slack)
 
     def eval(self, s) -> np.ndarray:
         """phi(s) by Horner evaluation."""
@@ -114,12 +137,7 @@ class MatrixPolyCurve:
             for k in range(self.degree - 1, -1, -1):
                 out = out * s + self.coeffs[k]
             return out
-        cs = self._float_coeffs()
-        s = float(s)
-        out = cs[-1].copy()
-        for k in range(self.degree - 1, -1, -1):
-            out = out * s + cs[k]
-        return out
+        return _horner(self._float_coeffs[0], float(s), (self.n, self.n))
 
     def derivative(self, s) -> np.ndarray:
         """phi'(s) by Horner evaluation of the derivative polynomial."""
@@ -133,12 +151,17 @@ class MatrixPolyCurve:
             for k in range(self.degree - 1, 0, -1):
                 out = out * s + self.coeffs[k] * Fraction(k)
             return out
-        cs = self._float_coeffs()
-        s = float(s)
-        out = cs[-1] * float(self.degree)
-        for k in range(self.degree - 1, 0, -1):
-            out = out * s + cs[k] * float(k)
-        return out
+        return _horner(self._float_coeffs[1], float(s), (self.n, self.n))
+
+    def eval_many(self, s: np.ndarray) -> np.ndarray:
+        """(M, n, n) stack of phi at the float points s (no domain check)."""
+        return _horner(self._float_coeffs[0], s[:, None, None], (len(s), self.n, self.n))
+
+    def derivative_many(self, s: np.ndarray) -> np.ndarray:
+        """(M, n, n) stack of phi' at the float points s (no domain check)."""
+        if self.degree == 0:
+            return np.zeros((len(s), self.n, self.n))
+        return _horner(self._float_coeffs[1], s[:, None, None], (len(s), self.n, self.n))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixPolyCurve):
@@ -278,17 +301,26 @@ def normalizer(curve: MatrixPolyCurve, s, tol: float = INVERTIBILITY_TOL) -> Cen
     """
     d_mat = _linalg.to_float(curve.derivative(s))
     d = float(np.linalg.det(d_mat))
-    if abs(d) <= tol:
-        raise SingularMatrixError(f"phi'(s) singular at s = {s}, |det| = {abs(d):.3e}", det=abs(d))
-    if d < 0:
-        raise OrientationError(
-            f"det(phi'(s)) = {d:.6g} < 0 at s = {s}: no real centralizer element "
-            "satisfies both B phi' C^-1 = I and det(B) det(C) = 1")
+    err = normalizer_error(d, s, tol)
+    if err is not None:
+        raise err
     n = curve.n
     lam = d ** (-1.0 / (2 * n))
     B = lam * np.eye(n)
     C = B @ d_mat
     return CentralizerElement(B=B, C=C)
+
+
+def normalizer_error(d: float, s, tol: float = INVERTIBILITY_TOL):
+    """The error `normalizer` raises at s when det(phi'(s)) = d, or None."""
+    if abs(d) <= tol:
+        return SingularMatrixError(f"phi'(s) singular at s = {s}, |det| = {abs(d):.3e}",
+                                   det=abs(d))
+    if d < 0:
+        return OrientationError(
+            f"det(phi'(s)) = {d:.6g} < 0 at s = {s}: no real centralizer element "
+            "satisfies both B phi' C^-1 = I and det(B) det(C) = 1")
+    return None
 
 
 def inverse_derivative_check(curve: MatrixPolyCurve, s0, s, h: float,

@@ -14,11 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .curve import CentralizerElement, MatrixPolyCurve, normalizer
+from .curve import INVERTIBILITY_TOL, CentralizerElement, MatrixPolyCurve, normalizer_error
 from .errors import DomainError, InternalIdentityError, InvariantError
 from .lattice import LatticeBasis
 
 GROUP_DET_TOL = 1e-8
+
+
+def _det_error(d: float) -> InvariantError:
+    return InvariantError(f"det = {d!r} deviates from 1 beyond {GROUP_DET_TOL}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class GroupElement:
             if d != 1:
                 raise InvariantError(f"exact det = {d} != 1")
         elif abs(d - 1.0) > GROUP_DET_TOL:
-            raise InvariantError(f"det = {d!r} deviates from 1 beyond {GROUP_DET_TOL}")
+            raise _det_error(d)
         self.entries.flags.writeable = False
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
@@ -138,19 +142,72 @@ def z_embed(z: CentralizerElement) -> GroupElement:
     return GroupElement(n, _assemble(n, z.B, zero, zero.copy(), z.C, exact))
 
 
+def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = None,
+                 normalize: bool = False) -> np.ndarray:
+    """(M, 2n, 2n) read-only float stack of the bases a_t [z(s)] u(phi(s))
+    [basepoint] at the float points s.
+
+    Row i equals (a_diag(t) @ z_embed(normalizer(curve, s[i])) @
+    u_embed(curve.eval(s[i]))).entries [@ basepoint.cols]: the blocks are
+    written in closed form with the products of that matrix chain, in its
+    order. Each sample passes the checks of the one-sample chain: s inside
+    the interval, det(phi'(s)) > INVERTIBILITY_TOL when normalizing, det of
+    the group element within GROUP_DET_TOL of 1 (one np.linalg.det over the
+    stack) and |det| of the basis within UNIMODULAR_TOL of 1. The lowest
+    failing sample raises the error the one-sample chain raises first, with
+    its index as `sample_index`.
+    """
+    s = np.asarray(s, dtype=float).reshape(-1)
+    n = curve.n
+    f = math.exp(float(t))
+    phi = curve.eval_many(s)
+    failures = [(~curve.in_float_domain(s), lambda i: DomainError(
+        f"s = {s[i]} outside the curve interval [{curve.interval[0]}, {curve.interval[1]}]"))]
+    diag = np.arange(n)
+    out = np.zeros((len(s), 2 * n, 2 * n))
+    # Adding 0.0 turns -0.0 into 0.0, as the sums of the matrix products do.
+    if normalize:
+        dphi = curve.derivative_many(s)
+        d = np.linalg.det(dphi)
+        failures.append(((np.abs(d) <= INVERTIBILITY_TOL) | (d < 0),
+                         lambda i: normalizer_error(float(d[i]), s[i])))
+        # Python's scalar ** (numpy's vector power differs in the last bit).
+        lam = np.array([x ** (-1.0 / (2 * n)) if x > INVERTIBILITY_TOL else math.nan
+                        for x in d.tolist()])
+        top = f * lam
+        out[:, n:, n:] = (1.0 / f) * (lam[:, None, None] * dphi + 0.0) + 0.0
+    else:
+        top = np.full(len(s), f)
+        out[:, n + diag, n + diag] = 1.0 / f
+    out[:, diag, diag] = top[:, None]
+    out[:, :n, n:] = top[:, None, None] * phi + 0.0
+    with np.errstate(invalid="ignore"):  # rows of samples that failed to normalize are nan
+        g_det = np.linalg.det(out)
+    failures.append((np.abs(g_det - 1.0) > GROUP_DET_TOL, lambda i: _det_error(float(g_det[i]))))
+    firsts = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(failures) if bad.any()]
+    if firsts:
+        i, k = min(firsts)
+        exc = failures[k][1](i)
+        exc.sample_index = i
+        raise exc
+    if basepoint is not None:
+        out = out @ basepoint.cols
+    return LatticeBasis.check_stack(out)
+
+
 def orbit_point(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = None,
-                normalize: bool = False) -> LatticeBasis:
-    """Lattice basis of a_t [z(s)] u(phi(s)) applied to the basepoint lattice.
+                normalize: bool = False, row: np.ndarray = None) -> LatticeBasis:
+    """Lattice basis of a_t [z(s)] u(phi(s)) applied to the basepoint lattice:
+    the one-sample case of `orbit_points` (s is read as a float).
 
     normalize=True inserts the centralizer element z(s) that carries phi'(s)
     to the identity (errors if phi'(s) is singular or orientation-reversing).
+    `row` is this sample's row of an `orbit_points` stack built with the same
+    arguments; it becomes the basis without being rebuilt or checked again.
     """
-    g = a_diag(t, curve.n)
-    if normalize:
-        g = g @ z_embed(normalizer(curve, s))
-    g = g @ u_embed(_linalg.to_float(curve.eval(s)))
-    cols = g.entries if basepoint is None else g.entries @ basepoint.cols
-    return LatticeBasis(cols)
+    if row is None:
+        row = orbit_points(curve, [s], t, basepoint=basepoint, normalize=normalize)[0]
+    return LatticeBasis.of_checked(row)
 
 
 def dani_vector(phi, p, q, N) -> np.ndarray:

@@ -52,12 +52,44 @@ class LatticeBasis:
             if abs(d) != 1:
                 raise InvariantError(f"exact |det| = {abs(d)} != 1")
         elif abs(abs(d) - 1.0) > UNIMODULAR_TOL:
-            raise InvariantError(f"|det| = {abs(d)!r} deviates from 1 beyond {UNIMODULAR_TOL}")
+            raise _det_error(d)
         c.flags.writeable = False
 
     @classmethod
     def from_rational(cls, rows) -> "LatticeBasis":
         return cls(_linalg.frac_matrix(rows))
+
+    @classmethod
+    def check_stack(cls, cols: np.ndarray) -> np.ndarray:
+        """Check an (M, m, m) float stack of bases with one np.linalg.det:
+        every |det| must be 1 within UNIMODULAR_TOL. Returns the stack, made
+        read-only. The first failing basis raises the InvariantError its own
+        constructor would, with its stack index as `sample_index`."""
+        d = np.linalg.det(cols)
+        bad = np.abs(np.abs(d) - 1.0) > UNIMODULAR_TOL
+        if bad.any():
+            i = int(np.argmax(bad))
+            exc = _det_error(float(d[i]))
+            exc.sample_index = i
+            raise exc
+        cols.flags.writeable = False
+        return cols
+
+    @classmethod
+    def of_checked(cls, cols: np.ndarray) -> "LatticeBasis":
+        """The basis of one row of a stack that `check_stack` has passed,
+        without recomputing its determinant."""
+        if cols.flags.writeable:
+            raise InvariantError("of_checked needs a row of a stack passed by check_stack")
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "cols", cols)
+        return basis
+
+    @classmethod
+    def batch(cls, cols: np.ndarray) -> tuple:
+        """Frozen bases of an (M, m, m) float stack, checked once by
+        `check_stack`; each basis is a read-only view of the stack."""
+        return tuple(map(cls.of_checked, cls.check_stack(cols)))
 
     @property
     def m(self) -> int:
@@ -66,6 +98,10 @@ class LatticeBasis:
     @property
     def exact(self) -> bool:
         return _linalg.is_exact(self.cols)
+
+
+def _det_error(d: float) -> InvariantError:
+    return InvariantError(f"|det| = {abs(d)!r} deviates from 1 beyond {UNIMODULAR_TOL}")
 
 
 @dataclass(frozen=True)

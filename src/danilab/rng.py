@@ -16,7 +16,14 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """SplitMix64 finalizer of a Python int, or elementwise of a uint64 array
+    (whose arithmetic wraps modulo 2^64 like the masked int arithmetic)."""
+    if isinstance(x, np.ndarray):
+        z = x + np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
     x = (x + _GOLDEN) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -64,4 +71,12 @@ class Sampler:
         return a + (b - a) * u
 
     def points(self, interval) -> np.ndarray:
-        return np.array([self.point(interval, i) for i in range(self.count)])
+        """point(interval, i) for i < count, computed over the whole index array."""
+        a, b = float(interval[0]), float(interval[1])
+        index = np.arange(self.count, dtype=np.uint64)
+        key = np.uint64(_splitmix64(self.seed & _MASK64))
+        bits = _splitmix64(key ^ (index * np.uint64(_GOLDEN)))
+        u = (bits >> np.uint64(11)).astype(float) * 2.0 ** -53
+        if self.scheme == "stratified_grid":
+            return a + (b - a) * (index.astype(float) + u) / self.count
+        return a + (b - a) * u

@@ -3,14 +3,16 @@
 Every estimator draws curve parameters from a counter-based Sampler, pushes
 the corresponding lattices through a_t (optionally normalized by the
 centralizer element of the curve derivative), evaluates a box-count /
-membership / shortest-vector observable, and aggregates. Per-sample values
-are pure functions of (seed, index), and aggregation is numpy pairwise
-summation over the index-ordered value array, so results are bit-identical
-for any thread count.
+membership / shortest-vector observable, and aggregates. One kernel serves
+all of them: per flow time it builds the M sample lattices as one checked
+stack (`orbit_points`), evaluates the observable on each basis, and takes
+the mean and standard error of the index-ordered values. Per-sample values
+are pure functions of (seed, index), so a failing sample is named by
+(seed, index, s) and can be rerun alone.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .curve import MatrixPolyCurve
 from .errors import DomainError
-from .flow import orbit_point, u_embed
+from .flow import orbit_point, orbit_points, u_embed
 from .lattice import LatticeBasis, count_in_box, in_kmu, in_mahler_compact, shortest_supnorm
 from .rng import Sampler
 
@@ -90,15 +92,6 @@ class ObservableRecord:
         }
 
 
-def _map_samples(fn, points, threads: int):
-    # Values depend only on the point, never on evaluation order, so any
-    # executor yields the same array.
-    if threads <= 1:
-        return np.array([fn(s) for s in points], dtype=float)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(fn, points)), dtype=float)
-
-
 def _mean_stderr(values: np.ndarray):
     mean = float(np.mean(values))
     if values.size < 2:
@@ -107,53 +100,72 @@ def _mean_stderr(values: np.ndarray):
     return mean, stderr
 
 
+@contextmanager
+def _naming_sample(sampler: Sampler, points: np.ndarray):
+    """Prefix the error of a failing sample with (seed, index, s)."""
+    try:
+        yield
+    except ValueError as exc:
+        i = getattr(exc, "sample_index", None)
+        if i is None:
+            raise
+        exc.args = (f"sample (seed, index, s) = ({sampler.seed}, {i}, {float(points[i])!r}): "
+                    f"{exc}",)
+        raise
+
+
+def _orbit_stats(curve: MatrixPolyCurve, t: float, sampler: Sampler, evaluate,
+                 normalize: bool = False, basepoint: LatticeBasis = None, shift=None):
+    """(mean, stderr) of evaluate over the sampled orbit lattices at flow time
+    t, followed by the same for their translates by the matrix `shift` when
+    one is given.
+
+    Each sample's basis is handed to the observable through `orbit_point`,
+    and the observables call the lattice queries by their names here, so
+    span tracing of those names still sees one call per sample.
+    """
+    points = sampler.points(curve.interval)
+    with _naming_sample(sampler, points):
+        stack = orbit_points(curve, points, t, basepoint=basepoint, normalize=normalize)
+        translated = () if shift is None else LatticeBasis.batch(shift @ stack)
+    values = [evaluate(orbit_point(curve, s, t, basepoint=basepoint, normalize=normalize,
+                                   row=row))
+              for s, row in zip(points, stack)]
+    out = [_mean_stderr(np.array(values, dtype=float))]
+    if shift is not None:
+        out.append(_mean_stderr(np.array([evaluate(b) for b in translated], dtype=float)))
+    return out
+
+
 def siegel_average(curve: MatrixPolyCurve, t: float, box, sampler: Sampler,
-                   basepoint: LatticeBasis = None, normalize: bool = False,
-                   threads: int = 1) -> ObservableRecord:
+                   basepoint: LatticeBasis = None, normalize: bool = False) -> ObservableRecord:
     """Mean count of nonzero lattice vectors in the box along the orbit; the
     Haar expectation of the count is the box volume."""
     obs = siegel_count(box)
-    points = sampler.points(curve.interval)
-
-    def one(s):
-        return obs.evaluate(orbit_point(curve, s, t, basepoint=basepoint, normalize=normalize))
-
-    values = _map_samples(one, points, threads)
-    mean, se = _mean_stderr(values)
+    [(mean, se)] = _orbit_stats(curve, t, sampler, obs.evaluate, normalize=normalize,
+                                basepoint=basepoint)
     return ObservableRecord(op="siegel_average", t=float(t), observable=obs.name,
                             mean=mean, stderr=se, M=sampler.count, seed=sampler.seed)
 
 
 def kmu_fraction(curve: MatrixPolyCurve, t: float, mu: float, sampler: Sampler,
-                 normalize: bool = False, threads: int = 1) -> ObservableRecord:
+                 normalize: bool = False) -> ObservableRecord:
     """Fraction of sampled orbit lattices avoiding the open mu-ball."""
     obs = kmu_indicator(mu)
-    points = sampler.points(curve.interval)
-
-    def one(s):
-        return obs.evaluate(orbit_point(curve, s, t, normalize=normalize))
-
-    values = _map_samples(one, points, threads)
-    mean, se = _mean_stderr(values)
+    [(mean, se)] = _orbit_stats(curve, t, sampler, obs.evaluate, normalize=normalize)
     return ObservableRecord(op="kmu_fraction", t=float(t), observable=obs.name,
                             mean=mean, stderr=se, M=sampler.count, seed=sampler.seed)
 
 
-def nondivergence_profile(curve: MatrixPolyCurve, t_list, eps: float, sampler: Sampler,
-                          threads: int = 1):
+def nondivergence_profile(curve: MatrixPolyCurve, t_list, eps: float, sampler: Sampler):
     """Per flow time, the fraction of samples whose lattice has a nonzero
     vector of sup-norm below eps (the mass outside the Mahler compact)."""
     if eps <= 0:
         raise DomainError("eps must be positive")
-    points = sampler.points(curve.interval)
     records = []
     for t in t_list:
-        def one(s, t=t):
-            basis = orbit_point(curve, s, t)
-            return 0.0 if in_mahler_compact(basis, eps) else 1.0
-
-        values = _map_samples(one, points, threads)
-        mean, se = _mean_stderr(values)
+        [(mean, se)] = _orbit_stats(curve, t, sampler,
+                                    lambda b: 0.0 if in_mahler_compact(b, eps) else 1.0)
         records.append(ObservableRecord(op="nondivergence_profile", t=float(t),
                                         observable=f"lambda1_below[{float(eps)!r}]",
                                         mean=mean, stderr=se, M=sampler.count,
@@ -162,27 +174,13 @@ def nondivergence_profile(curve: MatrixPolyCurve, t_list, eps: float, sampler: S
 
 
 def w_invariance_gap(curve: MatrixPolyCurve, t: float, r: float, observable: Observable,
-                     sampler: Sampler, threads: int = 1) -> dict:
+                     sampler: Sampler) -> dict:
     """Difference of observable means between normalized orbit lattices and
     their translates by the unipotent u(r I); decay of the gap with t is the
     expected approach to translation invariance."""
-    points = sampler.points(curve.interval)
-    shift = u_embed(float(r) * np.eye(curve.n))
-
-    def one_pair(s):
-        base = orbit_point(curve, s, t, normalize=True)
-        translated = LatticeBasis(shift.entries @ base.cols)
-        return observable.evaluate(base), observable.evaluate(translated)
-
-    if threads <= 1:
-        pairs = [one_pair(s) for s in points]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one_pair, points))
-    base_vals = np.array([p[0] for p in pairs], dtype=float)
-    tr_vals = np.array([p[1] for p in pairs], dtype=float)
-    mean_b, se_b = _mean_stderr(base_vals)
-    mean_t, se_t = _mean_stderr(tr_vals)
+    shift = u_embed(float(r) * np.eye(curve.n)).entries
+    (mean_b, se_b), (mean_t, se_t) = _orbit_stats(curve, t, sampler, observable.evaluate,
+                                                  normalize=True, shift=shift)
     return {
         "module": "stats",
         "op": "w_invariance_gap",
@@ -200,8 +198,7 @@ def w_invariance_gap(curve: MatrixPolyCurve, t: float, r: float, observable: Obs
 
 
 def convergence_gap(curve: MatrixPolyCurve, t1: float, t2: float, observable: Observable,
-                    sampler: Sampler, normalize_pair=("raw", "normalized"),
-                    threads: int = 1) -> dict:
+                    sampler: Sampler, normalize_pair=("raw", "normalized")) -> dict:
     """Compare the two basepoint conventions at equal flow times.
 
     Returns the raw-vs-normalized gap at t1 and t2 plus the t1 -> t2 drift of
@@ -213,17 +210,12 @@ def convergence_gap(curve: MatrixPolyCurve, t1: float, t2: float, observable: Ob
             raise DomainError(f"unknown mode {mode!r} in normalize_pair")
     if len(modes) != 2:
         raise DomainError("normalize_pair must name exactly two modes")
-    points = sampler.points(curve.interval)
     means = {}
     errs = {}
     for t in (t1, t2):
         for mode in set(modes):
-            def one(s, t=t, mode=mode):
-                basis = orbit_point(curve, s, t, normalize=(mode == "normalized"))
-                return observable.evaluate(basis)
-
-            values = _map_samples(one, points, threads)
-            means[(t, mode)], errs[(t, mode)] = _mean_stderr(values)
+            [(means[(t, mode)], errs[(t, mode)])] = _orbit_stats(
+                curve, t, sampler, observable.evaluate, normalize=(mode == "normalized"))
     a, b = modes
     return {
         "module": "stats",

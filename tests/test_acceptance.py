@@ -18,6 +18,7 @@ from danilab import (CentralizerElement, DirichletQuery, LatticeBasis,
                      verify_q0_transport, verify_qplus_nonvanish, weight_split,
                      w_invariance_gap)
 from danilab.cli import EXIT_OK, main
+from orbit_reference import reference_basis, reference_mean_stderr
 
 LINE = MatrixPolyCurve.from_coeffs([[[0.0]], [[1.0]]], (1.0, 2.0))
 R_SWEEP = (1.0, -1.0, 0.5, -0.5)
@@ -228,24 +229,25 @@ def test_count_in_box_unimodular_recombination():
         assert count_in_box(LatticeBasis(b @ u), box) == count_in_box(LatticeBasis(b), box)
 
 
-def test_thread_count_determinism(tmp_path):
+def test_batched_estimators_match_per_sample_loop(tmp_path):
     config = {
-        "experiment_id": "acceptance-threads",
+        "experiment_id": "acceptance-batched",
         "subcommand": "equidist",
         "n": 1,
-        "curve": {"degree": 1, "coeffs": [[[0]], [[1]]], "interval": ["1", "2"]},
-        "parameters": {"t_list": [2.0, 4.0], "box": [0.9, 0.9]},
+        "curve": {"degree": 2, "coeffs": [[["1/3"]], [["3/4"]], [["1/8"]]],
+                  "interval": ["1", "2"]},
+        "parameters": {"t_list": [2.0, 4.0], "box": [0.9, 0.9], "normalize": True},
         "sampler": {"seed": 55, "count": 1000, "scheme": "uniform_iid"},
         "output": str(tmp_path / "run"),
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-
-    payload_lines = {}
-    for threads in ("1", "4"):
-        assert main(["equidist", "--config", str(cfg_path), "--threads", threads]) == EXIT_OK
-        lines = (tmp_path / "run.jsonl").read_text().splitlines()
-        payload_lines[threads] = [
-            json.dumps(json.loads(line)["payload"], sort_keys=True) for line in lines
-        ]
-    assert payload_lines["1"] == payload_lines["4"]
+    assert main(["equidist", "--config", str(cfg_path)]) == EXIT_OK
+    payloads = [json.loads(line)["payload"]
+                for line in (tmp_path / "run.jsonl").read_text().splitlines()]
+    curve = MatrixPolyCurve.from_coeffs([[["1/3"]], [["3/4"]], [["1/8"]]], ("1", "2"))
+    points = Sampler(seed=55, count=1000).points(curve.interval)
+    for payload, t in zip(payloads, (2.0, 4.0)):
+        values = [count_in_box(reference_basis(curve, s, t, normalize=True), (0.9, 0.9))
+                  for s in points]
+        assert (payload["mean"], payload["stderr"]) == reference_mean_stderr(values)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from danilab import Sampler, siegel_count
 from danilab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, config_hash, main, parse_config, run,
                          serialize_config)
+from orbit_reference import reference_basis, reference_mean_stderr
 
 
 def base_config(**overrides):
@@ -152,7 +154,6 @@ def test_main_config_errors(tmp_path):
     # subcommand on the command line must match the config body
     cfg_path = write_config(tmp_path, base_config(output=str(tmp_path / "r")))
     assert main(["nondiv", "--config", str(cfg_path)]) == EXIT_CONFIG
-    assert main(["equidist", "--config", str(cfg_path), "--threads", "0"]) == EXIT_CONFIG
 
 
 def test_main_runtime_error(tmp_path, capsys):
@@ -173,15 +174,28 @@ def strip_timestamps(text):
     return [json.dumps(r, sort_keys=True) for r in recs]
 
 
-def test_main_thread_count_keeps_payloads_identical(tmp_path):
+def test_main_equidist_payload_matches_per_sample_loop(tmp_path):
     cfg = base_config(output=str(tmp_path / "a"))
     cfg["sampler"]["count"] = 100
     path = write_config(tmp_path, cfg)
-    assert main(["equidist", "--config", str(path), "--threads", "1"]) == EXIT_OK
-    serial = (tmp_path / "a.jsonl").read_text()
-    assert main(["equidist", "--config", str(path), "--threads", "4"]) == EXIT_OK
-    threaded = (tmp_path / "a.jsonl").read_text()
-    assert strip_timestamps(serial) == strip_timestamps(threaded)
+    assert main(["equidist", "--config", str(path)]) == EXIT_OK
+    payload = json.loads((tmp_path / "a.jsonl").read_text())["payload"]
+    config = parse_config(json.dumps(cfg))
+    obs = siegel_count((1.5, 1.5))
+    values = [obs.evaluate(reference_basis(config.curve, s, 1.0))
+              for s in config.sampler.points(config.curve.interval)]
+    assert (payload["mean"], payload["stderr"]) == reference_mean_stderr(values)
+
+
+def test_main_failing_sample_is_named(tmp_path, capsys):
+    # phi(s) = -s reverses orientation: no sample can be normalized
+    cfg = base_config(output=str(tmp_path / "r"))
+    cfg["curve"]["coeffs"] = [[[0]], [[-1]]]
+    cfg["parameters"]["normalize"] = True
+    path = write_config(tmp_path, cfg)
+    assert main(["equidist", "--config", str(path)]) == EXIT_RUNTIME
+    s0 = Sampler(seed=7, count=25).point((0, 1), 0)
+    assert f"OrientationError: sample (seed, index, s) = (7, 0, {s0!r})" in capsys.readouterr().err
 
 
 def test_dirichlet_scan_writes_csv(tmp_path):

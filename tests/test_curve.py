@@ -27,6 +27,22 @@ def test_eval_examples():
     assert np.array_equal(scalar2.eval(2.0), 2.0 * np.eye(2))
 
 
+def test_float_eval_of_exact_curve_uses_cached_coefficients():
+    curve = MatrixPolyCurve.from_coeffs([[["1/3", "-2/7"], ["5/9", "1"]],
+                                         [["3/4", "0"], ["1/8", "9/5"]],
+                                         [["-1/6", "2/3"], ["1/5", "1/11"]]], ("0", "2"))
+    cached = curve._float_coeffs
+    assert cached is curve._float_coeffs and not any(c.flags.writeable for c in cached)
+    for s in (0.0, 0.3, 1.7, 2.0):
+        cs = [np.asarray(c, dtype=float) for c in curve.coeffs]
+        want = cs[2] * s + cs[1]
+        want = want * s + cs[0]
+        assert curve.eval(s).tobytes() == want.tobytes()
+        assert curve.derivative(s).tobytes() == (cs[2] * 2.0 * s + cs[1] * 1.0).tobytes()
+    stack = curve.eval_many(np.array([0.3, 1.7]))
+    assert stack[1].tobytes() == curve.eval(1.7).tobytes()
+
+
 def test_eval_outside_interval_raises():
     with pytest.raises(DomainError):
         line_curve().eval(5)

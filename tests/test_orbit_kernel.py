@@ -1,0 +1,136 @@
+"""The batched orbit kernel against the one-sample matrix chain.
+
+`orbit_points` must reproduce (a_diag(t) @ z_embed(normalizer(c, s)) @
+u_embed(c.eval(s))).entries bit for bit, the estimators must hand the
+observable exactly those bases, and a failing sample must raise its
+one-sample error, named by (seed, index, s).
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from danilab import (LatticeBasis, MatrixPolyCurve, Sampler, kmu_indicator, lambda1,
+                     orbit_point, orbit_points, siegel_count, w_invariance_gap)
+from danilab import stats
+from danilab.errors import (DomainError, InvariantError, OrientationError,
+                            SingularMatrixError)
+from orbit_reference import reference_basis, reference_cols
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+ENTRY = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+
+
+@st.composite
+def orbit_case(draw):
+    """A curve of degree 0-2 on [1, 2] (exact or float coefficients) whose
+    derivative is diagonally dominant with positive determinant, flow time,
+    sample points, normalize flag and optional basepoint."""
+    n = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 2))
+    coeffs = [[[draw(ENTRY) / 8 ** k for _ in range(n)] for _ in range(n)]
+              for k in range(degree + 1)]
+    if degree >= 1:
+        for i in range(n):
+            coeffs[1][i][i] += 16  # phi'(s) = c1 + 2 c2 s stays near 16 I on [1, 2]
+    exact = draw(st.booleans())
+    if not exact:
+        coeffs = [[[float(x) for x in row] for row in c] for c in coeffs]
+    curve = MatrixPolyCurve.from_coeffs(coeffs, (1, 2) if exact else (1.0, 2.0))
+    s = np.array(draw(st.lists(st.floats(1.0, 2.0), min_size=1, max_size=6)))
+    t = draw(st.floats(0.0, 8.0))
+    normalize = degree >= 1 and draw(st.booleans())
+    basepoint = None
+    if draw(st.booleans()):
+        shear = np.eye(2 * n)
+        shear[0, -1] = float(draw(ENTRY))
+        basepoint = LatticeBasis(shear[:, ::-1].copy())
+    return curve, s, t, normalize, basepoint
+
+
+@SETTINGS
+@given(orbit_case())
+def test_orbit_points_equal_matrix_chain_bit_for_bit(case):
+    curve, s, t, normalize, basepoint = case
+    stack = orbit_points(curve, s, t, basepoint=basepoint, normalize=normalize)
+    assert stack.shape == (len(s), 2 * curve.n, 2 * curve.n) and not stack.flags.writeable
+    for i, si in enumerate(s):
+        want = reference_cols(curve, si, t, basepoint=basepoint, normalize=normalize)
+        assert stack[i].tobytes() == want.tobytes()
+        one = orbit_point(curve, si, t, basepoint=basepoint, normalize=normalize)
+        assert one.cols.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("kind", ("siegel_count", "kmu_indicator", "lambda1"))
+def test_kernel_values_equal_observable_on_reference_basis(n, kind):
+    observable = {"siegel_count": siegel_count((0.9,) * (2 * n)),
+                  "kmu_indicator": kmu_indicator(0.7), "lambda1": lambda1()}[kind]
+    curve = MatrixPolyCurve.from_coeffs([np.eye(n) * 0.25, np.eye(n) + 0.125], (1.0, 2.0))
+    sampler = Sampler(seed=3, count=12)
+    for normalize in (False, True):
+        seen = []
+
+        def record(basis):
+            value = observable.evaluate(basis)
+            seen.append((basis.cols.tobytes(), value))
+            return value
+
+        stats._orbit_stats(curve, 5.0, sampler, record, normalize=normalize)
+        want = []
+        for s in sampler.points(curve.interval):
+            basis = reference_basis(curve, s, 5.0, normalize=normalize)
+            want.append((basis.cols.tobytes(), observable.evaluate(basis)))
+        assert seen == want
+
+
+BENT = MatrixPolyCurve.from_coeffs([[[0.0]], [[-3.0]], [[1.0]]], (1.0, 2.0))  # phi' = 2s - 3
+
+
+@pytest.mark.parametrize("s,index,error", [
+    ([1.8, 1.2, 5.0], 1, OrientationError),
+    ([1.8, 5.0, 1.2], 1, DomainError),
+    ([1.75, 1.9, 1.5], 2, SingularMatrixError),
+])
+def test_lowest_failing_sample_raises_its_one_sample_error(s, index, error):
+    with pytest.raises(error) as info:
+        orbit_points(BENT, s, 2.0, normalize=True)
+    assert info.value.sample_index == index
+    with pytest.raises(error) as alone:
+        orbit_point(BENT, s[index], 2.0, normalize=True)
+    assert str(alone.value) == str(info.value)
+
+
+def test_estimator_names_failing_sample_for_rerun():
+    # phi(s) = s^2 - 3s reverses orientation on [1, 1.5): some sample fails
+    sampler = Sampler(seed=11, count=40)
+    with pytest.raises(OrientationError) as info:
+        w_invariance_gap(BENT, 2.0, 1.0, kmu_indicator(0.7), sampler)
+    points = sampler.points(BENT.interval)
+    index = int(np.argmax(points < 1.5))
+    s = sampler.point(BENT.interval, index)
+    assert str(info.value).startswith(f"sample (seed, index, s) = (11, {index}, {s!r}): ")
+    with pytest.raises(OrientationError):
+        orbit_point(BENT, s, 2.0, normalize=True)
+
+
+def test_out_of_interval_point_is_named():
+    line = MatrixPolyCurve.from_coeffs([[[Fraction(0)]], [[Fraction(1)]]], (0, 1))
+    with pytest.raises(DomainError, match=r"s = 1\.5 outside") as info:
+        orbit_points(line, [0.25, 1.5], 1.0)
+    assert info.value.sample_index == 1
+
+
+def test_check_stack_names_first_bad_basis():
+    stack = np.array([np.eye(2), np.diag([2.0, 1.0]), np.diag([3.0, 1.0])])
+    with pytest.raises(InvariantError, match="deviates from 1") as info:
+        LatticeBasis.check_stack(stack)
+    assert info.value.sample_index == 1
+    good = LatticeBasis.batch(np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]))
+    assert [b.cols.tolist() for b in good] == [np.eye(2).tolist(), [[1.0, 2.0], [0.0, 1.0]]]
+    with pytest.raises(InvariantError):
+        LatticeBasis.of_checked(np.eye(2))  # writeable: never passed check_stack

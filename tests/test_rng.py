@@ -44,3 +44,12 @@ def test_sampler_validation():
         Sampler(seed=0, count=0)
     with pytest.raises(DomainError):
         Sampler(seed=0, count=1, scheme="sobol")
+
+
+@pytest.mark.parametrize("scheme", ["uniform_iid", "stratified_grid"])
+@pytest.mark.parametrize("seed", [0, 3, -5, 2 ** 64 + 3, 2 ** 70 - 1])
+def test_vectorised_points_equal_point_bit_for_bit(scheme, seed):
+    smp = Sampler(seed=seed, count=301, scheme=scheme)
+    for interval in ((0.0, 1.0), (1, 2), (-3.5, 2.25)):
+        pts = smp.points(interval)
+        assert [float(p) for p in pts] == [smp.point(interval, i) for i in range(301)]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from danilab import (MatrixPolyCurve, Observable, Sampler, convergence_gap,
+from danilab import (LatticeBasis, MatrixPolyCurve, Observable, Sampler, convergence_gap,
                      kmu_fraction, kmu_indicator, lambda1,
-                     nondivergence_profile, siegel_average, siegel_count,
+                     nondivergence_profile, siegel_average, siegel_count, u_embed,
                      w_invariance_gap)
 from danilab.errors import DomainError
+from orbit_reference import reference_basis, reference_cols, reference_mean_stderr
 
 
 def line_curve(n=1):
@@ -40,11 +41,15 @@ def test_siegel_average_small_box_sees_nothing():
     assert rec.mean == 0.0 and rec.stderr == 0.0
 
 
-def test_siegel_average_thread_determinism():
-    curve = line_curve()
-    one = siegel_average(curve, 2.0, (1.5, 1.5), Sampler(seed=9, count=200), threads=1)
-    four = siegel_average(curve, 2.0, (1.5, 1.5), Sampler(seed=9, count=200), threads=4)
-    assert one == four
+def test_siegel_average_matches_per_sample_loop():
+    curve = MatrixPolyCurve.from_coeffs([[[0.0]], [[0.75]], [["1/8"]]], (1.0, 2.0))
+    sampler = Sampler(seed=9, count=200)
+    obs = siegel_count((1.5, 1.5))
+    for normalize in (False, True):
+        rec = siegel_average(curve, 2.0, (1.5, 1.5), sampler, normalize=normalize)
+        values = [obs.evaluate(reference_basis(curve, s, 2.0, normalize=normalize))
+                  for s in sampler.points(curve.interval)]
+        assert (rec.mean, rec.stderr) == reference_mean_stderr(values)
 
 
 def test_stderr_scales_with_sample_count():
@@ -96,10 +101,19 @@ def test_w_invariance_gap_zero_shift():
     assert {"op", "t", "r", "observable", "gap", "stderr_base", "M", "seed"} <= set(out)
 
 
-def test_w_invariance_gap_thread_determinism():
-    kw = dict(curve=line_curve(), t=2.0, r=1.0, observable=kmu_indicator(0.7),
-              sampler=Sampler(seed=21, count=150))
-    assert w_invariance_gap(**kw, threads=1) == w_invariance_gap(**kw, threads=4)
+def test_w_invariance_gap_matches_per_sample_loop():
+    curve = line_curve(2)
+    sampler = Sampler(seed=21, count=150)
+    obs = kmu_indicator(0.7)
+    out = w_invariance_gap(curve, 2.0, 1.0, obs, sampler)
+    shift = u_embed(np.eye(2)).entries
+    base, translated = [], []
+    for s in sampler.points(curve.interval):
+        cols = reference_cols(curve, s, 2.0, normalize=True)
+        base.append(obs.evaluate(LatticeBasis(cols)))
+        translated.append(obs.evaluate(LatticeBasis(shift @ cols)))
+    assert (out["mean_base"], out["stderr_base"]) == reference_mean_stderr(base)
+    assert (out["mean_translated"], out["stderr_translated"]) == reference_mean_stderr(translated)
 
 
 def test_convergence_gap_identity_normalizer():
