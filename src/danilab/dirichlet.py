@@ -6,12 +6,19 @@ strict). Insolubility is equivalent to the unimodular lattice
 a_log(N) u(phi) Z^2n missing the open sup-norm mu-ball, which is what
 correspondence_check verifies cell by cell, exactly when phi and mu are
 rational.
+
+The exact path works in Python ints: `solvable` clears the denominators of
+phi and mu once and decides every strict inequality in integers, and
+`correspondence_basis` writes the basis in closed form and checks it with one
+exact determinant. The lattice side reduces it with the integral LLL of
+`lattice`.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -77,26 +84,24 @@ def solvable(query: DirichletQuery, convention: str = "lattice_p_nonzero"
 
     Enumerates p over 0 < ||p||_inf < mu N with each coordinate in
     magnitude-then-positive order (0, 1, -1, 2, -2, ...); for each p the q
-    coordinates range over the open interval (phi p)_i +- mu/N. Under
-    lattice_p_nonzero q is unrestricted; under paper_both_nonzero the zero
-    vector q is rejected as well. Exact arithmetic whenever phi and mu are
-    rational.
+    coordinates range in ascending order over the open interval
+    (phi p)_i +- mu/N. Under lattice_p_nonzero q is unrestricted; under
+    paper_both_nonzero the zero vector q is rejected as well. Exact
+    arithmetic whenever phi and mu are rational (`_solvable_exact`).
     """
     if convention not in CONVENTIONS:
         raise DomainError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
-    exact = query.exact
+    if query.exact:
+        return _solvable_exact(query, convention)
     n = query.n
-    mu = Fraction(query.mu) if exact else float(query.mu)
+    mu = float(query.mu)
     N = query.N
     p_bound = _strict_bound(mu * N)
     if p_bound < 1:
         return None
     q_radius = mu / N
-    if exact:
-        phi_rows = [[Fraction(query.phi[i, j]) for j in range(n)] for i in range(n)]
-    else:
-        phi_f = _linalg.to_float(query.phi)
-        phi_rows = [[float(phi_f[i, j]) for j in range(n)] for i in range(n)]
+    phi_f = _linalg.to_float(query.phi)
+    phi_rows = [[float(phi_f[i, j]) for j in range(n)] for i in range(n)]
 
     for p in itertools.product(*[list(_signed_order(p_bound))] * n):
         if not any(p):
@@ -112,13 +117,64 @@ def solvable(query: DirichletQuery, convention: str = "lattice_p_nonzero"
     return None
 
 
+def _solvable_exact(query: DirichletQuery, convention: str) -> Optional[tuple]:
+    """`solvable` for rational phi = A / D (A integer, D the common
+    denominator) and mu = a / b, in integers: with x = (A p)_i b N and
+    den = D b N, q_i is admissible iff |x - q_i den| < a D, so its range is
+    floor((x - a D) / den) + 1 ... ceil((x + a D) / den) - 1."""
+    n, N = query.n, query.N
+    mu = Fraction(query.mu)
+    p_bound = _strict_bound(mu * N)
+    if p_bound < 1:
+        return None
+    phi = [[Fraction(query.phi[i, j]) for j in range(n)] for i in range(n)]
+    D = math.lcm(*(int(x.denominator) for row in phi for x in row))
+    A = [[int(x.numerator) * (D // int(x.denominator)) for x in row] for row in phi]
+    scale = mu.denominator * N
+    den = D * scale
+    slack = mu.numerator * D
+    nonzero_q = convention == "paper_both_nonzero"
+    for p in itertools.product(list(_signed_order(p_bound)), repeat=n):
+        if not any(p):
+            continue
+        cand = []
+        for row in A:
+            x = sum(map(mul, row, p)) * scale
+            first = (x - slack) // den + 1
+            last = -((-x - slack) // den) - 1
+            if first > last:
+                break
+            cand.append(range(first, last + 1))
+        else:
+            for q in itertools.product(*cand):
+                if nonzero_q and not any(q):
+                    continue
+                return p, q
+    return None
+
+
 def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
-    """Basis of a_log(N) u(phi) Z^2n; exact when phi is rational."""
-    if query.exact:
-        g = a_scale(Fraction(query.N), query.n) @ u_embed(query.phi)
-    else:
-        g = a_scale(float(query.N), query.n) @ u_embed(_linalg.to_float(query.phi))
-    return LatticeBasis(g.entries)
+    """Basis of a_log(N) u(phi) Z^2n; exact when phi is rational.
+
+    The exact basis [[N I, N phi], [0, I / N]] is written in closed form and
+    must have det == 1, one exact determinant that is both the group-element
+    and the unimodular-basis condition."""
+    n = query.n
+    if not query.exact:
+        g = a_scale(float(query.N), n) @ u_embed(_linalg.to_float(query.phi))
+        return LatticeBasis(g.entries)
+    N = Fraction(query.N)
+    cols = _linalg.zeros((2 * n, 2 * n), exact=True)
+    for i in range(n):
+        cols[i, i] = N
+        cols[n + i, n + i] = 1 / N
+        for j in range(n):
+            cols[i, n + j] = N * query.phi[i, j]
+    d = _linalg.det(cols)
+    if d != 1:
+        raise InvariantError(f"exact det = {d} != 1")
+    cols.flags.writeable = False
+    return LatticeBasis.of_checked(cols)
 
 
 def correspondence_check(query: DirichletQuery) -> dict:

@@ -2,7 +2,10 @@
 
 Bases are square matrices whose columns generate the lattice. Everything
 runs in one of two scalar modes, python floats or Fractions, chosen by the
-basis dtype; the algorithms are identical.
+basis dtype. The modes make the same decisions in the same order; only the
+exact LLL differs in its arithmetic: it clears the common denominator of the
+columns once and runs on integer Gram data (Cohen, Alg. 2.6.7), converting
+the reduced columns and their Gram-Schmidt data back to Fractions at the end.
 
 Every query LLL-reduces the basis once and hands the reduced basis with its
 Gram-Schmidt data to one depth-first enumerator of the Euclidean ball
@@ -15,6 +18,7 @@ is exact, and in the float mode the radius is widened by a small relative
 slack so that rounding never drops a lattice vector.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -28,6 +32,7 @@ from .errors import (DegenerateInputError, DomainError, InternalIdentityError,
 UNIMODULAR_TOL = 1e-8
 MAX_DIM = 8
 _MAX_NODES = 4_000_000
+_MAX_LLL_STEPS = 20_000
 # Relative widening of the squared search radius in the float mode. It covers
 # the rounding in the Gram-Schmidt data, which stays near 1e-12 on flowed
 # lattices up to t = 14.
@@ -77,10 +82,11 @@ class LatticeBasis:
 
     @classmethod
     def of_checked(cls, cols: np.ndarray) -> "LatticeBasis":
-        """The basis of one row of a stack that `check_stack` has passed,
-        without recomputing its determinant."""
+        """The basis of read-only columns whose determinant has already been
+        checked (a row of a stack that `check_stack` has passed, or an exact
+        matrix checked to det == 1), without recomputing it."""
         if cols.flags.writeable:
-            raise InvariantError("of_checked needs a row of a stack passed by check_stack")
+            raise InvariantError("of_checked needs checked, read-only columns")
         basis = object.__new__(cls)
         object.__setattr__(basis, "cols", cols)
         return basis
@@ -143,18 +149,20 @@ def _lll(cols, exact: bool, delta=None):
     """LLL reduction of the column list; returns (reduced columns, U columns,
     mu, norms) with reduced[j] = sum_i original[i] * U[j][i], and mu[i][j]
     (j < i) and norms[i] = ||b*_i||^2 the Gram-Schmidt data of the reduced
-    columns.
+    columns. delta defaults to 0.99 (99/100 in the Fraction mode).
 
     A size-reduction step updates row k of mu in place. A swap invalidates
     the Gram-Schmidt rows from k-1 up, and a row is recomputed from the
     current columns only when the stage index reaches it again. The two-row
-    swap update (Cohen, Alg. 2.6.3) would avoid those recomputations and is
-    exact in the Fraction mode, but in floats it drifts away from the
-    columns: on flowed lattices a_t u(phi) at n = 2, t = 8 its ||b*||^2 are
-    off by several percent.
+    swap update (Cohen, Alg. 2.6.3) would avoid those recomputations, but in
+    floats it drifts away from the columns: on flowed lattices a_t u(phi) at
+    n = 2, t = 8 its ||b*||^2 are off by several percent. The Fraction mode
+    runs the same steps on integer Gram data (`_lll_integral`).
     """
+    if exact:
+        return _lll_integral(cols, Fraction(99, 100) if delta is None else Fraction(delta))
     if delta is None:
-        delta = Fraction(99, 100) if exact else 0.99
+        delta = 0.99
     m = len(cols)
     b = [list(c) for c in cols]
     u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
@@ -167,7 +175,7 @@ def _lll(cols, exact: bool, delta=None):
     steps = 0
     while k < m:
         steps += 1
-        if steps > 20000:
+        if steps > _MAX_LLL_STEPS:
             raise InternalIdentityError("LLL failed to terminate at desk scale")
         while fresh <= k:
             _gs_row(b, bstar, mu, norms, fresh)
@@ -189,6 +197,78 @@ def _lll(cols, exact: bool, delta=None):
             u[k], u[k - 1] = u[k - 1], u[k]
             fresh = k - 1
             k = max(k - 1, 1)
+    return b, u, mu, norms
+
+
+def _gram_row(c, lam, d, i):
+    """Integral Gram-Schmidt row i (Cohen, Alg. 2.6.7, step 2) of the integer
+    columns c: lam[i][j] = d[j+1] mu[i][j] for j < i and d[i+1], where d[j]
+    is the Gram determinant of the first j columns. Every division is exact."""
+    ci, lam_i = c[i], lam[i]
+    for j in range(i + 1):
+        x = _dot(ci, c[j])
+        lam_j = lam[j]
+        for h in range(j):
+            x = (d[h + 1] * x - lam_i[h] * lam_j[h]) // d[h]
+        if j < i:
+            lam_i[j] = x
+        else:
+            d[i + 1] = x
+
+
+def _lll_integral(cols, delta: Fraction):
+    """`_lll` in the Fraction mode, run on the columns times their common
+    denominator D, which leaves mu unchanged and scales every norm by D^2.
+    mu[k][j] = lam[k][j] / d[j+1] and norms[k] = d[k+1] / d[k], so the size
+    reduction quotient round(mu[k][j]) (half to even, as round(Fraction)) and
+    the Lovasz test norms[k] >= (delta - mu[k][k-1]^2) norms[k-1] are decided
+    in integers, in `_lll`'s order: the same steps give the same columns,
+    transform and Gram-Schmidt data, returned as Fractions."""
+    m = len(cols)
+    den = math.lcm(*(int(x.denominator) for col in cols for x in col))
+    c = [[int(x.numerator) * (den // int(x.denominator)) for x in col] for col in cols]
+    u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
+    lam = [[0] * m for _ in range(m)]
+    d = [1] * (m + 1)
+    delta_num, delta_den = delta.numerator, delta.denominator
+    _gram_row(c, lam, d, 0)
+    fresh = 1
+    k = 1
+    steps = 0
+    while k < m:
+        steps += 1
+        if steps > _MAX_LLL_STEPS:
+            raise InternalIdentityError("LLL failed to terminate at desk scale")
+        while fresh <= k:
+            _gram_row(c, lam, d, fresh)
+            fresh += 1
+        lam_k = lam[k]
+        for j in range(k - 1, -1, -1):
+            dj = d[j + 1]
+            lam_kj = lam_k[j]
+            if 2 * abs(lam_kj) <= dj:  # |mu| <= 1/2 rounds to 0, ties to even
+                continue
+            q, r = divmod(lam_kj, dj)
+            if 2 * r > dj or (2 * r == dj and q & 1):
+                q += 1
+            c[k] = [x - q * y for x, y in zip(c[k], c[j])]
+            u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+            lam_j = lam[j]
+            for i in range(j):
+                lam_k[i] -= q * lam_j[i]
+            lam_k[j] -= q * dj
+        lam_kj = lam_k[k - 1]
+        if delta_den * (d[k + 1] * d[k - 1] + lam_kj * lam_kj) >= delta_num * d[k] * d[k]:
+            k += 1
+        else:
+            c[k], c[k - 1] = c[k - 1], c[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            fresh = k - 1
+            k = max(k - 1, 1)
+    b = [[Fraction(x, den) for x in col] for col in c]
+    mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else 0 for j in range(m)] for i in range(m)]
+    den2 = den * den
+    norms = [Fraction(d[i + 1], d[i] * den2) for i in range(m)]
     return b, u, mu, norms
 
 

@@ -2,11 +2,38 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from solvable_reference import reference_solvable
 
-from danilab import (DirichletQuery, MatrixPolyCurve, correspondence_basis,
+from danilab import (DirichletQuery, MatrixPolyCurve, a_scale, correspondence_basis,
                      correspondence_check, improvability_scan, shortest_supnorm,
-                     solvable)
+                     solvable, u_embed)
+from danilab import _linalg
 from danilab.errors import DomainError, InvariantError
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+# a / b with 0 < a <= b <= 20, so mu = 1 (as the int 1 or a Fraction) included
+# (st.integers draws its low end far more often than sampled_from.)
+MU = st.one_of(st.just(1), st.sampled_from(range(1, 21)).flatmap(
+    lambda b: st.builds(Fraction, st.sampled_from(range(1, b + 1)), st.just(b))))
+MU_BELOW_ONE = st.sampled_from(range(2, 21)).flatmap(
+    lambda b: st.builds(Fraction, st.sampled_from(range(1, b)), st.just(b)))
+
+
+@st.composite
+def rational_phi(draw, n):
+    """n x n object array: plain ints, or Fractions of denominator <= 12."""
+    integral = draw(st.booleans())
+    den = 1 if integral else draw(st.integers(1, 12))
+    entries = [Fraction(draw(st.integers(-3 * den, 3 * den)), den) for _ in range(n * n)]
+    if integral:
+        entries = [int(x) for x in entries]
+    phi = np.empty((n, n), dtype=object)
+    for k, x in enumerate(entries):
+        phi[k // n, k % n] = x
+    return phi
 
 
 def frac_phi(rng, n, denom=12):
@@ -42,6 +69,14 @@ def test_solvable_witness_is_valid():
             err = q.phi @ p - qq
             assert max(abs(x) for x in err) < q.mu / q.N
             assert 0 < max(abs(x) for x in p) < q.mu * q.N
+
+
+@SETTINGS
+@given(st.sampled_from((1, 2)).flatmap(rational_phi), st.sampled_from(range(1, 41)), MU)
+def test_exact_solvable_matches_fraction_reference(phi, N, mu):
+    query = DirichletQuery(phi=phi, N=N, mu=mu)
+    for convention in ("lattice_p_nonzero", "paper_both_nonzero"):
+        assert solvable(query, convention) == reference_solvable(phi.tolist(), N, mu, convention)
 
 
 def test_solvable_monotone_in_mu():
@@ -104,6 +139,17 @@ def test_correspondence_agrees_on_random_rational_cells():
             assert correspondence_check(q)["agree"]
 
 
+@SETTINGS
+@given(rational_phi(2), st.sampled_from(range(1, 21)), MU_BELOW_ONE)
+def test_correspondence_check_agrees_at_n2(phi, N, mu):
+    res = correspondence_check(DirichletQuery(phi=phi, N=N, mu=mu))
+    assert res["agree"]
+    if res["witness"] is not None:
+        p, q = res["witness"]
+        assert 0 < max(abs(x) for x in p) < mu * N
+        assert max(abs(sum(phi[i, j] * p[j] for j in range(2)) - q[i]) for i in range(2)) < mu / N
+
+
 def test_insolubility_matches_shortest_vector_threshold():
     rng = np.random.default_rng(63)
     for _ in range(15):
@@ -120,6 +166,32 @@ def test_correspondence_basis_shape():
     b = correspondence_basis(q)
     assert b.exact
     assert b.cols[0, 0] == 4 and b.cols[0, 1] == 2 and b.cols[1, 1] == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_correspondence_basis_equals_group_product(n):
+    rng = np.random.default_rng(80 + n)
+    for N in (1, 2, 7, 50):
+        phi = frac_phi(rng, n)
+        basis = correspondence_basis(DirichletQuery(phi=phi, N=N, mu=Fraction(1, 2)))
+        ref = (a_scale(Fraction(N), n) @ u_embed(phi)).entries
+        assert basis.exact and not basis.cols.flags.writeable
+        assert basis.cols.shape == ref.shape
+        assert all(type(x) is type(y) and x == y
+                   for x, y in zip(basis.cols.ravel(), ref.ravel()))
+
+
+def test_exact_correspondence_basis_runs_one_det_check(monkeypatch):
+    query = DirichletQuery(phi=np.array([[Fraction(1, 2)]], dtype=object), N=4,
+                           mu=Fraction(1, 2))
+    seen = []
+    exact_det = _linalg.det
+    monkeypatch.setattr(_linalg, "det", lambda a: seen.append(a) or exact_det(a))
+    correspondence_basis(query)
+    assert len(seen) == 1
+    monkeypatch.setattr(_linalg, "det", lambda a: Fraction(-1))
+    with pytest.raises(InvariantError, match="det"):
+        correspondence_basis(query)
 
 
 def test_scan_smoke_and_fraction_monotone():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from danilab import (LatticeBasis, count_in_box, in_kmu, reduce,
                      shortest_supnorm)
-from danilab import _linalg
+from danilab import _linalg, lattice
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -172,6 +172,28 @@ def test_exact_reduce_matches_full_recompute_reference(rows):
     ref_cols, ref_u = reference_lll(columns(basis))
     assert columns(red) == ref_cols
     assert [[transform[i, j] for i in range(basis.m)] for j in range(basis.m)] == ref_u
+
+
+@SETTINGS
+@given(unimodular_rows())
+def test_exact_reduce_at_other_delta_matches_reference(rows):
+    basis = as_basis(rows, exact=True)
+    red, transform = reduce(basis, delta=0.75)
+    ref_cols, ref_u = reference_lll(columns(basis), Fraction(3, 4))
+    assert columns(red) == ref_cols
+    assert [[transform[i, j] for i in range(basis.m)] for j in range(basis.m)] == ref_u
+
+
+@SETTINGS
+@given(unimodular_rows())
+def test_exact_lll_gram_data_is_that_of_the_reduced_columns(rows):
+    # The exact ball walk prunes on these values: a stale row would
+    # mis-prune without raising.
+    b, _, mu, norms = lattice._lll(columns(as_basis(rows, exact=True)), True)
+    ref_mu, ref_norms = full_gram_schmidt(b)
+    assert all(isinstance(x, Fraction) for col in b for x in col)
+    assert [row[:i] for i, row in enumerate(mu)] == [row[:i] for i, row in enumerate(ref_mu)]
+    assert norms == ref_norms
 
 
 @SETTINGS
