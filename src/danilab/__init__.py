@@ -18,7 +18,7 @@ from .reptheory import (Representation, WeightDecomposition, adjoint,
                         invariance_subspace, lie_image, obstruction_subspace,
                         project, rep_image, upper_block, verify_q0_transport,
                         verify_qplus_nonvanish, weight_split)
-from .rng import Sampler, counter_bits, counter_uniform
+from .rng import Sampler, counter_bits, counter_uniform, counter_uniforms
 from .stats import (Observable, ObservableRecord, convergence_gap, kmu_fraction,
                     kmu_indicator, lambda1, nondivergence_profile, siegel_average,
                     siegel_count, w_invariance_gap)
@@ -41,7 +41,7 @@ __all__ = [
     "exterior", "good_constants_estimate", "invariance_subspace", "lie_image",
     "obstruction_subspace", "project", "rep_image", "upper_block",
     "verify_q0_transport", "verify_qplus_nonvanish", "weight_split",
-    "Sampler", "counter_bits", "counter_uniform",
+    "Sampler", "counter_bits", "counter_uniform", "counter_uniforms",
     "Observable", "ObservableRecord", "convergence_gap", "kmu_fraction",
     "kmu_indicator", "lambda1", "nondivergence_profile", "siegel_average",
     "siegel_count", "w_invariance_gap",

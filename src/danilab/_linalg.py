@@ -6,11 +6,12 @@ Matrices travel as numpy arrays in one of two modes:
 * object-dtype arrays whose entries are ``Fraction``/``int`` take exact
   rational routines implemented here.
 
-The exact routines are plain Gaussian elimination; everything in this
-package is desk scale (dimension <= ~30), so asymptotics do not matter
-but exactness does.
+The exact routines are plain Gaussian elimination (fraction-free, in
+integers, for the determinant); everything in this package is desk scale
+(dimension <= ~30), so asymptotics do not matter but exactness does.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -67,10 +68,19 @@ def det(a: np.ndarray):
 
 
 def _det_exact(a: np.ndarray) -> Fraction:
+    """Fraction-free (Bareiss) elimination on the integer matrix D a, with D
+    the common denominator: every quotient is exact, and the pivot search and
+    row-swap sign are those of Gaussian elimination (an entry of step k is
+    the Gaussian one times the product of the earlier pivots, so the two
+    agree on which entries vanish)."""
     m = a.shape[0]
-    rows = [[Fraction(a[i, j]) for j in range(m)] for i in range(m)]
+    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x)
+             for x in a.ravel().tolist()]
+    den = math.lcm(*(x.denominator for x in fracs))
+    flat = [x.numerator * (den // x.denominator) for x in fracs]
+    rows = [flat[i * m:(i + 1) * m] for i in range(m)]
     sign = 1
-    result = Fraction(1)
+    prev = 1
     for col in range(m):
         piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
         if piv is None:
@@ -78,13 +88,16 @@ def _det_exact(a: np.ndarray) -> Fraction:
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             sign = -sign
-        pivot = rows[col][col]
-        result *= pivot
+        top = rows[col]
+        pivot = top[col]
         for r in range(col + 1, m):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return sign * result
+            row = rows[r]
+            lead = row[col]
+            # entries left of col + 1 are no longer read
+            row[col + 1:] = [(x * pivot - lead * y) // prev
+                             for x, y in zip(row[col + 1:], top[col + 1:])]
+        prev = pivot
+    return Fraction(sign * prev, den ** m)
 
 
 def inv(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -26,7 +26,7 @@ from .dirichlet import (CONVENTIONS, DirichletQuery, correspondence_check,
                         improvability_scan)
 from .errors import DomainError
 from .flow import sl2_copy
-from .rng import SCHEMES, Sampler, counter_uniform
+from .rng import SCHEMES, Sampler, counter_uniforms
 
 SUBCOMMANDS = ("genericity", "dirichlet-scan", "correspondence", "equidist",
                "nondiv", "rep-verify", "w-invariance")
@@ -399,7 +399,7 @@ def _run_correspondence(config: ExperimentConfig):
                 "insoluble": res["insoluble"],
                 "in_kmu": res["in_kmu"],
                 "agree": res["agree"],
-                "witness": _plain(res["witness"]) if res["witness"] is not None else None,
+                "witness": res["witness"],
             })
     return payloads
 
@@ -440,15 +440,18 @@ def _run_rep_verify(config: ExperimentConfig):
     payloads = []
     for block, r in enumerate(p["r_list"]):
         basis = reptheory.constrained_subspace(rep, copy, r)
+        # one verifier call per block on the stack of its draws; the fold
+        # keeps the order of the draws
         max_transport = 0.0
-        for j in range(draws if basis else 0):
-            v = _random_combination(basis, seed, (2 * block) * draws * rep.dim + j * rep.dim)
-            max_transport = max(max_transport, reptheory.verify_q0_transport(rep, copy, r, v))
-        min_nonvanish = math.inf
-        for j in range(draws):
-            v = _random_minus_vector(decomp, rep.dim, seed,
-                                     (2 * block + 1) * draws * rep.dim + j * rep.dim)
-            min_nonvanish = min(min_nonvanish, reptheory.verify_qplus_nonvanish(rep, copy, r, v))
+        if basis:
+            vs = _random_combinations(basis, seed, (2 * block) * draws * rep.dim, draws,
+                                      rep.dim)
+            max_transport = max([max_transport]
+                                + reptheory.verify_q0_transport(rep, copy, r, vs).tolist())
+        vs = _random_minus_vectors(decomp, rep.dim, seed,
+                                   (2 * block + 1) * draws * rep.dim, draws)
+        min_nonvanish = min([math.inf]
+                            + reptheory.verify_qplus_nonvanish(rep, copy, r, vs).tolist())
         payloads.append({
             "module": "reptheory",
             "op": "transport_suite",
@@ -463,26 +466,45 @@ def _run_rep_verify(config: ExperimentConfig):
     return payloads
 
 
-def _random_combination(basis, seed: int, base_index: int) -> np.ndarray:
-    """Unit-sup-norm random combination of the basis vectors."""
-    v = np.zeros_like(basis[0])
+def _draw_uniforms(seed: int, base_index: int, draws: int, width: int,
+                   stride: int) -> np.ndarray:
+    """(draws, width) uniforms; draw j, coordinate i is keyed by
+    base_index + j * stride + i."""
+    index = base_index + stride * np.arange(draws)[:, None] + np.arange(width)
+    return counter_uniforms(seed, index)
+
+
+def _unit_rows(v: np.ndarray) -> tuple:
+    """The rows divided by their sup-norms, where that is >= 1e-9, and the
+    mask of the rows where it is not (left as they are)."""
+    norm = np.max(np.abs(v), axis=1)
+    small = norm < 1e-9
+    return v / np.where(small, 1.0, norm)[:, None], small
+
+
+def _random_combinations(basis, seed: int, base_index: int, draws: int,
+                         stride: int) -> np.ndarray:
+    """Unit-sup-norm random combinations of the basis vectors, one per row;
+    row j uses the keys from base_index + j * stride."""
+    coef = 2.0 * _draw_uniforms(seed, base_index, draws, len(basis), stride) - 1.0
+    v = np.zeros((draws, len(basis[0])))
     for i, vec in enumerate(basis):
-        v = v + (2.0 * counter_uniform(seed, base_index + i) - 1.0) * vec
-    norm = _linalg.sup_norm(v)
-    if norm < 1e-9:  # vanishing draw: fall back to the first basis vector
-        return basis[0].copy()
-    return v / norm
+        v = v + coef[:, i, None] * vec
+    out, small = _unit_rows(v)
+    out[small] = basis[0]  # vanishing draw: fall back to the first basis vector
+    return out
 
 
-def _random_minus_vector(decomp, dim: int, seed: int, base_index: int) -> np.ndarray:
-    v = np.zeros(dim)
-    for pos, i in enumerate(decomp.minus_idx):
-        v[i] = 2.0 * counter_uniform(seed, base_index + pos) - 1.0
-    norm = _linalg.sup_norm(v)
-    if norm < 1e-9:
-        v[decomp.minus_idx[0]] = 1.0
-        norm = 1.0
-    return v / norm
+def _random_minus_vectors(decomp, dim: int, seed: int, base_index: int,
+                          draws: int) -> np.ndarray:
+    """Unit-sup-norm random contracting vectors, one per row; row j uses the
+    keys from base_index + j * dim."""
+    minus = list(decomp.minus_idx)
+    v = np.zeros((draws, dim))
+    v[:, minus] = 2.0 * _draw_uniforms(seed, base_index, draws, len(minus), dim) - 1.0
+    out, small = _unit_rows(v)
+    out[small, minus[0]] = 1.0
+    return out
 
 
 def _run_w_invariance(config: ExperimentConfig):

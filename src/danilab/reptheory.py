@@ -10,6 +10,15 @@ The verifiers check, on concrete vectors, the transport identity for the
 neutral projection under a copy unipotent and the nonvanishing of the
 expanding projection on contracting vectors; both are statements about any
 SL(2, R) copy whose diagonal matches the ambient flow.
+
+Whole-array paths: a float exterior image takes all its minors under one
+stacked np.linalg.det; an adjoint image, float or exact, forms every
+g E_ij g^-1 with one broadcast product and decomposes them together (the
+diagonal partial sums accumulate in basis order), as does the derived
+adjoint action; the verifiers take a (k, dim) stack of draws, build their
+images once per call and check the rows in order. The weight split is
+computed once per representation. Exact exterior minors (one exact
+determinant each) and the derived exterior action stay entry loops.
 """
 
 import itertools
@@ -65,6 +74,40 @@ class Representation:
         """0-based subset tuples (exterior only)."""
         return tuple(itertools.combinations(range(2 * self.n), self.k))
 
+    @cached_property
+    def _subset_index(self) -> np.ndarray:
+        """The 0-based subsets as a (dim, k) index array (exterior only)."""
+        return np.array(self._subsets, dtype=np.intp).reshape(self.dim, self.k)
+
+    @cached_property
+    def _decomposition(self) -> "WeightDecomposition":
+        n = self.n
+        weights = []
+        if self.kind == "exterior":
+            for s in self._subsets:
+                p = sum(1 for i in s if i < n)
+                weights.append(p - (self.k - p))
+        else:
+            m = 2 * n
+            for i in range(m):
+                for j in range(m):
+                    if i == j:
+                        continue
+                    if i < n <= j:
+                        weights.append(2)
+                    elif j < n <= i:
+                        weights.append(-2)
+                    else:
+                        weights.append(0)
+            weights.extend([0] * (m - 1))
+        w = tuple(weights)
+        return WeightDecomposition(
+            weights=w,
+            plus_idx=tuple(i for i, x in enumerate(w) if x > 0),
+            zero_idx=tuple(i for i, x in enumerate(w) if x == 0),
+            minus_idx=tuple(i for i, x in enumerate(w) if x < 0),
+        )
+
 
 def exterior(n: int, k: int) -> Representation:
     return Representation(kind="exterior", n=n, k=k)
@@ -81,51 +124,32 @@ class WeightDecomposition:
     zero_idx: tuple
     minus_idx: tuple
 
+    @cached_property
+    def _index(self) -> dict:
+        """Index arrays of the three parts, for fancy indexing."""
+        return {part: np.array(idx, dtype=np.intp) for part, idx in
+                (("plus", self.plus_idx), ("zero", self.zero_idx), ("minus", self.minus_idx))}
+
 
 def weight_split(rep: Representation) -> WeightDecomposition:
-    """Flow weights per basis vector, from the labels alone.
+    """Flow weights per basis vector, from the labels alone; computed once
+    per representation.
 
     Exterior: weight(S) = #(S among the first n) - #(S among the last n).
     Adjoint: E_ij carries +2 / -2 / 0 according to which diagonal half i and
     j fall in; diagonal differences carry 0.
     """
-    n = rep.n
-    weights = []
-    if rep.kind == "exterior":
-        for s in rep._subsets:
-            p = sum(1 for i in s if i < n)
-            weights.append(p - (rep.k - p))
-    else:
-        m = 2 * n
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                if i < n <= j:
-                    weights.append(2)
-                elif j < n <= i:
-                    weights.append(-2)
-                else:
-                    weights.append(0)
-        weights.extend([0] * (m - 1))
-    w = tuple(weights)
-    return WeightDecomposition(
-        weights=w,
-        plus_idx=tuple(i for i, x in enumerate(w) if x > 0),
-        zero_idx=tuple(i for i, x in enumerate(w) if x == 0),
-        minus_idx=tuple(i for i, x in enumerate(w) if x < 0),
-    )
+    return rep._decomposition
 
 
 def project(decomp: WeightDecomposition, part: str, v: np.ndarray) -> np.ndarray:
-    """Zero out the coordinates away from the requested weight part."""
-    idx = {"plus": decomp.plus_idx, "zero": decomp.zero_idx,
-           "minus": decomp.minus_idx}.get(part)
+    """Zero out the coordinates away from the requested weight part (along
+    the last axis, so a (k, dim) stack projects row by row)."""
+    idx = decomp._index.get(part)
     if idx is None:
         raise DomainError(f"part must be plus/zero/minus, got {part!r}")
     out = np.zeros_like(v)
-    for i in idx:
-        out[i] = v[i]
+    out[..., idx] = v[..., idx]
     return out
 
 
@@ -144,55 +168,35 @@ def rep_image(rep: Representation, g) -> np.ndarray:
     if rep.kind == "exterior":
         if rep.k == 1:
             return a.copy()
+        if not exact:
+            # minors[row, col] = a[S_row, S_col], all under one determinant
+            idx = rep._subset_index
+            return np.linalg.det(a[idx[:, None, :, None], idx[None, :, None, :]])
         subs = rep._subsets
-        dim = rep.dim
-        out = _linalg.zeros((dim, dim), exact=exact)
+        out = _linalg.zeros((rep.dim, rep.dim), exact=True)
         for bcol, t in enumerate(subs):
             sub_cols = a[:, t]
             for arow, s in enumerate(subs):
-                minor = sub_cols[s, :]
-                out[arow, bcol] = _linalg.det(minor) if exact else float(np.linalg.det(minor))
+                out[arow, bcol] = _linalg.det(sub_cols[s, :])
         return out
     ginv = _linalg.inv(a)
-    return _adjoint_matrix(rep, lambda col, row_idx: np.outer(a[:, col], ginv[row_idx, :]),
-                           exact)
+    # y[i, j] = outer(a[:, i], ginv[j, :]) = g E_ij g^-1
+    return _adjoint_matrix(a.T[:, None, :, None] * ginv[None, :, None, :])
 
 
-def _adjoint_matrix(rep: Representation, conj_outer, exact: bool) -> np.ndarray:
-    """Assemble the adjoint-type matrix from Y_b = action(basis matrix b)."""
-    m = 2 * rep.n
-    dim = rep.dim
-    out = _linalg.zeros((dim, dim), exact=exact)
-    col = 0
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            y = conj_outer(i, j)
-            _decompose_into(out, col, y, m)
-            col += 1
-    for l in range(m - 1):
-        y = conj_outer(l, l) - conj_outer(l + 1, l + 1)
-        _decompose_into(out, col, y, m)
-        col += 1
-    return out
-
-
-def _decompose_into(out: np.ndarray, col: int, y: np.ndarray, m: int):
-    """Coordinates of the trace-zero matrix y in the adjoint basis."""
-    row = 0
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            out[row, col] = y[i, j]
-            row += 1
-    partial = y[0, 0]
-    for l in range(m - 1):
-        out[row, col] = partial
-        row += 1
-        if l + 1 < m - 1:
-            partial = partial + y[l + 1, l + 1]
+def _adjoint_matrix(y: np.ndarray) -> np.ndarray:
+    """Matrix in the adjoint basis of the linear map sending E_ij to the
+    trace-zero matrix y[i, j]; y has shape (m, m, m, m)."""
+    m = y.shape[0]
+    off = ~np.eye(m, dtype=bool)
+    d = np.arange(m)
+    diag = y[d, d]
+    # basis images: E_ij (i != j) in row-major order, then E_ll - E_l+1,l+1
+    cols = np.concatenate([y[off], diag[:-1] - diag[1:]])
+    # coordinates: off-diagonal entries, then the partial sums of the diagonal
+    coords = np.concatenate([cols[:, off], np.cumsum(cols[:, d[:-1], d[:-1]], axis=1)],
+                            axis=1)
+    return np.ascontiguousarray(coords.T)
 
 
 def lie_image(rep: Representation, x) -> np.ndarray:
@@ -212,7 +216,8 @@ def lie_image(rep: Representation, x) -> np.ndarray:
         def bracket(i, j):
             e = _eij(m, i, j, exact)
             return a @ e - e @ a
-        return _adjoint_matrix(rep, bracket, exact)
+        return _adjoint_matrix(np.stack([np.stack([bracket(i, j) for j in range(m)])
+                                         for i in range(m)]))
     subs = rep._subsets
     index = {s: r for r, s in enumerate(subs)}
     dim = rep.dim
@@ -258,7 +263,7 @@ def constrained_subspace(rep: Representation, copy: Sl2Copy, r, tol: float = 1e-
     if r == 0:
         raise DomainError("r must be nonzero")
     decomp = weight_split(rep)
-    img = _linalg.to_float(rep_image(rep, u_embed(_linalg.to_float(copy.phi) * float(r))))
+    img = _unipotent_image(rep, copy, r)
     zm = list(decomp.zero_idx) + list(decomp.minus_idx)
     if not decomp.plus_idx:
         rows = np.zeros((0, len(zm)))
@@ -268,53 +273,95 @@ def constrained_subspace(rep: Representation, copy: Sl2Copy, r, tol: float = 1e-
     out = []
     for vec in basis:
         full = np.zeros(rep.dim)
-        for pos, i in enumerate(zm):
-            full[i] = vec[pos]
+        full[zm] = vec
         out.append(full)
     return out
 
 
+def _draws(rep: Representation, v) -> np.ndarray:
+    """v as a (k, dim) float stack of draws: one row, or the rows of v."""
+    vs = np.asarray(v, dtype=float)
+    if vs.ndim not in (1, 2) or vs.shape[-1] != rep.dim:
+        raise DomainError(f"v must have shape ({rep.dim},) or (k, {rep.dim}), got {vs.shape}")
+    return vs.reshape(-1, rep.dim)
+
+
+def _row_sup(vs: np.ndarray) -> np.ndarray:
+    """Sup-norm of each row."""
+    return np.max(np.abs(vs), axis=-1)
+
+
+def _apply(img: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """img @ v for every row v of the stack, each as its own matrix-vector
+    product (a matrix-matrix product vs @ img.T may round differently)."""
+    return np.matmul(img, vs[..., None])[..., 0]
+
+
+def _raise_first(failures):
+    """Raise for the lowest failing row: failures holds (bad rows, error of
+    row i) in the order the checks run on one row."""
+    firsts = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(failures) if bad.any()]
+    if firsts:
+        i, k = min(firsts)
+        exc = failures[k][1](i)
+        exc.draw_index = i
+        raise exc
+
+
+def _unipotent_image(rep: Representation, copy: Sl2Copy, r) -> np.ndarray:
+    return _linalg.to_float(rep_image(rep, u_embed(_linalg.to_float(copy.phi) * float(r))))
+
+
 def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
-                        tol: float = 1e-8) -> float:
+                        tol: float = 1e-8):
     """Residual of the neutral-projection transport identity
     q0(rho(u(r phi)) v) = rho(E_phi) q0(v), for v with v and rho(u(r phi)) v
-    both in V0 + V-. Violated preconditions raise with the residual."""
+    both in V0 + V-. Violated preconditions raise with the residual.
+
+    v is one vector (dim,), giving a float, or a (k, dim) stack of draws,
+    giving the k residuals; the images are built once per call. The lowest
+    failing draw raises, with its row as `draw_index`."""
     decomp = weight_split(rep)
-    v = np.asarray(v, dtype=float)
-    scale = max(1.0, _linalg.sup_norm(v))
-    pre_in = _linalg.sup_norm(project(decomp, "plus", v))
-    if pre_in > tol * scale:
-        raise HypothesisViolationError(
-            f"v has expanding component {pre_in:.3e} beyond tol", residual=pre_in)
-    img = _linalg.to_float(rep_image(rep, u_embed(_linalg.to_float(copy.phi) * float(r))))
-    w = img @ v
-    pre_out = _linalg.sup_norm(project(decomp, "plus", w))
-    if pre_out > tol * max(1.0, _linalg.sup_norm(w)):
-        raise HypothesisViolationError(
-            f"rho(u(r phi)) v has expanding component {pre_out:.3e} beyond tol",
-            residual=pre_out)
+    vs = _draws(rep, v)
+    pre_in = _row_sup(project(decomp, "plus", vs))
+    ws = _apply(_unipotent_image(rep, copy, r), vs)
+    pre_out = _row_sup(project(decomp, "plus", ws))
+    # np.fmax(1.0, x) is max(1.0, x) for floats, nan included
+    _raise_first([
+        (pre_in > tol * np.fmax(1.0, _row_sup(vs)), lambda i: HypothesisViolationError(
+            f"v has expanding component {pre_in[i]:.3e} beyond tol",
+            residual=float(pre_in[i]))),
+        (pre_out > tol * np.fmax(1.0, _row_sup(ws)), lambda i: HypothesisViolationError(
+            f"rho(u(r phi)) v has expanding component {pre_out[i]:.3e} beyond tol",
+            residual=float(pre_out[i]))),
+    ])
     e_img = _linalg.to_float(rep_image(rep, sl2_image(copy, E_MAT)))
-    resid = project(decomp, "zero", w) - e_img @ project(decomp, "zero", v)
-    return _linalg.sup_norm(resid)
+    resid = _row_sup(project(decomp, "zero", ws) - _apply(e_img, project(decomp, "zero", vs)))
+    return float(resid[0]) if np.ndim(v) == 1 else resid
 
 
 def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
-                           tol: float = 1e-8) -> float:
+                           tol: float = 1e-8):
     """Sup-norm of the expanding projection of rho(u(r phi)) v for a nonzero
-    contracting v; the transported dynamical statement says this is > 0."""
+    contracting v; the transported dynamical statement says this is > 0.
+
+    v is one vector (dim,), giving a float, or a (k, dim) stack of draws,
+    giving the k norms; the image is built once per call. The lowest failing
+    draw raises, with its row as `draw_index`."""
     if r == 0:
         raise DomainError("r must be nonzero")
     decomp = weight_split(rep)
-    v = np.asarray(v, dtype=float)
-    nv = _linalg.sup_norm(v)
-    if nv == 0:
-        raise HypothesisViolationError("v must be nonzero", residual=0.0)
-    outside = _linalg.sup_norm(v - project(decomp, "minus", v))
-    if outside > tol * nv:
-        raise HypothesisViolationError(
-            f"v has component {outside:.3e} outside the contracting part", residual=outside)
-    img = _linalg.to_float(rep_image(rep, u_embed(_linalg.to_float(copy.phi) * float(r))))
-    return _linalg.sup_norm(project(decomp, "plus", img @ v))
+    vs = _draws(rep, v)
+    nv = _row_sup(vs)
+    outside = _row_sup(vs - project(decomp, "minus", vs))
+    _raise_first([
+        (nv == 0, lambda i: HypothesisViolationError("v must be nonzero", residual=0.0)),
+        (outside > tol * nv, lambda i: HypothesisViolationError(
+            f"v has component {outside[i]:.3e} outside the contracting part",
+            residual=float(outside[i]))),
+    ])
+    norms = _row_sup(project(decomp, "plus", _apply(_unipotent_image(rep, copy, r), vs)))
+    return float(norms[0]) if np.ndim(v) == 1 else norms
 
 
 def obstruction_subspace(rep: Representation, curve: MatrixPolyCurve, samples,

@@ -41,6 +41,15 @@ def counter_uniform(seed: int, index: int) -> float:
     return (counter_bits(seed, index) >> 11) * 2.0 ** -53
 
 
+def counter_uniforms(seed: int, index) -> np.ndarray:
+    """counter_uniform(seed, i) for every i of an integer array, bit for bit
+    (uint64 arithmetic wraps like the masked int arithmetic)."""
+    index = np.asarray(index).astype(np.uint64)
+    key = np.uint64(_splitmix64(seed & _MASK64))
+    bits = _splitmix64(key ^ (index * np.uint64(_GOLDEN)))
+    return (bits >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+
 SCHEMES = ("uniform_iid", "stratified_grid")
 
 
@@ -73,10 +82,8 @@ class Sampler:
     def points(self, interval) -> np.ndarray:
         """point(interval, i) for i < count, computed over the whole index array."""
         a, b = float(interval[0]), float(interval[1])
-        index = np.arange(self.count, dtype=np.uint64)
-        key = np.uint64(_splitmix64(self.seed & _MASK64))
-        bits = _splitmix64(key ^ (index * np.uint64(_GOLDEN)))
-        u = (bits >> np.uint64(11)).astype(float) * 2.0 ** -53
+        index = np.arange(self.count)
+        u = counter_uniforms(self.seed, index)
         if self.scheme == "stratified_grid":
-            return a + (b - a) * (index.astype(float) + u) / self.count
+            return a + (b - a) * (index + u) / self.count
         return a + (b - a) * u

@@ -2,9 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from det_reference import reference_det_exact
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from danilab import _linalg
 from danilab.errors import SingularMatrixError
+
+# zero-heavy entries: ints, Fractions with denominators <= 12, and exact floats
+ENTRY = st.one_of(st.just(0), st.integers(-9, 9),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                  st.sampled_from((0.5, -0.25, 3.0)))
 
 
 def test_det_float_matches_numpy():
@@ -73,3 +81,40 @@ def test_orthonormal_span_rank_and_orthogonality():
 def test_is_exact_flags_object_dtype():
     assert _linalg.is_exact(_linalg.frac_matrix([[1]]))
     assert not _linalg.is_exact(np.array([[1.0]]))
+
+
+@st.composite
+def exact_square(draw):
+    """An m x m object matrix, m = 1..6; its leading column may be zeroed
+    above a nonzero entry (a row swap at the first pivot), and one row may be
+    made a rational multiple of another (singular)."""
+    m = draw(st.integers(1, 6))
+    a = np.empty((m, m), dtype=object)
+    for i in range(m):
+        for j in range(m):
+            a[i, j] = draw(ENTRY)
+    if m >= 2 and draw(st.booleans()):
+        a[0, 0] = 0
+        a[m - 1, 0] = draw(st.integers(1, 9))
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        a[i] = [c * x for x in a[j]]
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(exact_square())
+def test_det_exact_equals_fraction_elimination(a):
+    got = _linalg.det(a)
+    want = reference_det_exact(a)
+    assert type(got) is Fraction and got == want
+
+
+def test_det_exact_swaps_and_singular_cases():
+    swap = _linalg.frac_matrix([[0, 1, 2], [0, 3, 4], [5, 6, 7]])
+    assert _linalg.det(swap) == reference_det_exact(swap) == -10
+    half = _linalg.frac_matrix([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]])
+    assert _linalg.det(half) == 0 and type(_linalg.det(half)) is Fraction
+    assert _linalg.det(np.empty((0, 0), dtype=object)) == 1

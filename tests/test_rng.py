@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from danilab import Sampler, counter_bits, counter_uniform
+from danilab import Sampler, counter_bits, counter_uniform, counter_uniforms
 from danilab.errors import DomainError
 
 
@@ -53,3 +53,11 @@ def test_vectorised_points_equal_point_bit_for_bit(scheme, seed):
     for interval in ((0.0, 1.0), (1, 2), (-3.5, 2.25)):
         pts = smp.points(interval)
         assert [float(p) for p in pts] == [smp.point(interval, i) for i in range(301)]
+
+
+@pytest.mark.parametrize("seed", [0, 2024, -5, 2 ** 64 + 3, 2 ** 70 - 1])
+def test_counter_uniforms_equal_counter_uniform_bit_for_bit(seed):
+    index = np.arange(600).reshape(20, 30) * 7 + 11
+    got = counter_uniforms(seed, index)
+    assert got.shape == index.shape
+    assert got.tolist() == [[counter_uniform(seed, int(i)) for i in row] for row in index]
