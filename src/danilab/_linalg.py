@@ -67,6 +67,14 @@ def det(a: np.ndarray):
     return float(np.linalg.det(a))
 
 
+def integral(entries) -> tuple:
+    """(ints, den): exact entries written as ints[k] / den over their least
+    common denominator den (ints and Fractions pass through unconverted)."""
+    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in entries]
+    den = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (den // x.denominator) for x in fracs], den
+
+
 def _det_exact(a: np.ndarray) -> Fraction:
     """Fraction-free (Bareiss) elimination on the integer matrix D a, with D
     the common denominator: every quotient is exact, and the pivot search and
@@ -74,10 +82,7 @@ def _det_exact(a: np.ndarray) -> Fraction:
     the Gaussian one times the product of the earlier pivots, so the two
     agree on which entries vanish)."""
     m = a.shape[0]
-    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x)
-             for x in a.ravel().tolist()]
-    den = math.lcm(*(x.denominator for x in fracs))
-    flat = [x.numerator * (den // x.denominator) for x in fracs]
+    flat, den = integral(a.ravel().tolist())
     rows = [flat[i * m:(i + 1) * m] for i in range(m)]
     sign = 1
     prev = 1

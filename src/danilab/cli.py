@@ -88,8 +88,13 @@ def _canonical_scalar(x):
     return x
 
 
+_PLAIN_TYPES = frozenset((int, float, str, bool, type(None)))
+
+
 def _plain(obj):
     """Recursively coerce payload values to JSON-encodable python types."""
+    if type(obj) in _PLAIN_TYPES:
+        return obj
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

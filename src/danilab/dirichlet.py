@@ -7,17 +7,22 @@ a_log(N) u(phi) Z^2n missing the open sup-norm mu-ball, which is what
 correspondence_check verifies cell by cell, exactly when phi and mu are
 rational.
 
-The exact path works in Python ints: `solvable` clears the denominators of
-phi and mu once and decides every strict inequality in integers, and
-`correspondence_basis` writes the basis in closed form and checks it with one
-exact determinant. The lattice side reduces it with the integral LLL of
-`lattice`.
+The exact path works in Python ints end to end. A query writes phi = A / D
+once (`DirichletQuery.integral_phi`). `solvable` decides every strict
+inequality in integers from A, D and mu = a / b. `correspondence_basis`
+writes the basis in closed form as integer columns over the common
+denominator N D and checks it with one exact determinant of that integer
+matrix. The lattice side (`lattice.in_kmu`) reduces those integers with the
+integral LLL and walks the ball on the same integers, so no Fraction is
+built between the query and the decision.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Optional
 
@@ -42,8 +47,13 @@ class DirichletQuery:
         phi = self.phi
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise InvariantError("phi must be square")
-        if not (isinstance(self.N, int) and self.N >= 1):
+        try:  # any integer type, stored as a Python int; never a bool
+            N = None if isinstance(self.N, (bool, np.bool_)) else operator.index(self.N)
+        except TypeError:
+            N = None
+        if N is None or N < 1:
             raise InvariantError(f"N must be an integer >= 1, got {self.N!r}")
+        object.__setattr__(self, "N", N)
         if not 0 < self.mu <= 1:
             raise InvariantError(f"mu must lie in (0, 1], got {self.mu}")
 
@@ -54,6 +64,14 @@ class DirichletQuery:
     @property
     def exact(self) -> bool:
         return _linalg.is_exact(self.phi) and isinstance(self.mu, (int, Fraction))
+
+    @cached_property
+    def integral_phi(self) -> tuple:
+        """(A, D) with phi = A / D for a rational phi: A the integer rows,
+        D the least common denominator of the entries."""
+        n = self.n
+        flat, D = _linalg.integral(self.phi.ravel().tolist())
+        return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), D
 
 
 def _strict_bound(x) -> int:
@@ -118,21 +136,19 @@ def solvable(query: DirichletQuery, convention: str = "lattice_p_nonzero"
 
 
 def _solvable_exact(query: DirichletQuery, convention: str) -> Optional[tuple]:
-    """`solvable` for rational phi = A / D (A integer, D the common
-    denominator) and mu = a / b, in integers: with x = (A p)_i b N and
+    """`solvable` for rational phi = A / D (`DirichletQuery.integral_phi`)
+    and mu = a / b, in integers: with x = (A p)_i b N and
     den = D b N, q_i is admissible iff |x - q_i den| < a D, so its range is
     floor((x - a D) / den) + 1 ... ceil((x + a D) / den) - 1."""
     n, N = query.n, query.N
-    mu = Fraction(query.mu)
-    p_bound = _strict_bound(mu * N)
+    a, b = query.mu.numerator, query.mu.denominator
+    p_bound = (a * N - 1) // b  # the largest K with K < mu N
     if p_bound < 1:
         return None
-    phi = [[Fraction(query.phi[i, j]) for j in range(n)] for i in range(n)]
-    D = math.lcm(*(int(x.denominator) for row in phi for x in row))
-    A = [[int(x.numerator) * (D // int(x.denominator)) for x in row] for row in phi]
-    scale = mu.denominator * N
+    A, D = query.integral_phi
+    scale = b * N
     den = D * scale
-    slack = mu.numerator * D
+    slack = a * D
     nonzero_q = convention == "paper_both_nonzero"
     for p in itertools.product(list(_signed_order(p_bound)), repeat=n):
         if not any(p):
@@ -156,25 +172,26 @@ def _solvable_exact(query: DirichletQuery, convention: str) -> Optional[tuple]:
 def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
     """Basis of a_log(N) u(phi) Z^2n; exact when phi is rational.
 
-    The exact basis [[N I, N phi], [0, I / N]] is written in closed form and
-    must have det == 1, one exact determinant that is both the group-element
-    and the unimodular-basis condition."""
+    With phi = A / D the exact basis [[N I, N phi], [0, I / N]] is written
+    in closed form as the integer columns of [[N^2 D I, N^2 A], [0, D I]]
+    over the common denominator N D. It must have det == 1: one exact
+    determinant of the integer matrix, equal to (N D)^2n, is both the
+    group-element and the unimodular-basis condition."""
     n = query.n
     if not query.exact:
         g = a_scale(float(query.N), n) @ u_embed(_linalg.to_float(query.phi))
         return LatticeBasis(g.entries)
-    N = Fraction(query.N)
-    cols = _linalg.zeros((2 * n, 2 * n), exact=True)
-    for i in range(n):
-        cols[i, i] = N
-        cols[n + i, n + i] = 1 / N
-        for j in range(n):
-            cols[i, n + j] = N * query.phi[i, j]
-    d = _linalg.det(cols)
-    if d != 1:
-        raise InvariantError(f"exact det = {d} != 1")
-    cols.flags.writeable = False
-    return LatticeBasis.of_checked(cols)
+    A, D = query.integral_phi
+    N = query.N
+    N2 = N * N
+    cols = [(0,) * k + (N2 * D,) + (0,) * (2 * n - k - 1) for k in range(n)]
+    cols += [tuple(N2 * row[k] for row in A) + (0,) * k + (D,) + (0,) * (n - k - 1)
+             for k in range(n)]
+    den = N * D
+    d = _linalg.det(np.array(cols, dtype=object))  # the transpose: same det
+    if d != den ** (2 * n):
+        raise InvariantError(f"exact det = {d / den ** (2 * n)} != 1")
+    return LatticeBasis.of_checked_integral(tuple(cols), den)
 
 
 def correspondence_check(query: DirichletQuery) -> dict:

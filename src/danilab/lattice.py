@@ -1,11 +1,14 @@
 """Unimodular lattices: reduction, exact sup-norm minima, box counts.
 
-Bases are square matrices whose columns generate the lattice. Everything
-runs in one of two scalar modes, python floats or Fractions, chosen by the
-basis dtype. The modes make the same decisions in the same order; only the
-exact LLL differs in its arithmetic: it clears the common denominator of the
-columns once and runs on integer Gram data (Cohen, Alg. 2.6.7), converting
-the reduced columns and their Gram-Schmidt data back to Fractions at the end.
+Bases are square matrices whose columns generate the lattice, in one of two
+scalar modes. A float basis holds float64 columns. An exact basis holds
+integer columns and one common denominator den (column j is int_cols[j] /
+den); its Fraction matrix `cols` is a read-only view, built only when a
+caller reads it. The modes make the same decisions in the same order. The
+exact mode stays in integers from the basis to the answer: LLL runs on the
+integral Gram data of the integer columns (Cohen, Alg. 2.6.7), and the
+enumerator and the box tests run on the same integer lattice, den times the
+original, with every bound scaled by den once.
 
 Every query LLL-reduces the basis once and hands the reduced basis with its
 Gram-Schmidt data to one depth-first enumerator of the Euclidean ball
@@ -13,9 +16,9 @@ Gram-Schmidt data to one depth-first enumerator of the Euclidean ball
 center, as in Schnorr-Euchner). A box of halfwidths w lies inside the ball
 of radius ||w||_2, so walking that ball and testing each vector exactly
 against the box gives exact minima and counts. Pruning compares squared
-lengths, so it needs no square roots: in the Fraction mode every decision
-is exact, and in the float mode the radius is widened by a small relative
-slack so that rounding never drops a lattice vector.
+lengths, so it needs no square roots: in the exact mode every decision is an
+integer comparison, and in the float mode the radius is widened by a small
+relative slack so that rounding never drops a lattice vector.
 """
 
 import math
@@ -39,30 +42,64 @@ _MAX_LLL_STEPS = 20_000
 _FLOAT_SLACK = 1e-9
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
 _MINKOWSKI_FLOAT_TOL = 1e-9
+_EXACT_DELTA = Fraction(99, 100)
+_SET = object.__setattr__
 
 
-@dataclass(frozen=True)
 class LatticeBasis:
     """Columns of a unimodular matrix (|det| = 1 within 1e-8; exactly 1 in
-    Fraction mode)."""
+    the exact mode). A float basis holds its float64 columns. An exact basis
+    holds `int_cols`, m tuples of ints, and one common denominator `den`:
+    column j is int_cols[j] / den. Its Fraction matrix `cols` is derived,
+    read-only, and built on first read. Bases are immutable."""
 
-    cols: np.ndarray
+    __slots__ = ("_cols", "int_cols", "den")
 
-    def __post_init__(self):
-        c = self.cols
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise InvariantError(f"basis must be square, got shape {c.shape}")
-        d = _linalg.det(c)
+    def __init__(self, cols: np.ndarray):
+        if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
+            raise InvariantError(f"basis must be square, got shape {cols.shape}")
+        d = _linalg.det(cols)
         if isinstance(d, Fraction):
             if abs(d) != 1:
                 raise InvariantError(f"exact |det| = {abs(d)} != 1")
         elif abs(abs(d) - 1.0) > UNIMODULAR_TOL:
             raise _det_error(d)
-        c.flags.writeable = False
+        cols.flags.writeable = False
+        _set_fields(self, cols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LatticeBasis is immutable; cannot set {name!r}")
+
+    def __repr__(self):
+        return f"LatticeBasis(cols={self.cols!r})"
 
     @classmethod
     def from_rational(cls, rows) -> "LatticeBasis":
         return cls(_linalg.frac_matrix(rows))
+
+    @classmethod
+    def from_integral(cls, int_cols, den: int) -> "LatticeBasis":
+        """The exact basis with columns int_cols[j] / den (den >= 1), checked
+        to |det| == 1 by one determinant of the integer matrix."""
+        ints = tuple(tuple(col) for col in int_cols)
+        m = len(ints)
+        if den < 1 or any(len(col) != m for col in ints):
+            raise InvariantError(f"need m integer columns of length m over den >= 1, got "
+                                 f"{[len(col) for col in ints]} over {den}")
+        d = _linalg.det(np.array(ints, dtype=object))  # the transpose: same det
+        if abs(d) != den ** m:
+            raise InvariantError(f"exact |det| = {abs(d) / den ** m} != 1")
+        return cls.of_checked_integral(ints, den)
+
+    @classmethod
+    def of_checked_integral(cls, int_cols: tuple, den: int) -> "LatticeBasis":
+        """The exact basis int_cols / den (a tuple of int tuples) whose
+        determinant the caller has just checked, without recomputing it."""
+        basis = object.__new__(cls)
+        _SET(basis, "_cols", None)
+        _SET(basis, "int_cols", int_cols)
+        _SET(basis, "den", den)
+        return basis
 
     @classmethod
     def check_stack(cls, cols: np.ndarray) -> np.ndarray:
@@ -88,7 +125,7 @@ class LatticeBasis:
         if cols.flags.writeable:
             raise InvariantError("of_checked needs checked, read-only columns")
         basis = object.__new__(cls)
-        object.__setattr__(basis, "cols", cols)
+        _set_fields(basis, cols)
         return basis
 
     @classmethod
@@ -98,12 +135,38 @@ class LatticeBasis:
         return tuple(map(cls.of_checked, cls.check_stack(cols)))
 
     @property
+    def cols(self) -> np.ndarray:
+        cols = self._cols
+        if cols is None:
+            den = self.den
+            cols = np.empty((len(self.int_cols),) * 2, dtype=object)
+            for j, col in enumerate(self.int_cols):
+                for i, x in enumerate(col):
+                    cols[i, j] = Fraction(x, den)
+            cols.flags.writeable = False
+            _SET(self, "_cols", cols)
+        return cols
+
+    @property
     def m(self) -> int:
-        return self.cols.shape[0]
+        return self._cols.shape[0] if self.int_cols is None else len(self.int_cols)
 
     @property
     def exact(self) -> bool:
-        return _linalg.is_exact(self.cols)
+        return self.int_cols is not None
+
+
+def _set_fields(basis: LatticeBasis, cols: np.ndarray):
+    """Store read-only columns, with their integer form when they are exact."""
+    _SET(basis, "_cols", cols)
+    if _linalg.is_exact(cols):
+        m = cols.shape[0]
+        flat, den = _linalg.integral(cols.T.ravel().tolist())
+        _SET(basis, "int_cols", tuple(tuple(flat[j * m:(j + 1) * m]) for j in range(m)))
+        _SET(basis, "den", den)
+    else:
+        _SET(basis, "int_cols", None)
+        _SET(basis, "den", None)
 
 
 def _det_error(d: float) -> InvariantError:
@@ -114,17 +177,11 @@ def _det_error(d: float) -> InvariantError:
 class ShortVectorResult:
     vector: np.ndarray
     length: object  # float or Fraction
-    coeffs: np.ndarray  # int64 in float mode, Python ints in Fraction mode
+    coeffs: np.ndarray  # int64 in the float mode, Python ints in the exact mode
 
 
-def _columns_as_lists(cols: np.ndarray):
-    exact = _linalg.is_exact(cols)
-    m = cols.shape[0]
-    if exact:
-        out = [[Fraction(cols[i, j]) for i in range(m)] for j in range(m)]
-    else:
-        out = [[float(cols[i, j]) for i in range(m)] for j in range(m)]
-    return out, exact
+def _float_columns(cols: np.ndarray) -> list:
+    return np.asarray(cols, dtype=float).T.tolist()
 
 
 def _dot(x, y):
@@ -145,24 +202,20 @@ def _gs_row(b, bstar, mu, norms, i):
     norms[i] = _dot(v, v)
 
 
-def _lll(cols, exact: bool, delta=None):
-    """LLL reduction of the column list; returns (reduced columns, U columns,
-    mu, norms) with reduced[j] = sum_i original[i] * U[j][i], and mu[i][j]
-    (j < i) and norms[i] = ||b*_i||^2 the Gram-Schmidt data of the reduced
-    columns. delta defaults to 0.99 (99/100 in the Fraction mode).
+def _lll(cols, delta: float = 0.99):
+    """LLL reduction of the float column list; returns (reduced columns, U
+    columns, mu, norms) with reduced[j] = sum_i original[i] * U[j][i], and
+    mu[i][j] (j < i) and norms[i] = ||b*_i||^2 the Gram-Schmidt data of the
+    reduced columns.
 
     A size-reduction step updates row k of mu in place. A swap invalidates
     the Gram-Schmidt rows from k-1 up, and a row is recomputed from the
     current columns only when the stage index reaches it again. The two-row
     swap update (Cohen, Alg. 2.6.3) would avoid those recomputations, but in
     floats it drifts away from the columns: on flowed lattices a_t u(phi) at
-    n = 2, t = 8 its ||b*||^2 are off by several percent. The Fraction mode
+    n = 2, t = 8 its ||b*||^2 are off by several percent. The exact mode
     runs the same steps on integer Gram data (`_lll_integral`).
     """
-    if exact:
-        return _lll_integral(cols, Fraction(99, 100) if delta is None else Fraction(delta))
-    if delta is None:
-        delta = 0.99
     m = len(cols)
     b = [list(c) for c in cols]
     u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
@@ -200,6 +253,14 @@ def _lll(cols, exact: bool, delta=None):
     return b, u, mu, norms
 
 
+def _round_div(a: int, b: int) -> int:
+    """The integer nearest a / b (b > 0), ties to even, as round(Fraction)."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q & 1):
+        q += 1
+    return q
+
+
 def _gram_row(c, lam, d, i):
     """Integral Gram-Schmidt row i (Cohen, Alg. 2.6.7, step 2) of the integer
     columns c: lam[i][j] = d[j+1] mu[i][j] for j < i and d[i+1], where d[j]
@@ -216,17 +277,17 @@ def _gram_row(c, lam, d, i):
             d[i + 1] = x
 
 
-def _lll_integral(cols, delta: Fraction):
-    """`_lll` in the Fraction mode, run on the columns times their common
-    denominator D, which leaves mu unchanged and scales every norm by D^2.
-    mu[k][j] = lam[k][j] / d[j+1] and norms[k] = d[k+1] / d[k], so the size
-    reduction quotient round(mu[k][j]) (half to even, as round(Fraction)) and
-    the Lovasz test norms[k] >= (delta - mu[k][k-1]^2) norms[k-1] are decided
-    in integers, in `_lll`'s order: the same steps give the same columns,
-    transform and Gram-Schmidt data, returned as Fractions."""
-    m = len(cols)
-    den = math.lcm(*(int(x.denominator) for col in cols for x in col))
-    c = [[int(x.numerator) * (den // int(x.denominator)) for x in col] for col in cols]
+def _lll_integral(c: list, delta: Fraction):
+    """`_lll` on the list c of integer columns (its entries are replaced,
+    never mutated) on their integral Gram data: lam[i][j] = d[j+1] mu[i][j]
+    (j < i) and the Gram determinants d[0..m], so norms[k] = d[k+1] / d[k].
+    The size-reduction quotient round(mu[k][j]) (half to even, as
+    round(Fraction)) and the Lovasz test norms[k] >= (delta - mu[k][k-1]^2)
+    norms[k-1] are decided in integers, in `_lll`'s order. A common scale of
+    the columns changes no decision, so the columns of an exact basis times
+    its denominator take the steps its Fraction columns would. Returns the
+    reduced integer columns, the transform columns, lam and d."""
+    m = len(c)
     u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     lam = [[0] * m for _ in range(m)]
     d = [1] * (m + 1)
@@ -245,12 +306,9 @@ def _lll_integral(cols, delta: Fraction):
         lam_k = lam[k]
         for j in range(k - 1, -1, -1):
             dj = d[j + 1]
-            lam_kj = lam_k[j]
-            if 2 * abs(lam_kj) <= dj:  # |mu| <= 1/2 rounds to 0, ties to even
+            if 2 * abs(lam_k[j]) <= dj:  # |mu| <= 1/2 rounds to 0, ties to even
                 continue
-            q, r = divmod(lam_kj, dj)
-            if 2 * r > dj or (2 * r == dj and q & 1):
-                q += 1
+            q = _round_div(lam_k[j], dj)
             c[k] = [x - q * y for x, y in zip(c[k], c[j])]
             u[k] = [x - q * y for x, y in zip(u[k], u[j])]
             lam_j = lam[j]
@@ -265,11 +323,7 @@ def _lll_integral(cols, delta: Fraction):
             u[k], u[k - 1] = u[k - 1], u[k]
             fresh = k - 1
             k = max(k - 1, 1)
-    b = [[Fraction(x, den) for x in col] for col in c]
-    mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else 0 for j in range(m)] for i in range(m)]
-    den2 = den * den
-    norms = [Fraction(d[i + 1], d[i] * den2) for i in range(m)]
-    return b, u, mu, norms
+    return c, u, lam, d
 
 
 def _sup(v):
@@ -280,22 +334,41 @@ class _BallWalk:
     """Depth-first walk over the lattice vectors v = sum_j c_j b_j, c != 0,
     with ||v||_2^2 <= r2, one of each +-v pair; yields (c, v).
 
-    mu and norms are the Gram-Schmidt data of the columns b. Level j fixes
-    c_j given c_{j+1..m-1}; it adds (c_j - center_j)^2 * norms[j] to
-    ||v||^2, so each level sweeps up and then down from the integer nearest
-    its center and stops a direction at the first value outside the ball.
-    While every coefficient above a level is zero, that level sweeps up from
-    0 only, which keeps one of each +-v pair. `shrink` may lower r2 between
-    yields. More than _MAX_NODES nodes inside the ball raise
-    DegenerateInputError.
+    Level j fixes c_j given c_{j+1..m-1}; it adds (c_j - center_j)^2 *
+    ||b*_j||^2 to ||v||^2, with center_j = -sum_{i>j} c_i mu[i][j], so each
+    level sweeps up and then down from the integer nearest its center and
+    stops a direction at the first value outside the ball. While every
+    coefficient above a level is zero, that level sweeps up from 0 only,
+    which keeps one of each +-v pair. `shrink` may lower r2 between yields.
+    More than _MAX_NODES nodes inside the ball raise DegenerateInputError.
+
+    In the float mode b holds float columns and gram is (mu, norms). In the
+    exact mode b holds integer columns and gram is their integral data
+    (lam, d) from `_lll_integral`; with s_j = sum_{i>j} c_i lam[i][j] the
+    center is -s_j / d[j+1] and level j adds y_j^2 / (d[j] d[j+1]) for
+    y_j = c_j d[j+1] + s_j. Every level is scaled by the one integer
+    L = lcm_j d[j] d[j+1], so lengths are integers, compared with
+    floor(r2 L): the nodes of the Fraction arithmetic, decided in integers.
     """
 
-    def __init__(self, b, mu, norms, r2, exact: bool):
-        self.b, self.mu, self.norms, self.exact = b, mu, norms, exact
+    def __init__(self, b, gram, r2, exact: bool):
+        self.b, self.exact = b, exact
+        if exact:
+            self.coef, d = gram
+            self.unit = d[1:]  # y_j steps by d[j+1] per unit of c_j
+            dd = [d[j] * d[j + 1] for j in range(len(b))]
+            self.scale = math.lcm(*dd)
+            self.weight = [self.scale // x for x in dd]
+        else:
+            self.coef, self.weight = gram
+            self.unit = None
         self.shrink(r2)
 
     def shrink(self, r2):
-        self.limit = r2 if self.exact else r2 * (1 + _FLOAT_SLACK)
+        if self.exact:  # r2 is an int or a Fraction
+            self.limit = r2.numerator * self.scale // r2.denominator
+        else:
+            self.limit = r2 * (1 + _FLOAT_SLACK)
 
     def _count_node(self):
         self.nodes += 1
@@ -305,11 +378,11 @@ class _BallWalk:
                 "basis is too ill-conditioned after reduction")
 
     def __iter__(self):
-        b, mu, norms = self.b, self.mu, self.norms
-        m = len(norms)
+        b, coef, weight, unit, exact = self.b, self.coef, self.weight, self.unit, self.exact
+        m = len(weight)
         self.nodes = 0
         c = [0] * m
-        center = [0] * m
+        center = [0] * m  # exact mode: -s_j, the center times d[j+1]
         start = [0] * m
         step = [1] * m
         partial = [0] * (m + 1)  # partial[j]: ||v||^2 contributed by levels j..m-1
@@ -324,8 +397,8 @@ class _BallWalk:
                 j = 1
                 c[1] += step[1]
                 continue
-            d = c[j] - center[j]
-            length = partial[j + 1] + d * d * norms[j]
+            d = c[j] * unit[j] - center[j] if exact else c[j] - center[j]
+            length = partial[j + 1] + d * d * weight[j]
             if length <= self.limit:
                 self._count_node()
                 partial[j] = length
@@ -333,9 +406,9 @@ class _BallWalk:
                 vec[j] = [p + cj * x for p, x in zip(vec[j + 1], b[j])] if cj else vec[j + 1]
                 top[j - 1] = top[j] and not cj
                 j -= 1
-                ctr = -sum(c[i] * mu[i][j] for i in range(j + 1, m) if c[i])
+                ctr = -sum(c[i] * coef[i][j] for i in range(j + 1, m) if c[i])
                 center[j] = ctr
-                start[j] = c[j] = round(ctr)
+                start[j] = c[j] = _round_div(ctr, unit[j]) if exact else round(ctr)
                 step[j] = 1
                 continue
             if step[j] == 1 and not top[j]:
@@ -348,13 +421,14 @@ class _BallWalk:
             c[j] += step[j]
 
     def _leaves(self, c, ctr, above, p, top):
-        """Level 0: every c_0 with (c_0 - ctr)^2 * norms[0] + above in the ball."""
-        n0, b0 = self.norms[0], self.b[0]
-        x0 = round(ctr)
+        """Level 0: every c_0 with its level-0 term plus `above` in the ball."""
+        w0, b0, exact = self.weight[0], self.b[0], self.exact
+        u0 = self.unit[0] if exact else None
+        x0 = _round_div(ctr, u0) if exact else round(ctr)
         for x, direction in ((1, 1),) if top else ((x0, 1), (x0 - 1, -1)):
             while True:
-                d = x - ctr
-                if above + d * d * n0 > self.limit:
+                d = x * u0 - ctr if exact else x - ctr
+                if above + d * d * w0 > self.limit:
                     break
                 self._count_node()
                 c[0] = x
@@ -362,37 +436,45 @@ class _BallWalk:
                 x += direction
 
 
+def _prepare(basis: LatticeBasis):
+    """(reduced columns, transform columns, Gram data) of the basis's LLL
+    reduction: float columns with (mu, norms), or in the exact mode integer
+    columns (the lattice times basis.den) with their integral data (lam, d)."""
+    if basis.m > MAX_DIM:
+        raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
+    if basis.exact:
+        b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA)
+        return b, u, (lam, d)
+    b, u, mu, norms = _lll(_float_columns(basis.cols))
+    return b, u, (mu, norms)
+
+
 def reduce(basis: LatticeBasis, delta: float = None):
     """LLL-reduce the basis (delta defaults to 0.99); returns the reduced
     basis together with the unimodular integer transform for audit:
     reduced.cols = basis.cols @ transform. The transform is int64 in the
-    float mode and holds Python ints in the Fraction mode."""
-    cols, exact = _columns_as_lists(basis.cols)
-    if exact and delta is not None:
-        delta = Fraction(delta).limit_denominator(10**6)
-    bred, ucols, _, _ = _lll(cols, exact, delta)
-    m = basis.m
+    float mode and holds Python ints in the exact mode, whose reduced basis
+    has the integer columns over the input's denominator."""
+    exact = basis.exact
     if exact:
-        out = _linalg.frac_matrix([[bred[j][i] for j in range(m)] for i in range(m)])
+        delta = _EXACT_DELTA if delta is None else Fraction(delta).limit_denominator(10**6)
+        b, u, _, _ = _lll_integral(list(basis.int_cols), delta)
+        reduced = LatticeBasis.from_integral(b, basis.den)
     else:
-        out = np.array(bred, dtype=float).T
-    transform = np.array([[ucols[j][i] for j in range(m)] for i in range(m)],
+        b, u, _, _ = _lll(_float_columns(basis.cols), 0.99 if delta is None else delta)
+        reduced = LatticeBasis(np.array(b, dtype=float).T)
+    m = basis.m
+    transform = np.array([[u[j][i] for j in range(m)] for i in range(m)],
                          dtype=object if exact else np.int64)
-    return LatticeBasis(out), transform
-
-
-def _prepare(basis: LatticeBasis):
-    if basis.m > MAX_DIM:
-        raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
-    cols, exact = _columns_as_lists(basis.cols)
-    bred, ucols, mu, norms = _lll(cols, exact)
-    return bred, ucols, mu, norms, exact
+    return reduced, transform
 
 
 def _scalar(x, exact: bool):
-    """A radius or halfwidth in the basis's scalar mode (Fractions are exact,
-    so float inputs convert without rounding)."""
-    return Fraction(x) if exact else float(x)
+    """A radius or halfwidth in the basis's scalar mode: in the exact mode
+    ints and Fractions pass through and floats convert without rounding."""
+    if exact:
+        return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return float(x)
 
 
 def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
@@ -407,12 +489,13 @@ def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
     1e-9 in the float mode) means the float arithmetic has broken down and
     raises InvariantError.
     """
-    bred, ucols, mu, norms, exact = _prepare(basis)
+    bred, ucols, gram = _prepare(basis)
+    exact = basis.exact
     m = basis.m
     best = min(_sup(col) for col in bred)
     if best == 0:
         raise InvariantError("reduced basis contains the zero vector")
-    walk = _BallWalk(bred, mu, norms, m * best * best, exact)
+    walk = _BallWalk(bred, gram, m * best * best, exact)
     best_cands = []
     for c, v in walk:
         length = _sup(v)
@@ -432,12 +515,17 @@ def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
         if lead < 0:
             oc = tuple(-x for x in oc)
         originals.append(oc)
-    coeffs = np.array(min(originals), dtype=object if exact else np.int64)
-    vector = basis.cols @ coeffs if not exact else basis.cols @ _linalg.frac_vector(coeffs)
-    length = max(abs(x) for x in vector)
-    if not exact:
-        length = float(length)
-        vector = np.asarray(vector, dtype=float)
+    oc = min(originals)
+    coeffs = np.array(oc, dtype=object if exact else np.int64)
+    if exact:
+        den = basis.den
+        vector = np.empty(m, dtype=object)
+        for i in range(m):
+            vector[i] = Fraction(sum(x * col[i] for x, col in zip(oc, basis.int_cols)), den)
+        length = max(abs(x) for x in vector)
+    else:
+        vector = np.asarray(basis.cols @ coeffs, dtype=float)
+        length = float(max(abs(x) for x in vector))
     if length > (1 if exact else 1 + _MINKOWSKI_FLOAT_TOL):
         raise InvariantError(
             f"sup-norm minimum {length} exceeds Minkowski's bound 1 for a unimodular "
@@ -452,10 +540,17 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
         raise DomainError("halfwidths length must match basis dimension")
     if any(x <= 0 for x in w):
         raise DomainError("halfwidths must be positive")
-    bred, _, mu, norms, exact = _prepare(basis)
-    w = [_scalar(x, exact) for x in w]
+    bred, _, gram = _prepare(basis)
+    exact = basis.exact
+    if exact:  # the box in units of 1/den; integers x have |x| <= r iff |x| <= floor(r)
+        w = [_scalar(x, True) * basis.den for x in w]
+        r2 = sum(x * x for x in w)
+        w = [math.floor(x) for x in w]
+    else:
+        w = [_scalar(x, False) for x in w]
+        r2 = sum(x * x for x in w)
     count = 0
-    for _, v in _BallWalk(bred, mu, norms, sum(x * x for x in w), exact):
+    for _, v in _BallWalk(bred, gram, r2, exact):
         if all(abs(x) <= wx for x, wx in zip(v, w)):
             count += 1
     return 2 * count
@@ -465,11 +560,19 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     """Is there a nonzero lattice vector with ||v||_inf strictly below bound?"""
     if bound <= 0:
         return False
-    bred, _, mu, norms, exact = _prepare(basis)
+    bred, _, gram = _prepare(basis)
+    exact = basis.exact
+    if exact:  # bound * den = p / q; integers x have |x| < p / q iff |x| < ceil(p / q)
+        bound = _scalar(bound, True)
+        p, q = bound.numerator * basis.den, bound.denominator
+        bound = -(-p // q)
+        r2 = Fraction(basis.m * p * p, q * q)
+    else:
+        r = _scalar(bound, False)
+        r2 = basis.m * r * r
     if any(_sup(col) < bound for col in bred):
         return True
-    r = _scalar(bound, exact)
-    return any(_sup(v) < bound for _, v in _BallWalk(bred, mu, norms, basis.m * r * r, exact))
+    return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2, exact))
 
 
 def in_kmu(basis: LatticeBasis, mu) -> bool:

@@ -221,3 +221,16 @@ def test_repeat_runs_byte_identical_modulo_timestamp(tmp_path):
     assert main(["equidist", "--config", str(path)]) == EXIT_OK
     second = (tmp_path / "r.jsonl").read_text()
     assert strip_timestamps(first) == strip_timestamps(second)
+
+
+def test_plain_passes_builtins_through_and_converts_the_rest():
+    import numpy as np
+
+    from danilab.cli import _plain
+    for x in (3, -2.5, "s", True, False, None):
+        assert _plain(x) is x
+    payload = {"k": (np.int64(4), Fraction(1, 3), np.float64(0.5), np.bool_(True)),
+               "a": np.array([[1, 2]]), "t": [(1, 2), None]}
+    got = _plain(payload)
+    assert got == {"k": [4, "1/3", 0.5, True], "a": [[1, 2]], "t": [[1, 2], None]}
+    assert [type(x) for x in got["k"]] == [int, str, float, bool]

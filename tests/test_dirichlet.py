@@ -103,6 +103,34 @@ def test_query_validation():
         solvable(DirichletQuery(phi=phi, N=2, mu=0.5), convention="none_such")
 
 
+def test_query_n_accepts_integer_types_and_refuses_bools():
+    phi = np.array([[Fraction(1, 3)]], dtype=object)
+    for N in (True, False, np.bool_(True), 5.0, Fraction(5), "5", np.int64(0)):
+        with pytest.raises(InvariantError, match="N must be an integer"):
+            DirichletQuery(phi=phi, N=N, mu=Fraction(1, 2))
+    query = DirichletQuery(phi=phi, N=np.int64(5), mu=Fraction(1, 2))
+    assert type(query.N) is int and query.N == 5
+    assert type(DirichletQuery(phi=phi, N=np.uint8(5), mu=Fraction(1, 2)).N) is int
+    plain = DirichletQuery(phi=phi, N=5, mu=Fraction(1, 2))
+    assert solvable(query) == solvable(plain) == reference_solvable([[Fraction(1, 3)]], 5,
+                                                                    Fraction(1, 2))
+    assert correspondence_check(query) == correspondence_check(plain)
+    assert all(type(x) is int for col in correspondence_basis(query).int_cols for x in col)
+
+
+def test_integral_phi_is_derived_once_per_query(monkeypatch):
+    phi = np.array([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]], dtype=object)
+    query = DirichletQuery(phi=phi, N=7, mu=Fraction(2, 3))
+    assert query.integral_phi == (((6, 36), (-8, 15)), 12)
+    fresh = DirichletQuery(phi=phi, N=7, mu=Fraction(2, 3))
+    seen = []
+    integral = _linalg.integral
+    monkeypatch.setattr(_linalg, "integral", lambda xs: seen.append(len(xs)) or integral(xs))
+    correspondence_check(fresh)
+    assert seen.count(4) == 1  # phi's entries, once; the det clears its own 16
+    assert correspondence_check(fresh) == correspondence_check(query)
+
+
 def test_mu_one_solvable_but_not_checkable():
     # the classical theorem guarantees a witness at mu = 1 for every phi
     q = DirichletQuery(phi=np.array([[0.3]]), N=7, mu=1.0)

@@ -2,10 +2,11 @@
 
 Bases are random unimodular matrices, built exactly as a rational
 unit-lower-triangular matrix times a rational diagonal of determinant 1
-times integer column operations, and used in both scalar modes. The
-references are deliberately naive: LLL that recomputes Gram-Schmidt in full
-after every step, and a walk of the whole coefficient box that the inverse
-of the reduced basis bounds.
+times integer column operations, and used in both scalar modes, plus exact
+correspondence bases a_log N u(k/37) whose lattices have vectors on the
+boundary of the mu-box. The references are deliberately naive: LLL that
+recomputes Gram-Schmidt in full after every step, and a walk of the whole
+coefficient box that the inverse of the reduced basis bounds.
 """
 
 import itertools
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from danilab import (LatticeBasis, count_in_box, in_kmu, reduce,
-                     shortest_supnorm)
+from danilab import (DirichletQuery, LatticeBasis, correspondence_basis, count_in_box,
+                     in_kmu, in_mahler_compact, reduce, shortest_supnorm)
 from danilab import _linalg, lattice
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -172,6 +173,9 @@ def test_exact_reduce_matches_full_recompute_reference(rows):
     ref_cols, ref_u = reference_lll(columns(basis))
     assert columns(red) == ref_cols
     assert [[transform[i, j] for i in range(basis.m)] for j in range(basis.m)] == ref_u
+    assert red.exact and red.cols.dtype == object and not red.cols.flags.writeable
+    assert all(type(x) is Fraction for x in red.cols.ravel())
+    assert all(type(x) is int for x in transform.ravel())
 
 
 @SETTINGS
@@ -188,12 +192,17 @@ def test_exact_reduce_at_other_delta_matches_reference(rows):
 @given(unimodular_rows())
 def test_exact_lll_gram_data_is_that_of_the_reduced_columns(rows):
     # The exact ball walk prunes on these values: a stale row would
-    # mis-prune without raising.
-    b, _, mu, norms = lattice._lll(columns(as_basis(rows, exact=True)), True)
-    ref_mu, ref_norms = full_gram_schmidt(b)
-    assert all(isinstance(x, Fraction) for col in b for x in col)
-    assert [row[:i] for i, row in enumerate(mu)] == [row[:i] for i, row in enumerate(ref_mu)]
-    assert norms == ref_norms
+    # mis-prune without raising. lam[i][j] = d[j+1] mu[i][j] and
+    # norms[i] = d[i+1] / d[i] on the integer columns, den times the lattice.
+    basis = as_basis(rows, exact=True)
+    c, _, lam, d = lattice._lll_integral(list(basis.int_cols), Fraction(99, 100))
+    assert all(type(x) is int for col in c for x in col)
+    assert all(type(x) is int for row in lam for x in row) and all(type(x) is int for x in d)
+    m, den = basis.m, basis.den
+    ref_mu, ref_norms = full_gram_schmidt([[Fraction(x, den) for x in col] for col in c])
+    assert ([[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(m)]
+            == [row[:i] for i, row in enumerate(ref_mu)])
+    assert [Fraction(d[i + 1], d[i] * den * den) for i in range(m)] == ref_norms
 
 
 @SETTINGS
@@ -205,6 +214,7 @@ def test_queries_match_box_oracle(rows, exact, data):
     mu = scalar(data.draw(MU))
     assert count_in_box(basis, w) == oracle_count(basis, w)
     assert in_kmu(basis, mu) == oracle_in_kmu(basis, mu)
+    assert in_mahler_compact(basis, mu) == oracle_in_kmu(basis, mu)
     res = shortest_supnorm(basis)
     length, coeffs = oracle_shortest(basis)
     assert tuple(res.coeffs) == coeffs
@@ -232,3 +242,93 @@ def test_counts_invariant_under_recombination(rows, data):
     fw = [float(x) for x in w]
     assert count_in_box(as_basis(rows, False), fw) == count
     assert count_in_box(as_basis(recombined, False), fw) == count
+
+
+def correspondence_lattice(k, n, N, mu):
+    """The exact correspondence basis at phi = k / 37 (phi[i][j] = k_ij / 37)."""
+    phi = np.empty((n, n), dtype=object)
+    for idx, x in enumerate(k):
+        phi[idx // n, idx % n] = Fraction(x, 37)
+    return correspondence_basis(DirichletQuery(phi=phi, N=N, mu=mu))
+
+
+@st.composite
+def boundary_cells(draw):
+    """(basis, mu) with mu N an integer, so p = mu N puts the vector
+    (N (phi p - q), p / N) on the sup-norm sphere of radius mu whenever its
+    top block is no larger."""
+    n = draw(st.sampled_from((1, 1, 2)))
+    mu = draw(st.sampled_from((Fraction(1, 2), Fraction(9, 10), Fraction(3, 4), Fraction(2, 3))))
+    N = mu.denominator * draw(st.integers(1, 8 if n == 1 else 2))
+    k = [draw(st.integers(0, 37)) for _ in range(n * n)]
+    return correspondence_lattice(k, n, N, mu), mu
+
+
+@SETTINGS
+@given(boundary_cells())
+def test_exact_queries_on_correspondence_bases_match_box_oracle(cell):
+    basis, mu = cell
+    w = [mu] * basis.m
+    assert in_kmu(basis, mu) == oracle_in_kmu(basis, mu)
+    assert in_mahler_compact(basis, mu) == oracle_in_kmu(basis, mu)
+    assert count_in_box(basis, w) == oracle_count(basis, w)
+    res = shortest_supnorm(basis)
+    length, coeffs = oracle_shortest(basis)
+    assert tuple(res.coeffs) == coeffs and res.length == length
+    assert type(res.length) is Fraction and all(type(x) is Fraction for x in res.vector)
+
+
+def test_boundary_cells_put_vectors_on_the_mu_sphere():
+    # phi = 0, N = 2, mu = 1/2: (p, q) = (e_i, 0) gives the vector (0, e_i / 2),
+    # on the closed box of radius 1/2 but outside the open ball.
+    half = Fraction(1, 2)
+    for n in (1, 2):
+        basis = correspondence_lattice([0] * n * n, n, 2, half)
+        assert shortest_supnorm(basis).length == half
+        assert in_kmu(basis, half) and not in_kmu(basis, Fraction(51, 100))
+        assert count_in_box(basis, [half] * 2 * n) == 3 ** n - 1
+    # phi = 5/37, N = 20: (p, q) = (15, 2) gives (20/37, 3/4), inside the 9/10-ball.
+    assert not in_kmu(correspondence_lattice([5], 1, 20, Fraction(9, 10)), Fraction(9, 10))
+
+
+@SETTINGS
+@given(unimodular_rows(), st.data())
+def test_exact_queries_accept_float_bounds_exactly(rows, data):
+    basis = as_basis(rows, exact=True)
+    mu = data.draw(MU)
+    w = [data.draw(HALFWIDTH) for _ in range(basis.m)]
+    assert in_kmu(basis, float(mu)) == oracle_in_kmu(basis, Fraction(float(mu)))
+    assert (count_in_box(basis, [float(x) for x in w])
+            == oracle_count(basis, [Fraction(float(x)) for x in w]))
+
+
+def test_exact_in_kmu_never_builds_the_fraction_columns(monkeypatch):
+    bases = [correspondence_lattice([k], 1, N, Fraction(9, 10)) for k in (0, 5, 36)
+             for N in (10, 20, 50)]
+    bases.append(correspondence_lattice([3, 7, 11, 30], 2, 10, Fraction(1, 2)))
+
+    def refuse(self):
+        raise AssertionError("the Fraction view of an exact basis was built")
+
+    monkeypatch.setattr(LatticeBasis, "cols", property(refuse))
+    for basis in bases:
+        assert basis.exact and all(type(x) is int for col in basis.int_cols for x in col)
+        in_kmu(basis, Fraction(9, 10))
+        in_mahler_compact(basis, Fraction(1, 3))
+        count_in_box(basis, [Fraction(1, 2)] * basis.m)
+        shortest_supnorm(basis)
+
+
+def test_exact_basis_derives_its_fraction_columns_once():
+    basis = LatticeBasis.from_integral([(4, 0), (2, 1)], 2)
+    assert basis.den == 2 and basis.int_cols == ((4, 0), (2, 1))
+    cols = basis.cols
+    assert cols is basis.cols and not cols.flags.writeable
+    assert cols.tolist() == [[2, 1], [0, Fraction(1, 2)]]
+    assert all(type(x) is Fraction for x in cols.ravel())
+    with pytest.raises(AttributeError):
+        basis.den = 1
+    same = LatticeBasis.from_rational([[2, 1], [0, "1/2"]])
+    assert same.int_cols == basis.int_cols and same.den == basis.den
+    with pytest.raises(lattice.InvariantError):
+        LatticeBasis.from_integral([(4, 0), (2, 2)], 2)
