@@ -1,10 +1,11 @@
 """Experiment runner: config ingestion, dispatch, JSONL/CSV persistence.
 
-One config file = one experiment. The config carries a curve description,
-subcommand-specific parameters, and sampler settings; the runner resolves
-defaults at parse time so that the canonical serialization (and hence the
-config hash stamped on every record) is independent of key order and of
-which defaults the author spelled out.
+One config file = one experiment: a curve, subcommand-specific parameters
+and sampler settings. Each subcommand's parameters have one schema (a frozen
+dataclass whose fields carry their rule and default) and are read once, into
+typed arguments for the runner and into canonical parameters with defaults
+filled in, so the config hash stamped on every record is independent of key
+order and of which defaults the author spelled out.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional
@@ -24,19 +25,13 @@ from . import _linalg, reptheory, stats
 from .curve import MatrixPolyCurve, genericity_test
 from .dirichlet import (CONVENTIONS, DirichletQuery, correspondence_check,
                         improvability_scan)
-from .errors import DomainError
 from .flow import sl2_copy
-from .rng import SCHEMES, Sampler, counter_uniforms
-
-SUBCOMMANDS = ("genericity", "dirichlet-scan", "correspondence", "equidist",
-               "nondiv", "rep-verify", "w-invariance")
+from .rng import Sampler, counter_uniforms
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_ASSERT = 4
-
-_SAMPLED = ("equidist", "nondiv", "rep-verify", "w-invariance")
 
 
 class ConfigError(ValueError):
@@ -49,7 +44,8 @@ class ExperimentConfig:
     subcommand: str
     n: int
     curve: MatrixPolyCurve
-    parameters: dict
+    parameters: dict  # canonical JSON form, defaults filled in: what config_hash hashes
+    args: object      # the same parameters typed, as the subcommand's *Args class
     sampler: Optional[Sampler]
     output: str
 
@@ -58,33 +54,17 @@ def _require(raw: dict, key: str, kind, where: str):
     if key not in raw:
         raise ConfigError(f"{where}{key}: required field missing")
     val = raw[key]
-    if kind is int and isinstance(val, bool):
-        raise ConfigError(f"{where}{key}: expected int, got bool")
-    if not isinstance(val, kind):
-        want = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{where}{key}: expected {want}, got {type(val).__name__}")
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise ConfigError(f"{where}{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
 
 
-def _scalar(value, field: str):
-    """Accept an int, a float, or a 'p/q' rational string."""
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{field}: cannot parse rational {value!r}") from exc
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: expected number or 'p/q' string, got {type(value).__name__}")
-    return value
-
-
-def _canonical_scalar(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
+def _finite(literal: str) -> float:
+    """The reader's hook for float literals and NaN/Infinity: a config holds
+    finite numbers only (a literal such as 1e400 overflows to inf)."""
+    x = float(literal)
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite number {literal} in config")
     return x
 
 
@@ -92,7 +72,7 @@ _PLAIN_TYPES = frozenset((int, float, str, bool, type(None)))
 
 
 def _plain(obj):
-    """Recursively coerce payload values to JSON-encodable python types."""
+    """Recursively coerce values to JSON types; a Fraction becomes 'p/q'."""
     if type(obj) in _PLAIN_TYPES:
         return obj
     if isinstance(obj, dict):
@@ -101,9 +81,217 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    return _canonical_scalar(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    return obj.item() if isinstance(obj, np.generic) else obj
+
+
+# Field rules. A rule `rule(value, where, curve)` checks one JSON value,
+# names it by `where` when it refuses it, and returns the typed value.
+
+def _num(kinds=(int, float), test=None, what="", to=None):
+    """The one number rule: a JSON value of `kinds`, never a bool (a str is
+    a 'p/q' rational, read as a Fraction); `test(x, n)` must hold, `what`
+    says what it asks, and `to` converts the result."""
+    def rule(value, where, curve):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(f"{where}: expected {'/'.join(k.__name__ for k in kinds)}, "
+                              f"got {type(value).__name__}")
+        if isinstance(value, str):
+            try:
+                value = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"{where}: cannot parse rational {value!r}") from exc
+        if test is not None and not test(value, curve.n):
+            raise ConfigError(f"{where} must {what}")
+        return value if to is None else to(value)
+    return rule
+
+
+def _list_of(item, size=None):
+    """A nonempty JSON list of `item` values, as a tuple; `size(n)` fixes
+    its length."""
+    def rule(value, where, curve):
+        want = None if size is None else size(curve.n)
+        if not isinstance(value, list) or not value or want not in (None, len(value)):
+            raise ConfigError(f"{where}: expected a nonempty list" if want is None
+                              else f"{where}: expected a list of {want} entries")
+        return tuple(item(x, f"{where}[{i}]", curve) for i, x in enumerate(value))
+    return rule
+
+
+def _one_of(*choices):
+    def rule(value, where, curve):
+        if not any(type(value) is type(c) and value == c for c in choices):
+            raise ConfigError(f"{where}: expected one of {choices}")
+        return value
+    return rule
+
+
+def _built(where: str, make, *args, **kwargs):
+    """make(...), a value it refuses (ValueError) refused as config at `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _known(obj, keys, where: str):
+    """Refuse anything but an object, and any key of it outside `keys`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown field")
+
+
+_RATIONAL = _num((int, float, str))
+_REAL = _num(to=float)
+_NONZERO = _num(test=lambda x, n: x != 0, what="be nonzero", to=float)
+_POSITIVE = _num(test=lambda x, n: x > 0, what="be positive", to=float)
+_BOX = _list_of(_POSITIVE, size=lambda n: 2 * n)
+_SCALE = _num((int,), lambda x, n: x >= 1, "be >= 1")
+
+
+def _n_range(value, where, curve):
+    lo, hi = _list_of(_SCALE, size=lambda n: 2)(value, where, curve)
+    if lo > hi:
+        raise ConfigError(f"{where}: expected [lo, hi] with lo <= hi")
+    return tuple(range(lo, hi + 1))
+
+
+def _s_grid(value, where, curve):
+    """A list of s values, or {"count": m}: m equispaced points spanning the
+    interval (its left end alone when m = 1)."""
+    if not isinstance(value, dict):
+        return _list_of(_RATIONAL)(value, where, curve)
+    _known(value, ("count",), where)
+    m = _SCALE(_require(value, "count", int, f"{where}."), f"{where}.count", curve)
+    a, b = curve.interval
+    if m == 1:
+        return (a,)
+    step = (b - a) / (m - 1)
+    return tuple(a + k * step for k in range(m))
+
+
+# The top power k = 2n is the trivial representation: its V- is empty, and
+# the transport suite draws its test vectors from V-.
+_BELOW_TOP = _num((int,), lambda x, n: x < 2 * n, "be < 2n")
+
+
+def _rep(value, where, curve):
+    """A `reptheory.Representation`, which checks its kind and power."""
+    exterior = isinstance(value, dict) and value.get("kind") == "exterior"
+    _known(value, ("kind", "k") if exterior else ("kind",), where)
+    k = _BELOW_TOP(value.get("k", 1), f"{where}.k", curve) if exterior else 0
+    return _built(where, reptheory.Representation, kind=value.get("kind"), n=curve.n, k=k)
+
+
+def _observable(value, where, curve):
+    """A `stats.Observable`, which states what each kind needs."""
+    _known(value, ("kind", "mu", "box"), where)
+    mu, box = value.get("mu"), value.get("box")
+    return _built(where, stats.Observable, kind=value.get("kind"),
+                  mu=None if mu is None else float(_RATIONAL(mu, f"{where}.mu", curve)),
+                  box=None if box is None else _BOX(box, f"{where}.box", curve))
+
+
+def _rep_json(rep) -> dict:
+    return {"kind": rep.kind, "k": rep.k} if rep.kind == "exterior" else {"kind": rep.kind}
+
+
+def _observable_json(obs) -> dict:
+    return {k: v for k, v in vars(obs).items() if v is not None}
+
+
+def _midpoint(curve):
+    a, b = curve.interval
+    return _plain((a + b) / 2)
+
+
+def _field(rule, default=MISSING, canonical=None):
+    """A `parameters` field, written once: its rule, or the rules of keys of
+    which exactly one is given; the JSON value of an absent key, maybe as a
+    function of the curve (none: the key is required); and for an object,
+    the function giving its canonical JSON form from its typed value."""
+    return field(metadata={"rule": rule, "default": default, "canonical": canonical})
+
+
+@dataclass(frozen=True)
+class GenericityArgs:
+    s0: object = _field(_RATIONAL, default=_midpoint)  # Fraction, int or float
+    m: int = _field(_num((int,), lambda x, n: x >= n * n + 1, "be >= n^2 + 1"),
+                    default=lambda curve: 2 * curve.n ** 2 + 1)
+    tol: object = _field(_num(test=lambda x, n: x > 0, what="be positive"), default=1e-9)
+
+
+@dataclass(frozen=True)
+class DirichletArgs:
+    mu: object = _field(_num((int, float, str), lambda x, n: 0 < x < 1, "lie in (0,1)"))
+    N: tuple = _field({"N_set": _list_of(_SCALE), "N_range": _n_range})
+    s_grid: tuple = _field(_s_grid)
+    convention: str = _field(_one_of(*CONVENTIONS), default="lattice_p_nonzero")
+
+
+@dataclass(frozen=True)
+class EquidistArgs:
+    t_list: tuple = _field(_list_of(_REAL))
+    box: tuple = _field(_BOX)
+    normalize: bool = _field(_one_of(False, True), default=False)
+
+
+@dataclass(frozen=True)
+class NondivArgs:
+    t_list: tuple = _field(_list_of(_REAL))
+    eps: float = _field(_POSITIVE)
+
+
+@dataclass(frozen=True)
+class RepVerifyArgs:
+    rep: reptheory.Representation = _field(_rep, canonical=_rep_json)
+    r_list: tuple = _field(_list_of(_NONZERO), default=[1, -1, 0.5, -0.5])
+    s0: object = _field(_RATIONAL, default=_midpoint)
+
+
+@dataclass(frozen=True)
+class WInvarianceArgs:
+    t_list: tuple = _field(_list_of(_REAL))
+    r: float = _field(_NONZERO, default=1)
+    observable: stats.Observable = _field(_observable, canonical=_observable_json,
+                                          default={"kind": "kmu_indicator", "mu": 0.7})
+
+
+def _schema(cls):
+    """The class, its fields as (name, {key: rule}, default, canonical) and
+    the keys they read, taken from its metadata once at import."""
+    plan = tuple((f.name, rule if isinstance(rule, dict) else {f.name: rule},
+                  f.metadata["default"], f.metadata["canonical"])
+                 for f in fields(cls) for rule in (f.metadata["rule"],))
+    return cls, plan, frozenset(key for _, rules, _, _ in plan for key in rules)
+
+
+def _parse_parameters(schema, raw, curve: MatrixPolyCurve):
+    """One pass over a subcommand's schema: its typed arguments, and the
+    canonical parameters (the JSON values as given, defaults filled in)."""
+    cls, plan, keys = schema
+    _known(raw, keys, "parameters")
+    canon = dict(raw)
+    args = {}
+    for name, rules, default, canonical in plan:
+        given = [key for key in rules if key in raw]
+        if len(given) > 1:
+            raise ConfigError(f"parameters: give only one of {' / '.join(rules)}")
+        if given:
+            key, value = given[0], raw[given[0]]
+        elif default is MISSING:
+            raise ConfigError(f"parameters.{' / '.join(rules)}: required field missing")
+        else:
+            (key,) = rules
+            value = canon[key] = default(curve) if callable(default) else default
+        args[name] = rules[key](value, f"parameters.{key}", curve)
+        if canonical is not None:
+            canon[key] = canonical(args[name])
+    return cls(**args), canon
 
 
 def _parse_curve(raw, n: int) -> MatrixPolyCurve:
@@ -113,190 +301,24 @@ def _parse_curve(raw, n: int) -> MatrixPolyCurve:
     coeffs = _require(raw, "coeffs", list, "curve.")
     if len(coeffs) != degree + 1:
         raise ConfigError(f"curve.coeffs: expected degree+1 = {degree + 1} matrices, got {len(coeffs)}")
+    mats = []
     for k, mat in enumerate(coeffs):
         if not isinstance(mat, list) or len(mat) != n or any(
                 not isinstance(row, list) or len(row) != n for row in mat):
             raise ConfigError(f"curve.coeffs[{k}]: expected {n}x{n} row-major matrix")
-        for row in mat:
-            for x in row:
-                _scalar(x, f"curve.coeffs[{k}]")
+        mats.append([[_RATIONAL(x, f"curve.coeffs[{k}]", None) for x in row] for row in mat])
     interval = _require(raw, "interval", list, "curve.")
     if len(interval) != 2:
         raise ConfigError("curve.interval: expected [a, b]")
-    a = _scalar(interval[0], "curve.interval")
-    b = _scalar(interval[1], "curve.interval")
-    try:
-        return MatrixPolyCurve.from_coeffs(coeffs, (a, b))
-    except (DomainError, ValueError) as exc:
-        raise ConfigError(f"curve: {exc}") from exc
-
-
-def _parse_sampler(raw) -> Sampler:
-    seed = _require(raw, "seed", int, "sampler.")
-    count = _require(raw, "count", int, "sampler.")
-    scheme = raw.get("scheme", "uniform_iid")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"sampler.scheme: expected one of {SCHEMES}, got {scheme!r}")
-    try:
-        return Sampler(seed=seed, count=count, scheme=scheme)
-    except DomainError as exc:
-        raise ConfigError(f"sampler: {exc}") from exc
-
-
-def _check_mu(params: dict, key: str = "mu"):
-    if key not in params:
-        raise ConfigError(f"parameters.{key}: required field missing")
-    mu = _scalar(params[key], f"parameters.{key}")
-    if not 0 < mu < 1:
-        raise ConfigError("mu must lie in (0,1)")
-    return mu
-
-
-def _check_t_list(params: dict):
-    t_list = params.get("t_list")
-    if not isinstance(t_list, list) or not t_list:
-        raise ConfigError("parameters.t_list: expected nonempty list of flow times")
-    for t in t_list:
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise ConfigError("parameters.t_list: entries must be numbers")
-    return [float(t) for t in t_list]
-
-
-def _check_observable(obs, n: int) -> dict:
-    if not isinstance(obs, dict) or "kind" not in obs:
-        raise ConfigError("parameters.observable: expected object with a 'kind' field")
-    kind = obs["kind"]
-    if kind == "kmu_indicator":
-        if "mu" not in obs:
-            raise ConfigError("parameters.observable.mu: required field missing")
-        mu = _scalar(obs["mu"], "parameters.observable.mu")
-        if not 0 < mu < 1:
-            raise ConfigError("mu must lie in (0,1)")
-        return {"kind": kind, "mu": float(mu)}
-    if kind == "siegel_count":
-        box = obs.get("box")
-        _check_box(box, n, "parameters.observable.box")
-        return {"kind": kind, "box": [float(w) for w in box]}
-    if kind == "lambda1":
-        return {"kind": kind}
-    raise ConfigError(f"parameters.observable.kind: unknown kind {kind!r}")
-
-
-def _build_observable(obs: dict) -> stats.Observable:
-    if obs["kind"] == "kmu_indicator":
-        return stats.kmu_indicator(float(Fraction(obs["mu"]) if isinstance(obs["mu"], str) else obs["mu"]))
-    if obs["kind"] == "siegel_count":
-        return stats.siegel_count(obs["box"])
-    return stats.lambda1()
-
-
-def _check_box(box, n: int, field: str):
-    if not isinstance(box, list) or len(box) != 2 * n:
-        raise ConfigError(f"{field}: expected {2 * n} positive halfwidths")
-    for w in box:
-        if isinstance(w, bool) or not isinstance(w, (int, float)) or w <= 0:
-            raise ConfigError(f"{field}: halfwidths must be positive numbers")
-
-
-def _check_n_set(params: dict):
-    if "N_set" in params:
-        n_set = params["N_set"]
-        if not isinstance(n_set, list) or not n_set or any(
-                isinstance(N, bool) or not isinstance(N, int) or N < 1 for N in n_set):
-            raise ConfigError("parameters.N_set: expected nonempty list of integers >= 1")
-        return list(n_set)
-    if "N_range" in params:
-        rng = params["N_range"]
-        if (not isinstance(rng, list) or len(rng) != 2 or any(
-                isinstance(N, bool) or not isinstance(N, int) for N in rng) or
-                not 1 <= rng[0] <= rng[1]):
-            raise ConfigError("parameters.N_range: expected [lo, hi] with 1 <= lo <= hi")
-        return list(range(rng[0], rng[1] + 1))
-    raise ConfigError("parameters: one of N_set / N_range is required")
-
-
-def _check_s_grid(params: dict, curve: MatrixPolyCurve):
-    grid = params.get("s_grid")
-    a, b = curve.interval
-    if isinstance(grid, dict):
-        m = grid.get("count")
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise ConfigError("parameters.s_grid.count: expected integer >= 1")
-        if m == 1:
-            return [a]
-        step = (b - a) / (m - 1)
-        return [a + k * step for k in range(m)]
-    if isinstance(grid, list) and grid:
-        return [_scalar(s, "parameters.s_grid") for s in grid]
-    raise ConfigError("parameters.s_grid: expected {'count': m} or a nonempty list")
-
-
-def _validate_parameters(subcommand: str, params: dict, curve: MatrixPolyCurve, n: int) -> dict:
-    """Subcommand-specific semantic checks; returns params with defaults filled."""
-    out = dict(params)
-    if subcommand == "genericity":
-        if "s0" in out:
-            _scalar(out["s0"], "parameters.s0")
-        else:
-            a, b = curve.interval
-            out["s0"] = _canonical_scalar((a + b) / 2)
-        m = out.setdefault("m", 2 * n * n + 1)
-        if isinstance(m, bool) or not isinstance(m, int) or m < n * n + 1:
-            raise ConfigError(f"parameters.m: expected integer >= {n * n + 1}")
-        tol = out.setdefault("tol", 1e-9)
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            raise ConfigError("parameters.tol: expected positive number")
-    elif subcommand in ("dirichlet-scan", "correspondence"):
-        _check_mu(out)
-        _check_n_set(out)
-        _check_s_grid(out, curve)
-        convention = out.setdefault("convention", "lattice_p_nonzero")
-        if convention not in CONVENTIONS:
-            raise ConfigError(f"parameters.convention: expected one of {CONVENTIONS}")
-    elif subcommand == "equidist":
-        _check_t_list(out)
-        _check_box(out.get("box"), n, "parameters.box")
-        normalize = out.setdefault("normalize", False)
-        if not isinstance(normalize, bool):
-            raise ConfigError("parameters.normalize: expected true/false")
-    elif subcommand == "nondiv":
-        _check_t_list(out)
-        eps = out.get("eps")
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)) or eps <= 0:
-            raise ConfigError("parameters.eps: expected positive number")
-    elif subcommand == "rep-verify":
-        rep = out.get("rep")
-        if not isinstance(rep, dict) or rep.get("kind") not in ("exterior", "adjoint"):
-            raise ConfigError("parameters.rep: expected {'kind': 'exterior'|'adjoint', ...}")
-        if rep["kind"] == "exterior":
-            # k = 2n is the trivial representation: its V- is empty, and the
-            # transport suite draws its test vectors from V-.
-            k = rep.setdefault("k", 1)
-            if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k < 2 * n:
-                raise ConfigError(f"parameters.rep.k: expected integer in [1, {2 * n - 1}]")
-        r_list = out.setdefault("r_list", [1, -1, 0.5, -0.5])
-        if not isinstance(r_list, list) or not r_list or any(
-                isinstance(r, bool) or not isinstance(r, (int, float)) or r == 0 for r in r_list):
-            raise ConfigError("parameters.r_list: expected nonempty list of nonzero numbers")
-        if "s0" in out:
-            _scalar(out["s0"], "parameters.s0")
-        else:
-            a, b = curve.interval
-            out["s0"] = _canonical_scalar((a + b) / 2)
-    elif subcommand == "w-invariance":
-        _check_t_list(out)
-        r = out.setdefault("r", 1)
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or r == 0:
-            raise ConfigError("parameters.r: expected nonzero number")
-        obs = out.get("observable", {"kind": "kmu_indicator", "mu": 0.7})
-        out["observable"] = _check_observable(obs, n)
-    return out
+    return _built("curve", MatrixPolyCurve.from_coeffs, mats,
+                  [_RATIONAL(x, "curve.interval", None) for x in interval])
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config; fills defaults in place."""
+    """Parse and validate a JSON experiment config. The parameters are read
+    once, into the subcommand's typed arguments and the canonical dict."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -313,41 +335,34 @@ def parse_config(text: str) -> ExperimentConfig:
     output = _require(raw, "output", str, "")
     if not output:
         raise ConfigError("output: must be a nonempty path stem")
-    params = raw.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError("parameters: expected object")
-    params = _validate_parameters(subcommand, params, curve, n)
+    schema, _, sampled = _DISPATCH[subcommand]
+    args, params = _parse_parameters(schema, raw.get("parameters", {}), curve)
     sampler = None
     if "sampler" in raw:
-        if not isinstance(raw["sampler"], dict):
-            raise ConfigError("sampler: expected object")
-        sampler = _parse_sampler(raw["sampler"])
-    elif subcommand in _SAMPLED:
+        spec = _require(raw, "sampler", dict, "")
+        sampler = _built("sampler", Sampler, seed=_require(spec, "seed", int, "sampler."),
+                         count=_require(spec, "count", int, "sampler."),
+                         scheme=spec.get("scheme", "uniform_iid"))
+    elif sampled:
         raise ConfigError(f"sampler: required for subcommand {subcommand!r}")
     return ExperimentConfig(experiment_id=experiment_id, subcommand=subcommand, n=n,
-                            curve=curve, parameters=params, sampler=sampler, output=output)
+                            curve=curve, parameters=params, args=args, sampler=sampler,
+                            output=output)
 
 
 def _canonical_dict(config: ExperimentConfig) -> dict:
-    curve = config.curve
-    coeffs = [[[_canonical_scalar(x) for x in row] for row in np.asarray(c).tolist()]
-              for c in curve.coeffs]
+    curve, sampler = config.curve, config.sampler
     out = {
         "experiment_id": config.experiment_id,
         "subcommand": config.subcommand,
         "n": config.n,
-        "curve": {
-            "degree": curve.degree,
-            "coeffs": coeffs,
-            "interval": [_canonical_scalar(x) for x in curve.interval],
-        },
-        "parameters": _plain(config.parameters),
+        "curve": {"degree": curve.degree, "coeffs": curve.coeffs, "interval": curve.interval},
+        "parameters": config.parameters,
         "output": config.output,
     }
-    if config.sampler is not None:
-        out["sampler"] = {"seed": config.sampler.seed, "count": config.sampler.count,
-                          "scheme": config.sampler.scheme}
-    return out
+    if sampler is not None:
+        out["sampler"] = {"seed": sampler.seed, "count": sampler.count, "scheme": sampler.scheme}
+    return _plain(out)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -362,88 +377,73 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _run_genericity(config: ExperimentConfig):
-    p = config.parameters
-    s0 = _scalar(p["s0"], "parameters.s0")
-    verdict = genericity_test(config.curve, s0, m=p["m"], tol=p["tol"])
+    p = config.args
+    verdict = genericity_test(config.curve, p.s0, m=p.m, tol=p.tol)
     return [{
         "module": "curve",
         "op": "genericity_test",
-        "s0": _canonical_scalar(s0),
-        "m": p["m"],
-        "tol": p["tol"],
+        "s0": p.s0,
+        "m": p.m,
+        "tol": p.tol,
         "generic": verdict.generic,
         "affine_rank": verdict.affine_rank,
         "samples_used": verdict.samples_used,
-    }]
+    }], None
 
 
 def _run_dirichlet_scan(config: ExperimentConfig):
-    p = config.parameters
-    mu = _scalar(p["mu"], "parameters.mu")
-    table = improvability_scan(config.curve, mu, _check_s_grid(p, config.curve),
-                               _check_n_set(p), convention=p["convention"])
+    p = config.args
+    table = improvability_scan(config.curve, p.mu, p.s_grid, p.N, convention=p.convention)
     payload = {"module": "dirichlet", "op": "improvability_scan"}
     payload.update(table.summary())
     return [payload], table
 
 
 def _run_correspondence(config: ExperimentConfig):
-    p = config.parameters
-    mu = _scalar(p["mu"], "parameters.mu")
+    p = config.args
     payloads = []
-    for s in _check_s_grid(p, config.curve):
+    for s in p.s_grid:
         phi = config.curve.eval(s)
-        for N in _check_n_set(p):
-            res = correspondence_check(DirichletQuery(phi=phi, N=N, mu=mu))
+        for N in p.N:
+            res = correspondence_check(DirichletQuery(phi=phi, N=N, mu=p.mu))
             payloads.append({
                 "module": "dirichlet",
                 "op": "correspondence_check",
-                "s": _canonical_scalar(s),
+                "s": s,
                 "N": N,
-                "mu": _canonical_scalar(mu),
+                "mu": p.mu,
                 "insoluble": res["insoluble"],
                 "in_kmu": res["in_kmu"],
                 "agree": res["agree"],
                 "witness": res["witness"],
             })
-    return payloads
+    return payloads, None
 
 
 def _run_equidist(config: ExperimentConfig):
-    p = config.parameters
-    payloads = []
-    for t in _check_t_list(p):
-        rec = stats.siegel_average(config.curve, t, p["box"], config.sampler,
-                                   normalize=p["normalize"])
-        payloads.append(rec.payload())
-    return payloads
+    p = config.args
+    return [stats.siegel_average(config.curve, t, p.box, config.sampler,
+                                 normalize=p.normalize).payload()
+            for t in p.t_list], None
 
 
 def _run_nondiv(config: ExperimentConfig):
-    p = config.parameters
-    records = stats.nondivergence_profile(config.curve, _check_t_list(p), float(p["eps"]),
-                                          config.sampler)
-    return [rec.payload() for rec in records]
+    p = config.args
+    records = stats.nondivergence_profile(config.curve, p.t_list, p.eps, config.sampler)
+    return [rec.payload() for rec in records], None
 
 
 def _run_rep_verify(config: ExperimentConfig):
-    p = config.parameters
-    n = config.n
-    rep_spec = p["rep"]
-    if rep_spec["kind"] == "exterior":
-        rep = reptheory.exterior(n, rep_spec["k"])
-        rep_name = f"exterior({n},{rep_spec['k']})"
-    else:
-        rep = reptheory.adjoint(n)
-        rep_name = f"adjoint({n})"
-    s0 = _scalar(p["s0"], "parameters.s0")
-    phi = _linalg.to_float(config.curve.eval(s0))
+    p = config.args
+    rep = p.rep
+    rep_name = f"exterior({rep.n},{rep.k})" if rep.kind == "exterior" else f"adjoint({rep.n})"
+    phi = _linalg.to_float(config.curve.eval(p.s0))
     copy = sl2_copy(phi)
     decomp = reptheory.weight_split(rep)
     draws = config.sampler.count
     seed = config.sampler.seed
     payloads = []
-    for block, r in enumerate(p["r_list"]):
+    for block, r in enumerate(p.r_list):
         basis = reptheory.constrained_subspace(rep, copy, r)
         # one verifier call per block on the stack of its draws; the fold
         # keeps the order of the draws
@@ -461,14 +461,14 @@ def _run_rep_verify(config: ExperimentConfig):
             "module": "reptheory",
             "op": "transport_suite",
             "rep": rep_name,
-            "s0": _canonical_scalar(s0),
-            "r": float(r),
+            "s0": p.s0,
+            "r": r,
             "dim_constrained": len(basis),
             "draws": draws,
             "max_transport_residual": max_transport,
             "min_qplus_norm": min_nonvanish,
         })
-    return payloads
+    return payloads, None
 
 
 def _draw_uniforms(seed: int, base_index: int, draws: int, width: int,
@@ -513,35 +513,27 @@ def _random_minus_vectors(decomp, dim: int, seed: int, base_index: int,
 
 
 def _run_w_invariance(config: ExperimentConfig):
-    p = config.parameters
-    obs = _build_observable(p["observable"])
-    payloads = []
-    for t in _check_t_list(p):
-        payloads.append(stats.w_invariance_gap(config.curve, t, float(p["r"]), obs,
-                                               config.sampler))
-    return payloads
+    p = config.args
+    return [stats.w_invariance_gap(config.curve, t, p.r, p.observable, config.sampler)
+            for t in p.t_list], None
 
 
-_DISPATCH = {
-    "genericity": _run_genericity,
-    "dirichlet-scan": _run_dirichlet_scan,
-    "correspondence": _run_correspondence,
-    "equidist": _run_equidist,
-    "nondiv": _run_nondiv,
-    "rep-verify": _run_rep_verify,
-    "w-invariance": _run_w_invariance,
+_DISPATCH = {  # subcommand: (the schema of its parameters, its runner, needs a sampler)
+    "genericity": (_schema(GenericityArgs), _run_genericity, False),
+    "dirichlet-scan": (_schema(DirichletArgs), _run_dirichlet_scan, False),
+    "correspondence": (_schema(DirichletArgs), _run_correspondence, False),
+    "equidist": (_schema(EquidistArgs), _run_equidist, True),
+    "nondiv": (_schema(NondivArgs), _run_nondiv, True),
+    "rep-verify": (_schema(RepVerifyArgs), _run_rep_verify, True),
+    "w-invariance": (_schema(WInvarianceArgs), _run_w_invariance, True),
 }
+SUBCOMMANDS = tuple(_DISPATCH)
 
 
 def run(config: ExperimentConfig) -> list:
     """Execute the experiment, write <output>.jsonl (and <output>.csv for
     scan tables), and return the written records."""
-    result = _DISPATCH[config.subcommand](config)
-    table = None
-    if isinstance(result, tuple):
-        payloads, table = result
-    else:
-        payloads = result
+    payloads, table = _DISPATCH[config.subcommand][1](config)
     chash = config_hash(config)
     stamp = datetime.now(timezone.utc).isoformat()
     records = []

@@ -8,6 +8,7 @@ identity behind the normalized-curve computation live here too.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,17 +213,20 @@ def orbit_point(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = N
 
 def dani_vector(phi, p, q, N) -> np.ndarray:
     """Image of the integer vector (-q, p) under a_log(N) u(phi):
-    (N (phi p - q), p / N). Exact when phi is rational and N an integer."""
+    (N (phi p - q), p / N). Exact when phi is rational, for an integer N."""
     phi = phi if isinstance(phi, np.ndarray) else np.asarray(phi, dtype=float)
     n = phi.shape[0]
     p = np.asarray(p)
     q = np.asarray(q)
     if p.shape != (n,) or q.shape != (n,):
         raise DomainError("p and q must be integer vectors of length n")
-    if _linalg.is_exact(phi) and isinstance(N, (int, Fraction)):
-        N = Fraction(N)
-        if N <= 0:
-            raise DomainError("N must be positive")
+    exact = _linalg.is_exact(phi)
+    if isinstance(N, (bool, np.bool_)) or exact and not hasattr(N, "__index__"):
+        raise DomainError(f"N must be {'an integer' if exact else 'a number'}, got {N!r}")
+    N = operator.index(N) if exact else float(N)  # any integer type, as a Python int
+    if N <= 0:
+        raise DomainError("N must be positive")
+    if exact:
         pf = _linalg.frac_vector(list(p))
         qf = _linalg.frac_vector(list(q))
         top = (phi @ pf - qf) * N
@@ -231,9 +235,6 @@ def dani_vector(phi, p, q, N) -> np.ndarray:
         out[:n] = top
         out[n:] = bot
         return out
-    N = float(N)
-    if N <= 0:
-        raise DomainError("N must be positive")
     phi_f = _linalg.to_float(phi)
     return np.concatenate([N * (phi_f @ p.astype(float) - q.astype(float)),
                            p.astype(float) / N])

@@ -38,8 +38,12 @@ class Observable:
             raise DomainError(f"unknown observable kind {self.kind!r}")
         if self.kind == "siegel_count" and not self.box:
             raise DomainError("siegel_count needs box halfwidths")
-        if self.kind == "kmu_indicator" and self.mu is None:
-            raise DomainError("kmu_indicator needs mu")
+        if self.kind == "kmu_indicator" and not (self.mu is not None and 0 < self.mu < 1):
+            raise DomainError(f"kmu_indicator needs mu in (0,1), got {self.mu}")
+        if self.kind != "siegel_count" and self.box is not None:
+            raise DomainError(f"{self.kind} takes no box")
+        if self.kind != "kmu_indicator" and self.mu is not None:
+            raise DomainError(f"{self.kind} takes no mu")
 
     @property
     def name(self) -> str:

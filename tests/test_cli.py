@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from danilab import Sampler, siegel_count
+from danilab import Sampler, kmu_indicator, siegel_count
+from danilab.reptheory import exterior
 from danilab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, config_hash, main, parse_config, run,
                          serialize_config)
@@ -234,3 +235,115 @@ def test_plain_passes_builtins_through_and_converts_the_rest():
     got = _plain(payload)
     assert got == {"k": [4, "1/3", 0.5, True], "a": [[1, 2]], "t": [[1, 2], None]}
     assert [type(x) for x in got["k"]] == [int, str, float, bool]
+
+
+def dirichlet_config(**params):
+    cfg = base_config(subcommand="correspondence",
+                      parameters=dict({"mu": "1/2", "N_set": [2], "s_grid": ["0"]}, **params))
+    del cfg["sampler"]
+    return cfg
+
+
+def test_parse_gives_typed_arguments():
+    args = parse_config(json.dumps(base_config())).args
+    assert args.t_list == (1.0,) and type(args.t_list[0]) is float
+    assert args.box == (1.5, 1.5) and args.normalize is False
+    cfg = dirichlet_config(s_grid={"count": 3})
+    del cfg["parameters"]["N_set"]
+    cfg["parameters"]["N_range"] = [2, 4]
+    args = parse_config(json.dumps(cfg)).args
+    assert args.mu == Fraction(1, 2) and args.N == (2, 3, 4)
+    assert args.s_grid == (Fraction(0), Fraction(1, 2), Fraction(1))
+    assert args.convention == "lattice_p_nonzero"
+    cfg = base_config(subcommand="w-invariance", parameters={"t_list": [2]})
+    parsed = parse_config(json.dumps(cfg))
+    assert parsed.args.observable == kmu_indicator(0.7) and parsed.args.r == 1.0
+    assert parsed.parameters["observable"] == {"kind": "kmu_indicator", "mu": 0.7}
+    cfg = base_config(subcommand="rep-verify", parameters={"rep": {"kind": "exterior"}})
+    parsed = parse_config(json.dumps(cfg))
+    assert parsed.args.rep == exterior(1, 1) and parsed.args.s0 == Fraction(1, 2)
+    assert parsed.parameters["rep"] == {"kind": "exterior", "k": 1}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_non_finite_numbers_refused(literal, tmp_path):
+    text = json.dumps(base_config(subcommand="nondiv", output=str(tmp_path / "r"),
+                                  parameters={"t_list": [1.0], "eps": 0.125}))
+    with pytest.raises(ConfigError) as info:
+        parse_config(text.replace("0.125", literal))
+    assert "non-finite" in str(info.value)
+    cfg = base_config(output=str(tmp_path / "r"))
+    cfg["curve"]["coeffs"] = [[[0.125]], [[1]]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace("0.125", literal))
+    assert main(["equidist", "--config", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize("cfg, where", [
+    (base_config(parameters={"t_list": [1.0], "box": [1.5, 1.5], "normalise": True}),
+     "parameters.normalise"),
+    (base_config(subcommand="rep-verify", parameters={"rep": {"kind": "adjoint", "k": 1}}),
+     "parameters.rep.k"),
+    (base_config(subcommand="rep-verify",
+                 parameters={"rep": {"kind": "exterior", "k": 1, "power": 2}}),
+     "parameters.rep.power"),
+    (base_config(subcommand="w-invariance",
+                 parameters={"t_list": [1.0], "observable": {"kind": "lambda1", "Mu": 0.5}}),
+     "parameters.observable.Mu"),
+    (dirichlet_config(s_grid={"count": 3, "endpoint": False}), "parameters.s_grid.endpoint"),
+])
+def test_unknown_fields_refused_by_name(cfg, where):
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(cfg))
+    assert str(info.value) == f"{where}: unknown field"
+
+
+@pytest.mark.parametrize("subcommand, params, key", [
+    ("genericity", {"tol": True}, "tol"),
+    ("genericity", {"m": True}, "m"),
+    ("genericity", {"s0": False}, "s0"),
+    ("nondiv", {"t_list": [1.0], "eps": True}, "eps"),
+    ("nondiv", {"t_list": [True], "eps": 0.1}, "t_list[0]"),
+    ("equidist", {"t_list": [1.0], "box": [1.5, True]}, "box[1]"),
+    ("w-invariance", {"t_list": [1.0], "r": True}, "r"),
+    ("w-invariance", {"t_list": [1.0], "observable": {"kind": "kmu_indicator", "mu": True}},
+     "observable.mu"),
+    ("rep-verify", {"rep": {"kind": "exterior", "k": True}}, "rep.k"),
+    ("rep-verify", {"rep": {"kind": "adjoint"}, "r_list": [1, True]}, "r_list[1]"),
+    ("correspondence", {"mu": True, "N_set": [2], "s_grid": ["0"]}, "mu"),
+    ("correspondence", {"mu": "1/2", "N_set": [True], "s_grid": ["0"]}, "N_set[0]"),
+    ("correspondence", {"mu": "1/2", "N_range": [1, True], "s_grid": ["0"]}, "N_range[1]"),
+    ("correspondence", {"mu": "1/2", "N_set": [2], "s_grid": {"count": True}}, "s_grid.count"),
+])
+def test_bools_refused_in_numeric_fields(subcommand, params, key):
+    cfg = base_config(subcommand=subcommand, parameters=params)
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(cfg))
+    assert str(info.value).startswith(f"parameters.{key}: expected ")
+    assert "got bool" in str(info.value)
+
+
+@pytest.mark.parametrize("subcommand, params, message", [
+    ("correspondence", {"mu": "1/2", "N_set": [2], "N_range": [2, 3], "s_grid": ["0"]},
+     "parameters: give only one of N_set / N_range"),
+    ("correspondence", {"mu": "1/2", "s_grid": ["0"]},
+     "parameters.N_set / N_range: required field missing"),
+    ("nondiv", {"t_list": [1.0]}, "parameters.eps: required field missing"),
+    ("nondiv", {"t_list": [], "eps": 0.1}, "parameters.t_list: expected a nonempty list"),
+    ("genericity", {"m": 1}, "parameters.m must be >= n^2 + 1"),
+    ("equidist", {"t_list": [1.0], "box": [1.5, 1.5], "normalize": 1},
+     "parameters.normalize: expected one of (False, True)"),
+    ("w-invariance", {"t_list": [1.0], "observable": {"kind": "kmu_indicator", "mu": 1.5}},
+     "parameters.observable: kmu_indicator needs mu in (0,1), got 1.5"),
+    ("w-invariance", {"t_list": [1.0], "observable": {"kind": "lambda1", "mu": 0.5}},
+     "parameters.observable: lambda1 takes no mu"),
+    ("w-invariance", {"t_list": [1.0], "observable": {"kind": "siegel_count", "box": [1]}},
+     "parameters.observable.box: expected a list of 2 entries"),
+    ("rep-verify", {"rep": {"kind": "exterior", "k": 0}},
+     "parameters.rep: exterior power k must lie in [1, 2], got 0"),
+])
+def test_schema_refusals(subcommand, params, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(base_config(subcommand=subcommand, parameters=params)))
+    assert str(info.value) == message

@@ -7,7 +7,7 @@ import pytest
 from danilab import (CentralizerElement, GroupElement, LatticeBasis,
                      MatrixPolyCurve, a_diag, a_scale, conj_by_E, dani_vector,
                      orbit_point, sl2_copy, sl2_image, u_embed, z_embed)
-from danilab.errors import InvariantError
+from danilab.errors import DomainError, InvariantError
 
 
 def random_group_element(rng, n, exact=False):
@@ -134,6 +134,19 @@ def test_dani_vector_examples():
     assert np.allclose(dani_vector(np.array([[0.5]]), [0], [0], 3).astype(float), [0.0, 0.0])
     exact = dani_vector(np.array([[Fraction(1, 2)]], dtype=object), [2], [1], 10)
     assert exact[0] == 0 and exact[1] == Fraction(1, 5)
+
+
+def test_dani_vector_reads_exact_scales_as_integers():
+    phi = np.array([[Fraction(1, 3)]], dtype=object)
+    want = [Fraction(-5, 3), Fraction(2, 5)]
+    for N in (5, np.int64(5), np.int32(5)):
+        got = dani_vector(phi, [2], [1], N)
+        assert list(got) == want and all(type(x) is Fraction for x in got)
+    for N in (True, np.True_, 5.0, Fraction(5, 2)):
+        with pytest.raises(DomainError):
+            dani_vector(phi, [2], [1], N)
+    with pytest.raises(DomainError):
+        dani_vector(np.array([[0.5]]), [1], [0], True)
 
 
 def test_dani_vector_matches_matrix_product():

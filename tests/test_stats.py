@@ -27,6 +27,12 @@ def test_observable_validation_and_names():
         Observable(kind="siegel_count")
     with pytest.raises(DomainError):
         Observable(kind="kmu_indicator")
+    for bad in (dict(kind="kmu_indicator", mu=1.0), dict(kind="kmu_indicator", mu=0.0),
+                dict(kind="lambda1", mu=0.5), dict(kind="lambda1", box=(1.0, 1.0)),
+                dict(kind="siegel_count", box=(1.0, 1.0), mu=0.5),
+                dict(kind="kmu_indicator", mu=0.5, box=(1.0, 1.0))):
+        with pytest.raises(DomainError):
+            Observable(**bad)
 
 
 def test_siegel_average_on_fixed_lattice():
