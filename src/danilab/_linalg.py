@@ -69,7 +69,10 @@ def det(a: np.ndarray):
 
 def integral(entries) -> tuple:
     """(ints, den): exact entries written as ints[k] / den over their least
-    common denominator den (ints and Fractions pass through unconverted)."""
+    common denominator den (ints and Fractions pass through unconverted).
+    Entries that are all ints come back at once, over den 1."""
+    if all(type(x) is int for x in entries):
+        return list(entries), 1
     fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in entries]
     den = math.lcm(*(x.denominator for x in fracs))
     return [x.numerator * (den // x.denominator) for x in fracs], den

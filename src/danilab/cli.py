@@ -104,7 +104,10 @@ def _num(kinds=(int, float), test=None, what="", to=None):
                 raise ConfigError(f"{where}: cannot parse rational {value!r}") from exc
         if test is not None and not test(value, curve.n):
             raise ConfigError(f"{where} must {what}")
-        return value if to is None else to(value)
+        try:
+            return value if to is None else to(value)
+        except OverflowError as exc:  # an int or 'p/q' beyond the doubles
+            raise ConfigError(f"{where}: number too large for a float") from exc
     return rule
 
 
@@ -146,6 +149,7 @@ def _known(obj, keys, where: str):
 
 
 _RATIONAL = _num((int, float, str))
+_RATIONAL_FLOAT = _num((int, float, str), to=float)
 _REAL = _num(to=float)
 _NONZERO = _num(test=lambda x, n: x != 0, what="be nonzero", to=float)
 _POSITIVE = _num(test=lambda x, n: x > 0, what="be positive", to=float)
@@ -192,7 +196,7 @@ def _observable(value, where, curve):
     _known(value, ("kind", "mu", "box"), where)
     mu, box = value.get("mu"), value.get("box")
     return _built(where, stats.Observable, kind=value.get("kind"),
-                  mu=None if mu is None else float(_RATIONAL(mu, f"{where}.mu", curve)),
+                  mu=None if mu is None else _RATIONAL_FLOAT(mu, f"{where}.mu", curve),
                   box=None if box is None else _BOX(box, f"{where}.box", curve))
 
 

@@ -197,18 +197,20 @@ def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = 
 
 
 def orbit_point(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = None,
-                normalize: bool = False, row: np.ndarray = None) -> LatticeBasis:
+                normalize: bool = False, basis: LatticeBasis = None) -> LatticeBasis:
     """Lattice basis of a_t [z(s)] u(phi(s)) applied to the basepoint lattice:
     the one-sample case of `orbit_points` (s is read as a float).
 
     normalize=True inserts the centralizer element z(s) that carries phi'(s)
     to the identity (errors if phi'(s) is singular or orientation-reversing).
-    `row` is this sample's row of an `orbit_points` stack built with the same
-    arguments; it becomes the basis without being rebuilt or checked again.
+    `basis` is this sample's basis from an `orbit_points` stack built with
+    the same arguments (`LatticeBasis.of_checked_stack`); it is returned as
+    it is, without being rebuilt or checked again.
     """
-    if row is None:
-        row = orbit_points(curve, [s], t, basepoint=basepoint, normalize=normalize)[0]
-    return LatticeBasis.of_checked(row)
+    if basis is not None:
+        return basis
+    return LatticeBasis.of_checked(
+        orbit_points(curve, [s], t, basepoint=basepoint, normalize=normalize)[0])
 
 
 def dani_vector(phi, p, q, N) -> np.ndarray:

@@ -10,15 +10,20 @@ integral Gram data of the integer columns (Cohen, Alg. 2.6.7), and the
 enumerator and the box tests run on the same integer lattice, den times the
 original, with every bound scaled by den once.
 
-Every query LLL-reduces the basis once and hands the reduced basis with its
-Gram-Schmidt data to one depth-first enumerator of the Euclidean ball
-||v||_2 <= R (Fincke-Pohst; each level is tried outward from its projected
-center, as in Schnorr-Euchner). A box of halfwidths w lies inside the ball
-of radius ||w||_2, so walking that ball and testing each vector exactly
-against the box gives exact minima and counts. Pruning compares squared
-lengths, so it needs no square roots: in the exact mode every decision is an
-integer comparison, and in the float mode the radius is widened by a small
-relative slack so that rounding never drops a lattice vector.
+Every query LLL-reduces the basis once, unless the basis carries its batched
+reduction, and hands the reduced basis with its Gram-Schmidt data to one
+depth-first enumerator of the Euclidean ball ||v||_2 <= R (Fincke-Pohst;
+each level is tried outward from its projected center, as in
+Schnorr-Euchner). The bases of a 2 x 2 float stack (`LatticeBasis.batch`)
+are reduced all at once by a lane-masked LLL that takes the scalar LLL's
+float steps, so they carry bit for bit the reduction a query would compute.
+
+A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
+that ball and testing each vector exactly against the box gives exact minima
+and counts. Pruning compares squared lengths, so it needs no square roots:
+in the exact mode every decision is an integer comparison, and in the float
+mode the radius is widened by a small relative slack so that rounding never
+drops a lattice vector.
 """
 
 import math
@@ -51,9 +56,11 @@ class LatticeBasis:
     the exact mode). A float basis holds its float64 columns. An exact basis
     holds `int_cols`, m tuples of ints, and one common denominator `den`:
     column j is int_cols[j] / den. Its Fraction matrix `cols` is derived,
-    read-only, and built on first read. Bases are immutable."""
+    read-only, and built on first read. A float basis from a 2 x 2 stack
+    also holds its LLL reduction, made for the whole stack at once. Bases
+    are immutable."""
 
-    __slots__ = ("_cols", "int_cols", "den")
+    __slots__ = ("_cols", "int_cols", "den", "_reduction")
 
     def __init__(self, cols: np.ndarray):
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
@@ -99,6 +106,7 @@ class LatticeBasis:
         _SET(basis, "_cols", None)
         _SET(basis, "int_cols", int_cols)
         _SET(basis, "den", den)
+        _SET(basis, "_reduction", None)
         return basis
 
     @classmethod
@@ -129,10 +137,23 @@ class LatticeBasis:
         return basis
 
     @classmethod
+    def of_checked_stack(cls, cols: np.ndarray) -> tuple:
+        """Frozen bases of an (M, m, m) float stack that `check_stack` has
+        passed, each a read-only view of the stack. The bases of a 2 x 2
+        stack are LLL-reduced here by one `_lll_pairs` call and keep their
+        reductions for the queries; the lowest lane that fails to reduce
+        raises with its stack index as `sample_index`."""
+        bases = tuple(map(cls.of_checked, cols))
+        if cols.shape[1:] == (2, 2):
+            for basis, reduction in zip(bases, _lll_pairs(cols)):
+                _SET(basis, "_reduction", reduction)
+        return bases
+
+    @classmethod
     def batch(cls, cols: np.ndarray) -> tuple:
         """Frozen bases of an (M, m, m) float stack, checked once by
-        `check_stack`; each basis is a read-only view of the stack."""
-        return tuple(map(cls.of_checked, cls.check_stack(cols)))
+        `check_stack` (see `of_checked_stack`)."""
+        return cls.of_checked_stack(cls.check_stack(cols))
 
     @property
     def cols(self) -> np.ndarray:
@@ -159,6 +180,7 @@ class LatticeBasis:
 def _set_fields(basis: LatticeBasis, cols: np.ndarray):
     """Store read-only columns, with their integer form when they are exact."""
     _SET(basis, "_cols", cols)
+    _SET(basis, "_reduction", None)
     if _linalg.is_exact(cols):
         m = cols.shape[0]
         flat, den = _linalg.integral(cols.T.ravel().tolist())
@@ -251,6 +273,67 @@ def _lll(cols, delta: float = 0.99):
             fresh = k - 1
             k = max(k - 1, 1)
     return b, u, mu, norms
+
+
+def _lll_pairs(stack: np.ndarray, delta: float = 0.99) -> list:
+    """`_lll` on every basis of an (M, 2, 2) float stack at once: per lane,
+    the (b, u, mu, norms) lists `_lll` returns for it, bit for bit.
+
+    A stage is one pass of `_lll`'s loop. Every lane still in the loop
+    recomputes both Gram-Schmidt rows from its current columns (the first
+    pass computes row 1; after a swap `_lll` recomputes both), size-reduces
+    its second column where round(mu) != 0, and either passes the Lovasz
+    test with the stale norms[1] and leaves the loop, or swaps. The float
+    operations are `_lll`'s, in its order: dot products summed from 0,
+    np.rint rounding half to even as round does, and updates masked to the
+    lanes with q != 0, so that -0.0 entries survive as `_lll` leaves them.
+    The transforms are kept in floats, exact while their entries stay below
+    2^53; a lane that comes near that takes `_lll` itself. Past
+    _MAX_LLL_STEPS stages the lowest lane still in the loop raises, with its
+    index as `sample_index`.
+    """
+    b0, b1 = stack[:, :, 0], stack[:, :, 1]
+    u0 = np.zeros_like(b0)
+    u1 = np.zeros_like(b1)
+    u0[:, 0] = u1[:, 1] = 1.0
+    lane = np.arange(len(stack))
+    out = np.empty((len(stack), 7))  # b0, b1, mu[1][0], norms per lane
+    out_u = np.empty((len(stack), 4))
+    wide = np.zeros(len(stack), dtype=bool)
+    steps = 0
+    while lane.size:
+        steps += 1
+        if steps > _MAX_LLL_STEPS:
+            exc = InternalIdentityError("LLL failed to terminate at desk scale")
+            exc.sample_index = int(lane[0])
+            raise exc
+        n0 = b0[:, 0] * b0[:, 0] + b0[:, 1] * b0[:, 1]
+        mu = (0.0 + b1[:, 0] * b0[:, 0] + b1[:, 1] * b0[:, 1]) / n0
+        bs = b1 - mu[:, None] * b0
+        n1 = bs[:, 0] * bs[:, 0] + bs[:, 1] * bs[:, 1]
+        q = np.rint(mu)
+        move = q != 0
+        if move.any():
+            wide[lane] |= np.abs(q) * np.abs(u0).max(1) + np.abs(u1).max(1) >= 2.0 ** 52
+            qs, rows = q[:, None], move[:, None]
+            b1 = np.where(rows, b1 - qs * b0, b1)
+            u1 = np.where(rows, u1 - qs * u0, u1)
+            mu = np.where(move, mu - q, mu)
+        done = n1 >= (delta - mu * mu) * n0
+        if done.any():
+            ends = lane[done]
+            out[ends] = np.column_stack((b0[done], b1[done], mu[done], n0[done], n1[done]))
+            out_u[ends] = np.hstack((u0[done], u1[done]))
+            stay = ~done
+            lane, b0, b1, u0, u1 = lane[stay], b0[stay], b1[stay], u0[stay], u1[stay]
+        b0, b1, u0, u1 = b1, b0, u1, u0
+    out_u[wide] = 0.0
+    lanes = [(b, u, [[0, 0], [mu, 0]], norms) for b, u, mu, norms in zip(
+        out[:, :4].reshape(-1, 2, 2).tolist(), out_u.reshape(-1, 2, 2).astype(np.int64).tolist(),
+        out[:, 4].tolist(), out[:, 5:].tolist())]
+    for i in np.flatnonzero(wide).tolist():
+        lanes[i] = _lll(_float_columns(stack[i]), delta)
+    return lanes
 
 
 def _round_div(a: int, b: int) -> int:
@@ -439,9 +522,14 @@ class _BallWalk:
 def _prepare(basis: LatticeBasis):
     """(reduced columns, transform columns, Gram data) of the basis's LLL
     reduction: float columns with (mu, norms), or in the exact mode integer
-    columns (the lattice times basis.den) with their integral data (lam, d)."""
+    columns (the lattice times basis.den) with their integral data (lam, d).
+    A basis that carries its batched reduction hands it over, shared and
+    read-only; any other basis is reduced here."""
     if basis.m > MAX_DIM:
         raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
+    if basis._reduction is not None:
+        b, u, mu, norms = basis._reduction
+        return b, u, (mu, norms)
     if basis.exact:
         b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA)
         return b, u, (lam, d)

@@ -6,9 +6,11 @@ centralizer element of the curve derivative), evaluates a box-count /
 membership / shortest-vector observable, and aggregates. One kernel serves
 all of them: per flow time it builds the M sample lattices as one checked
 stack (`orbit_points`), evaluates the observable on each basis, and takes
-the mean and standard error of the index-ordered values. Per-sample values
-are pure functions of (seed, index), so a failing sample is named by
-(seed, index, s) and can be rerun alone.
+the mean and standard error of the index-ordered values. At n = 1 the stack
+is LLL-reduced once, all samples together, and the lattice queries read
+each basis's reduction. Per-sample values are pure functions of (seed,
+index), so a failing sample is named by (seed, index, s) and can be rerun
+alone.
 """
 
 import math
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .curve import MatrixPolyCurve
-from .errors import DomainError
+from .errors import DomainError, InternalIdentityError
 from .flow import orbit_point, orbit_points, u_embed
 from .lattice import LatticeBasis, count_in_box, in_kmu, in_mahler_compact, shortest_supnorm
 from .rng import Sampler
@@ -109,7 +111,7 @@ def _naming_sample(sampler: Sampler, points: np.ndarray):
     """Prefix the error of a failing sample with (seed, index, s)."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, InternalIdentityError) as exc:
         i = getattr(exc, "sample_index", None)
         if i is None:
             raise
@@ -124,17 +126,21 @@ def _orbit_stats(curve: MatrixPolyCurve, t: float, sampler: Sampler, evaluate,
     t, followed by the same for their translates by the matrix `shift` when
     one is given.
 
-    Each sample's basis is handed to the observable through `orbit_point`,
-    and the observables call the lattice queries by their names here, so
-    span tracing of those names still sees one call per sample.
+    The sample bases are made from the one checked stack
+    (`LatticeBasis.of_checked_stack`; at n = 1 that also LLL-reduces them
+    all at once, so the queries only enumerate). Each basis is handed to the
+    observable through `orbit_point`, and the observables call the lattice
+    queries by their names here, so span tracing of those names still sees
+    one call per sample.
     """
     points = sampler.points(curve.interval)
     with _naming_sample(sampler, points):
         stack = orbit_points(curve, points, t, basepoint=basepoint, normalize=normalize)
+        bases = LatticeBasis.of_checked_stack(stack)
         translated = () if shift is None else LatticeBasis.batch(shift @ stack)
     values = [evaluate(orbit_point(curve, s, t, basepoint=basepoint, normalize=normalize,
-                                   row=row))
-              for s, row in zip(points, stack)]
+                                   basis=basis))
+              for s, basis in zip(points, bases)]
     out = [_mean_stderr(np.array(values, dtype=float))]
     if shift is not None:
         out.append(_mean_stderr(np.array([evaluate(b) for b in translated], dtype=float)))

@@ -280,6 +280,27 @@ def test_non_finite_numbers_refused(literal, tmp_path):
     assert not (tmp_path / "r.jsonl").exists()
 
 
+HUGE = 10 ** 400  # an integer literal no double can hold
+
+
+@pytest.mark.parametrize("subcommand, parameters, where", [
+    ("nondiv", {"t_list": [1.0], "eps": HUGE}, "parameters.eps"),
+    ("nondiv", {"t_list": [1.0, HUGE], "eps": 0.125}, "parameters.t_list[1]"),
+    ("w-invariance", {"t_list": [1.0], "observable": {"kind": "kmu_indicator", "mu": HUGE}},
+     "parameters.observable.mu"),
+    ("w-invariance",
+     {"t_list": [1.0], "observable": {"kind": "kmu_indicator", "mu": f"{HUGE}/3"}},
+     "parameters.observable.mu"),
+])
+def test_integers_beyond_the_doubles_refused_by_name(subcommand, parameters, where, tmp_path):
+    cfg = base_config(subcommand=subcommand, parameters=parameters, output=str(tmp_path / "r"))
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(cfg))
+    assert str(info.value) == f"{where}: number too large for a float"
+    assert main([subcommand, "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 @pytest.mark.parametrize("cfg, where", [
     (base_config(parameters={"t_list": [1.0], "box": [1.5, 1.5], "normalise": True}),
      "parameters.normalise"),

@@ -6,7 +6,8 @@ times integer column operations, and used in both scalar modes, plus exact
 correspondence bases a_log N u(k/37) whose lattices have vectors on the
 boundary of the mu-box. The references are deliberately naive: LLL that
 recomputes Gram-Schmidt in full after every step, and a walk of the whole
-coefficient box that the inverse of the reduced basis bounds.
+coefficient box that the inverse of the reduced basis bounds. The batched
+float LLL of 2 x 2 stacks is held to the scalar float LLL bit for bit.
 """
 
 import itertools
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from danilab import (DirichletQuery, LatticeBasis, correspondence_basis, count_in_box,
-                     in_kmu, in_mahler_compact, reduce, shortest_supnorm)
+from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, correspondence_basis,
+                     count_in_box, in_kmu, in_mahler_compact, orbit_points, reduce,
+                     shortest_supnorm, u_embed)
 from danilab import _linalg, lattice
+from danilab.errors import InternalIdentityError
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -332,3 +335,125 @@ def test_exact_basis_derives_its_fraction_columns_once():
     assert same.int_cols == basis.int_cols and same.den == basis.den
     with pytest.raises(lattice.InvariantError):
         LatticeBasis.from_integral([(4, 0), (2, 2)], 2)
+
+
+def lane_record(result):
+    """An `_lll` result (b, u, mu, norms) as bytes and Python values, with
+    the type of every element: equal records are bit-identical results."""
+    b, u, mu, norms = result
+    return ([np.array(col, dtype=float).tobytes() for col in b], u,
+            [np.array(row, dtype=float).tobytes() for row in mu],
+            np.array(norms, dtype=float).tobytes(),
+            [[type(x) for x in row] for part in (b, u, mu, [norms]) for row in part])
+
+
+def assert_lanes_match_scalar_lll(stack):
+    stack = np.asarray(stack, dtype=float)
+    got = lattice._lll_pairs(stack)
+    assert len(got) == len(stack)
+    for lane, cols in zip(got, stack):
+        assert lane_record(lane) == lane_record(lattice._lll(lattice._float_columns(cols)))
+
+
+@st.composite
+def orbit_stacks(draw):
+    """Orbit bases a_t [z(s)] u(phi(s)) at n = 1, t in [0, 16], for a
+    quadratic phi with phi' > 0 on [1, 2], raw or normalized, optionally
+    translated by u(1)."""
+    coeffs = [[[draw(st.floats(-1, 1))]], [[draw(st.floats(0.5, 1.5))]],
+              [[draw(st.floats(0, 0.25))]]]
+    curve = MatrixPolyCurve.from_coeffs(coeffs, (1.0, 2.0))
+    s = draw(st.lists(st.floats(1.0, 2.0), min_size=1, max_size=24))
+    stack = orbit_points(curve, s, draw(st.floats(0.0, 16.0)), normalize=draw(st.booleans()))
+    return u_embed(np.eye(1)).entries @ stack if draw(st.booleans()) else stack
+
+
+@st.composite
+def unimodular_float_pairs(draw):
+    """Float 2 x 2 matrices of det +-1 (up to rounding), from a random
+    matrix scaled by sqrt|det| and sheared by diag(e^x, e^-x)."""
+    entry = st.floats(-4, 4)
+    mats = []
+    for _ in range(draw(st.integers(1, 12))):
+        a = np.array([[draw(entry), draw(entry)], [draw(entry), draw(entry)]])
+        d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        assume(abs(d) > 1e-3)
+        x = draw(st.floats(-8, 8))
+        mats.append(a / math.sqrt(abs(d)) @ np.diag([math.exp(x), math.exp(-x)]))
+    return np.array(mats)
+
+
+@SETTINGS
+@given(orbit_stacks())
+def test_batched_lll_matches_scalar_lll_on_orbit_stacks(stack):
+    assert_lanes_match_scalar_lll(stack)
+
+
+@SETTINGS
+@given(unimodular_float_pairs())
+def test_batched_lll_matches_scalar_lll_on_random_pairs(stack):
+    assert_lanes_match_scalar_lll(stack)
+
+
+# Columns b0, b1 as the columns of each matrix. -I puts -0.0 into both
+# products of <b1, b0>; the others keep a -0.0 entry of b1 (or b0) where a
+# size-reduction step with q = 0 would meet a negative entry of b0.
+SIGNED_ZERO_LANES = [
+    [[-1.0, 0.0], [0.0, -1.0]],
+    [[-1.0, -0.0], [-0.0, -1.0]],
+    [[-1.0, -0.0], [0.25, 1.0]],
+    [[-1.0, -0.0], [-0.25, -1.0]],
+    [[-0.0, -1.0], [1.0, -0.25]],
+    [[2.0, -0.0], [-0.5, 0.5]],
+]
+
+
+# mu = <b1, b0> / <b0, b0> = +-0.5 and +-2.5: round() goes half to even.
+TIE_LANES = [[[2.0, x], [0.0, 0.5]] for x in (1.0, -1.0, 5.0, -5.0)]
+
+
+def test_batched_lll_keeps_signed_zeros_and_ties_as_scalar_lll():
+    assert_lanes_match_scalar_lll(SIGNED_ZERO_LANES + TIE_LANES)
+
+
+def fibonacci_lane(k):
+    """Columns (F_{k+1}, F_k) and (F_k, F_{k-1}), det +-1 (Cassini): a pair
+    whose reduction takes k / 2 swaps, k / 2 + 1 stages, at even k."""
+    f = [0, 1]
+    while len(f) < k + 2:
+        f.append(f[-1] + f[-2])
+    return [[float(f[k + 1]), float(f[k])], [float(f[k]), float(f[k - 1])]]
+
+
+def test_batched_lll_on_a_stack_mixing_short_and_long_reductions(monkeypatch):
+    stack = np.array([np.eye(2), fibonacci_lane(20), [[1.0, 0.25], [0.0, 1.0]],
+                      fibonacci_lane(18), [[0.0, 1.0], [-1.0, 0.0]], fibonacci_lane(14)])
+    assert_lanes_match_scalar_lll(stack)
+    monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 8)  # 7 swaps pass, 8 or more fail
+    fails = []
+    for i, cols in enumerate(stack):
+        try:
+            lattice._lll(lattice._float_columns(cols))
+        except InternalIdentityError:
+            fails.append(i)
+    assert fails == [1, 3]
+    with pytest.raises(InternalIdentityError, match="terminate") as info:
+        lattice._lll_pairs(stack)
+    assert info.value.sample_index == 1
+    rest = stack[[0, 2, 4, 5]]
+    assert [lane_record(lane) for lane in lattice._lll_pairs(rest)] == [
+        lane_record(lattice._lll(lattice._float_columns(cols))) for cols in rest]
+
+
+def test_batched_lll_falls_back_to_scalar_lll_for_wide_transforms(monkeypatch):
+    # mu = 2^60 at the first stage: the transform leaves the range where
+    # doubles hold integers exactly, and that lane alone takes `_lll`.
+    lane = [[2.0 ** -40, 2.0 ** 20], [0.0, 2.0 ** 40]]
+    assert_lanes_match_scalar_lll([lane, np.eye(2)])
+    scalar = lattice._lll
+    seen = []
+    monkeypatch.setattr(lattice, "_lll", lambda cols, delta: seen.append(cols) or
+                        scalar(cols, delta))
+    (b, u, _, _), _ = lattice._lll_pairs(np.array([lane, np.eye(2)]))
+    assert seen == [lattice._float_columns(np.array(lane))]
+    assert u[1][0] == -2 ** 60 and all(type(x) is int for col in u for x in col)

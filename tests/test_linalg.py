@@ -118,3 +118,14 @@ def test_det_exact_swaps_and_singular_cases():
     half = _linalg.frac_matrix([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]])
     assert _linalg.det(half) == 0 and type(_linalg.det(half)) is Fraction
     assert _linalg.det(np.empty((0, 0), dtype=object)) == 1
+
+
+def test_integral_takes_all_int_entries_as_they_are():
+    ints = [3, -4, 0, 7]
+    flat, den = _linalg.integral(ints)
+    assert (flat, den) == (ints, 1) and flat is not ints
+    assert all(type(x) is int for x in flat)
+    assert _linalg.integral([Fraction(1, 2), 3]) == ([1, 6], 2)
+    assert _linalg.integral([True, 2]) == ([1, 2], 1)  # a bool is read as a Fraction
+    a = np.array([[2, 3], [1, 2]], dtype=object)
+    assert _linalg.det(a) == reference_det_exact(a) == 1 and type(_linalg.det(a)) is Fraction

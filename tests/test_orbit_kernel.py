@@ -3,7 +3,8 @@
 `orbit_points` must reproduce (a_diag(t) @ z_embed(normalizer(c, s)) @
 u_embed(c.eval(s))).entries bit for bit, the estimators must hand the
 observable exactly those bases, and a failing sample must raise its
-one-sample error, named by (seed, index, s).
+one-sample error, named by (seed, index, s). At n = 1 the queries read the
+reduction made once for the whole stack; everywhere else they reduce.
 """
 
 from fractions import Fraction
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from danilab import (LatticeBasis, MatrixPolyCurve, Sampler, kmu_indicator, lambda1,
-                     orbit_point, orbit_points, siegel_count, w_invariance_gap)
-from danilab import stats
-from danilab.errors import (DomainError, InvariantError, OrientationError,
-                            SingularMatrixError)
+from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
+                     correspondence_basis, count_in_box, in_kmu, kmu_indicator, lambda1,
+                     nondivergence_profile, orbit_point, orbit_points, reduce,
+                     siegel_average, siegel_count, w_invariance_gap)
+from danilab import lattice, stats
+from danilab.errors import (DomainError, InternalIdentityError, InvariantError,
+                            OrientationError, SingularMatrixError)
 from orbit_reference import reference_basis, reference_cols
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -134,3 +137,75 @@ def test_check_stack_names_first_bad_basis():
     assert [b.cols.tolist() for b in good] == [np.eye(2).tolist(), [[1.0, 2.0], [0.0, 1.0]]]
     with pytest.raises(InvariantError):
         LatticeBasis.of_checked(np.eye(2))  # writeable: never passed check_stack
+
+
+LINE = MatrixPolyCurve.from_coeffs([[[0.25]], [[1.125]]], (1.0, 2.0))
+
+
+def test_n1_queries_read_the_batched_reduction(monkeypatch):
+    sampler = Sampler(seed=3, count=40)
+
+    def estimates():
+        out = [stats._orbit_stats(LINE, 5.0, sampler, obs.evaluate, normalize=normalize)
+               for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7), lambda1())
+               for normalize in (False, True)]
+        out.append(w_invariance_gap(LINE, 5.0, 1.0, lambda1(), sampler))
+        out.append(nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler))
+        return out
+
+    want = estimates()
+
+    def refuse(*args):
+        raise AssertionError("an n = 1 orbit query ran the scalar LLL")
+
+    monkeypatch.setattr(lattice, "_lll", refuse)
+    checked = []
+    check_stack = LatticeBasis.check_stack
+    monkeypatch.setattr(LatticeBasis, "check_stack",
+                        lambda cols: checked.append(len(cols)) or check_stack(cols))
+    assert estimates() == want
+    # one det check per stack: the six plain runs, the w-invariance stack and
+    # its translates, and the two nondivergence flow times
+    assert checked == [40] * 10
+
+
+def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
+    calls = {"_lll": 0, "_lll_integral": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(lattice, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lattice, name, counted)
+    plane = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
+    stats._orbit_stats(plane, 3.0, Sampler(seed=3, count=6), lambda1().evaluate)
+    assert calls == {"_lll": 6, "_lll_integral": 0}
+    cell = correspondence_basis(DirichletQuery(phi=np.array([[Fraction(1, 2)]], dtype=object),
+                                               N=4, mu=Fraction(1, 2)))
+    in_kmu(cell, Fraction(1, 2))
+    count_in_box(cell, [Fraction(1, 2)] * 2)
+    assert calls == {"_lll": 6, "_lll_integral": 2}
+    count_in_box(LatticeBasis(np.array([[1.0, 0.3], [0.0, 1.0]])), [0.9, 0.9])
+    assert calls["_lll"] == 7
+    (batched,) = LatticeBasis.batch(np.array([[[1.0, 0.3], [0.0, 1.0]]]))
+    count_in_box(batched, [0.9, 0.9])
+    assert calls["_lll"] == 7
+    reduce(batched)  # the public reduction stays the scalar one
+    assert calls["_lll"] == 8
+
+
+def test_lll_step_limit_names_the_lowest_failing_sample(monkeypatch):
+    sampler = Sampler(seed=5, count=30)
+    monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 3)
+    failing = []
+    for i, cols in enumerate(orbit_points(LINE, sampler.points(LINE.interval), 2.0)):
+        try:
+            lattice._lll(lattice._float_columns(cols))
+        except InternalIdentityError:
+            failing.append(i)
+    assert failing[0] == 5 and len(failing) < 30
+    with pytest.raises(InternalIdentityError) as info:
+        siegel_average(LINE, 2.0, (0.9, 0.9), sampler)
+    s = sampler.point(LINE.interval, 5)
+    assert info.value.sample_index == 5
+    assert str(info.value) == (f"sample (seed, index, s) = (5, 5, {s!r}): "
+                               "LLL failed to terminate at desk scale")
