@@ -5,7 +5,8 @@ from .curve import (CentralizerElement, GenericityVerdict, MatrixPolyCurve,
                     affine_rank, genericity_test, inverse_derivative_check,
                     inverse_shift, normalizer)
 from .dirichlet import (DirichletQuery, ScanTable, correspondence_basis,
-                        correspondence_check, improvability_scan, solvable)
+                        correspondence_check, correspondence_row, first_witnesses,
+                        improvability_scan, solvable)
 from .errors import (DegenerateInputError, DomainError, HypothesisViolationError,
                      InternalIdentityError, InvariantError, OrientationError,
                      SingularMatrixError, UnsupportedSizeError)
@@ -29,7 +30,7 @@ __all__ = [
     "CentralizerElement", "GenericityVerdict", "MatrixPolyCurve", "affine_rank",
     "genericity_test", "inverse_derivative_check", "inverse_shift", "normalizer",
     "DirichletQuery", "ScanTable", "correspondence_basis", "correspondence_check",
-    "improvability_scan", "solvable",
+    "correspondence_row", "first_witnesses", "improvability_scan", "solvable",
     "DegenerateInputError", "DomainError", "HypothesisViolationError",
     "InternalIdentityError", "InvariantError", "OrientationError",
     "SingularMatrixError", "UnsupportedSizeError",

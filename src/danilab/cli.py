@@ -23,8 +23,7 @@ import numpy as np
 
 from . import _linalg, reptheory, stats
 from .curve import MatrixPolyCurve, genericity_test
-from .dirichlet import (CONVENTIONS, DirichletQuery, correspondence_check,
-                        improvability_scan)
+from .dirichlet import CONVENTIONS, correspondence_row, improvability_scan
 from .flow import sl2_copy
 from .rng import Sampler, counter_uniforms
 
@@ -407,9 +406,7 @@ def _run_correspondence(config: ExperimentConfig):
     p = config.args
     payloads = []
     for s in p.s_grid:
-        phi = config.curve.eval(s)
-        for N in p.N:
-            res = correspondence_check(DirichletQuery(phi=phi, N=N, mu=p.mu))
+        for N, res in zip(p.N, correspondence_row(config.curve.eval(s), p.N, p.mu)):
             payloads.append({
                 "module": "dirichlet",
                 "op": "correspondence_check",

@@ -7,14 +7,18 @@ a_log(N) u(phi) Z^2n missing the open sup-norm mu-ball, which is what
 correspondence_check verifies cell by cell, exactly when phi and mu are
 rational.
 
-The exact path works in Python ints end to end. A query writes phi = A / D
-once (`DirichletQuery.integral_phi`). `solvable` decides every strict
-inequality in integers from A, D and mu = a / b. `correspondence_basis`
-writes the basis in closed form as integer columns over the common
-denominator N D and checks it with one exact determinant of that integer
-matrix. The lattice side (`lattice.in_kmu`) reduces those integers with the
-integral LLL and walks the ball on the same integers, so no Fraction is
-built between the query and the decision.
+The exact path works in Python ints end to end. phi = A / D is written once
+per phi (`DirichletQuery.integral_phi`). `first_witnesses` decides every
+strict inequality in integers from A, D and mu = a / b, for all scales N of
+one phi in one search: the p vectors of a smaller scale come first in the
+enumeration order of a larger one, so each block of p vectors serves every
+scale at once, in whole integer arrays. `solvable` is its one-scale case,
+and `improvability_scan` and `correspondence_row` search once per s point.
+`correspondence_basis` writes the basis in closed form as integer columns
+over the common denominator N D and checks it with one exact determinant of
+that integer matrix. The lattice side (`lattice.in_kmu`) reduces those
+integers with the integral LLL and walks the ball on the same integers, so
+no Fraction is built between the query and the decision.
 """
 
 import itertools
@@ -22,8 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -35,6 +38,26 @@ from .flow import a_scale, u_embed
 from .lattice import LatticeBasis, in_kmu
 
 CONVENTIONS = ("lattice_p_nonzero", "paper_both_nonzero")
+# p vectors per block of `first_witnesses`: a longer block wastes work on rows
+# whose witnesses come early, a shorter one pays numpy's per-call cost more
+# often. On the exact-dirichlet benchmark rows the search time rises below
+# 128 and is flat within noise up to 4096; at 256 one block holds every p of
+# an n = 1 row up to N = 128.
+_BLOCK = 256
+# Integer arrays stay int64 while an a-priori bound on every intermediate is
+# below this; past it they hold Python ints.
+_INT64_LIMIT = 2 ** 62
+
+
+def _scale(N) -> int:
+    """N as a Python int: any integer type, never a bool, N >= 1."""
+    try:
+        value = None if isinstance(N, (bool, np.bool_)) else operator.index(N)
+    except TypeError:
+        value = None
+    if value is None or value < 1:
+        raise InvariantError(f"N must be an integer >= 1, got {N!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,13 +70,7 @@ class DirichletQuery:
         phi = self.phi
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise InvariantError("phi must be square")
-        try:  # any integer type, stored as a Python int; never a bool
-            N = None if isinstance(self.N, (bool, np.bool_)) else operator.index(self.N)
-        except TypeError:
-            N = None
-        if N is None or N < 1:
-            raise InvariantError(f"N must be an integer >= 1, got {self.N!r}")
-        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "N", _scale(self.N))
         if not 0 < self.mu <= 1:
             raise InvariantError(f"mu must lie in (0, 1], got {self.mu}")
 
@@ -96,6 +113,11 @@ def _open_interval_ints(lo, hi):
     return range(first, last + 1)
 
 
+def _check_convention(convention: str):
+    if convention not in CONVENTIONS:
+        raise DomainError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
+
+
 def solvable(query: DirichletQuery, convention: str = "lattice_p_nonzero"
              ) -> Optional[tuple]:
     """First witness (p, q) of the system, or None if insoluble.
@@ -104,13 +126,13 @@ def solvable(query: DirichletQuery, convention: str = "lattice_p_nonzero"
     magnitude-then-positive order (0, 1, -1, 2, -2, ...); for each p the q
     coordinates range in ascending order over the open interval
     (phi p)_i +- mu/N. Under lattice_p_nonzero q is unrestricted; under
-    paper_both_nonzero the zero vector q is rejected as well. Exact
-    arithmetic whenever phi and mu are rational (`_solvable_exact`).
+    paper_both_nonzero the zero vector q is rejected as well. When phi and
+    mu are rational this is the one-scale case of `first_witnesses`, in
+    integers; otherwise the enumeration runs in floats.
     """
-    if convention not in CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
+    _check_convention(convention)
     if query.exact:
-        return _solvable_exact(query, convention)
+        return first_witnesses(query.integral_phi, [query.N], query.mu, convention)[0]
     n = query.n
     mu = float(query.mu)
     N = query.N
@@ -135,53 +157,116 @@ def solvable(query: DirichletQuery, convention: str = "lattice_p_nonzero"
     return None
 
 
-def _solvable_exact(query: DirichletQuery, convention: str) -> Optional[tuple]:
-    """`solvable` for rational phi = A / D (`DirichletQuery.integral_phi`)
-    and mu = a / b, in integers: with x = (A p)_i b N and
-    den = D b N, q_i is admissible iff |x - q_i den| < a D, so its range is
-    floor((x - a D) / den) + 1 ... ceil((x + a D) / den) - 1."""
-    n, N = query.n, query.N
-    a, b = query.mu.numerator, query.mu.denominator
-    p_bound = (a * N - 1) // b  # the largest K with K < mu N
-    if p_bound < 1:
-        return None
-    A, D = query.integral_phi
-    scale = b * N
-    den = D * scale
-    slack = a * D
-    nonzero_q = convention == "paper_both_nonzero"
-    for p in itertools.product(list(_signed_order(p_bound)), repeat=n):
-        if not any(p):
-            continue
-        cand = []
-        for row in A:
-            x = sum(map(mul, row, p)) * scale
-            first = (x - slack) // den + 1
-            last = -((-x - slack) // den) - 1
-            if first > last:
-                break
-            cand.append(range(first, last + 1))
+def first_witnesses(integral_phi: tuple, Ns, mu, convention: str = "lattice_p_nonzero"
+                    ) -> list:
+    """`solvable` at every scale N in Ns for one rational phi = A / D, given
+    as integral_phi = (A, D) (`DirichletQuery.integral_phi`), and a rational
+    mu = a / b in (0, 1]: the first witness (p, q) at each N, or None.
+
+    Scale N takes the p with 0 < ||p||_inf <= K_N = the largest integer
+    below mu N. p runs in the product order of the signed order (0, 1, -1,
+    2, -2, ...); the p vectors with ||p||_inf <= K come in the same relative
+    order for every bound, so one walk over the largest scale's p serves all
+    scales, each keeping the p within its own bound. The walk goes in blocks
+    of _BLOCK p vectors and stops once every scale has its witness or has
+    passed its last p. Each block decides every scale in whole integer
+    arrays. With y = A p, the strict inequality |(phi p)_i - q_i| < mu / N
+    times D b N reads |y_i - q_i D| b N < a D. A scale with a p at all has
+    mu N > 1, so N >= 2 and the admissible q_i lie in an open interval of
+    length 2 mu / N <= 1: at most one, the integer nearest y_i / D. So p is
+    admissible at N iff r b N < a D, i.e. r <= (a D - 1) // (b N), for the
+    largest distance r of a y_i from the multiples of D; its q is the
+    nearest vector, which under paper_both_nonzero must not be 0. Only the
+    comparisons of r and ||p||_inf with each scale's bounds are made per
+    scale; the rest is computed once per p. The arrays are int64 when an
+    a-priori bound on every intermediate is below 2^62, and otherwise hold
+    Python ints.
+    """
+    _check_convention(convention)
+    a, b = (mu.numerator, mu.denominator) if isinstance(mu, (int, Fraction)) else (0, 1)
+    if not 0 < a <= b:
+        raise InvariantError(f"mu must be a rational in (0, 1], got {mu!r}")
+    scales = [_scale(N) for N in Ns]
+    bounds = {N: (a * N - 1) // b for N in scales}  # K_N, the largest K < mu N
+    found = {N: None for N, K in bounds.items() if K < 1}
+    live = sorted(N for N, K in bounds.items() if K >= 1)
+    if live:
+        found.update(_witness_search(integral_phi, live, [bounds[N] for N in live], a, b,
+                                     convention == "paper_both_nonzero"))
+    return [found[N] for N in scales]
+
+
+def _witness_search(integral_phi, Ns, Ks, a, b, nonzero_q) -> dict:
+    """{N: first witness or None} for ascending scales Ns with p bounds Ks
+    (see `first_witnesses`)."""
+    A, D = integral_phi
+    n = len(A)
+    K = Ks[-1]
+    width = 2 * K + 1  # the signed order up to the largest bound
+    # p has the signed-order digits of its index in base `width`, so the last
+    # p of bound k (every coordinate -k, digit 2k) has index 2k (width^n - 1)
+    # / (width - 1).
+    ends = [2 * k * (width ** n - 1) // (width - 1) + 1 for k in Ks]
+    amax = max(abs(x) for row in A for x in row)
+    dtype = np.int64 if max(2 * n * amax * K, a * D, ends[-1]) < _INT64_LIMIT else object
+    signed = (np.arange(width, dtype=dtype) + 1) // 2
+    signed[2::2] *= -1
+    reach = np.array([(a * D - 1) // (b * N) for N in Ns], dtype=dtype)[:, None]
+    bound = np.array(Ks, dtype=dtype)[:, None]
+    live = list(range(len(Ns)))
+    out = {}
+    start = 1  # index 0 is p = 0
+    while live:
+        stop = min(start + _BLOCK, max(ends[s] for s in live))
+        if n == 1:
+            p = [signed[start:stop]]
         else:
-            for q in itertools.product(*cand):
-                if nonzero_q and not any(q):
-                    continue
-                return p, q
-    return None
+            index = np.arange(start, stop, dtype=dtype)
+            p = []
+            for _ in range(n):
+                p.append(signed[(index % width).astype(np.intp)])
+                index //= width
+            p.reverse()
+        y = [sum(a_ij * p_j for a_ij, p_j in zip(row, p)) for row in A]
+        far = reduce(np.maximum, [np.minimum(r, D - r) for r in (y_i % D for y_i in y)])
+        size = reduce(np.maximum, map(abs, p))
+        ok = (far <= reach) & (size <= bound)
+        if nonzero_q:  # q = 0 iff every y_i lies within D / 2 of 0
+            ok &= reduce(np.logical_or, [abs(2 * y_i) >= D for y_i in y])
+        keep = []
+        for row, (s, hit) in enumerate(zip(live, ok.any(axis=1).tolist())):
+            if hit:
+                j = int(ok[row].argmax())
+                q = []
+                for y_i in y:
+                    x = int(y_i[j])
+                    q.append(x // D + (2 * (x % D) > D))
+                out[Ns[s]] = tuple(int(p_i[j]) for p_i in p), tuple(q)
+            elif ends[s] <= stop:
+                out[Ns[s]] = None
+            else:
+                keep.append(row)
+        if len(keep) < len(live):
+            live = [live[row] for row in keep]
+            reach, bound = reach[keep], bound[keep]
+        start = stop
+    return out
 
 
-def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
+def correspondence_basis(query: DirichletQuery, integral_phi: tuple = None) -> LatticeBasis:
     """Basis of a_log(N) u(phi) Z^2n; exact when phi is rational.
 
     With phi = A / D the exact basis [[N I, N phi], [0, I / N]] is written
     in closed form as the integer columns of [[N^2 D I, N^2 A], [0, D I]]
     over the common denominator N D. It must have det == 1: one exact
     determinant of the integer matrix, equal to (N D)^2n, is both the
-    group-element and the unimodular-basis condition."""
+    group-element and the unimodular-basis condition. A caller that holds
+    (A, D) for query.phi already may pass it as integral_phi."""
     n = query.n
     if not query.exact:
         g = a_scale(float(query.N), n) @ u_embed(_linalg.to_float(query.phi))
         return LatticeBasis(g.entries)
-    A, D = query.integral_phi
+    A, D = query.integral_phi if integral_phi is None else integral_phi
     N = query.N
     N2 = N * N
     cols = [(0,) * k + (N2 * D,) + (0,) * (2 * n - k - 1) for k in range(n)]
@@ -194,23 +279,51 @@ def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
     return LatticeBasis.of_checked_integral(tuple(cols), den)
 
 
+def _row_witnesses(queries: list, convention: str) -> list:
+    """The first witness of each query of one phi and mu: one
+    `first_witnesses` search when they are rational."""
+    head = queries[0]
+    if head.exact:
+        return first_witnesses(head.integral_phi, [q.N for q in queries], head.mu, convention)
+    return [solvable(q, convention) for q in queries]
+
+
+def correspondence_row(phi: np.ndarray, Ns, mu) -> list:
+    """`correspondence_check` at every scale N in Ns for one phi and mu, in
+    the order of Ns. The witnesses come from one `first_witnesses` search
+    when phi and mu are rational, and phi = A / D is written once for the
+    whole row; every cell still builds and tests its own basis."""
+    queries = [DirichletQuery(phi=phi, N=N, mu=mu) for N in Ns]
+    return _correspondence_cells(queries) if queries else []
+
+
+def _correspondence_cells(queries: list) -> list:
+    """`correspondence_check` of each query of one phi and mu."""
+    witnesses = _row_witnesses(queries, "lattice_p_nonzero")
+    integral = queries[0].integral_phi if queries[0].exact else None
+    cells = []
+    for query, witness in zip(queries, witnesses):
+        insoluble = witness is None
+        in_ball_complement = in_kmu(correspondence_basis(query, integral), query.mu)
+        cells.append({
+            "insoluble": insoluble,
+            "in_kmu": in_ball_complement,
+            "agree": insoluble == in_ball_complement,
+            "witness": witness,
+        })
+    return cells
+
+
 def correspondence_check(query: DirichletQuery) -> dict:
     """Compare insolubility of the system against the lattice-ball criterion.
 
     Returns {insoluble, in_kmu, agree, witness}; the two sides must agree
     for every query, which is the content of the correspondence. Uses the
     lattice_p_nonzero convention (q unrestricted), the one the unimodular
-    lattice actually sees. Requires mu < 1 so the ball test is defined.
+    lattice actually sees. Requires mu < 1 so the ball test is defined. The
+    one-scale case of `correspondence_row`.
     """
-    witness = solvable(query, convention="lattice_p_nonzero")
-    insoluble = witness is None
-    in_ball_complement = in_kmu(correspondence_basis(query), query.mu)
-    return {
-        "insoluble": insoluble,
-        "in_kmu": in_ball_complement,
-        "agree": insoluble == in_ball_complement,
-        "witness": witness,
-    }
+    return _correspondence_cells([query])[0]
 
 
 @dataclass(frozen=True)
@@ -252,18 +365,20 @@ class ScanTable:
 def improvability_scan(curve: MatrixPolyCurve, mu, s_grid, N_set,
                        convention: str = "lattice_p_nonzero") -> ScanTable:
     """Tabulate insolubility of the mu-system at phi(s) over s in s_grid and
-    N in N_set. One cell = one solvable() call; no correspondence checking."""
+    N in N_set (each N an integer >= 1, as in `DirichletQuery`). One s point
+    is one `first_witnesses` search over every N when phi(s) and mu are
+    rational, and one `solvable` call per cell otherwise; no correspondence
+    checking."""
     s_vals = tuple(s_grid)
-    n_vals = tuple(int(N) for N in N_set)
+    n_vals = tuple(N_set)
     if not s_vals or not n_vals:
         raise DomainError("s_grid and N_set must be nonempty")
+    n_vals = tuple(map(_scale, n_vals))
     table = np.zeros((len(s_vals), len(n_vals)), dtype=np.int8)
     for i, s in enumerate(s_vals):
         phi = curve.eval(s)
-        for j, N in enumerate(n_vals):
-            query = DirichletQuery(phi=phi, N=N, mu=mu)
-            if solvable(query, convention=convention) is None:
-                table[i, j] = 1
+        queries = [DirichletQuery(phi=phi, N=N, mu=mu) for N in n_vals]
+        table[i] = [w is None for w in _row_witnesses(queries, convention)]
     table.flags.writeable = False
     return ScanTable(s_grid=s_vals, N_set=n_vals, mu=mu, insoluble=table,
                      convention=convention)

@@ -6,9 +6,10 @@ integer columns and one common denominator den (column j is int_cols[j] /
 den); its Fraction matrix `cols` is a read-only view, built only when a
 caller reads it. The modes make the same decisions in the same order. The
 exact mode stays in integers from the basis to the answer: LLL runs on the
-integral Gram data of the integer columns (Cohen, Alg. 2.6.7), and the
-enumerator and the box tests run on the same integer lattice, den times the
-original, with every bound scaled by den once.
+integral Gram data of the integer columns (Cohen, Alg. 2.6.7), each row
+computed once and updated exactly on a swap, and the enumerator and the box
+tests run on the same integer lattice, den times the original, with every
+bound scaled by den once.
 
 Every query LLL-reduces the basis once, unless the basis carries its batched
 reduction, and hands the reduced basis with its Gram-Schmidt data to one
@@ -142,12 +143,20 @@ class LatticeBasis:
         passed, each a read-only view of the stack. The bases of a 2 x 2
         stack are LLL-reduced here by one `_lll_pairs` call and keep their
         reductions for the queries; the lowest lane that fails to reduce
-        raises with its stack index as `sample_index`."""
-        bases = tuple(map(cls.of_checked, cols))
-        if cols.shape[1:] == (2, 2):
-            for basis, reduction in zip(bases, _lll_pairs(cols)):
-                _SET(basis, "_reduction", reduction)
-        return bases
+        raises with its stack index as `sample_index`. The stack's dtype
+        decides the mode once, so no basis repeats the test."""
+        if cols.flags.writeable or _linalg.is_exact(cols):
+            raise InvariantError("of_checked_stack needs a checked, read-only float stack")
+        reductions = _lll_pairs(cols) if cols.shape[1:] == (2, 2) else [None] * len(cols)
+        bases = []
+        for view, reduction in zip(cols, reductions):
+            basis = object.__new__(cls)
+            _SET(basis, "_cols", view)
+            _SET(basis, "int_cols", None)
+            _SET(basis, "den", None)
+            _SET(basis, "_reduction", reduction)
+            bases.append(basis)
+        return tuple(bases)
 
     @classmethod
     def batch(cls, cols: np.ndarray) -> tuple:
@@ -236,7 +245,8 @@ def _lll(cols, delta: float = 0.99):
     swap update (Cohen, Alg. 2.6.3) would avoid those recomputations, but in
     floats it drifts away from the columns: on flowed lattices a_t u(phi) at
     n = 2, t = 8 its ||b*||^2 are off by several percent. The exact mode
-    runs the same steps on integer Gram data (`_lll_integral`).
+    runs the same steps on integer Gram data (`_lll_integral`), where the
+    swap update is exact.
     """
     m = len(cols)
     b = [list(c) for c in cols]
@@ -369,7 +379,16 @@ def _lll_integral(c: list, delta: Fraction):
     norms[k-1] are decided in integers, in `_lll`'s order. A common scale of
     the columns changes no decision, so the columns of an exact basis times
     its denominator take the steps its Fraction columns would. Returns the
-    reduced integer columns, the transform columns, lam and d."""
+    reduced integer columns, the transform columns, lam and d.
+
+    Each Gram row is computed from the columns once, when the stage index
+    first reaches it. A size reduction changes row k only, and a swap at
+    stage k updates the rows already computed exactly (Cohen, Alg. 2.6.7,
+    SWAPI): rows k-1 and k exchange their entries left of k-1, d[k] becomes
+    (d[k-1] d[k+1] + lam[k][k-1]^2) / d[k], and every computed row i > k
+    gets its entries k-1 and k from two exact divisions. Unlike the float
+    update, these are the values a recomputation gives, so the steps are
+    those of recomputing rows after every swap."""
     m = len(c)
     u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     lam = [[0] * m for _ in range(m)]
@@ -404,7 +423,17 @@ def _lll_integral(c: list, delta: Fraction):
         else:
             c[k], c[k - 1] = c[k - 1], c[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            fresh = k - 1
+            lam_k1 = lam[k - 1]
+            for j in range(k - 1):
+                lam_k[j], lam_k1[j] = lam_k1[j], lam_k[j]
+            dk, dk1 = d[k], d[k + 1]
+            swapped = (d[k - 1] * dk1 + lam_kj * lam_kj) // dk
+            for i in range(k + 1, fresh):
+                lam_i = lam[i]
+                t = lam_i[k]
+                lam_i[k] = x = (dk1 * lam_i[k - 1] - lam_kj * t) // dk
+                lam_i[k - 1] = (swapped * t + lam_kj * x) // dk1
+            d[k] = swapped
             k = max(k - 1, 1)
     return c, u, lam, d
 

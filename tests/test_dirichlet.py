@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from solvable_reference import reference_solvable
 
 from danilab import (DirichletQuery, MatrixPolyCurve, a_scale, correspondence_basis,
-                     correspondence_check, improvability_scan, shortest_supnorm,
-                     solvable, u_embed)
-from danilab import _linalg
+                     correspondence_check, correspondence_row, first_witnesses,
+                     improvability_scan, shortest_supnorm, solvable, u_embed)
+from danilab import _linalg, dirichlet
 from danilab.errors import DomainError, InvariantError
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -77,6 +78,106 @@ def test_exact_solvable_matches_fraction_reference(phi, N, mu):
     query = DirichletQuery(phi=phi, N=N, mu=mu)
     for convention in ("lattice_p_nonzero", "paper_both_nonzero"):
         assert solvable(query, convention) == reference_solvable(phi.tolist(), N, mu, convention)
+
+
+# The largest N per n at which the Fraction reference stays quick.
+ROW_N_MAX = {1: 60, 2: 16, 3: 5}
+
+
+@st.composite
+def witness_rows(draw):
+    """(phi, Ns, mu): a rational phi of size 1-3, an unsorted list of scales
+    with repeats, and mu in (0, 1]."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    Ns = draw(st.lists(st.integers(1, ROW_N_MAX[n]), min_size=1, max_size=6))
+    Ns = draw(st.permutations(Ns + Ns[:draw(st.integers(0, len(Ns)))]))
+    return draw(rational_phi(n)), Ns, draw(MU)
+
+
+def assert_row_matches_reference(phi, Ns, mu):
+    integral = DirichletQuery(phi=phi, N=1, mu=mu).integral_phi
+    for convention in ("lattice_p_nonzero", "paper_both_nonzero"):
+        got = first_witnesses(integral, Ns, mu, convention)
+        assert got == [reference_solvable(phi.tolist(), N, mu, convention) for N in Ns]
+        assert all(type(x) is int for w in got if w is not None for v in w for x in v)
+
+
+@contextlib.contextmanager
+def search_constants(block, int64_limit=None):
+    """Set the block size (and the int64 bound) of `first_witnesses`."""
+    saved = dirichlet._BLOCK, dirichlet._INT64_LIMIT
+    dirichlet._BLOCK = block
+    if int64_limit is not None:
+        dirichlet._INT64_LIMIT = int64_limit
+    try:
+        yield
+    finally:
+        dirichlet._BLOCK, dirichlet._INT64_LIMIT = saved
+
+
+@SETTINGS
+@given(witness_rows())
+def test_first_witnesses_match_reference_scale_by_scale(row):
+    assert_row_matches_reference(*row)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(witness_rows(), st.sampled_from((1, 2, 3, 7)))
+def test_first_witnesses_across_block_boundaries(row, block):
+    with search_constants(block):
+        assert_row_matches_reference(*row)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(witness_rows())
+def test_first_witnesses_in_python_int_arrays(row):
+    # Every array holds Python ints, as it does past the int64 bound.
+    with search_constants(dirichlet._BLOCK, int64_limit=0):
+        assert_row_matches_reference(*row)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.sampled_from((1, 2)), st.data())
+def test_first_witnesses_with_entries_beyond_int64(n, data):
+    # x = (A p)_i b N and the denominators pass 2^62, so int64 would wrap.
+    den = data.draw(st.sampled_from((2 ** 61 + 1, 3 ** 41, 1)))
+    big = 2 ** 64 if den == 1 else 3 * den
+    phi = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            phi[i, j] = Fraction(data.draw(st.integers(-big, big)), den)
+    Ns = data.draw(st.lists(st.integers(1, 12 if n == 1 else 6), min_size=1, max_size=4))
+    assert_row_matches_reference(phi, Ns, data.draw(MU))
+
+
+def test_first_witnesses_examples_and_validation():
+    third = DirichletQuery(phi=np.array([[Fraction(1, 3)]], dtype=object), N=5,
+                           mu=Fraction(9, 10)).integral_phi
+    assert first_witnesses(third, [5, 1, 5, np.int64(2)], Fraction(9, 10)) == [
+        ((3,), (1,)), None, ((3,), (1,)), ((1,), (0,))]
+    zero = (((0,),), 1)
+    assert first_witnesses(zero, [5, 2], Fraction(1, 2), "paper_both_nonzero") == [None, None]
+    assert first_witnesses(zero, [5, 2], Fraction(1, 2)) == [((1,), (0,)), None]
+    assert first_witnesses(zero, [], 1) == []
+    with pytest.raises(DomainError):
+        first_witnesses(zero, [2], Fraction(1, 2), convention="none_such")
+    for bad in (0.5, Fraction(3, 2), 0):
+        with pytest.raises(InvariantError, match="mu"):
+            first_witnesses(zero, [2], bad)
+    for bad in (2.7, True, 0):
+        with pytest.raises(InvariantError, match="N must be an integer"):
+            first_witnesses(zero, [2, bad], Fraction(1, 2))
+
+
+def test_solvable_is_the_one_scale_search(monkeypatch):
+    seen = []
+    search = dirichlet.first_witnesses
+    monkeypatch.setattr(dirichlet, "first_witnesses",
+                        lambda *args: seen.append(args) or search(*args))
+    query = DirichletQuery(phi=np.array([[Fraction(1, 2)]], dtype=object), N=10,
+                           mu=Fraction(1, 2))
+    assert solvable(query, "paper_both_nonzero") == ((2,), (1,))
+    assert seen == [((((1,),), 2), [10], Fraction(1, 2), "paper_both_nonzero")]
 
 
 def test_solvable_monotone_in_mu():
@@ -178,6 +279,31 @@ def test_correspondence_check_agrees_at_n2(phi, N, mu):
         assert max(abs(sum(phi[i, j] * p[j] for j in range(2)) - q[i]) for i in range(2)) < mu / N
 
 
+@settings(SETTINGS, max_examples=60)
+@given(st.sampled_from((1, 2)).flatmap(rational_phi), st.lists(st.integers(1, 12), min_size=1,
+                                                                 max_size=5), MU_BELOW_ONE)
+def test_correspondence_row_is_correspondence_check_cell_by_cell(phi, Ns, mu):
+    assert correspondence_row(phi, Ns, mu) == [
+        correspondence_check(DirichletQuery(phi=phi, N=N, mu=mu)) for N in Ns]
+
+
+def test_correspondence_row_writes_phi_once_and_builds_every_basis(monkeypatch):
+    phi = np.array([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]], dtype=object)
+    seen, bases = [], []
+    integral = _linalg.integral
+    monkeypatch.setattr(_linalg, "integral", lambda xs: seen.append(len(xs)) or integral(xs))
+    basis = dirichlet.correspondence_basis
+    monkeypatch.setattr(dirichlet, "correspondence_basis",
+                        lambda query, *args: bases.append(query.N) or basis(query, *args))
+    cells = correspondence_row(phi, [7, 2, 7, 5], Fraction(2, 3))
+    assert seen.count(4) == 1 and bases == [7, 2, 7, 5]
+    assert cells[0] == cells[2] and all(cell["agree"] for cell in cells)
+    assert correspondence_row(phi, [], Fraction(2, 3)) == []
+    floats = correspondence_row(np.array([[0.3]]), [3, 7], 0.5)
+    assert floats == [correspondence_check(DirichletQuery(phi=np.array([[0.3]]), N=N, mu=0.5))
+                      for N in (3, 7)]
+
+
 def test_insolubility_matches_shortest_vector_threshold():
     rng = np.random.default_rng(63)
     for _ in range(15):
@@ -245,6 +371,29 @@ def test_scan_csv_golden():
     flat = MatrixPolyCurve.from_coeffs([[[Fraction(0)]]], (Fraction(0), Fraction(1)))
     table = improvability_scan(flat, Fraction(1, 2), [Fraction(0)], [2, 3])
     assert table.to_csv_text() == "s,N,insoluble\n0.0,2,1\n0.0,3,0\n"
+
+
+def test_scan_reads_n_by_the_query_rule():
+    line = MatrixPolyCurve.from_coeffs([[[Fraction(0)]], [[Fraction(1)]]],
+                                       (Fraction(0), Fraction(1)))
+    for bad in (2.7, True, np.bool_(True), "5", 0, np.int64(-3)):
+        with pytest.raises(InvariantError, match="N must be an integer"):
+            improvability_scan(line, Fraction(1, 2), [Fraction(1, 3)], [2, bad, 5])
+    table = improvability_scan(line, Fraction(1, 2), [Fraction(1, 3)], [np.int64(5), 2])
+    assert table.N_set == (5, 2) and all(type(N) is int for N in table.N_set)
+
+
+def test_scan_rows_match_the_reference_cell_by_cell():
+    quad = MatrixPolyCurve.from_coeffs([[[Fraction(-1, 8)]], [[Fraction(5, 4)]],
+                                        [[Fraction(3, 16)]]], (Fraction(0), Fraction(1)))
+    s_grid = [Fraction(k, 11) for k in range(12)]
+    Ns = [9, 2, 30, 9, 17, 1]
+    for mu, convention in ((Fraction(1, 2), "lattice_p_nonzero"),
+                           (1, "paper_both_nonzero")):
+        table = improvability_scan(quad, mu, s_grid, Ns, convention=convention)
+        want = [[int(reference_solvable(quad.eval(s).tolist(), N, mu, convention) is None)
+                 for N in Ns] for s in s_grid]
+        assert table.insoluble.tolist() == want
 
 
 def test_scan_rejects_empty_inputs():

@@ -7,7 +7,9 @@ correspondence bases a_log N u(k/37) whose lattices have vectors on the
 boundary of the mu-box. The references are deliberately naive: LLL that
 recomputes Gram-Schmidt in full after every step, and a walk of the whole
 coefficient box that the inverse of the reduced basis bounds. The batched
-float LLL of 2 x 2 stacks is held to the scalar float LLL bit for bit.
+float LLL of 2 x 2 stacks is held to the scalar float LLL bit for bit, and
+the integral LLL, which updates its Gram rows on a swap, to the same loop
+recomputing them.
 """
 
 import itertools
@@ -22,8 +24,10 @@ from hypothesis import strategies as st
 from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, correspondence_basis,
                      count_in_box, in_kmu, in_mahler_compact, orbit_points, reduce,
                      shortest_supnorm, u_embed)
+import integral_lll_reference
 from danilab import _linalg, lattice
 from danilab.errors import InternalIdentityError
+from integral_lll_reference import reference_lll_integral
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -206,6 +210,56 @@ def test_exact_lll_gram_data_is_that_of_the_reduced_columns(rows):
     assert ([[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(m)]
             == [row[:i] for i, row in enumerate(ref_mu)])
     assert [Fraction(d[i + 1], d[i] * den * den) for i in range(m)] == ref_norms
+
+
+def assert_integral_lll_matches_recompute_reference(int_cols, delta=Fraction(99, 100)):
+    got = lattice._lll_integral(list(int_cols), delta)
+    assert got == reference_lll_integral(list(int_cols), delta)
+    c, u, lam, d = got
+    assert all(type(x) is int for part in (c, u, lam, [d]) for row in part for x in row)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(unimodular_rows(), st.sampled_from((Fraction(99, 100), Fraction(3, 4))))
+def test_integral_lll_swap_update_matches_recompute_reference(rows, delta):
+    # Columns, transforms, lam and d, entry for entry: the exact swap update
+    # gives the Gram data a recomputation gives, so every step is the same.
+    assert_integral_lll_matches_recompute_reference(as_basis(rows, exact=True).int_cols, delta)
+
+
+def test_integral_lll_swap_update_matches_reference_on_correspondence_bases():
+    for k in range(38):
+        for N in range(2, 51):
+            basis = correspondence_lattice([k], 1, N, Fraction(1, 2))
+            assert_integral_lll_matches_recompute_reference(basis.int_cols)
+    rng = np.random.default_rng(7)
+    for n, N_max in ((2, 21), (3, 5)):
+        for _ in range(40):
+            k = rng.integers(-37, 38, size=n * n).tolist()
+            basis = correspondence_lattice(k, n, int(rng.integers(2, N_max + 1)), Fraction(9, 10))
+            assert_integral_lll_matches_recompute_reference(basis.int_cols)
+
+
+def test_integral_lll_computes_each_gram_row_once(monkeypatch):
+    calls, ref_calls = [], []
+    gram_row = lattice._gram_row
+    monkeypatch.setattr(lattice, "_gram_row", lambda c, lam, d, i: calls.append(i) or
+                        gram_row(c, lam, d, i))
+    monkeypatch.setattr(integral_lll_reference, "_gram_row", lambda c, lam, d, i:
+                        ref_calls.append(i) or gram_row(c, lam, d, i))
+    bases = [correspondence_lattice([k], 1, 50, Fraction(1, 2)) for k in range(38)]
+    bases += [correspondence_lattice(k, 2, 21, Fraction(9, 10))
+              for k in ([5, -3, 11, 2], [36, 1, -17, 8], [0, 0, 0, 0])]
+    bases.append(correspondence_lattice([3, 1, 4, 1, 5, 9, 2, 6, 5], 3, 4, Fraction(9, 10)))
+    swapped = 0
+    for basis in bases:
+        calls.clear()
+        ref_calls.clear()
+        lattice._lll_integral(list(basis.int_cols), Fraction(99, 100))
+        reference_lll_integral(list(basis.int_cols), Fraction(99, 100))
+        assert calls == list(range(basis.m))
+        swapped += len(ref_calls) > basis.m
+    assert swapped >= len(bases) // 2  # the reference recomputes rows after its swaps
 
 
 @SETTINGS

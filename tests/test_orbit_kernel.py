@@ -139,6 +139,38 @@ def test_check_stack_names_first_bad_basis():
         LatticeBasis.of_checked(np.eye(2))  # writeable: never passed check_stack
 
 
+def basis_record(basis):
+    """Every slot of a basis, its columns as bytes with their view flags."""
+    cols = basis._cols
+    return (cols.tobytes(), cols.dtype, cols.shape, cols.strides, cols.flags.writeable,
+            basis.int_cols, basis.den)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stack_bases_equal_the_checked_bases_reduction_included(n):
+    curve = MatrixPolyCurve.from_coeffs([np.eye(n) * 0.25, np.eye(n) * 1.125 + 0.0625],
+                                        (1.0, 2.0))
+    stack = LatticeBasis.check_stack(orbit_points(curve, np.linspace(1.0, 2.0, 7), 3.0))
+    bases = LatticeBasis.of_checked_stack(stack)
+    assert len(bases) == len(stack)
+    for basis, cols in zip(bases, stack):
+        one = LatticeBasis.of_checked(cols)
+        assert basis_record(basis) == basis_record(one)
+        assert basis._cols.base is stack and not basis.exact and basis.m == 2 * n
+        with pytest.raises(AttributeError):
+            basis.den = 1
+        if n == 1:  # the batched reduction is the one the basis's query would make
+            assert basis._reduction == lattice._lll(lattice._float_columns(one.cols))
+        else:
+            assert basis._reduction is None
+    with pytest.raises(InvariantError, match="read-only float stack"):
+        LatticeBasis.of_checked_stack(np.array([np.eye(2)]))  # writeable
+    exact = np.array([np.eye(2, dtype=int)], dtype=object)
+    exact.flags.writeable = False
+    with pytest.raises(InvariantError, match="read-only float stack"):
+        LatticeBasis.of_checked_stack(exact)
+
+
 LINE = MatrixPolyCurve.from_coeffs([[[0.25]], [[1.125]]], (1.0, 2.0))
 
 
