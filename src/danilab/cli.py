@@ -237,6 +237,12 @@ class DirichletArgs:
 
 
 @dataclass(frozen=True)
+class CorrespondenceArgs(DirichletArgs):
+    # The unimodular lattice sees only p != 0, so q is unrestricted.
+    convention: str = _field(_one_of("lattice_p_nonzero"), default="lattice_p_nonzero")
+
+
+@dataclass(frozen=True)
 class EquidistArgs:
     t_list: tuple = _field(_list_of(_REAL))
     box: tuple = _field(_BOX)
@@ -522,7 +528,7 @@ def _run_w_invariance(config: ExperimentConfig):
 _DISPATCH = {  # subcommand: (the schema of its parameters, its runner, needs a sampler)
     "genericity": (_schema(GenericityArgs), _run_genericity, False),
     "dirichlet-scan": (_schema(DirichletArgs), _run_dirichlet_scan, False),
-    "correspondence": (_schema(DirichletArgs), _run_correspondence, False),
+    "correspondence": (_schema(CorrespondenceArgs), _run_correspondence, False),
     "equidist": (_schema(EquidistArgs), _run_equidist, True),
     "nondiv": (_schema(NondivArgs), _run_nondiv, True),
     "rep-verify": (_schema(RepVerifyArgs), _run_rep_verify, True),

@@ -4,13 +4,15 @@ For an n x n matrix phi, scale N and quality mu the system asks for integer
 vectors p, q with ||phi p - q||_inf < mu / N and ||p||_inf < mu N (both
 strict). Insolubility is equivalent to the unimodular lattice
 a_log(N) u(phi) Z^2n missing the open sup-norm mu-ball, which is what
-correspondence_check verifies cell by cell, exactly when phi and mu are
-rational.
+correspondence_check verifies cell by cell, exactly.
 
-The exact path works in Python ints end to end. phi = A / D is written once
-per phi (`DirichletQuery.integral_phi`). `first_witnesses` decides every
-strict inequality in integers from A, D and mu = a / b, for all scales N of
-one phi in one search: the p vectors of a smaller scale come first in the
+Every input is read as the rational it is: a finite double is a dyadic
+rational, so a float entry of phi or a float mu is taken as the Fraction it
+stores, and every query decides in integers. `DirichletQuery` is where this
+happens: it stores mu as a Fraction and writes phi = A / D once
+(`DirichletQuery.integral_phi`). `first_witnesses` decides every strict
+inequality in integers from A, D and mu = a / b, for all scales N of one phi
+in one search: the p vectors of a smaller scale come first in the
 enumeration order of a larger one, so each block of p vectors serves every
 scale at once, in whole integer arrays. `solvable` is its one-scale case,
 and `improvability_scan` and `correspondence_row` search once per s point.
@@ -21,7 +23,6 @@ integers with the integral LLL and walks the ball on the same integers, so
 no Fraction is built between the query and the decision.
 """
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ import numpy as np
 from . import _linalg
 from .curve import MatrixPolyCurve
 from .errors import DomainError, InvariantError
-from .flow import a_scale, u_embed
 from .lattice import LatticeBasis, in_kmu
 
 CONVENTIONS = ("lattice_p_nonzero", "paper_both_nonzero")
@@ -62,55 +62,39 @@ def _scale(N) -> int:
 
 @dataclass(frozen=True)
 class DirichletQuery:
+    """One cell (phi, N, mu) of the system, read exactly: phi's entries are
+    ints, Fractions or finite floats, and mu is stored as a Fraction."""
+
     phi: np.ndarray
     N: int
-    mu: object  # float or Fraction in (0, 1]
+    mu: Fraction  # in (0, 1]; an int or float is stored as the Fraction it equals
 
     def __post_init__(self):
         phi = self.phi
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise InvariantError("phi must be square")
+        for k, x in enumerate(phi.flat):
+            if isinstance(x, float) and not math.isfinite(x):
+                i, j = divmod(k, len(phi))
+                raise InvariantError(f"phi[{i}, {j}] must be finite, got {x!r}")
         object.__setattr__(self, "N", _scale(self.N))
-        if not 0 < self.mu <= 1:
-            raise InvariantError(f"mu must lie in (0, 1], got {self.mu}")
+        mu = self.mu
+        if isinstance(mu, (bool, np.bool_)) or not 0 < mu <= 1:
+            raise InvariantError(f"mu must be a number in (0, 1], got {mu!r}")
+        object.__setattr__(self, "mu", Fraction(mu))
 
     @property
     def n(self) -> int:
         return self.phi.shape[0]
 
-    @property
-    def exact(self) -> bool:
-        return _linalg.is_exact(self.phi) and isinstance(self.mu, (int, Fraction))
-
     @cached_property
     def integral_phi(self) -> tuple:
-        """(A, D) with phi = A / D for a rational phi: A the integer rows,
-        D the least common denominator of the entries."""
+        """(A, D) with phi = A / D: A the integer rows, D the least common
+        denominator of the entries (a float entry read as the dyadic rational
+        it stores)."""
         n = self.n
         flat, D = _linalg.integral(self.phi.ravel().tolist())
         return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), D
-
-
-def _strict_bound(x) -> int:
-    """Largest integer K with K < x (so |p_i| <= K encodes |p_i| < x)."""
-    if isinstance(x, Fraction):
-        return int(x) - 1 if x.denominator == 1 else math.floor(x)
-    return math.ceil(x) - 1
-
-
-def _signed_order(bound: int):
-    """0, 1, -1, 2, -2, ... up to |bound| (the deterministic witness order)."""
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
-
-
-def _open_interval_ints(lo, hi):
-    """Integers q with lo < q < hi, in ascending order."""
-    first = math.floor(lo) + 1
-    last = math.ceil(hi) - 1
-    return range(first, last + 1)
 
 
 def _check_convention(convention: str):
@@ -126,35 +110,10 @@ def solvable(query: DirichletQuery, convention: str = "lattice_p_nonzero"
     magnitude-then-positive order (0, 1, -1, 2, -2, ...); for each p the q
     coordinates range in ascending order over the open interval
     (phi p)_i +- mu/N. Under lattice_p_nonzero q is unrestricted; under
-    paper_both_nonzero the zero vector q is rejected as well. When phi and
-    mu are rational this is the one-scale case of `first_witnesses`, in
-    integers; otherwise the enumeration runs in floats.
+    paper_both_nonzero the zero vector q is rejected as well. This is the
+    one-scale case of `first_witnesses`, in integers.
     """
-    _check_convention(convention)
-    if query.exact:
-        return first_witnesses(query.integral_phi, [query.N], query.mu, convention)[0]
-    n = query.n
-    mu = float(query.mu)
-    N = query.N
-    p_bound = _strict_bound(mu * N)
-    if p_bound < 1:
-        return None
-    q_radius = mu / N
-    phi_f = _linalg.to_float(query.phi)
-    phi_rows = [[float(phi_f[i, j]) for j in range(n)] for i in range(n)]
-
-    for p in itertools.product(*[list(_signed_order(p_bound))] * n):
-        if not any(p):
-            continue
-        x = [sum(row[j] * p[j] for j in range(n)) for row in phi_rows]
-        cand = [_open_interval_ints(xi - q_radius, xi + q_radius) for xi in x]
-        if any(len(c) == 0 for c in cand):
-            continue
-        for q in itertools.product(*cand):
-            if convention == "paper_both_nonzero" and not any(q):
-                continue
-            return tuple(p), tuple(q)
-    return None
+    return first_witnesses(query.integral_phi, [query.N], query.mu, convention)[0]
 
 
 def first_witnesses(integral_phi: tuple, Ns, mu, convention: str = "lattice_p_nonzero"
@@ -183,7 +142,8 @@ def first_witnesses(integral_phi: tuple, Ns, mu, convention: str = "lattice_p_no
     Python ints.
     """
     _check_convention(convention)
-    a, b = (mu.numerator, mu.denominator) if isinstance(mu, (int, Fraction)) else (0, 1)
+    rational = isinstance(mu, (int, Fraction)) and not isinstance(mu, bool)
+    a, b = (mu.numerator, mu.denominator) if rational else (0, 1)
     if not 0 < a <= b:
         raise InvariantError(f"mu must be a rational in (0, 1], got {mu!r}")
     scales = [_scale(N) for N in Ns]
@@ -254,18 +214,15 @@ def _witness_search(integral_phi, Ns, Ks, a, b, nonzero_q) -> dict:
 
 
 def correspondence_basis(query: DirichletQuery, integral_phi: tuple = None) -> LatticeBasis:
-    """Basis of a_log(N) u(phi) Z^2n; exact when phi is rational.
+    """Exact basis of a_log(N) u(phi) Z^2n.
 
-    With phi = A / D the exact basis [[N I, N phi], [0, I / N]] is written
-    in closed form as the integer columns of [[N^2 D I, N^2 A], [0, D I]]
-    over the common denominator N D. It must have det == 1: one exact
+    With phi = A / D the basis [[N I, N phi], [0, I / N]] is written in
+    closed form as the integer columns of [[N^2 D I, N^2 A], [0, D I]] over
+    the common denominator N D. It must have det == 1: one exact
     determinant of the integer matrix, equal to (N D)^2n, is both the
     group-element and the unimodular-basis condition. A caller that holds
     (A, D) for query.phi already may pass it as integral_phi."""
     n = query.n
-    if not query.exact:
-        g = a_scale(float(query.N), n) @ u_embed(_linalg.to_float(query.phi))
-        return LatticeBasis(g.entries)
     A, D = query.integral_phi if integral_phi is None else integral_phi
     N = query.N
     N2 = N * N
@@ -279,28 +236,20 @@ def correspondence_basis(query: DirichletQuery, integral_phi: tuple = None) -> L
     return LatticeBasis.of_checked_integral(tuple(cols), den)
 
 
-def _row_witnesses(queries: list, convention: str) -> list:
-    """The first witness of each query of one phi and mu: one
-    `first_witnesses` search when they are rational."""
-    head = queries[0]
-    if head.exact:
-        return first_witnesses(head.integral_phi, [q.N for q in queries], head.mu, convention)
-    return [solvable(q, convention) for q in queries]
-
-
 def correspondence_row(phi: np.ndarray, Ns, mu) -> list:
     """`correspondence_check` at every scale N in Ns for one phi and mu, in
-    the order of Ns. The witnesses come from one `first_witnesses` search
-    when phi and mu are rational, and phi = A / D is written once for the
-    whole row; every cell still builds and tests its own basis."""
+    the order of Ns. The witnesses come from one `first_witnesses` search,
+    and phi = A / D is written once for the whole row; every cell still
+    builds and tests its own basis."""
     queries = [DirichletQuery(phi=phi, N=N, mu=mu) for N in Ns]
     return _correspondence_cells(queries) if queries else []
 
 
 def _correspondence_cells(queries: list) -> list:
     """`correspondence_check` of each query of one phi and mu."""
-    witnesses = _row_witnesses(queries, "lattice_p_nonzero")
-    integral = queries[0].integral_phi if queries[0].exact else None
+    head = queries[0]
+    integral = head.integral_phi
+    witnesses = first_witnesses(integral, [q.N for q in queries], head.mu)
     cells = []
     for query, witness in zip(queries, witnesses):
         insoluble = witness is None
@@ -366,8 +315,7 @@ def improvability_scan(curve: MatrixPolyCurve, mu, s_grid, N_set,
                        convention: str = "lattice_p_nonzero") -> ScanTable:
     """Tabulate insolubility of the mu-system at phi(s) over s in s_grid and
     N in N_set (each N an integer >= 1, as in `DirichletQuery`). One s point
-    is one `first_witnesses` search over every N when phi(s) and mu are
-    rational, and one `solvable` call per cell otherwise; no correspondence
+    is one `first_witnesses` search over every N; no correspondence
     checking."""
     s_vals = tuple(s_grid)
     n_vals = tuple(N_set)
@@ -376,9 +324,9 @@ def improvability_scan(curve: MatrixPolyCurve, mu, s_grid, N_set,
     n_vals = tuple(map(_scale, n_vals))
     table = np.zeros((len(s_vals), len(n_vals)), dtype=np.int8)
     for i, s in enumerate(s_vals):
-        phi = curve.eval(s)
-        queries = [DirichletQuery(phi=phi, N=N, mu=mu) for N in n_vals]
-        table[i] = [w is None for w in _row_witnesses(queries, convention)]
+        head = DirichletQuery(phi=curve.eval(s), N=n_vals[0], mu=mu)
+        table[i] = [w is None for w in first_witnesses(head.integral_phi, n_vals, head.mu,
+                                                       convention)]
     table.flags.writeable = False
     return ScanTable(s_grid=s_vals, N_set=n_vals, mu=mu, insoluble=table,
                      convention=convention)

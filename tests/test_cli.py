@@ -363,8 +363,15 @@ def test_bools_refused_in_numeric_fields(subcommand, params, key):
      "parameters.observable.box: expected a list of 2 entries"),
     ("rep-verify", {"rep": {"kind": "exterior", "k": 0}},
      "parameters.rep: exterior power k must lie in [1, 2], got 0"),
+    ("correspondence",
+     {"mu": "1/2", "N_set": [2], "s_grid": ["0"], "convention": "paper_both_nonzero"},
+     "parameters.convention: expected one of ('lattice_p_nonzero',)"),
 ])
-def test_schema_refusals(subcommand, params, message):
+def test_schema_refusals(subcommand, params, message, tmp_path, capsys):
+    cfg = base_config(subcommand=subcommand, parameters=params, output=str(tmp_path / "r"))
     with pytest.raises(ConfigError) as info:
-        parse_config(json.dumps(base_config(subcommand=subcommand, parameters=params)))
+        parse_config(json.dumps(cfg))
     assert str(info.value) == message
+    assert main([subcommand, "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()

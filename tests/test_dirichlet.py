@@ -10,7 +10,7 @@ from solvable_reference import reference_solvable
 from danilab import (DirichletQuery, MatrixPolyCurve, a_scale, correspondence_basis,
                      correspondence_check, correspondence_row, first_witnesses,
                      improvability_scan, shortest_supnorm, solvable, u_embed)
-from danilab import _linalg, dirichlet
+from danilab import _linalg, dirichlet, lattice
 from danilab.errors import DomainError, InvariantError
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -72,9 +72,26 @@ def test_solvable_witness_is_valid():
             assert 0 < max(abs(x) for x in p) < q.mu * q.N
 
 
+@st.composite
+def float_phi(draw, n):
+    """n x n float64 array of doubles in [-3, 3]."""
+    entries = draw(st.lists(st.floats(-3, 3), min_size=n * n, max_size=n * n))
+    return np.array(entries, dtype=float).reshape(n, n)
+
+
+# (phi, N, mu): a rational query, or a float phi with N <= 20 and a float mu,
+# each float read by the reference as the dyadic rational it stores.
+RATIONAL_QUERY = st.tuples(st.sampled_from((1, 2)).flatmap(rational_phi),
+                           st.sampled_from(range(1, 41)), MU)
+FLOAT_QUERY = st.tuples(st.sampled_from((1, 2)).flatmap(float_phi),
+                        st.sampled_from(range(1, 21)),
+                        st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+
+
 @SETTINGS
-@given(st.sampled_from((1, 2)).flatmap(rational_phi), st.sampled_from(range(1, 41)), MU)
-def test_exact_solvable_matches_fraction_reference(phi, N, mu):
+@given(st.one_of(RATIONAL_QUERY, FLOAT_QUERY))
+def test_exact_solvable_matches_fraction_reference(cell):
+    phi, N, mu = cell
     query = DirichletQuery(phi=phi, N=N, mu=mu)
     for convention in ("lattice_p_nonzero", "paper_both_nonzero"):
         assert solvable(query, convention) == reference_solvable(phi.tolist(), N, mu, convention)
@@ -161,7 +178,7 @@ def test_first_witnesses_examples_and_validation():
     assert first_witnesses(zero, [], 1) == []
     with pytest.raises(DomainError):
         first_witnesses(zero, [2], Fraction(1, 2), convention="none_such")
-    for bad in (0.5, Fraction(3, 2), 0):
+    for bad in (0.5, Fraction(3, 2), 0, True):
         with pytest.raises(InvariantError, match="mu"):
             first_witnesses(zero, [2], bad)
     for bad in (2.7, True, 0):
@@ -200,8 +217,27 @@ def test_query_validation():
         DirichletQuery(phi=phi, N=2, mu=1.5)
     with pytest.raises(InvariantError):
         DirichletQuery(phi=np.zeros((1, 2)), N=2, mu=0.5)
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(InvariantError, match="mu"):
+            DirichletQuery(phi=phi, N=2, mu=bad)
     with pytest.raises(DomainError):
         solvable(DirichletQuery(phi=phi, N=2, mu=0.5), convention="none_such")
+
+
+def test_query_reads_float_mu_exactly():
+    query = DirichletQuery(phi=np.array([[0.5]]), N=2, mu=0.7)
+    assert type(query.mu) is Fraction and query.mu == Fraction(0.7) != Fraction(7, 10)
+    assert DirichletQuery(phi=np.array([[0.5]]), N=2, mu=1).mu == Fraction(1)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_query_refuses_non_finite_phi_by_entry(bad):
+    phi = np.array([[0.25, 0.5], [bad, 1.0]])
+    with pytest.raises(InvariantError, match=r"phi\[1, 0\] must be finite"):
+        DirichletQuery(phi=phi, N=2, mu=0.5)
+    mixed = np.array([[Fraction(1, 3), 2], [float(bad), Fraction(1, 2)]], dtype=object)
+    with pytest.raises(InvariantError, match=r"phi\[1, 0\] must be finite"):
+        DirichletQuery(phi=mixed, N=2, mu=Fraction(1, 2))
 
 
 def test_query_n_accepts_integer_types_and_refuses_bools():
@@ -302,6 +338,19 @@ def test_correspondence_row_writes_phi_once_and_builds_every_basis(monkeypatch):
     floats = correspondence_row(np.array([[0.3]]), [3, 7], 0.5)
     assert floats == [correspondence_check(DirichletQuery(phi=np.array([[0.3]]), N=N, mu=0.5))
                       for N in (3, 7)]
+
+
+def test_float_row_takes_the_integral_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("float LLL reached")
+    monkeypatch.setattr(lattice, "_lll", refuse)
+    monkeypatch.setattr(lattice, "_lll_pairs", refuse)
+    phi = np.array([[0.1, 0.25], [-0.3, 0.05]])
+    cells = correspondence_row(phi, [2, 5, 13], 0.65)
+    assert all(cell["agree"] for cell in cells)
+    assert [cell["witness"] for cell in cells] == [
+        reference_solvable(phi.tolist(), N, 0.65) for N in (2, 5, 13)]
+    assert cells[2]["witness"] == ((7, 1), (1, -2))  # floats round this one away
 
 
 def test_insolubility_matches_shortest_vector_threshold():
