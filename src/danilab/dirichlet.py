@@ -17,10 +17,12 @@ enumeration order of a larger one, so each block of p vectors serves every
 scale at once, in whole integer arrays. `solvable` is its one-scale case,
 and `improvability_scan` and `correspondence_row` search once per s point.
 `correspondence_basis` writes the basis in closed form as integer columns
-over the common denominator N D and checks it with one exact determinant of
-that integer matrix. The lattice side (`lattice.in_kmu`) reduces those
-integers with the integral LLL and walks the ball on the same integers, so
-no Fraction is built between the query and the decision.
+over the common denominator N D, an upper triangular matrix, and checks
+det == 1 from that form: zeros below the diagonal and a diagonal product of
+(N D)^2n. `correspondence_row` checks phi and mu once per row. The
+lattice side (`lattice.in_kmu`) reduces those integers with the integral
+LLL and walks the ball on the same integers, so no Fraction is built
+between the query and the decision.
 """
 
 import math
@@ -86,6 +88,14 @@ class DirichletQuery:
     @property
     def n(self) -> int:
         return self.phi.shape[0]
+
+    def _at_scale(self, N) -> "DirichletQuery":
+        """This cell's phi and mu at scale N. Only N is checked: phi and mu
+        passed this query's own checks."""
+        query = object.__new__(DirichletQuery)
+        for name, value in (("phi", self.phi), ("N", _scale(N)), ("mu", self.mu)):
+            object.__setattr__(query, name, value)
+        return query
 
     @cached_property
     def integral_phi(self) -> tuple:
@@ -218,10 +228,10 @@ def correspondence_basis(query: DirichletQuery, integral_phi: tuple = None) -> L
 
     With phi = A / D the basis [[N I, N phi], [0, I / N]] is written in
     closed form as the integer columns of [[N^2 D I, N^2 A], [0, D I]] over
-    the common denominator N D. It must have det == 1: one exact
-    determinant of the integer matrix, equal to (N D)^2n, is both the
-    group-element and the unimodular-basis condition. A caller that holds
-    (A, D) for query.phi already may pass it as integral_phi."""
+    the common denominator N D. It must have det == 1, which is both the
+    group-element and the unimodular-basis condition; `_checked_triangular`
+    checks it on the integer matrix. A caller that holds (A, D) for
+    query.phi already may pass it as integral_phi."""
     n = query.n
     A, D = query.integral_phi if integral_phi is None else integral_phi
     N = query.N
@@ -229,20 +239,35 @@ def correspondence_basis(query: DirichletQuery, integral_phi: tuple = None) -> L
     cols = [(0,) * k + (N2 * D,) + (0,) * (2 * n - k - 1) for k in range(n)]
     cols += [tuple(N2 * row[k] for row in A) + (0,) * k + (D,) + (0,) * (n - k - 1)
              for k in range(n)]
-    den = N * D
-    d = _linalg.det(np.array(cols, dtype=object))  # the transpose: same det
-    if d != den ** (2 * n):
-        raise InvariantError(f"exact det = {d / den ** (2 * n)} != 1")
-    return LatticeBasis.of_checked_integral(tuple(cols), den)
+    return _checked_triangular(tuple(cols), N * D)
+
+
+def _checked_triangular(cols: tuple, den: int) -> LatticeBasis:
+    """The exact basis of the integer columns cols over den, checked to
+    det == 1 exactly: every entry below the diagonal must be 0, so that the
+    determinant is the product of the diagonal, and that product must be
+    den^m."""
+    m = len(cols)
+    if any(any(col[j + 1:]) for j, col in enumerate(cols)):
+        raise InvariantError("closed-form basis has a nonzero entry below the diagonal; "
+                             "its det is not the product of the diagonal")
+    d = math.prod(col[j] for j, col in enumerate(cols))
+    if d != den ** m:
+        raise InvariantError(f"exact det = {Fraction(d, den ** m)} != 1")
+    return LatticeBasis.of_checked_integral(cols, den)
 
 
 def correspondence_row(phi: np.ndarray, Ns, mu) -> list:
     """`correspondence_check` at every scale N in Ns for one phi and mu, in
     the order of Ns. The witnesses come from one `first_witnesses` search,
     and phi = A / D is written once for the whole row; every cell still
-    builds and tests its own basis."""
-    queries = [DirichletQuery(phi=phi, N=N, mu=mu) for N in Ns]
-    return _correspondence_cells(queries) if queries else []
+    builds and tests its own basis. phi and mu are checked once, by the
+    first scale's query."""
+    Ns = list(Ns)
+    if not Ns:
+        return []
+    head = DirichletQuery(phi=phi, N=Ns[0], mu=mu)
+    return _correspondence_cells([head] + [head._at_scale(N) for N in Ns[1:]])
 
 
 def _correspondence_cells(queries: list) -> list:

@@ -18,6 +18,12 @@ each level is tried outward from its projected center, as in
 Schnorr-Euchner). The bases of a 2 x 2 float stack (`LatticeBasis.batch`)
 are reduced all at once by a lane-masked LLL that takes the scalar LLL's
 float steps, so they carry bit for bit the reduction a query would compute.
+They share that reduction as arrays (`_PairStack`), and the box counts and
+ball tests on them skip the walk: the first query of one box or bound
+decides it for every lane of the stack in one numpy grid of coefficient
+pairs, tested with the walk's own float operations in its order, so every
+answer is the walk's. Lanes with too many candidate pairs, and lanes whose
+LLL transform outgrew exact doubles, are left to the walk.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -46,6 +52,12 @@ _MAX_LLL_STEPS = 20_000
 # the rounding in the Gram-Schmidt data, which stays near 1e-12 on flowed
 # lattices up to t = 14.
 _FLOAT_SLACK = 1e-9
+# The n = 1 query grid (`_PairStack`): a lane with more candidate coefficient
+# pairs than _GRID_CELLS takes the walk instead, and the grid runs on
+# _GRID_LANES lanes at a time, so one chunk holds at most 32,768 candidates
+# (a few MB of numpy temporaries) however wide the stack.
+_GRID_CELLS = 128
+_GRID_LANES = 256
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
 _MINKOWSKI_FLOAT_TOL = 1e-9
 _EXACT_DELTA = Fraction(99, 100)
@@ -58,10 +70,11 @@ class LatticeBasis:
     holds `int_cols`, m tuples of ints, and one common denominator `den`:
     column j is int_cols[j] / den. Its Fraction matrix `cols` is derived,
     read-only, and built on first read. A float basis from a 2 x 2 stack
-    also holds its LLL reduction, made for the whole stack at once. Bases
-    are immutable."""
+    also holds its stack's `_PairStack` and its lane in it: its LLL
+    reduction, made for the whole stack at once, and the stack-wide answers
+    of its queries. Bases are immutable."""
 
-    __slots__ = ("_cols", "int_cols", "den", "_reduction")
+    __slots__ = ("_cols", "int_cols", "den", "_stack", "_lane")
 
     def __init__(self, cols: np.ndarray):
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
@@ -107,7 +120,8 @@ class LatticeBasis:
         _SET(basis, "_cols", None)
         _SET(basis, "int_cols", int_cols)
         _SET(basis, "den", den)
-        _SET(basis, "_reduction", None)
+        _SET(basis, "_stack", None)
+        _SET(basis, "_lane", None)
         return basis
 
     @classmethod
@@ -140,21 +154,24 @@ class LatticeBasis:
     @classmethod
     def of_checked_stack(cls, cols: np.ndarray) -> tuple:
         """Frozen bases of an (M, m, m) float stack that `check_stack` has
-        passed, each a read-only view of the stack. The bases of a 2 x 2
-        stack are LLL-reduced here by one `_lll_pairs` call and keep their
-        reductions for the queries; the lowest lane that fails to reduce
-        raises with its stack index as `sample_index`. The stack's dtype
+        passed, each a read-only view of the stack. A 2 x 2 stack is
+        LLL-reduced here, all lanes at once, into one `_PairStack` that every
+        basis holds with its lane; the lowest lane that fails to reduce
+        raises with its stack index as `sample_index`. The first box count
+        or ball test of one box or bound on any of these bases decides it for
+        every lane, and the others read their answers. The stack's dtype
         decides the mode once, so no basis repeats the test."""
         if cols.flags.writeable or _linalg.is_exact(cols):
             raise InvariantError("of_checked_stack needs a checked, read-only float stack")
-        reductions = _lll_pairs(cols) if cols.shape[1:] == (2, 2) else [None] * len(cols)
+        pairs = _PairStack(cols) if cols.shape[1:] == (2, 2) else None
         bases = []
-        for view, reduction in zip(cols, reductions):
+        for lane, view in enumerate(cols):
             basis = object.__new__(cls)
             _SET(basis, "_cols", view)
             _SET(basis, "int_cols", None)
             _SET(basis, "den", None)
-            _SET(basis, "_reduction", reduction)
+            _SET(basis, "_stack", pairs)
+            _SET(basis, "_lane", lane)
             bases.append(basis)
         return tuple(bases)
 
@@ -178,6 +195,13 @@ class LatticeBasis:
         return cols
 
     @property
+    def _reduction(self):
+        """The batched LLL reduction (b, u, mu, norms) of a basis from a
+        2 x 2 stack, or None."""
+        pairs = self._stack
+        return None if pairs is None else pairs.reduction(self._lane)
+
+    @property
     def m(self) -> int:
         return self._cols.shape[0] if self.int_cols is None else len(self.int_cols)
 
@@ -189,7 +213,8 @@ class LatticeBasis:
 def _set_fields(basis: LatticeBasis, cols: np.ndarray):
     """Store read-only columns, with their integer form when they are exact."""
     _SET(basis, "_cols", cols)
-    _SET(basis, "_reduction", None)
+    _SET(basis, "_stack", None)
+    _SET(basis, "_lane", None)
     if _linalg.is_exact(cols):
         m = cols.shape[0]
         flat, den = _linalg.integral(cols.T.ravel().tolist())
@@ -285,9 +310,13 @@ def _lll(cols, delta: float = 0.99):
     return b, u, mu, norms
 
 
-def _lll_pairs(stack: np.ndarray, delta: float = 0.99) -> list:
-    """`_lll` on every basis of an (M, 2, 2) float stack at once: per lane,
-    the (b, u, mu, norms) lists `_lll` returns for it, bit for bit.
+def _lll_pair_arrays(stack: np.ndarray, delta: float = 0.99):
+    """`_lll` on every basis of an (M, 2, 2) float stack at once, as arrays:
+    (out, out_u, wide). Row i of out holds lane i's reduced columns b0, b1,
+    then mu[1][0] and norms[0], norms[1]; row i of out_u its transform
+    columns u0, u1; wide[i] marks a lane whose transform left the range
+    where doubles hold integers exactly (its out_u row is 0, and only `_lll`
+    itself gives its reduction).
 
     A stage is one pass of `_lll`'s loop. Every lane still in the loop
     recomputes both Gram-Schmidt rows from its current columns (the first
@@ -298,16 +327,15 @@ def _lll_pairs(stack: np.ndarray, delta: float = 0.99) -> list:
     np.rint rounding half to even as round does, and updates masked to the
     lanes with q != 0, so that -0.0 entries survive as `_lll` leaves them.
     The transforms are kept in floats, exact while their entries stay below
-    2^53; a lane that comes near that takes `_lll` itself. Past
-    _MAX_LLL_STEPS stages the lowest lane still in the loop raises, with its
-    index as `sample_index`.
+    2^53. Past _MAX_LLL_STEPS stages the lowest lane still in the loop
+    raises, with its index as `sample_index`.
     """
     b0, b1 = stack[:, :, 0], stack[:, :, 1]
     u0 = np.zeros_like(b0)
     u1 = np.zeros_like(b1)
     u0[:, 0] = u1[:, 1] = 1.0
     lane = np.arange(len(stack))
-    out = np.empty((len(stack), 7))  # b0, b1, mu[1][0], norms per lane
+    out = np.empty((len(stack), 7))
     out_u = np.empty((len(stack), 4))
     wide = np.zeros(len(stack), dtype=bool)
     steps = 0
@@ -338,12 +366,134 @@ def _lll_pairs(stack: np.ndarray, delta: float = 0.99) -> list:
             lane, b0, b1, u0, u1 = lane[stay], b0[stay], b1[stay], u0[stay], u1[stay]
         b0, b1, u0, u1 = b1, b0, u1, u0
     out_u[wide] = 0.0
-    lanes = [(b, u, [[0, 0], [mu, 0]], norms) for b, u, mu, norms in zip(
-        out[:, :4].reshape(-1, 2, 2).tolist(), out_u.reshape(-1, 2, 2).astype(np.int64).tolist(),
-        out[:, 4].tolist(), out[:, 5:].tolist())]
-    for i in np.flatnonzero(wide).tolist():
-        lanes[i] = _lll(_float_columns(stack[i]), delta)
-    return lanes
+    return out, out_u, wide
+
+
+def _lll_pairs(stack: np.ndarray, delta: float = 0.99) -> list:
+    """`_lll` on every basis of an (M, 2, 2) float stack at once: per lane,
+    the (b, u, mu, norms) lists `_lll` returns for it, bit for bit. They are
+    the lanes of one `_PairStack`."""
+    pairs = _PairStack(stack, delta)
+    return [pairs.reduction(i) for i in range(len(stack))]
+
+
+class _PairStack:
+    """The LLL reduction of an (M, 2, 2) float stack, made by one
+    `_lll_pair_arrays` call and kept as its arrays, with the answers of the
+    box and ball queries on its bases.
+
+    A lane's (b, u, mu, norms) lists are those `_lll` returns for it. They
+    are built from the arrays when the lane's reduction is first read; a
+    wide lane is reduced by `_lll` itself, at once.
+
+    The first `count` of a box, or `exists_shorter` of a bound, decides it
+    for every lane at once in one coefficient grid (`_grid_hits`) and keeps
+    the answers. The walk's leaves on a reduced pair are exactly the
+    coefficient pairs the grid tests (see `_grid_hits`), so the answers are
+    the walk's. A wide lane, and a lane with more than _GRID_CELLS candidate
+    pairs, gets None and is left to the walk on its own reduction, when its
+    own query runs.
+    """
+
+    __slots__ = ("out", "wide", "_u", "_lanes", "_answers")
+
+    def __init__(self, cols: np.ndarray, delta: float = 0.99):
+        self.out, out_u, self.wide = _lll_pair_arrays(cols, delta)
+        self._u = out_u.reshape(-1, 2, 2).astype(np.int64)
+        self._lanes = [None] * len(cols)
+        for i in np.flatnonzero(self.wide).tolist():
+            self._lanes[i] = _lll(_float_columns(cols[i]), delta)
+        self._answers = {}
+
+    def reduction(self, i: int) -> tuple:
+        """Lane i's (b, u, mu, norms), as `_lll` returns them."""
+        lane = self._lanes[i]
+        if lane is None:
+            b0x, b0y, b1x, b1y, mu, n0, n1 = self.out[i].tolist()
+            lane = self._lanes[i] = ([[b0x, b0y], [b1x, b1y]], self._u[i].tolist(),
+                                     [[0, 0], [mu, 0]], [n0, n1])
+        return lane
+
+    def count(self, i: int, w: list):
+        """`count_in_box` of lane i for the float halfwidths w; None when the
+        walk must decide."""
+        key = ("box", *w)
+        counts = self._answers.get(key)
+        if counts is None:
+            w0, w1 = w
+            hits = self._grid_hits(sum(x * x for x in w), ~self.wide,
+                                   lambda v0, v1: (np.abs(v0) <= w0) & (np.abs(v1) <= w1))
+            counts = self._answers[key] = [None if h < 0 else 2 * h for h in hits.tolist()]
+        return counts[i]
+
+    def exists_shorter(self, i: int, r: float):
+        """`_exists_shorter` of lane i for the float bound r; None when the
+        walk must decide."""
+        key = ("ball", r)
+        found = self._answers.get(key)
+        if found is None:
+            out = self.out
+            short = (np.abs(out[:, 0]) < r) & (np.abs(out[:, 1]) < r)
+            short |= (np.abs(out[:, 2]) < r) & (np.abs(out[:, 3]) < r)
+            short &= ~self.wide
+            hits = self._grid_hits(2 * r * r, ~short & ~self.wide,
+                                   lambda v0, v1: (np.abs(v0) < r) & (np.abs(v1) < r))
+            hits[short] = 1
+            found = self._answers[key] = [None if h < 0 else h > 0 for h in hits.tolist()]
+        return found[i]
+
+    def _grid_hits(self, r2: float, open_lanes: np.ndarray, inside) -> np.ndarray:
+        """Per lane of the mask open_lanes, the number of `_BallWalk` leaves
+        for the squared radius r2 whose vector (v0, v1) passes `inside`; -1
+        for every other lane and for a lane the grid leaves to the walk.
+
+        The walk on a reduced pair sweeps c1 = 0, 1, ... and, under each c1,
+        x outward from round(ctr), stopping each sweep at the first failure
+        of a float expression that grows monotonically along it. So its
+        leaves are exactly the pairs (c1, x) with
+          c1 >= 0 and c1^2 n1 <= limit,
+          c1^2 n1 + (x - ctr)^2 n0 <= limit,
+          x >= 1 when c1 = 0,
+        for ctr = -(0.0 + c1 mu) and limit = r2 (1 + _FLOAT_SLACK), computed
+        here with the walk's float operations in its order, and its leaf
+        vectors are (0.0 + c1 b1) + x b0. Each lane has its own block of
+        candidates: c1 <= floor(sqrt(limit / n1)) + 1 and
+        |x - round(ctr)| <= floor(sqrt(limit / n0) + 1/2) + 1, which hold
+        every leaf despite the rounding. The blocks of _GRID_LANES lanes at
+        a time are laid end to end, so a lane pays for its own block only.
+        """
+        limit = r2 * (1 + _FLOAT_SLACK)
+        out = self.out
+        rows = np.floor(np.sqrt(limit / out[:, 6])) + 2
+        half = np.floor(np.sqrt(limit / out[:, 5]) + 0.5) + 1
+        hits = np.full(len(out), -1)
+        lanes = np.flatnonzero(open_lanes & (rows * (2 * half + 1) <= _GRID_CELLS))
+        for start in range(0, lanes.size, _GRID_LANES):
+            chunk = lanes[start:start + _GRID_LANES]
+            hits[chunk] = _grid_chunk(out[chunk], rows[chunk].astype(np.int64),
+                                      half[chunk].astype(np.int64), limit, inside)
+        return hits
+
+
+def _grid_chunk(data: np.ndarray, rows: np.ndarray, half: np.ndarray, limit: float,
+                inside) -> np.ndarray:
+    """`_PairStack._grid_hits` on the lanes whose `_lll_pair_arrays` rows
+    are `data`: lane k tests c1 < rows[k] and |x - round(ctr)| <= half[k]."""
+    span = 2 * half + 1
+    size = rows * span
+    lane = np.repeat(np.arange(len(data)), size)
+    c1, off = np.divmod(np.arange(lane.size) - np.repeat(np.cumsum(size) - size, size),
+                        span[lane])
+    off -= half[lane]
+    c1 = c1.astype(float)
+    b0x, b0y, b1x, b1y, mu, n0, n1 = data[lane].T
+    above = c1 * c1 * n1
+    ctr = -(0.0 + c1 * mu)
+    x = np.rint(ctr) + off
+    d = x - ctr
+    leaf = (above <= limit) & (above + d * d * n0 <= limit) & ((c1 > 0) | (x >= 1))
+    leaf &= inside((0.0 + c1 * b1x) + x * b0x, (0.0 + c1 * b1y) + x * b0y)
+    return np.bincount(lane[leaf], minlength=len(data))
 
 
 def _round_div(a: int, b: int) -> int:
@@ -452,6 +602,8 @@ class _BallWalk:
     stops a direction at the first value outside the ball. While every
     coefficient above a level is zero, that level sweeps up from 0 only,
     which keeps one of each +-v pair. `shrink` may lower r2 between yields.
+    The squared radius is r2 / r2_den; r2_den is an int, and above 1 only in
+    the exact mode.
     More than _MAX_NODES nodes inside the ball raise DegenerateInputError.
 
     In the float mode b holds float columns and gram is (mu, norms). In the
@@ -463,7 +615,7 @@ class _BallWalk:
     floor(r2 L): the nodes of the Fraction arithmetic, decided in integers.
     """
 
-    def __init__(self, b, gram, r2, exact: bool):
+    def __init__(self, b, gram, r2, exact: bool, r2_den: int = 1):
         self.b, self.exact = b, exact
         if exact:
             self.coef, d = gram
@@ -474,11 +626,11 @@ class _BallWalk:
         else:
             self.coef, self.weight = gram
             self.unit = None
-        self.shrink(r2)
+        self.shrink(r2, r2_den)
 
-    def shrink(self, r2):
+    def shrink(self, r2, r2_den: int = 1):
         if self.exact:  # r2 is an int or a Fraction
-            self.limit = r2.numerator * self.scale // r2.denominator
+            self.limit = r2.numerator * self.scale // (r2.denominator * r2_den)
         else:
             self.limit = r2 * (1 + _FLOAT_SLACK)
 
@@ -556,8 +708,9 @@ def _prepare(basis: LatticeBasis):
     read-only; any other basis is reduced here."""
     if basis.m > MAX_DIM:
         raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
-    if basis._reduction is not None:
-        b, u, mu, norms = basis._reduction
+    reduction = basis._reduction
+    if reduction is not None:
+        b, u, mu, norms = reduction
         return b, u, (mu, norms)
     if basis.exact:
         b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA)
@@ -657,7 +810,6 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
         raise DomainError("halfwidths length must match basis dimension")
     if any(x <= 0 for x in w):
         raise DomainError("halfwidths must be positive")
-    bred, _, gram = _prepare(basis)
     exact = basis.exact
     if exact:  # the box in units of 1/den; integers x have |x| <= r iff |x| <= floor(r)
         w = [_scalar(x, True) * basis.den for x in w]
@@ -665,7 +817,12 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
         w = [math.floor(x) for x in w]
     else:
         w = [_scalar(x, False) for x in w]
+        if basis._stack is not None:
+            count = basis._stack.count(basis._lane, w)
+            if count is not None:
+                return count
         r2 = sum(x * x for x in w)
+    bred, _, gram = _prepare(basis)
     count = 0
     for _, v in _BallWalk(bred, gram, r2, exact):
         if all(abs(x) <= wx for x, wx in zip(v, w)):
@@ -674,22 +831,26 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
 
 
 def _exists_shorter(basis: LatticeBasis, bound) -> bool:
-    """Is there a nonzero lattice vector with ||v||_inf strictly below bound?"""
-    if bound <= 0:
-        return False
-    bred, _, gram = _prepare(basis)
+    """Is there a nonzero lattice vector with ||v||_inf strictly below bound?
+    The callers have checked bound > 0. On a basis of a 2 x 2 stack a bound
+    that is a float (or equals one) is decided for the whole stack at once."""
     exact = basis.exact
     if exact:  # bound * den = p / q; integers x have |x| < p / q iff |x| < ceil(p / q)
         bound = _scalar(bound, True)
         p, q = bound.numerator * basis.den, bound.denominator
         bound = -(-p // q)
-        r2 = Fraction(basis.m * p * p, q * q)
+        r2, r2_den = basis.m * p * p, q * q
     else:
         r = _scalar(bound, False)
-        r2 = basis.m * r * r
+        if basis._stack is not None and r == bound:
+            found = basis._stack.exists_shorter(basis._lane, r)
+            if found is not None:
+                return found
+        r2, r2_den = basis.m * r * r, 1
+    bred, _, gram = _prepare(basis)
     if any(_sup(col) < bound for col in bred):
         return True
-    return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2, exact))
+    return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2, exact, r2_den))
 
 
 def in_kmu(basis: LatticeBasis, mu) -> bool:

@@ -8,9 +8,10 @@ all of them: per flow time it builds the M sample lattices as one checked
 stack (`orbit_points`), evaluates the observable on each basis, and takes
 the mean and standard error of the index-ordered values. At n = 1 the stack
 is LLL-reduced once, all samples together, and the lattice queries read
-each basis's reduction. Per-sample values are pure functions of (seed,
-index), so a failing sample is named by (seed, index, s) and can be rerun
-alone.
+stack-wide answers: the first box count or ball test of a flow time decides
+it for every sample at once, and each sample's query reads its own answer.
+Per-sample values are pure functions of (seed, index), so a failing sample
+is named by (seed, index, s) and can be rerun alone.
 """
 
 import math
@@ -128,10 +129,12 @@ def _orbit_stats(curve: MatrixPolyCurve, t: float, sampler: Sampler, evaluate,
 
     The sample bases are made from the one checked stack
     (`LatticeBasis.of_checked_stack`; at n = 1 that also LLL-reduces them
-    all at once, so the queries only enumerate). Each basis is handed to the
-    observable through `orbit_point`, and the observables call the lattice
-    queries by their names here, so span tracing of those names still sees
-    one call per sample.
+    all at once, and the first box count or ball test on one of them
+    decides it for the whole stack, so the later samples' queries only read
+    their answers). Each basis is handed to the observable through
+    `orbit_point`, and the observables call the lattice queries by their
+    names here, so span tracing of those names still sees one call per
+    sample.
     """
     points = sampler.points(curve.interval)
     with _naming_sample(sampler, points):

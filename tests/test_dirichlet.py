@@ -345,6 +345,7 @@ def test_float_row_takes_the_integral_path(monkeypatch):
         raise AssertionError("float LLL reached")
     monkeypatch.setattr(lattice, "_lll", refuse)
     monkeypatch.setattr(lattice, "_lll_pairs", refuse)
+    monkeypatch.setattr(lattice, "_lll_pair_arrays", refuse)
     phi = np.array([[0.1, 0.25], [-0.3, 0.05]])
     cells = correspondence_row(phi, [2, 5, 13], 0.65)
     assert all(cell["agree"] for cell in cells)
@@ -384,17 +385,24 @@ def test_exact_correspondence_basis_equals_group_product(n):
                    for x, y in zip(basis.cols.ravel(), ref.ravel()))
 
 
-def test_exact_correspondence_basis_runs_one_det_check(monkeypatch):
-    query = DirichletQuery(phi=np.array([[Fraction(1, 2)]], dtype=object), N=4,
-                           mu=Fraction(1, 2))
-    seen = []
-    exact_det = _linalg.det
-    monkeypatch.setattr(_linalg, "det", lambda a: seen.append(a) or exact_det(a))
-    correspondence_basis(query)
-    assert len(seen) == 1
-    monkeypatch.setattr(_linalg, "det", lambda a: Fraction(-1))
-    with pytest.raises(InvariantError, match="det"):
-        correspondence_basis(query)
+def test_exact_correspondence_basis_checks_det_from_its_closed_form(monkeypatch):
+    def refuse(a):
+        raise AssertionError("the closed-form basis ran a general determinant")
+
+    monkeypatch.setattr(_linalg, "det", refuse)
+    phi = np.array([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]], dtype=object)
+    basis = correspondence_basis(DirichletQuery(phi=phi, N=4, mu=Fraction(1, 2)))
+    cols, den = basis.int_cols, basis.den
+    assert dirichlet._checked_triangular(cols, den).int_cols == cols
+    # (column, row, value): below the diagonal in the lower-left block, in
+    # the top-left and in the bottom-right block; then a diagonal entry
+    # doubled and negated, which keeps the matrix triangular
+    for j, i, value in ((0, 2, 1), (0, 1, 1), (2, 3, -1), (3, 3, 2 * cols[3][3]),
+                        (3, 3, -cols[3][3])):
+        bad = [list(col) for col in cols]
+        bad[j][i] = value
+        with pytest.raises(InvariantError, match="det"):
+            dirichlet._checked_triangular(tuple(map(tuple, bad)), den)
 
 
 def test_scan_smoke_and_fraction_monotone():

@@ -511,3 +511,78 @@ def test_batched_lll_falls_back_to_scalar_lll_for_wide_transforms(monkeypatch):
     (b, u, _, _), _ = lattice._lll_pairs(np.array([lane, np.eye(2)]))
     assert seen == [lattice._float_columns(np.array(lane))]
     assert u[1][0] == -2 ** 60 and all(type(x) is int for col in u for x in col)
+
+
+# Hand lanes for the n = 1 query grid: a column exactly on the face of the
+# box (0.9, 0.9), a column exactly on the sphere of sup-norm 0.7, a lane with
+# more candidate pairs than the grid takes, and a lane whose transform is
+# too wide for the batched LLL; the last two are left to the walk. Then a
+# vector on the corner of the box (0.9, 0.6), whose float length exceeds
+# the squared radius 0.9^2 + 0.6^2 so that only the slack keeps it, and a
+# reduced pair with mu = 1/2 exactly: under c1 = 1 its center
+# -1/2 is a tie, and in the box (3.9, 1.3) its leaf x = -4 lies one step past
+# the naive window |x - round(ctr)| <= floor(sqrt(limit / n0)) = 3.
+BOX_FACE_LANE = [[0.9, 0.0], [0.0, 1 / 0.9]]
+MU_SPHERE_LANE = [[0.7, 0.0], [0.0, 1 / 0.7]]
+PAST_GRID_LANE = [[0.01, 0.0], [0.0, 100.0]]
+WIDE_LANE = [[1.0, 2.0 ** 60], [0.0, 1.0]]  # Z^2, with a size-reduction quotient 2^60
+BOX_CORNER_LANE = [[0.9, 0.0], [0.6, 1 / 0.9]]
+HALF_MU_LANE = [[1 / math.sqrt(0.9), 0.5 / math.sqrt(0.9)], [0.0, math.sqrt(0.9)]]
+HAND_LANES = ([BOX_FACE_LANE, MU_SPHERE_LANE, PAST_GRID_LANE, WIDE_LANE, BOX_CORNER_LANE,
+               HALF_MU_LANE] + SIGNED_ZERO_LANES + TIE_LANES)
+GRID_BOXES = ((0.9, 0.9), (0.3, 2.5), (2.0, 2.0), (3.9, 1.3), (0.9, 0.6))
+GRID_BOUNDS = (0.05, 0.5, 0.7)
+
+
+def grouped_and_unbatched_answers(stack, boxes=GRID_BOXES, bounds=GRID_BOUNDS):
+    """Per lane: the box counts, K_mu tests and Mahler-compact tests on the
+    stack's bases (decided for the whole stack at once), and the same on an
+    unbatched basis of the lane's columns."""
+    grouped = LatticeBasis.batch(np.array(stack, dtype=float))
+    unbatched = [LatticeBasis(np.array(cols, dtype=float)) for cols in stack]
+
+    def answers(basis):
+        return ([count_in_box(basis, box) for box in boxes]
+                + [in_kmu(basis, mu) for mu in bounds]
+                + [in_mahler_compact(basis, eps) for eps in bounds])
+
+    return [answers(b) for b in grouped], [answers(b) for b in unbatched], grouped
+
+
+def assert_grouped_queries_match_unbatched(stack, boxes=GRID_BOXES, bounds=GRID_BOUNDS):
+    got, want, _ = grouped_and_unbatched_answers(stack, boxes, bounds)
+    assert [[(type(x), x) for x in row] for row in got] == [
+        [(type(x), x) for x in row] for row in want]
+
+
+@SETTINGS
+@given(orbit_stacks(), st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+       st.floats(0.01, 0.99))
+def test_grouped_queries_match_unbatched_on_orbit_stacks(stack, box, mu):
+    lanes = np.concatenate([stack, np.array(HAND_LANES)])
+    assert_grouped_queries_match_unbatched(lanes, GRID_BOXES + (box,), GRID_BOUNDS + (mu,))
+
+
+@SETTINGS
+@given(unimodular_float_pairs(), st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+       st.floats(0.01, 0.99))
+def test_grouped_queries_match_unbatched_on_random_pairs(stack, box, mu):
+    lanes = np.concatenate([stack, np.array(HAND_LANES)])
+    assert_grouped_queries_match_unbatched(lanes, GRID_BOXES + (box,), GRID_BOUNDS + (mu,))
+
+
+def test_grouped_queries_on_hand_lanes():
+    got, want, grouped = grouped_and_unbatched_answers(HAND_LANES)
+    assert got == want
+    face, sphere, past, wide, corner, half_mu = range(6)
+    assert got[face][0] == 2  # +-(0.9, 0) on the face of the box (0.9, 0.9)
+    assert got[sphere][len(GRID_BOXES) + GRID_BOUNDS.index(0.7)] is True  # not below 0.7
+    assert got[corner][GRID_BOXES.index((0.9, 0.6))] == 4  # +-(0.9, 0) and +-(0.9, 0.6)
+    half_mu_lanes = grouped[half_mu]._stack.reduction(half_mu)
+    assert half_mu_lanes[2][1][0] == 0.5
+    # the grid answered every lane but these two box counts, which the walk decided
+    answers = grouped[0]._stack._answers
+    assert {key: [i for i, x in enumerate(lane) if x is None]
+            for key, lane in answers.items()} == {
+        **{("box", *box): [past, wide] for box in GRID_BOXES},
+        **{("ball", r): [wide] for r in GRID_BOUNDS}}

@@ -7,6 +7,7 @@ one-sample error, named by (seed, index, s). At n = 1 the queries read the
 reduction made once for the whole stack; everywhere else they reduce.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
-                     correspondence_basis, count_in_box, in_kmu, kmu_indicator, lambda1,
-                     nondivergence_profile, orbit_point, orbit_points, reduce,
+                     correspondence_basis, count_in_box, in_kmu, kmu_fraction, kmu_indicator,
+                     lambda1, nondivergence_profile, orbit_point, orbit_points, reduce,
                      siegel_average, siegel_count, w_invariance_gap)
 from danilab import lattice, stats
 from danilab.errors import (DomainError, InternalIdentityError, InvariantError,
@@ -199,6 +200,42 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
     # one det check per stack: the six plain runs, the w-invariance stack and
     # its translates, and the two nondivergence flow times
     assert checked == [40] * 10
+
+
+def test_n1_box_and_ball_queries_take_the_stack_grid(monkeypatch):
+    sampler = Sampler(seed=3, count=40)
+
+    def estimates():
+        return [siegel_average(LINE, 5.0, (0.9, 0.9), sampler),
+                siegel_average(LINE, 5.0, (0.9, 0.9), sampler, normalize=True),
+                kmu_fraction(LINE, 5.0, 0.7, sampler),
+                kmu_fraction(LINE, 5.0, 0.7, sampler, normalize=True),
+                nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler)]
+
+    want = estimates()
+
+    def refuse(*args):
+        raise AssertionError("an n = 1 box or ball query ran the ball walk")
+
+    monkeypatch.setattr(lattice, "_BallWalk", refuse)
+    assert estimates() == want
+
+
+def test_n1_stack_grid_memory_is_bounded():
+    # 10^4 lanes at t = 8: one grid over the whole stack peaks near 28 MB;
+    # in chunks of _GRID_LANES lanes, each lane with its own coefficient
+    # block, the run stays near 5 MB.
+    points = Sampler(seed=3, count=10_000).points(LINE.interval)
+    tracemalloc.start()
+    try:
+        bases = LatticeBasis.of_checked_stack(orbit_points(LINE, points, 8.0))
+        for basis in bases:
+            count_in_box(basis, (0.9, 0.9))
+            in_kmu(basis, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
 
 
 def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
