@@ -118,22 +118,38 @@ def inv(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.linalg.inv(a)
 
 
+def _rref(rows: list, ncols: int) -> list:
+    """Gauss-Jordan elimination of the Fraction rows (lists, replaced in
+    place) on their first ncols columns: each pivot row is scaled to a
+    leading 1 and its column cleared in every other row. Returns the pivot
+    columns."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot = rows[r][col]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                factor = row[col]
+                rows[i] = [x - factor * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def _inv_exact(a: np.ndarray) -> np.ndarray:
+    """The right block of RREF([a | I]); a is singular unless its first m
+    columns are all pivots."""
     m = a.shape[0]
     rows = [[Fraction(a[i, j]) for j in range(m)] + [Fraction(int(i == j)) for j in range(m)]
             for i in range(m)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("exact matrix is singular", det=Fraction(0))
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col][col]
-        rows[col] = [x / pivot for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    if len(_rref(rows, m)) < m:
+        raise SingularMatrixError("exact matrix is singular", det=Fraction(0))
     out = np.empty((m, m), dtype=object)
     for i in range(m):
         for j in range(m):
@@ -172,23 +188,7 @@ def nullspace(a: np.ndarray, tol: float = 1e-9):
 def _nullspace_exact(a: np.ndarray):
     nrows, ncols = a.shape
     rows = [[Fraction(a[i, j]) for j in range(ncols)] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [x / pivot for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
+    pivots = _rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

@@ -188,7 +188,7 @@ class CentralizerElement:
         if isinstance(prod, Fraction):
             if prod != 1:
                 raise InvariantError(f"det(B) det(C) = {prod} != 1")
-        elif abs(prod - 1.0) > self.det_tol:
+        elif not abs(prod - 1.0) <= self.det_tol:
             raise InvariantError(f"det(B) det(C) = {prod!r} deviates from 1 beyond {self.det_tol}")
 
     @property

@@ -41,7 +41,7 @@ class GroupElement:
         if isinstance(d, Fraction):
             if d != 1:
                 raise InvariantError(f"exact det = {d} != 1")
-        elif abs(d - 1.0) > GROUP_DET_TOL:
+        elif not abs(d - 1.0) <= GROUP_DET_TOL:
             raise _det_error(d)
         self.entries.flags.writeable = False
 
@@ -184,7 +184,8 @@ def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = 
     out[:, :n, n:] = top[:, None, None] * phi + 0.0
     with np.errstate(invalid="ignore"):  # rows of samples that failed to normalize are nan
         g_det = np.linalg.det(out)
-    failures.append((np.abs(g_det - 1.0) > GROUP_DET_TOL, lambda i: _det_error(float(g_det[i]))))
+    failures.append((~(np.abs(g_det - 1.0) <= GROUP_DET_TOL),
+                     lambda i: _det_error(float(g_det[i]))))
     firsts = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(failures) if bad.any()]
     if firsts:
         i, k = min(firsts)
@@ -252,7 +253,7 @@ def sl2_image(copy: Sl2Copy, mat) -> GroupElement:
     if isinstance(d, Fraction):
         if d != 1:
             raise DomainError(f"det = {d} != 1")
-    elif abs(float(d) - 1.0) > 1e-10:
+    elif not abs(float(d) - 1.0) <= 1e-10:
         raise DomainError(f"det = {d!r} deviates from 1 beyond 1e-10")
     n = copy.n
     ident = _linalg.eye(n, exact=exact)

@@ -11,19 +11,19 @@ computed once and updated exactly on a swap, and the enumerator and the box
 tests run on the same integer lattice, den times the original, with every
 bound scaled by den once.
 
-Every query LLL-reduces the basis once, unless the basis carries its batched
-reduction, and hands the reduced basis with its Gram-Schmidt data to one
-depth-first enumerator of the Euclidean ball ||v||_2 <= R (Fincke-Pohst;
-each level is tried outward from its projected center, as in
-Schnorr-Euchner). The bases of a 2 x 2 float stack (`LatticeBasis.batch`)
-are reduced all at once by a lane-masked LLL that takes the scalar LLL's
-float steps, so they carry bit for bit the reduction a query would compute.
-They share that reduction as arrays (`_PairStack`), and the box counts and
-ball tests on them skip the walk: the first query of one box or bound
-decides it for every lane of the stack in one numpy grid of coefficient
-pairs, tested with the walk's own float operations in its order, so every
-answer is the walk's. Lanes with too many candidate pairs, and lanes whose
-LLL transform outgrew exact doubles, are left to the walk.
+A query that walks LLL-reduces the basis once and hands the reduced basis
+with its Gram-Schmidt data to one depth-first enumerator of the Euclidean
+ball ||v||_2 <= R (Fincke-Pohst; each level is tried outward from its
+projected center, as in Schnorr-Euchner). The bases of a 2 x 2 float stack
+(`LatticeBasis.batch`) are reduced all at once by a lane-masked LLL that
+takes the scalar LLL's float steps, and the stack keeps only the arrays of
+reduced pairs it returns (`_PairStack`). Box counts and ball tests on these
+bases skip the walk: the first query of one box or bound decides it for
+every lane of the stack in one numpy grid of coefficient pairs, tested with
+the walk's own float operations in its order on the reduced pairs the walk
+would get, so every answer is the walk's. A lane with too many candidate
+pairs, and every other query (`shortest_supnorm`), walks as an unbatched
+basis does, reducing its own lane.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -55,7 +55,7 @@ _FLOAT_SLACK = 1e-9
 # The n = 1 query grid (`_PairStack`): a lane with more candidate coefficient
 # pairs than _GRID_CELLS takes the walk instead, and the grid runs on
 # _GRID_LANES lanes at a time, so one chunk holds at most 32,768 candidates
-# (a few MB of numpy temporaries) however wide the stack.
+# (a few MB of numpy temporaries) however many lanes the stack has.
 _GRID_CELLS = 128
 _GRID_LANES = 256
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
@@ -70,9 +70,9 @@ class LatticeBasis:
     holds `int_cols`, m tuples of ints, and one common denominator `den`:
     column j is int_cols[j] / den. Its Fraction matrix `cols` is derived,
     read-only, and built on first read. A float basis from a 2 x 2 stack
-    also holds its stack's `_PairStack` and its lane in it: its LLL
-    reduction, made for the whole stack at once, and the stack-wide answers
-    of its queries. Bases are immutable."""
+    also holds its stack's `_PairStack` and its lane in it: the reduced
+    pairs of the whole stack, as arrays, and the answers of its box and
+    ball queries for the whole stack. Bases are immutable."""
 
     __slots__ = ("_cols", "int_cols", "den", "_stack", "_lane")
 
@@ -83,7 +83,7 @@ class LatticeBasis:
         if isinstance(d, Fraction):
             if abs(d) != 1:
                 raise InvariantError(f"exact |det| = {abs(d)} != 1")
-        elif abs(abs(d) - 1.0) > UNIMODULAR_TOL:
+        elif not abs(abs(d) - 1.0) <= UNIMODULAR_TOL:
             raise _det_error(d)
         cols.flags.writeable = False
         _set_fields(self, cols)
@@ -131,7 +131,7 @@ class LatticeBasis:
         read-only. The first failing basis raises the InvariantError its own
         constructor would, with its stack index as `sample_index`."""
         d = np.linalg.det(cols)
-        bad = np.abs(np.abs(d) - 1.0) > UNIMODULAR_TOL
+        bad = ~(np.abs(np.abs(d) - 1.0) <= UNIMODULAR_TOL)
         if bad.any():
             i = int(np.argmax(bad))
             exc = _det_error(float(d[i]))
@@ -155,11 +155,12 @@ class LatticeBasis:
     def of_checked_stack(cls, cols: np.ndarray) -> tuple:
         """Frozen bases of an (M, m, m) float stack that `check_stack` has
         passed, each a read-only view of the stack. A 2 x 2 stack is
-        LLL-reduced here, all lanes at once, into one `_PairStack` that every
-        basis holds with its lane; the lowest lane that fails to reduce
-        raises with its stack index as `sample_index`. The first box count
-        or ball test of one box or bound on any of these bases decides it for
-        every lane, and the others read their answers. The stack's dtype
+        LLL-reduced here, all lanes at once, into one `_PairStack` of arrays
+        that every basis holds with its lane; the lowest lane that fails to
+        reduce raises with its stack index as `sample_index`. The first box
+        count or ball test of one box or bound on any of these bases decides
+        it for every lane, and the others read their answers; a query the
+        grid leaves to the walk reduces its own lane. The stack's dtype
         decides the mode once, so no basis repeats the test."""
         if cols.flags.writeable or _linalg.is_exact(cols):
             raise InvariantError("of_checked_stack needs a checked, read-only float stack")
@@ -193,13 +194,6 @@ class LatticeBasis:
             cols.flags.writeable = False
             _SET(self, "_cols", cols)
         return cols
-
-    @property
-    def _reduction(self):
-        """The batched LLL reduction (b, u, mu, norms) of a basis from a
-        2 x 2 stack, or None."""
-        pairs = self._stack
-        return None if pairs is None else pairs.reduction(self._lane)
 
     @property
     def m(self) -> int:
@@ -310,13 +304,10 @@ def _lll(cols, delta: float = 0.99):
     return b, u, mu, norms
 
 
-def _lll_pair_arrays(stack: np.ndarray, delta: float = 0.99):
-    """`_lll` on every basis of an (M, 2, 2) float stack at once, as arrays:
-    (out, out_u, wide). Row i of out holds lane i's reduced columns b0, b1,
-    then mu[1][0] and norms[0], norms[1]; row i of out_u its transform
-    columns u0, u1; wide[i] marks a lane whose transform left the range
-    where doubles hold integers exactly (its out_u row is 0, and only `_lll`
-    itself gives its reduction).
+def _lll_pair_arrays(stack: np.ndarray, delta: float = 0.99) -> np.ndarray:
+    """`_lll` on every basis of an (M, 2, 2) float stack at once, as one
+    (M, 7) array: row i holds lane i's reduced columns b0, b1, then
+    mu[1][0] and norms[0], norms[1], bit for bit as `_lll` returns them.
 
     A stage is one pass of `_lll`'s loop. Every lane still in the loop
     recomputes both Gram-Schmidt rows from its current columns (the first
@@ -326,18 +317,12 @@ def _lll_pair_arrays(stack: np.ndarray, delta: float = 0.99):
     operations are `_lll`'s, in its order: dot products summed from 0,
     np.rint rounding half to even as round does, and updates masked to the
     lanes with q != 0, so that -0.0 entries survive as `_lll` leaves them.
-    The transforms are kept in floats, exact while their entries stay below
-    2^53. Past _MAX_LLL_STEPS stages the lowest lane still in the loop
-    raises, with its index as `sample_index`.
+    Past _MAX_LLL_STEPS stages the lowest lane still in the loop raises,
+    with its index as `sample_index`.
     """
     b0, b1 = stack[:, :, 0], stack[:, :, 1]
-    u0 = np.zeros_like(b0)
-    u1 = np.zeros_like(b1)
-    u0[:, 0] = u1[:, 1] = 1.0
     lane = np.arange(len(stack))
     out = np.empty((len(stack), 7))
-    out_u = np.empty((len(stack), 4))
-    wide = np.zeros(len(stack), dtype=bool)
     steps = 0
     while lane.size:
         steps += 1
@@ -352,67 +337,36 @@ def _lll_pair_arrays(stack: np.ndarray, delta: float = 0.99):
         q = np.rint(mu)
         move = q != 0
         if move.any():
-            wide[lane] |= np.abs(q) * np.abs(u0).max(1) + np.abs(u1).max(1) >= 2.0 ** 52
-            qs, rows = q[:, None], move[:, None]
-            b1 = np.where(rows, b1 - qs * b0, b1)
-            u1 = np.where(rows, u1 - qs * u0, u1)
+            b1 = np.where(move[:, None], b1 - q[:, None] * b0, b1)
             mu = np.where(move, mu - q, mu)
         done = n1 >= (delta - mu * mu) * n0
         if done.any():
-            ends = lane[done]
-            out[ends] = np.column_stack((b0[done], b1[done], mu[done], n0[done], n1[done]))
-            out_u[ends] = np.hstack((u0[done], u1[done]))
+            out[lane[done]] = np.column_stack((b0[done], b1[done], mu[done], n0[done], n1[done]))
             stay = ~done
-            lane, b0, b1, u0, u1 = lane[stay], b0[stay], b1[stay], u0[stay], u1[stay]
-        b0, b1, u0, u1 = b1, b0, u1, u0
-    out_u[wide] = 0.0
-    return out, out_u, wide
-
-
-def _lll_pairs(stack: np.ndarray, delta: float = 0.99) -> list:
-    """`_lll` on every basis of an (M, 2, 2) float stack at once: per lane,
-    the (b, u, mu, norms) lists `_lll` returns for it, bit for bit. They are
-    the lanes of one `_PairStack`."""
-    pairs = _PairStack(stack, delta)
-    return [pairs.reduction(i) for i in range(len(stack))]
+            lane, b0, b1 = lane[stay], b0[stay], b1[stay]
+        b0, b1 = b1, b0
+    return out
 
 
 class _PairStack:
-    """The LLL reduction of an (M, 2, 2) float stack, made by one
-    `_lll_pair_arrays` call and kept as its arrays, with the answers of the
-    box and ball queries on its bases.
-
-    A lane's (b, u, mu, norms) lists are those `_lll` returns for it. They
-    are built from the arrays when the lane's reduction is first read; a
-    wide lane is reduced by `_lll` itself, at once.
+    """The reduced pairs of an (M, 2, 2) float stack, the one
+    `_lll_pair_arrays` array `out`, with the answers of the box and ball
+    queries on its bases.
 
     The first `count` of a box, or `exists_shorter` of a bound, decides it
     for every lane at once in one coefficient grid (`_grid_hits`) and keeps
     the answers. The walk's leaves on a reduced pair are exactly the
     coefficient pairs the grid tests (see `_grid_hits`), so the answers are
-    the walk's. A wide lane, and a lane with more than _GRID_CELLS candidate
-    pairs, gets None and is left to the walk on its own reduction, when its
-    own query runs.
+    the walk's. A lane with more than _GRID_CELLS candidate pairs gets None
+    and is left to the walk, which reduces that lane itself when its own
+    query runs.
     """
 
-    __slots__ = ("out", "wide", "_u", "_lanes", "_answers")
+    __slots__ = ("out", "_answers")
 
     def __init__(self, cols: np.ndarray, delta: float = 0.99):
-        self.out, out_u, self.wide = _lll_pair_arrays(cols, delta)
-        self._u = out_u.reshape(-1, 2, 2).astype(np.int64)
-        self._lanes = [None] * len(cols)
-        for i in np.flatnonzero(self.wide).tolist():
-            self._lanes[i] = _lll(_float_columns(cols[i]), delta)
+        self.out = _lll_pair_arrays(cols, delta)
         self._answers = {}
-
-    def reduction(self, i: int) -> tuple:
-        """Lane i's (b, u, mu, norms), as `_lll` returns them."""
-        lane = self._lanes[i]
-        if lane is None:
-            b0x, b0y, b1x, b1y, mu, n0, n1 = self.out[i].tolist()
-            lane = self._lanes[i] = ([[b0x, b0y], [b1x, b1y]], self._u[i].tolist(),
-                                     [[0, 0], [mu, 0]], [n0, n1])
-        return lane
 
     def count(self, i: int, w: list):
         """`count_in_box` of lane i for the float halfwidths w; None when the
@@ -421,7 +375,7 @@ class _PairStack:
         counts = self._answers.get(key)
         if counts is None:
             w0, w1 = w
-            hits = self._grid_hits(sum(x * x for x in w), ~self.wide,
+            hits = self._grid_hits(sum(x * x for x in w),
                                    lambda v0, v1: (np.abs(v0) <= w0) & (np.abs(v1) <= w1))
             counts = self._answers[key] = [None if h < 0 else 2 * h for h in hits.tolist()]
         return counts[i]
@@ -435,17 +389,19 @@ class _PairStack:
             out = self.out
             short = (np.abs(out[:, 0]) < r) & (np.abs(out[:, 1]) < r)
             short |= (np.abs(out[:, 2]) < r) & (np.abs(out[:, 3]) < r)
-            short &= ~self.wide
-            hits = self._grid_hits(2 * r * r, ~short & ~self.wide,
-                                   lambda v0, v1: (np.abs(v0) < r) & (np.abs(v1) < r))
+            hits = self._grid_hits(2 * r * r,
+                                   lambda v0, v1: (np.abs(v0) < r) & (np.abs(v1) < r), ~short)
             hits[short] = 1
             found = self._answers[key] = [None if h < 0 else h > 0 for h in hits.tolist()]
         return found[i]
 
-    def _grid_hits(self, r2: float, open_lanes: np.ndarray, inside) -> np.ndarray:
-        """Per lane of the mask open_lanes, the number of `_BallWalk` leaves
-        for the squared radius r2 whose vector (v0, v1) passes `inside`; -1
-        for every other lane and for a lane the grid leaves to the walk.
+    def _grid_hits(self, r2: float, inside, open_lanes=True) -> np.ndarray:
+        """Per lane of the mask open_lanes (every lane by default), the
+        number of `_BallWalk` leaves for the squared radius r2 whose vector
+        (v0, v1) passes `inside`; -1 for every other lane and for a lane the
+        grid leaves to the walk. The grid reads only the reduced pairs
+        `out`, which are the columns and Gram-Schmidt data `_lll` would hand
+        the walk.
 
         The walk on a reduced pair sweeps c1 = 0, 1, ... and, under each c1,
         x outward from round(ctr), stopping each sweep at the first failure
@@ -704,14 +660,10 @@ def _prepare(basis: LatticeBasis):
     """(reduced columns, transform columns, Gram data) of the basis's LLL
     reduction: float columns with (mu, norms), or in the exact mode integer
     columns (the lattice times basis.den) with their integral data (lam, d).
-    A basis that carries its batched reduction hands it over, shared and
-    read-only; any other basis is reduced here."""
+    Every basis is reduced here, a basis of a 2 x 2 stack too: its stack
+    keeps only the arrays its grid reads."""
     if basis.m > MAX_DIM:
         raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
-    reduction = basis._reduction
-    if reduction is not None:
-        b, u, mu, norms = reduction
-        return b, u, (mu, norms)
     if basis.exact:
         b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA)
         return b, u, (lam, d)
@@ -808,7 +760,7 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
     w = list(halfwidths)
     if len(w) != basis.m:
         raise DomainError("halfwidths length must match basis dimension")
-    if any(x <= 0 for x in w):
+    if any(not x > 0 for x in w):
         raise DomainError("halfwidths must be positive")
     exact = basis.exact
     if exact:  # the box in units of 1/den; integers x have |x| <= r iff |x| <= floor(r)
@@ -863,6 +815,6 @@ def in_kmu(basis: LatticeBasis, mu) -> bool:
 
 def in_mahler_compact(basis: LatticeBasis, eps) -> bool:
     """True iff the shortest nonzero vector has sup-norm >= eps (eps > 0)."""
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     return not _exists_shorter(basis, eps)

@@ -386,15 +386,7 @@ def obstruction_subspace(rep: Representation, curve: MatrixPolyCurve, samples,
         img = rep_image(rep, u_embed(curve.eval(s) if exact
                                      else _linalg.to_float(curve.eval(s))))
         blocks.append(img[list(decomp.plus_idx), :])
-    if exact:
-        stacked = np.empty((len(blocks) * len(decomp.plus_idx), rep.dim), dtype=object)
-        row = 0
-        for blk in blocks:
-            for i in range(blk.shape[0]):
-                stacked[row, :] = blk[i, :]
-                row += 1
-    else:
-        stacked = np.vstack([_linalg.to_float(b) for b in blocks])
+    stacked = np.vstack(blocks if exact else [_linalg.to_float(b) for b in blocks])
     dim_null, basis = _linalg.nullspace(stacked, tol=tol)
     assert dim_null == len(basis)
     return basis

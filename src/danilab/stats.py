@@ -7,9 +7,11 @@ membership / shortest-vector observable, and aggregates. One kernel serves
 all of them: per flow time it builds the M sample lattices as one checked
 stack (`orbit_points`), evaluates the observable on each basis, and takes
 the mean and standard error of the index-ordered values. At n = 1 the stack
-is LLL-reduced once, all samples together, and the lattice queries read
-stack-wide answers: the first box count or ball test of a flow time decides
-it for every sample at once, and each sample's query reads its own answer.
+is LLL-reduced once, all samples together, into arrays of reduced pairs, and
+the box counts and ball tests read answers made for the whole stack: the
+first one of a flow time decides it for every sample at once, and each
+sample's query reads its own answer. The shortest-vector observable (and a
+sample the grid leaves to the walk) reduces its own basis, as at n > 1.
 Per-sample values are pure functions of (seed, index), so a failing sample
 is named by (seed, index, s) and can be rerun alone.
 """
@@ -129,9 +131,9 @@ def _orbit_stats(curve: MatrixPolyCurve, t: float, sampler: Sampler, evaluate,
 
     The sample bases are made from the one checked stack
     (`LatticeBasis.of_checked_stack`; at n = 1 that also LLL-reduces them
-    all at once, and the first box count or ball test on one of them
-    decides it for the whole stack, so the later samples' queries only read
-    their answers). Each basis is handed to the observable through
+    all at once into arrays, and the first box count or ball test on one of
+    them decides it for the whole stack, so the later samples' queries only
+    read their answers). Each basis is handed to the observable through
     `orbit_point`, and the observables call the lattice queries by their
     names here, so span tracing of those names still sees one call per
     sample.
@@ -173,7 +175,7 @@ def kmu_fraction(curve: MatrixPolyCurve, t: float, mu: float, sampler: Sampler,
 def nondivergence_profile(curve: MatrixPolyCurve, t_list, eps: float, sampler: Sampler):
     """Per flow time, the fraction of samples whose lattice has a nonzero
     vector of sup-norm below eps (the mass outside the Mahler compact)."""
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
     records = []
     for t in t_list:

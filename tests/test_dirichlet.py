@@ -344,7 +344,6 @@ def test_float_row_takes_the_integral_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("float LLL reached")
     monkeypatch.setattr(lattice, "_lll", refuse)
-    monkeypatch.setattr(lattice, "_lll_pairs", refuse)
     monkeypatch.setattr(lattice, "_lll_pair_arrays", refuse)
     phi = np.array([[0.1, 0.25], [-0.3, 0.05]])
     cells = correspondence_row(phi, [2, 5, 13], 0.65)

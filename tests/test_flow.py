@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from danilab import (CentralizerElement, GroupElement, LatticeBasis,
-                     MatrixPolyCurve, a_diag, a_scale, conj_by_E, dani_vector,
-                     orbit_point, sl2_copy, sl2_image, u_embed, z_embed)
+                     MatrixPolyCurve, Sampler, a_diag, a_scale, conj_by_E, count_in_box,
+                     dani_vector, in_mahler_compact, lambda1, nondivergence_profile,
+                     orbit_point, sl2_copy, sl2_image, u_embed, w_invariance_gap, z_embed)
 from danilab.errors import DomainError, InvariantError
 
 
@@ -225,3 +226,39 @@ def test_conj_by_E_matches_block_formula():
             pinv = np.linalg.inv(phi)
             want = -pinv @ (z.B @ D @ np.linalg.inv(z.C)) @ pinv
             assert np.max(np.abs(got - want)) < 1e-9
+
+
+NAN_LINE = MatrixPolyCurve.from_coeffs([[[0.25]], [[1.125]]], (1.0, 2.0))
+NAN_CASES = {
+    "count_in_box": (lambda: count_in_box(LatticeBasis(np.eye(2)), [math.nan, 0.9]),
+                     DomainError, "halfwidths must be positive"),
+    "in_mahler_compact": (lambda: in_mahler_compact(LatticeBasis(np.eye(2)), math.nan),
+                          DomainError, "eps must be positive"),
+    "nondivergence_profile": (lambda: nondivergence_profile(NAN_LINE, [2.0], math.nan,
+                                                            Sampler(seed=1, count=4)),
+                              DomainError, "eps must be positive"),
+    "LatticeBasis": (lambda: LatticeBasis(np.diag([1.0, math.nan])),
+                     InvariantError, "deviates from 1"),
+    "check_stack": (lambda: LatticeBasis.check_stack(np.array([np.eye(2),
+                                                               np.diag([math.nan, 1.0])])),
+                    InvariantError, "deviates from 1"),
+    "GroupElement": (lambda: GroupElement(1, np.diag([1.0, math.nan])),
+                     InvariantError, "deviates from 1"),
+    # u(nan) fails its det check before any lattice is reduced
+    "w_invariance_gap": (lambda: w_invariance_gap(NAN_LINE, 2.0, math.nan, lambda1(),
+                                                  Sampler(seed=1, count=4)),
+                         InvariantError, "deviates from 1"),
+    "CentralizerElement": (lambda: CentralizerElement(np.array([[math.nan]]), np.eye(1)),
+                           InvariantError, "deviates from 1"),
+    "sl2_image": (lambda: sl2_image(sl2_copy(np.eye(1)), np.diag([1.0, math.nan])),
+                  DomainError, "deviates from 1"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_nan_is_refused(case):
+    call, error, message = NAN_CASES[case]
+    with pytest.raises(error, match=message) as info, np.errstate(invalid="ignore"):
+        call()
+    if case == "check_stack":
+        assert info.value.sample_index == 1

@@ -391,22 +391,19 @@ def test_exact_basis_derives_its_fraction_columns_once():
         LatticeBasis.from_integral([(4, 0), (2, 2)], 2)
 
 
-def lane_record(result):
-    """An `_lll` result (b, u, mu, norms) as bytes and Python values, with
-    the type of every element: equal records are bit-identical results."""
-    b, u, mu, norms = result
-    return ([np.array(col, dtype=float).tobytes() for col in b], u,
-            [np.array(row, dtype=float).tobytes() for row in mu],
-            np.array(norms, dtype=float).tobytes(),
-            [[type(x) for x in row] for part in (b, u, mu, [norms]) for row in part])
+def pair_row(cols):
+    """`_lll`'s reduction of a 2 x 2 float basis laid out as a row of
+    `_lll_pair_arrays`: b0, b1, mu[1][0], norms[0], norms[1], as bytes, so
+    that equal rows are bit-identical (signed zeros included)."""
+    b, _, mu, norms = lattice._lll(lattice._float_columns(cols))
+    return np.array([*b[0], *b[1], mu[1][0], *norms], dtype=float).tobytes()
 
 
 def assert_lanes_match_scalar_lll(stack):
     stack = np.asarray(stack, dtype=float)
-    got = lattice._lll_pairs(stack)
-    assert len(got) == len(stack)
-    for lane, cols in zip(got, stack):
-        assert lane_record(lane) == lane_record(lattice._lll(lattice._float_columns(cols)))
+    got = lattice._lll_pair_arrays(stack)
+    assert got.shape == (len(stack), 7) and got.dtype == float
+    assert [row.tobytes() for row in got] == [pair_row(cols) for cols in stack]
 
 
 @st.composite
@@ -492,34 +489,34 @@ def test_batched_lll_on_a_stack_mixing_short_and_long_reductions(monkeypatch):
             fails.append(i)
     assert fails == [1, 3]
     with pytest.raises(InternalIdentityError, match="terminate") as info:
-        lattice._lll_pairs(stack)
+        lattice._lll_pair_arrays(stack)
     assert info.value.sample_index == 1
-    rest = stack[[0, 2, 4, 5]]
-    assert [lane_record(lane) for lane in lattice._lll_pairs(rest)] == [
-        lane_record(lattice._lll(lattice._float_columns(cols))) for cols in rest]
+    assert_lanes_match_scalar_lll(stack[[0, 2, 4, 5]])
 
 
-def test_batched_lll_falls_back_to_scalar_lll_for_wide_transforms(monkeypatch):
+def test_batched_lll_reduces_wide_transform_lanes_without_scalar_lll(monkeypatch):
     # mu = 2^60 at the first stage: the transform leaves the range where
-    # doubles hold integers exactly, and that lane alone takes `_lll`.
+    # doubles hold integers exactly, but the reduced pair never reads it.
     lane = [[2.0 ** -40, 2.0 ** 20], [0.0, 2.0 ** 40]]
-    assert_lanes_match_scalar_lll([lane, np.eye(2)])
-    scalar = lattice._lll
-    seen = []
-    monkeypatch.setattr(lattice, "_lll", lambda cols, delta: seen.append(cols) or
-                        scalar(cols, delta))
-    (b, u, _, _), _ = lattice._lll_pairs(np.array([lane, np.eye(2)]))
-    assert seen == [lattice._float_columns(np.array(lane))]
-    assert u[1][0] == -2 ** 60 and all(type(x) is int for col in u for x in col)
+    want = [pair_row(lane), pair_row(np.eye(2))]
+
+    def refuse(*args):
+        raise AssertionError("the batched LLL ran the scalar LLL")
+
+    monkeypatch.setattr(lattice, "_lll", refuse)
+    stack = LatticeBasis.check_stack(np.array([lane, np.eye(2)]))
+    basis, _ = LatticeBasis.of_checked_stack(stack)
+    assert [row.tobytes() for row in basis._stack.out] == want
 
 
 # Hand lanes for the n = 1 query grid: a column exactly on the face of the
 # box (0.9, 0.9), a column exactly on the sphere of sup-norm 0.7, a lane with
-# more candidate pairs than the grid takes, and a lane whose transform is
-# too wide for the batched LLL; the last two are left to the walk. Then a
-# vector on the corner of the box (0.9, 0.6), whose float length exceeds
-# the squared radius 0.9^2 + 0.6^2 so that only the slack keeps it, and a
-# reduced pair with mu = 1/2 exactly: under c1 = 1 its center
+# more candidate pairs than the grid takes, which is left to the walk, and
+# a lane with a size-reduction quotient of 2^60, past the range where doubles
+# hold every integer, which the grid decides on its reduced pair like any
+# other. Then a vector on the corner of the box (0.9, 0.6), whose float
+# length exceeds the squared radius 0.9^2 + 0.6^2 so that only the slack
+# keeps it, and a reduced pair with mu = 1/2 exactly: under c1 = 1 its center
 # -1/2 is a tie, and in the box (3.9, 1.3) its leaf x = -4 lies one step past
 # the naive window |x - round(ctr)| <= floor(sqrt(limit / n0)) = 3.
 BOX_FACE_LANE = [[0.9, 0.0], [0.0, 1 / 0.9]]
@@ -536,15 +533,19 @@ GRID_BOUNDS = (0.05, 0.5, 0.7)
 
 def grouped_and_unbatched_answers(stack, boxes=GRID_BOXES, bounds=GRID_BOUNDS):
     """Per lane: the box counts, K_mu tests and Mahler-compact tests on the
-    stack's bases (decided for the whole stack at once), and the same on an
-    unbatched basis of the lane's columns."""
+    stack's bases (decided for the whole stack at once), then the shortest
+    vector (its bytes, length and coefficient bytes; each stack basis
+    reduces its own lane for it), and the same on an unbatched basis of the
+    lane's columns."""
     grouped = LatticeBasis.batch(np.array(stack, dtype=float))
     unbatched = [LatticeBasis(np.array(cols, dtype=float)) for cols in stack]
 
     def answers(basis):
+        short = shortest_supnorm(basis)
         return ([count_in_box(basis, box) for box in boxes]
                 + [in_kmu(basis, mu) for mu in bounds]
-                + [in_mahler_compact(basis, eps) for eps in bounds])
+                + [in_mahler_compact(basis, eps) for eps in bounds]
+                + [short.vector.tobytes(), short.length, short.coeffs.tobytes()])
 
     return [answers(b) for b in grouped], [answers(b) for b in unbatched], grouped
 
@@ -578,11 +579,10 @@ def test_grouped_queries_on_hand_lanes():
     assert got[face][0] == 2  # +-(0.9, 0) on the face of the box (0.9, 0.9)
     assert got[sphere][len(GRID_BOXES) + GRID_BOUNDS.index(0.7)] is True  # not below 0.7
     assert got[corner][GRID_BOXES.index((0.9, 0.6))] == 4  # +-(0.9, 0) and +-(0.9, 0.6)
-    half_mu_lanes = grouped[half_mu]._stack.reduction(half_mu)
-    assert half_mu_lanes[2][1][0] == 0.5
-    # the grid answered every lane but these two box counts, which the walk decided
+    assert grouped[half_mu]._stack.out[half_mu, 4] == 0.5  # mu[1][0]
+    # the grid answered every lane but these box counts, which the walk decided
     answers = grouped[0]._stack._answers
     assert {key: [i for i, x in enumerate(lane) if x is None]
             for key, lane in answers.items()} == {
-        **{("box", *box): [past, wide] for box in GRID_BOXES},
-        **{("ball", r): [wide] for r in GRID_BOUNDS}}
+        **{("box", *box): [past] for box in GRID_BOXES},
+        **{("ball", r): [] for r in GRID_BOUNDS}}

@@ -160,10 +160,12 @@ def test_stack_bases_equal_the_checked_bases_reduction_included(n):
         assert basis._cols.base is stack and not basis.exact and basis.m == 2 * n
         with pytest.raises(AttributeError):
             basis.den = 1
-        if n == 1:  # the batched reduction is the one the basis's query would make
-            assert basis._reduction == lattice._lll(lattice._float_columns(one.cols))
+        if n == 1:  # the batched reduced pair is the one the basis's walk would get
+            b, _, mu, norms = lattice._lll(lattice._float_columns(one.cols))
+            assert basis._stack.out[basis._lane].tobytes() == np.array(
+                [*b[0], *b[1], mu[1][0], *norms]).tobytes()
         else:
-            assert basis._reduction is None
+            assert basis._stack is None
     with pytest.raises(InvariantError, match="read-only float stack"):
         LatticeBasis.of_checked_stack(np.array([np.eye(2)]))  # writeable
     exact = np.array([np.eye(2, dtype=int)], dtype=object)
@@ -187,11 +189,9 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
         return out
 
     want = estimates()
-
-    def refuse(*args):
-        raise AssertionError("an n = 1 orbit query ran the scalar LLL")
-
-    monkeypatch.setattr(lattice, "_lll", refuse)
+    calls = []
+    scalar = lattice._lll
+    monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(1) or scalar(*args))
     checked = []
     check_stack = LatticeBasis.check_stack
     monkeypatch.setattr(LatticeBasis, "check_stack",
@@ -200,6 +200,15 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
     # one det check per stack: the six plain runs, the w-invariance stack and
     # its translates, and the two nondivergence flow times
     assert checked == [40] * 10
+    # box counts, ball tests and nondivergence read the batched reduction;
+    # lambda1 reduces each sample's own basis once: two raw-or-normalized
+    # runs and the w-invariance stack with its translates, 40 samples each
+    assert len(calls) == 4 * 40
+    calls.clear()
+    for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7)):
+        stats._orbit_stats(LINE, 5.0, sampler, obs.evaluate)
+    nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler)
+    assert calls == []
 
 
 def test_n1_box_and_ball_queries_take_the_stack_grid(monkeypatch):
