@@ -139,12 +139,14 @@ def _built(where: str, make, *args, **kwargs):
 
 
 def _known(obj, keys, where: str):
-    """Refuse anything but an object, and any key of it outside `keys`."""
+    """Refuse anything but an object, and any key of it outside `keys`
+    (`where` is "" at the config root)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     for key in obj:
         if key not in keys:
-            raise ConfigError(f"{where}.{key}: unknown field")
+            field = f"{where}.{key}" if where else key
+            raise ConfigError(f"{field}: unknown field")
 
 
 _RATIONAL = _num((int, float, str))
@@ -304,6 +306,7 @@ def _parse_parameters(schema, raw, curve: MatrixPolyCurve):
 
 
 def _parse_curve(raw, n: int) -> MatrixPolyCurve:
+    _known(raw, ("degree", "coeffs", "interval"), "curve")
     degree = _require(raw, "degree", int, "curve.")
     if degree < 0:
         raise ConfigError("curve.degree: must be >= 0")
@@ -333,6 +336,8 @@ def parse_config(text: str) -> ExperimentConfig:
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    _known(raw, ("experiment_id", "subcommand", "n", "curve", "parameters", "sampler",
+                 "output"), "")
     experiment_id = _require(raw, "experiment_id", str, "")
     subcommand = _require(raw, "subcommand", str, "")
     if subcommand not in SUBCOMMANDS:
@@ -349,6 +354,7 @@ def parse_config(text: str) -> ExperimentConfig:
     sampler = None
     if "sampler" in raw:
         spec = _require(raw, "sampler", dict, "")
+        _known(spec, ("seed", "count", "scheme"), "sampler")
         sampler = _built("sampler", Sampler, seed=_require(spec, "seed", int, "sampler."),
                          count=_require(spec, "count", int, "sampler."),
                          scheme=spec.get("scheme", "uniform_iid"))

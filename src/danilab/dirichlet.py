@@ -90,10 +90,11 @@ class DirichletQuery:
         return self.phi.shape[0]
 
     def _at_scale(self, N) -> "DirichletQuery":
-        """This cell's phi and mu at scale N. Only N is checked: phi and mu
-        passed this query's own checks."""
+        """This cell's phi, mu and `integral_phi` at scale N. Only N is
+        checked: phi and mu passed this query's own checks."""
         query = object.__new__(DirichletQuery)
-        for name, value in (("phi", self.phi), ("N", _scale(N)), ("mu", self.mu)):
+        for name, value in (("phi", self.phi), ("N", _scale(N)), ("mu", self.mu),
+                            ("integral_phi", self.integral_phi)):
             object.__setattr__(query, name, value)
         return query
 
@@ -223,17 +224,17 @@ def _witness_search(integral_phi, Ns, Ks, a, b, nonzero_q) -> dict:
     return out
 
 
-def correspondence_basis(query: DirichletQuery, integral_phi: tuple = None) -> LatticeBasis:
+def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
     """Exact basis of a_log(N) u(phi) Z^2n.
 
     With phi = A / D the basis [[N I, N phi], [0, I / N]] is written in
     closed form as the integer columns of [[N^2 D I, N^2 A], [0, D I]] over
     the common denominator N D. It must have det == 1, which is both the
     group-element and the unimodular-basis condition; `_checked_triangular`
-    checks it on the integer matrix. A caller that holds (A, D) for
-    query.phi already may pass it as integral_phi."""
+    checks it on the integer matrix. (A, D) is the query's cached
+    `integral_phi`."""
     n = query.n
-    A, D = query.integral_phi if integral_phi is None else integral_phi
+    A, D = query.integral_phi
     N = query.N
     N2 = N * N
     cols = [(0,) * k + (N2 * D,) + (0,) * (2 * n - k - 1) for k in range(n)]
@@ -273,12 +274,11 @@ def correspondence_row(phi: np.ndarray, Ns, mu) -> list:
 def _correspondence_cells(queries: list) -> list:
     """`correspondence_check` of each query of one phi and mu."""
     head = queries[0]
-    integral = head.integral_phi
-    witnesses = first_witnesses(integral, [q.N for q in queries], head.mu)
+    witnesses = first_witnesses(head.integral_phi, [q.N for q in queries], head.mu)
     cells = []
     for query, witness in zip(queries, witnesses):
         insoluble = witness is None
-        in_ball_complement = in_kmu(correspondence_basis(query, integral), query.mu)
+        in_ball_complement = in_kmu(correspondence_basis(query), query.mu)
         cells.append({
             "insoluble": insoluble,
             "in_kmu": in_ball_complement,

@@ -44,3 +44,15 @@ class HypothesisViolationError(ValueError):
 
 class InternalIdentityError(RuntimeError):
     """An identity that must hold by construction failed numerically."""
+
+
+def raise_first(failures, index_name: str):
+    """Raise for the lowest failing row, with the row as attribute
+    `index_name`: failures holds (bad-row mask, error of row i) in the order
+    the checks run on one row."""
+    firsts = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(failures) if bad.any()]
+    if firsts:
+        i, k = min(firsts)
+        exc = failures[k][1](i)
+        setattr(exc, index_name, i)
+        raise exc

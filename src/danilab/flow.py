@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _linalg
 from .curve import INVERTIBILITY_TOL, CentralizerElement, MatrixPolyCurve, normalizer_error
-from .errors import DomainError, InternalIdentityError, InvariantError
+from .errors import DomainError, InternalIdentityError, InvariantError, raise_first
 from .lattice import LatticeBasis
 
 GROUP_DET_TOL = 1e-8
@@ -149,14 +149,14 @@ def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = 
     [basepoint] at the float points s.
 
     Row i equals (a_diag(t) @ z_embed(normalizer(curve, s[i])) @
-    u_embed(curve.eval(s[i]))).entries [@ basepoint.cols]: the blocks are
-    written in closed form with the products of that matrix chain, in its
-    order. Each sample passes the checks of the one-sample chain: s inside
-    the interval, det(phi'(s)) > INVERTIBILITY_TOL when normalizing, det of
-    the group element within GROUP_DET_TOL of 1 (one np.linalg.det over the
-    stack) and |det| of the basis within UNIMODULAR_TOL of 1. The lowest
-    failing sample raises the error the one-sample chain raises first, with
-    its index as `sample_index`.
+    u_embed(curve.eval(s[i]))).entries [@ basepoint.cols, read in floats]:
+    the blocks are written in closed form with the products of that matrix
+    chain, in its order. Each sample passes the group checks of the
+    one-sample chain: s inside the interval, det(phi'(s)) > INVERTIBILITY_TOL
+    when normalizing, and det within GROUP_DET_TOL of 1 (one np.linalg.det
+    over the stack). The lowest failing sample raises the error the
+    one-sample chain raises first, with its index as `sample_index`. The
+    basis |det| is checked where the stack becomes bases (`LatticeBasis`).
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     n = curve.n
@@ -186,15 +186,11 @@ def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = 
         g_det = np.linalg.det(out)
     failures.append((~(np.abs(g_det - 1.0) <= GROUP_DET_TOL),
                      lambda i: _det_error(float(g_det[i]))))
-    firsts = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(failures) if bad.any()]
-    if firsts:
-        i, k = min(firsts)
-        exc = failures[k][1](i)
-        exc.sample_index = i
-        raise exc
+    raise_first(failures, "sample_index")
     if basepoint is not None:
-        out = out @ basepoint.cols
-    return LatticeBasis.check_stack(out)
+        out = out @ _linalg.to_float(basepoint.cols)
+    out.flags.writeable = False
+    return out
 
 
 def orbit_point(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = None,
@@ -205,13 +201,12 @@ def orbit_point(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = N
     normalize=True inserts the centralizer element z(s) that carries phi'(s)
     to the identity (errors if phi'(s) is singular or orientation-reversing).
     `basis` is this sample's basis from an `orbit_points` stack built with
-    the same arguments (`LatticeBasis.of_checked_stack`); it is returned as
-    it is, without being rebuilt or checked again.
+    the same arguments (`LatticeBasis.batch`); it is returned as it is,
+    without being rebuilt or checked again.
     """
     if basis is not None:
         return basis
-    return LatticeBasis.of_checked(
-        orbit_points(curve, [s], t, basepoint=basepoint, normalize=normalize)[0])
+    return LatticeBasis(orbit_points(curve, [s], t, basepoint=basepoint, normalize=normalize)[0])
 
 
 def dani_vector(phi, p, q, N) -> np.ndarray:

@@ -14,14 +14,15 @@ bound scaled by den once.
 A query that walks LLL-reduces the basis once and hands the reduced basis
 with its Gram-Schmidt data to one depth-first enumerator of the Euclidean
 ball ||v||_2 <= R (Fincke-Pohst; each level is tried outward from its
-projected center, as in Schnorr-Euchner). The bases of a 2 x 2 float stack
-(`LatticeBasis.batch`) are reduced all at once by a lane-masked LLL that
-takes the scalar LLL's float steps, and the stack keeps only the arrays of
-reduced pairs it returns (`_PairStack`). Box counts and ball tests on these
-bases skip the walk: the first query of one box or bound decides it for
-every lane of the stack in one numpy grid of coefficient pairs, tested with
-the walk's own float operations in its order on the reduced pairs the walk
-would get, so every answer is the walk's. A lane with too many candidate
+projected center, as in Schnorr-Euchner). A float stack becomes bases only
+through `LatticeBasis.batch`, which checks every determinant at once and
+reduces a 2 x 2 stack all at once by a lane-masked LLL that takes the
+scalar LLL's float steps; the stack keeps only the arrays of reduced pairs
+it returns (`_PairStack`). Box counts and ball tests on these bases skip
+the walk: the first query of one box or bound decides it for every lane of
+the stack in one numpy grid of coefficient pairs, tested with the walk's
+own float operations in its order on the reduced pairs the walk would get,
+so every answer is the walk's. A lane with too many candidate
 pairs, and every other query (`shortest_supnorm`), walks as an unbatched
 basis does, reducing its own lane.
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import (DegenerateInputError, DomainError, InternalIdentityError,
-                     InvariantError, UnsupportedSizeError)
+                     InvariantError, UnsupportedSizeError, raise_first)
 
 UNIMODULAR_TOL = 1e-8
 MAX_DIM = 8
@@ -60,6 +61,9 @@ _GRID_CELLS = 128
 _GRID_LANES = 256
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
 _MINKOWSKI_FLOAT_TOL = 1e-9
+# LLL's delta for `_lll`, `reduce` and the pair kernel `_lll_pair_arrays`,
+# which is bit-identical to `_lll` only at the same delta.
+_DELTA = 0.99
 _EXACT_DELTA = Fraction(99, 100)
 _SET = object.__setattr__
 
@@ -72,7 +76,9 @@ class LatticeBasis:
     read-only, and built on first read. A float basis from a 2 x 2 stack
     also holds its stack's `_PairStack` and its lane in it: the reduced
     pairs of the whole stack, as arrays, and the answers of its box and
-    ball queries for the whole stack. Bases are immutable."""
+    ball queries for the whole stack. Bases are immutable. One basis comes
+    from `LatticeBasis(cols)`, `from_rational` or `from_integral`, each with
+    its det check; a float stack of bases comes only from `batch`."""
 
     __slots__ = ("_cols", "int_cols", "den", "_stack", "_lane")
 
@@ -80,13 +86,18 @@ class LatticeBasis:
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
             raise InvariantError(f"basis must be square, got shape {cols.shape}")
         d = _linalg.det(cols)
-        if isinstance(d, Fraction):
+        int_cols = den = None
+        if _linalg.is_exact(cols):
             if abs(d) != 1:
                 raise InvariantError(f"exact |det| = {abs(d)} != 1")
+            m = cols.shape[0]
+            flat, den = _linalg.integral(cols.T.ravel().tolist())
+            int_cols = tuple(tuple(flat[j * m:(j + 1) * m]) for j in range(m))
         elif not abs(abs(d) - 1.0) <= UNIMODULAR_TOL:
             raise _det_error(d)
         cols.flags.writeable = False
-        _set_fields(self, cols)
+        for name, value in zip(self.__slots__, (cols, int_cols, den, None, None)):
+            _SET(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LatticeBasis is immutable; cannot set {name!r}")
@@ -117,53 +128,27 @@ class LatticeBasis:
         """The exact basis int_cols / den (a tuple of int tuples) whose
         determinant the caller has just checked, without recomputing it."""
         basis = object.__new__(cls)
-        _SET(basis, "_cols", None)
-        _SET(basis, "int_cols", int_cols)
-        _SET(basis, "den", den)
-        _SET(basis, "_stack", None)
-        _SET(basis, "_lane", None)
+        for name, value in zip(cls.__slots__, (None, int_cols, den, None, None)):
+            _SET(basis, name, value)
         return basis
 
     @classmethod
-    def check_stack(cls, cols: np.ndarray) -> np.ndarray:
-        """Check an (M, m, m) float stack of bases with one np.linalg.det:
-        every |det| must be 1 within UNIMODULAR_TOL. Returns the stack, made
-        read-only. The first failing basis raises the InvariantError its own
-        constructor would, with its stack index as `sample_index`."""
+    def batch(cls, cols: np.ndarray) -> tuple:
+        """The bases of an (M, m, m) float stack, frozen, each a view of it.
+        One np.linalg.det checks every |det| to 1 within UNIMODULAR_TOL; the
+        lowest failing lane raises its constructor's error, with its index as
+        `sample_index`. A 2 x 2 stack is LLL-reduced here, all lanes at once,
+        into one `_PairStack` that every basis holds with its lane (the lowest
+        lane that fails to reduce raises likewise); the first box count or
+        ball test of one box or bound on any of them decides it for every
+        lane. An exact stack is refused: exact bases are built one by one."""
+        if cols.ndim != 3 or cols.shape[1] != cols.shape[2] or _linalg.is_exact(cols):
+            raise InvariantError(f"batch needs an (M, m, m) float stack, got {cols.dtype} "
+                                 f"of shape {cols.shape}")
         d = np.linalg.det(cols)
-        bad = ~(np.abs(np.abs(d) - 1.0) <= UNIMODULAR_TOL)
-        if bad.any():
-            i = int(np.argmax(bad))
-            exc = _det_error(float(d[i]))
-            exc.sample_index = i
-            raise exc
+        raise_first([(~(np.abs(np.abs(d) - 1.0) <= UNIMODULAR_TOL),
+                      lambda i: _det_error(float(d[i])))], "sample_index")
         cols.flags.writeable = False
-        return cols
-
-    @classmethod
-    def of_checked(cls, cols: np.ndarray) -> "LatticeBasis":
-        """The basis of read-only columns whose determinant has already been
-        checked (a row of a stack that `check_stack` has passed, or an exact
-        matrix checked to det == 1), without recomputing it."""
-        if cols.flags.writeable:
-            raise InvariantError("of_checked needs checked, read-only columns")
-        basis = object.__new__(cls)
-        _set_fields(basis, cols)
-        return basis
-
-    @classmethod
-    def of_checked_stack(cls, cols: np.ndarray) -> tuple:
-        """Frozen bases of an (M, m, m) float stack that `check_stack` has
-        passed, each a read-only view of the stack. A 2 x 2 stack is
-        LLL-reduced here, all lanes at once, into one `_PairStack` of arrays
-        that every basis holds with its lane; the lowest lane that fails to
-        reduce raises with its stack index as `sample_index`. The first box
-        count or ball test of one box or bound on any of these bases decides
-        it for every lane, and the others read their answers; a query the
-        grid leaves to the walk reduces its own lane. The stack's dtype
-        decides the mode once, so no basis repeats the test."""
-        if cols.flags.writeable or _linalg.is_exact(cols):
-            raise InvariantError("of_checked_stack needs a checked, read-only float stack")
         pairs = _PairStack(cols) if cols.shape[1:] == (2, 2) else None
         bases = []
         for lane, view in enumerate(cols):
@@ -175,12 +160,6 @@ class LatticeBasis:
             _SET(basis, "_lane", lane)
             bases.append(basis)
         return tuple(bases)
-
-    @classmethod
-    def batch(cls, cols: np.ndarray) -> tuple:
-        """Frozen bases of an (M, m, m) float stack, checked once by
-        `check_stack` (see `of_checked_stack`)."""
-        return cls.of_checked_stack(cls.check_stack(cols))
 
     @property
     def cols(self) -> np.ndarray:
@@ -202,21 +181,6 @@ class LatticeBasis:
     @property
     def exact(self) -> bool:
         return self.int_cols is not None
-
-
-def _set_fields(basis: LatticeBasis, cols: np.ndarray):
-    """Store read-only columns, with their integer form when they are exact."""
-    _SET(basis, "_cols", cols)
-    _SET(basis, "_stack", None)
-    _SET(basis, "_lane", None)
-    if _linalg.is_exact(cols):
-        m = cols.shape[0]
-        flat, den = _linalg.integral(cols.T.ravel().tolist())
-        _SET(basis, "int_cols", tuple(tuple(flat[j * m:(j + 1) * m]) for j in range(m)))
-        _SET(basis, "den", den)
-    else:
-        _SET(basis, "int_cols", None)
-        _SET(basis, "den", None)
 
 
 def _det_error(d: float) -> InvariantError:
@@ -252,7 +216,7 @@ def _gs_row(b, bstar, mu, norms, i):
     norms[i] = _dot(v, v)
 
 
-def _lll(cols, delta: float = 0.99):
+def _lll(cols, delta: float = _DELTA):
     """LLL reduction of the float column list; returns (reduced columns, U
     columns, mu, norms) with reduced[j] = sum_i original[i] * U[j][i], and
     mu[i][j] (j < i) and norms[i] = ||b*_i||^2 the Gram-Schmidt data of the
@@ -304,7 +268,7 @@ def _lll(cols, delta: float = 0.99):
     return b, u, mu, norms
 
 
-def _lll_pair_arrays(stack: np.ndarray, delta: float = 0.99) -> np.ndarray:
+def _lll_pair_arrays(stack: np.ndarray) -> np.ndarray:
     """`_lll` on every basis of an (M, 2, 2) float stack at once, as one
     (M, 7) array: row i holds lane i's reduced columns b0, b1, then
     mu[1][0] and norms[0], norms[1], bit for bit as `_lll` returns them.
@@ -339,7 +303,7 @@ def _lll_pair_arrays(stack: np.ndarray, delta: float = 0.99) -> np.ndarray:
         if move.any():
             b1 = np.where(move[:, None], b1 - q[:, None] * b0, b1)
             mu = np.where(move, mu - q, mu)
-        done = n1 >= (delta - mu * mu) * n0
+        done = n1 >= (_DELTA - mu * mu) * n0
         if done.any():
             out[lane[done]] = np.column_stack((b0[done], b1[done], mu[done], n0[done], n1[done]))
             stay = ~done
@@ -364,8 +328,8 @@ class _PairStack:
 
     __slots__ = ("out", "_answers")
 
-    def __init__(self, cols: np.ndarray, delta: float = 0.99):
-        self.out = _lll_pair_arrays(cols, delta)
+    def __init__(self, cols: np.ndarray):
+        self.out = _lll_pair_arrays(cols)
         self._answers = {}
 
     def count(self, i: int, w: list):
@@ -683,7 +647,7 @@ def reduce(basis: LatticeBasis, delta: float = None):
         b, u, _, _ = _lll_integral(list(basis.int_cols), delta)
         reduced = LatticeBasis.from_integral(b, basis.den)
     else:
-        b, u, _, _ = _lll(_float_columns(basis.cols), 0.99 if delta is None else delta)
+        b, u, _, _ = _lll(_float_columns(basis.cols), _DELTA if delta is None else delta)
         reduced = LatticeBasis(np.array(b, dtype=float).T)
     m = basis.m
     transform = np.array([[u[j][i] for j in range(m)] for i in range(m)],
@@ -760,8 +724,8 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
     w = list(halfwidths)
     if len(w) != basis.m:
         raise DomainError("halfwidths length must match basis dimension")
-    if any(not x > 0 for x in w):
-        raise DomainError("halfwidths must be positive")
+    if any(not 0 < x < math.inf for x in w):  # nan fails too; ints and Fractions compare exactly
+        raise DomainError("halfwidths must be positive and finite")
     exact = basis.exact
     if exact:  # the box in units of 1/den; integers x have |x| <= r iff |x| <= floor(r)
         w = [_scalar(x, True) * basis.den for x in w]

@@ -32,7 +32,7 @@ import numpy as np
 from . import _linalg
 from .curve import MatrixPolyCurve
 from .errors import (DegenerateInputError, DomainError, HypothesisViolationError,
-                     InvariantError)
+                     InvariantError, raise_first)
 from .flow import E_MAT, GroupElement, Sl2Copy, sl2_image, u_embed
 
 
@@ -297,17 +297,6 @@ def _apply(img: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.matmul(img, vs[..., None])[..., 0]
 
 
-def _raise_first(failures):
-    """Raise for the lowest failing row: failures holds (bad rows, error of
-    row i) in the order the checks run on one row."""
-    firsts = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(failures) if bad.any()]
-    if firsts:
-        i, k = min(firsts)
-        exc = failures[k][1](i)
-        exc.draw_index = i
-        raise exc
-
-
 def _unipotent_image(rep: Representation, copy: Sl2Copy, r) -> np.ndarray:
     return _linalg.to_float(rep_image(rep, u_embed(_linalg.to_float(copy.phi) * float(r))))
 
@@ -327,14 +316,14 @@ def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
     ws = _apply(_unipotent_image(rep, copy, r), vs)
     pre_out = _row_sup(project(decomp, "plus", ws))
     # np.fmax(1.0, x) is max(1.0, x) for floats, nan included
-    _raise_first([
+    raise_first([
         (pre_in > tol * np.fmax(1.0, _row_sup(vs)), lambda i: HypothesisViolationError(
             f"v has expanding component {pre_in[i]:.3e} beyond tol",
             residual=float(pre_in[i]))),
         (pre_out > tol * np.fmax(1.0, _row_sup(ws)), lambda i: HypothesisViolationError(
             f"rho(u(r phi)) v has expanding component {pre_out[i]:.3e} beyond tol",
             residual=float(pre_out[i]))),
-    ])
+    ], "draw_index")
     e_img = _linalg.to_float(rep_image(rep, sl2_image(copy, E_MAT)))
     resid = _row_sup(project(decomp, "zero", ws) - _apply(e_img, project(decomp, "zero", vs)))
     return float(resid[0]) if np.ndim(v) == 1 else resid
@@ -354,12 +343,12 @@ def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
     vs = _draws(rep, v)
     nv = _row_sup(vs)
     outside = _row_sup(vs - project(decomp, "minus", vs))
-    _raise_first([
+    raise_first([
         (nv == 0, lambda i: HypothesisViolationError("v must be nonzero", residual=0.0)),
         (outside > tol * nv, lambda i: HypothesisViolationError(
             f"v has component {outside[i]:.3e} outside the contracting part",
             residual=float(outside[i]))),
-    ])
+    ], "draw_index")
     norms = _row_sup(project(decomp, "plus", _apply(_unipotent_image(rep, copy, r), vs)))
     return float(norms[0]) if np.ndim(v) == 1 else norms
 

@@ -4,16 +4,16 @@ Every estimator draws curve parameters from a counter-based Sampler, pushes
 the corresponding lattices through a_t (optionally normalized by the
 centralizer element of the curve derivative), evaluates a box-count /
 membership / shortest-vector observable, and aggregates. One kernel serves
-all of them: per flow time it builds the M sample lattices as one checked
-stack (`orbit_points`), evaluates the observable on each basis, and takes
-the mean and standard error of the index-ordered values. At n = 1 the stack
-is LLL-reduced once, all samples together, into arrays of reduced pairs, and
-the box counts and ball tests read answers made for the whole stack: the
-first one of a flow time decides it for every sample at once, and each
-sample's query reads its own answer. The shortest-vector observable (and a
-sample the grid leaves to the walk) reduces its own basis, as at n > 1.
-Per-sample values are pure functions of (seed, index), so a failing sample
-is named by (seed, index, s) and can be rerun alone.
+all of them: per flow time it builds the M sample lattices as one stack
+(`orbit_points`), makes it bases (`LatticeBasis.batch`), evaluates the
+observable on each, and takes the mean and standard error of the values in
+index order. At n = 1 `batch` LLL-reduces all samples at once into arrays
+of reduced pairs, and the box counts and ball tests read answers made for
+the whole stack: the first one of a flow time decides it for every sample.
+The shortest-vector observable (and a sample the grid leaves to the walk)
+reduces its own basis, as at n > 1. Per-sample values are pure functions of
+(seed, index), so a failing sample is named by (seed, index, s) and can be
+rerun alone.
 """
 
 import math
@@ -129,19 +129,18 @@ def _orbit_stats(curve: MatrixPolyCurve, t: float, sampler: Sampler, evaluate,
     t, followed by the same for their translates by the matrix `shift` when
     one is given.
 
-    The sample bases are made from the one checked stack
-    (`LatticeBasis.of_checked_stack`; at n = 1 that also LLL-reduces them
-    all at once into arrays, and the first box count or ball test on one of
-    them decides it for the whole stack, so the later samples' queries only
-    read their answers). Each basis is handed to the observable through
-    `orbit_point`, and the observables call the lattice queries by their
-    names here, so span tracing of those names still sees one call per
-    sample.
+    `LatticeBasis.batch` makes the bases of the stack and of its translates
+    (at n = 1 the first box count or ball test then decides the whole stack).
+    A group-det failure in `orbit_points` reports before a basis-det failure
+    in `batch`; either names its sample. Each basis is handed to the
+    observable through `orbit_point`, and the observables call the lattice
+    queries by their names here, so span tracing of those names still sees
+    one call per sample.
     """
     points = sampler.points(curve.interval)
     with _naming_sample(sampler, points):
         stack = orbit_points(curve, points, t, basepoint=basepoint, normalize=normalize)
-        bases = LatticeBasis.of_checked_stack(stack)
+        bases = LatticeBasis.batch(stack)
         translated = () if shift is None else LatticeBasis.batch(shift @ stack)
     values = [evaluate(orbit_point(curve, s, t, basepoint=basepoint, normalize=normalize,
                                    basis=basis))

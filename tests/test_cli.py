@@ -313,11 +313,18 @@ def test_integers_beyond_the_doubles_refused_by_name(subcommand, parameters, whe
                  parameters={"t_list": [1.0], "observable": {"kind": "lambda1", "Mu": 0.5}}),
      "parameters.observable.Mu"),
     (dirichlet_config(s_grid={"count": 3, "endpoint": False}), "parameters.s_grid.endpoint"),
+    (base_config(sampler={"seed": 7, "count": 25, "schem": "stratified_grid"}), "sampler.schem"),
+    (base_config(curve={"degre": 1, "degree": 1, "coeffs": [[[0]], [[1]]],
+                        "interval": ["0", "1"]}), "curve.degre"),
+    (base_config(outputs="elsewhere"), "outputs"),
 ])
-def test_unknown_fields_refused_by_name(cfg, where):
+def test_unknown_fields_refused_by_name(cfg, where, tmp_path):
     with pytest.raises(ConfigError) as info:
         parse_config(json.dumps(cfg))
     assert str(info.value) == f"{where}: unknown field"
+    cfg = dict(cfg, output=str(tmp_path / "r"))
+    assert main([cfg["subcommand"], "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 @pytest.mark.parametrize("subcommand, params, key", [

@@ -232,6 +232,12 @@ NAN_LINE = MatrixPolyCurve.from_coeffs([[[0.25]], [[1.125]]], (1.0, 2.0))
 NAN_CASES = {
     "count_in_box": (lambda: count_in_box(LatticeBasis(np.eye(2)), [math.nan, 0.9]),
                      DomainError, "halfwidths must be positive"),
+    # an infinite box holds infinitely many vectors: refused before any walk
+    "count_in_box_inf": (lambda: count_in_box(LatticeBasis(np.eye(2)), [math.inf, 0.5]),
+                         DomainError, "halfwidths must be positive"),
+    "count_in_box_inf_stack": (lambda: count_in_box(LatticeBasis.batch(np.array([np.eye(2)]))[0],
+                                                    [0.5, math.inf]),
+                               DomainError, "halfwidths must be positive"),
     "in_mahler_compact": (lambda: in_mahler_compact(LatticeBasis(np.eye(2)), math.nan),
                           DomainError, "eps must be positive"),
     "nondivergence_profile": (lambda: nondivergence_profile(NAN_LINE, [2.0], math.nan,
@@ -239,8 +245,7 @@ NAN_CASES = {
                               DomainError, "eps must be positive"),
     "LatticeBasis": (lambda: LatticeBasis(np.diag([1.0, math.nan])),
                      InvariantError, "deviates from 1"),
-    "check_stack": (lambda: LatticeBasis.check_stack(np.array([np.eye(2),
-                                                               np.diag([math.nan, 1.0])])),
+    "check_stack": (lambda: LatticeBasis.batch(np.array([np.eye(2), np.diag([math.nan, 1.0])])),
                     InvariantError, "deviates from 1"),
     "GroupElement": (lambda: GroupElement(1, np.diag([1.0, math.nan])),
                      InvariantError, "deviates from 1"),

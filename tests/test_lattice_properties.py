@@ -504,8 +504,7 @@ def test_batched_lll_reduces_wide_transform_lanes_without_scalar_lll(monkeypatch
         raise AssertionError("the batched LLL ran the scalar LLL")
 
     monkeypatch.setattr(lattice, "_lll", refuse)
-    stack = LatticeBasis.check_stack(np.array([lane, np.eye(2)]))
-    basis, _ = LatticeBasis.of_checked_stack(stack)
+    basis, _ = LatticeBasis.batch(np.array([lane, np.eye(2)]))
     assert [row.tobytes() for row in basis._stack.out] == want
 
 

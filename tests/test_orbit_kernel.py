@@ -132,12 +132,10 @@ def test_out_of_interval_point_is_named():
 def test_check_stack_names_first_bad_basis():
     stack = np.array([np.eye(2), np.diag([2.0, 1.0]), np.diag([3.0, 1.0])])
     with pytest.raises(InvariantError, match="deviates from 1") as info:
-        LatticeBasis.check_stack(stack)
+        LatticeBasis.batch(stack)
     assert info.value.sample_index == 1
     good = LatticeBasis.batch(np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]))
     assert [b.cols.tolist() for b in good] == [np.eye(2).tolist(), [[1.0, 2.0], [0.0, 1.0]]]
-    with pytest.raises(InvariantError):
-        LatticeBasis.of_checked(np.eye(2))  # writeable: never passed check_stack
 
 
 def basis_record(basis):
@@ -151,11 +149,11 @@ def basis_record(basis):
 def test_stack_bases_equal_the_checked_bases_reduction_included(n):
     curve = MatrixPolyCurve.from_coeffs([np.eye(n) * 0.25, np.eye(n) * 1.125 + 0.0625],
                                         (1.0, 2.0))
-    stack = LatticeBasis.check_stack(orbit_points(curve, np.linspace(1.0, 2.0, 7), 3.0))
-    bases = LatticeBasis.of_checked_stack(stack)
+    stack = orbit_points(curve, np.linspace(1.0, 2.0, 7), 3.0)
+    bases = LatticeBasis.batch(stack)
     assert len(bases) == len(stack)
     for basis, cols in zip(bases, stack):
-        one = LatticeBasis.of_checked(cols)
+        one = LatticeBasis(cols)
         assert basis_record(basis) == basis_record(one)
         assert basis._cols.base is stack and not basis.exact and basis.m == 2 * n
         with pytest.raises(AttributeError):
@@ -166,15 +164,27 @@ def test_stack_bases_equal_the_checked_bases_reduction_included(n):
                 [*b[0], *b[1], mu[1][0], *norms]).tobytes()
         else:
             assert basis._stack is None
-    with pytest.raises(InvariantError, match="read-only float stack"):
-        LatticeBasis.of_checked_stack(np.array([np.eye(2)]))  # writeable
     exact = np.array([np.eye(2, dtype=int)], dtype=object)
-    exact.flags.writeable = False
-    with pytest.raises(InvariantError, match="read-only float stack"):
-        LatticeBasis.of_checked_stack(exact)
+    for refused in (exact, np.eye(2)):  # an exact stack; one matrix, not a stack
+        with pytest.raises(InvariantError, match="float stack"):
+            LatticeBasis.batch(refused)
 
 
 LINE = MatrixPolyCurve.from_coeffs([[[0.25]], [[1.125]]], (1.0, 2.0))
+
+
+def test_exact_basepoint_is_read_as_its_float_twin():
+    exact = LatticeBasis.from_rational([[1, Fraction(1, 3)], [0, 1]])
+    twin = LatticeBasis(np.array([[1.0, 1 / 3], [0.0, 1.0]]))
+    points = np.linspace(1.0, 2.0, 9)
+    stack = orbit_points(LINE, points, 3.0, basepoint=exact)
+    assert stack.dtype == float and not stack.flags.writeable
+    assert stack.tobytes() == orbit_points(LINE, points, 3.0, basepoint=twin).tobytes()
+    one = orbit_point(LINE, 1.25, 3.0, basepoint=exact)
+    assert one.cols.tobytes() == orbit_point(LINE, 1.25, 3.0, basepoint=twin).cols.tobytes()
+    sampler = Sampler(seed=3, count=40)
+    got = siegel_average(LINE, 3.0, (0.9, 0.9), sampler, basepoint=exact)
+    assert got == siegel_average(LINE, 3.0, (0.9, 0.9), sampler, basepoint=twin)
 
 
 def test_n1_queries_read_the_batched_reduction(monkeypatch):
@@ -193,9 +203,9 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
     scalar = lattice._lll
     monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(1) or scalar(*args))
     checked = []
-    check_stack = LatticeBasis.check_stack
-    monkeypatch.setattr(LatticeBasis, "check_stack",
-                        lambda cols: checked.append(len(cols)) or check_stack(cols))
+    batch = LatticeBasis.batch
+    monkeypatch.setattr(LatticeBasis, "batch",
+                        lambda cols: checked.append(len(cols)) or batch(cols))
     assert estimates() == want
     # one det check per stack: the six plain runs, the w-invariance stack and
     # its translates, and the two nondivergence flow times
@@ -237,7 +247,7 @@ def test_n1_stack_grid_memory_is_bounded():
     points = Sampler(seed=3, count=10_000).points(LINE.interval)
     tracemalloc.start()
     try:
-        bases = LatticeBasis.of_checked_stack(orbit_points(LINE, points, 8.0))
+        bases = LatticeBasis.batch(orbit_points(LINE, points, 8.0))
         for basis in bases:
             count_in_box(basis, (0.9, 0.9))
             in_kmu(basis, 0.7)
