@@ -79,20 +79,27 @@ def integral(entries) -> tuple:
 
 
 def _det_exact(a: np.ndarray) -> Fraction:
-    """Fraction-free (Bareiss) elimination on the integer matrix D a, with D
-    the common denominator: every quotient is exact, and the pivot search and
-    row-swap sign are those of Gaussian elimination (an entry of step k is
-    the Gaussian one times the product of the earlier pivots, so the two
-    agree on which entries vanish)."""
+    """The determinant of the exact matrix a: `int_det` of the integer
+    matrix D a, with D the common denominator, over D^m."""
     m = a.shape[0]
     flat, den = integral(a.ravel().tolist())
-    rows = [flat[i * m:(i + 1) * m] for i in range(m)]
+    return Fraction(int_det([flat[i * m:(i + 1) * m] for i in range(m)]), den ** m)
+
+
+def int_det(rows) -> int:
+    """Determinant of the square integer matrix with the given rows, by
+    fraction-free (Bareiss) elimination: every quotient is exact, and the
+    pivot search and row-swap sign are those of Gaussian elimination (an
+    entry of step k is the Gaussian one times the product of the earlier
+    pivots, so the two agree on which entries vanish)."""
+    rows = [list(row) for row in rows]
+    m = len(rows)
     sign = 1
     prev = 1
     for col in range(m):
         piv = next((r for r in range(col, m) if rows[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             sign = -sign
@@ -105,7 +112,7 @@ def _det_exact(a: np.ndarray) -> Fraction:
             row[col + 1:] = [(x * pivot - lead * y) // prev
                              for x, y in zip(row[col + 1:], top[col + 1:])]
         prev = pivot
-    return Fraction(sign * prev, den ** m)
+    return sign * prev
 
 
 def inv(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -457,19 +457,21 @@ def _run_rep_verify(config: ExperimentConfig):
     seed = config.sampler.seed
     payloads = []
     for block, r in enumerate(p.r_list):
-        basis = reptheory.constrained_subspace(rep, copy, r)
+        # one image of u(r phi) per block, shared by its three checks
+        image = reptheory.unipotent_image(rep, copy, r)
+        basis = reptheory.constrained_subspace(rep, copy, r, image=image)
         # one verifier call per block on the stack of its draws; the fold
         # keeps the order of the draws
         max_transport = 0.0
         if basis:
             vs = _random_combinations(basis, seed, (2 * block) * draws * rep.dim, draws,
                                       rep.dim)
-            max_transport = max([max_transport]
-                                + reptheory.verify_q0_transport(rep, copy, r, vs).tolist())
+            max_transport = max([max_transport] + reptheory.verify_q0_transport(
+                rep, copy, r, vs, image=image).tolist())
         vs = _random_minus_vectors(decomp, rep.dim, seed,
                                    (2 * block + 1) * draws * rep.dim, draws)
-        min_nonvanish = min([math.inf]
-                            + reptheory.verify_qplus_nonvanish(rep, copy, r, vs).tolist())
+        min_nonvanish = min([math.inf] + reptheory.verify_qplus_nonvanish(
+            rep, copy, r, vs, image=image).tolist())
         payloads.append({
             "module": "reptheory",
             "op": "transport_suite",

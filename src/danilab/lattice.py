@@ -14,17 +14,18 @@ bound scaled by den once.
 A query that walks LLL-reduces the basis once and hands the reduced basis
 with its Gram-Schmidt data to one depth-first enumerator of the Euclidean
 ball ||v||_2 <= R (Fincke-Pohst; each level is tried outward from its
-projected center, as in Schnorr-Euchner). A float stack becomes bases only
-through `LatticeBasis.batch`, which checks every determinant at once and
-reduces a 2 x 2 stack all at once by a lane-masked LLL that takes the
-scalar LLL's float steps; the stack keeps only the arrays of reduced pairs
-it returns (`_PairStack`). Box counts and ball tests on these bases skip
-the walk: the first query of one box or bound decides it for every lane of
-the stack in one numpy grid of coefficient pairs, tested with the walk's
-own float operations in its order on the reduced pairs the walk would get,
-so every answer is the walk's. A lane with too many candidate
-pairs, and every other query (`shortest_supnorm`), walks as an unbatched
-basis does, reducing its own lane.
+projected center, as in Schnorr-Euchner). LLL tracks its transform only for
+the callers that read it (`reduce`, `shortest_supnorm`). A float stack
+becomes bases only through `LatticeBasis.batch`, which checks every
+determinant at once; its bases share one `_Stack`. The first box count or
+ball test of one box or bound on any of them reduces the stack, once per
+lane (a 2 x 2 stack all at once, by a lane-masked LLL that takes the scalar
+LLL's float steps), and decides the query for every lane in one
+breadth-first walk over numpy arrays, which expands the enumerator's levels
+from the top down with the enumerator's own float operations in its order,
+so every answer is the enumerator's. A lane with too many candidates walks
+depth-first on the stack's reduction of it, and `shortest_supnorm` reduces
+its own basis, as an unbatched basis does.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -53,12 +54,12 @@ _MAX_LLL_STEPS = 20_000
 # the rounding in the Gram-Schmidt data, which stays near 1e-12 on flowed
 # lattices up to t = 14.
 _FLOAT_SLACK = 1e-9
-# The n = 1 query grid (`_PairStack`): a lane with more candidate coefficient
-# pairs than _GRID_CELLS takes the walk instead, and the grid runs on
-# _GRID_LANES lanes at a time, so one chunk holds at most 32,768 candidates
-# (a few MB of numpy temporaries) however many lanes the stack has.
-_GRID_CELLS = 128
-_GRID_LANES = 256
+# The stack walk (`_stack_walk`): a lane that would try more than
+# _STACK_NODES candidate nodes is left to the scalar walk, and lanes run
+# _STACK_LANES at a time, so one chunk holds at most 65,536 candidates (a few
+# MB of numpy temporaries) however many lanes the stack has.
+_STACK_NODES = 256
+_STACK_LANES = 256
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
 _MINKOWSKI_FLOAT_TOL = 1e-9
 # LLL's delta for `_lll`, `reduce` and the pair kernel `_lll_pair_arrays`,
@@ -73,31 +74,35 @@ class LatticeBasis:
     the exact mode). A float basis holds its float64 columns. An exact basis
     holds `int_cols`, m tuples of ints, and one common denominator `den`:
     column j is int_cols[j] / den. Its Fraction matrix `cols` is derived,
-    read-only, and built on first read. A float basis from a 2 x 2 stack
-    also holds its stack's `_PairStack` and its lane in it: the reduced
-    pairs of the whole stack, as arrays, and the answers of its box and
+    read-only, and built on first read. A float basis from a stack (a
+    `_StackLane`) also holds its stack's `_Stack` and its lane in it: the
+    reductions of the whole stack, as arrays, and the answers of its box and
     ball queries for the whole stack. Bases are immutable. One basis comes
     from `LatticeBasis(cols)`, `from_rational` or `from_integral`, each with
     its det check; a float stack of bases comes only from `batch`."""
 
-    __slots__ = ("_cols", "int_cols", "den", "_stack", "_lane")
+    __slots__ = ("_cols", "int_cols", "den")
+    _stack = _lane = None
 
     def __init__(self, cols: np.ndarray):
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
             raise InvariantError(f"basis must be square, got shape {cols.shape}")
-        d = _linalg.det(cols)
         int_cols = den = None
         if _linalg.is_exact(cols):
-            if abs(d) != 1:
-                raise InvariantError(f"exact |det| = {abs(d)} != 1")
             m = cols.shape[0]
             flat, den = _linalg.integral(cols.T.ravel().tolist())
             int_cols = tuple(tuple(flat[j * m:(j + 1) * m]) for j in range(m))
-        elif not abs(abs(d) - 1.0) <= UNIMODULAR_TOL:
-            raise _det_error(d)
+            d = _linalg.int_det(int_cols)  # the transpose: same det
+            if abs(d) != den ** m:
+                raise InvariantError(f"exact |det| = {Fraction(abs(d), den ** m)} != 1")
+        else:
+            d = _linalg.det(cols)
+            if not abs(abs(d) - 1.0) <= UNIMODULAR_TOL:
+                raise _det_error(d)
         cols.flags.writeable = False
-        for name, value in zip(self.__slots__, (cols, int_cols, den, None, None)):
-            _SET(self, name, value)
+        _SET(self, "_cols", cols)
+        _SET(self, "int_cols", int_cols)
+        _SET(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LatticeBasis is immutable; cannot set {name!r}")
@@ -118,7 +123,7 @@ class LatticeBasis:
         if den < 1 or any(len(col) != m for col in ints):
             raise InvariantError(f"need m integer columns of length m over den >= 1, got "
                                  f"{[len(col) for col in ints]} over {den}")
-        d = _linalg.det(np.array(ints, dtype=object))  # the transpose: same det
+        d = _linalg.int_det(ints)  # the transpose: same det
         if abs(d) != den ** m:
             raise InvariantError(f"exact |det| = {abs(d) / den ** m} != 1")
         return cls.of_checked_integral(ints, den)
@@ -128,8 +133,9 @@ class LatticeBasis:
         """The exact basis int_cols / den (a tuple of int tuples) whose
         determinant the caller has just checked, without recomputing it."""
         basis = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (None, int_cols, den, None, None)):
-            _SET(basis, name, value)
+        _SET(basis, "_cols", None)
+        _SET(basis, "int_cols", int_cols)
+        _SET(basis, "den", den)
         return basis
 
     @classmethod
@@ -137,11 +143,11 @@ class LatticeBasis:
         """The bases of an (M, m, m) float stack, frozen, each a view of it.
         One np.linalg.det checks every |det| to 1 within UNIMODULAR_TOL; the
         lowest failing lane raises its constructor's error, with its index as
-        `sample_index`. A 2 x 2 stack is LLL-reduced here, all lanes at once,
-        into one `_PairStack` that every basis holds with its lane (the lowest
-        lane that fails to reduce raises likewise); the first box count or
-        ball test of one box or bound on any of them decides it for every
-        lane. An exact stack is refused: exact bases are built one by one."""
+        `sample_index`. Every basis holds the stack's one `_Stack` with its
+        lane: the first box count or ball test of one box or bound on any of
+        them reduces the stack (the lowest lane that fails to reduce raises
+        likewise) and decides that query for every lane. An exact stack is
+        refused: exact bases are built one by one."""
         if cols.ndim != 3 or cols.shape[1] != cols.shape[2] or _linalg.is_exact(cols):
             raise InvariantError(f"batch needs an (M, m, m) float stack, got {cols.dtype} "
                                  f"of shape {cols.shape}")
@@ -149,14 +155,12 @@ class LatticeBasis:
         raise_first([(~(np.abs(np.abs(d) - 1.0) <= UNIMODULAR_TOL),
                       lambda i: _det_error(float(d[i])))], "sample_index")
         cols.flags.writeable = False
-        pairs = _PairStack(cols) if cols.shape[1:] == (2, 2) else None
+        stack = _Stack(cols)
         bases = []
         for lane, view in enumerate(cols):
-            basis = object.__new__(cls)
+            basis = object.__new__(_StackLane)
             _SET(basis, "_cols", view)
-            _SET(basis, "int_cols", None)
-            _SET(basis, "den", None)
-            _SET(basis, "_stack", pairs)
+            _SET(basis, "_stack", stack)
             _SET(basis, "_lane", lane)
             bases.append(basis)
         return tuple(bases)
@@ -183,6 +187,14 @@ class LatticeBasis:
         return self.int_cols is not None
 
 
+class _StackLane(LatticeBasis):
+    """A float basis of a `batch` stack: its columns (a view of the stack),
+    the stack's `_Stack` and its lane. It is never exact."""
+
+    __slots__ = ("_stack", "_lane")
+    int_cols = den = None
+
+
 def _det_error(d: float) -> InvariantError:
     return InvariantError(f"|det| = {abs(d)!r} deviates from 1 beyond {UNIMODULAR_TOL}")
 
@@ -204,23 +216,24 @@ def _dot(x, y):
 
 def _gs_row(b, bstar, mu, norms, i):
     """Gram-Schmidt row i of the current columns: mu[i][j] (j < i), b*_i and
-    norms[i] = ||b*_i||^2, from b[i] and the rows below it."""
-    bi = b[i]
-    v = list(bi)
+    norms[i] = ||b*_i||^2, from b[i] and the rows below it. Dot products sum
+    from 0 in index order (`_dot`, inlined)."""
+    bi = v = b[i]
     mu_i = mu[i]
     for j in range(i):
         bs = bstar[j]
-        mu_ij = mu_i[j] = _dot(bi, bs) / norms[j]
+        mu_ij = mu_i[j] = sum(map(mul, bi, bs)) / norms[j]
         v = [x - mu_ij * y for x, y in zip(v, bs)]
     bstar[i] = v
-    norms[i] = _dot(v, v)
+    norms[i] = sum(map(mul, v, v))
 
 
-def _lll(cols, delta: float = _DELTA):
+def _lll(cols, delta: float = _DELTA, transform: bool = True):
     """LLL reduction of the float column list; returns (reduced columns, U
     columns, mu, norms) with reduced[j] = sum_i original[i] * U[j][i], and
     mu[i][j] (j < i) and norms[i] = ||b*_i||^2 the Gram-Schmidt data of the
-    reduced columns.
+    reduced columns. With transform false U is not tracked and None comes
+    back in its place; the other three are the same.
 
     A size-reduction step updates row k of mu in place. A swap invalidates
     the Gram-Schmidt rows from k-1 up, and a row is recomputed from the
@@ -233,7 +246,7 @@ def _lll(cols, delta: float = _DELTA):
     """
     m = len(cols)
     b = [list(c) for c in cols]
-    u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
+    u = [[1 if i == j else 0 for i in range(m)] for j in range(m)] if transform else None
     mu = [[0] * m for _ in range(m)]
     bstar = [None] * m
     norms = [0] * m
@@ -253,7 +266,8 @@ def _lll(cols, delta: float = _DELTA):
             q = round(mu_k[j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                if transform:
+                    u[k] = [x - q * y for x, y in zip(u[k], u[j])]
                 mu_j = mu[j]
                 for i in range(j):
                     mu_k[i] -= q * mu_j[i]
@@ -262,7 +276,8 @@ def _lll(cols, delta: float = _DELTA):
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
+            if transform:
+                u[k], u[k - 1] = u[k - 1], u[k]
             fresh = k - 1
             k = max(k - 1, 1)
     return b, u, mu, norms
@@ -312,108 +327,172 @@ def _lll_pair_arrays(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-class _PairStack:
-    """The reduced pairs of an (M, 2, 2) float stack, the one
-    `_lll_pair_arrays` array `out`, with the answers of the box and ball
-    queries on its bases.
+class _Stack:
+    """The lanes of one float `LatticeBasis.batch` stack: its (M, m, m)
+    columns, their LLL reductions once a box or ball query needs them, and
+    the answers of those queries for every lane.
+
+    The reductions are the arrays `_lll` would hand a lane's walk: reduced
+    columns b[lane, j] (column j), mu[lane, i, j] (j < i) and norms[lane, j].
+    At m = 2 `_lll_pair_arrays` makes them for every lane at once; at larger
+    m the scalar `_lll` runs once per lane, without its transform. Either
+    way the stack reduces on its first box or ball query, so a stack that
+    only answers `shortest_supnorm` (which reduces its own lane, transform
+    included) reduces nothing here. The lowest lane that fails to reduce
+    raises, with its index as `sample_index`.
 
     The first `count` of a box, or `exists_shorter` of a bound, decides it
-    for every lane at once in one coefficient grid (`_grid_hits`) and keeps
-    the answers. The walk's leaves on a reduced pair are exactly the
-    coefficient pairs the grid tests (see `_grid_hits`), so the answers are
-    the walk's. A lane with more than _GRID_CELLS candidate pairs gets None
-    and is left to the walk, which reduces that lane itself when its own
-    query runs.
+    for every lane in one breadth-first walk (`_stack_walk`) and keeps the
+    answers, which are the scalar walk's. A lane that walk gives up on gets
+    None; its own query then runs `_BallWalk` on the stack's reduction of
+    that lane (`lane`), so each lane is reduced once.
     """
 
-    __slots__ = ("out", "_answers")
+    __slots__ = ("cols", "_reduced", "_answers")
 
     def __init__(self, cols: np.ndarray):
-        self.out = _lll_pair_arrays(cols)
+        self.cols = cols
+        self._reduced = None
         self._answers = {}
+
+    def reduced(self) -> tuple:
+        """(b, mu, norms), the reductions of every lane, made on first call."""
+        if self._reduced is None:
+            cols = self.cols
+            size, m, _ = cols.shape
+            if m > MAX_DIM:
+                raise UnsupportedSizeError(
+                    f"dimension {m} exceeds the supported bound {MAX_DIM}")
+            if m == 2:
+                out = _lll_pair_arrays(cols)
+                mu = np.zeros((size, 2, 2))
+                mu[:, 1, 0] = out[:, 4]
+                self._reduced = out[:, :4].reshape(size, 2, 2), mu, out[:, 5:]
+            else:
+                lanes = []
+                for lane, lane_cols in enumerate(cols.transpose(0, 2, 1).tolist()):
+                    try:
+                        lanes.append(_lll(lane_cols, _DELTA, False))
+                    except InternalIdentityError as exc:
+                        exc.sample_index = lane
+                        raise
+                b, _, mu, norms = zip(*lanes)
+                self._reduced = np.array(b), np.array(mu, dtype=float), np.array(norms)
+        return self._reduced
+
+    def lane(self, i: int) -> tuple:
+        """Lane i's reduced columns and Gram data (mu, norms), as the lists
+        `_lll` returns them."""
+        b, mu, norms = self.reduced()
+        return b[i].tolist(), (mu[i].tolist(), norms[i].tolist())
 
     def count(self, i: int, w: list):
         """`count_in_box` of lane i for the float halfwidths w; None when the
-        walk must decide."""
+        scalar walk must decide."""
         key = ("box", *w)
         counts = self._answers.get(key)
         if counts is None:
-            w0, w1 = w
-            hits = self._grid_hits(sum(x * x for x in w),
-                                   lambda v0, v1: (np.abs(v0) <= w0) & (np.abs(v1) <= w1))
+            b, mu, norms = self.reduced()
+            box = np.array(w)
+            hits = _stack_walk(b, mu, norms, sum(x * x for x in w),
+                               lambda v: np.all(np.abs(v) <= box, axis=1))
             counts = self._answers[key] = [None if h < 0 else 2 * h for h in hits.tolist()]
         return counts[i]
 
     def exists_shorter(self, i: int, r: float):
         """`_exists_shorter` of lane i for the float bound r; None when the
-        walk must decide."""
+        scalar walk must decide. As in the walk, a lane with a reduced column
+        of sup-norm below r is decided by it without walking."""
         key = ("ball", r)
         found = self._answers.get(key)
         if found is None:
-            out = self.out
-            short = (np.abs(out[:, 0]) < r) & (np.abs(out[:, 1]) < r)
-            short |= (np.abs(out[:, 2]) < r) & (np.abs(out[:, 3]) < r)
-            hits = self._grid_hits(2 * r * r,
-                                   lambda v0, v1: (np.abs(v0) < r) & (np.abs(v1) < r), ~short)
-            hits[short] = 1
+            b, mu, norms = self.reduced()
+            short = np.any(np.all(np.abs(b) < r, axis=2), axis=1)
+            walk = np.flatnonzero(~short)
+            hits = np.ones(len(b), dtype=np.int64)
+            hits[walk] = _stack_walk(b[walk], mu[walk], norms[walk], b.shape[1] * r * r,
+                                     lambda v: np.all(np.abs(v) < r, axis=1))
             found = self._answers[key] = [None if h < 0 else h > 0 for h in hits.tolist()]
         return found[i]
 
-    def _grid_hits(self, r2: float, inside, open_lanes=True) -> np.ndarray:
-        """Per lane of the mask open_lanes (every lane by default), the
-        number of `_BallWalk` leaves for the squared radius r2 whose vector
-        (v0, v1) passes `inside`; -1 for every other lane and for a lane the
-        grid leaves to the walk. The grid reads only the reduced pairs
-        `out`, which are the columns and Gram-Schmidt data `_lll` would hand
-        the walk.
 
-        The walk on a reduced pair sweeps c1 = 0, 1, ... and, under each c1,
-        x outward from round(ctr), stopping each sweep at the first failure
-        of a float expression that grows monotonically along it. So its
-        leaves are exactly the pairs (c1, x) with
-          c1 >= 0 and c1^2 n1 <= limit,
-          c1^2 n1 + (x - ctr)^2 n0 <= limit,
-          x >= 1 when c1 = 0,
-        for ctr = -(0.0 + c1 mu) and limit = r2 (1 + _FLOAT_SLACK), computed
-        here with the walk's float operations in its order, and its leaf
-        vectors are (0.0 + c1 b1) + x b0. Each lane has its own block of
-        candidates: c1 <= floor(sqrt(limit / n1)) + 1 and
-        |x - round(ctr)| <= floor(sqrt(limit / n0) + 1/2) + 1, which hold
-        every leaf despite the rounding. The blocks of _GRID_LANES lanes at
-        a time are laid end to end, so a lane pays for its own block only.
-        """
-        limit = r2 * (1 + _FLOAT_SLACK)
-        out = self.out
-        rows = np.floor(np.sqrt(limit / out[:, 6])) + 2
-        half = np.floor(np.sqrt(limit / out[:, 5]) + 0.5) + 1
-        hits = np.full(len(out), -1)
-        lanes = np.flatnonzero(open_lanes & (rows * (2 * half + 1) <= _GRID_CELLS))
-        for start in range(0, lanes.size, _GRID_LANES):
-            chunk = lanes[start:start + _GRID_LANES]
-            hits[chunk] = _grid_chunk(out[chunk], rows[chunk].astype(np.int64),
-                                      half[chunk].astype(np.int64), limit, inside)
-        return hits
-
-
-def _grid_chunk(data: np.ndarray, rows: np.ndarray, half: np.ndarray, limit: float,
+def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2: float,
                 inside) -> np.ndarray:
-    """`_PairStack._grid_hits` on the lanes whose `_lll_pair_arrays` rows
-    are `data`: lane k tests c1 < rows[k] and |x - round(ctr)| <= half[k]."""
-    span = 2 * half + 1
-    size = rows * span
-    lane = np.repeat(np.arange(len(data)), size)
-    c1, off = np.divmod(np.arange(lane.size) - np.repeat(np.cumsum(size) - size, size),
-                        span[lane])
-    off -= half[lane]
-    c1 = c1.astype(float)
-    b0x, b0y, b1x, b1y, mu, n0, n1 = data[lane].T
-    above = c1 * c1 * n1
-    ctr = -(0.0 + c1 * mu)
-    x = np.rint(ctr) + off
-    d = x - ctr
-    leaf = (above <= limit) & (above + d * d * n0 <= limit) & ((c1 > 0) | (x >= 1))
-    leaf &= inside((0.0 + c1 * b1x) + x * b0x, (0.0 + c1 * b1y) + x * b0y)
-    return np.bincount(lane[leaf], minlength=len(data))
+    """Per lane of the reductions (b, mu, norms): the number of `_BallWalk`
+    leaves for the squared radius r2 whose vector v (an (m,) row) passes
+    `inside`, or -1 for a lane left to the scalar walk. Lanes run
+    _STACK_LANES at a time (`_walk_chunk`)."""
+    limit = r2 * (1 + _FLOAT_SLACK)
+    hits = np.empty(len(b), dtype=np.int64)
+    for start in range(0, len(b), _STACK_LANES):
+        part = slice(start, start + _STACK_LANES)
+        hits[part] = _walk_chunk(b[part], mu[part], norms[part], limit, inside)
+    return hits
+
+
+def _walk_chunk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, limit: float,
+                inside) -> np.ndarray:
+    """`_stack_walk` on one chunk of lanes, breadth first: level j = m-1
+    down to 0 expands every node of every lane at once.
+
+    `_BallWalk` sweeps each level outward from the integer nearest its
+    center and stops a direction at the first failure of a float expression
+    that grows monotonically along it, so its nodes at level j are exactly
+    the c_j, under a node of the level above, with
+      partial + (c_j - ctr)^2 norms[j] <= limit,
+      c_j >= 0 while every coefficient above is zero, and c_0 >= 1 there,
+    where partial is the parent's length and ctr = -(0.0 + sum_{i>j} c_i
+    mu[i][j]), summed upward in i. These are computed here with the walk's
+    float operations in its order, and a leaf's vector is 0.0 + c_{m-1}
+    b_{m-1} + ... + c_0 b_0, summed from the top column down, as the walk
+    builds it. The walk skips the zero terms of both sums; adding +-0.0 to a
+    partial sum changes its bits only when that sum is -0.0, which a sum
+    starting at +0.0 never is, so every value is the walk's, bit for bit.
+    Each node tries the window |c_j - round(ctr)| <= floor(sqrt((limit -
+    partial) / norms[j]) + 1/2) + 1 (from 0 or 1 at the top), which holds
+    every c_j passing the test despite the rounding. A lane that would try
+    more than _STACK_NODES candidates in all leaves the walk (-1): the walk
+    never holds more than _STACK_NODES candidates per lane.
+    """
+    lanes, m = norms.shape
+    node = np.arange(lanes)  # the lane of each node
+    coef = np.zeros((lanes, m))  # column i: the node's c_i, for the levels above
+    partial = np.zeros(lanes)
+    top = np.ones(lanes, dtype=bool)  # every coefficient above is zero
+    tried = np.zeros(lanes)
+    for j in range(m - 1, -1, -1):
+        s = np.zeros(len(node))
+        for i in range(j + 1, m):
+            s = s + coef[:, i] * mu[node, i, j]
+        ctr = -s
+        mid = np.rint(ctr)
+        norm = norms[node, j]
+        half = np.floor(np.sqrt((limit - partial) / norm) + 0.5) + 1
+        lo = np.where(top, float(j == 0), mid - half)
+        size = np.maximum(mid + half - lo + 1, 0)
+        tried += np.bincount(node, size, minlength=lanes)
+        if not (tried <= _STACK_NODES).all():  # nan (a zero norm) fails too
+            keep = tried[node] <= _STACK_NODES
+            node, coef, partial, top, ctr, lo, size, norm = (
+                x[keep] for x in (node, coef, partial, top, ctr, lo, size, norm))
+        size = size.astype(np.int64)
+        pick = np.repeat(np.arange(len(node)), size)
+        c = np.repeat(lo - (np.cumsum(size) - size), size) + np.arange(pick.size)
+        d = c - ctr[pick]
+        length = partial[pick] + d * d * norm[pick]
+        ok = length <= limit
+        pick, c = pick[ok], c[ok]
+        if j:
+            node, partial, coef = node[pick], length[ok], coef[pick]
+            coef[:, j] = c
+            top = top[pick] & (c == 0)
+    v = np.zeros((len(node), m))  # each parent's sum of c_i b_i from the top column down
+    for i in range(m - 1, 0, -1):
+        v = v + coef[:, i, None] * b[node, i]
+    node = node[pick]
+    hits = np.bincount(node[inside(v[pick] + c[:, None] * b[node, 0])], minlength=lanes)
+    hits[~(tried <= _STACK_NODES)] = -1
+    return hits
 
 
 def _round_div(a: int, b: int) -> int:
@@ -440,7 +519,7 @@ def _gram_row(c, lam, d, i):
             d[i + 1] = x
 
 
-def _lll_integral(c: list, delta: Fraction):
+def _lll_integral(c: list, delta: Fraction, transform: bool = True):
     """`_lll` on the list c of integer columns (its entries are replaced,
     never mutated) on their integral Gram data: lam[i][j] = d[j+1] mu[i][j]
     (j < i) and the Gram determinants d[0..m], so norms[k] = d[k+1] / d[k].
@@ -449,7 +528,8 @@ def _lll_integral(c: list, delta: Fraction):
     norms[k-1] are decided in integers, in `_lll`'s order. A common scale of
     the columns changes no decision, so the columns of an exact basis times
     its denominator take the steps its Fraction columns would. Returns the
-    reduced integer columns, the transform columns, lam and d.
+    reduced integer columns, the transform columns (None when transform is
+    false: U is then not tracked), lam and d.
 
     Each Gram row is computed from the columns once, when the stage index
     first reaches it. A size reduction changes row k only, and a swap at
@@ -460,7 +540,7 @@ def _lll_integral(c: list, delta: Fraction):
     update, these are the values a recomputation gives, so the steps are
     those of recomputing rows after every swap."""
     m = len(c)
-    u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
+    u = [[1 if i == j else 0 for i in range(m)] for j in range(m)] if transform else None
     lam = [[0] * m for _ in range(m)]
     d = [1] * (m + 1)
     delta_num, delta_den = delta.numerator, delta.denominator
@@ -482,7 +562,8 @@ def _lll_integral(c: list, delta: Fraction):
                 continue
             q = _round_div(lam_k[j], dj)
             c[k] = [x - q * y for x, y in zip(c[k], c[j])]
-            u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+            if transform:
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
             lam_j = lam[j]
             for i in range(j):
                 lam_k[i] -= q * lam_j[i]
@@ -492,7 +573,8 @@ def _lll_integral(c: list, delta: Fraction):
             k += 1
         else:
             c[k], c[k - 1] = c[k - 1], c[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
+            if transform:
+                u[k], u[k - 1] = u[k - 1], u[k]
             lam_k1 = lam[k - 1]
             for j in range(k - 1):
                 lam_k[j], lam_k1[j] = lam_k1[j], lam_k[j]
@@ -620,18 +702,21 @@ class _BallWalk:
                 x += direction
 
 
-def _prepare(basis: LatticeBasis):
+def _prepare(basis: LatticeBasis, transform: bool = False):
     """(reduced columns, transform columns, Gram data) of the basis's LLL
     reduction: float columns with (mu, norms), or in the exact mode integer
     columns (the lattice times basis.den) with their integral data (lam, d).
-    Every basis is reduced here, a basis of a 2 x 2 stack too: its stack
-    keeps only the arrays its grid reads."""
+    The transform is tracked only when asked for, and is None otherwise; a
+    basis of a stack then reads its lane of the stack's reduction."""
     if basis.m > MAX_DIM:
         raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
     if basis.exact:
-        b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA)
+        b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA, transform)
         return b, u, (lam, d)
-    b, u, mu, norms = _lll(_float_columns(basis.cols))
+    if basis._stack is not None and not transform:
+        b, gram = basis._stack.lane(basis._lane)
+        return b, None, gram
+    b, u, mu, norms = _lll(_float_columns(basis.cols), _DELTA, transform)
     return b, u, (mu, norms)
 
 
@@ -675,7 +760,7 @@ def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
     1e-9 in the float mode) means the float arithmetic has broken down and
     raises InvariantError.
     """
-    bred, ucols, gram = _prepare(basis)
+    bred, ucols, gram = _prepare(basis, True)
     exact = basis.exact
     m = basis.m
     best = min(_sup(col) for col in bred)

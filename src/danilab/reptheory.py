@@ -16,9 +16,11 @@ stacked np.linalg.det; an adjoint image, float or exact, forms every
 g E_ij g^-1 with one broadcast product and decomposes them together (the
 diagonal partial sums accumulate in basis order), as does the derived
 adjoint action; the verifiers take a (k, dim) stack of draws, build their
-images once per call and check the rows in order. The weight split is
-computed once per representation. Exact exterior minors (one exact
-determinant each) and the derived exterior action stay entry loops.
+images once per call (or take the copy unipotent's image from the caller,
+who builds it once for all three checks of one r) and check the rows in
+order. The weight split is computed once per representation. Exact
+exterior minors (one exact determinant each) and the derived exterior
+action stay entry loops.
 """
 
 import itertools
@@ -254,16 +256,19 @@ def upper_block(n: int, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def constrained_subspace(rep: Representation, copy: Sl2Copy, r, tol: float = 1e-9):
+def constrained_subspace(rep: Representation, copy: Sl2Copy, r, tol: float = 1e-9,
+                         image: np.ndarray = None):
     """Orthonormal basis of {v in V0 + V- : rho(u(r phi)) v in V0 + V-}.
 
     Linear in v: the expanding coordinates of rho(u(r phi)) v must vanish,
-    with v supported on the neutral and contracting coordinates.
+    with v supported on the neutral and contracting coordinates. `image` is
+    rho(u(r phi)) as `unipotent_image(rep, copy, r)` returns it; it is built
+    here when not given.
     """
     if r == 0:
         raise DomainError("r must be nonzero")
     decomp = weight_split(rep)
-    img = _unipotent_image(rep, copy, r)
+    img = unipotent_image(rep, copy, r) if image is None else image
     zm = list(decomp.zero_idx) + list(decomp.minus_idx)
     if not decomp.plus_idx:
         rows = np.zeros((0, len(zm)))
@@ -297,23 +302,26 @@ def _apply(img: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.matmul(img, vs[..., None])[..., 0]
 
 
-def _unipotent_image(rep: Representation, copy: Sl2Copy, r) -> np.ndarray:
+def unipotent_image(rep: Representation, copy: Sl2Copy, r) -> np.ndarray:
+    """The float matrix of rho(u(r phi)) for the copy's phi, by one
+    `rep_image` call."""
     return _linalg.to_float(rep_image(rep, u_embed(_linalg.to_float(copy.phi) * float(r))))
 
 
 def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
-                        tol: float = 1e-8):
+                        tol: float = 1e-8, image: np.ndarray = None):
     """Residual of the neutral-projection transport identity
     q0(rho(u(r phi)) v) = rho(E_phi) q0(v), for v with v and rho(u(r phi)) v
     both in V0 + V-. Violated preconditions raise with the residual.
 
     v is one vector (dim,), giving a float, or a (k, dim) stack of draws,
-    giving the k residuals; the images are built once per call. The lowest
-    failing draw raises, with its row as `draw_index`."""
+    giving the k residuals; the images are built once per call, except
+    rho(u(r phi)) when `image` (as `unipotent_image` returns it) is given.
+    The lowest failing draw raises, with its row as `draw_index`."""
     decomp = weight_split(rep)
     vs = _draws(rep, v)
     pre_in = _row_sup(project(decomp, "plus", vs))
-    ws = _apply(_unipotent_image(rep, copy, r), vs)
+    ws = _apply(unipotent_image(rep, copy, r) if image is None else image, vs)
     pre_out = _row_sup(project(decomp, "plus", ws))
     # np.fmax(1.0, x) is max(1.0, x) for floats, nan included
     raise_first([
@@ -330,12 +338,13 @@ def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
 
 
 def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
-                           tol: float = 1e-8):
+                           tol: float = 1e-8, image: np.ndarray = None):
     """Sup-norm of the expanding projection of rho(u(r phi)) v for a nonzero
     contracting v; the transported dynamical statement says this is > 0.
 
     v is one vector (dim,), giving a float, or a (k, dim) stack of draws,
-    giving the k norms; the image is built once per call. The lowest failing
+    giving the k norms; the image rho(u(r phi)) is built once per call, or
+    taken from `image` (as `unipotent_image` returns it). The lowest failing
     draw raises, with its row as `draw_index`."""
     if r == 0:
         raise DomainError("r must be nonzero")
@@ -349,7 +358,8 @@ def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
             f"v has component {outside[i]:.3e} outside the contracting part",
             residual=float(outside[i]))),
     ], "draw_index")
-    norms = _row_sup(project(decomp, "plus", _apply(_unipotent_image(rep, copy, r), vs)))
+    img = unipotent_image(rep, copy, r) if image is None else image
+    norms = _row_sup(project(decomp, "plus", _apply(img, vs)))
     return float(norms[0]) if np.ndim(v) == 1 else norms
 
 

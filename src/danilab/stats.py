@@ -7,13 +7,13 @@ membership / shortest-vector observable, and aggregates. One kernel serves
 all of them: per flow time it builds the M sample lattices as one stack
 (`orbit_points`), makes it bases (`LatticeBasis.batch`), evaluates the
 observable on each, and takes the mean and standard error of the values in
-index order. At n = 1 `batch` LLL-reduces all samples at once into arrays
-of reduced pairs, and the box counts and ball tests read answers made for
-the whole stack: the first one of a flow time decides it for every sample.
-The shortest-vector observable (and a sample the grid leaves to the walk)
-reduces its own basis, as at n > 1. Per-sample values are pure functions of
-(seed, index), so a failing sample is named by (seed, index, s) and can be
-rerun alone.
+index order. The box counts and ball tests read answers made for the whole
+stack: the first one of a flow time LLL-reduces every sample once (at n = 1
+all at once) and decides it for every sample in one breadth-first walk. The
+shortest-vector observable reduces its own basis. Per-sample values are
+pure functions of (seed, index), so a failing sample, one that fails to
+reduce in that first query included, is named by (seed, index, s) and can
+be rerun alone.
 """
 
 import math
@@ -129,25 +129,27 @@ def _orbit_stats(curve: MatrixPolyCurve, t: float, sampler: Sampler, evaluate,
     t, followed by the same for their translates by the matrix `shift` when
     one is given.
 
-    `LatticeBasis.batch` makes the bases of the stack and of its translates
-    (at n = 1 the first box count or ball test then decides the whole stack).
-    A group-det failure in `orbit_points` reports before a basis-det failure
-    in `batch`; either names its sample. Each basis is handed to the
-    observable through `orbit_point`, and the observables call the lattice
-    queries by their names here, so span tracing of those names still sees
-    one call per sample.
+    `LatticeBasis.batch` makes the bases of the stack and of its translates;
+    the first box count or ball test on a stack reduces it and decides it
+    for every sample. A group-det failure in `orbit_points` reports before a
+    basis-det failure in `batch`; the observables run inside the same naming
+    scope, so these and a sample that fails to reduce in the first query are
+    each named by their sample. Each basis is handed to the observable
+    through `orbit_point`, and the observables call the lattice queries by
+    their names here, so span tracing of those names still sees one call per
+    sample.
     """
     points = sampler.points(curve.interval)
     with _naming_sample(sampler, points):
         stack = orbit_points(curve, points, t, basepoint=basepoint, normalize=normalize)
         bases = LatticeBasis.batch(stack)
         translated = () if shift is None else LatticeBasis.batch(shift @ stack)
-    values = [evaluate(orbit_point(curve, s, t, basepoint=basepoint, normalize=normalize,
-                                   basis=basis))
-              for s, basis in zip(points, bases)]
-    out = [_mean_stderr(np.array(values, dtype=float))]
-    if shift is not None:
-        out.append(_mean_stderr(np.array([evaluate(b) for b in translated], dtype=float)))
+        values = [evaluate(orbit_point(curve, s, t, basepoint=basepoint, normalize=normalize,
+                                       basis=basis))
+                  for s, basis in zip(points, bases)]
+        out = [_mean_stderr(np.array(values, dtype=float))]
+        if shift is not None:
+            out.append(_mean_stderr(np.array([evaluate(b) for b in translated], dtype=float)))
     return out
 
 

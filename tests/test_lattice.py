@@ -194,3 +194,20 @@ def test_non_unimodular_rejected():
         LatticeBasis(np.diag([2.0, 1.0]))
     with pytest.raises(InvariantError):
         LatticeBasis.from_rational([[2, 0], [0, 1]])
+
+
+def test_exact_basis_clears_denominators_once(monkeypatch):
+    calls = []
+    original = lattice._linalg.integral
+    monkeypatch.setattr(lattice._linalg, "integral",
+                        lambda entries: calls.append(len(entries)) or original(entries))
+    basis = LatticeBasis.from_rational([[1, Fraction(1, 3)], [0, 1]])
+    assert calls == [4]
+    assert basis.int_cols == ((3, 0), (1, 3)) and basis.den == 3
+    assert basis.cols.tolist() == [[1, Fraction(1, 3)], [0, 1]]
+    calls.clear()
+    with pytest.raises(InvariantError, match=r"exact \|det\| = 1/9 != 1"):
+        LatticeBasis.from_rational([[Fraction(1, 3), 0], [0, Fraction(1, 3)]])
+    assert calls == [4]
+    with pytest.raises(InvariantError, match=r"exact \|det\| = 2 != 1"):
+        LatticeBasis.from_rational([[2, 1], [0, -1]])

@@ -9,11 +9,14 @@ recomputes Gram-Schmidt in full after every step, and a walk of the whole
 coefficient box that the inverse of the reduced basis bounds. The batched
 float LLL of 2 x 2 stacks is held to the scalar float LLL bit for bit, and
 the integral LLL, which updates its Gram rows on a swap, to the same loop
-recomputing them.
+recomputing them. The breadth-first stack walk is held to the depth-first
+walk: equal answers on every lane at m = 2, 4 and 6, and equal leaves, bit
+for bit.
 """
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +29,7 @@ from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, corresponden
                      shortest_supnorm, u_embed)
 import integral_lll_reference
 from danilab import _linalg, lattice
-from danilab.errors import InternalIdentityError
+from danilab.errors import DegenerateInputError, InternalIdentityError
 from integral_lll_reference import reference_lll_integral
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -505,26 +508,34 @@ def test_batched_lll_reduces_wide_transform_lanes_without_scalar_lll(monkeypatch
 
     monkeypatch.setattr(lattice, "_lll", refuse)
     basis, _ = LatticeBasis.batch(np.array([lane, np.eye(2)]))
-    assert [row.tobytes() for row in basis._stack.out] == want
+    assert not in_kmu(basis, 0.5)  # the first ball query reduces the stack
+    assert stack_rows(basis._stack) == want
 
 
-# Hand lanes for the n = 1 query grid: a column exactly on the face of the
-# box (0.9, 0.9), a column exactly on the sphere of sup-norm 0.7, a lane with
-# more candidate pairs than the grid takes, which is left to the walk, and
-# a lane with a size-reduction quotient of 2^60, past the range where doubles
-# hold every integer, which the grid decides on its reduced pair like any
-# other. Then a vector on the corner of the box (0.9, 0.6), whose float
+def stack_rows(stack):
+    """A 2 x 2 stack's reductions laid out as `_lll_pair_arrays` rows, as bytes."""
+    b, mu, norms = stack.reduced()
+    rows = np.column_stack((b.reshape(len(b), 4), mu[:, 1, 0], norms))
+    return [row.tobytes() for row in rows]
+
+
+# Hand lanes for the stack walk at m = 2: a column exactly on the face of the
+# box (0.9, 0.9), a column exactly on the sphere of sup-norm 0.7, a lane that
+# would try more than _STACK_NODES candidates, which is left to the scalar
+# walk, and a lane with a size-reduction quotient of 2^60, past the range
+# where doubles hold every integer, which the stack walk decides on its
+# reduced pair like any other. Then a vector on the corner of the box (0.9, 0.6), whose float
 # length exceeds the squared radius 0.9^2 + 0.6^2 so that only the slack
 # keeps it, and a reduced pair with mu = 1/2 exactly: under c1 = 1 its center
 # -1/2 is a tie, and in the box (3.9, 1.3) its leaf x = -4 lies one step past
 # the naive window |x - round(ctr)| <= floor(sqrt(limit / n0)) = 3.
 BOX_FACE_LANE = [[0.9, 0.0], [0.0, 1 / 0.9]]
 MU_SPHERE_LANE = [[0.7, 0.0], [0.0, 1 / 0.7]]
-PAST_GRID_LANE = [[0.01, 0.0], [0.0, 100.0]]
+PAST_CAP_LANE = [[0.0039, 0.0], [0.0, 1 / 0.0039]]
 WIDE_LANE = [[1.0, 2.0 ** 60], [0.0, 1.0]]  # Z^2, with a size-reduction quotient 2^60
 BOX_CORNER_LANE = [[0.9, 0.0], [0.6, 1 / 0.9]]
 HALF_MU_LANE = [[1 / math.sqrt(0.9), 0.5 / math.sqrt(0.9)], [0.0, math.sqrt(0.9)]]
-HAND_LANES = ([BOX_FACE_LANE, MU_SPHERE_LANE, PAST_GRID_LANE, WIDE_LANE, BOX_CORNER_LANE,
+HAND_LANES = ([BOX_FACE_LANE, MU_SPHERE_LANE, PAST_CAP_LANE, WIDE_LANE, BOX_CORNER_LANE,
                HALF_MU_LANE] + SIGNED_ZERO_LANES + TIE_LANES)
 GRID_BOXES = ((0.9, 0.9), (0.3, 2.5), (2.0, 2.0), (3.9, 1.3), (0.9, 0.6))
 GRID_BOUNDS = (0.05, 0.5, 0.7)
@@ -578,10 +589,213 @@ def test_grouped_queries_on_hand_lanes():
     assert got[face][0] == 2  # +-(0.9, 0) on the face of the box (0.9, 0.9)
     assert got[sphere][len(GRID_BOXES) + GRID_BOUNDS.index(0.7)] is True  # not below 0.7
     assert got[corner][GRID_BOXES.index((0.9, 0.6))] == 4  # +-(0.9, 0) and +-(0.9, 0.6)
-    assert grouped[half_mu]._stack.out[half_mu, 4] == 0.5  # mu[1][0]
+    assert grouped[half_mu]._stack.reduced()[1][half_mu, 1, 0] == 0.5  # mu[1][0]
     # the grid answered every lane but these box counts, which the walk decided
     answers = grouped[0]._stack._answers
     assert {key: [i for i, x in enumerate(lane) if x is None]
             for key, lane in answers.items()} == {
         **{("box", *box): [past] for box in GRID_BOXES},
         **{("ball", r): [] for r in GRID_BOUNDS}}
+
+
+# The stack walk at m = 4 and 6: every box count and ball test on a stack
+# basis equals the walk of an unbatched basis of the same columns.
+WIDE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+WIDE_BOUNDS = (0.05, 0.5, 0.7)
+
+
+def wide_boxes(m):
+    return ((0.9,) * m, (0.5,) * (m - 1) + (1.4,), tuple(0.3 + 0.15 * i for i in range(m)))
+
+
+def assert_stack_answers_match_unbatched(stack, boxes, bounds=WIDE_BOUNDS):
+    stack = np.array(stack, dtype=float)
+    batched = LatticeBasis.batch(stack)
+    unbatched = [LatticeBasis(cols) for cols in stack]
+
+    def answers(basis):
+        return ([count_in_box(basis, box) for box in boxes]
+                + [in_kmu(basis, mu) for mu in bounds]
+                + [in_mahler_compact(basis, eps) for eps in bounds])
+
+    got = [[(type(x), x) for x in answers(b)] for b in batched]
+    assert got == [[(type(x), x) for x in answers(b)] for b in unbatched]
+
+
+@st.composite
+def wide_orbit_stacks(draw):
+    """Orbit bases a_t [z(s)] u(phi(s)) at n = 2 or 3, t in [0, 8], for a
+    linear phi whose derivative is diagonally dominant, raw or normalized,
+    optionally translated by u(1)."""
+    n = draw(st.integers(2, 3))
+    entry = st.floats(-1, 1)
+    coeffs = [[[draw(entry) for _ in range(n)] for _ in range(n)],
+              [[(1.0 if i == j else 0.0) + draw(entry) / (2 * n) for j in range(n)]
+               for i in range(n)]]
+    curve = MatrixPolyCurve.from_coeffs(coeffs, (1.0, 2.0))
+    s = draw(st.lists(st.floats(1.0, 2.0), min_size=1, max_size=6))
+    stack = orbit_points(curve, s, draw(st.floats(0.0, 8.0)), normalize=draw(st.booleans()))
+    return u_embed(np.eye(n)).entries @ stack if draw(st.booleans()) else stack
+
+
+@st.composite
+def unimodular_float_stacks(draw):
+    """Float m x m matrices (m = 4 or 6) of det +-1 up to rounding: a random
+    matrix scaled by |det|^(1/m) and sheared by a diagonal of det 1."""
+    m = draw(st.sampled_from((4, 6)))
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = np.array([[draw(st.floats(-4, 4)) for _ in range(m)] for _ in range(m)])
+        d = np.linalg.det(a)
+        assume(abs(d) > 1e-2)
+        x = np.array([draw(st.floats(-2, 2)) for _ in range(m)])
+        mats.append(a / abs(d) ** (1 / m) @ np.diag(np.exp(x - x.mean())))
+    stack = np.array(mats)
+    assume(np.all(np.abs(np.abs(np.linalg.det(stack)) - 1) <= lattice.UNIMODULAR_TOL))
+    return stack
+
+
+@WIDE_SETTINGS
+@given(wide_orbit_stacks(), st.floats(0.05, 0.99))
+def test_stack_walk_matches_unbatched_on_wide_orbit_stacks(stack, mu):
+    assert_stack_answers_match_unbatched(stack, wide_boxes(stack.shape[1]),
+                                         WIDE_BOUNDS + (mu,))
+
+
+@WIDE_SETTINGS
+@given(unimodular_float_stacks(), st.floats(0.05, 0.99))
+def test_stack_walk_matches_unbatched_on_random_wide_stacks(stack, mu):
+    assert_stack_answers_match_unbatched(stack, wide_boxes(stack.shape[1]),
+                                         WIDE_BOUNDS + (mu,))
+
+
+def block_lanes(m):
+    """m x m lanes built from the m = 2 hand lanes: block diagonals of two of
+    them, with +0.0 or -0.0 off the blocks, so that the walk meets signed
+    zeros, ties and faces at every level."""
+    lanes = SIGNED_ZERO_LANES + TIE_LANES + [BOX_FACE_LANE, MU_SPHERE_LANE, HALF_MU_LANE]
+    out = []
+    for k, lane in enumerate(lanes):
+        mat = np.full((m, m), -0.0 if k % 2 else 0.0)
+        for i in range(0, m, 2):
+            mat[i:i + 2, i:i + 2] = lanes[(k + i // 2) % len(lanes)]
+        out.append(mat)
+    return out
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_stack_walk_on_signed_zero_tie_and_face_lanes(m):
+    lanes = block_lanes(m)
+    boxes = wide_boxes(m) + ((0.9,) * (m - 2) + (0.6, 0.9),)
+    assert_stack_answers_match_unbatched(lanes, boxes)
+    # the box (0.9, ...) holds +-(0.9, 0, ...) of the box-face lane on its face
+    face = next(k for k, x in enumerate(lanes) if x[0, 0] == 0.9 and x[1, 1] == 1 / 0.9)
+    assert count_in_box(LatticeBasis.batch(np.array(lanes))[face], (0.9,) * m) >= 2
+
+
+def generic_curve(n):
+    """phi(s) = A + (I + A^T / 4) s on [1, 2], with the entries of A spread
+    by the golden ratio: no rational relation makes its orbit lattices
+    degenerate."""
+    a = np.array([[((3 * i + 5 * j + 1) * 0.618034) % 1 - 0.5 for j in range(n)]
+                  for i in range(n)])
+    return MatrixPolyCurve.from_coeffs([a, np.eye(n) + 0.25 * a.T], (1.0, 2.0))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_stack_walk_leaves_are_the_walks_bit_for_bit(m):
+    # the skipped zero terms of the walk's sums are no-ops on signed zeros
+    lanes = SIGNED_ZERO_LANES + TIE_LANES if m == 2 else block_lanes(m)
+    stack = LatticeBasis.batch(np.array(lanes, dtype=float))[0]._stack
+    b, mu, norms = stack.reduced()
+    for i in range(len(lanes)):
+        for r2 in (0.3, 1.0, 2.0):
+            leaves = []
+            hits = lattice._stack_walk(b[i:i + 1], mu[i:i + 1], norms[i:i + 1], r2,
+                                       lambda v: leaves.extend(v) or np.ones(len(v), bool))
+            bred, gram = stack.lane(i)
+            want = sorted(np.array(v).tobytes() for _, v in lattice._BallWalk(bred, gram, r2,
+                                                                             False))
+            assert sorted(v.tobytes() for v in leaves) == want and hits.tolist() == [len(want)]
+
+
+def stack_queries(bases, m):
+    return ([count_in_box(b, (0.5,) * m) for b in bases] + [in_kmu(b, 0.5) for b in bases]
+            + [in_mahler_compact(b, 0.05) for b in bases])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stack_queries_build_no_ball_walk_and_reduce_each_lane_once(monkeypatch, n):
+    stack = orbit_points(generic_curve(n), np.linspace(1.0, 2.0, 12), 3.0)
+    want = stack_queries([LatticeBasis(cols) for cols in stack], 2 * n)
+    calls = {"_lll": 0, "_lll_pair_arrays": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(lattice, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lattice, name, counted)
+
+    def refuse(*args):
+        raise AssertionError("a stack box or ball query built _BallWalk")
+
+    monkeypatch.setattr(lattice, "_BallWalk", refuse)
+    bases = LatticeBasis.batch(stack)
+    assert calls == {"_lll": 0, "_lll_pair_arrays": 0}  # nothing reduces before a query
+    assert stack_queries(bases, 2 * n) == want
+    assert calls == ({"_lll": 0, "_lll_pair_arrays": 1} if n == 1
+                     else {"_lll": len(stack), "_lll_pair_arrays": 0})
+
+
+def test_lambda1_stacks_reduce_each_sample_alone(monkeypatch):
+    curve = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
+    bases = LatticeBasis.batch(orbit_points(curve, np.linspace(1.0, 2.0, 5), 3.0))
+    calls = []
+    scalar = lattice._lll
+    monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(args[2:]) or scalar(*args))
+    want = [shortest_supnorm(LatticeBasis(np.array(b.cols))).length for b in bases]
+    calls.clear()
+    assert [shortest_supnorm(b).length for b in bases] == want
+    assert calls == [(True,)] * 5  # one `_lll` per sample, transform tracked
+    assert bases[0]._stack._reduced is None
+
+
+def test_lane_past_the_node_cap_walks_and_raises_per_sample(monkeypatch):
+    # the stack walk tries about 100 candidates on Z^4 and 270 on the skew
+    # lane, whose ball holds +-k (0.05, 0, 0, 0) for k up to 36
+    skew = np.diag([0.05, 20.0, 1.0, 1.0])
+    stack = np.array([np.eye(4), skew, np.eye(4)[[1, 0, 2, 3]]])
+    box = (0.9,) * 4
+    monkeypatch.setattr(lattice, "_STACK_NODES", 150)
+    walks = []
+    walk = lattice._BallWalk
+    monkeypatch.setattr(lattice, "_BallWalk", lambda *args: walks.append(args) or walk(*args))
+    bases = LatticeBasis.batch(stack)
+    assert count_in_box(bases[1], box) == count_in_box(LatticeBasis(skew), box) == 36
+    assert len(walks) == 2  # the stack lane past the cap, and the unbatched basis
+    assert [count_in_box(b, box) for b in bases[::2]] == [0, 0]
+    assert bases[0]._stack._answers[("box", *box)] == [0, None, 0]
+    assert len(walks) == 2
+    monkeypatch.setattr(lattice, "_MAX_NODES", 30)
+    for basis in (bases[1], LatticeBasis(skew)):
+        with pytest.raises(DegenerateInputError, match="node budget"):
+            count_in_box(basis, (0.95,) * 4)
+    assert [count_in_box(b, (0.95,) * 4) for b in bases[::2]] == [0, 0]
+
+
+def test_wide_stack_walk_memory_is_bounded():
+    # 2,000 lanes at n = 2, t = 8: the walk over the whole stack at once
+    # peaks near 10 MB; in chunks of _STACK_LANES lanes, each of at most
+    # _STACK_NODES candidates, the queries stay near 1.4 MB
+    bases = LatticeBasis.batch(orbit_points(generic_curve(2), np.linspace(1.0, 2.0, 2_000),
+                                            8.0))
+    bases[0]._stack.reduced()  # the reduction's arrays: 2,000 x 21 floats
+    tracemalloc.start()
+    try:
+        for basis in bases:
+            count_in_box(basis, (0.9,) * 4)
+            in_kmu(basis, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20

@@ -3,8 +3,9 @@
 `orbit_points` must reproduce (a_diag(t) @ z_embed(normalizer(c, s)) @
 u_embed(c.eval(s))).entries bit for bit, the estimators must hand the
 observable exactly those bases, and a failing sample must raise its
-one-sample error, named by (seed, index, s). At n = 1 the queries read the
-reduction made once for the whole stack; everywhere else they reduce.
+one-sample error, named by (seed, index, s). Box counts and ball tests on a
+stack read the reduction made once per lane for the whole stack; lambda1
+and every unbatched basis reduce their own.
 """
 
 import tracemalloc
@@ -145,6 +146,14 @@ def basis_record(basis):
             basis.int_cols, basis.den)
 
 
+def reduction_bytes(b, gram):
+    """Reduced columns, mu below the diagonal and norms, as bytes, so that
+    equal reductions are bit-identical (signed zeros included)."""
+    mu, norms = gram
+    below = [mu[i][j] for i in range(len(b)) for j in range(i)]
+    return np.array([x for col in b for x in col] + below + list(norms), dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stack_bases_equal_the_checked_bases_reduction_included(n):
     curve = MatrixPolyCurve.from_coeffs([np.eye(n) * 0.25, np.eye(n) * 1.125 + 0.0625],
@@ -158,12 +167,10 @@ def test_stack_bases_equal_the_checked_bases_reduction_included(n):
         assert basis._cols.base is stack and not basis.exact and basis.m == 2 * n
         with pytest.raises(AttributeError):
             basis.den = 1
-        if n == 1:  # the batched reduced pair is the one the basis's walk would get
-            b, _, mu, norms = lattice._lll(lattice._float_columns(one.cols))
-            assert basis._stack.out[basis._lane].tobytes() == np.array(
-                [*b[0], *b[1], mu[1][0], *norms]).tobytes()
-        else:
-            assert basis._stack is None
+        # the stack's reduction of the lane is the one the basis's walk would get
+        assert basis._stack is bases[0]._stack and basis._stack.cols is stack
+        b, _, mu, norms = lattice._lll(lattice._float_columns(one.cols))
+        assert reduction_bytes(*basis._stack.lane(basis._lane)) == reduction_bytes(b, (mu, norms))
     exact = np.array([np.eye(2, dtype=int)], dtype=object)
     for refused in (exact, np.eye(2)):  # an exact stack; one matrix, not a stack
         with pytest.raises(InvariantError, match="float stack"):
@@ -241,9 +248,8 @@ def test_n1_box_and_ball_queries_take_the_stack_grid(monkeypatch):
 
 
 def test_n1_stack_grid_memory_is_bounded():
-    # 10^4 lanes at t = 8: one grid over the whole stack peaks near 28 MB;
-    # in chunks of _GRID_LANES lanes, each lane with its own coefficient
-    # block, the run stays near 5 MB.
+    # 10^4 lanes at t = 8: the stack walk over the whole stack at once peaks
+    # near 7.5 MB; in chunks of _STACK_LANES lanes the run stays near 4.4 MB.
     points = Sampler(seed=3, count=10_000).points(LINE.interval)
     tracemalloc.start()
     try:
@@ -254,7 +260,7 @@ def test_n1_stack_grid_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 6 * 2 ** 20
 
 
 def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
@@ -296,4 +302,25 @@ def test_lll_step_limit_names_the_lowest_failing_sample(monkeypatch):
     s = sampler.point(LINE.interval, 5)
     assert info.value.sample_index == 5
     assert str(info.value) == (f"sample (seed, index, s) = (5, 5, {s!r}): "
+                               "LLL failed to terminate at desk scale")
+
+
+def test_wide_stack_reduction_failure_names_the_lowest_failing_sample(monkeypatch):
+    # the n = 2 stack reduces on its first box count, inside the estimator's
+    # naming scope; at this step limit samples 5, 7 and 10 fail to reduce
+    plane = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
+    sampler = Sampler(seed=2, count=12)
+    monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 50)
+    failing = []
+    for i, cols in enumerate(orbit_points(plane, sampler.points(plane.interval), 6.0)):
+        try:
+            lattice._lll(lattice._float_columns(cols))
+        except InternalIdentityError:
+            failing.append(i)
+    assert failing == [5, 7, 10]
+    with pytest.raises(InternalIdentityError) as info:
+        siegel_average(plane, 6.0, (0.9,) * 4, sampler)
+    s = sampler.point(plane.interval, 5)
+    assert info.value.sample_index == 5
+    assert str(info.value) == (f"sample (seed, index, s) = (2, 5, {s!r}): "
                                "LLL failed to terminate at desk scale")

@@ -210,19 +210,58 @@ def test_rep_verify_calls_each_verifier_once_per_r_block(monkeypatch, tmp_path):
     for name in counts:
         original = getattr(reptheory, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(reptheory, name, counted)
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "rep-verify.json")
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    cfg["output"] = str(tmp_path / "rep")
+    cfg = rep_verify_config(tmp_path)
     records = run(parse_config(json.dumps(cfg)))
     blocks = len(cfg["parameters"]["r_list"])
     assert counts["verify_qplus_nonvanish"] == blocks
     assert counts["verify_q0_transport"] == sum(
         rec["payload"]["dim_constrained"] > 0 for rec in records) > 0
+
+
+def rep_verify_config(tmp_path, rep=None):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "rep-verify.json")
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["output"] = str(tmp_path / "rep")
+    if rep is not None:
+        cfg["parameters"]["rep"] = rep
+    return cfg
+
+
+@pytest.mark.parametrize("rep", [None, {"kind": "exterior", "k": 1}])
+def test_rep_verify_builds_one_unipotent_image_per_r_block(monkeypatch, tmp_path, rep):
+    cfg = rep_verify_config(tmp_path, rep)
+    payloads = [rec["payload"] for rec in run(parse_config(json.dumps(cfg)))]
+    images = []
+    original = reptheory.rep_image
+
+    def counted(rep, g):
+        a = g.entries
+        n = a.shape[0] // 2
+        unipotent = np.array_equal(a[:n, :n], np.eye(n)) and not a[n:, :n].any()
+        images.append(unipotent)
+        return original(rep, g)
+
+    monkeypatch.setattr(reptheory, "rep_image", counted)
+    # the verifiers' own call forms build their own images: same payloads
+    for name in ("constrained_subspace", "verify_q0_transport", "verify_qplus_nonvanish"):
+        own = getattr(reptheory, name)
+        monkeypatch.setattr(reptheory, name, lambda *args, image, _own=own: _own(*args))
+    assert [rec["payload"] for rec in run(parse_config(json.dumps(cfg)))] == payloads
+    blocks = len(cfg["parameters"]["r_list"])
+    constrained = sum(p["dim_constrained"] > 0 for p in payloads)
+    assert images.count(True) >= 3 * blocks
+    images.clear()
+    monkeypatch.undo()
+    monkeypatch.setattr(reptheory, "rep_image", counted)
+    assert [rec["payload"] for rec in run(parse_config(json.dumps(cfg)))] == payloads
+    # one rho(u(r phi)) per block; rho(E_phi) once per block with a constrained basis
+    assert images.count(True) == blocks
+    assert images.count(False) == constrained
 
 
 @pytest.mark.parametrize("rep", STACK_REPS, ids=lambda rep: f"{rep.kind}{rep.n}{rep.k}")
