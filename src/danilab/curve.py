@@ -5,6 +5,12 @@ The operations here answer one question in several forms: how does the
 family of shifted inverses s -> (phi(s) - phi(s0))^-1 sit inside matrix
 space near s0? Full affine span (rank n^2) is the generic case; anything
 lower is a witness of degeneracy.
+
+phi(s) and phi'(s), at one point or at a float stack of points, come from
+one Horner kernel, `_horner`, over coefficient stacks each curve makes
+once. One mode rule, in `MatrixPolyCurve._at`, picks the stacks:
+Fractions when the curve is exact and s is an int or Fraction, floats
+otherwise.
 """
 
 import math
@@ -28,7 +34,8 @@ def _is_exact_scalar(s) -> bool:
 
 def _horner(coeffs: np.ndarray, s, shape) -> np.ndarray:
     """sum_k coeffs[k] s^k by Horner's rule as a new array of the given shape;
-    s is a float or an (M, 1, 1) array of floats."""
+    s is a float or an (M, 1, 1) array of floats over a float stack, or an
+    int or Fraction over a Fraction stack."""
     if len(coeffs) == 1:
         return np.array(np.broadcast_to(coeffs[0], shape))
     out = coeffs[-1]
@@ -42,8 +49,10 @@ class MatrixPolyCurve:
     """Polynomial curve phi(s) = sum_k coeffs[k] s^k on [a, b].
 
     coeffs[k] is the n x n coefficient of s^k. If every entry of every
-    coefficient is an int/Fraction the curve is exact and evaluation at
-    rational s stays in exact arithmetic.
+    coefficient is an int/Fraction the curve is exact. phi and phi' have
+    one evaluator, `_horner` over the coefficient stacks of `_stacks`; the
+    mode rule in `_at` picks the stacks: Fractions when the curve is exact
+    and s is an int or Fraction, floats otherwise.
     """
 
     n: int
@@ -66,60 +75,45 @@ class MatrixPolyCurve:
         """Build a curve from per-power n x n array-likes (outer index = power).
 
         All-rational entries (int/Fraction/"p/q" strings) give an exact curve;
-        any float demotes the whole curve to float mode.
+        any float demotes the whole curve to float mode. Every coefficient
+        must be n x n, with n the row count of the first one.
         """
-        exact = True
-        parsed = []
-        for c in coeffs:
-            rows = []
-            for row in c:
-                vals = []
-                for x in row:
-                    if isinstance(x, str):
-                        x = Fraction(x)
-                    elif not _is_exact_scalar(x):
-                        exact = False
-                    vals.append(x)
-                rows.append(vals)
-            parsed.append(rows)
-        mats = []
-        for rows in parsed:
-            if exact:
-                mats.append(_linalg.frac_matrix(rows))
-            else:
-                mats.append(np.array([[float(x) for x in row] for row in rows], dtype=float))
-        n = mats[0].shape[0]
-        frozen = []
-        for m in mats:
-            m = m.copy()
-            m.flags.writeable = False
-            frozen.append(m)
+        vals = []
+        for k, c in enumerate(coeffs):
+            rows = [[Fraction(x) if isinstance(x, str) or _is_exact_scalar(x) else x
+                     for x in row] for row in c]
+            n = len(vals[0]) if vals else len(rows)
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise InvariantError(f"coefficient of s^{k} is not {n} x {n}")
+            vals.append(rows)
+        if not vals:
+            raise InvariantError("a curve needs at least one coefficient")
+        exact = all(isinstance(x, Fraction) for rows in vals for row in rows for x in row)
+        stack = np.array(vals, dtype=object if exact else float)
+        stack.flags.writeable = False
         a, b = interval
         a = Fraction(a) if isinstance(a, str) else a
         b = Fraction(b) if isinstance(b, str) else b
-        return cls(n=n, degree=len(frozen) - 1, coeffs=tuple(frozen), interval=(a, b))
+        return cls(n=n, degree=len(vals) - 1, coeffs=tuple(stack), interval=(a, b))
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(_linalg.is_exact(c) for c in self.coeffs)
 
     @cached_property
-    def _float_coeffs(self):
-        """Float coefficient stacks of phi and of phi' (outer index = power),
-        converted once per curve."""
-        cs = np.array([_linalg.to_float(c) for c in self.coeffs])
-        ds = cs[1:] * np.arange(1.0, len(cs))[:, None, None]
-        cs.flags.writeable = ds.flags.writeable = False
-        return cs, ds
-
-    def _check_domain(self, s):
-        a, b = self.interval
-        if self.exact and _is_exact_scalar(s):
-            if not a <= Fraction(s) <= b:
-                raise DomainError(f"s = {s} outside the curve interval [{a}, {b}]")
-            return
-        if not self.in_float_domain(float(s)):
-            raise DomainError(f"s = {s} outside the curve interval [{a}, {b}]")
+    def _stacks(self) -> dict:
+        """{exact: (stack of phi, stack of phi')}, the read-only coefficient
+        stacks (outer index = power) in floats, and for an exact curve also in
+        Fractions, made once per curve. phi' has coefficients k coeffs[k] with
+        Python-int k; a constant curve's phi' is one zero coefficient."""
+        table = {}
+        for exact in {False, self.exact}:
+            cs = np.array(self.coeffs, dtype=object if exact else float)
+            ds = (np.array([c * k for k, c in enumerate(cs[1:], 1)]) if self.degree
+                  else _linalg.zeros(cs.shape, exact))
+            cs.flags.writeable = ds.flags.writeable = False
+            table[exact] = cs, ds
+        return table
 
     def in_float_domain(self, s):
         """Whether the float point(s) s lie in the interval, widened by a
@@ -128,40 +122,31 @@ class MatrixPolyCurve:
         slack = (hi - lo) * 1e-12
         return (lo - slack <= s) & (s <= hi + slack)
 
+    def _at(self, s, order: int) -> np.ndarray:
+        """phi(s) (order 0) or phi'(s) (order 1), after the domain check in
+        the mode of s."""
+        exact = self.exact and _is_exact_scalar(s)
+        a, b = self.interval
+        if not (a <= Fraction(s) <= b if exact else self.in_float_domain(float(s))):
+            raise DomainError(f"s = {s} outside the curve interval [{a}, {b}]")
+        return _horner(self._stacks[exact][order], s if exact else float(s),
+                       (self.n, self.n))
+
     def eval(self, s) -> np.ndarray:
         """phi(s) by Horner evaluation."""
-        self._check_domain(s)
-        if self.exact and _is_exact_scalar(s):
-            s = Fraction(s)
-            out = self.coeffs[-1].copy()
-            for k in range(self.degree - 1, -1, -1):
-                out = out * s + self.coeffs[k]
-            return out
-        return _horner(self._float_coeffs[0], float(s), (self.n, self.n))
+        return self._at(s, 0)
 
     def derivative(self, s) -> np.ndarray:
         """phi'(s) by Horner evaluation of the derivative polynomial."""
-        self._check_domain(s)
-        if self.degree == 0:
-            return (_linalg.zeros((self.n, self.n), exact=True) if self.exact and _is_exact_scalar(s)
-                    else np.zeros((self.n, self.n)))
-        if self.exact and _is_exact_scalar(s):
-            s = Fraction(s)
-            out = self.coeffs[-1] * Fraction(self.degree)
-            for k in range(self.degree - 1, 0, -1):
-                out = out * s + self.coeffs[k] * Fraction(k)
-            return out
-        return _horner(self._float_coeffs[1], float(s), (self.n, self.n))
+        return self._at(s, 1)
 
     def eval_many(self, s: np.ndarray) -> np.ndarray:
         """(M, n, n) stack of phi at the float points s (no domain check)."""
-        return _horner(self._float_coeffs[0], s[:, None, None], (len(s), self.n, self.n))
+        return _horner(self._stacks[False][0], s[:, None, None], (len(s), self.n, self.n))
 
     def derivative_many(self, s: np.ndarray) -> np.ndarray:
         """(M, n, n) stack of phi' at the float points s (no domain check)."""
-        if self.degree == 0:
-            return np.zeros((len(s), self.n, self.n))
-        return _horner(self._float_coeffs[1], s[:, None, None], (len(s), self.n, self.n))
+        return _horner(self._stacks[False][1], s[:, None, None], (len(s), self.n, self.n))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixPolyCurve):

@@ -117,21 +117,14 @@ def a_scale(factor, n: int) -> GroupElement:
     A Fraction/int factor builds the element in exact arithmetic, which is
     what the rational flow-time construction t = log N needs.
     """
-    if isinstance(factor, (int, Fraction)) and not isinstance(factor, bool):
-        f = Fraction(factor)
-        if f <= 0:
-            raise DomainError("expansion factor must be positive")
-        out = _linalg.zeros((2 * n, 2 * n), exact=True)
-        for i in range(n):
-            out[i, i] = f
-            out[n + i, n + i] = 1 / f
-        return GroupElement(n, out)
-    f = float(factor)
+    exact = isinstance(factor, (int, Fraction)) and not isinstance(factor, bool)
+    f = Fraction(factor) if exact else float(factor)
     if f <= 0:
         raise DomainError("expansion factor must be positive")
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = f * np.eye(n)
-    out[n:, n:] = (1.0 / f) * np.eye(n)
+    out = _linalg.zeros((2 * n, 2 * n), exact)
+    for i in range(n):
+        out[i, i] = f
+        out[n + i, n + i] = 1 / f
     return GroupElement(n, out)
 
 

@@ -825,15 +825,19 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
         r2 = sum(x * x for x in w)
     bred, _, gram = _prepare(basis)
     count = 0
-    for _, v in _BallWalk(bred, gram, r2, exact):
-        if all(abs(x) <= wx for x, wx in zip(v, w)):
-            count += 1
+    try:
+        for _, v in _BallWalk(bred, gram, r2, exact):
+            if all(abs(x) <= wx for x, wx in zip(v, w)):
+                count += 1
+    except DegenerateInputError as exc:  # past the node budget: name a stack's lane
+        exc.sample_index = basis._lane
+        raise
     return 2 * count
 
 
 def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     """Is there a nonzero lattice vector with ||v||_inf strictly below bound?
-    The callers have checked bound > 0. On a basis of a 2 x 2 stack a bound
+    The callers have checked bound > 0. On a basis of a float stack a bound
     that is a float (or equals one) is decided for the whole stack at once."""
     exact = basis.exact
     if exact:  # bound * den = p / q; integers x have |x| < p / q iff |x| < ceil(p / q)
@@ -851,7 +855,11 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     bred, _, gram = _prepare(basis)
     if any(_sup(col) < bound for col in bred):
         return True
-    return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2, exact, r2_den))
+    try:
+        return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2, exact, r2_den))
+    except DegenerateInputError as exc:
+        exc.sample_index = basis._lane
+        raise
 
 
 def in_kmu(basis: LatticeBasis, mu) -> bool:

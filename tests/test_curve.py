@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from danilab import (MatrixPolyCurve, affine_rank, genericity_test,
                      inverse_derivative_check, inverse_shift, normalizer)
@@ -31,8 +33,9 @@ def test_float_eval_of_exact_curve_uses_cached_coefficients():
     curve = MatrixPolyCurve.from_coeffs([[["1/3", "-2/7"], ["5/9", "1"]],
                                          [["3/4", "0"], ["1/8", "9/5"]],
                                          [["-1/6", "2/3"], ["1/5", "1/11"]]], ("0", "2"))
-    cached = curve._float_coeffs
-    assert cached is curve._float_coeffs and not any(c.flags.writeable for c in cached)
+    cached = curve._stacks
+    assert cached is curve._stacks and set(cached) == {False, True}
+    assert not any(c.flags.writeable for stacks in cached.values() for c in stacks)
     for s in (0.0, 0.3, 1.7, 2.0):
         cs = [np.asarray(c, dtype=float) for c in curve.coeffs]
         want = cs[2] * s + cs[1]
@@ -41,6 +44,50 @@ def test_float_eval_of_exact_curve_uses_cached_coefficients():
         assert curve.derivative(s).tobytes() == (cs[2] * 2.0 * s + cs[1] * 1.0).tobytes()
     stack = curve.eval_many(np.array([0.3, 1.7]))
     assert stack[1].tobytes() == curve.eval(1.7).tobytes()
+
+
+@st.composite
+def curves(draw):
+    n, degree, exact = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.booleans())
+    entry = (st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=8),
+                       st.fractions(-3, 3, max_denominator=8).map(str)) if exact
+             else st.floats(-3, 3, allow_subnormal=False))
+    coeffs = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(degree + 1)]
+    return MatrixPolyCurve.from_coeffs(coeffs, ("-2", "2") if exact else (-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(curves(), st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=16)),
+       st.floats(-2, 2))
+def test_one_evaluator_in_both_modes(curve, s, x):
+    assert curve.exact == all(type(e) is Fraction for c in curve.coeffs for e in c.flat)
+    if curve.exact:
+        cs = [c.tolist() for c in curve.coeffs]
+        want = [[sum(c[i][j] * s ** k for k, c in enumerate(cs)) for j in range(curve.n)]
+                for i in range(curve.n)]
+        slope = [[sum(k * c[i][j] * s ** (k - 1) for k, c in enumerate(cs) if k)
+                  for j in range(curve.n)] for i in range(curve.n)]
+        for got, ref in ((curve.eval(s), want), (curve.derivative(s), slope)):
+            assert got.tolist() == ref and all(type(e) is Fraction for e in got.flat)
+    points = np.array([-2.0, x, 2.0])
+    for one, many in ((curve.eval, curve.eval_many), (curve.derivative, curve.derivative_many)):
+        rows = many(points)
+        assert rows.dtype == float
+        assert all(one(p).tobytes() == row.tobytes() for p, row in zip(points, rows))
+    if curve.degree == 0:
+        zero = curve.derivative(s)
+        assert all(type(e) is Fraction for e in zero.flat) == curve.exact
+        assert zero.tolist() == [[0] * curve.n] * curve.n
+        assert not np.signbit(zero.astype(float)).any()
+        assert not np.signbit(curve.derivative_many(points)).any()
+
+
+@pytest.mark.parametrize("coeffs", [[[[1, 2], [3]]], [[[1], [3, 4]]], [[[1.0, 2.0], [3.0]]],
+                                    [[["1"]], [["1/2", "0"]]], [np.eye(2), np.eye(3)]])
+def test_from_coeffs_refuses_ragged_coefficients(coeffs):
+    k = len(coeffs) - 1
+    with pytest.raises(InvariantError, match=rf"s\^{k} is not"):
+        MatrixPolyCurve.from_coeffs(coeffs, (0, 1))
 
 
 def test_eval_outside_interval_raises():

@@ -24,9 +24,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, correspondence_basis,
-                     count_in_box, in_kmu, in_mahler_compact, orbit_points, reduce,
-                     shortest_supnorm, u_embed)
+from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
+                     correspondence_basis, count_in_box, in_kmu, in_mahler_compact,
+                     orbit_points, reduce, shortest_supnorm, siegel_average, u_embed)
 import integral_lll_reference
 from danilab import _linalg, lattice
 from danilab.errors import DegenerateInputError, InternalIdentityError
@@ -781,6 +781,28 @@ def test_lane_past_the_node_cap_walks_and_raises_per_sample(monkeypatch):
         with pytest.raises(DegenerateInputError, match="node budget"):
             count_in_box(basis, (0.95,) * 4)
     assert [count_in_box(b, (0.95,) * 4) for b in bases[::2]] == [0, 0]
+
+
+def test_lane_past_the_node_budget_is_named_by_its_sample(monkeypatch):
+    monkeypatch.setattr(lattice, "_STACK_NODES", 20)
+    monkeypatch.setattr(lattice, "_MAX_NODES", 40)
+    with pytest.raises(DegenerateInputError, match="node budget") as info:
+        siegel_average(generic_curve(2), 6.0, (0.9,) * 4, Sampler(seed=2, count=12))
+    assert str(info.value).startswith("sample (seed, index, s) = (2, ")
+    stack = orbit_points(generic_curve(2), np.linspace(1.0, 2.0, 12), 6.0)
+    for max_nodes, query in ((40, lambda b: count_in_box(b, (0.9,) * 4)),
+                             (10, lambda b: in_kmu(b, 0.7))):  # the box, then the ball walk
+        monkeypatch.setattr(lattice, "_MAX_NODES", max_nodes)
+        failed = []
+        for i, basis in enumerate(LatticeBasis.batch(stack)):
+            try:
+                query(basis)
+            except DegenerateInputError as exc:
+                failed.append((i, exc.sample_index))
+        assert failed and all(i == index for i, index in failed)
+        with pytest.raises(DegenerateInputError) as info:
+            query(LatticeBasis(stack[failed[0][0]]))
+        assert getattr(info.value, "sample_index", None) is None
 
 
 def test_wide_stack_walk_memory_is_bounded():
