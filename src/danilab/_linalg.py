@@ -9,6 +9,14 @@ Matrices travel as numpy arrays in one of two modes:
 The exact routines are plain Gaussian elimination (fraction-free, in
 integers, for the determinant); everything in this package is desk scale
 (dimension <= ~30), so asymptotics do not matter but exactness does.
+
+Two rules are written here once for the whole package:
+
+* the mode rule, `is_exact_scalar`: an int or Fraction (never a bool)
+  selects exact arithmetic, anything else is read in floats;
+* the unit check, `check_equals`: a computed invariant (a determinant, a
+  trace) must equal its target exactly when it is a Fraction, and within a
+  tolerance otherwise, nan failing.
 """
 
 import math
@@ -22,6 +30,22 @@ from .errors import SingularMatrixError
 def is_exact(a: np.ndarray) -> bool:
     """True if the array is in exact-rational (object dtype) mode."""
     return a.dtype == object
+
+
+def is_exact_scalar(x) -> bool:
+    """The mode rule: True for an int or Fraction, never for a bool."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def check_equals(value, target, tol: float, error, name: str) -> None:
+    """Raise error(message) unless value equals target: exactly when value
+    is a Fraction, within tol otherwise (nan fails). The message names the
+    value as `name`."""
+    if isinstance(value, Fraction):
+        if value != target:
+            raise error(f"exact {name} = {value} != {target}")
+    elif not abs(value - target) <= tol:
+        raise error(f"{name} = {float(value)!r} deviates from {target} beyond {tol}")
 
 
 def frac_matrix(rows) -> np.ndarray:

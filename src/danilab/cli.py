@@ -452,7 +452,8 @@ def _run_rep_verify(config: ExperimentConfig):
     rep_name = f"exterior({rep.n},{rep.k})" if rep.kind == "exterior" else f"adjoint({rep.n})"
     phi = _linalg.to_float(config.curve.eval(p.s0))
     copy = sl2_copy(phi)
-    decomp = reptheory.weight_split(rep)
+    # the contracting draws combine the unit vectors of V-
+    minus = np.eye(rep.dim)[list(reptheory.weight_split(rep).minus_idx)]
     draws = config.sampler.count
     seed = config.sampler.seed
     payloads = []
@@ -468,8 +469,8 @@ def _run_rep_verify(config: ExperimentConfig):
                                       rep.dim)
             max_transport = max([max_transport] + reptheory.verify_q0_transport(
                 rep, copy, r, vs, image=image).tolist())
-        vs = _random_minus_vectors(decomp, rep.dim, seed,
-                                   (2 * block + 1) * draws * rep.dim, draws)
+        vs = _random_combinations(minus, seed, (2 * block + 1) * draws * rep.dim, draws,
+                                  rep.dim)
         min_nonvanish = min([math.inf] + reptheory.verify_qplus_nonvanish(
             rep, copy, r, vs, image=image).tolist())
         payloads.append({
@@ -486,44 +487,20 @@ def _run_rep_verify(config: ExperimentConfig):
     return payloads, None
 
 
-def _draw_uniforms(seed: int, base_index: int, draws: int, width: int,
-                   stride: int) -> np.ndarray:
-    """(draws, width) uniforms; draw j, coordinate i is keyed by
-    base_index + j * stride + i."""
-    index = base_index + stride * np.arange(draws)[:, None] + np.arange(width)
-    return counter_uniforms(seed, index)
-
-
-def _unit_rows(v: np.ndarray) -> tuple:
-    """The rows divided by their sup-norms, where that is >= 1e-9, and the
-    mask of the rows where it is not (left as they are)."""
-    norm = np.max(np.abs(v), axis=1)
-    small = norm < 1e-9
-    return v / np.where(small, 1.0, norm)[:, None], small
-
-
 def _random_combinations(basis, seed: int, base_index: int, draws: int,
                          stride: int) -> np.ndarray:
     """Unit-sup-norm random combinations of the basis vectors, one per row;
-    row j uses the keys from base_index + j * stride."""
-    coef = 2.0 * _draw_uniforms(seed, base_index, draws, len(basis), stride) - 1.0
+    draw j, coefficient i is keyed by base_index + j * stride + i. A draw of
+    sup-norm below 1e-9 falls back to the first basis vector."""
+    index = base_index + stride * np.arange(draws)[:, None] + np.arange(len(basis))
+    coef = 2.0 * counter_uniforms(seed, index) - 1.0
     v = np.zeros((draws, len(basis[0])))
     for i, vec in enumerate(basis):
         v = v + coef[:, i, None] * vec
-    out, small = _unit_rows(v)
-    out[small] = basis[0]  # vanishing draw: fall back to the first basis vector
-    return out
-
-
-def _random_minus_vectors(decomp, dim: int, seed: int, base_index: int,
-                          draws: int) -> np.ndarray:
-    """Unit-sup-norm random contracting vectors, one per row; row j uses the
-    keys from base_index + j * dim."""
-    minus = list(decomp.minus_idx)
-    v = np.zeros((draws, dim))
-    v[:, minus] = 2.0 * _draw_uniforms(seed, base_index, draws, len(minus), dim) - 1.0
-    out, small = _unit_rows(v)
-    out[small, minus[0]] = 1.0
+    norm = np.max(np.abs(v), axis=1)
+    small = norm < 1e-9
+    out = v / np.where(small, 1.0, norm)[:, None]
+    out[small] = basis[0]
     return out
 
 

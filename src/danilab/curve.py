@@ -8,9 +8,12 @@ lower is a witness of degeneracy.
 
 phi(s) and phi'(s), at one point or at a float stack of points, come from
 one Horner kernel, `_horner`, over coefficient stacks each curve makes
-once. One mode rule, in `MatrixPolyCurve._at`, picks the stacks:
-Fractions when the curve is exact and s is an int or Fraction, floats
-otherwise.
+once. `MatrixPolyCurve._at` picks the stacks of one point by the package's
+mode rule (`_linalg.is_exact_scalar`): Fractions when the curve is exact and
+s is an int or Fraction, floats otherwise. No caller picks a mode of its
+own: `reptheory.obstruction_subspace` works in the mode of the matrices
+`eval` returns, and `genericity_test` reads its nodes and s0 in floats
+through `eval_many`.
 """
 
 import math
@@ -26,10 +29,6 @@ from .errors import (DegenerateInputError, DomainError, InvariantError,
                      OrientationError, SingularMatrixError)
 
 INVERTIBILITY_TOL = 1e-9
-
-
-def _is_exact_scalar(s) -> bool:
-    return isinstance(s, (int, Fraction)) and not isinstance(s, bool)
 
 
 def _horner(coeffs: np.ndarray, s, shape) -> np.ndarray:
@@ -80,7 +79,7 @@ class MatrixPolyCurve:
         """
         vals = []
         for k, c in enumerate(coeffs):
-            rows = [[Fraction(x) if isinstance(x, str) or _is_exact_scalar(x) else x
+            rows = [[Fraction(x) if isinstance(x, str) or _linalg.is_exact_scalar(x) else x
                      for x in row] for row in c]
             n = len(vals[0]) if vals else len(rows)
             if len(rows) != n or any(len(row) != n for row in rows):
@@ -125,7 +124,7 @@ class MatrixPolyCurve:
     def _at(self, s, order: int) -> np.ndarray:
         """phi(s) (order 0) or phi'(s) (order 1), after the domain check in
         the mode of s."""
-        exact = self.exact and _is_exact_scalar(s)
+        exact = self.exact and _linalg.is_exact_scalar(s)
         a, b = self.interval
         if not (a <= Fraction(s) <= b if exact else self.in_float_domain(float(s))):
             raise DomainError(f"s = {s} outside the curve interval [{a}, {b}]")
@@ -169,12 +168,8 @@ class CentralizerElement:
     def __post_init__(self):
         if self.B.shape != self.C.shape or self.B.shape[0] != self.B.shape[1]:
             raise InvariantError("B and C must be square of equal size")
-        prod = _linalg.det(self.B) * _linalg.det(self.C)
-        if isinstance(prod, Fraction):
-            if prod != 1:
-                raise InvariantError(f"det(B) det(C) = {prod} != 1")
-        elif not abs(prod - 1.0) <= self.det_tol:
-            raise InvariantError(f"det(B) det(C) = {prod!r} deviates from 1 beyond {self.det_tol}")
+        _linalg.check_equals(_linalg.det(self.B) * _linalg.det(self.C), 1, self.det_tol,
+                             InvariantError, "det(B) det(C)")
 
     @property
     def n(self) -> int:
@@ -237,7 +232,9 @@ def genericity_test(curve: MatrixPolyCurve, s0, m: Optional[int] = None,
     Samples s -> (phi(s) - phi(s0))^-1 at Chebyshev-distributed nodes in a
     punctured neighborhood of s0 inside the curve interval. The neighborhood
     radius is found by bisection: halve until every node has
-    |det(phi(s) - phi(s0))| > tol. Generic means affine rank exactly n^2.
+    |det(phi(s) - phi(s0))| > tol. The nodes are evaluated as one float stack
+    (`eval_many`), whose determinants and inverses are each taken by one
+    stacked numpy call. Generic means affine rank exactly n^2.
     """
     n2 = curve.n * curve.n
     if m is None:
@@ -254,22 +251,19 @@ def genericity_test(curve: MatrixPolyCurve, s0, m: Optional[int] = None,
     if r <= 0:
         raise DomainError("curve interval has no room around s0")
 
-    base = curve.eval(s0f)
-    nodes = None
+    base = curve.eval_many(np.array([s0f]))
     for _ in range(80):
-        cand = _chebyshev_nodes(s0f, r, m, left_room, right_room)
-        dets = [abs(_linalg.det(curve.eval(s) - base)) for s in cand]
-        if all(d > tol for d in dets):
-            nodes = cand
+        nodes = np.array(_chebyshev_nodes(s0f, r, m, left_room, right_room))
+        diffs = curve.eval_many(nodes) - base
+        if np.all(np.abs(np.linalg.det(diffs)) > tol):
             break
         r *= 0.5
-    if nodes is None:
+    else:
         raise DegenerateInputError(
             "no invertible punctured neighborhood found: |det(phi(s) - phi(s0))| "
             f"stayed <= {tol} down to radius {r:.3e}")
 
-    points = [_linalg.inv(curve.eval(s) - base, tol=tol).ravel() for s in nodes]
-    rank, basis = affine_rank(points, tol=tol)
+    rank, basis = affine_rank(np.linalg.inv(diffs), tol=tol)
     generic = rank == n2
     return GenericityVerdict(generic=generic, affine_rank=rank,
                              witness_subspace=None if generic else basis,

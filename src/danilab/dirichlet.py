@@ -153,8 +153,7 @@ def first_witnesses(integral_phi: tuple, Ns, mu, convention: str = "lattice_p_no
     Python ints.
     """
     _check_convention(convention)
-    rational = isinstance(mu, (int, Fraction)) and not isinstance(mu, bool)
-    a, b = (mu.numerator, mu.denominator) if rational else (0, 1)
+    a, b = (mu.numerator, mu.denominator) if _linalg.is_exact_scalar(mu) else (0, 1)
     if not 0 < a <= b:
         raise InvariantError(f"mu must be a rational in (0, 1], got {mu!r}")
     scales = [_scale(N) for N in Ns]

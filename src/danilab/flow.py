@@ -37,12 +37,7 @@ class GroupElement:
         m = 2 * self.n
         if self.entries.shape != (m, m):
             raise InvariantError(f"entries must be {m} x {m}, got {self.entries.shape}")
-        d = _linalg.det(self.entries)
-        if isinstance(d, Fraction):
-            if d != 1:
-                raise InvariantError(f"exact det = {d} != 1")
-        elif not abs(d - 1.0) <= GROUP_DET_TOL:
-            raise _det_error(d)
+        _linalg.check_equals(_linalg.det(self.entries), 1, GROUP_DET_TOL, InvariantError, "det")
         self.entries.flags.writeable = False
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
@@ -115,12 +110,13 @@ def a_scale(factor, n: int) -> GroupElement:
     """a_t written through its expansion factor f = e^t: diag(f I, f^-1 I).
 
     A Fraction/int factor builds the element in exact arithmetic, which is
-    what the rational flow-time construction t = log N needs.
+    what the rational flow-time construction t = log N needs. The factor
+    must be positive and finite.
     """
-    exact = isinstance(factor, (int, Fraction)) and not isinstance(factor, bool)
+    exact = _linalg.is_exact_scalar(factor)
     f = Fraction(factor) if exact else float(factor)
-    if f <= 0:
-        raise DomainError("expansion factor must be positive")
+    if not 0 < f < math.inf:  # nan fails too
+        raise DomainError(f"expansion factor must be positive and finite, got {factor!r}")
     out = _linalg.zeros((2 * n, 2 * n), exact)
     for i in range(n):
         out[i, i] = f
@@ -217,18 +213,10 @@ def dani_vector(phi, p, q, N) -> np.ndarray:
     N = operator.index(N) if exact else float(N)  # any integer type, as a Python int
     if N <= 0:
         raise DomainError("N must be positive")
-    if exact:
-        pf = _linalg.frac_vector(list(p))
-        qf = _linalg.frac_vector(list(q))
-        top = (phi @ pf - qf) * N
-        bot = pf / N
-        out = np.empty(2 * n, dtype=object)
-        out[:n] = top
-        out[n:] = bot
-        return out
-    phi_f = _linalg.to_float(phi)
-    return np.concatenate([N * (phi_f @ p.astype(float) - q.astype(float)),
-                           p.astype(float) / N])
+    vector = _linalg.frac_vector if exact else _linalg.to_float
+    p, q = vector(p), vector(q)
+    phi = phi if exact else _linalg.to_float(phi)
+    return np.concatenate([(phi @ p - q) * N, p / N])
 
 
 def sl2_image(copy: Sl2Copy, mat) -> GroupElement:
@@ -237,12 +225,7 @@ def sl2_image(copy: Sl2Copy, mat) -> GroupElement:
     if m.shape != (2, 2):
         raise DomainError("mat must be 2 x 2")
     exact = _linalg.is_exact(m) and _linalg.is_exact(copy.phi)
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if isinstance(d, Fraction):
-        if d != 1:
-            raise DomainError(f"det = {d} != 1")
-    elif not abs(float(d) - 1.0) <= 1e-10:
-        raise DomainError(f"det = {d!r} deviates from 1 beyond 1e-10")
+    _linalg.check_equals(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], 1, 1e-10, DomainError, "det")
     n = copy.n
     ident = _linalg.eye(n, exact=exact)
     return GroupElement(n, _assemble(n, m[0, 0] * ident, m[0, 1] * copy.phi,

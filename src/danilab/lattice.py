@@ -92,9 +92,7 @@ class LatticeBasis:
             m = cols.shape[0]
             flat, den = _linalg.integral(cols.T.ravel().tolist())
             int_cols = tuple(tuple(flat[j * m:(j + 1) * m]) for j in range(m))
-            d = _linalg.int_det(int_cols)  # the transpose: same det
-            if abs(d) != den ** m:
-                raise InvariantError(f"exact |det| = {Fraction(abs(d), den ** m)} != 1")
+            _check_integral_det(int_cols, den)
         else:
             d = _linalg.det(cols)
             if not abs(abs(d) - 1.0) <= UNIMODULAR_TOL:
@@ -123,9 +121,7 @@ class LatticeBasis:
         if den < 1 or any(len(col) != m for col in ints):
             raise InvariantError(f"need m integer columns of length m over den >= 1, got "
                                  f"{[len(col) for col in ints]} over {den}")
-        d = _linalg.int_det(ints)  # the transpose: same det
-        if abs(d) != den ** m:
-            raise InvariantError(f"exact |det| = {abs(d) / den ** m} != 1")
+        _check_integral_det(ints, den)
         return cls.of_checked_integral(ints, den)
 
     @classmethod
@@ -197,6 +193,15 @@ class _StackLane(LatticeBasis):
 
 def _det_error(d: float) -> InvariantError:
     return InvariantError(f"|det| = {abs(d)!r} deviates from 1 beyond {UNIMODULAR_TOL}")
+
+
+def _check_integral_det(int_cols: tuple, den: int) -> None:
+    """Refuse the exact basis int_cols / den unless |det| == 1: one
+    determinant of the integer matrix (its transpose: same det) against
+    den^m."""
+    d = abs(_linalg.int_det(int_cols))
+    if d != den ** len(int_cols):
+        raise InvariantError(f"exact |det| = {Fraction(d, den ** len(int_cols))} != 1")
 
 
 @dataclass(frozen=True)
@@ -744,7 +749,7 @@ def _scalar(x, exact: bool):
     """A radius or halfwidth in the basis's scalar mode: in the exact mode
     ints and Fractions pass through and floats convert without rounding."""
     if exact:
-        return x if isinstance(x, (int, Fraction)) else Fraction(x)
+        return x if _linalg.is_exact_scalar(x) else Fraction(x)
     return float(x)
 
 

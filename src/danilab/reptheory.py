@@ -21,6 +21,11 @@ who builds it once for all three checks of one r) and check the rows in
 order. The weight split is computed once per representation. Exact
 exterior minors (one exact determinant each) and the derived exterior
 action stay entry loops.
+
+Images are exact when the entries they are built from are; no function
+here picks a mode of its own. `obstruction_subspace` works in the mode of
+the phi(s) that `curve.eval` returns, and the trace check of `lie_image` is
+the package's unit check (`_linalg.check_equals`).
 """
 
 import itertools
@@ -33,8 +38,7 @@ import numpy as np
 
 from . import _linalg
 from .curve import MatrixPolyCurve
-from .errors import (DegenerateInputError, DomainError, HypothesisViolationError,
-                     InvariantError, raise_first)
+from .errors import DegenerateInputError, DomainError, HypothesisViolationError, raise_first
 from .flow import E_MAT, GroupElement, Sl2Copy, sl2_image, u_embed
 
 
@@ -208,12 +212,7 @@ def lie_image(rep: Representation, x) -> np.ndarray:
     if a.shape != (m, m):
         raise DomainError(f"Lie algebra element must be {m} x {m}")
     exact = _linalg.is_exact(a)
-    tr = sum(a[i, i] for i in range(m))
-    if isinstance(tr, Fraction):
-        if tr != 0:
-            raise DomainError(f"trace = {tr} != 0")
-    elif abs(float(tr)) > 1e-10:
-        raise DomainError(f"trace = {tr!r} deviates from 0 beyond 1e-10")
+    _linalg.check_equals(sum(a[i, i] for i in range(m)), 0, 1e-10, DomainError, "trace")
     if rep.kind == "adjoint":
         def bracket(i, j):
             e = _eij(m, i, j, exact)
@@ -368,23 +367,19 @@ def obstruction_subspace(rep: Representation, curve: MatrixPolyCurve, samples,
     """Intersection over the samples of rho(u(phi(s)))^-1 (V0 + V-), i.e.
     vectors whose images never pick up an expanding component.
 
-    Exact (rational) when the curve and every sample are rational: the
-    dimension is then certified over Q. Returns an orthonormal float basis;
-    an empty list certifies that equidistribution obstructions vanish at
-    these sample times."""
+    Each image is built in the mode of the phi(s) that `curve.eval` returns.
+    Exact (rational) when every phi(s) is: the dimension is then certified
+    over Q. Returns an orthonormal float basis; an empty list certifies that
+    equidistribution obstructions vanish at these sample times."""
     decomp = weight_split(rep)
     if not decomp.plus_idx:
         return [np.eye(rep.dim)[i] for i in range(rep.dim)]
     samples = list(samples)
     if not samples:
         raise DomainError("need at least one sample")
-    exact = curve.exact and all(isinstance(s, (int, Fraction)) and not isinstance(s, bool)
-                                for s in samples)
-    blocks = []
-    for s in samples:
-        img = rep_image(rep, u_embed(curve.eval(s) if exact
-                                     else _linalg.to_float(curve.eval(s))))
-        blocks.append(img[list(decomp.plus_idx), :])
+    blocks = [rep_image(rep, u_embed(curve.eval(s)))[list(decomp.plus_idx), :]
+              for s in samples]
+    exact = all(_linalg.is_exact(b) for b in blocks)
     stacked = np.vstack(blocks if exact else [_linalg.to_float(b) for b in blocks])
     dim_null, basis = _linalg.nullspace(stacked, tol=tol)
     assert dim_null == len(basis)

@@ -6,8 +6,8 @@ import pytest
 from danilab import Sampler, kmu_indicator, siegel_count
 from danilab.reptheory import exterior
 from danilab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
-                         ConfigError, config_hash, main, parse_config, run,
-                         serialize_config)
+                         ConfigError, compare_to_baseline, config_hash, main,
+                         parse_config, run, serialize_config)
 from orbit_reference import reference_basis, reference_mean_stderr
 
 
@@ -145,6 +145,16 @@ def test_main_ok_and_assert_cycle(tmp_path):
     drifted["sampler"]["seed"] = 99
     cfg2 = write_config(tmp_path, drifted, name="cfg2.json")
     assert main(["equidist", "--config", str(cfg2), "--assert", baseline]) == EXIT_ASSERT
+    absent = str(tmp_path / "absent.jsonl")
+    assert main(["equidist", "--config", str(cfg_path), "--assert", absent]) == EXIT_ASSERT
+
+
+@pytest.mark.parametrize("baseline, message", [
+    ("{}\nnot json\n", "baseline line 2 is not valid JSON: Expecting value"),
+    ("{}\n\n{}\n", "record count 1 != baseline count 2"),
+])
+def test_compare_to_baseline_refusals(baseline, message):
+    assert compare_to_baseline([{}], baseline) == message
 
 
 def test_main_config_errors(tmp_path):
@@ -327,6 +337,28 @@ def test_unknown_fields_refused_by_name(cfg, where, tmp_path):
     assert not (tmp_path / "r.jsonl").exists()
 
 
+def curve_config(degree, coeffs, interval=("0", "1")):
+    return base_config(curve={"degree": degree, "coeffs": coeffs, "interval": list(interval)})
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([base_config()], "config root must be an object"),
+    ({k: v for k, v in base_config().items() if k != "experiment_id"},
+     "experiment_id: required field missing"),
+    (base_config(n=0), "n: must be >= 1"),
+    (base_config(output=""), "output: must be a nonempty path stem"),
+    (curve_config(-1, []), "curve.degree: must be >= 0"),
+    (curve_config(1, [[[1]]]), "curve.coeffs: expected degree+1 = 2 matrices, got 1"),
+    (curve_config(1, [[[0]], [[1]]], ("0", "1/2", "1")), "curve.interval: expected [a, b]"),
+], ids=["root", "experiment_id", "n", "output", "degree", "coeffs", "interval"])
+def test_config_refusals(cfg, message, tmp_path, capsys):
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(cfg))
+    assert str(info.value) == message
+    assert main(["equidist", "--config", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand, params, key", [
     ("genericity", {"tol": True}, "tol"),
     ("genericity", {"m": True}, "m"),
@@ -373,6 +405,12 @@ def test_bools_refused_in_numeric_fields(subcommand, params, key):
     ("correspondence",
      {"mu": "1/2", "N_set": [2], "s_grid": ["0"], "convention": "paper_both_nonzero"},
      "parameters.convention: expected one of ('lattice_p_nonzero',)"),
+    ("correspondence", {"mu": "1/2", "N_range": [5, 2], "s_grid": ["0"]},
+     "parameters.N_range: expected [lo, hi] with lo <= hi"),
+    ("correspondence", {"mu": "1/0", "N_set": [2], "s_grid": ["0"]},
+     "parameters.mu: cannot parse rational '1/0'"),
+    ("correspondence", {"mu": "1/2", "N_set": [2], "s_grid": ["half"]},
+     "parameters.s_grid[0]: cannot parse rational 'half'"),
 ])
 def test_schema_refusals(subcommand, params, message, tmp_path, capsys):
     cfg = base_config(subcommand=subcommand, parameters=params, output=str(tmp_path / "r"))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,9 @@ from danilab import (MatrixPolyCurve, affine_rank, genericity_test,
                      inverse_derivative_check, inverse_shift, normalizer)
 from danilab.errors import (DegenerateInputError, DomainError, InvariantError,
                             OrientationError, SingularMatrixError)
+from danilab import _linalg
+from danilab import curve as curve_module
+from danilab.curve import INVERTIBILITY_TOL, _chebyshev_nodes
 
 
 def line_curve(interval=("0", "2")):
@@ -116,6 +120,8 @@ def test_constructor_validation():
         MatrixPolyCurve.from_coeffs([[["0"]]], ("1", "1"))  # degenerate interval
     with pytest.raises(InvariantError):
         MatrixPolyCurve(n=1, degree=2, coeffs=(np.zeros((1, 1)),), interval=(0.0, 1.0))
+    with pytest.raises(InvariantError, match="at least one coefficient"):
+        MatrixPolyCurve.from_coeffs([], (0, 1))
 
 
 def test_inverse_shift_examples():
@@ -195,6 +201,46 @@ def test_genericity_stable_in_sample_count():
     verdicts = [genericity_test(lin, 0.5, m=m) for m in (5, 9, 21)]
     assert len({v.generic for v in verdicts}) == 1
     assert len({v.affine_rank for v in verdicts}) == 1
+
+
+def reference_inverse_shifts(curve, s0, m, tol=INVERTIBILITY_TOL):
+    """The points genericity_test hands to affine_rank, one node at a time:
+    one eval, det and inverse per node, at the first radius (halving from
+    the smaller room) where every node has |det| > tol."""
+    a, b = float(curve.interval[0]), float(curve.interval[1])
+    left, right = s0 - a, b - s0
+    r = min(left, right) if left > 0 and right > 0 else max(left, right)
+    base = curve.eval(s0)
+    while True:
+        nodes = _chebyshev_nodes(s0, r, m, left, right)
+        if all(abs(_linalg.det(curve.eval(s) - base)) > tol for s in nodes):
+            return [_linalg.inv(curve.eval(s) - base, tol=tol).ravel() for s in nodes]
+        r *= 0.5
+
+
+_RNG = np.random.default_rng(17)
+# phi(s) = s^2 - c s vanishes at the first-radius node s = c of s0 = 0, so
+# the radius is halved once
+_C = math.cos(3 * math.pi / 8)
+STACKED_GENERICITY = [
+    (MatrixPolyCurve.from_coeffs([[[0.0]], [[-_C]], [[1.0]]], (-1.0, 1.0)), 0.0, 3),
+    (MatrixPolyCurve.from_coeffs(list(_RNG.uniform(-1, 1, (3, 2, 2))), (0.0, 1.0)), 0.3, 9),
+    (MatrixPolyCurve.from_coeffs(list(_RNG.uniform(-1, 1, (2, 2, 2))), (0.0, 1.0)), 0.0, 5),
+    (MatrixPolyCurve.from_coeffs(_RNG.integers(-3, 4, (3, 3, 3)).tolist(), ("0", "1")),
+     1 / 3, 19),
+]
+
+
+@pytest.mark.parametrize("case", range(len(STACKED_GENERICITY)))
+def test_genericity_points_equal_per_node_reference(case, monkeypatch):
+    curve, s0, m = STACKED_GENERICITY[case]
+    seen = []
+    monkeypatch.setattr(curve_module, "affine_rank",
+                        lambda points, tol: seen.append(np.array(points)) or
+                        affine_rank(points, tol=tol))
+    genericity_test(curve, s0, m=m)
+    want = np.array(reference_inverse_shifts(curve, s0, m))
+    assert seen[0].reshape(want.shape).tobytes() == want.tobytes()
 
 
 def test_genericity_at_endpoint():

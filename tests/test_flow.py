@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ from danilab import (CentralizerElement, GroupElement, LatticeBasis,
                      MatrixPolyCurve, Sampler, a_diag, a_scale, conj_by_E, count_in_box,
                      dani_vector, in_mahler_compact, lambda1, nondivergence_profile,
                      orbit_point, sl2_copy, sl2_image, u_embed, w_invariance_gap, z_embed)
+from danilab import _linalg
 from danilab.errors import DomainError, InvariantError
+from danilab.reptheory import adjoint, exterior, lie_image
 
 
 def random_group_element(rng, n, exact=False):
@@ -51,6 +54,22 @@ def test_a_scale_exact():
     a = a_scale(Fraction(2), 1)
     assert a.entries.dtype == object
     assert a.entries[0, 0] == 2 and a.entries[1, 1] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("call, factor", [
+    (lambda: a_scale(math.inf, 2), "inf"),
+    (lambda: a_scale(-math.inf, 1), "-inf"),
+    (lambda: a_scale(math.nan, 2), "nan"),
+    (lambda: a_diag(math.nan, 1), "nan"),
+    (lambda: a_scale(0.0, 1), "0.0"),
+    (lambda: a_scale(Fraction(-1, 2), 1), "Fraction(-1, 2)"),
+], ids=["inf", "-inf", "nan", "a_diag-nan", "zero", "negative-exact"])
+def test_a_scale_refuses_non_finite_and_non_positive_factors(call, factor):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy sees the factor
+        with pytest.raises(DomainError) as info:
+            call()
+    assert str(info.value) == f"expansion factor must be positive and finite, got {factor}"
 
 
 def test_z_embed_examples():
@@ -257,6 +276,8 @@ NAN_CASES = {
                            InvariantError, "deviates from 1"),
     "sl2_image": (lambda: sl2_image(sl2_copy(np.eye(1)), np.diag([1.0, math.nan])),
                   DomainError, "deviates from 1"),
+    "lie_image": (lambda: lie_image(adjoint(1), np.diag([math.nan, 0.0])),
+                  DomainError, "deviates from 0"),
 }
 
 
@@ -267,3 +288,38 @@ def test_nan_is_refused(case):
         call()
     if case == "check_stack":
         assert info.value.sample_index == 1
+
+
+# Just off the target: exact values within the float tolerance are refused
+# exactly; float values are refused beyond their site's tolerance.
+ONE_PLUS = 1 + Fraction(1, 10 ** 12)
+UNIT_CASES = {
+    "GroupElement-exact": (lambda: GroupElement(1, _linalg.frac_matrix([[ONE_PLUS, 0], [0, 1]])),
+                           InvariantError, f"exact det = {ONE_PLUS} != 1"),
+    "GroupElement-float": (lambda: GroupElement(1, np.diag([1.0, 1.5])),
+                           InvariantError, "det = 1.5 deviates from 1 beyond 1e-08"),
+    "sl2_image-exact": (lambda: sl2_image(sl2_copy(_linalg.frac_matrix([[1]])),
+                                          _linalg.frac_matrix([[ONE_PLUS, 0], [0, 1]])),
+                        DomainError, f"exact det = {ONE_PLUS} != 1"),
+    "sl2_image-float": (lambda: sl2_image(sl2_copy(np.eye(1)), np.diag([1.0, 1.5])),
+                        DomainError, "det = 1.5 deviates from 1 beyond 1e-10"),
+    "CentralizerElement-exact": (lambda: CentralizerElement(_linalg.frac_matrix([[ONE_PLUS]]),
+                                                            _linalg.frac_matrix([[1]])),
+                                 InvariantError, f"exact det(B) det(C) = {ONE_PLUS} != 1"),
+    "CentralizerElement-float": (lambda: CentralizerElement(np.array([[2.0]]), np.eye(1)),
+                                 InvariantError,
+                                 "det(B) det(C) = 2.0 deviates from 1 beyond 1e-10"),
+    "lie_image-exact": (lambda: lie_image(exterior(1, 1),
+                                          _linalg.frac_matrix([[ONE_PLUS - 1, 0], [0, 0]])),
+                        DomainError, f"exact trace = {ONE_PLUS - 1} != 0"),
+    "lie_image-float": (lambda: lie_image(adjoint(1), np.diag([1e-9, 0.0])),
+                        DomainError, "trace = 1e-09 deviates from 0 beyond 1e-10"),
+}
+
+
+@pytest.mark.parametrize("case", UNIT_CASES)
+def test_unit_checks_refuse_off_target_values(case):
+    call, error, message = UNIT_CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -196,6 +196,14 @@ def test_non_unimodular_rejected():
         LatticeBasis.from_rational([[2, 0], [0, 1]])
 
 
+def test_exact_det_refusals_read_as_fractions():
+    for make in (lambda: LatticeBasis.from_integral([(3, 0), (0, 1)], 3),
+                 lambda: LatticeBasis.from_rational([[1, 0], [0, Fraction(1, 3)]])):
+        with pytest.raises(InvariantError) as info:
+            make()
+        assert str(info.value) == "exact |det| = 1/3 != 1"
+
+
 def test_exact_basis_clears_denominators_once(monkeypatch):
     calls = []
     original = lattice._linalg.integral

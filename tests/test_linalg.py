@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from danilab import _linalg
-from danilab.errors import SingularMatrixError
+from danilab.errors import InvariantError, SingularMatrixError
 
 # zero-heavy entries: ints, Fractions with denominators <= 12, and exact floats
 ENTRY = st.one_of(st.just(0), st.integers(-9, 9),
@@ -81,6 +82,31 @@ def test_orthonormal_span_rank_and_orthogonality():
 def test_is_exact_flags_object_dtype():
     assert _linalg.is_exact(_linalg.frac_matrix([[1]]))
     assert not _linalg.is_exact(np.array([[1.0]]))
+
+
+def test_mode_rule_takes_ints_and_fractions_but_never_bools():
+    assert all(_linalg.is_exact_scalar(x) for x in (0, -3, 10 ** 30, Fraction(1, 2)))
+    assert not any(_linalg.is_exact_scalar(x) for x in (True, False, 0.5, np.int64(1), "1/2"))
+
+
+@pytest.mark.parametrize("value, message", [
+    # a Fraction is compared exactly, even within tol of its target
+    (1 + Fraction(1, 10 ** 12), "exact det = 1000000000001/1000000000000 != 1"),
+    (1.5, "det = 1.5 deviates from 1 beyond 1e-08"),
+    (np.float64(1.5), "det = 1.5 deviates from 1 beyond 1e-08"),
+    (math.nan, "det = nan deviates from 1 beyond 1e-08"),
+    (math.inf, "det = inf deviates from 1 beyond 1e-08"),
+], ids=["exact", "float", "float64", "nan", "inf"])
+def test_check_equals_refusals(value, message):
+    with pytest.raises(InvariantError) as info:
+        _linalg.check_equals(value, 1, 1e-8, InvariantError, "det")
+    assert str(info.value) == message
+
+
+def test_check_equals_accepts_its_target():
+    for value in (Fraction(1), 1, 1.0, 1 + 1e-9, np.float64(1 - 1e-9)):
+        _linalg.check_equals(value, 1, 1e-8, InvariantError, "det")
+    _linalg.check_equals(Fraction(0), 0, 1e-10, InvariantError, "trace")
 
 
 @st.composite

@@ -268,7 +268,9 @@ def test_rep_verify_builds_one_unipotent_image_per_r_block(monkeypatch, tmp_path
 def test_stacked_draws_equal_one_draw_reference(rep):
     seed, draws, base = 2024, 9, 3 * rep.dim
     decomp = weight_split(rep)
-    got = cli._random_minus_vectors(decomp, rep.dim, seed, base, draws)
+    # the contracting draws are combinations of the unit vectors of V-
+    got = cli._random_combinations(np.eye(rep.dim)[list(decomp.minus_idx)], seed, base,
+                                   draws, rep.dim)
     want = [reference_random_minus_vector(decomp, rep.dim, seed, base + j * rep.dim)
             for j in range(draws)]
     assert got.tobytes() == np.array(want).tobytes()

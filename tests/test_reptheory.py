@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from danilab import _linalg
 from danilab import (MatrixPolyCurve, a_diag, adjoint, constrained_subspace,
                      exterior, good_constants_estimate, invariance_subspace,
                      lie_image, obstruction_subspace, project, rep_image,
@@ -285,6 +286,23 @@ def test_lie_image_bracket_compatibility():
     # [x, e] = 0, [x, f] = h, [x, h] = -2e with x = e
     want = np.array([[0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     assert np.allclose(out, want)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flow_generator_acts_by_the_weight_split(n, exact):
+    # diag(I_n, -I_n) generates a_t; its derived action is diagonal with the
+    # flow weights, read in the mode of its entries
+    h = [[(1 if i < n else -1) if i == j else 0 for j in range(2 * n)] for i in range(2 * n)]
+    x = _linalg.frac_matrix(h) if exact else np.array(h, dtype=float)
+    for rep in [adjoint(n)] + [exterior(n, k) for k in range(1, 2 * n + 1)]:
+        got = lie_image(rep, x)
+        assert _linalg.is_exact(got) == exact
+        assert np.array_equal(got, np.diag(weight_split(rep).weights))
+    # the top power has no expanding part: nothing obstructs, at any sample
+    top = exterior(n, 2 * n)
+    curve = MatrixPolyCurve.from_coeffs([np.zeros((n, n)), np.eye(n)], (0, 1))
+    assert np.array_equal(obstruction_subspace(top, curve, [0.5]), np.eye(top.dim))
 
 
 def test_lie_image_rejects_nonzero_trace():
