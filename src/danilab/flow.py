@@ -9,6 +9,7 @@ identity behind the normalized-curve computation live here too.
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,9 @@ from .errors import DomainError, InternalIdentityError, InvariantError, raise_fi
 from .lattice import LatticeBasis
 
 GROUP_DET_TOL = 1e-8
+# The flow times t with e^t and e^-t both finite nonzero floats: |t| below
+# log of the largest float, about 709.78.
+_MAX_FLOW_TIME = math.log(sys.float_info.max)
 
 
 def _det_error(d: float) -> InvariantError:
@@ -101,9 +105,19 @@ def u_embed(phi, side: str = "upper") -> GroupElement:
     raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
+def _expansion(t) -> float:
+    """e^t for the flow time t, read as a float; a t whose e^t or e^-t
+    leaves the float range (nan included) is refused by name."""
+    t = float(t)
+    if not abs(t) < _MAX_FLOW_TIME:
+        raise DomainError(f"flow time t = {t!r} is outside |t| < {_MAX_FLOW_TIME:.2f}, "
+                          "where e^t and e^-t are finite nonzero floats")
+    return math.exp(t)
+
+
 def a_diag(t: float, n: int) -> GroupElement:
     """Diagonal flow a_t = diag(e^t I_n, e^-t I_n)."""
-    return a_scale(math.exp(float(t)), n)
+    return a_scale(_expansion(t), n)
 
 
 def a_scale(factor, n: int) -> GroupElement:
@@ -135,7 +149,8 @@ def z_embed(z: CentralizerElement) -> GroupElement:
 def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = None,
                  normalize: bool = False) -> np.ndarray:
     """(M, 2n, 2n) read-only float stack of the bases a_t [z(s)] u(phi(s))
-    [basepoint] at the float points s.
+    [basepoint] at the float points s, for a flow time t that `a_diag`
+    accepts.
 
     Row i equals (a_diag(t) @ z_embed(normalizer(curve, s[i])) @
     u_embed(curve.eval(s[i]))).entries [@ basepoint.cols, read in floats]:
@@ -149,7 +164,7 @@ def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = 
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     n = curve.n
-    f = math.exp(float(t))
+    f = _expansion(t)
     phi = curve.eval_many(s)
     failures = [(~curve.in_float_domain(s), lambda i: DomainError(
         f"s = {s[i]} outside the curve interval [{curve.interval[0]}, {curve.interval[1]}]"))]

@@ -15,17 +15,20 @@ A query that walks LLL-reduces the basis once and hands the reduced basis
 with its Gram-Schmidt data to one depth-first enumerator of the Euclidean
 ball ||v||_2 <= R (Fincke-Pohst; each level is tried outward from its
 projected center, as in Schnorr-Euchner). LLL tracks its transform only for
-the callers that read it (`reduce`, `shortest_supnorm`). A float stack
-becomes bases only through `LatticeBasis.batch`, which checks every
-determinant at once; its bases share one `_Stack`. The first box count or
-ball test of one box or bound on any of them reduces the stack, once per
-lane (a 2 x 2 stack all at once, by a lane-masked LLL that takes the scalar
-LLL's float steps), and decides the query for every lane in one
-breadth-first walk over numpy arrays, which expands the enumerator's levels
-from the top down with the enumerator's own float operations in its order,
-so every answer is the enumerator's. A lane with too many candidates walks
-depth-first on the stack's reduction of it, and `shortest_supnorm` reduces
-its own basis, as an unbatched basis does.
+the callers that read it (`reduce`, `shortest_supnorm`). The float LLL is
+one kernel per dimension m, generated from one template with every
+coordinate loop written out and compiled once per m. Its dot products are
+summed left to right from 0.0, so a reduction has the same bits on every
+Python. A float stack becomes bases only through `LatticeBasis.batch`,
+which checks every determinant at once; its bases share one `_Stack`. The
+first box count or ball test of one box or bound on any of them reduces the
+stack, once per lane (a 2 x 2 stack all at once, by a lane-masked LLL that
+takes the scalar LLL's float steps), and decides the query for every lane
+in one breadth-first walk over numpy arrays, which expands the enumerator's
+levels from the top down with the enumerator's own float operations in its
+order, so every answer is the enumerator's. A lane with too many
+candidates walks depth-first on the stack's reduction of it, and
+`shortest_supnorm` reduces its own basis, as an unbatched basis does.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -35,6 +38,7 @@ mode the radius is widened by a small relative slack so that rounding never
 drops a lattice vector.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,26 +223,108 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _gs_row(b, bstar, mu, norms, i):
-    """Gram-Schmidt row i of the current columns: mu[i][j] (j < i), b*_i and
-    norms[i] = ||b*_i||^2, from b[i] and the rows below it. Dot products sum
-    from 0 in index order (`_dot`, inlined)."""
-    bi = v = b[i]
-    mu_i = mu[i]
-    for j in range(i):
-        bs = bstar[j]
-        mu_ij = mu_i[j] = sum(map(mul, bi, bs)) / norms[j]
-        v = [x - mu_ij * y for x, y in zip(v, bs)]
-    bstar[i] = v
-    norms[i] = sum(map(mul, v, v))
+# The float LLL, written once for every dimension m. `_lll_source(m)` spells
+# out each coordinate loop of this template for the m coordinates of a
+# column: a column or b* row is a tuple unpacked into the locals a0.., s0..
+# or v0..; a dot product reads 0.0 + a0 * s0 + a1 * s1 + ..., summed left to
+# right as builtin sum() did before Python 3.12; b* is updated by
+# v0 -= x * s0; v1 -= x * s1; ... and a size reduction reads
+# (a0 - q * s0, ...). The transform rows stay lists: only `reduce` and
+# `shortest_supnorm` track them.
+_LLL_TEMPLATE = '''\
+def lll(cols, delta, transform, max_steps):
+    b = [tuple(col) for col in cols]
+    u = [[1 if i == j else 0 for i in range({m})] for j in range({m})] if transform else None
+    mu = [[0] * {m} for _ in range({m})]
+    {a} = b[0]
+    bstar = [b[0]] + [None] * {m_1}
+    norms = [{a_dot_a}] + [0] * {m_1}
+    fresh = 1  # Gram-Schmidt rows below `fresh` match the current columns
+    k = 1
+    steps = 0
+    while k < {m}:
+        steps += 1
+        if steps > max_steps:
+            raise InternalIdentityError("LLL failed to terminate at desk scale")
+        while fresh <= k:  # Gram-Schmidt row `fresh` from its column and the b* below
+            {a} = {v} = b[fresh]
+            mu_i = mu[fresh]
+            for j in range(fresh):
+                {s} = bstar[j]
+                x = mu_i[j] = ({a_dot_s}) / norms[j]
+                {v_less_xs}
+            bstar[fresh] = {v}
+            norms[fresh] = {v_dot_v}
+            fresh += 1
+        mu_k = mu[k]
+        for j in range(k - 1, -1, -1):
+            x = mu_k[j]
+            if -0.5 <= x <= 0.5:  # round(x) == 0
+                continue
+            q = round(x)
+            {a} = b[k]
+            {s} = b[j]
+            b[k] = {a_minus_qs}
+            if transform:
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+            mu_j = mu[j]
+            for i in range(j):
+                mu_k[i] -= q * mu_j[i]
+            mu_k[j] -= q
+        x = mu_k[k - 1]
+        if norms[k] >= (delta - x * x) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            if transform:
+                u[k], u[k - 1] = u[k - 1], u[k]
+            fresh = k - 1
+            if k > 1:
+                k -= 1
+    return b, u, mu, norms
+'''
+
+
+def _lll_source(m: int) -> str:
+    """The text of `_lll`'s kernel for m x m bases."""
+    def spell(term, sep=", "):
+        out = sep.join(term.format(i) for i in range(m))
+        return out + "," if m == 1 and sep == ", " else out
+
+    def dot(x, y):
+        return "0.0 + " + spell(f"{x}{{0}} * {y}{{0}}", " + ")
+
+    return _LLL_TEMPLATE.format(
+        m=m, m_1=m - 1, a=spell("a{}"), s=spell("s{}"), v=spell("v{}"),
+        a_dot_a=dot("a", "a"), a_dot_s=dot("a", "s"), v_dot_v=dot("v", "v"),
+        v_less_xs=spell("v{0} -= x * s{0}", "; "), a_minus_qs=spell("a{0} - q * s{0}"))
+
+
+@functools.cache
+def _lll_kernel(m: int):
+    """`_lll`'s kernel for m x m bases, compiled on first use."""
+    if m < 1:
+        raise InvariantError("LLL needs at least one column")
+    namespace = {"InternalIdentityError": InternalIdentityError}
+    exec(compile(_lll_source(m), f"<lattice._lll m={m}>", "exec"), namespace)
+    return namespace["lll"]
 
 
 def _lll(cols, delta: float = _DELTA, transform: bool = True):
     """LLL reduction of the float column list; returns (reduced columns, U
     columns, mu, norms) with reduced[j] = sum_i original[i] * U[j][i], and
     mu[i][j] (j < i) and norms[i] = ||b*_i||^2 the Gram-Schmidt data of the
-    reduced columns. With transform false U is not tracked and None comes
-    back in its place; the other three are the same.
+    reduced columns. The reduced columns are tuples and U, mu and norms
+    lists. With transform false U is not tracked and None comes back in its
+    place; the other three are the same.
+
+    The work is done by one kernel per dimension m (`_lll_kernel`, text
+    `_lll_source(m)`), compiled once per m with every coordinate loop
+    written out. Gram-Schmidt row i holds mu[i][j] = <b_i, b*_j> /
+    ||b*_j||^2 and b*_i = b_i - sum_j mu[i][j] b*_j, subtracted in j order;
+    every dot product is summed left to right from 0.0, so each reduction
+    has the same bits on every Python (builtin sum() compensates float sums
+    since 3.12).
 
     A size-reduction step updates row k of mu in place. A swap invalidates
     the Gram-Schmidt rows from k-1 up, and a row is recomputed from the
@@ -247,45 +333,10 @@ def _lll(cols, delta: float = _DELTA, transform: bool = True):
     floats it drifts away from the columns: on flowed lattices a_t u(phi) at
     n = 2, t = 8 its ||b*||^2 are off by several percent. The exact mode
     runs the same steps on integer Gram data (`_lll_integral`), where the
-    swap update is exact.
+    swap update is exact. More than _MAX_LLL_STEPS stages raise
+    InternalIdentityError.
     """
-    m = len(cols)
-    b = [list(c) for c in cols]
-    u = [[1 if i == j else 0 for i in range(m)] for j in range(m)] if transform else None
-    mu = [[0] * m for _ in range(m)]
-    bstar = [None] * m
-    norms = [0] * m
-    _gs_row(b, bstar, mu, norms, 0)
-    fresh = 1  # Gram-Schmidt rows below `fresh` match the current columns
-    k = 1
-    steps = 0
-    while k < m:
-        steps += 1
-        if steps > _MAX_LLL_STEPS:
-            raise InternalIdentityError("LLL failed to terminate at desk scale")
-        while fresh <= k:
-            _gs_row(b, bstar, mu, norms, fresh)
-            fresh += 1
-        mu_k = mu[k]
-        for j in range(k - 1, -1, -1):
-            q = round(mu_k[j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                if transform:
-                    u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                mu_j = mu[j]
-                for i in range(j):
-                    mu_k[i] -= q * mu_j[i]
-                mu_k[j] -= q
-        if norms[k] >= (delta - mu_k[k - 1] * mu_k[k - 1]) * norms[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            if transform:
-                u[k], u[k - 1] = u[k - 1], u[k]
-            fresh = k - 1
-            k = max(k - 1, 1)
-    return b, u, mu, norms
+    return _lll_kernel(len(cols))(cols, delta, transform, _MAX_LLL_STEPS)
 
 
 def _lll_pair_arrays(stack: np.ndarray) -> np.ndarray:
@@ -604,7 +655,8 @@ class _BallWalk:
     with ||v||_2^2 <= r2, one of each +-v pair; yields (c, v).
 
     Level j fixes c_j given c_{j+1..m-1}; it adds (c_j - center_j)^2 *
-    ||b*_j||^2 to ||v||^2, with center_j = -sum_{i>j} c_i mu[i][j], so each
+    ||b*_j||^2 to ||v||^2, with center_j = -sum_{i>j} c_i mu[i][j] (summed
+    left to right in i from 0, skipping c_i = 0, on every Python), so each
     level sweeps up and then down from the integer nearest its center and
     stops a direction at the first value outside the ball. While every
     coefficient above a level is zero, that level sweeps up from 0 only,
@@ -677,8 +729,11 @@ class _BallWalk:
                 vec[j] = [p + cj * x for p, x in zip(vec[j + 1], b[j])] if cj else vec[j + 1]
                 top[j - 1] = top[j] and not cj
                 j -= 1
-                ctr = -sum(c[i] * coef[i][j] for i in range(j + 1, m) if c[i])
-                center[j] = ctr
+                ctr = 0  # not sum(): Python >= 3.12 compensates float sums
+                for i in range(j + 1, m):
+                    if c[i]:
+                        ctr += c[i] * coef[i][j]
+                center[j] = ctr = -ctr
                 start[j] = c[j] = _round_div(ctr, unit[j]) if exact else round(ctr)
                 step[j] = 1
                 continue

@@ -178,6 +178,14 @@ def test_main_runtime_error(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_main_refuses_a_flow_time_outside_the_float_range(tmp_path, capsys):
+    cfg = base_config(subcommand="nondiv", output=str(tmp_path / "r"),
+                      parameters={"t_list": [1000.0], "eps": 0.05})
+    path = write_config(tmp_path, cfg)
+    assert main(["nondiv", "--config", str(path)]) == EXIT_RUNTIME
+    assert "DomainError: flow time t = 1000.0 is outside" in capsys.readouterr().err
+
+
 def strip_timestamps(text):
     recs = [json.loads(line) for line in text.splitlines()]
     for r in recs:

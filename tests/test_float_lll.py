@@ -1,0 +1,138 @@
+"""The float LLL kernel against the generic loop it is generated from.
+
+`lattice._lll` runs one kernel per dimension m, generated with every
+coordinate loop written out (`lattice._lll_source`). It must return what the
+generic loop of `float_lll_reference` returns, bit for bit: the reduced
+columns, mu, norms and the transform, on flowed orbit bases and Gaussian
+bases, at both deltas, and it must fail at the same step limit. Its sums,
+and the ball walk's centers, are taken left to right, so neither depends on
+how the Python at hand implements builtin sum() on floats.
+"""
+
+import builtins
+import contextlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import float_lll_reference
+from danilab import MatrixPolyCurve, lattice, orbit_points
+from danilab.errors import InternalIdentityError
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def orbit_columns(phi, t):
+    """The columns of a_t u(phi), as `_lll` reads a float basis."""
+    curve = MatrixPolyCurve.from_coeffs([phi], (0.0, 1.0))
+    return lattice._float_columns(orbit_points(curve, [0.5], t)[0])
+
+
+def gaussian_columns(m, seed):
+    return lattice._float_columns(np.random.default_rng(seed).standard_normal((m, m)))
+
+
+def outcome(lll, cols, delta, transform):
+    """The reduction as bytes (columns, the whole mu matrix, norms) with the
+    transform, or the error it raised."""
+    try:
+        b, u, mu, norms = lll(cols, delta, transform)
+    except (InternalIdentityError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    floats = [x for col in b for x in col] + [x for row in mu for x in row] + list(norms)
+    return np.array(floats, dtype=float).tobytes(), u
+
+
+@st.composite
+def lll_inputs(draw):
+    m = draw(st.integers(1, 8))
+    if m % 2 == 0 and draw(st.booleans()):
+        n = m // 2
+        phi = draw(st.lists(st.floats(-2, 2), min_size=n * n, max_size=n * n))
+        cols = orbit_columns(np.reshape(phi, (n, n)), draw(st.floats(0, 8)))
+    else:
+        cols = gaussian_columns(m, draw(st.integers(0, 2 ** 32 - 1)))
+    return cols, draw(st.sampled_from([0.99, 0.75])), draw(st.booleans())
+
+
+@SETTINGS
+@given(lll_inputs())
+def test_kernel_matches_the_generic_loop(args):
+    cols, delta, transform = args
+    want = outcome(float_lll_reference._lll, cols, delta, transform)
+    assert outcome(lattice._lll, cols, delta, transform) == want
+    assert isinstance(want[0], bytes)
+
+
+@contextlib.contextmanager
+def step_limit(limit):
+    """_MAX_LLL_STEPS lowered in the kernel and the reference alike, for one
+    hypothesis example."""
+    saved = lattice._MAX_LLL_STEPS, float_lll_reference._MAX_LLL_STEPS
+    lattice._MAX_LLL_STEPS = float_lll_reference._MAX_LLL_STEPS = limit
+    try:
+        yield
+    finally:
+        lattice._MAX_LLL_STEPS, float_lll_reference._MAX_LLL_STEPS = saved
+
+
+@settings(SETTINGS, max_examples=60)
+@given(lll_inputs(), st.integers(1, 12))
+def test_kernel_fails_at_the_generic_loops_step_limit(args, limit):
+    cols, delta, transform = args
+    with step_limit(limit):
+        want = outcome(float_lll_reference._lll, cols, delta, transform)
+        assert outcome(lattice._lll, cols, delta, transform) == want
+
+
+def test_kernel_source_spells_out_every_coordinate():
+    text = lattice._lll_source(3)
+    assert "0.0 + a0 * s0 + a1 * s1 + a2 * s2" in text
+    assert "b[k] = a0 - q * s0, a1 - q * s1, a2 - q * s2" in text
+    assert "sum(" not in text and "zip(b" not in text
+    assert lattice._lll_kernel(3) is lattice._lll_kernel(3)  # compiled once per m
+    assert lattice._lll_kernel(3).__code__.co_filename == "<lattice._lll m=3>"
+    with pytest.raises(lattice.InvariantError, match="at least one column"):
+        lattice._lll([])
+
+
+def compensated_sum(items, start=0):
+    """Builtin sum() as Python >= 3.12 computes it on floats: compensated,
+    here exactly rounded (math.fsum); ints sum as before."""
+    items = list(items)
+    if any(isinstance(x, float) for x in items):
+        return math.fsum([start, *items])
+    return builtins.sum(items, start)
+
+
+# A ball-walk Gram whose level-0 center -(0.5 + 2^-54 + 2^-54) at c = (., 1,
+# 1, 1) rounds to -0.5 summed left to right and to -0.5 - 2^-53 when
+# compensated, so the two sums start that level's sweep at 0 and at -1.
+TIE_GRAM = ([[0.0] * 4, [0.5, 0.0, 0.0, 0.0], [2.0 ** -54, 0.0, 0.0, 0.0],
+             [2.0 ** -54, 0.0, 0.0, 0.0]], [1.0] * 4)
+
+
+def walks(columns):
+    """The leaves of `_BallWalk` on each reduced basis, and on TIE_GRAM."""
+    out = []
+    for cols in columns:
+        b, _, mu, norms = lattice._lll(cols, lattice._DELTA, False)
+        r = min(max(abs(x) for x in col) for col in b)
+        out.append(list(lattice._BallWalk(b, (mu, norms), len(b) * r * r, False)))
+    eye = [tuple(float(i == j) for i in range(4)) for j in range(4)]
+    out.append(list(lattice._BallWalk(eye, TIE_GRAM, 4.0, False)))
+    return out
+
+
+def test_reductions_and_walks_do_not_depend_on_how_python_sums_floats(monkeypatch):
+    rng = np.random.default_rng(18)
+    columns = [orbit_columns(rng.uniform(-2, 2, (n, n)), t) for n in (2, 3) for t in (2.0, 6.0)
+               for _ in range(10)]
+    want = ([outcome(lattice._lll, cols, lattice._DELTA, True) for cols in columns],
+            walks(columns))
+    monkeypatch.setattr(lattice, "sum", compensated_sum, raising=False)
+    assert ([outcome(lattice._lll, cols, lattice._DELTA, True) for cols in columns],
+            walks(columns)) == want

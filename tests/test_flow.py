@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from danilab import (CentralizerElement, GroupElement, LatticeBasis,
                      MatrixPolyCurve, Sampler, a_diag, a_scale, conj_by_E, count_in_box,
                      dani_vector, in_mahler_compact, lambda1, nondivergence_profile,
-                     orbit_point, sl2_copy, sl2_image, u_embed, w_invariance_gap, z_embed)
+                     orbit_point, orbit_points, sl2_copy, sl2_image, u_embed,
+                     w_invariance_gap, z_embed)
 from danilab import _linalg
 from danilab.errors import DomainError, InvariantError
 from danilab.reptheory import adjoint, exterior, lie_image
@@ -56,20 +58,42 @@ def test_a_scale_exact():
     assert a.entries[0, 0] == 2 and a.entries[1, 1] == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("call, factor", [
-    (lambda: a_scale(math.inf, 2), "inf"),
-    (lambda: a_scale(-math.inf, 1), "-inf"),
-    (lambda: a_scale(math.nan, 2), "nan"),
-    (lambda: a_diag(math.nan, 1), "nan"),
-    (lambda: a_scale(0.0, 1), "0.0"),
-    (lambda: a_scale(Fraction(-1, 2), 1), "Fraction(-1, 2)"),
-], ids=["inf", "-inf", "nan", "a_diag-nan", "zero", "negative-exact"])
-def test_a_scale_refuses_non_finite_and_non_positive_factors(call, factor):
+def factor_refused(factor):
+    return f"expansion factor must be positive and finite, got {factor}"
+
+
+def flow_time_refused(t):
+    return (f"flow time t = {t} is outside |t| < 709.78, "
+            "where e^t and e^-t are finite nonzero floats")
+
+
+# A flow time is refused by name when e^t or e^-t leaves the float range.
+@pytest.mark.parametrize("call, message", [
+    (lambda: a_scale(math.inf, 2), factor_refused("inf")),
+    (lambda: a_scale(-math.inf, 1), factor_refused("-inf")),
+    (lambda: a_scale(math.nan, 2), factor_refused("nan")),
+    (lambda: a_diag(math.nan, 1), flow_time_refused("nan")),
+    (lambda: a_scale(0.0, 1), factor_refused("0.0")),
+    (lambda: a_scale(Fraction(-1, 2), 1), factor_refused("Fraction(-1, 2)")),
+    (lambda: a_diag(1000, 1), flow_time_refused("1000.0")),
+    (lambda: a_diag(-1000.0, 2), flow_time_refused("-1000.0")),
+    (lambda: orbit_points(NAN_LINE, [1.5], 1000.0), flow_time_refused("1000.0")),
+    (lambda: orbit_points(NAN_LINE, [1.5], -1000.0), flow_time_refused("-1000.0")),
+], ids=["inf", "-inf", "nan", "a_diag-nan", "zero", "negative-exact", "a_diag-overflow",
+        "a_diag-underflow", "orbit_points-overflow", "orbit_points-underflow"])
+def test_a_scale_refuses_non_finite_and_non_positive_factors(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before numpy sees the factor
         with pytest.raises(DomainError) as info:
             call()
-    assert str(info.value) == f"expansion factor must be positive and finite, got {factor}"
+    assert str(info.value) == message
+
+
+def test_flow_times_inside_the_float_range_are_kept():
+    t = math.nextafter(math.log(sys.float_info.max), 0)
+    assert a_diag(t, 1).entries[1, 1] > 0
+    assert a_diag(-t, 1).entries[0, 0] > 0
+    assert orbit_points(NAN_LINE, [1.0], 700.0)[0, 1, 1] > 0
 
 
 def test_z_embed_examples():
@@ -257,6 +281,8 @@ NAN_CASES = {
     "count_in_box_inf_stack": (lambda: count_in_box(LatticeBasis.batch(np.array([np.eye(2)]))[0],
                                                     [0.5, math.inf]),
                                DomainError, "halfwidths must be positive"),
+    "orbit_points_t": (lambda: orbit_points(NAN_LINE, [1.5], math.nan),
+                       DomainError, "flow time t = nan"),
     "in_mahler_compact": (lambda: in_mahler_compact(LatticeBasis(np.eye(2)), math.nan),
                           DomainError, "eps must be positive"),
     "nondivergence_profile": (lambda: nondivergence_profile(NAN_LINE, [2.0], math.nan,
