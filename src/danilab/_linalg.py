@@ -2,7 +2,8 @@
 
 Matrices travel as numpy arrays in one of two modes:
 
-* float64 arrays take numpy's floating-point routines;
+* float64 arrays take numpy's floating-point routines; every float rank
+  and span (`nullspace`, `orthonormal_span`) comes from numpy's SVD;
 * object-dtype arrays whose entries are ``Fraction``/``int`` take exact
   rational routines implemented here.
 
@@ -203,8 +204,7 @@ def nullspace(a: np.ndarray, tol: float = 1e-9):
         return ncols, [np.eye(ncols)[i] for i in range(ncols)]
     if is_exact(a):
         exact_basis = _nullspace_exact(a)
-        float_basis = [to_float(v) for v in exact_basis]
-        rank, ortho = orthonormal_span(float_basis, tol=1e-12)
+        rank, ortho = orthonormal_span(exact_basis, tol=1e-12)
         assert rank == len(exact_basis), "exact nullspace basis lost rank in float conversion"
         return len(exact_basis), ortho
     u, s, vh = np.linalg.svd(a)
@@ -232,37 +232,20 @@ def _nullspace_exact(a: np.ndarray):
 
 
 def orthonormal_span(vectors, tol: float = 1e-9):
-    """Rank and orthonormal basis of span(vectors) by pivoted Gram-Schmidt.
+    """Rank and orthonormal basis of span(vectors), from one SVD of the
+    vectors stacked as rows: the rank counts the singular values above
+    tol * s[0], and the basis is the first rank right singular vectors.
 
-    The pivot threshold is relative to the largest input norm, so the rank is
-    invariant under rescaling the whole family.
+    The threshold is relative to the family's largest singular value, so the
+    rank is invariant under rescaling the whole family; an empty or all-zero
+    family has rank 0.
     """
-    work = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not work:
+    stack = np.asarray(vectors, dtype=float)
+    if stack.size == 0:
         return 0, []
-    norms = [float(np.linalg.norm(v)) for v in work]
-    scale = max(norms)
-    if scale == 0.0:
-        return 0, []
-    threshold = tol * scale
-    basis = []
-    remaining = list(work)
-    while remaining:
-        norms = [float(np.linalg.norm(v)) for v in remaining]
-        imax = int(np.argmax(norms))
-        if norms[imax] <= threshold:
-            break
-        q = remaining.pop(imax) / norms[imax]
-        # re-orthogonalize once against the accepted basis for stability
-        for b in basis:
-            q = q - (b @ q) * b
-        nq = float(np.linalg.norm(q))
-        if nq <= tol:
-            continue
-        q = q / nq
-        basis.append(q)
-        remaining = [v - (q @ v) * q for v in remaining]
-    return len(basis), basis
+    _, s, vh = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
+    rank = int(np.sum(s > tol * s[0]))
+    return rank, list(vh[:rank])
 
 
 def sup_norm(a) -> float:

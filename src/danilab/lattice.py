@@ -89,8 +89,8 @@ class LatticeBasis:
     _stack = _lane = None
 
     def __init__(self, cols: np.ndarray):
-        if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
-            raise InvariantError(f"basis must be square, got shape {cols.shape}")
+        if cols.ndim != 2 or not cols.shape[0] == cols.shape[1] >= 1:
+            raise InvariantError(f"basis must be m x m with m >= 1, got shape {cols.shape}")
         int_cols = den = None
         if _linalg.is_exact(cols):
             m = cols.shape[0]
@@ -122,8 +122,8 @@ class LatticeBasis:
         to |det| == 1 by one determinant of the integer matrix."""
         ints = tuple(tuple(col) for col in int_cols)
         m = len(ints)
-        if den < 1 or any(len(col) != m for col in ints):
-            raise InvariantError(f"need m integer columns of length m over den >= 1, got "
+        if den < 1 or m == 0 or any(len(col) != m for col in ints):
+            raise InvariantError(f"need m >= 1 integer columns of length m over den >= 1, got "
                                  f"{[len(col) for col in ints]} over {den}")
         _check_integral_det(ints, den)
         return cls.of_checked_integral(ints, den)
@@ -148,9 +148,9 @@ class LatticeBasis:
         them reduces the stack (the lowest lane that fails to reduce raises
         likewise) and decides that query for every lane. An exact stack is
         refused: exact bases are built one by one."""
-        if cols.ndim != 3 or cols.shape[1] != cols.shape[2] or _linalg.is_exact(cols):
-            raise InvariantError(f"batch needs an (M, m, m) float stack, got {cols.dtype} "
-                                 f"of shape {cols.shape}")
+        if cols.ndim != 3 or not cols.shape[1] == cols.shape[2] >= 1 or _linalg.is_exact(cols):
+            raise InvariantError(f"batch needs an (M, m, m) float stack with m >= 1, got "
+                                 f"{cols.dtype} of shape {cols.shape}")
         d = np.linalg.det(cols)
         raise_first([(~(np.abs(np.abs(d) - 1.0) <= UNIMODULAR_TOL),
                       lambda i: _det_error(float(d[i])))], "sample_index")
@@ -661,8 +661,6 @@ class _BallWalk:
     stops a direction at the first value outside the ball. While every
     coefficient above a level is zero, that level sweeps up from 0 only,
     which keeps one of each +-v pair. `shrink` may lower r2 between yields.
-    The squared radius is r2 / r2_den; r2_den is an int, and above 1 only in
-    the exact mode.
     More than _MAX_NODES nodes inside the ball raise DegenerateInputError.
 
     In the float mode b holds float columns and gram is (mu, norms). In the
@@ -674,7 +672,7 @@ class _BallWalk:
     floor(r2 L): the nodes of the Fraction arithmetic, decided in integers.
     """
 
-    def __init__(self, b, gram, r2, exact: bool, r2_den: int = 1):
+    def __init__(self, b, gram, r2, exact: bool):
         self.b, self.exact = b, exact
         if exact:
             self.coef, d = gram
@@ -685,11 +683,11 @@ class _BallWalk:
         else:
             self.coef, self.weight = gram
             self.unit = None
-        self.shrink(r2, r2_den)
+        self.shrink(r2)
 
-    def shrink(self, r2, r2_den: int = 1):
+    def shrink(self, r2):
         if self.exact:  # r2 is an int or a Fraction
-            self.limit = r2.numerator * self.scale // (r2.denominator * r2_den)
+            self.limit = r2.numerator * self.scale // r2.denominator
         else:
             self.limit = r2 * (1 + _FLOAT_SLACK)
 
@@ -900,23 +898,22 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     The callers have checked bound > 0. On a basis of a float stack a bound
     that is a float (or equals one) is decided for the whole stack at once."""
     exact = basis.exact
-    if exact:  # bound * den = p / q; integers x have |x| < p / q iff |x| < ceil(p / q)
+    if exact:  # integers x have |x| < bound * den iff |x| <= B - 1, B = ceil(bound * den)
         bound = _scalar(bound, True)
-        p, q = bound.numerator * basis.den, bound.denominator
-        bound = -(-p // q)
-        r2, r2_den = basis.m * p * p, q * q
+        bound = -(-bound.numerator * basis.den // bound.denominator)
+        r2 = basis.m * (bound - 1) ** 2  # the ball around the box |x_i| <= B - 1
     else:
         r = _scalar(bound, False)
         if basis._stack is not None and r == bound:
             found = basis._stack.exists_shorter(basis._lane, r)
             if found is not None:
                 return found
-        r2, r2_den = basis.m * r * r, 1
+        r2 = basis.m * r * r
     bred, _, gram = _prepare(basis)
     if any(_sup(col) < bound for col in bred):
         return True
     try:
-        return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2, exact, r2_den))
+        return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2, exact))
     except DegenerateInputError as exc:
         exc.sample_index = basis._lane
         raise

@@ -147,6 +147,14 @@ def test_affine_rank_examples():
     assert r == 0 and basis == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_affine_rank_refuses_non_finite_points_by_index(bad):
+    with pytest.raises(DomainError, match="affine_rank point 1 is not finite"):
+        affine_rank([0, (1, bad), (0, 1)])
+    with pytest.raises(DomainError, match="affine_rank point 0 is not finite"):
+        affine_rank([np.array([[bad, 0.0], [0.0, 1.0]]), np.eye(2)])
+
+
 def test_affine_rank_invariance_under_affine_maps():
     rng = np.random.default_rng(11)
     pts = [rng.uniform(-1, 1, 4) for _ in range(6)]

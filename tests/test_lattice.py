@@ -196,6 +196,22 @@ def test_non_unimodular_rejected():
         LatticeBasis.from_rational([[2, 0], [0, 1]])
 
 
+# A basis needs at least one column: each m = 0 constructor is refused before
+# any query reaches LLL.
+EMPTY_BASES = {
+    "init": (lambda: LatticeBasis(np.zeros((0, 0))), "m x m with m >= 1"),
+    "from_integral": (lambda: LatticeBasis.from_integral([], 1), "m >= 1 integer columns"),
+    "batch": (lambda: LatticeBasis.batch(np.zeros((3, 0, 0))), "float stack with m >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_BASES)
+def test_bases_without_columns_refused(case):
+    make, message = EMPTY_BASES[case]
+    with pytest.raises(InvariantError, match=message):
+        make()
+
+
 def test_exact_det_refusals_read_as_fractions():
     for make in (lambda: LatticeBasis.from_integral([(3, 0), (0, 1)], 3),
                  lambda: LatticeBasis.from_rational([[1, 0], [0, Fraction(1, 3)]])):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from det_reference import reference_det_exact
+from span_reference import orthonormal_span as reference_span
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,44 @@ def test_orthonormal_span_rank_and_orthogonality():
     assert rank == 2
     G = np.array([[float(u @ v) for v in basis] for u in basis])
     assert np.allclose(G, np.eye(2), atol=1e-12)
+
+
+@st.composite
+def planted_family(draw):
+    """k <= 2d + 1 vectors in R^d (d <= 9) spanning r planted directions, as
+    U diag(sigma) V^T with orthonormal U, V and singular values sigma in
+    [1e-3, 1] (the largest 1), times a global scale; the rank is min(k, r)."""
+    d = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 2 * d + 1))
+    r = draw(st.integers(1, d))
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rank = min(k, r)
+    u = np.linalg.qr(rng.standard_normal((k, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+    sigma = 10.0 ** rng.uniform(-3, 0, rank)
+    sigma[0] = 1.0
+    return list(scale * (u * sigma) @ v.T), rank
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(planted_family())
+def test_orthonormal_span_matches_the_gram_schmidt_reference(family):
+    vectors, rank = family
+    got_rank, got = _linalg.orthonormal_span(vectors)
+    want_rank, want = reference_span(vectors)
+    assert got_rank == want_rank == rank == len(got)
+    got, want = np.array(got), np.array(want)
+    assert np.abs(got.T @ got - want.T @ want).max() <= 1e-9  # the same orthogonal projector
+    assert np.abs(got @ got.T - np.eye(rank)).max() <= 1e-12
+    for k in (-60, 60):  # the threshold follows the family's own scale
+        assert _linalg.orthonormal_span([v * 2.0 ** k for v in vectors])[0] == rank
+
+
+def test_orthonormal_span_of_empty_and_zero_families():
+    for family in ([], [np.zeros(3)], [np.zeros(2), np.zeros(2)], [np.zeros((2, 2))]):
+        assert _linalg.orthonormal_span(family) == (0, [])
+        assert reference_span(family) == (0, [])
 
 
 def test_is_exact_flags_object_dtype():
