@@ -435,9 +435,9 @@ def _run_correspondence(config: ExperimentConfig):
 
 def _run_equidist(config: ExperimentConfig):
     p = config.args
-    return [stats.siegel_average(config.curve, t, p.box, config.sampler,
-                                 normalize=p.normalize).payload()
-            for t in p.t_list], None
+    records = stats.siegel_average(config.curve, p.t_list, p.box, config.sampler,
+                                   normalize=p.normalize)
+    return [rec.payload() for rec in records], None
 
 
 def _run_nondiv(config: ExperimentConfig):
@@ -506,8 +506,8 @@ def _random_combinations(basis, seed: int, base_index: int, draws: int,
 
 def _run_w_invariance(config: ExperimentConfig):
     p = config.args
-    return [stats.w_invariance_gap(config.curve, t, p.r, p.observable, config.sampler)
-            for t in p.t_list], None
+    return stats.w_invariance_gap(config.curve, p.t_list, p.r, p.observable,
+                                  config.sampler), None
 
 
 _DISPATCH = {  # subcommand: (the schema of its parameters, its runner, needs a sampler)

@@ -205,13 +205,18 @@ def affine_rank(points, tol: float = INVERTIBILITY_TOL):
     """Rank of the affine hull of the points, plus an orthonormal basis of
     the linear part: `_linalg.orthonormal_span` of the differences to the
     first point (an SVD, threshold tol relative to the largest singular
-    value). A point with a nan or inf entry is refused, by its index."""
+    value). A point with a nan or inf entry, then a point whose size
+    differs from point 0's, is refused, by its index."""
     pts = [np.asarray(p, dtype=float).ravel() for p in points]
     if not pts:
         raise DomainError("affine_rank needs at least one point")
     bad = next((i for i, p in enumerate(pts) if not np.isfinite(p).all()), None)
     if bad is not None:
         raise DomainError(f"affine_rank point {bad} is not finite")
+    bad = next((i for i, p in enumerate(pts) if p.size != pts[0].size), None)
+    if bad is not None:
+        raise DomainError(f"affine_rank point {bad} has {pts[bad].size} entries, "
+                          f"point 0 has {pts[0].size}")
     diffs = [p - pts[0] for p in pts[1:]]
     return _linalg.orthonormal_span(diffs, tol=tol)
 

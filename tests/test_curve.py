@@ -155,6 +155,18 @@ def test_affine_rank_refuses_non_finite_points_by_index(bad):
         affine_rank([np.array([[bad, 0.0], [0.0, 1.0]]), np.eye(2)])
 
 
+def test_affine_rank_refuses_points_of_another_size_by_index():
+    # a shorter point would broadcast against the others, a longer one would
+    # fail inside numpy without naming a point
+    with pytest.raises(DomainError, match="affine_rank point 1 has 2 entries, point 0 has 1"):
+        affine_rank([0, (1, 2), (3, 4)])
+    with pytest.raises(DomainError, match="affine_rank point 1 has 3 entries, point 0 has 2"):
+        affine_rank([(0, 0), (1, 2, 3)])
+    with pytest.raises(DomainError, match="affine_rank point 2 has 1 entries"):
+        affine_rank([np.eye(2), np.zeros((2, 2)), [5.0]])
+    assert affine_rank([np.eye(2), np.zeros(4)])[0] == 1  # sizes agree once raveled
+
+
 def test_affine_rank_invariance_under_affine_maps():
     rng = np.random.default_rng(11)
     pts = [rng.uniform(-1, 1, 4) for _ in range(6)]

@@ -295,7 +295,7 @@ NAN_CASES = {
     "GroupElement": (lambda: GroupElement(1, np.diag([1.0, math.nan])),
                      InvariantError, "deviates from 1"),
     # u(nan) fails its det check before any lattice is reduced
-    "w_invariance_gap": (lambda: w_invariance_gap(NAN_LINE, 2.0, math.nan, lambda1(),
+    "w_invariance_gap": (lambda: w_invariance_gap(NAN_LINE, [2.0], math.nan, lambda1(),
                                                   Sampler(seed=1, count=4)),
                          InvariantError, "deviates from 1"),
     "CentralizerElement": (lambda: CentralizerElement(np.array([[math.nan]]), np.eye(1)),

@@ -146,6 +146,26 @@ def test_in_kmu_rejects_bad_mu():
             in_kmu(LatticeBasis(np.eye(2)), mu)
 
 
+def test_exact_ball_test_walks_out_to_the_box_corner():
+    # In units of 1/6 the bound 5/6 is B = 5, and the exact ball test walks
+    # the ball of squared radius 4 (B - 1)^2 around the box |x_i| <= B - 1.
+    # The only nonzero lattice vectors in that box are +-c, c = (4, 4, 4, 4):
+    # a corner of the box, on the ball's boundary, and longer than every
+    # reduced column (each of sup-norm >= B), so only the walk finds it.
+    cols = ((4, 4, 4, 4), (-1, 5, -1, 1), (-2, 1, 7, 2), (1, -2, -2, 5))
+    basis = LatticeBasis.from_integral(cols, 6)
+    box = np.array(list(itertools.product(range(-4, 5), repeat=4)))
+    coeffs = np.linalg.solve(np.array(cols, dtype=float).T, box.T).T
+    inside = box[np.all(np.abs(coeffs - np.rint(coeffs)) < 1e-9, axis=1)]
+    assert sorted(map(tuple, inside)) == [(-4,) * 4, (0,) * 4, (4,) * 4]
+    reduced, _, _ = lattice._prepare(basis)
+    assert min(max(map(abs, col)) for col in reduced) >= 5
+    assert not in_kmu(basis, Fraction(5, 6))
+    assert not in_mahler_compact(basis, Fraction(5, 6))
+    assert in_kmu(basis, Fraction(2, 3))  # nothing strictly below the corner's 4/6
+    assert shortest_supnorm(basis).length == Fraction(2, 3)
+
+
 def test_in_mahler_compact():
     assert in_mahler_compact(LatticeBasis(np.eye(2)), 0.5)
     assert not in_mahler_compact(LatticeBasis(np.diag([2.0, 0.5])), 0.6)

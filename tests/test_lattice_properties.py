@@ -787,7 +787,7 @@ def test_lane_past_the_node_budget_is_named_by_its_sample(monkeypatch):
     monkeypatch.setattr(lattice, "_STACK_NODES", 20)
     monkeypatch.setattr(lattice, "_MAX_NODES", 40)
     with pytest.raises(DegenerateInputError, match="node budget") as info:
-        siegel_average(generic_curve(2), 6.0, (0.9,) * 4, Sampler(seed=2, count=12))
+        siegel_average(generic_curve(2), [6.0], (0.9,) * 4, Sampler(seed=2, count=12))
     assert str(info.value).startswith("sample (seed, index, s) = (2, ")
     stack = orbit_points(generic_curve(2), np.linspace(1.0, 2.0, 12), 6.0)
     for max_nodes, query in ((40, lambda b: count_in_box(b, (0.9,) * 4)),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
                      correspondence_basis, count_in_box, in_kmu, kmu_fraction, kmu_indicator,
                      lambda1, nondivergence_profile, orbit_point, orbit_points, reduce,
-                     siegel_average, siegel_count, w_invariance_gap)
+                     siegel_average, siegel_count, u_embed, w_invariance_gap)
 from danilab import lattice, stats
 from danilab.errors import (DomainError, InternalIdentityError, InvariantError,
                             OrientationError, SingularMatrixError)
@@ -85,7 +85,7 @@ def test_kernel_values_equal_observable_on_reference_basis(n, kind):
             seen.append((basis.cols.tobytes(), value))
             return value
 
-        stats._orbit_stats(curve, 5.0, sampler, record, normalize=normalize)
+        stats._orbit_stats(curve, [5.0], sampler, record, normalize=normalize)
         want = []
         for s in sampler.points(curve.interval):
             basis = reference_basis(curve, s, 5.0, normalize=normalize)
@@ -114,7 +114,7 @@ def test_estimator_names_failing_sample_for_rerun():
     # phi(s) = s^2 - 3s reverses orientation on [1, 1.5): some sample fails
     sampler = Sampler(seed=11, count=40)
     with pytest.raises(OrientationError) as info:
-        w_invariance_gap(BENT, 2.0, 1.0, kmu_indicator(0.7), sampler)
+        w_invariance_gap(BENT, [2.0], 1.0, kmu_indicator(0.7), sampler)
     points = sampler.points(BENT.interval)
     index = int(np.argmax(points < 1.5))
     s = sampler.point(BENT.interval, index)
@@ -190,18 +190,18 @@ def test_exact_basepoint_is_read_as_its_float_twin():
     one = orbit_point(LINE, 1.25, 3.0, basepoint=exact)
     assert one.cols.tobytes() == orbit_point(LINE, 1.25, 3.0, basepoint=twin).cols.tobytes()
     sampler = Sampler(seed=3, count=40)
-    got = siegel_average(LINE, 3.0, (0.9, 0.9), sampler, basepoint=exact)
-    assert got == siegel_average(LINE, 3.0, (0.9, 0.9), sampler, basepoint=twin)
+    got = siegel_average(LINE, [3.0], (0.9, 0.9), sampler, basepoint=exact)[0]
+    assert got == siegel_average(LINE, [3.0], (0.9, 0.9), sampler, basepoint=twin)[0]
 
 
 def test_n1_queries_read_the_batched_reduction(monkeypatch):
     sampler = Sampler(seed=3, count=40)
 
     def estimates():
-        out = [stats._orbit_stats(LINE, 5.0, sampler, obs.evaluate, normalize=normalize)
+        out = [stats._orbit_stats(LINE, [5.0], sampler, obs.evaluate, normalize=normalize)
                for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7), lambda1())
                for normalize in (False, True)]
-        out.append(w_invariance_gap(LINE, 5.0, 1.0, lambda1(), sampler))
+        out.append(w_invariance_gap(LINE, [5.0], 1.0, lambda1(), sampler)[0])
         out.append(nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler))
         return out
 
@@ -214,16 +214,16 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
     monkeypatch.setattr(LatticeBasis, "batch",
                         lambda cols: checked.append(len(cols)) or batch(cols))
     assert estimates() == want
-    # one det check per stack: the six plain runs, the w-invariance stack and
-    # its translates, and the two nondivergence flow times
-    assert checked == [40] * 10
+    # one det check per stack: the six plain runs, the w-invariance stack
+    # with its translates, and the nondivergence stack of both flow times
+    assert checked == [40] * 6 + [80, 80]
     # box counts, ball tests and nondivergence read the batched reduction;
     # lambda1 reduces each sample's own basis once: two raw-or-normalized
     # runs and the w-invariance stack with its translates, 40 samples each
     assert len(calls) == 4 * 40
     calls.clear()
     for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7)):
-        stats._orbit_stats(LINE, 5.0, sampler, obs.evaluate)
+        stats._orbit_stats(LINE, [5.0], sampler, obs.evaluate)
     nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler)
     assert calls == []
 
@@ -232,10 +232,10 @@ def test_n1_box_and_ball_queries_take_the_stack_grid(monkeypatch):
     sampler = Sampler(seed=3, count=40)
 
     def estimates():
-        return [siegel_average(LINE, 5.0, (0.9, 0.9), sampler),
-                siegel_average(LINE, 5.0, (0.9, 0.9), sampler, normalize=True),
-                kmu_fraction(LINE, 5.0, 0.7, sampler),
-                kmu_fraction(LINE, 5.0, 0.7, sampler, normalize=True),
+        return [siegel_average(LINE, [5.0], (0.9, 0.9), sampler)[0],
+                siegel_average(LINE, [5.0], (0.9, 0.9), sampler, normalize=True)[0],
+                kmu_fraction(LINE, [5.0], 0.7, sampler)[0],
+                kmu_fraction(LINE, [5.0], 0.7, sampler, normalize=True)[0],
                 nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler)]
 
     want = estimates()
@@ -271,7 +271,7 @@ def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(lattice, name, counted)
     plane = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
-    stats._orbit_stats(plane, 3.0, Sampler(seed=3, count=6), lambda1().evaluate)
+    stats._orbit_stats(plane, [3.0], Sampler(seed=3, count=6), lambda1().evaluate)
     assert calls == {"_lll": 6, "_lll_integral": 0}
     cell = correspondence_basis(DirichletQuery(phi=np.array([[Fraction(1, 2)]], dtype=object),
                                                N=4, mu=Fraction(1, 2)))
@@ -298,7 +298,7 @@ def test_lll_step_limit_names_the_lowest_failing_sample(monkeypatch):
             failing.append(i)
     assert failing[0] == 5 and len(failing) < 30
     with pytest.raises(InternalIdentityError) as info:
-        siegel_average(LINE, 2.0, (0.9, 0.9), sampler)
+        siegel_average(LINE, [2.0], (0.9, 0.9), sampler)
     s = sampler.point(LINE.interval, 5)
     assert info.value.sample_index == 5
     assert str(info.value) == (f"sample (seed, index, s) = (5, 5, {s!r}): "
@@ -319,8 +319,106 @@ def test_wide_stack_reduction_failure_names_the_lowest_failing_sample(monkeypatc
             failing.append(i)
     assert failing == [5, 7, 10]
     with pytest.raises(InternalIdentityError) as info:
-        siegel_average(plane, 6.0, (0.9,) * 4, sampler)
+        siegel_average(plane, [6.0], (0.9,) * 4, sampler)
     s = sampler.point(plane.interval, 5)
     assert info.value.sample_index == 5
     assert str(info.value) == (f"sample (seed, index, s) = (2, 5, {s!r}): "
+                               "LLL failed to terminate at desk scale")
+
+
+@st.composite
+def profile_case(draw):
+    """A curve at n = 1 or 2 whose derivative stays near 16 I on [1, 2], a
+    flow-time list (repeats allowed), a sampler, the normalize flag, an
+    optional basepoint and an optional u(r I) shift."""
+    n = draw(st.integers(1, 2))
+    coeffs = [[[float(draw(ENTRY)) / 8 ** k + 16.0 * (k == 1 and i == j) for j in range(n)]
+               for i in range(n)] for k in range(3)]
+    curve = MatrixPolyCurve.from_coeffs(coeffs, (1.0, 2.0))
+    t_list = draw(st.lists(st.sampled_from([0.0, 1.5, 3.0]) | st.floats(0.0, 6.0),
+                           min_size=1, max_size=4))
+    sampler = Sampler(seed=draw(st.integers(0, 2 ** 32)), count=draw(st.integers(1, 10)))
+    basepoint = None
+    if draw(st.booleans()):
+        shear = np.eye(2 * n)
+        shear[0, -1] = float(draw(ENTRY))
+        basepoint = LatticeBasis(shear[:, ::-1].copy())
+    shift = None
+    if draw(st.booleans()):
+        shift = u_embed(float(draw(ENTRY)) * np.eye(n)).entries
+    return curve, t_list, sampler, draw(st.booleans()), basepoint, shift
+
+
+def per_t_stats(curve, t, sampler, evaluate, normalize, basepoint, shift):
+    """(mean, stderr) at one flow time as the one-t kernel made them: one
+    stack of the samples and another of their translates."""
+    stack = orbit_points(curve, sampler.points(curve.interval), t, basepoint=basepoint,
+                         normalize=normalize)
+    blocks = [stack] + ([] if shift is None else [shift @ stack])
+    return [stats._mean_stderr(np.array([evaluate(b) for b in LatticeBasis.batch(block)]))
+            for block in blocks]
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@SETTINGS
+@given(profile_case())
+def test_one_stack_equals_per_t_stacks_bit_for_bit(case):
+    curve, t_list, sampler, normalize, basepoint, shift = case
+    n = curve.n
+    for obs in (siegel_count((0.9,) * (2 * n)), kmu_indicator(0.7), lambda1()):
+        got = stats._orbit_stats(curve, t_list, sampler, obs.evaluate, normalize=normalize,
+                                 basepoint=basepoint, shift=shift)
+        per_t = [per_t_stats(curve, t, sampler, obs.evaluate, normalize, basepoint, shift)
+                 for t in t_list]
+        want = [out[0] for out in per_t] + [out[1] for out in per_t if len(out) > 1]
+        assert bits(got) == bits(want)
+    box = (0.9,) * (2 * n)
+
+    def records(estimate):
+        whole = estimate(t_list)
+        assert len(whole) == len(t_list)
+        return whole, [rec for t in t_list for rec in estimate([t])]
+
+    for whole, one_t in (
+            records(lambda ts: siegel_average(curve, ts, box, sampler, basepoint=basepoint,
+                                              normalize=normalize)),
+            records(lambda ts: kmu_fraction(curve, ts, 0.7, sampler, normalize=normalize)),
+            records(lambda ts: nondivergence_profile(curve, ts, 0.3, sampler)),
+            records(lambda ts: w_invariance_gap(curve, ts, 1.5, kmu_indicator(0.7), sampler))):
+        assert [repr(rec) for rec in whole] == [repr(rec) for rec in one_t]
+    assert stats._orbit_stats(curve, [], sampler, lambda1().evaluate) == []
+    assert siegel_average(curve, [], box, sampler) == []
+    assert w_invariance_gap(curve, (), 1.5, lambda1(), sampler) == []
+
+
+def test_failure_at_a_later_flow_time_names_the_sample(monkeypatch):
+    # at this step limit every lattice reduces at t = 0, and at t = 2 samples
+    # 5, 8, 16 and 27 fail; the lowest is lane M + 5 of the joined stack
+    sampler = Sampler(seed=5, count=30)
+    monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 3)
+    siegel_average(LINE, [0.0, 0.0], (0.9, 0.9), sampler)
+    with pytest.raises(InternalIdentityError) as info:
+        siegel_average(LINE, [0.0, 2.0], (0.9, 0.9), sampler)
+    s = sampler.point(LINE.interval, 5)
+    assert info.value.sample_index == 5
+    assert str(info.value) == (f"sample (seed, index, s) = (5, 5, {s!r}): "
+                               "LLL failed to terminate at desk scale")
+
+
+def test_failure_in_the_translate_block_names_the_sample(monkeypatch):
+    # at this step limit every normalized lattice reduces at t = 0 and 1.75,
+    # and of their translates by u(2) only sample 12's at t = 1.75 fails:
+    # lane 2 M + M + 12 of the stack of both flow times and their translates
+    sampler = Sampler(seed=5, count=30)
+    monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 3)
+    kmu_fraction(LINE, [0.0, 1.75], 0.7, sampler, normalize=True)
+    w_invariance_gap(LINE, [0.0], 2.0, kmu_indicator(0.7), sampler)
+    with pytest.raises(InternalIdentityError) as info:
+        w_invariance_gap(LINE, [0.0, 1.75], 2.0, kmu_indicator(0.7), sampler)
+    s = sampler.point(LINE.interval, 12)
+    assert info.value.sample_index == 12
+    assert str(info.value) == (f"sample (seed, index, s) = (5, 12, {s!r}): "
                                "LLL failed to terminate at desk scale")

@@ -36,14 +36,14 @@ def test_observable_validation_and_names():
 
 
 def test_siegel_average_on_fixed_lattice():
-    rec = siegel_average(flat_curve(), 0.0, (1.0, 1.0), Sampler(seed=1, count=50))
+    rec = siegel_average(flat_curve(), [0.0], (1.0, 1.0), Sampler(seed=1, count=50))[0]
     assert rec.mean == 8.0 and rec.stderr == 0.0
     assert rec.op == "siegel_average" and rec.M == 50 and rec.seed == 1
     assert rec.payload()["module"] == "stats"
 
 
 def test_siegel_average_small_box_sees_nothing():
-    rec = siegel_average(line_curve(), 0.0, (0.9, 0.9), Sampler(seed=5, count=40))
+    rec = siegel_average(line_curve(), [0.0], (0.9, 0.9), Sampler(seed=5, count=40))[0]
     assert rec.mean == 0.0 and rec.stderr == 0.0
 
 
@@ -52,7 +52,7 @@ def test_siegel_average_matches_per_sample_loop():
     sampler = Sampler(seed=9, count=200)
     obs = siegel_count((1.5, 1.5))
     for normalize in (False, True):
-        rec = siegel_average(curve, 2.0, (1.5, 1.5), sampler, normalize=normalize)
+        rec = siegel_average(curve, [2.0], (1.5, 1.5), sampler, normalize=normalize)[0]
         values = [obs.evaluate(reference_basis(curve, s, 2.0, normalize=normalize))
                   for s in sampler.points(curve.interval)]
         assert (rec.mean, rec.stderr) == reference_mean_stderr(values)
@@ -60,15 +60,15 @@ def test_siegel_average_matches_per_sample_loop():
 
 def test_stderr_scales_with_sample_count():
     curve = line_curve()
-    small = siegel_average(curve, 2.0, (1.5, 1.5), Sampler(seed=3, count=100))
-    big = siegel_average(curve, 2.0, (1.5, 1.5), Sampler(seed=3, count=1600))
+    small = siegel_average(curve, [2.0], (1.5, 1.5), Sampler(seed=3, count=100))[0]
+    big = siegel_average(curve, [2.0], (1.5, 1.5), Sampler(seed=3, count=1600))[0]
     assert small.stderr > 0
     ratio = small.stderr / big.stderr
     assert 2.5 < ratio < 6.5  # 1/sqrt(M) predicts 4
 
 
 def test_kmu_fraction_certain_at_t_zero():
-    rec = kmu_fraction(line_curve(), 0.0, 0.9, Sampler(seed=2, count=60))
+    rec = kmu_fraction(line_curve(), [0.0], 0.9, Sampler(seed=2, count=60))[0]
     assert rec.mean == 1.0 and rec.stderr == 0.0
     assert rec.observable == "kmu_indicator[0.9]"
 
@@ -76,7 +76,7 @@ def test_kmu_fraction_certain_at_t_zero():
 def test_kmu_fraction_monotone_in_mu():
     curve = line_curve()
     sampler = Sampler(seed=11, count=300)
-    fr = [kmu_fraction(curve, 1.0, mu, sampler).mean for mu in (0.2, 0.5, 0.8)]
+    fr = [kmu_fraction(curve, [1.0], mu, sampler)[0].mean for mu in (0.2, 0.5, 0.8)]
     assert fr[0] >= fr[1] >= fr[2]
 
 
@@ -100,8 +100,8 @@ def test_nondivergence_constant_curve_is_deterministic():
 
 
 def test_w_invariance_gap_zero_shift():
-    out = w_invariance_gap(line_curve(), 1.0, 0.0, kmu_indicator(0.7),
-                           Sampler(seed=4, count=120))
+    out = w_invariance_gap(line_curve(), [1.0], 0.0, kmu_indicator(0.7),
+                           Sampler(seed=4, count=120))[0]
     assert out["gap"] == 0.0
     assert out["mean_base"] == out["mean_translated"]
     assert {"op", "t", "r", "observable", "gap", "stderr_base", "M", "seed"} <= set(out)
@@ -111,7 +111,7 @@ def test_w_invariance_gap_matches_per_sample_loop():
     curve = line_curve(2)
     sampler = Sampler(seed=21, count=150)
     obs = kmu_indicator(0.7)
-    out = w_invariance_gap(curve, 2.0, 1.0, obs, sampler)
+    out = w_invariance_gap(curve, [2.0], 1.0, obs, sampler)[0]
     shift = u_embed(np.eye(2)).entries
     base, translated = [], []
     for s in sampler.points(curve.interval):
