@@ -20,9 +20,8 @@ from .reptheory import (Representation, WeightDecomposition, adjoint,
                         project, rep_image, upper_block, verify_q0_transport,
                         verify_qplus_nonvanish, weight_split)
 from .rng import Sampler, counter_bits, counter_uniform, counter_uniforms
-from .stats import (Observable, ObservableRecord, convergence_gap, kmu_fraction,
-                    kmu_indicator, lambda1, nondivergence_profile, siegel_average,
-                    siegel_count, w_invariance_gap)
+from .stats import (Observable, ObservableRecord, kmu_fraction, kmu_indicator, lambda1,
+                    nondivergence_profile, siegel_average, siegel_count, w_invariance_gap)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "obstruction_subspace", "project", "rep_image", "upper_block",
     "verify_q0_transport", "verify_qplus_nonvanish", "weight_split",
     "Sampler", "counter_bits", "counter_uniform", "counter_uniforms",
-    "Observable", "ObservableRecord", "convergence_gap", "kmu_fraction",
+    "Observable", "ObservableRecord", "kmu_fraction",
     "kmu_indicator", "lambda1", "nondivergence_profile", "siegel_average",
     "siegel_count", "w_invariance_gap",
     "__version__",

@@ -11,24 +11,22 @@ computed once and updated exactly on a swap, and the enumerator and the box
 tests run on the same integer lattice, den times the original, with every
 bound scaled by den once.
 
-A query that walks LLL-reduces the basis once and hands the reduced basis
-with its Gram-Schmidt data to one depth-first enumerator of the Euclidean
+A query that walks LLL-reduces the basis once and enumerates the Euclidean
 ball ||v||_2 <= R (Fincke-Pohst; each level is tried outward from its
 projected center, as in Schnorr-Euchner). LLL tracks its transform only for
 the callers that read it (`reduce`, `shortest_supnorm`). The float LLL is
 one kernel per dimension m, generated from one template with every
 coordinate loop written out and compiled once per m. Its dot products are
 summed left to right from 0.0, so a reduction has the same bits on every
-Python. A float stack becomes bases only through `LatticeBasis.batch`,
-which checks every determinant at once; its bases share one `_Stack`. The
-first box count or ball test of one box or bound on any of them reduces the
-stack, once per lane (a 2 x 2 stack all at once, by a lane-masked LLL that
-takes the scalar LLL's float steps), and decides the query for every lane
-in one breadth-first walk over numpy arrays, which expands the enumerator's
-levels from the top down with the enumerator's own float operations in its
-order, so every answer is the enumerator's. A lane with too many
-candidates walks depth-first on the stack's reduction of it, and
-`shortest_supnorm` reduces its own basis, as an unbatched basis does.
+Python. The exact mode walks depth first (`_BallWalk`), in integers.
+
+Every float basis is a lane of a `_Stack`: the bases of one
+`LatticeBasis.batch` share one, and a basis made alone has its own. The
+first query of one box or bound, or of the shortest vector, on any lane
+reduces every lane (a 2 x 2 stack at once, by a lane-masked LLL that takes
+the scalar LLL's float steps) and decides the query for every lane in one
+breadth-first walk over numpy arrays (`_stack_walk`), the one float
+enumerator, with the float operations of a depth-first walk in its order.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -58,12 +56,10 @@ _MAX_LLL_STEPS = 20_000
 # the rounding in the Gram-Schmidt data, which stays near 1e-12 on flowed
 # lattices up to t = 14.
 _FLOAT_SLACK = 1e-9
-# The stack walk (`_stack_walk`): a lane that would try more than
-# _STACK_NODES candidate nodes is left to the scalar walk, and lanes run
-# _STACK_LANES at a time, so one chunk holds at most 65,536 candidates (a few
-# MB of numpy temporaries) however many lanes the stack has.
-_STACK_NODES = 256
-_STACK_LANES = 256
+# The stack walk (`_stack_walk`) expands each level in chunks of at most
+# _STACK_CHUNK candidate nodes, so it holds a few MB of numpy temporaries at
+# most, however many lanes the stack has and however many nodes a ball holds.
+_STACK_CHUNK = 8_192
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
 _MINKOWSKI_FLOAT_TOL = 1e-9
 # LLL's delta for `_lll`, `reduce` and the pair kernel `_lll_pair_arrays`,
@@ -75,23 +71,20 @@ _SET = object.__setattr__
 
 class LatticeBasis:
     """Columns of a unimodular matrix (|det| = 1 within 1e-8; exactly 1 in
-    the exact mode). A float basis holds its float64 columns. An exact basis
-    holds `int_cols`, m tuples of ints, and one common denominator `den`:
-    column j is int_cols[j] / den. Its Fraction matrix `cols` is derived,
-    read-only, and built on first read. A float basis from a stack (a
-    `_StackLane`) also holds its stack's `_Stack` and its lane in it: the
-    reductions of the whole stack, as arrays, and the answers of its box and
-    ball queries for the whole stack. Bases are immutable. One basis comes
-    from `LatticeBasis(cols)`, `from_rational` or `from_integral`, each with
-    its det check; a float stack of bases comes only from `batch`."""
+    the exact mode). A float basis holds its float64 columns and its lane of
+    a `_Stack`. An exact basis holds `int_cols`, m tuples of ints, and one
+    common denominator `den`: column j is int_cols[j] / den. Its Fraction
+    matrix `cols` is derived, read-only, and built on first read. Bases are
+    immutable. One basis comes from `LatticeBasis(cols)` (a float one is the
+    one lane of its own stack), `from_rational` or `from_integral`, each
+    with its det check; a float stack of bases comes only from `batch`."""
 
-    __slots__ = ("_cols", "int_cols", "den")
-    _stack = _lane = None
+    __slots__ = ("_cols", "int_cols", "den", "_stack", "_lane")
 
     def __init__(self, cols: np.ndarray):
         if cols.ndim != 2 or not cols.shape[0] == cols.shape[1] >= 1:
             raise InvariantError(f"basis must be m x m with m >= 1, got shape {cols.shape}")
-        int_cols = den = None
+        int_cols = den = stack = None
         if _linalg.is_exact(cols):
             m = cols.shape[0]
             flat, den = _linalg.integral(cols.T.ravel().tolist())
@@ -102,9 +95,13 @@ class LatticeBasis:
             if not abs(abs(d) - 1.0) <= UNIMODULAR_TOL:
                 raise _det_error(d)
         cols.flags.writeable = False
+        if int_cols is None:
+            stack = _Stack(cols[None], named=False)
         _SET(self, "_cols", cols)
         _SET(self, "int_cols", int_cols)
         _SET(self, "den", den)
+        _SET(self, "_stack", stack)
+        _SET(self, "_lane", 0)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LatticeBasis is immutable; cannot set {name!r}")
@@ -136,6 +133,8 @@ class LatticeBasis:
         _SET(basis, "_cols", None)
         _SET(basis, "int_cols", int_cols)
         _SET(basis, "den", den)
+        _SET(basis, "_stack", None)
+        _SET(basis, "_lane", 0)
         return basis
 
     @classmethod
@@ -143,11 +142,9 @@ class LatticeBasis:
         """The bases of an (M, m, m) float stack, frozen, each a view of it.
         One np.linalg.det checks every |det| to 1 within UNIMODULAR_TOL; the
         lowest failing lane raises its constructor's error, with its index as
-        `sample_index`. Every basis holds the stack's one `_Stack` with its
-        lane: the first box count or ball test of one box or bound on any of
-        them reduces the stack (the lowest lane that fails to reduce raises
-        likewise) and decides that query for every lane. An exact stack is
-        refused: exact bases are built one by one."""
+        `sample_index`. The bases share one `_Stack`, which decides each
+        query for every lane at once. An exact stack is refused: exact bases
+        are built one by one."""
         if cols.ndim != 3 or not cols.shape[1] == cols.shape[2] >= 1 or _linalg.is_exact(cols):
             raise InvariantError(f"batch needs an (M, m, m) float stack with m >= 1, got "
                                  f"{cols.dtype} of shape {cols.shape}")
@@ -155,13 +152,18 @@ class LatticeBasis:
         raise_first([(~(np.abs(np.abs(d) - 1.0) <= UNIMODULAR_TOL),
                       lambda i: _det_error(float(d[i])))], "sample_index")
         cols.flags.writeable = False
-        stack = _Stack(cols)
+        stack = _Stack(cols, named=True)
+        # the slots' own setters, which cost less per basis than _SET
+        set_cols, set_int_cols, set_den, set_stack, set_lane = (
+            getattr(cls, name).__set__ for name in cls.__slots__)
         bases = []
         for lane, view in enumerate(cols):
-            basis = object.__new__(_StackLane)
-            _SET(basis, "_cols", view)
-            _SET(basis, "_stack", stack)
-            _SET(basis, "_lane", lane)
+            basis = object.__new__(cls)
+            set_cols(basis, view)
+            set_int_cols(basis, None)
+            set_den(basis, None)
+            set_stack(basis, stack)
+            set_lane(basis, lane)
             bases.append(basis)
         return tuple(bases)
 
@@ -185,14 +187,6 @@ class LatticeBasis:
     @property
     def exact(self) -> bool:
         return self.int_cols is not None
-
-
-class _StackLane(LatticeBasis):
-    """A float basis of a `batch` stack: its columns (a view of the stack),
-    the stack's `_Stack` and its lane. It is never exact."""
-
-    __slots__ = ("_stack", "_lane")
-    int_cols = den = None
 
 
 def _det_error(d: float) -> InvariantError:
@@ -384,171 +378,228 @@ def _lll_pair_arrays(stack: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """The lanes of one float `LatticeBasis.batch` stack: its (M, m, m)
-    columns, their LLL reductions once a box or ball query needs them, and
-    the answers of those queries for every lane.
+    """The lanes of one float stack: its (M, m, m) columns, their LLL
+    reductions and the answers of its queries for every lane, each made on
+    first use. A `batch` stack is `named`: a lane that fails raises with its
+    index as `sample_index`; the stack of a lone basis names none.
 
-    The reductions are the arrays `_lll` would hand a lane's walk: reduced
-    columns b[lane, j] (column j), mu[lane, i, j] (j < i) and norms[lane, j].
-    At m = 2 `_lll_pair_arrays` makes them for every lane at once; at larger
-    m the scalar `_lll` runs once per lane, without its transform. Either
-    way the stack reduces on its first box or ball query, so a stack that
-    only answers `shortest_supnorm` (which reduces its own lane, transform
-    included) reduces nothing here. The lowest lane that fails to reduce
-    raises, with its index as `sample_index`.
-
-    The first `count` of a box, or `exists_shorter` of a bound, decides it
-    for every lane in one breadth-first walk (`_stack_walk`) and keeps the
-    answers, which are the scalar walk's. A lane that walk gives up on gets
-    None; its own query then runs `_BallWalk` on the stack's reduction of
-    that lane (`lane`), so each lane is reduced once.
+    Box counts and ball tests read one reduction per lane, without the
+    transform: reduced columns b[lane, j] (column j), mu[lane, i, j] (j < i)
+    and norms[lane, j], from `_lll_pair_arrays` at m = 2 and from `_lll`
+    otherwise. The shortest vector reduces each lane with `_lll` and the
+    transform, which its tie-break reads. The lowest lane that fails to
+    reduce raises. A query is decided for every lane in one walk
+    (`_stack_walk`); a lane past _MAX_NODES, or whose shortest vector fails
+    a check, answers with its error, and the other lanes still answer.
     """
 
-    __slots__ = ("cols", "_reduced", "_answers")
+    __slots__ = ("cols", "named", "_reduced", "_answers")
 
-    def __init__(self, cols: np.ndarray):
+    def __init__(self, cols: np.ndarray, named: bool):
         self.cols = cols
+        self.named = named
         self._reduced = None
         self._answers = {}
+
+    def _name(self, exc: Exception, lane: int) -> Exception:
+        exc.sample_index = lane if self.named else None
+        return exc
+
+    def answer(self, i: int, key, decide, *args):
+        """Lane i's answer to the query `key`, which decide(*args) makes for
+        every lane on its first call; an error is raised afresh, named."""
+        answers = self._answers.get(key)
+        if answers is None:
+            answers = self._answers[key] = decide(*args)
+        x = answers[i]
+        if isinstance(x, Exception):
+            raise self._name(type(x)(*x.args), i)
+        return x
+
+    def _lll_lanes(self, transform: bool) -> list:
+        if self.cols.shape[1] > MAX_DIM:
+            raise UnsupportedSizeError(f"dimension {self.cols.shape[1]} exceeds the supported "
+                                       f"bound {MAX_DIM}")
+        lanes = []
+        for lane, cols in enumerate(self.cols.transpose(0, 2, 1).tolist()):
+            try:
+                lanes.append(_lll(cols, _DELTA, transform))
+            except InternalIdentityError as exc:
+                raise self._name(exc, lane)
+        return lanes
 
     def reduced(self) -> tuple:
         """(b, mu, norms), the reductions of every lane, made on first call."""
         if self._reduced is None:
-            cols = self.cols
-            size, m, _ = cols.shape
-            if m > MAX_DIM:
-                raise UnsupportedSizeError(
-                    f"dimension {m} exceeds the supported bound {MAX_DIM}")
+            size, m, _ = self.cols.shape
             if m == 2:
-                out = _lll_pair_arrays(cols)
+                try:
+                    out = _lll_pair_arrays(self.cols)
+                except InternalIdentityError as exc:
+                    raise self._name(exc, exc.sample_index)
                 mu = np.zeros((size, 2, 2))
                 mu[:, 1, 0] = out[:, 4]
                 self._reduced = out[:, :4].reshape(size, 2, 2), mu, out[:, 5:]
             else:
-                lanes = []
-                for lane, lane_cols in enumerate(cols.transpose(0, 2, 1).tolist()):
-                    try:
-                        lanes.append(_lll(lane_cols, _DELTA, False))
-                    except InternalIdentityError as exc:
-                        exc.sample_index = lane
-                        raise
-                b, _, mu, norms = zip(*lanes)
+                b, _, mu, norms = zip(*self._lll_lanes(False))
                 self._reduced = np.array(b), np.array(mu, dtype=float), np.array(norms)
         return self._reduced
 
-    def lane(self, i: int) -> tuple:
-        """Lane i's reduced columns and Gram data (mu, norms), as the lists
-        `_lll` returns them."""
+    def counts(self, w: list) -> list:
+        """`count_in_box` of every lane for the float halfwidths w."""
+        box = np.array(w)
+        return _walk_hits(*self.reduced(), sum(x * x for x in w),
+                          lambda v: np.all(np.abs(v) <= box, axis=1), lambda h: 2 * h)
+
+    def shorter(self, r: float) -> list:
+        """`_exists_shorter` of every lane for the float bound r; as in one
+        basis's walk, a reduced column below r decides its lane."""
         b, mu, norms = self.reduced()
-        return b[i].tolist(), (mu[i].tolist(), norms[i].tolist())
+        walk = np.flatnonzero(~np.any(np.all(np.abs(b) < r, axis=2), axis=1))
+        found = np.full(len(b), True, dtype=object)
+        found[walk] = _walk_hits(b[walk], mu[walk], norms[walk], b.shape[1] * r * r,
+                                 lambda v: np.all(np.abs(v) < r, axis=1), bool)
+        return found.tolist()
 
-    def count(self, i: int, w: list):
-        """`count_in_box` of lane i for the float halfwidths w; None when the
-        scalar walk must decide."""
-        key = ("box", *w)
-        counts = self._answers.get(key)
-        if counts is None:
-            b, mu, norms = self.reduced()
-            box = np.array(w)
-            hits = _stack_walk(b, mu, norms, sum(x * x for x in w),
-                               lambda v: np.all(np.abs(v) <= box, axis=1))
-            counts = self._answers[key] = [None if h < 0 else 2 * h for h in hits.tolist()]
-        return counts[i]
+    def shortest(self) -> list:
+        """`shortest_supnorm` of every lane: the ball m L^2 of a lane, L the
+        sup-norm of its shortest reduced column, walked once, holds its every
+        vector of sup-norm <= L; the ties, recombination and checks are then
+        those of one basis, in its order."""
+        b, ucols, mu, norms = zip(*self._lll_lanes(True))
+        b = np.array(b)
+        size, m, _ = b.shape
+        short = np.abs(b).max(axis=2).min(axis=1)
+        walk = np.flatnonzero(short > 0)
+        found = [[] for _ in range(size)]  # per lane: (sup-norm, c) of each leaf within L
 
-    def exists_shorter(self, i: int, r: float):
-        """`_exists_shorter` of lane i for the float bound r; None when the
-        scalar walk must decide. As in the walk, a lane with a reduced column
-        of sup-norm below r is decided by it without walking."""
-        key = ("ball", r)
-        found = self._answers.get(key)
-        if found is None:
-            b, mu, norms = self.reduced()
-            short = np.any(np.all(np.abs(b) < r, axis=2), axis=1)
-            walk = np.flatnonzero(~short)
-            hits = np.ones(len(b), dtype=np.int64)
-            hits[walk] = _stack_walk(b[walk], mu[walk], norms[walk], b.shape[1] * r * r,
-                                     lambda v: np.all(np.abs(v) < r, axis=1))
-            found = self._answers[key] = [None if h < 0 else h > 0 for h in hits.tolist()]
-        return found[i]
+        def visit(lane, v, leaves):
+            sup = np.abs(v).max(axis=1)
+            keep = sup <= short[walk[lane]]
+            for k, *leaf in zip(walk[lane[keep]].tolist(), sup[keep].tolist(),
+                                leaves(keep).astype(np.int64).tolist()):
+                found[k].append(leaf)
 
-
-def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2: float,
-                inside) -> np.ndarray:
-    """Per lane of the reductions (b, mu, norms): the number of `_BallWalk`
-    leaves for the squared radius r2 whose vector v (an (m,) row) passes
-    `inside`, or -1 for a lane left to the scalar walk. Lanes run
-    _STACK_LANES at a time (`_walk_chunk`)."""
-    limit = r2 * (1 + _FLOAT_SLACK)
-    hits = np.empty(len(b), dtype=np.int64)
-    for start in range(0, len(b), _STACK_LANES):
-        part = slice(start, start + _STACK_LANES)
-        hits[part] = _walk_chunk(b[part], mu[part], norms[part], limit, inside)
-    return hits
+        dropped = set(walk[_stack_walk(b[walk], np.array(mu, dtype=float)[walk], np.array(norms)[walk],
+                                       m * short[walk] * short[walk], visit)].tolist())
+        out = []
+        for i in range(size):
+            if not short[i] > 0:
+                out.append(InvariantError("reduced basis contains the zero vector"))
+            elif i in dropped:
+                out.append(_budget_error())
+            elif not found[i]:
+                out.append(InternalIdentityError("enumeration missed the shortest reduced column"))
+            else:
+                best = min(found[i])[0]
+                ties = [c for length, c in found[i] if length == best]
+                coeffs = np.array(_first_original(ucols[i], ties), dtype=np.int64)
+                vector = np.asarray(self.cols[i] @ coeffs, dtype=float)
+                length = float(max(abs(x) for x in vector))
+                out.append(_minkowski_error(length) if length > 1 + _MINKOWSKI_FLOAT_TOL
+                           else ShortVectorResult(vector=vector, length=length, coeffs=coeffs))
+        return out
 
 
-def _walk_chunk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, limit: float,
-                inside) -> np.ndarray:
-    """`_stack_walk` on one chunk of lanes, breadth first: level j = m-1
-    down to 0 expands every node of every lane at once.
+def _walk_hits(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2: float, inside,
+               value) -> list:
+    """Per lane of the reductions (b, mu, norms): value(h) for the number h
+    of leaves of `_stack_walk` whose vector v (an (m,) row) passes `inside`,
+    or the node-budget error of a lane the walk drops."""
+    hit = [np.zeros(0, dtype=np.int64)]
+    dropped = _stack_walk(b, mu, norms, r2, lambda lane, v, _: hit.append(lane[inside(v)]))
+    hits = np.bincount(np.concatenate(hit), minlength=len(b))
+    return [_budget_error() if x else value(h) for h, x in zip(hits.tolist(), dropped.tolist())]
 
-    `_BallWalk` sweeps each level outward from the integer nearest its
-    center and stops a direction at the first failure of a float expression
-    that grows monotonically along it, so its nodes at level j are exactly
-    the c_j, under a node of the level above, with
+
+def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> np.ndarray:
+    """Walk the ball of squared radius r2 (a float, or one per lane) of every
+    lane of the reductions (b, mu, norms) and hand its leaves to `visit`,
+    chunk by chunk, as visit(lane, v, leaves): each leaf's lane and vector v
+    (an (m,) row), and leaves(mask), the coefficients c of the masked leaves.
+    Returns the mask of the lanes dropped, whose leaves visit may have seen
+    in part: those with more than _MAX_NODES nodes in the ball, or a window
+    of no finite size (a zero norm).
+
+    The leaves are those of the depth-first walk of each lane alone, bit for
+    bit. That walk sweeps each level outward from the integer nearest its
+    center, stopping at the first failure of a test monotone along the
+    sweep, so its nodes at level j are the c_j, under a node above, with
       partial + (c_j - ctr)^2 norms[j] <= limit,
       c_j >= 0 while every coefficient above is zero, and c_0 >= 1 there,
     where partial is the parent's length and ctr = -(0.0 + sum_{i>j} c_i
-    mu[i][j]), summed upward in i. These are computed here with the walk's
-    float operations in its order, and a leaf's vector is 0.0 + c_{m-1}
-    b_{m-1} + ... + c_0 b_0, summed from the top column down, as the walk
-    builds it. The walk skips the zero terms of both sums; adding +-0.0 to a
-    partial sum changes its bits only when that sum is -0.0, which a sum
-    starting at +0.0 never is, so every value is the walk's, bit for bit.
-    Each node tries the window |c_j - round(ctr)| <= floor(sqrt((limit -
-    partial) / norms[j]) + 1/2) + 1 (from 0 or 1 at the top), which holds
-    every c_j passing the test despite the rounding. A lane that would try
-    more than _STACK_NODES candidates in all leaves the walk (-1): the walk
-    never holds more than _STACK_NODES candidates per lane.
+    mu[i][j]), summed upward in i; a leaf's vector is 0.0 + c_{m-1} b_{m-1}
+    + ... + c_0 b_0 from the top column down. Skipping the zero terms of
+    these sums, as that walk does, changes no bits. A node tries the window
+    |c_j - round(ctr)| <= floor(sqrt((limit - partial) / norms[j]) + 1/2) + 1
+    (from 0 or 1 at the top), which holds every c_j passing the test despite
+    the rounding. Each level expands in chunks of at most _STACK_CHUNK
+    candidates, each walked to its leaves before the next.
     """
     lanes, m = norms.shape
-    node = np.arange(lanes)  # the lane of each node
-    coef = np.zeros((lanes, m))  # column i: the node's c_i, for the levels above
-    partial = np.zeros(lanes)
-    top = np.ones(lanes, dtype=bool)  # every coefficient above is zero
-    tried = np.zeros(lanes)
-    for j in range(m - 1, -1, -1):
-        s = np.zeros(len(node))
+    limit = r2 * (1 + _FLOAT_SLACK)
+    at = (lambda lane: limit[lane]) if np.ndim(limit) else (lambda lane: limit)
+    nodes = np.zeros(lanes, dtype=np.int64)
+    dropped = np.zeros(lanes, dtype=bool)
+
+    def expand(j, node, coef, partial, top):
+        if not len(node):
+            return
+        ctr = np.zeros(len(node))
         for i in range(j + 1, m):
-            s = s + coef[:, i] * mu[node, i, j]
-        ctr = -s
+            ctr = ctr + coef[:, i] * mu[node, i, j]
+        ctr = -ctr
         mid = np.rint(ctr)
         norm = norms[node, j]
-        half = np.floor(np.sqrt((limit - partial) / norm) + 0.5) + 1
+        half = np.floor(np.sqrt((at(node) - partial) / norm) + 0.5) + 1
         lo = np.where(top, float(j == 0), mid - half)
         size = np.maximum(mid + half - lo + 1, 0)
-        tried += np.bincount(node, size, minlength=lanes)
-        if not (tried <= _STACK_NODES).all():  # nan (a zero norm) fails too
-            keep = tried[node] <= _STACK_NODES
-            node, coef, partial, top, ctr, lo, size, norm = (
-                x[keep] for x in (node, coef, partial, top, ctr, lo, size, norm))
-        size = size.astype(np.int64)
-        pick = np.repeat(np.arange(len(node)), size)
-        c = np.repeat(lo - (np.cumsum(size) - size), size) + np.arange(pick.size)
-        d = c - ctr[pick]
-        length = partial[pick] + d * d * norm[pick]
-        ok = length <= limit
-        pick, c = pick[ok], c[ok]
-        if j:
-            node, partial, coef = node[pick], length[ok], coef[pick]
-            coef[:, j] = c
-            top = top[pick] & (c == 0)
-    v = np.zeros((len(node), m))  # each parent's sum of c_i b_i from the top column down
-    for i in range(m - 1, 0, -1):
-        v = v + coef[:, i, None] * b[node, i]
-    node = node[pick]
-    hits = np.bincount(node[inside(v[pick] + c[:, None] * b[node, 0])], minlength=lanes)
-    hits[~(tried <= _STACK_NODES)] = -1
-    return hits
+        wild = ~(size <= 2.0 ** 62)  # nan at a zero norm; int64 holds the rest
+        dropped[node[wild]] = True
+        size[wild] = 0
+        parents = node, coef, partial, top, ctr, norm, lo, size.astype(np.int64)
+        del mid, half, size, wild  # held no deeper into the walk
+        while True:
+            if dropped.any():
+                parents = tuple(x[~dropped[parents[0]]] for x in parents)
+            node, coef, partial, top, ctr, norm, lo, size = parents
+            ends = np.cumsum(size)
+            cut = int(np.searchsorted(ends, _STACK_CHUNK, side="right"))  # parents wholly in
+            start = ends[:cut + 1] - size[:cut + 1]
+            take = np.minimum(size[:cut + 1], _STACK_CHUNK - start)
+            pick = np.repeat(np.arange(len(take)), take)
+            c = np.repeat(lo[:cut + 1] - start, take) + np.arange(pick.size)
+            d = c - ctr[pick]
+            length = partial[pick] + d * d * norm[pick]
+            ok = length <= at(node[pick])
+            pick, c, length = pick[ok], c[ok], length[ok]
+            lane = node[pick]
+            np.add(nodes, np.bincount(lane, minlength=lanes), out=nodes)
+            dropped[nodes > _MAX_NODES] = True
+            if j:
+                child = coef[pick]
+                child[:, j] = c
+                expand(j - 1, lane, child, length, top[pick] & (c == 0))
+            else:
+                v = np.zeros((len(take), m))  # each parent's sum of c_i b_i from the top down
+                for i in range(m - 1, 0, -1):
+                    v = v + coef[:len(take), i, None] * b[node[:len(take)], i]
+
+                def leaves(keep, coef=coef, pick=pick, c=c):
+                    out = coef[pick[keep]]
+                    out[:, 0] = c[keep]
+                    return out
+
+                visit(lane, v[pick] + c[:, None] * b[lane, 0], leaves)
+            if cut >= len(node):
+                return
+            lo[cut] += take[cut]
+            size[cut] -= take[cut]
+            parents = tuple(x[cut:] for x in parents)
+
+    expand(m - 1, np.arange(lanes), np.zeros((lanes, m)), np.zeros(lanes),
+           np.ones(lanes, dtype=bool))
+    return dropped
 
 
 def _round_div(a: int, b: int) -> int:
@@ -650,60 +701,65 @@ def _sup(v):
     return max(abs(x) for x in v)
 
 
+def _budget_error() -> DegenerateInputError:
+    return DegenerateInputError("enumeration exceeds the desk-scale node budget; "
+                                "basis is too ill-conditioned after reduction")
+
+
+def _minkowski_error(length) -> InvariantError:
+    return InvariantError(f"sup-norm minimum {length} exceeds Minkowski's bound 1 for a "
+                          "unimodular lattice; the float arithmetic has lost precision")
+
+
+def _first_original(ucols, cands) -> tuple:
+    """The lexicographically smallest sign-normalized input coefficients U c
+    of the candidates c, for the transform columns ucols."""
+    m = len(ucols)
+    originals = []
+    for c in cands:
+        oc = tuple(sum(ucols[j][i] * c[j] for j in range(m)) for i in range(m))
+        lead = next((x for x in oc if x != 0), 0)
+        if lead < 0:
+            oc = tuple(-x for x in oc)
+        originals.append(oc)
+    return min(originals)
+
+
 class _BallWalk:
-    """Depth-first walk over the lattice vectors v = sum_j c_j b_j, c != 0,
-    with ||v||_2^2 <= r2, one of each +-v pair; yields (c, v).
+    """Depth-first walk of an exact basis over the lattice vectors v = sum_j
+    c_j b_j, c != 0, with ||v||_2^2 <= r2, one of each +-v pair; yields (c,
+    v). b holds integer columns with their integral data (lam, d) from
+    `_lll_integral`. Level j fixes c_j given c_{j+1..m-1}: with s_j =
+    sum_{i>j} c_i lam[i][j] its center is -s_j / d[j+1], and it adds y_j^2 /
+    (d[j] d[j+1]) to ||v||^2 for y_j = c_j d[j+1] + s_j. It sweeps up and
+    then down from the integer nearest its center, and stops a direction at
+    the first value outside the ball; while every coefficient above it is
+    zero it sweeps up from 0 only, which keeps one of each +-v pair. Every
+    level is scaled by L = lcm_j d[j] d[j+1], so lengths are integers,
+    compared with floor(r2 L). More than _MAX_NODES nodes inside the ball
+    raise DegenerateInputError. The float mode walks a stack instead
+    (`_stack_walk`)."""
 
-    Level j fixes c_j given c_{j+1..m-1}; it adds (c_j - center_j)^2 *
-    ||b*_j||^2 to ||v||^2, with center_j = -sum_{i>j} c_i mu[i][j] (summed
-    left to right in i from 0, skipping c_i = 0, on every Python), so each
-    level sweeps up and then down from the integer nearest its center and
-    stops a direction at the first value outside the ball. While every
-    coefficient above a level is zero, that level sweeps up from 0 only,
-    which keeps one of each +-v pair. `shrink` may lower r2 between yields.
-    More than _MAX_NODES nodes inside the ball raise DegenerateInputError.
-
-    In the float mode b holds float columns and gram is (mu, norms). In the
-    exact mode b holds integer columns and gram is their integral data
-    (lam, d) from `_lll_integral`; with s_j = sum_{i>j} c_i lam[i][j] the
-    center is -s_j / d[j+1] and level j adds y_j^2 / (d[j] d[j+1]) for
-    y_j = c_j d[j+1] + s_j. Every level is scaled by the one integer
-    L = lcm_j d[j] d[j+1], so lengths are integers, compared with
-    floor(r2 L): the nodes of the Fraction arithmetic, decided in integers.
-    """
-
-    def __init__(self, b, gram, r2, exact: bool):
-        self.b, self.exact = b, exact
-        if exact:
-            self.coef, d = gram
-            self.unit = d[1:]  # y_j steps by d[j+1] per unit of c_j
-            dd = [d[j] * d[j + 1] for j in range(len(b))]
-            self.scale = math.lcm(*dd)
-            self.weight = [self.scale // x for x in dd]
-        else:
-            self.coef, self.weight = gram
-            self.unit = None
-        self.shrink(r2)
-
-    def shrink(self, r2):
-        if self.exact:  # r2 is an int or a Fraction
-            self.limit = r2.numerator * self.scale // r2.denominator
-        else:
-            self.limit = r2 * (1 + _FLOAT_SLACK)
+    def __init__(self, b, gram, r2):
+        self.b = b
+        self.coef, d = gram
+        self.unit = d[1:]  # y_j steps by d[j+1] per unit of c_j
+        dd = [d[j] * d[j + 1] for j in range(len(b))]
+        scale = math.lcm(*dd)
+        self.weight = [scale // x for x in dd]
+        self.limit = r2.numerator * scale // r2.denominator  # r2 is an int or a Fraction
 
     def _count_node(self):
         self.nodes += 1
         if self.nodes > _MAX_NODES:
-            raise DegenerateInputError(
-                "enumeration exceeds the desk-scale node budget; "
-                "basis is too ill-conditioned after reduction")
+            raise _budget_error()
 
     def __iter__(self):
-        b, coef, weight, unit, exact = self.b, self.coef, self.weight, self.unit, self.exact
+        b, coef, weight, unit = self.b, self.coef, self.weight, self.unit
         m = len(weight)
         self.nodes = 0
         c = [0] * m
-        center = [0] * m  # exact mode: -s_j, the center times d[j+1]
+        center = [0] * m  # -s_j, the center times d[j+1]
         start = [0] * m
         step = [1] * m
         partial = [0] * (m + 1)  # partial[j]: ||v||^2 contributed by levels j..m-1
@@ -718,7 +774,7 @@ class _BallWalk:
                 j = 1
                 c[1] += step[1]
                 continue
-            d = c[j] * unit[j] - center[j] if exact else c[j] - center[j]
+            d = c[j] * unit[j] - center[j]
             length = partial[j + 1] + d * d * weight[j]
             if length <= self.limit:
                 self._count_node()
@@ -727,12 +783,12 @@ class _BallWalk:
                 vec[j] = [p + cj * x for p, x in zip(vec[j + 1], b[j])] if cj else vec[j + 1]
                 top[j - 1] = top[j] and not cj
                 j -= 1
-                ctr = 0  # not sum(): Python >= 3.12 compensates float sums
+                ctr = 0
                 for i in range(j + 1, m):
                     if c[i]:
                         ctr += c[i] * coef[i][j]
                 center[j] = ctr = -ctr
-                start[j] = c[j] = _round_div(ctr, unit[j]) if exact else round(ctr)
+                start[j] = c[j] = _round_div(ctr, unit[j])
                 step[j] = 1
                 continue
             if step[j] == 1 and not top[j]:
@@ -746,12 +802,11 @@ class _BallWalk:
 
     def _leaves(self, c, ctr, above, p, top):
         """Level 0: every c_0 with its level-0 term plus `above` in the ball."""
-        w0, b0, exact = self.weight[0], self.b[0], self.exact
-        u0 = self.unit[0] if exact else None
-        x0 = _round_div(ctr, u0) if exact else round(ctr)
+        w0, b0, u0 = self.weight[0], self.b[0], self.unit[0]
+        x0 = _round_div(ctr, u0)
         for x, direction in ((1, 1),) if top else ((x0, 1), (x0 - 1, -1)):
             while True:
-                d = x * u0 - ctr if exact else x - ctr
+                d = x * u0 - ctr
                 if above + d * d * w0 > self.limit:
                     break
                 self._count_node()
@@ -761,21 +816,12 @@ class _BallWalk:
 
 
 def _prepare(basis: LatticeBasis, transform: bool = False):
-    """(reduced columns, transform columns, Gram data) of the basis's LLL
-    reduction: float columns with (mu, norms), or in the exact mode integer
-    columns (the lattice times basis.den) with their integral data (lam, d).
-    The transform is tracked only when asked for, and is None otherwise; a
-    basis of a stack then reads its lane of the stack's reduction."""
+    """(integer columns, transform columns or None, (lam, d)) of an exact
+    basis's LLL reduction: the lattice times basis.den."""
     if basis.m > MAX_DIM:
         raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
-    if basis.exact:
-        b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA, transform)
-        return b, u, (lam, d)
-    if basis._stack is not None and not transform:
-        b, gram = basis._stack.lane(basis._lane)
-        return b, None, gram
-    b, u, mu, norms = _lll(_float_columns(basis.cols), _DELTA, transform)
-    return b, u, (mu, norms)
+    b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA, transform)
+    return b, u, (lam, d)
 
 
 def reduce(basis: LatticeBasis, delta: float = None):
@@ -798,68 +844,37 @@ def reduce(basis: LatticeBasis, delta: float = None):
     return reduced, transform
 
 
-def _scalar(x, exact: bool):
-    """A radius or halfwidth in the basis's scalar mode: in the exact mode
-    ints and Fractions pass through and floats convert without rounding."""
-    if exact:
-        return x if _linalg.is_exact_scalar(x) else Fraction(x)
-    return float(x)
-
-
 def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
     """Exact shortest nonzero vector in sup-norm.
 
     The minimum-norm reduced column gives an upper bound L. Every v with
     ||v||_inf <= L has ||v||_2^2 <= m L^2, so walking that Euclidean ball
-    and comparing sup-norms exactly is a proof of minimality; the ball
-    shrinks to m L'^2 whenever a shorter vector L' turns up. Ties are broken
-    by the lexicographically smallest sign-normalized coefficient vector in
-    the input basis. A result above Minkowski's bound 1 (beyond a relative
-    1e-9 in the float mode) means the float arithmetic has broken down and
-    raises InvariantError.
+    once and comparing sup-norms exactly is a proof of minimality (a float
+    basis walks it with its stack's other lanes, `_Stack.shortest`). Ties
+    are broken by the lexicographically smallest sign-normalized coefficient
+    vector in the input basis. A result above Minkowski's bound 1 (beyond a
+    relative 1e-9 in the float mode) means the float arithmetic has broken
+    down and raises InvariantError.
     """
+    if not basis.exact:
+        return basis._stack.answer(basis._lane, "shortest", basis._stack.shortest)
     bred, ucols, gram = _prepare(basis, True)
-    exact = basis.exact
     m = basis.m
     best = min(_sup(col) for col in bred)
     if best == 0:
         raise InvariantError("reduced basis contains the zero vector")
-    walk = _BallWalk(bred, gram, m * best * best, exact)
-    best_cands = []
-    for c, v in walk:
-        length = _sup(v)
-        if length < best:
-            best = length
-            best_cands = [c]
-            walk.shrink(m * best * best)
-        elif length == best:
-            best_cands.append(c)
-    if not best_cands:
+    found = [(_sup(v), c) for c, v in _BallWalk(bred, gram, m * best * best)]
+    if not found or min(found)[0] > best:
         raise InternalIdentityError("enumeration missed the shortest reduced column")
-
-    originals = []
-    for c in best_cands:
-        oc = tuple(sum(ucols[j][i] * c[j] for j in range(m)) for i in range(m))
-        lead = next((x for x in oc if x != 0), 0)
-        if lead < 0:
-            oc = tuple(-x for x in oc)
-        originals.append(oc)
-    oc = min(originals)
-    coeffs = np.array(oc, dtype=object if exact else np.int64)
-    if exact:
-        den = basis.den
-        vector = np.empty(m, dtype=object)
-        for i in range(m):
-            vector[i] = Fraction(sum(x * col[i] for x, col in zip(oc, basis.int_cols)), den)
-        length = max(abs(x) for x in vector)
-    else:
-        vector = np.asarray(basis.cols @ coeffs, dtype=float)
-        length = float(max(abs(x) for x in vector))
-    if length > (1 if exact else 1 + _MINKOWSKI_FLOAT_TOL):
-        raise InvariantError(
-            f"sup-norm minimum {length} exceeds Minkowski's bound 1 for a unimodular "
-            "lattice; the float arithmetic has lost precision")
-    return ShortVectorResult(vector=vector, length=length, coeffs=coeffs)
+    best = min(found)[0]
+    oc = _first_original(ucols, [c for length, c in found if length == best])
+    vector = np.empty(m, dtype=object)
+    for i in range(m):
+        vector[i] = Fraction(sum(x * col[i] for x, col in zip(oc, basis.int_cols)), basis.den)
+    length = max(abs(x) for x in vector)
+    if length > 1:
+        raise _minkowski_error(length)
+    return ShortVectorResult(vector=vector, length=length, coeffs=np.array(oc, dtype=object))
 
 
 def count_in_box(basis: LatticeBasis, halfwidths) -> int:
@@ -869,55 +884,38 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
         raise DomainError("halfwidths length must match basis dimension")
     if any(not 0 < x < math.inf for x in w):  # nan fails too; ints and Fractions compare exactly
         raise DomainError("halfwidths must be positive and finite")
-    exact = basis.exact
-    if exact:  # the box in units of 1/den; integers x have |x| <= r iff |x| <= floor(r)
-        w = [_scalar(x, True) * basis.den for x in w]
-        r2 = sum(x * x for x in w)
-        w = [math.floor(x) for x in w]
-    else:
-        w = [_scalar(x, False) for x in w]
-        if basis._stack is not None:
-            count = basis._stack.count(basis._lane, w)
-            if count is not None:
-                return count
-        r2 = sum(x * x for x in w)
+    if not basis.exact:
+        w = [float(x) for x in w]
+        return basis._stack.answer(basis._lane, ("box", *w), basis._stack.counts, w)
+    # the box in units of 1/den; integers x have |x| <= r iff |x| <= floor(r)
+    w = [(x if _linalg.is_exact_scalar(x) else Fraction(x)) * basis.den for x in w]
+    r2 = sum(x * x for x in w)
+    w = [math.floor(x) for x in w]
     bred, _, gram = _prepare(basis)
     count = 0
-    try:
-        for _, v in _BallWalk(bred, gram, r2, exact):
-            if all(abs(x) <= wx for x, wx in zip(v, w)):
-                count += 1
-    except DegenerateInputError as exc:  # past the node budget: name a stack's lane
-        exc.sample_index = basis._lane
-        raise
+    for _, v in _BallWalk(bred, gram, r2):
+        if all(abs(x) <= wx for x, wx in zip(v, w)):
+            count += 1
     return 2 * count
 
 
 def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     """Is there a nonzero lattice vector with ||v||_inf strictly below bound?
-    The callers have checked bound > 0. On a basis of a float stack a bound
-    that is a float (or equals one) is decided for the whole stack at once."""
-    exact = basis.exact
-    if exact:  # integers x have |x| < bound * den iff |x| <= B - 1, B = ceil(bound * den)
-        bound = _scalar(bound, True)
-        bound = -(-bound.numerator * basis.den // bound.denominator)
-        r2 = basis.m * (bound - 1) ** 2  # the ball around the box |x_i| <= B - 1
-    else:
-        r = _scalar(bound, False)
-        if basis._stack is not None and r == bound:
-            found = basis._stack.exists_shorter(basis._lane, r)
-            if found is not None:
-                return found
-        r2 = basis.m * r * r
+    The callers have checked bound > 0. A float x has |x| < bound iff |x| <
+    r, for r = float(bound), or for the float after it when r < bound."""
+    if not basis.exact:
+        r = float(bound)
+        if r < bound:
+            r = math.nextafter(r, math.inf)
+        return basis._stack.answer(basis._lane, ("ball", r), basis._stack.shorter, r)
+    # integers x have |x| < bound * den iff |x| <= B - 1, B = ceil(bound * den)
+    bound = bound if _linalg.is_exact_scalar(bound) else Fraction(bound)
+    bound = -(-bound.numerator * basis.den // bound.denominator)
     bred, _, gram = _prepare(basis)
     if any(_sup(col) < bound for col in bred):
         return True
-    try:
-        return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2, exact))
-    except DegenerateInputError as exc:
-        exc.sample_index = basis._lane
-        raise
-
+    r2 = basis.m * (bound - 1) ** 2  # the ball around the box |x_i| <= B - 1
+    return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2))
 
 def in_kmu(basis: LatticeBasis, mu) -> bool:
     """True iff the lattice misses the open sup-norm ball of radius mu, i.e.

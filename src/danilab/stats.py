@@ -8,13 +8,14 @@ all of them: for a list of flow times it builds the M sample lattices of
 every flow time, and their translates when the estimator compares them, as
 one stack (`orbit_points` per flow time, joined), makes it bases
 (`LatticeBasis.batch`), evaluates the observable on each, and takes the
-mean and standard error of each flow time's values in index order. The box
-counts and ball tests read answers made for the whole stack: the first one
-LLL-reduces every lane once (at n = 1 all at once) and decides it for every
-lane in one breadth-first walk. The shortest-vector observable reduces its
-own basis. Per-sample values are pure functions of (seed, index), so a
-failing sample, one that fails to reduce in that first query included, is
-named by (seed, index, s) and can be rerun alone.
+mean and standard error of each flow time's values in index order. Every
+observable reads answers made for the whole stack: the first box count,
+ball test or shortest vector LLL-reduces every lane once (a box or ball at
+n = 1 all at once; the shortest vector with the transform) and decides it
+for every lane in one breadth-first walk. Per-sample values are pure
+functions of (seed, index), so a failing sample, one that fails to reduce
+in that first query included, is named by (seed, index, s) and can be rerun
+alone.
 """
 
 import math
@@ -135,12 +136,13 @@ def _orbit_stats(curve: MatrixPolyCurve, t_list, sampler: Sampler, evaluate,
 
     The M samples at every flow time, then their translates, are one stack:
     lane k M + i is sample i at the k-th flow time (of the k-th block).
-    `LatticeBasis.batch` makes its bases, and the first box count or ball
-    test reduces the whole stack and decides it for every lane. Errors
-    report in this order: group-det failures (`orbit_points`) in t order,
-    then basis-det failures (`batch`), then query failures, each the lowest
-    failing lane's; the observables run inside the same naming scope, so
-    every one of these is named by its sample. Each base lane's basis is
+    `LatticeBasis.batch` makes its bases, and the first box count, ball
+    test or shortest vector reduces the whole stack and decides it for
+    every lane. Errors report in this order: group-det failures
+    (`orbit_points`) in t order, then basis-det failures (`batch`), then
+    query failures, each the lowest failing lane's; the observables run
+    inside the same naming scope, so every one of these is named by its
+    sample. Each base lane's basis is
     handed to the observable through `orbit_point`, with its own flow time,
     and the observables call the lattice queries by their names here, so
     span tracing of those names still sees one call per sample.
@@ -229,37 +231,3 @@ def w_invariance_gap(curve: MatrixPolyCurve, t_list, r: float, observable: Obser
         "seed": sampler.seed,
     } for t, (mean_b, se_b), (mean_t, se_t) in zip(t_list, out, out[len(t_list):])]
 
-
-def convergence_gap(curve: MatrixPolyCurve, t1: float, t2: float, observable: Observable,
-                    sampler: Sampler, normalize_pair=("raw", "normalized")) -> dict:
-    """Compare the two basepoint conventions at equal flow times.
-
-    Returns the raw-vs-normalized gap at t1 and t2 plus the t1 -> t2 drift of
-    each mode; mixing of the flow should shrink the gap as t grows.
-    """
-    modes = tuple(normalize_pair)
-    for mode in modes:
-        if mode not in ("raw", "normalized"):
-            raise DomainError(f"unknown mode {mode!r} in normalize_pair")
-    if len(modes) != 2:
-        raise DomainError("normalize_pair must name exactly two modes")
-    means = {}
-    errs = {}
-    for mode in set(modes):
-        (means[1, mode], errs[1, mode]), (means[2, mode], errs[2, mode]) = _orbit_stats(
-            curve, [t1, t2], sampler, observable.evaluate, normalize=(mode == "normalized"))
-    a, b = modes
-    return {
-        "module": "stats",
-        "op": "convergence_gap",
-        "t1": float(t1),
-        "t2": float(t2),
-        "observable": observable.name,
-        "modes": list(modes),
-        "gap_t1": abs(means[1, a] - means[1, b]),
-        "gap_t2": abs(means[2, a] - means[2, b]),
-        "drift": {mode: abs(means[2, mode] - means[1, mode]) for mode in modes},
-        "stderr_max": max(errs.values()),
-        "M": sampler.count,
-        "seed": sampler.seed,
-    }

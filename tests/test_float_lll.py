@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ball_walk_reference
 import float_lll_reference
 from danilab import MatrixPolyCurve, lattice, orbit_points
 from danilab.errors import InternalIdentityError
@@ -116,14 +117,16 @@ TIE_GRAM = ([[0.0] * 4, [0.5, 0.0, 0.0, 0.0], [2.0 ** -54, 0.0, 0.0, 0.0],
 
 
 def walks(columns):
-    """The leaves of `_BallWalk` on each reduced basis, and on TIE_GRAM."""
+    """The leaves of the depth-first float walk (`ball_walk_reference`) on
+    each reduced basis, and on TIE_GRAM."""
+    walk = ball_walk_reference._BallWalk
     out = []
     for cols in columns:
         b, _, mu, norms = lattice._lll(cols, lattice._DELTA, False)
         r = min(max(abs(x) for x in col) for col in b)
-        out.append(list(lattice._BallWalk(b, (mu, norms), len(b) * r * r, False)))
+        out.append(list(walk(b, (mu, norms), len(b) * r * r)))
     eye = [tuple(float(i == j) for i in range(4)) for j in range(4)]
-    out.append(list(lattice._BallWalk(eye, TIE_GRAM, 4.0, False)))
+    out.append(list(walk(eye, TIE_GRAM, 4.0)))
     return out
 
 
@@ -134,5 +137,6 @@ def test_reductions_and_walks_do_not_depend_on_how_python_sums_floats(monkeypatc
     want = ([outcome(lattice._lll, cols, lattice._DELTA, True) for cols in columns],
             walks(columns))
     monkeypatch.setattr(lattice, "sum", compensated_sum, raising=False)
+    monkeypatch.setattr(ball_walk_reference, "sum", compensated_sum, raising=False)
     assert ([outcome(lattice._lll, cols, lattice._DELTA, True) for cols in columns],
             walks(columns)) == want

@@ -9,9 +9,10 @@ recomputes Gram-Schmidt in full after every step, and a walk of the whole
 coefficient box that the inverse of the reduced basis bounds. The batched
 float LLL of 2 x 2 stacks is held to the scalar float LLL bit for bit, and
 the integral LLL, which updates its Gram rows on a swap, to the same loop
-recomputing them. The breadth-first stack walk is held to the depth-first
-walk: equal answers on every lane at m = 2, 4 and 6, and equal leaves, bit
-for bit.
+recomputing them. The breadth-first stack walk, the one float enumerator,
+is held to the depth-first float walk each basis ran alone before
+(`ball_walk_reference`): equal leaves, and equal box counts, ball tests and
+shortest vectors on every lane, bit for bit.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
                      correspondence_basis, count_in_box, in_kmu, in_mahler_compact,
                      orbit_points, reduce, shortest_supnorm, siegel_average, u_embed)
+import ball_walk_reference
 import integral_lll_reference
 from danilab import _linalg, lattice
 from danilab.errors import DegenerateInputError, InternalIdentityError
@@ -520,9 +522,9 @@ def stack_rows(stack):
 
 
 # Hand lanes for the stack walk at m = 2: a column exactly on the face of the
-# box (0.9, 0.9), a column exactly on the sphere of sup-norm 0.7, a lane that
-# would try more than _STACK_NODES candidates, which is left to the scalar
-# walk, and a lane with a size-reduction quotient of 2^60, past the range
+# box (0.9, 0.9), a column exactly on the sphere of sup-norm 0.7, a lane whose
+# boxes hold hundreds of nodes of its ball, and a lane with a size-reduction
+# quotient of 2^60, past the range
 # where doubles hold every integer, which the stack walk decides on its
 # reduced pair like any other. Then a vector on the corner of the box (0.9, 0.6), whose float
 # length exceeds the squared radius 0.9^2 + 0.6^2 so that only the slack
@@ -531,11 +533,11 @@ def stack_rows(stack):
 # the naive window |x - round(ctr)| <= floor(sqrt(limit / n0)) = 3.
 BOX_FACE_LANE = [[0.9, 0.0], [0.0, 1 / 0.9]]
 MU_SPHERE_LANE = [[0.7, 0.0], [0.0, 1 / 0.7]]
-PAST_CAP_LANE = [[0.0039, 0.0], [0.0, 1 / 0.0039]]
+MANY_NODES_LANE = [[0.0039, 0.0], [0.0, 1 / 0.0039]]
 WIDE_LANE = [[1.0, 2.0 ** 60], [0.0, 1.0]]  # Z^2, with a size-reduction quotient 2^60
 BOX_CORNER_LANE = [[0.9, 0.0], [0.6, 1 / 0.9]]
 HALF_MU_LANE = [[1 / math.sqrt(0.9), 0.5 / math.sqrt(0.9)], [0.0, math.sqrt(0.9)]]
-HAND_LANES = ([BOX_FACE_LANE, MU_SPHERE_LANE, PAST_CAP_LANE, WIDE_LANE, BOX_CORNER_LANE,
+HAND_LANES = ([BOX_FACE_LANE, MU_SPHERE_LANE, MANY_NODES_LANE, WIDE_LANE, BOX_CORNER_LANE,
                HALF_MU_LANE] + SIGNED_ZERO_LANES + TIE_LANES)
 GRID_BOXES = ((0.9, 0.9), (0.3, 2.5), (2.0, 2.0), (3.9, 1.3), (0.9, 0.6))
 GRID_BOUNDS = (0.05, 0.5, 0.7)
@@ -544,9 +546,8 @@ GRID_BOUNDS = (0.05, 0.5, 0.7)
 def grouped_and_unbatched_answers(stack, boxes=GRID_BOXES, bounds=GRID_BOUNDS):
     """Per lane: the box counts, K_mu tests and Mahler-compact tests on the
     stack's bases (decided for the whole stack at once), then the shortest
-    vector (its bytes, length and coefficient bytes; each stack basis
-    reduces its own lane for it), and the same on an unbatched basis of the
-    lane's columns."""
+    vector (its bytes, length and coefficient bytes), and the same on an
+    unbatched basis of the lane's columns, the one lane of its own stack."""
     grouped = LatticeBasis.batch(np.array(stack, dtype=float))
     unbatched = [LatticeBasis(np.array(cols, dtype=float)) for cols in stack]
 
@@ -585,17 +586,21 @@ def test_grouped_queries_match_unbatched_on_random_pairs(stack, box, mu):
 def test_grouped_queries_on_hand_lanes():
     got, want, grouped = grouped_and_unbatched_answers(HAND_LANES)
     assert got == want
-    face, sphere, past, wide, corner, half_mu = range(6)
+    face, sphere, many, wide, corner, half_mu = range(6)
     assert got[face][0] == 2  # +-(0.9, 0) on the face of the box (0.9, 0.9)
     assert got[sphere][len(GRID_BOXES) + GRID_BOUNDS.index(0.7)] is True  # not below 0.7
     assert got[corner][GRID_BOXES.index((0.9, 0.6))] == 4  # +-(0.9, 0) and +-(0.9, 0.6)
     assert grouped[half_mu]._stack.reduced()[1][half_mu, 1, 0] == 0.5  # mu[1][0]
-    # the grid answered every lane but these box counts, which the walk decided
+    # the stack walk answered every lane of every query, the lane with many
+    # nodes included, as the depth-first walk of the lane alone does
     answers = grouped[0]._stack._answers
-    assert {key: [i for i, x in enumerate(lane) if x is None]
-            for key, lane in answers.items()} == {
-        **{("box", *box): [past] for box in GRID_BOXES},
-        **{("ball", r): [] for r in GRID_BOUNDS}}
+    assert set(answers) == {*(("box", *box) for box in GRID_BOXES),
+                            *(("ball", r) for r in GRID_BOUNDS), "shortest"}
+    assert not any(isinstance(x, Exception) for lane in answers.values() for x in lane)
+    alone = LatticeBasis(np.array(MANY_NODES_LANE))
+    assert [got[many][k] for k in range(len(GRID_BOXES))] == [
+        ball_walk_reference.count_in_box(alone, box) for box in GRID_BOXES]
+    assert got[many][GRID_BOXES.index((2.0, 2.0))] > 256
 
 
 # The stack walk at m = 4 and 6: every box count and ball test on a stack
@@ -703,21 +708,41 @@ def generic_curve(n):
     return MatrixPolyCurve.from_coeffs([a, np.eye(n) + 0.25 * a.T], (1.0, 2.0))
 
 
+def stack_leaves(stack, r2):
+    """Per lane of a `_Stack`: the sorted (coefficients, vector bytes) of
+    the leaves of its walk of the squared radius r2 (one float or one per
+    lane), with the mask of lanes it drops."""
+    b, mu, norms = stack.reduced()
+    leaves = [[] for _ in b]
+
+    def visit(lane, v, coef):
+        rows = coef(np.ones(len(lane), dtype=bool)).astype(np.int64).tolist()
+        for i, c, x in zip(lane.tolist(), rows, v):
+            leaves[i].append((tuple(c), x.tobytes()))
+
+    dropped = lattice._stack_walk(b, mu, norms, r2, visit)
+    return [sorted(lane) for lane in leaves], dropped
+
+
+def reference_leaves(cols, r2):
+    """The sorted (coefficients, vector bytes) of the depth-first float walk
+    of the basis alone."""
+    b, _, gram = ball_walk_reference._prepare(LatticeBasis(np.array(cols, dtype=float)))
+    return sorted((c, np.array(v, dtype=float).tobytes())
+                  for c, v in ball_walk_reference._BallWalk(b, gram, r2))
+
+
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_stack_walk_leaves_are_the_walks_bit_for_bit(m):
     # the skipped zero terms of the walk's sums are no-ops on signed zeros
     lanes = SIGNED_ZERO_LANES + TIE_LANES if m == 2 else block_lanes(m)
     stack = LatticeBasis.batch(np.array(lanes, dtype=float))[0]._stack
-    b, mu, norms = stack.reduced()
-    for i in range(len(lanes)):
-        for r2 in (0.3, 1.0, 2.0):
-            leaves = []
-            hits = lattice._stack_walk(b[i:i + 1], mu[i:i + 1], norms[i:i + 1], r2,
-                                       lambda v: leaves.extend(v) or np.ones(len(v), bool))
-            bred, gram = stack.lane(i)
-            want = sorted(np.array(v).tobytes() for _, v in lattice._BallWalk(bred, gram, r2,
-                                                                             False))
-            assert sorted(v.tobytes() for v in leaves) == want and hits.tolist() == [len(want)]
+    radii = np.linspace(0.3, 2.0, len(lanes))  # one squared radius per lane
+    for r2 in (0.3, 1.0, 2.0, radii):
+        got, dropped = stack_leaves(stack, r2)
+        assert not dropped.any()
+        assert got == [reference_leaves(cols, float(np.broadcast_to(r2, len(lanes))[i]))
+                       for i, cols in enumerate(lanes)]
 
 
 def stack_queries(bases, m):
@@ -761,30 +786,33 @@ def test_lambda1_stacks_reduce_each_sample_alone(monkeypatch):
 
 
 def test_lane_past_the_node_cap_walks_and_raises_per_sample(monkeypatch):
-    # the stack walk tries about 100 candidates on Z^4 and 270 on the skew
-    # lane, whose ball holds +-k (0.05, 0, 0, 0) for k up to 36
+    # the skew lane's ball holds +-k (0.05, 0, 0, 0) for k up to 36: 278
+    # nodes in the box (0.95, ...), where Z^4 and its permutation hold 53
     skew = np.diag([0.05, 20.0, 1.0, 1.0])
     stack = np.array([np.eye(4), skew, np.eye(4)[[1, 0, 2, 3]]])
     box = (0.9,) * 4
-    monkeypatch.setattr(lattice, "_STACK_NODES", 150)
-    walks = []
-    walk = lattice._BallWalk
-    monkeypatch.setattr(lattice, "_BallWalk", lambda *args: walks.append(args) or walk(*args))
+
+    def refuse(*args):
+        raise AssertionError("a float query built _BallWalk")
+
+    monkeypatch.setattr(lattice, "_BallWalk", refuse)
     bases = LatticeBasis.batch(stack)
     assert count_in_box(bases[1], box) == count_in_box(LatticeBasis(skew), box) == 36
-    assert len(walks) == 2  # the stack lane past the cap, and the unbatched basis
     assert [count_in_box(b, box) for b in bases[::2]] == [0, 0]
-    assert bases[0]._stack._answers[("box", *box)] == [0, None, 0]
-    assert len(walks) == 2
-    monkeypatch.setattr(lattice, "_MAX_NODES", 30)
-    for basis in (bases[1], LatticeBasis(skew)):
-        with pytest.raises(DegenerateInputError, match="node budget"):
-            count_in_box(basis, (0.95,) * 4)
+    assert bases[0]._stack._answers[("box", *box)] == [0, 36, 0]
+    monkeypatch.setattr(lattice, "_MAX_NODES", 277)
+    for basis, index in ((bases[1], 1), (LatticeBasis(skew), None)):
+        for _ in range(2):  # a dropped lane raises on every query
+            with pytest.raises(DegenerateInputError, match="node budget") as info:
+                count_in_box(basis, (0.95,) * 4)
+            assert getattr(info.value, "sample_index", None) == index
     assert [count_in_box(b, (0.95,) * 4) for b in bases[::2]] == [0, 0]
+    monkeypatch.setattr(lattice, "_MAX_NODES", 278)  # the budget itself still answers
+    assert (count_in_box(LatticeBasis(skew), (0.95,) * 4)
+            == ball_walk_reference.count_in_box(LatticeBasis(skew), (0.95,) * 4) == 36)
 
 
 def test_lane_past_the_node_budget_is_named_by_its_sample(monkeypatch):
-    monkeypatch.setattr(lattice, "_STACK_NODES", 20)
     monkeypatch.setattr(lattice, "_MAX_NODES", 40)
     with pytest.raises(DegenerateInputError, match="node budget") as info:
         siegel_average(generic_curve(2), [6.0], (0.9,) * 4, Sampler(seed=2, count=12))
@@ -821,3 +849,95 @@ def test_wide_stack_walk_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+# The four float queries, through the public API and as `ball_walk_reference`
+# ran them on one basis alone: box count, K_mu test, Mahler-compact test,
+# shortest vector.
+STACK_QUERIES = (count_in_box, in_kmu, in_mahler_compact, shortest_supnorm)
+REFERENCE_QUERIES = (ball_walk_reference.count_in_box,
+                     lambda basis, mu: not ball_walk_reference.exists_shorter(basis, mu),
+                     lambda basis, eps: not ball_walk_reference.exists_shorter(basis, eps),
+                     ball_walk_reference.shortest_supnorm)
+
+
+def query_answers(basis, boxes, bounds, queries):
+    """Every box count, K_mu test and Mahler-compact test, then the shortest
+    vector (bytes, length, coefficient bytes); an error stands as its type
+    and message."""
+    count, kmu, compact, shortest = queries
+
+    def short():
+        res = shortest(basis)
+        return res.vector.tobytes(), res.length, res.coeffs.tobytes()
+
+    return [outcome(q) for q in [lambda box=box: count(basis, box) for box in boxes]
+            + [lambda mu=mu: kmu(basis, mu) for mu in bounds]
+            + [lambda eps=eps: compact(basis, eps) for eps in bounds] + [short]]
+
+
+def outcome(query):
+    try:
+        got = query()
+    except (ArithmeticError, ValueError, InternalIdentityError) as exc:
+        return type(exc), str(exc)
+    return type(got), got
+
+
+def assert_stack_matches_reference(stack, boxes, bounds):
+    stack = np.array(stack, dtype=float)
+    for basis, cols in zip(LatticeBasis.batch(stack), stack):
+        assert (query_answers(basis, boxes, bounds, STACK_QUERIES)
+                == query_answers(LatticeBasis(cols), boxes, bounds, REFERENCE_QUERIES))
+
+
+@st.composite
+def reference_orbit_stacks(draw):
+    """Orbit bases a_t [z(s)] u(phi(s)) at n = 1, 2 or 3 and t in [0, 8],
+    for a quadratic phi whose derivative is diagonally dominant on [1, 2],
+    raw or normalized, optionally translated by u(1)."""
+    n = draw(st.integers(1, 3))
+    entry = st.floats(-1, 1)
+    coeffs = [[[draw(entry) for _ in range(n)] for _ in range(n)],
+              [[(1.0 if i == j else 0.0) + draw(entry) / (2 * n) for j in range(n)]
+               for i in range(n)],
+              [[draw(entry) / (8 * n) for _ in range(n)] for _ in range(n)]]
+    curve = MatrixPolyCurve.from_coeffs(coeffs, (1.0, 2.0))
+    s = draw(st.lists(st.floats(1.0, 2.0), min_size=1, max_size=8 if n == 1 else 3))
+    stack = orbit_points(curve, s, draw(st.floats(0.0, 8.0)), normalize=draw(st.booleans()))
+    return u_embed(np.eye(n)).entries @ stack if draw(st.booleans()) else stack
+
+
+@settings(SETTINGS, max_examples=60)
+@given(reference_orbit_stacks(), st.floats(0.3, 1.5), st.floats(0.05, 0.99))
+def test_stack_queries_are_the_reference_walks_bit_for_bit(stack, w, mu):
+    m = stack.shape[1]
+    assert_stack_matches_reference(stack, ((0.9,) * m, (w,) * (m - 1) + (0.9,)), (0.5, mu))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_stack_queries_on_hand_lanes_are_the_reference_walks(m):
+    if m == 2:
+        assert_stack_matches_reference(HAND_LANES, GRID_BOXES, GRID_BOUNDS)
+    else:
+        assert_stack_matches_reference(block_lanes(m), wide_boxes(m), WIDE_BOUNDS)
+
+
+# The box corner (4, 4, 4, 4) / 6 of this lattice is its sup-norm minimum,
+# and every reduced column is longer in sup-norm: only the walk finds it.
+CORNER_COLS = np.array([(4, 4, 4, 4), (-1, 5, -1, 1), (-2, 1, 7, 2), (1, -2, -2, 5)]).T / 6
+
+
+@pytest.mark.parametrize("cols", [np.diag([0.5, 2.0]), CORNER_COLS], ids=["column", "corner"])
+def test_float_bases_compare_fraction_bounds_exactly(cols):
+    # r is the sup-norm minimum as the float walk computes it; a Fraction q
+    # with float(q) == r is strictly above or below it
+    b, _, gram = ball_walk_reference._prepare(LatticeBasis(cols))
+    r = min(max(map(abs, v)) for _, v in ball_walk_reference._BallWalk(b, gram, len(b) * 1.0))
+    assert (min(max(map(abs, col)) for col in b) == r) == (cols.shape[0] == 2)
+    tiny = Fraction(1, 2 ** 80)
+    for q, clear in ((Fraction(r) + tiny, False), (Fraction(r) - tiny, True)):
+        assert float(q) == r
+        for basis in (LatticeBasis(cols), LatticeBasis.batch(cols[None])[0]):
+            assert in_kmu(basis, q) is clear and in_mahler_compact(basis, q) is clear
+    assert in_kmu(LatticeBasis(cols), r) is True  # nothing strictly below r

@@ -4,8 +4,9 @@
 u_embed(c.eval(s))).entries bit for bit, the estimators must hand the
 observable exactly those bases, and a failing sample must raise its
 one-sample error, named by (seed, index, s). Box counts and ball tests on a
-stack read the reduction made once per lane for the whole stack; lambda1
-and every unbatched basis reduce their own.
+stack read the reduction made once per lane for the whole stack, and
+lambda1 the one it makes once per lane with the transform; an unbatched
+float basis is the one lane of a stack of its own.
 """
 
 import tracemalloc
@@ -170,7 +171,8 @@ def test_stack_bases_equal_the_checked_bases_reduction_included(n):
         # the stack's reduction of the lane is the one the basis's walk would get
         assert basis._stack is bases[0]._stack and basis._stack.cols is stack
         b, _, mu, norms = lattice._lll(lattice._float_columns(one.cols))
-        assert reduction_bytes(*basis._stack.lane(basis._lane)) == reduction_bytes(b, (mu, norms))
+        lane = [x[basis._lane].tolist() for x in basis._stack.reduced()]
+        assert reduction_bytes(lane[0], lane[1:]) == reduction_bytes(b, (mu, norms))
     exact = np.array([np.eye(2, dtype=int)], dtype=object)
     for refused in (exact, np.eye(2)):  # an exact stack; one matrix, not a stack
         with pytest.raises(InvariantError, match="float stack"):
@@ -278,13 +280,14 @@ def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
     in_kmu(cell, Fraction(1, 2))
     count_in_box(cell, [Fraction(1, 2)] * 2)
     assert calls == {"_lll": 6, "_lll_integral": 2}
+    # an unbatched 2 x 2 basis is a one-lane stack: the pair kernel reduces it
     count_in_box(LatticeBasis(np.array([[1.0, 0.3], [0.0, 1.0]])), [0.9, 0.9])
-    assert calls["_lll"] == 7
+    assert calls["_lll"] == 6
     (batched,) = LatticeBasis.batch(np.array([[[1.0, 0.3], [0.0, 1.0]]]))
     count_in_box(batched, [0.9, 0.9])
-    assert calls["_lll"] == 7
+    assert calls["_lll"] == 6
     reduce(batched)  # the public reduction stays the scalar one
-    assert calls["_lll"] == 8
+    assert calls["_lll"] == 7
 
 
 def test_lll_step_limit_names_the_lowest_failing_sample(monkeypatch):
@@ -303,6 +306,24 @@ def test_lll_step_limit_names_the_lowest_failing_sample(monkeypatch):
     assert info.value.sample_index == 5
     assert str(info.value) == (f"sample (seed, index, s) = (5, 5, {s!r}): "
                                "LLL failed to terminate at desk scale")
+
+
+def test_lambda1_step_limit_names_the_lowest_failing_sample(monkeypatch):
+    # lambda1 reduces every lane of the stack, base and translated, with its
+    # transform; the lowest lane past the step limit is sample 5 at t = 2
+    sampler = Sampler(seed=5, count=30)
+    monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 3)
+    with pytest.raises(InternalIdentityError) as info:
+        w_invariance_gap(LINE, [2.0], 1.0, lambda1(), sampler)
+    s = sampler.point(LINE.interval, 5)
+    assert info.value.sample_index == 5
+    assert str(info.value) == (f"sample (seed, index, s) = (5, 5, {s!r}): "
+                               "LLL failed to terminate at desk scale")
+    stack = orbit_points(LINE, sampler.points(LINE.interval), 2.0, normalize=True)
+    with pytest.raises(InternalIdentityError):
+        lattice._lll(lattice._float_columns(stack[5]))
+    for cols in stack[:5]:
+        lattice._lll(lattice._float_columns(cols))
 
 
 def test_wide_stack_reduction_failure_names_the_lowest_failing_sample(monkeypatch):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from danilab import (LatticeBasis, MatrixPolyCurve, Observable, Sampler, convergence_gap,
-                     kmu_fraction, kmu_indicator, lambda1,
-                     nondivergence_profile, siegel_average, siegel_count, u_embed,
-                     w_invariance_gap)
+from danilab import (LatticeBasis, MatrixPolyCurve, Observable, Sampler, kmu_fraction,
+                     kmu_indicator, lambda1, nondivergence_profile, siegel_average,
+                     siegel_count, u_embed, w_invariance_gap)
 from danilab.errors import DomainError
 from orbit_reference import reference_basis, reference_cols, reference_mean_stderr
 
@@ -121,20 +120,3 @@ def test_w_invariance_gap_matches_per_sample_loop():
     assert (out["mean_base"], out["stderr_base"]) == reference_mean_stderr(base)
     assert (out["mean_translated"], out["stderr_translated"]) == reference_mean_stderr(translated)
 
-
-def test_convergence_gap_identity_normalizer():
-    # phi(s) = s has phi' = 1, so the normalizing element is the identity and
-    # raw vs normalized orbits coincide exactly
-    out = convergence_gap(line_curve(), 1.0, 3.0, siegel_count((1.5, 1.5)),
-                          Sampler(seed=6, count=80))
-    assert out["gap_t1"] == 0.0 and out["gap_t2"] == 0.0
-    assert out["drift"]["raw"] == out["drift"]["normalized"]
-
-
-def test_convergence_gap_validation():
-    with pytest.raises(DomainError):
-        convergence_gap(line_curve(), 1.0, 2.0, lambda1(), Sampler(seed=1, count=10),
-                        normalize_pair=("raw", "weird"))
-    with pytest.raises(DomainError):
-        convergence_gap(line_curve(), 1.0, 2.0, lambda1(), Sampler(seed=1, count=10),
-                        normalize_pair=("raw",))
