@@ -15,9 +15,9 @@ A query that walks LLL-reduces the basis once and enumerates the Euclidean
 ball ||v||_2 <= R (Fincke-Pohst; each level is tried outward from its
 projected center, as in Schnorr-Euchner). LLL tracks its transform only for
 the callers that read it (`reduce`, `shortest_supnorm`). The float LLL is
-one kernel per dimension m, generated from one template with every
-coordinate loop written out and compiled once per m. Its dot products are
-summed left to right from 0.0, so a reduction has the same bits on every
+one kernel per dimension m, generated with one branch per stage index and
+every coordinate loop written out, and compiled once per m. Its dot products
+are summed left to right from 0.0, so a reduction has the same bits on every
 Python. The exact mode walks depth first (`_BallWalk`), in integers.
 
 Every float basis is a lane of a `_Stack`: the bases of one
@@ -217,81 +217,69 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-# The float LLL, written once for every dimension m. `_lll_source(m)` spells
-# out each coordinate loop of this template for the m coordinates of a
-# column: a column or b* row is a tuple unpacked into the locals a0.., s0..
-# or v0..; a dot product reads 0.0 + a0 * s0 + a1 * s1 + ..., summed left to
-# right as builtin sum() did before Python 3.12; b* is updated by
-# v0 -= x * s0; v1 -= x * s1; ... and a size reduction reads
-# (a0 - q * s0, ...). The transform rows stay lists: only `reduce` and
-# `shortest_supnorm` track them.
-_LLL_TEMPLATE = '''\
-def lll(cols, delta, transform, max_steps):
-    b = [tuple(col) for col in cols]
-    u = [[1 if i == j else 0 for i in range({m})] for j in range({m})] if transform else None
-    mu = [[0] * {m} for _ in range({m})]
-    {a} = b[0]
-    bstar = [b[0]] + [None] * {m_1}
-    norms = [{a_dot_a}] + [0] * {m_1}
-    fresh = 1  # Gram-Schmidt rows below `fresh` match the current columns
-    k = 1
-    steps = 0
-    while k < {m}:
-        steps += 1
-        if steps > max_steps:
-            raise InternalIdentityError("LLL failed to terminate at desk scale")
-        while fresh <= k:  # Gram-Schmidt row `fresh` from its column and the b* below
-            {a} = {v} = b[fresh]
-            mu_i = mu[fresh]
-            for j in range(fresh):
-                {s} = bstar[j]
-                x = mu_i[j] = ({a_dot_s}) / norms[j]
-                {v_less_xs}
-            bstar[fresh] = {v}
-            norms[fresh] = {v_dot_v}
-            fresh += 1
-        mu_k = mu[k]
-        for j in range(k - 1, -1, -1):
-            x = mu_k[j]
-            if -0.5 <= x <= 0.5:  # round(x) == 0
-                continue
-            q = round(x)
-            {a} = b[k]
-            {s} = b[j]
-            b[k] = {a_minus_qs}
-            if transform:
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-            mu_j = mu[j]
-            for i in range(j):
-                mu_k[i] -= q * mu_j[i]
-            mu_k[j] -= q
-        x = mu_k[k - 1]
-        if norms[k] >= (delta - x * x) * norms[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            if transform:
-                u[k], u[k - 1] = u[k - 1], u[k]
-            fresh = k - 1
-            if k > 1:
-                k -= 1
-    return b, u, mu, norms
-'''
-
-
+# The float LLL for m x m bases, as one branch per stage index k. Stage k
+# recomputes only Gram-Schmidt row k (`_lll` says why); the k = 1 branch
+# recomputes row 0 at its swap. Each branch spells out row k, the size
+# reduction against j = k - 1, ..., 0 and the Lovasz test, with every
+# coordinate loop written out. Row i of the Gram-Schmidt data is held in
+# locals: b*_i in zi_0, zi_1, ..., mu[i][j] in mi_j and ||b*_i||^2 in ni. A
+# dot product reads 0.0 + a0 * z0_0 + a1 * z0_1 + ..., summed left to right
+# as builtin sum() did before Python 3.12. The columns stay tuples and the
+# transform rows lists: only `reduce` and `shortest_supnorm` track the
+# transform.
 def _lll_source(m: int) -> str:
     """The text of `_lll`'s kernel for m x m bases."""
-    def spell(term, sep=", "):
-        out = sep.join(term.format(i) for i in range(m))
-        return out + "," if m == 1 and sep == ", " else out
+    def vec(x):  # x0, x1, ..., a tuple display or target
+        return ", ".join(f"{x}{c}" for c in range(m)) + ("," if m == 1 else "")
 
     def dot(x, y):
-        return "0.0 + " + spell(f"{x}{{0}} * {y}{{0}}", " + ")
+        return "0.0 + " + " + ".join(f"{x}{c} * {y}{c}" for c in range(m))
 
-    return _LLL_TEMPLATE.format(
-        m=m, m_1=m - 1, a=spell("a{}"), s=spell("s{}"), v=spell("v{}"),
-        a_dot_a=dot("a", "a"), a_dot_s=dot("a", "s"), v_dot_v=dot("v", "v"),
-        v_less_xs=spell("v{0} -= x * s{0}", "; "), a_minus_qs=spell("a{0} - q * s{0}"))
+    def each(fmt):  # fmt for every coordinate c, as one line of statements
+        return "; ".join(fmt.format(c=c) for c in range(m))
+
+    row0 = [f"{vec('z0_')} = b[0]", f"n0 = {dot('z0_', 'z0_')}"]
+    lines = ["def lll(cols, delta, transform, max_steps):",
+             "    b = [tuple(col) for col in cols]",
+             f"    u = [[1 if i == j else 0 for i in range({m})] for j in range({m})] "
+             "if transform else None",
+             *("    " + line for line in row0),
+             "    k = 1",
+             "    steps = 0",
+             f"    while k < {m}:",
+             "        steps += 1",
+             "        if steps > max_steps:",
+             '            raise InternalIdentityError("LLL failed to terminate at desk scale")']
+    for k in range(1, m):
+        z = f"z{k}_"
+        lines += [f"        {'if' if k == 1 else 'elif'} k == {k}:",
+                  f"            {vec('a')} = {vec(z)} = b[{k}]"]
+        for j in range(k):
+            lines += [f"            m{k}_{j} = ({dot('a', f'z{j}_')}) / n{j}",
+                      "            " + each(f"{z}{{c}} -= m{k}_{j} * z{j}_{{c}}")]
+        lines.append(f"            n{k} = {dot(z, z)}")
+        for j in range(k - 1, -1, -1):
+            lines += [f"            if not -0.5 <= m{k}_{j} <= 0.5:  # round(mu) != 0",
+                      f"                q = round(m{k}_{j})",
+                      f"                {vec('s')} = b[{j}]",
+                      "                " + each("a{c} -= q * s{c}"),
+                      f"                b[{k}] = {vec('a')}",
+                      "                if transform:",
+                      f"                    u[{k}] = [x - q * y for x, y in zip(u[{k}], u[{j}])]",
+                      *(f"                m{k}_{i} -= q * m{j}_{i}" for i in range(j)),
+                      f"                m{k}_{j} -= q"]
+        lines += [f"            if n{k} >= (delta - m{k}_{k - 1} * m{k}_{k - 1}) * n{k - 1}:",
+                  f"                k = {k + 1}",
+                  "            else:",
+                  f"                b[{k - 1}], b[{k}] = b[{k}], b[{k - 1}]",
+                  "                if transform:",
+                  f"                    u[{k - 1}], u[{k}] = u[{k}], u[{k - 1}]",
+                  *(["                " + line for line in row0] if k == 1 else
+                    [f"                k = {k - 1}"])]
+    mu = ", ".join("[" + ", ".join(f"m{i}_{j}" if j < i else "0" for j in range(m)) + "]"
+                   for i in range(m))
+    lines.append(f"    return b, u, [{mu}], [{', '.join(f'n{i}' for i in range(m))}]")
+    return "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -313,16 +301,19 @@ def _lll(cols, delta: float = _DELTA, transform: bool = True):
     place; the other three are the same.
 
     The work is done by one kernel per dimension m (`_lll_kernel`, text
-    `_lll_source(m)`), compiled once per m with every coordinate loop
-    written out. Gram-Schmidt row i holds mu[i][j] = <b_i, b*_j> /
-    ||b*_j||^2 and b*_i = b_i - sum_j mu[i][j] b*_j, subtracted in j order;
-    every dot product is summed left to right from 0.0, so each reduction
-    has the same bits on every Python (builtin sum() compensates float sums
-    since 3.12).
+    `_lll_source(m)`), compiled once per m. Gram-Schmidt row i holds
+    mu[i][j] = <b_i, b*_j> / ||b*_j||^2 and b*_i = b_i - sum_j mu[i][j]
+    b*_j, subtracted in j order; every dot product is summed left to right
+    from 0.0, so each reduction has the same bits on every Python (builtin
+    sum() compensates float sums since 3.12).
 
     A size-reduction step updates row k of mu in place. A swap invalidates
     the Gram-Schmidt rows from k-1 up, and a row is recomputed from the
-    current columns only when the stage index reaches it again. The two-row
+    current columns only when the stage index reaches it again. So every
+    stage at index k recomputes exactly row k, and row 0 is recomputed only
+    after a swap at k = 1, which leaves k at 1: the kernel holds one branch
+    per k, with the Gram-Schmidt data in locals and every loop written out,
+    and recomputes row 0 at that swap, by the same arithmetic. The two-row
     swap update (Cohen, Alg. 2.6.3) would avoid those recomputations, but in
     floats it drifts away from the columns: on flowed lattices a_t u(phi) at
     n = 2, t = 8 its ||b*||^2 are off by several percent. The exact mode

@@ -1,12 +1,17 @@
 """The float LLL kernel against the generic loop it is generated from.
 
-`lattice._lll` runs one kernel per dimension m, generated with every
-coordinate loop written out (`lattice._lll_source`). It must return what the
-generic loop of `float_lll_reference` returns, bit for bit: the reduced
-columns, mu, norms and the transform, on flowed orbit bases and Gaussian
-bases, at both deltas, and it must fail at the same step limit. Its sums,
-and the ball walk's centers, are taken left to right, so neither depends on
-how the Python at hand implements builtin sum() on floats.
+`lattice._lll` runs one kernel per dimension m (`lattice._lll_source`).
+Every stage at index k recomputes exactly Gram-Schmidt row k, except the
+stage after a swap at k = 1, which also recomputes row 0; so the kernel has
+one branch per stage index, holds the Gram-Schmidt data in locals, writes
+every loop out, and recomputes row 0 at the k = 1 swap itself. It must
+return what the generic loop of `float_lll_reference` returns, bit for bit:
+the reduced columns, mu, norms and the transform, on flowed orbit bases and
+Gaussian bases, at both deltas, through long swap chains (orbit bases up to
+t = 14, Gaussian columns of widely spread lengths), and it must fail at the
+same step limit, also on the stage right after a k = 1 swap. Its sums, and
+the ball walk's centers, are taken left to right, so neither depends on how
+the Python at hand implements builtin sum() on floats.
 """
 
 import builtins
@@ -89,10 +94,70 @@ def test_kernel_fails_at_the_generic_loops_step_limit(args, limit):
         assert outcome(lattice._lll, cols, delta, transform) == want
 
 
+@st.composite
+def swap_heavy_inputs(draw):
+    """Bases whose reductions take long swap chains: orbit bases at n = 2, 3,
+    4 and t in [8, 14], and Gaussian bases whose columns are scaled by e^-10
+    to e^10."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        phi = draw(st.lists(st.floats(-2, 2), min_size=n * n, max_size=n * n))
+        cols = orbit_columns(np.reshape(phi, (n, n)), draw(st.floats(8, 14)))
+    else:
+        m = draw(st.integers(2, 8))
+        scales = draw(st.lists(st.floats(-10, 10), min_size=m, max_size=m))
+        cols = [[math.exp(e) * x for x in col]
+                for e, col in zip(scales, gaussian_columns(m, draw(st.integers(0, 2 ** 32 - 1))))]
+    return cols, draw(st.sampled_from([0.99, 0.75])), draw(st.booleans())
+
+
+@settings(SETTINGS, max_examples=100)
+@given(swap_heavy_inputs())
+def test_kernel_matches_the_generic_loop_through_long_swap_chains(args):
+    cols, delta, transform = args
+    want = outcome(float_lll_reference._lll, cols, delta, transform)
+    assert outcome(lattice._lll, cols, delta, transform) == want
+    assert isinstance(want[0], bytes)
+
+
+# An orbit basis at n = 2, t = 8 whose stage 16 is a swap at k = 1, the
+# last of four. The kernel recomputes Gram-Schmidt row 0 at that swap; the
+# generic loop recomputes it at the start of stage 17, after its step check.
+PINNED_SWAP = orbit_columns(np.array([[0.5, -1.25], [0.75, 0.375]]), 8.0), 16
+
+
+def test_kernel_fails_at_the_generic_loops_step_limit_after_a_k1_swap(monkeypatch):
+    cols, stage = PINNED_SWAP
+    rows = []
+    gs_row = float_lll_reference._gs_row
+    monkeypatch.setattr(float_lll_reference, "_gs_row",
+                        lambda b, bstar, mu, norms, i: (rows.append(i),
+                                                        gs_row(b, bstar, mu, norms, i)))
+    seen = {}
+    for limit in (stage, stage + 1, lattice._MAX_LLL_STEPS):
+        for transform in (True, False):
+            rows.clear()
+            with step_limit(limit):
+                want = outcome(float_lll_reference._lll, cols, lattice._DELTA, transform)
+                assert outcome(lattice._lll, cols, lattice._DELTA, transform) == want
+            seen[limit, transform] = want, list(rows)
+    for transform in (True, False):
+        (stopped, before), (_, after) = seen[stage, transform], seen[stage + 1, transform]
+        assert stopped[0] is InternalIdentityError
+        # stage 17 opens on rows 0 and 1, so stage 16 swapped at k = 1
+        assert after == before + [0, 1]
+        assert isinstance(seen[lattice._MAX_LLL_STEPS, transform][0][0], bytes)
+
+
 def test_kernel_source_spells_out_every_coordinate():
     text = lattice._lll_source(3)
-    assert "0.0 + a0 * s0 + a1 * s1 + a2 * s2" in text
-    assert "b[k] = a0 - q * s0, a1 - q * s1, a2 - q * s2" in text
+    assert [line.strip() for line in text.splitlines() if " k == " in line] == [
+        "if k == 1:", "elif k == 2:"]  # one branch per stage index
+    assert "m2_1 = (0.0 + a0 * z1_0 + a1 * z1_1 + a2 * z1_2) / n1" in text
+    assert "n2 = 0.0 + z2_0 * z2_0 + z2_1 * z2_1 + z2_2 * z2_2" in text
+    assert "a0 -= q * s0; a1 -= q * s1; a2 -= q * s2" in text
+    assert "m2_0 -= q * m1_0" in text
+    assert "fresh" not in text and "range(k" not in text
     assert "sum(" not in text and "zip(b" not in text
     assert lattice._lll_kernel(3) is lattice._lll_kernel(3)  # compiled once per m
     assert lattice._lll_kernel(3).__code__.co_filename == "<lattice._lll m=3>"

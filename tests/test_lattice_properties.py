@@ -12,7 +12,9 @@ the integral LLL, which updates its Gram rows on a swap, to the same loop
 recomputing them. The breadth-first stack walk, the one float enumerator,
 is held to the depth-first float walk each basis ran alone before
 (`ball_walk_reference`): equal leaves, and equal box counts, ball tests and
-shortest vectors on every lane, bit for bit.
+shortest vectors on every lane, bit for bit. At n = 1 the shortest vector is
+also held to continued fractions (`cf_reference`), which use no LLL and no
+walk.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
                      correspondence_basis, count_in_box, in_kmu, in_mahler_compact,
                      orbit_points, reduce, shortest_supnorm, siegel_average, u_embed)
 import ball_walk_reference
+import cf_reference
 import integral_lll_reference
 from danilab import _linalg, lattice
 from danilab.errors import DegenerateInputError, InternalIdentityError
@@ -834,9 +837,9 @@ def test_lane_past_the_node_budget_is_named_by_its_sample(monkeypatch):
 
 
 def test_wide_stack_walk_memory_is_bounded():
-    # 2,000 lanes at n = 2, t = 8: the walk over the whole stack at once
-    # peaks near 10 MB; in chunks of _STACK_LANES lanes, each of at most
-    # _STACK_NODES candidates, the queries stay near 1.4 MB
+    # 2,000 lanes at n = 2, t = 8: with each level of the stack walk
+    # expanded in chunks of at most _STACK_CHUNK candidate nodes, the
+    # queries peak near 2.3 MB of the 4 MB bound (12 MB unchunked)
     bases = LatticeBasis.batch(orbit_points(generic_curve(2), np.linspace(1.0, 2.0, 2_000),
                                             8.0))
     bases[0]._stack.reduced()  # the reduction's arrays: 2,000 x 21 floats
@@ -941,3 +944,46 @@ def test_float_bases_compare_fraction_bounds_exactly(cols):
         for basis in (LatticeBasis(cols), LatticeBasis.batch(cols[None])[0]):
             assert in_kmu(basis, q) is clear and in_mahler_compact(basis, q) is clear
     assert in_kmu(LatticeBasis(cols), r) is True  # nothing strictly below r
+
+
+# lambda_1 at n = 1 against the continued-fraction oracle (`cf_reference`),
+# which uses no LLL and no walk. phi(s) = s, so the stack holds a_t u(s).
+PHI_IS_S = MatrixPolyCurve.from_coeffs([[[0.0]], [[1.0]]], (-2.0, 2.0))
+
+
+@SETTINGS
+@given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
+       st.sampled_from((2.0, 4.0, 6.0, 8.0)))
+def test_n1_lambda1_is_the_continued_fraction_oracles(s, t):
+    """The float shortest vector, of each basis alone (the generated m = 2
+    LLL kernel with the transform) and of each lane of a `batch` stack, is
+    within the rounding of its recombination from the input columns: terms
+    near E q |phi| <= E^2 lambda_1 |phi| cancel, so the relative error is a
+    few e^2t (1 + |phi|) ulp (up to 1.6e-9 measured at t = 8, and 6e-15 at
+    t = 2). The exact shortest vector of the dyadic twin [[E, E phi], [0,
+    1/E]], E = Fraction(e^t), equals the oracle's."""
+    stack = orbit_points(PHI_IS_S, s, t)
+    e = math.exp(t)
+    for phi, alone, lane in zip(PHI_IS_S.eval_many(np.array(s))[:, 0, 0].tolist(),
+                                map(LatticeBasis, stack), LatticeBasis.batch(stack)):
+        want = cf_reference.lambda1(phi, e)
+        rel = 4 * e * e * (1 + abs(phi)) * 2.0 ** -53
+        assert shortest_supnorm(alone).length == pytest.approx(float(want), rel=rel, abs=0)
+        assert shortest_supnorm(lane).length == pytest.approx(float(want), rel=rel, abs=0)
+        twin = LatticeBasis.from_rational([[Fraction(e), Fraction(e) * Fraction(phi)],
+                                           [0, 1 / Fraction(e)]])
+        assert shortest_supnorm(twin).length == want
+
+
+def test_continued_fraction_oracle_on_hand_cases():
+    # the golden ratio's convergents are ratios of Fibonacci numbers
+    golden = Fraction((1 + math.sqrt(5)) / 2)
+    assert list(itertools.islice(cf_reference.convergents(golden), 6)) == [
+        (1, 1), (2, 1), (3, 2), (5, 3), (8, 5), (13, 8)]
+    # -7/3 = [-3; 1, 2]
+    assert list(cf_reference.convergents(Fraction(-7, 3))) == [(-3, 1), (-2, 1), (-7, 3)]
+    # phi = 0: the shortest vectors are (0, +-1/E) when E > 1 and (+-E, 0) below
+    assert cf_reference.lambda1(0, 4) == Fraction(1, 4)
+    assert cf_reference.lambda1(0, Fraction(1, 4)) == Fraction(1, 4)
+    # phi = 1/2, E = 2: (E (phi - 0), 1/E) = (1, 1/2) against (E (2 phi - 1), 2/E) = (0, 1)
+    assert cf_reference.lambda1(Fraction(1, 2), 2) == 1
