@@ -547,10 +547,15 @@ def run(config: ExperimentConfig) -> list:
     return records
 
 
+# One encoder for every record; json.dumps with separators builds one per call
+_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_jsonl(records, path: str):
+    encode = _JSONL_ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            fh.write(encode(rec) + "\n")
 
 
 def _strip_timestamp(rec: dict) -> str:

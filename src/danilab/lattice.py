@@ -14,11 +14,14 @@ bound scaled by den once.
 A query that walks LLL-reduces the basis once and enumerates the Euclidean
 ball ||v||_2 <= R (Fincke-Pohst; each level is tried outward from its
 projected center, as in Schnorr-Euchner). LLL tracks its transform only for
-the callers that read it (`reduce`, `shortest_supnorm`). The float LLL is
-one kernel per dimension m, generated with one branch per stage index and
-every coordinate loop written out, and compiled once per m. Its dot products
-are summed left to right from 0.0, so a reduction has the same bits on every
-Python. The exact mode walks depth first (`_BallWalk`), in integers.
+the callers that read it (`reduce`, `shortest_supnorm`). Each LLL, float
+and integral, is one kernel per dimension m, generated with one branch per
+stage index, its Gram data in locals and every coordinate loop written out,
+and compiled once per m. The float dot products are summed left to right
+from 0.0, so a reduction has the same bits on every Python. The exact mode
+walks depth first in integers, by one generated kernel per m too
+(`_ball_walk`): one nested sweep per level, with no generator and no call
+per node.
 
 Every float basis is a lane of a `_Stack`: the bases of one
 `LatticeBasis.batch` share one, and a basis made alone has its own. The
@@ -40,7 +43,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -213,10 +215,6 @@ def _float_columns(cols: np.ndarray) -> list:
     return np.asarray(cols, dtype=float).T.tolist()
 
 
-def _dot(x, y):
-    return sum(map(mul, x, y))
-
-
 # The float LLL for m x m bases, as one branch per stage index k. Stage k
 # recomputes only Gram-Schmidt row k (`_lll` says why); the k = 1 branch
 # recomputes row 0 at its swap. Each branch spells out row k, the size
@@ -239,7 +237,7 @@ def _lll_source(m: int) -> str:
         return "; ".join(fmt.format(c=c) for c in range(m))
 
     row0 = [f"{vec('z0_')} = b[0]", f"n0 = {dot('z0_', 'z0_')}"]
-    lines = ["def lll(cols, delta, transform, max_steps):",
+    lines = ["def kernel(cols, delta, transform, max_steps):",
              "    b = [tuple(col) for col in cols]",
              f"    u = [[1 if i == j else 0 for i in range({m})] for j in range({m})] "
              "if transform else None",
@@ -283,13 +281,21 @@ def _lll_source(m: int) -> str:
 
 
 @functools.cache
-def _lll_kernel(m: int):
-    """`_lll`'s kernel for m x m bases, compiled on first use."""
+def _kernel(source, m: int):
+    """The function `kernel` that the text source(m) defines for m x m
+    bases, compiled on first use; source is `_lll_source`,
+    `_lll_integral_source` or `_ball_walk_source`, and the code is named
+    after the function it serves, as in <lattice._lll m=3>."""
     if m < 1:
         raise InvariantError("LLL needs at least one column")
-    namespace = {"InternalIdentityError": InternalIdentityError}
-    exec(compile(_lll_source(m), f"<lattice._lll m={m}>", "exec"), namespace)
-    return namespace["lll"]
+    namespace = {"InternalIdentityError": InternalIdentityError, "lcm": math.lcm,
+                 "budget_error": _budget_error}
+    name = source.__name__.removesuffix("_source")
+    exec(compile(source(m), f"<lattice.{name} m={m}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+_lll_kernel = functools.partial(_kernel, _lll_source)
 
 
 def _lll(cols, delta: float = _DELTA, transform: bool = True):
@@ -317,9 +323,9 @@ def _lll(cols, delta: float = _DELTA, transform: bool = True):
     swap update (Cohen, Alg. 2.6.3) would avoid those recomputations, but in
     floats it drifts away from the columns: on flowed lattices a_t u(phi) at
     n = 2, t = 8 its ||b*||^2 are off by several percent. The exact mode
-    runs the same steps on integer Gram data (`_lll_integral`), where the
-    swap update is exact. More than _MAX_LLL_STEPS stages raise
-    InternalIdentityError.
+    runs the same steps on integer Gram data (`_lll_integral`, one
+    generated kernel per m as well), where the swap update is exact. More
+    than _MAX_LLL_STEPS stages raise InternalIdentityError.
     """
     return _lll_kernel(len(cols))(cols, delta, transform, _MAX_LLL_STEPS)
 
@@ -593,103 +599,138 @@ def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> 
     return dropped
 
 
-def _round_div(a: int, b: int) -> int:
-    """The integer nearest a / b (b > 0), ties to even, as round(Fraction)."""
-    q, r = divmod(a, b)
-    if 2 * r > b or (2 * r == b and q & 1):
-        q += 1
-    return q
+# The integral LLL for m x m bases, as one branch per stage index k, in the
+# idiom of `_lll_source`: lam[i][j] is held in li_j and d[i] in di (d[0] = 1
+# is never written). Branch k computes row k if `fresh` (the number of rows
+# computed) says it is new, then spells out the size reduction with round(lam
+# / d) half to even inline, the Lovasz test and the swap, whose update of row
+# i > k is emitted under `if fresh > i`.
+def _lll_integral_source(m: int) -> str:
+    """The text of `_lll_integral`'s kernel for m x m bases."""
+    def vec(x):  # x0, x1, ..., a tuple display or target
+        return ", ".join(f"{x}{c}" for c in range(m)) + ("," if m == 1 else "")
 
+    def dot(x, y):
+        return " + ".join(f"{x}{c} * {y}{c}" for c in range(m))
 
-def _gram_row(c, lam, d, i):
-    """Integral Gram-Schmidt row i (Cohen, Alg. 2.6.7, step 2) of the integer
-    columns c: lam[i][j] = d[j+1] mu[i][j] for j < i and d[i+1], where d[j]
-    is the Gram determinant of the first j columns. Every division is exact."""
-    ci, lam_i = c[i], lam[i]
-    for j in range(i + 1):
-        x = _dot(ci, c[j])
-        lam_j = lam[j]
-        for h in range(j):
-            x = (d[h + 1] * x - lam_i[h] * lam_j[h]) // d[h]
-        if j < i:
-            lam_i[j] = x
-        else:
-            d[i + 1] = x
+    def each(fmt, sep="; "):  # fmt for every coordinate c, as one line of statements
+        return sep.join(fmt.format(c=c) for c in range(m))
 
+    def times(*factors):  # their product, without the factor d0 = 1
+        return " * ".join(f for f in factors if f != "d0") or "1"
 
-def _lll_integral(c: list, delta: Fraction, transform: bool = True):
-    """`_lll` on the list c of integer columns (its entries are replaced,
-    never mutated) on their integral Gram data: lam[i][j] = d[j+1] mu[i][j]
-    (j < i) and the Gram determinants d[0..m], so norms[k] = d[k+1] / d[k].
-    The size-reduction quotient round(mu[k][j]) (half to even, as
-    round(Fraction)) and the Lovasz test norms[k] >= (delta - mu[k][k-1]^2)
-    norms[k-1] are decided in integers, in `_lll`'s order. A common scale of
-    the columns changes no decision, so the columns of an exact basis times
-    its denominator take the steps its Fraction columns would. Returns the
-    reduced integer columns, the transform columns (None when transform is
-    false: U is then not tracked), lam and d.
+    def gram_row(k, pad):  # x = <b_k, b_j>, then x = (d_{h+1} x - lam[k][h] lam[j][h]) / d_h
+        out = []
+        for j in range(k + 1):
+            target = f"d{k + 1}" if j == k else f"l{k}_{j}"
+            if j < k:
+                out.append(f"{vec('s')} = b[{j}]")
+            x = dot("a", "s" if j < k else "a")
+            for h in range(j):
+                lj = f"l{k if j == k else j}_{h}"
+                x = (f"d{h + 1} * ({x}) - l{k}_{h} * {lj}" if h == 0 else
+                     f"(d{h + 1} * x - l{k}_{h} * {lj}) // d{h}")
+                if h < j - 1:
+                    out.append(f"x = {x}")
+                    x = "x"
+            out.append(f"{target} = {x}")
+        return [pad + line for line in out]
 
-    Each Gram row is computed from the columns once, when the stage index
-    first reaches it. A size reduction changes row k only, and a swap at
-    stage k updates the rows already computed exactly (Cohen, Alg. 2.6.7,
-    SWAPI): rows k-1 and k exchange their entries left of k-1, d[k] becomes
-    (d[k-1] d[k+1] + lam[k][k-1]^2) / d[k], and every computed row i > k
-    gets its entries k-1 and k from two exact divisions. Unlike the float
-    update, these are the values a recomputation gives, so the steps are
-    those of recomputing rows after every swap."""
-    m = len(c)
-    u = [[1 if i == j else 0 for i in range(m)] for j in range(m)] if transform else None
-    lam = [[0] * m for _ in range(m)]
-    d = [1] * (m + 1)
-    delta_num, delta_den = delta.numerator, delta.denominator
-    _gram_row(c, lam, d, 0)
-    fresh = 1
-    k = 1
-    steps = 0
-    while k < m:
-        steps += 1
-        if steps > _MAX_LLL_STEPS:
-            raise InternalIdentityError("LLL failed to terminate at desk scale")
-        while fresh <= k:
-            _gram_row(c, lam, d, fresh)
-            fresh += 1
-        lam_k = lam[k]
+    identity = ", ".join("[" + ", ".join("1" if i == j else "0" for i in range(m)) + "]"
+                         for j in range(m))
+    lines = ["def kernel(c, delta_num, delta_den, transform, max_steps):",
+             "    b = list(map(tuple, c))",
+             f"    u = [{identity}] if transform else None",
+             f"    {vec('a')} = b[0]",
+             f"    d1 = {dot('a', 'a')}",
+             "    fresh = 1",
+             "    k = 1",
+             "    steps = 0",
+             f"    while k < {m}:",
+             "        steps += 1",
+             "        if steps > max_steps:",
+             '            raise InternalIdentityError("LLL failed to terminate at desk scale")']
+    for k in range(1, m):
+        lines += [f"        {'if' if k == 1 else 'elif'} k == {k}:",
+                  f"            {vec('a')} = b[{k}]",
+                  f"            if fresh == {k}:",
+                  *gram_row(k, "                "),
+                  f"                fresh = {k + 1}"]
         for j in range(k - 1, -1, -1):
-            dj = d[j + 1]
-            if 2 * abs(lam_k[j]) <= dj:  # |mu| <= 1/2 rounds to 0, ties to even
-                continue
-            q = _round_div(lam_k[j], dj)
-            c[k] = [x - q * y for x, y in zip(c[k], c[j])]
-            if transform:
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-            lam_j = lam[j]
-            for i in range(j):
-                lam_k[i] -= q * lam_j[i]
-            lam_k[j] -= q * dj
-        lam_kj = lam_k[k - 1]
-        if delta_den * (d[k + 1] * d[k - 1] + lam_kj * lam_kj) >= delta_num * d[k] * d[k]:
-            k += 1
-        else:
-            c[k], c[k - 1] = c[k - 1], c[k]
-            if transform:
-                u[k], u[k - 1] = u[k - 1], u[k]
-            lam_k1 = lam[k - 1]
-            for j in range(k - 1):
-                lam_k[j], lam_k1[j] = lam_k1[j], lam_k[j]
-            dk, dk1 = d[k], d[k + 1]
-            swapped = (d[k - 1] * dk1 + lam_kj * lam_kj) // dk
-            for i in range(k + 1, fresh):
-                lam_i = lam[i]
-                t = lam_i[k]
-                lam_i[k] = x = (dk1 * lam_i[k - 1] - lam_kj * t) // dk
-                lam_i[k - 1] = (swapped * t + lam_kj * x) // dk1
-            d[k] = swapped
-            k = max(k - 1, 1)
-    return c, u, lam, d
+            dj = f"d{j + 1}"
+            lines += [f"            if 2 * abs(l{k}_{j}) > {dj}:  # round(mu) != 0",
+                      f"                q, r = divmod(l{k}_{j}, {dj})",
+                      f"                if 2 * r > {dj} or 2 * r == {dj} and q & 1:",
+                      "                    q += 1",
+                      f"                {vec('s')} = b[{j}]",
+                      "                " + each("a{c} -= q * s{c}"),
+                      f"                b[{k}] = {vec('a')}",
+                      "                if transform:",
+                      f"                    {vec('e')} = u[{k}]",
+                      f"                    {vec('f')} = u[{j}]",
+                      f"                    u[{k}] = [{each('e{c} - q * f{c}', ', ')}]",
+                      *(f"                l{k}_{i} -= q * l{j}_{i}" for i in range(j)),
+                      f"                l{k}_{j} -= q * {dj}"]
+        lk = f"l{k}_{k - 1}"
+        lines += [f"            if delta_den * ({times(f'd{k + 1}', f'd{k - 1}')} + {lk} * {lk}) "
+                  f">= delta_num * d{k} * d{k}:",
+                  f"                k = {k + 1}",
+                  "            else:",
+                  f"                b[{k - 1}], b[{k}] = b[{k}], b[{k - 1}]",
+                  "                if transform:",
+                  f"                    u[{k - 1}], u[{k}] = u[{k}], u[{k - 1}]"]
+        if k > 1:
+            lines.append("                " + ", ".join(
+                f"l{k}_{j}, l{k - 1}_{j}" for j in range(k - 1)) + " = " + ", ".join(
+                f"l{k - 1}_{j}, l{k}_{j}" for j in range(k - 1)))
+        lines.append(f"                t = ({times(f'd{k - 1}', f'd{k + 1}')} + {lk} * {lk}) "
+                     f"// d{k}")
+        for i in range(k + 1, m):
+            lines += [f"                if fresh > {i}:",
+                      f"                    x = l{i}_{k}",
+                      f"                    l{i}_{k} = y = "
+                      f"(d{k + 1} * l{i}_{k - 1} - {lk} * x) // d{k}",
+                      f"                    l{i}_{k - 1} = (t * x + {lk} * y) // d{k + 1}"]
+        lines += [f"                d{k} = t",
+                  f"                k = {max(k - 1, 1)}"]
+    lam = ", ".join("[" + ", ".join(f"l{i}_{j}" if j < i else "0" for j in range(m)) + "]"
+                    for i in range(m))
+    lines.append(f"    return b, u, [{lam}], [1, {', '.join(f'd{i}' for i in range(1, m + 1))}]")
+    return "\n".join(lines) + "\n"
+
+
+_lll_integral_kernel = functools.partial(_kernel, _lll_integral_source)
+
+
+def _lll_integral(c, delta: Fraction, transform: bool = True):
+    """`_lll` on the sequence c of integer columns, on their integral Gram
+    data: lam[i][j] = d[j+1] mu[i][j] (j < i) and the Gram determinants
+    d[0..m], so norms[k] = d[k+1] / d[k]. The size-reduction quotient
+    round(mu[k][j]) (half to even, as round(Fraction)) and the Lovasz test
+    norms[k] >= (delta - mu[k][k-1]^2) norms[k-1] are decided in integers,
+    in `_lll`'s order. A common scale of the columns changes no decision, so
+    the columns of an exact basis times its denominator take the steps its
+    Fraction columns would. Returns the reduced integer columns as tuples,
+    the transform columns as lists (None when transform is false: U is then
+    not tracked), lam and d.
+
+    The work is done by one kernel per dimension m (`_lll_integral_kernel`,
+    text `_lll_integral_source(m)`), compiled once per m. Each Gram row is
+    computed from the columns once, when the stage index first reaches it
+    (Cohen, Alg. 2.6.7, step 2; every division is exact). A size reduction
+    changes row k only, and a swap at stage k updates the rows already
+    computed exactly (SWAPI): rows k-1 and k exchange their entries left of
+    k-1, d[k] becomes (d[k-1] d[k+1] + lam[k][k-1]^2) / d[k], and every
+    computed row i > k gets its entries k-1 and k from two exact divisions.
+    Unlike the float update, these are the values a recomputation gives, so
+    the steps are those of recomputing rows after every swap. More than
+    _MAX_LLL_STEPS stages raise InternalIdentityError."""
+    return _lll_integral_kernel(len(c))(c, delta.numerator, delta.denominator, transform,
+                                        _MAX_LLL_STEPS)
 
 
 def _sup(v):
-    return max(abs(x) for x in v)
+    return max(map(abs, v))
 
 
 def _budget_error() -> DegenerateInputError:
@@ -716,94 +757,88 @@ def _first_original(ucols, cands) -> tuple:
     return min(originals)
 
 
-class _BallWalk:
+# The exact ball walk for m x m bases: the sweep of level j = m - 1, ..., 0
+# nested in the one above, so the nodes come in depth-first order. Level j
+# holds c_j and its direction in cj, oj, the center times d[j+1] in ej, the
+# scaled length of levels j..m-1 in pj, "every coefficient above is zero" in
+# tj and sum_{i >= j} c_i b_i in vj_0, vj_1, ... (True, 0, 0, 0 above the top).
+def _ball_walk_source(m: int) -> str:
+    """The text of `_ball_walk`'s kernel for m x m bases."""
+    def vec(x):  # x0, x1, ..., a tuple display or target
+        return ", ".join(f"{x}{c}" for c in range(m)) + ("," if m == 1 else "")
+
+    lines = ["def kernel(b, lam, d, r2, box, first, max_nodes):",
+             *(f"    {vec(f'b{j}_')} = b[{j}]" for j in range(m)),
+             *(f"    l{i}_{j} = lam[{i}][{j}]" for i in range(m) for j in range(i)),
+             f"    _, {', '.join(f'd{j}' for j in range(1, m + 1))} = d",
+             f"    {vec('w')} = box",
+             f"    scale = lcm(d1{''.join(f', d{j} * d{j + 1}' for j in range(1, m))})",
+             "    g0 = scale // d1",
+             *(f"    g{j} = scale // (d{j} * d{j + 1})" for j in range(1, m)),
+             "    limit = r2.numerator * scale // r2.denominator",
+             "    hits = []",
+             "    nodes = 0",
+             f"    t{m - 1}, e{m - 1}, p{m} = True, 0, 0",
+             "    " + "; ".join(f"v{m}_{c} = 0" for c in range(m))]
+    pad = "    "
+    for j in range(m - 1, -1, -1):
+        dj = f"d{j + 1}"
+        lines += [f"{pad}if not t{j}:  # sweep up from round(center), then down",
+                  f"{pad}    s, r = divmod(e{j}, {dj})",
+                  f"{pad}    if 2 * r > {dj} or 2 * r == {dj} and s & 1:",
+                  f"{pad}        s += 1",
+                  f"{pad}for c{j}, o{j} in (({int(j == 0)}, 1),) if t{j} else "
+                  "((s, 1), (s - 1, -1)):",
+                  f"{pad}    while True:",
+                  f"{pad}        y = c{j} * {dj} - e{j}"]
+        pad += "        "
+        lines += [f"{pad}p{j} = p{j + 1} + y * y * g{j}",
+                  f"{pad}if p{j} > limit:",
+                  f"{pad}    break",
+                  f"{pad}nodes += 1",
+                  f"{pad}if nodes > max_nodes:",
+                  f"{pad}    raise budget_error()",
+                  pad + "; ".join(f"v{j}_{c} = v{j + 1}_{c} + c{j} * b{j}_{c}" for c in range(m))]
+        if j:
+            lines += [f"{pad}t{j - 1} = t{j} and not c{j}",
+                      f"{pad}e{j - 1} = -(" + " + ".join(f"c{i} * l{i}_{j - 1}"
+                                                         for i in range(j, m)) + ")"]
+        else:
+            lines += [f"{pad}if " + " and ".join(f"-w{c} <= v0_{c} <= w{c}" for c in range(m)) + ":",
+                      f"{pad}    hits.append((({vec('c')}), ({vec('v0_')})))",
+                      f"{pad}    if first:",
+                      f"{pad}        return hits, nodes"]
+    for j in range(m):  # level j steps on once the levels below it are done
+        lines.append(f"    {'        ' * (m - j)}c{j} += o{j}")
+    lines.append("    return hits, nodes")
+    return "\n".join(lines) + "\n"
+
+
+_ball_walk_kernel = functools.partial(_kernel, _ball_walk_source)
+
+
+def _ball_walk(b, gram, r2, box, first: bool = False):
     """Depth-first walk of an exact basis over the lattice vectors v = sum_j
-    c_j b_j, c != 0, with ||v||_2^2 <= r2, one of each +-v pair; yields (c,
-    v). b holds integer columns with their integral data (lam, d) from
-    `_lll_integral`. Level j fixes c_j given c_{j+1..m-1}: with s_j =
-    sum_{i>j} c_i lam[i][j] its center is -s_j / d[j+1], and it adds y_j^2 /
-    (d[j] d[j+1]) to ||v||^2 for y_j = c_j d[j+1] + s_j. It sweeps up and
-    then down from the integer nearest its center, and stops a direction at
-    the first value outside the ball; while every coefficient above it is
-    zero it sweeps up from 0 only, which keeps one of each +-v pair. Every
-    level is scaled by L = lcm_j d[j] d[j+1], so lengths are integers,
-    compared with floor(r2 L). More than _MAX_NODES nodes inside the ball
-    raise DegenerateInputError. The float mode walks a stack instead
+    c_j b_j, c != 0, with ||v||_2^2 <= r2, one of each +-v pair. Returns
+    (hits, nodes): the (c, v) of every vector with |v_i| <= box[i], in walk
+    order (only the first one if `first`), and the number of nodes walked.
+    b holds integer columns with their integral data gram = (lam, d) from
+    `_lll_integral`, and r2 is an int or a Fraction.
+
+    Level j fixes c_j given c_{j+1..m-1}: with s_j = sum_{i>j} c_i lam[i][j]
+    its center is -s_j / d[j+1], and it adds y_j^2 / (d[j] d[j+1]) to
+    ||v||^2 for y_j = c_j d[j+1] + s_j. It sweeps up and then down from the
+    integer nearest its center (half to even), and stops a direction at the
+    first value outside the ball; while every coefficient above it is zero
+    it sweeps up from 0 only (from 1 at level 0), which keeps one of each
+    +-v pair. Every level is scaled by L = lcm_j d[j] d[j+1], so lengths are
+    integers, compared with floor(r2 L). The walk is one kernel per
+    dimension m (`_ball_walk_kernel`, text `_ball_walk_source(m)`), compiled
+    once per m. More than _MAX_NODES nodes inside the ball raise
+    DegenerateInputError. The float mode walks a stack instead
     (`_stack_walk`)."""
-
-    def __init__(self, b, gram, r2):
-        self.b = b
-        self.coef, d = gram
-        self.unit = d[1:]  # y_j steps by d[j+1] per unit of c_j
-        dd = [d[j] * d[j + 1] for j in range(len(b))]
-        scale = math.lcm(*dd)
-        self.weight = [scale // x for x in dd]
-        self.limit = r2.numerator * scale // r2.denominator  # r2 is an int or a Fraction
-
-    def _count_node(self):
-        self.nodes += 1
-        if self.nodes > _MAX_NODES:
-            raise _budget_error()
-
-    def __iter__(self):
-        b, coef, weight, unit = self.b, self.coef, self.weight, self.unit
-        m = len(weight)
-        self.nodes = 0
-        c = [0] * m
-        center = [0] * m  # -s_j, the center times d[j+1]
-        start = [0] * m
-        step = [1] * m
-        partial = [0] * (m + 1)  # partial[j]: ||v||^2 contributed by levels j..m-1
-        vec = [None] * m + [[0] * m]  # vec[j] = sum of c_i b_i over i >= j
-        top = [True] * m  # top[j]: every coefficient above level j is zero
-        j = m - 1
-        while True:
-            if j == 0:
-                yield from self._leaves(c, center[0], partial[1], vec[1], top[0])
-                if m == 1:
-                    return
-                j = 1
-                c[1] += step[1]
-                continue
-            d = c[j] * unit[j] - center[j]
-            length = partial[j + 1] + d * d * weight[j]
-            if length <= self.limit:
-                self._count_node()
-                partial[j] = length
-                cj = c[j]
-                vec[j] = [p + cj * x for p, x in zip(vec[j + 1], b[j])] if cj else vec[j + 1]
-                top[j - 1] = top[j] and not cj
-                j -= 1
-                ctr = 0
-                for i in range(j + 1, m):
-                    if c[i]:
-                        ctr += c[i] * coef[i][j]
-                center[j] = ctr = -ctr
-                start[j] = c[j] = _round_div(ctr, unit[j])
-                step[j] = 1
-                continue
-            if step[j] == 1 and not top[j]:
-                step[j] = -1
-                c[j] = start[j] - 1
-                continue
-            j += 1
-            if j == m:
-                return
-            c[j] += step[j]
-
-    def _leaves(self, c, ctr, above, p, top):
-        """Level 0: every c_0 with its level-0 term plus `above` in the ball."""
-        w0, b0, u0 = self.weight[0], self.b[0], self.unit[0]
-        x0 = _round_div(ctr, u0)
-        for x, direction in ((1, 1),) if top else ((x0, 1), (x0 - 1, -1)):
-            while True:
-                d = x * u0 - ctr
-                if above + d * d * w0 > self.limit:
-                    break
-                self._count_node()
-                c[0] = x
-                yield tuple(c), [q + x * y for q, y in zip(p, b0)]
-                x += direction
+    lam, d = gram
+    return _ball_walk_kernel(len(b))(b, lam, d, r2, box, first, _MAX_NODES)
 
 
 def _prepare(basis: LatticeBasis, transform: bool = False):
@@ -811,7 +846,7 @@ def _prepare(basis: LatticeBasis, transform: bool = False):
     basis's LLL reduction: the lattice times basis.den."""
     if basis.m > MAX_DIM:
         raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
-    b, u, lam, d = _lll_integral(list(basis.int_cols), _EXACT_DELTA, transform)
+    b, u, lam, d = _lll_integral(basis.int_cols, _EXACT_DELTA, transform)
     return b, u, (lam, d)
 
 
@@ -824,7 +859,7 @@ def reduce(basis: LatticeBasis, delta: float = None):
     exact = basis.exact
     if exact:
         delta = _EXACT_DELTA if delta is None else Fraction(delta).limit_denominator(10**6)
-        b, u, _, _ = _lll_integral(list(basis.int_cols), delta)
+        b, u, _, _ = _lll_integral(basis.int_cols, delta)
         reduced = LatticeBasis.from_integral(b, basis.den)
     else:
         b, u, _, _ = _lll(_float_columns(basis.cols), _DELTA if delta is None else delta)
@@ -851,11 +886,13 @@ def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
         return basis._stack.answer(basis._lane, "shortest", basis._stack.shortest)
     bred, ucols, gram = _prepare(basis, True)
     m = basis.m
-    best = min(_sup(col) for col in bred)
+    best = min(map(_sup, bred))
     if best == 0:
         raise InvariantError("reduced basis contains the zero vector")
-    found = [(_sup(v), c) for c, v in _BallWalk(bred, gram, m * best * best)]
-    if not found or min(found)[0] > best:
+    # the vectors of sup-norm <= best in the ball; a shorter one may turn up
+    hits, _ = _ball_walk(bred, gram, m * best * best, (best,) * m)
+    found = [(_sup(v), c) for c, v in hits]
+    if not found:
         raise InternalIdentityError("enumeration missed the shortest reduced column")
     best = min(found)[0]
     oc = _first_original(ucols, [c for length, c in found if length == best])
@@ -883,11 +920,8 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
     r2 = sum(x * x for x in w)
     w = [math.floor(x) for x in w]
     bred, _, gram = _prepare(basis)
-    count = 0
-    for _, v in _BallWalk(bred, gram, r2):
-        if all(abs(x) <= wx for x, wx in zip(v, w)):
-            count += 1
-    return 2 * count
+    hits, _ = _ball_walk(bred, gram, r2, w)
+    return 2 * len(hits)
 
 
 def _exists_shorter(basis: LatticeBasis, bound) -> bool:
@@ -903,10 +937,13 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     bound = bound if _linalg.is_exact_scalar(bound) else Fraction(bound)
     bound = -(-bound.numerator * basis.den // bound.denominator)
     bred, _, gram = _prepare(basis)
-    if any(_sup(col) < bound for col in bred):
+    if min(map(_sup, bred)) < bound:
         return True
-    r2 = basis.m * (bound - 1) ** 2  # the ball around the box |x_i| <= B - 1
-    return any(_sup(v) < bound for _, v in _BallWalk(bred, gram, r2))
+    m = basis.m
+    # the ball around the box |x_i| <= B - 1; the walk stops at its first vector
+    hits, _ = _ball_walk(bred, gram, m * (bound - 1) ** 2, (bound - 1,) * m, True)
+    return bool(hits)
+
 
 def in_kmu(basis: LatticeBasis, mu) -> bool:
     """True iff the lattice misses the open sup-norm ball of radius mu, i.e.

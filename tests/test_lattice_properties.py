@@ -222,7 +222,8 @@ def test_exact_lll_gram_data_is_that_of_the_reduced_columns(rows):
 
 def assert_integral_lll_matches_recompute_reference(int_cols, delta=Fraction(99, 100)):
     got = lattice._lll_integral(list(int_cols), delta)
-    assert got == reference_lll_integral(list(int_cols), delta)
+    c, u, lam, d = reference_lll_integral(list(int_cols), delta)
+    assert got == ([tuple(col) for col in c], u, lam, d)  # the kernel's columns are tuples
     c, u, lam, d = got
     assert all(type(x) is int for part in (c, u, lam, [d]) for row in part for x in row)
 
@@ -249,25 +250,35 @@ def test_integral_lll_swap_update_matches_reference_on_correspondence_bases():
 
 
 def test_integral_lll_computes_each_gram_row_once(monkeypatch):
-    calls, ref_calls = [], []
-    gram_row = lattice._gram_row
-    monkeypatch.setattr(lattice, "_gram_row", lambda c, lam, d, i: calls.append(i) or
-                        gram_row(c, lam, d, i))
+    # The generic loop (`integral_lll_reference.lll_integral`) computes each
+    # Gram row once, where the recompute reference recomputes rows after its
+    # swaps. The kernel takes the loop's steps, and its text computes row k
+    # in branch k alone, the first time the stage index reaches k.
+    rows = []
+    gram_row = integral_lll_reference._gram_row
     monkeypatch.setattr(integral_lll_reference, "_gram_row", lambda c, lam, d, i:
-                        ref_calls.append(i) or gram_row(c, lam, d, i))
+                        rows.append(i) or gram_row(c, lam, d, i))
     bases = [correspondence_lattice([k], 1, 50, Fraction(1, 2)) for k in range(38)]
     bases += [correspondence_lattice(k, 2, 21, Fraction(9, 10))
               for k in ([5, -3, 11, 2], [36, 1, -17, 8], [0, 0, 0, 0])]
     bases.append(correspondence_lattice([3, 1, 4, 1, 5, 9, 2, 6, 5], 3, 4, Fraction(9, 10)))
     swapped = 0
     for basis in bases:
-        calls.clear()
-        ref_calls.clear()
-        lattice._lll_integral(list(basis.int_cols), Fraction(99, 100))
+        rows.clear()
+        c, u, lam, d = integral_lll_reference.lll_integral(list(basis.int_cols), Fraction(99, 100))
+        assert rows == list(range(basis.m))
+        assert lattice._lll_integral(list(basis.int_cols), Fraction(99, 100)) == (
+            [tuple(col) for col in c], u, lam, d)
+        rows.clear()
         reference_lll_integral(list(basis.int_cols), Fraction(99, 100))
-        assert calls == list(range(basis.m))
-        swapped += len(ref_calls) > basis.m
+        swapped += len(rows) > basis.m
     assert swapped >= len(bases) // 2  # the reference recomputes rows after its swaps
+    for m in (2, 3, 6):
+        text = lattice._lll_integral_source(m)
+        assert [line.strip() for line in text.splitlines()
+                if line.split()[:2] == ["fresh", "="]] == [
+            "fresh = 1", *(f"fresh = {k + 1}" for k in range(1, m))]
+        assert all(text.count(f"if fresh == {k}:") == 1 for k in range(1, m))
 
 
 @SETTINGS
@@ -765,9 +776,9 @@ def test_stack_queries_build_no_ball_walk_and_reduce_each_lane_once(monkeypatch,
         monkeypatch.setattr(lattice, name, counted)
 
     def refuse(*args):
-        raise AssertionError("a stack box or ball query built _BallWalk")
+        raise AssertionError("a stack box or ball query ran the exact ball walk")
 
-    monkeypatch.setattr(lattice, "_BallWalk", refuse)
+    monkeypatch.setattr(lattice, "_ball_walk", refuse)
     bases = LatticeBasis.batch(stack)
     assert calls == {"_lll": 0, "_lll_pair_arrays": 0}  # nothing reduces before a query
     assert stack_queries(bases, 2 * n) == want
@@ -796,9 +807,9 @@ def test_lane_past_the_node_cap_walks_and_raises_per_sample(monkeypatch):
     box = (0.9,) * 4
 
     def refuse(*args):
-        raise AssertionError("a float query built _BallWalk")
+        raise AssertionError("a float query ran the exact ball walk")
 
-    monkeypatch.setattr(lattice, "_BallWalk", refuse)
+    monkeypatch.setattr(lattice, "_ball_walk", refuse)
     bases = LatticeBasis.batch(stack)
     assert count_in_box(bases[1], box) == count_in_box(LatticeBasis(skew), box) == 36
     assert [count_in_box(b, box) for b in bases[::2]] == [0, 0]

@@ -245,7 +245,7 @@ def test_n1_box_and_ball_queries_take_the_stack_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("an n = 1 box or ball query ran the ball walk")
 
-    monkeypatch.setattr(lattice, "_BallWalk", refuse)
+    monkeypatch.setattr(lattice, "_ball_walk", refuse)
     assert estimates() == want
 
 
