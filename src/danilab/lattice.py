@@ -215,6 +215,21 @@ def _float_columns(cols: np.ndarray) -> list:
     return np.asarray(cols, dtype=float).T.tolist()
 
 
+# Text helpers of the kernel generators, for coordinates c = 0, ..., m - 1.
+def _vec(x, m: int) -> str:
+    """x0, x1, ..., a tuple display or target."""
+    return ", ".join(f"{x}{c}" for c in range(m)) + ("," if m == 1 else "")
+
+
+def _dot(x, y, m: int) -> str:
+    return " + ".join(f"{x}{c} * {y}{c}" for c in range(m))
+
+
+def _each(fmt, m: int, sep="; ") -> str:
+    """fmt for every coordinate c, joined by sep (one line of statements)."""
+    return sep.join(fmt.format(c=c) for c in range(m))
+
+
 # The float LLL for m x m bases, as one branch per stage index k. Stage k
 # recomputes only Gram-Schmidt row k (`_lll` says why); the k = 1 branch
 # recomputes row 0 at its swap. Each branch spells out row k, the size
@@ -227,16 +242,7 @@ def _float_columns(cols: np.ndarray) -> list:
 # transform.
 def _lll_source(m: int) -> str:
     """The text of `_lll`'s kernel for m x m bases."""
-    def vec(x):  # x0, x1, ..., a tuple display or target
-        return ", ".join(f"{x}{c}" for c in range(m)) + ("," if m == 1 else "")
-
-    def dot(x, y):
-        return "0.0 + " + " + ".join(f"{x}{c} * {y}{c}" for c in range(m))
-
-    def each(fmt):  # fmt for every coordinate c, as one line of statements
-        return "; ".join(fmt.format(c=c) for c in range(m))
-
-    row0 = [f"{vec('z0_')} = b[0]", f"n0 = {dot('z0_', 'z0_')}"]
+    row0 = [f"{_vec('z0_', m)} = b[0]", f"n0 = 0.0 + {_dot('z0_', 'z0_', m)}"]
     lines = ["def kernel(cols, delta, transform, max_steps):",
              "    b = [tuple(col) for col in cols]",
              f"    u = [[1 if i == j else 0 for i in range({m})] for j in range({m})] "
@@ -251,17 +257,17 @@ def _lll_source(m: int) -> str:
     for k in range(1, m):
         z = f"z{k}_"
         lines += [f"        {'if' if k == 1 else 'elif'} k == {k}:",
-                  f"            {vec('a')} = {vec(z)} = b[{k}]"]
+                  f"            {_vec('a', m)} = {_vec(z, m)} = b[{k}]"]
         for j in range(k):
-            lines += [f"            m{k}_{j} = ({dot('a', f'z{j}_')}) / n{j}",
-                      "            " + each(f"{z}{{c}} -= m{k}_{j} * z{j}_{{c}}")]
-        lines.append(f"            n{k} = {dot(z, z)}")
+            lines += [f"            m{k}_{j} = (0.0 + {_dot('a', f'z{j}_', m)}) / n{j}",
+                      "            " + _each(f"{z}{{c}} -= m{k}_{j} * z{j}_{{c}}", m)]
+        lines.append(f"            n{k} = 0.0 + {_dot(z, z, m)}")
         for j in range(k - 1, -1, -1):
             lines += [f"            if not -0.5 <= m{k}_{j} <= 0.5:  # round(mu) != 0",
                       f"                q = round(m{k}_{j})",
-                      f"                {vec('s')} = b[{j}]",
-                      "                " + each("a{c} -= q * s{c}"),
-                      f"                b[{k}] = {vec('a')}",
+                      f"                {_vec('s', m)} = b[{j}]",
+                      "                " + _each("a{c} -= q * s{c}", m),
+                      f"                b[{k}] = {_vec('a', m)}",
                       "                if transform:",
                       f"                    u[{k}] = [x - q * y for x, y in zip(u[{k}], u[{j}])]",
                       *(f"                m{k}_{i} -= q * m{j}_{i}" for i in range(j)),
@@ -285,17 +291,18 @@ def _kernel(source, m: int):
     """The function `kernel` that the text source(m) defines for m x m
     bases, compiled on first use; source is `_lll_source`,
     `_lll_integral_source` or `_ball_walk_source`, and the code is named
-    after the function it serves, as in <lattice._lll m=3>."""
+    after the function it serves, as in <lattice._lll m=3>. This is the
+    module's one size rule: m < 1 and m > MAX_DIM are refused here, for
+    every reduction and query, and a cached kernel pays nothing for it."""
     if m < 1:
         raise InvariantError("LLL needs at least one column")
+    if m > MAX_DIM:
+        raise UnsupportedSizeError(f"dimension {m} exceeds the supported bound {MAX_DIM}")
     namespace = {"InternalIdentityError": InternalIdentityError, "lcm": math.lcm,
                  "budget_error": _budget_error}
     name = source.__name__.removesuffix("_source")
     exec(compile(source(m), f"<lattice.{name} m={m}>", "exec"), namespace)
     return namespace["kernel"]
-
-
-_lll_kernel = functools.partial(_kernel, _lll_source)
 
 
 def _lll(cols, delta: float = _DELTA, transform: bool = True):
@@ -306,10 +313,10 @@ def _lll(cols, delta: float = _DELTA, transform: bool = True):
     lists. With transform false U is not tracked and None comes back in its
     place; the other three are the same.
 
-    The work is done by one kernel per dimension m (`_lll_kernel`, text
-    `_lll_source(m)`), compiled once per m. Gram-Schmidt row i holds
-    mu[i][j] = <b_i, b*_j> / ||b*_j||^2 and b*_i = b_i - sum_j mu[i][j]
-    b*_j, subtracted in j order; every dot product is summed left to right
+    The work is done by one kernel per dimension m, `_lll_source(m)`
+    compiled once per m by `_kernel`. Gram-Schmidt row i holds mu[i][j] =
+    <b_i, b*_j> / ||b*_j||^2 and b*_i = b_i - sum_j mu[i][j] b*_j,
+    subtracted in j order; every dot product is summed left to right
     from 0.0, so each reduction has the same bits on every Python (builtin
     sum() compensates float sums since 3.12).
 
@@ -327,7 +334,7 @@ def _lll(cols, delta: float = _DELTA, transform: bool = True):
     generated kernel per m as well), where the swap update is exact. More
     than _MAX_LLL_STEPS stages raise InternalIdentityError.
     """
-    return _lll_kernel(len(cols))(cols, delta, transform, _MAX_LLL_STEPS)
+    return _kernel(_lll_source, len(cols))(cols, delta, transform, _MAX_LLL_STEPS)
 
 
 def _lll_pair_arrays(stack: np.ndarray) -> np.ndarray:
@@ -414,9 +421,6 @@ class _Stack:
         return x
 
     def _lll_lanes(self, transform: bool) -> list:
-        if self.cols.shape[1] > MAX_DIM:
-            raise UnsupportedSizeError(f"dimension {self.cols.shape[1]} exceeds the supported "
-                                       f"bound {MAX_DIM}")
         lanes = []
         for lane, cols in enumerate(self.cols.transpose(0, 2, 1).tolist()):
             try:
@@ -607,15 +611,6 @@ def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> 
 # i > k is emitted under `if fresh > i`.
 def _lll_integral_source(m: int) -> str:
     """The text of `_lll_integral`'s kernel for m x m bases."""
-    def vec(x):  # x0, x1, ..., a tuple display or target
-        return ", ".join(f"{x}{c}" for c in range(m)) + ("," if m == 1 else "")
-
-    def dot(x, y):
-        return " + ".join(f"{x}{c} * {y}{c}" for c in range(m))
-
-    def each(fmt, sep="; "):  # fmt for every coordinate c, as one line of statements
-        return sep.join(fmt.format(c=c) for c in range(m))
-
     def times(*factors):  # their product, without the factor d0 = 1
         return " * ".join(f for f in factors if f != "d0") or "1"
 
@@ -624,8 +619,8 @@ def _lll_integral_source(m: int) -> str:
         for j in range(k + 1):
             target = f"d{k + 1}" if j == k else f"l{k}_{j}"
             if j < k:
-                out.append(f"{vec('s')} = b[{j}]")
-            x = dot("a", "s" if j < k else "a")
+                out.append(f"{_vec('s', m)} = b[{j}]")
+            x = _dot("a", "s" if j < k else "a", m)
             for h in range(j):
                 lj = f"l{k if j == k else j}_{h}"
                 x = (f"d{h + 1} * ({x}) - l{k}_{h} * {lj}" if h == 0 else
@@ -641,8 +636,8 @@ def _lll_integral_source(m: int) -> str:
     lines = ["def kernel(c, delta_num, delta_den, transform, max_steps):",
              "    b = list(map(tuple, c))",
              f"    u = [{identity}] if transform else None",
-             f"    {vec('a')} = b[0]",
-             f"    d1 = {dot('a', 'a')}",
+             f"    {_vec('a', m)} = b[0]",
+             f"    d1 = {_dot('a', 'a', m)}",
              "    fresh = 1",
              "    k = 1",
              "    steps = 0",
@@ -652,7 +647,7 @@ def _lll_integral_source(m: int) -> str:
              '            raise InternalIdentityError("LLL failed to terminate at desk scale")']
     for k in range(1, m):
         lines += [f"        {'if' if k == 1 else 'elif'} k == {k}:",
-                  f"            {vec('a')} = b[{k}]",
+                  f"            {_vec('a', m)} = b[{k}]",
                   f"            if fresh == {k}:",
                   *gram_row(k, "                "),
                   f"                fresh = {k + 1}"]
@@ -662,13 +657,13 @@ def _lll_integral_source(m: int) -> str:
                       f"                q, r = divmod(l{k}_{j}, {dj})",
                       f"                if 2 * r > {dj} or 2 * r == {dj} and q & 1:",
                       "                    q += 1",
-                      f"                {vec('s')} = b[{j}]",
-                      "                " + each("a{c} -= q * s{c}"),
-                      f"                b[{k}] = {vec('a')}",
+                      f"                {_vec('s', m)} = b[{j}]",
+                      "                " + _each("a{c} -= q * s{c}", m),
+                      f"                b[{k}] = {_vec('a', m)}",
                       "                if transform:",
-                      f"                    {vec('e')} = u[{k}]",
-                      f"                    {vec('f')} = u[{j}]",
-                      f"                    u[{k}] = [{each('e{c} - q * f{c}', ', ')}]",
+                      f"                    {_vec('e', m)} = u[{k}]",
+                      f"                    {_vec('f', m)} = u[{j}]",
+                      f"                    u[{k}] = [{_each('e{c} - q * f{c}', m, ', ')}]",
                       *(f"                l{k}_{i} -= q * l{j}_{i}" for i in range(j)),
                       f"                l{k}_{j} -= q * {dj}"]
         lk = f"l{k}_{k - 1}"
@@ -699,9 +694,6 @@ def _lll_integral_source(m: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-_lll_integral_kernel = functools.partial(_kernel, _lll_integral_source)
-
-
 def _lll_integral(c, delta: Fraction, transform: bool = True):
     """`_lll` on the sequence c of integer columns, on their integral Gram
     data: lam[i][j] = d[j+1] mu[i][j] (j < i) and the Gram determinants
@@ -714,19 +706,19 @@ def _lll_integral(c, delta: Fraction, transform: bool = True):
     the transform columns as lists (None when transform is false: U is then
     not tracked), lam and d.
 
-    The work is done by one kernel per dimension m (`_lll_integral_kernel`,
-    text `_lll_integral_source(m)`), compiled once per m. Each Gram row is
-    computed from the columns once, when the stage index first reaches it
-    (Cohen, Alg. 2.6.7, step 2; every division is exact). A size reduction
-    changes row k only, and a swap at stage k updates the rows already
-    computed exactly (SWAPI): rows k-1 and k exchange their entries left of
-    k-1, d[k] becomes (d[k-1] d[k+1] + lam[k][k-1]^2) / d[k], and every
-    computed row i > k gets its entries k-1 and k from two exact divisions.
-    Unlike the float update, these are the values a recomputation gives, so
-    the steps are those of recomputing rows after every swap. More than
-    _MAX_LLL_STEPS stages raise InternalIdentityError."""
-    return _lll_integral_kernel(len(c))(c, delta.numerator, delta.denominator, transform,
-                                        _MAX_LLL_STEPS)
+    The work is done by one kernel per dimension m,
+    `_lll_integral_source(m)` compiled once per m by `_kernel`. Each Gram
+    row is computed from the columns once, when the stage index first
+    reaches it (Cohen, Alg. 2.6.7, step 2; every division is exact). A
+    size reduction changes row k only, and a swap at stage k updates the
+    rows already computed exactly (SWAPI): rows k-1 and k exchange their
+    entries left of k-1, d[k] becomes (d[k-1] d[k+1] + lam[k][k-1]^2) /
+    d[k], and every computed row i > k gets its entries k-1 and k from two
+    exact divisions. Unlike the float update, these are the values a
+    recomputation gives, so the steps are those of recomputing rows after
+    every swap. More than _MAX_LLL_STEPS stages raise InternalIdentityError."""
+    return _kernel(_lll_integral_source, len(c))(c, delta.numerator, delta.denominator,
+                                                 transform, _MAX_LLL_STEPS)
 
 
 def _sup(v):
@@ -764,14 +756,11 @@ def _first_original(ucols, cands) -> tuple:
 # tj and sum_{i >= j} c_i b_i in vj_0, vj_1, ... (True, 0, 0, 0 above the top).
 def _ball_walk_source(m: int) -> str:
     """The text of `_ball_walk`'s kernel for m x m bases."""
-    def vec(x):  # x0, x1, ..., a tuple display or target
-        return ", ".join(f"{x}{c}" for c in range(m)) + ("," if m == 1 else "")
-
     lines = ["def kernel(b, lam, d, r2, box, first, max_nodes):",
-             *(f"    {vec(f'b{j}_')} = b[{j}]" for j in range(m)),
+             *(f"    {_vec(f'b{j}_', m)} = b[{j}]" for j in range(m)),
              *(f"    l{i}_{j} = lam[{i}][{j}]" for i in range(m) for j in range(i)),
              f"    _, {', '.join(f'd{j}' for j in range(1, m + 1))} = d",
-             f"    {vec('w')} = box",
+             f"    {_vec('w', m)} = box",
              f"    scale = lcm(d1{''.join(f', d{j} * d{j + 1}' for j in range(1, m))})",
              "    g0 = scale // d1",
              *(f"    g{j} = scale // (d{j} * d{j + 1})" for j in range(1, m)),
@@ -779,7 +768,7 @@ def _ball_walk_source(m: int) -> str:
              "    hits = []",
              "    nodes = 0",
              f"    t{m - 1}, e{m - 1}, p{m} = True, 0, 0",
-             "    " + "; ".join(f"v{m}_{c} = 0" for c in range(m))]
+             "    " + _each(f"v{m}_{{c}} = 0", m)]
     pad = "    "
     for j in range(m - 1, -1, -1):
         dj = f"d{j + 1}"
@@ -798,14 +787,14 @@ def _ball_walk_source(m: int) -> str:
                   f"{pad}nodes += 1",
                   f"{pad}if nodes > max_nodes:",
                   f"{pad}    raise budget_error()",
-                  pad + "; ".join(f"v{j}_{c} = v{j + 1}_{c} + c{j} * b{j}_{c}" for c in range(m))]
+                  pad + _each(f"v{j}_{{c}} = v{j + 1}_{{c}} + c{j} * b{j}_{{c}}", m)]
         if j:
             lines += [f"{pad}t{j - 1} = t{j} and not c{j}",
                       f"{pad}e{j - 1} = -(" + " + ".join(f"c{i} * l{i}_{j - 1}"
                                                          for i in range(j, m)) + ")"]
         else:
-            lines += [f"{pad}if " + " and ".join(f"-w{c} <= v0_{c} <= w{c}" for c in range(m)) + ":",
-                      f"{pad}    hits.append((({vec('c')}), ({vec('v0_')})))",
+            lines += [f"{pad}if {_each('-w{c} <= v0_{c} <= w{c}', m, ' and ')}:",
+                      f"{pad}    hits.append((({_vec('c', m)}), ({_vec('v0_', m)})))",
                       f"{pad}    if first:",
                       f"{pad}        return hits, nodes"]
     for j in range(m):  # level j steps on once the levels below it are done
@@ -814,16 +803,13 @@ def _ball_walk_source(m: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ball_walk_kernel = functools.partial(_kernel, _ball_walk_source)
-
-
-def _ball_walk(b, gram, r2, box, first: bool = False):
+def _ball_walk(b, lam, d, r2, box, first: bool = False):
     """Depth-first walk of an exact basis over the lattice vectors v = sum_j
     c_j b_j, c != 0, with ||v||_2^2 <= r2, one of each +-v pair. Returns
     (hits, nodes): the (c, v) of every vector with |v_i| <= box[i], in walk
     order (only the first one if `first`), and the number of nodes walked.
-    b holds integer columns with their integral data gram = (lam, d) from
-    `_lll_integral`, and r2 is an int or a Fraction.
+    b holds integer columns with their integral Gram data lam and d as
+    `_lll_integral` returns them, and r2 is an int or a Fraction.
 
     Level j fixes c_j given c_{j+1..m-1}: with s_j = sum_{i>j} c_i lam[i][j]
     its center is -s_j / d[j+1], and it adds y_j^2 / (d[j] d[j+1]) to
@@ -833,21 +819,10 @@ def _ball_walk(b, gram, r2, box, first: bool = False):
     it sweeps up from 0 only (from 1 at level 0), which keeps one of each
     +-v pair. Every level is scaled by L = lcm_j d[j] d[j+1], so lengths are
     integers, compared with floor(r2 L). The walk is one kernel per
-    dimension m (`_ball_walk_kernel`, text `_ball_walk_source(m)`), compiled
-    once per m. More than _MAX_NODES nodes inside the ball raise
-    DegenerateInputError. The float mode walks a stack instead
-    (`_stack_walk`)."""
-    lam, d = gram
-    return _ball_walk_kernel(len(b))(b, lam, d, r2, box, first, _MAX_NODES)
-
-
-def _prepare(basis: LatticeBasis, transform: bool = False):
-    """(integer columns, transform columns or None, (lam, d)) of an exact
-    basis's LLL reduction: the lattice times basis.den."""
-    if basis.m > MAX_DIM:
-        raise UnsupportedSizeError(f"dimension {basis.m} exceeds the supported bound {MAX_DIM}")
-    b, u, lam, d = _lll_integral(basis.int_cols, _EXACT_DELTA, transform)
-    return b, u, (lam, d)
+    dimension m, `_ball_walk_source(m)` compiled once per m by `_kernel`.
+    More than _MAX_NODES nodes inside the ball raise DegenerateInputError.
+    The float mode walks a stack instead (`_stack_walk`)."""
+    return _kernel(_ball_walk_source, len(b))(b, lam, d, r2, box, first, _MAX_NODES)
 
 
 def reduce(basis: LatticeBasis, delta: float = None):
@@ -884,13 +859,13 @@ def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
     """
     if not basis.exact:
         return basis._stack.answer(basis._lane, "shortest", basis._stack.shortest)
-    bred, ucols, gram = _prepare(basis, True)
+    bred, ucols, lam, d = _lll_integral(basis.int_cols, _EXACT_DELTA, True)
     m = basis.m
     best = min(map(_sup, bred))
     if best == 0:
         raise InvariantError("reduced basis contains the zero vector")
     # the vectors of sup-norm <= best in the ball; a shorter one may turn up
-    hits, _ = _ball_walk(bred, gram, m * best * best, (best,) * m)
+    hits, _ = _ball_walk(bred, lam, d, m * best * best, (best,) * m)
     found = [(_sup(v), c) for c, v in hits]
     if not found:
         raise InternalIdentityError("enumeration missed the shortest reduced column")
@@ -919,8 +894,8 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
     w = [(x if _linalg.is_exact_scalar(x) else Fraction(x)) * basis.den for x in w]
     r2 = sum(x * x for x in w)
     w = [math.floor(x) for x in w]
-    bred, _, gram = _prepare(basis)
-    hits, _ = _ball_walk(bred, gram, r2, w)
+    bred, _, lam, d = _lll_integral(basis.int_cols, _EXACT_DELTA, False)
+    hits, _ = _ball_walk(bred, lam, d, r2, w)
     return 2 * len(hits)
 
 
@@ -936,12 +911,12 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     # integers x have |x| < bound * den iff |x| <= B - 1, B = ceil(bound * den)
     bound = bound if _linalg.is_exact_scalar(bound) else Fraction(bound)
     bound = -(-bound.numerator * basis.den // bound.denominator)
-    bred, _, gram = _prepare(basis)
+    bred, _, lam, d = _lll_integral(basis.int_cols, _EXACT_DELTA, False)
     if min(map(_sup, bred)) < bound:
         return True
     m = basis.m
     # the ball around the box |x_i| <= B - 1; the walk stops at its first vector
-    hits, _ = _ball_walk(bred, gram, m * (bound - 1) ** 2, (bound - 1,) * m, True)
+    hits, _ = _ball_walk(bred, lam, d, m * (bound - 1) ** 2, (bound - 1,) * m, True)
     return bool(hits)
 
 

@@ -159,8 +159,9 @@ def test_kernel_source_spells_out_every_coordinate():
     assert "m2_0 -= q * m1_0" in text
     assert "fresh" not in text and "range(k" not in text
     assert "sum(" not in text and "zip(b" not in text
-    assert lattice._lll_kernel(3) is lattice._lll_kernel(3)  # compiled once per m
-    assert lattice._lll_kernel(3).__code__.co_filename == "<lattice._lll m=3>"
+    kernel = lattice._kernel(lattice._lll_source, 3)
+    assert kernel is lattice._kernel(lattice._lll_source, 3)  # compiled once per m
+    assert kernel.__code__.co_filename == "<lattice._lll m=3>"
     with pytest.raises(lattice.InvariantError, match="at least one column"):
         lattice._lll([])
 

@@ -6,14 +6,14 @@ Gram data in locals and every coordinate loop written out. It must return
 what the generic loop of `integral_lll_reference` returns, entry for entry
 (the reduced columns, the transform, lam and d) at m = 1 to 6, on random
 unimodular bases and on correspondence bases at n = 1, 2 and 3, at both
-deltas, with the transform tracked or not; and with the step limit lowered
-it must fail at the same stage.
+deltas, with the transform tracked or not, and on one basis at each of m = 7
+and 8; and with the step limit lowered it must fail at the same stage.
 
 The exact ball walk (`lattice._ball_walk`, one kernel per m) must visit what
 the generator walk of `exact_walk_reference` visits: the same (c, v) in the
-same order and the same number of nodes. So the exact queries still answer
-under a node budget of exactly the reference walk's node count, and fail
-under one node fewer.
+same order and the same number of nodes, at m = 1 to 6 and on one basis at
+each of m = 7 and 8. So the exact queries still answer under a node budget
+of exactly the reference walk's node count, and fail under one node fewer.
 """
 
 import math
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact_walk_reference
@@ -96,17 +96,24 @@ def test_kernel_matches_the_generic_loop(cols, delta, transform):
     assert (u is None) is not transform
 
 
+def integer_columns(rng, m):
+    """m integer columns: the identity under 3 m random column operations,
+    each column then scaled by 1 to 4."""
+    ops = np.eye(m, dtype=np.int64)
+    for _ in range(3 * m if m > 1 else 0):
+        src, dst = rng.choice(m, 2, replace=False)
+        ops[:, dst] += int(rng.integers(-3, 4)) * ops[:, src]
+    return [tuple(int(x) * s for x in col)
+            for s, col in zip(rng.integers(1, 5, size=m).tolist(), ops.T)]
+
+
 def test_kernel_matches_the_generic_loop_at_every_dimension():
-    # the property's bases at m = 1 to 6, one by one
+    # twenty bases at each m = 1 to 6, one by one, and one at m = 7 and at
+    # m = 8, past what the property draws, up to lattice.MAX_DIM
     rng = np.random.default_rng(23)
-    for m in range(1, 7):
-        for _ in range(20):
-            ops = np.eye(m, dtype=np.int64)
-            for _ in range(3 * m if m > 1 else 0):
-                src, dst = rng.choice(m, 2, replace=False)
-                ops[:, dst] += int(rng.integers(-3, 4)) * ops[:, src]
-            cols = [tuple(int(x) * s for x in col)
-                    for s, col in zip(rng.integers(1, 5, size=m).tolist(), ops.T)]
+    for m in range(1, lattice.MAX_DIM + 1):
+        for _ in range(20 if m <= 6 else 1):
+            cols = integer_columns(rng, m)
             for delta in DELTAS:
                 for transform in (True, False):
                     want = outcome(integral_lll_reference.lll_integral, cols, delta, transform)
@@ -161,8 +168,9 @@ def test_kernel_source_spells_out_every_coordinate():
     assert "u[2] = [e0 - q * f0, e1 - q * f1, e2 - q * f2]" in text
     assert "if fresh > 2:" in text and "l2_0, l1_0 = l1_0, l2_0" in text
     assert "range(" not in text and "_gram_row(" not in text and "_round_div(" not in text
-    assert lattice._lll_integral_kernel(3) is lattice._lll_integral_kernel(3)  # compiled once per m
-    assert lattice._lll_integral_kernel(3).__code__.co_filename == "<lattice._lll_integral m=3>"
+    kernel = lattice._kernel(lattice._lll_integral_source, 3)
+    assert kernel is lattice._kernel(lattice._lll_integral_source, 3)  # compiled once per m
+    assert kernel.__code__.co_filename == "<lattice._lll_integral m=3>"
     with pytest.raises(InvariantError, match="at least one column"):
         lattice._lll_integral([], Fraction(99, 100))
 
@@ -176,8 +184,9 @@ def test_walk_source_spells_out_every_level():
     assert "v1_0 = v2_0 + c1 * b1_0; v1_1 = v2_1 + c1 * b1_1; v1_2 = v2_2 + c1 * b1_2" in text
     assert "if -w0 <= v0_0 <= w0 and -w1 <= v0_1 <= w1 and -w2 <= v0_2 <= w2:" in text
     assert "yield" not in text and "range(" not in text and "self" not in text
-    assert lattice._ball_walk_kernel(3) is lattice._ball_walk_kernel(3)  # compiled once per m
-    assert lattice._ball_walk_kernel(3).__code__.co_filename == "<lattice._ball_walk m=3>"
+    kernel = lattice._kernel(lattice._ball_walk_source, 3)
+    assert kernel is lattice._kernel(lattice._ball_walk_source, 3)  # compiled once per m
+    assert kernel.__code__.co_filename == "<lattice._ball_walk m=3>"
 
 
 @st.composite
@@ -207,18 +216,30 @@ def reference_walk(b, gram, r2):
     return leaves, nodes, walk.nodes
 
 
+def widest_walk_input(m):
+    """A walk input at m = 7 or 8, past what `walk_inputs` draws: one
+    reduced basis from `integer_columns`, the squared radius 3/2 m L^2 (L
+    its shortest column's sup-norm) and the box L, 2 L, L, ..."""
+    b, _, lam, d = lattice._lll_integral(integer_columns(np.random.default_rng(m), m),
+                                         Fraction(99, 100), False)
+    best = min(max(map(abs, col)) for col in b)
+    return b, (lam, d), Fraction(3, 2) * m * best ** 2, [(1 + j % 2) * best for j in range(m)]
+
+
 @settings(SETTINGS, max_examples=200)
 @given(walk_inputs())
+@example(widest_walk_input(7))
+@example(widest_walk_input(8))
 def test_walk_visits_the_generator_walks_nodes_in_its_order(args):
     b, gram, r2, box = args
     leaves, nodes, total = reference_walk(b, gram, r2)
     assert total <= 20_000
     everything = [max(map(abs, v)) for _, v in leaves] or [0]
-    assert lattice._ball_walk(b, gram, r2, [max(everything)] * len(b)) == (leaves, total)
+    assert lattice._ball_walk(b, *gram, r2, [max(everything)] * len(b)) == (leaves, total)
     inside = [i for i, (_, v) in enumerate(leaves) if all(abs(x) <= w for x, w in zip(v, box))]
-    assert lattice._ball_walk(b, gram, r2, box) == ([leaves[i] for i in inside], total)
+    assert lattice._ball_walk(b, *gram, r2, box) == ([leaves[i] for i in inside], total)
     # `first` stops at the first leaf in the box, after as many nodes
-    assert lattice._ball_walk(b, gram, r2, box, True) == (
+    assert lattice._ball_walk(b, *gram, r2, box, True) == (
         ([leaves[inside[0]]], nodes[inside[0]]) if inside else ([], total))
 
 

@@ -158,7 +158,7 @@ def test_exact_ball_test_walks_out_to_the_box_corner():
     coeffs = np.linalg.solve(np.array(cols, dtype=float).T, box.T).T
     inside = box[np.all(np.abs(coeffs - np.rint(coeffs)) < 1e-9, axis=1)]
     assert sorted(map(tuple, inside)) == [(-4,) * 4, (0,) * 4, (4,) * 4]
-    reduced, _, _ = lattice._prepare(basis)
+    reduced, _, _, _ = lattice._lll_integral(basis.int_cols, lattice._EXACT_DELTA)
     assert min(max(map(abs, col)) for col in reduced) >= 5
     assert not in_kmu(basis, Fraction(5, 6))
     assert not in_mahler_compact(basis, Fraction(5, 6))
@@ -204,9 +204,28 @@ def test_node_budget_refuses_huge_enumerations(monkeypatch):
     assert count_in_box(LatticeBasis(np.diag([0.1, 10.0])), (1.0, 1.0)) == 20
 
 
-def test_dimension_cap():
-    with pytest.raises(UnsupportedSizeError):
-        shortest_supnorm(LatticeBasis(np.eye(10)))
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_dimension_cap(exact):
+    m = lattice.MAX_DIM + 1
+    basis = (LatticeBasis.from_integral(np.eye(m, dtype=int).tolist(), 1) if exact
+             else LatticeBasis(np.eye(m)))
+    queries = (lambda: count_in_box(basis, [0.5] * m), lambda: in_kmu(basis, 0.5),
+               lambda: shortest_supnorm(basis), lambda: reduce(basis))
+    for query in queries:
+        with pytest.raises(UnsupportedSizeError,
+                           match="^dimension 9 exceeds the supported bound 8$"):
+            query()
+
+
+@pytest.mark.parametrize("name, source", [("_lll", lattice._lll_source),
+                                          ("_lll_integral", lattice._lll_integral_source),
+                                          ("_ball_walk", lattice._ball_walk_source)],
+                         ids=["lll", "lll_integral", "ball_walk"])
+def test_every_kernel_the_size_rule_admits_compiles_once(name, source):
+    for m in range(1, lattice.MAX_DIM + 1):
+        kernel = lattice._kernel(source, m)
+        assert kernel is lattice._kernel(source, m)
+        assert kernel.__code__.co_filename == f"<lattice.{name} m={m}>"
 
 
 def test_non_unimodular_rejected():

@@ -557,7 +557,7 @@ GRID_BOXES = ((0.9, 0.9), (0.3, 2.5), (2.0, 2.0), (3.9, 1.3), (0.9, 0.6))
 GRID_BOUNDS = (0.05, 0.5, 0.7)
 
 
-def grouped_and_unbatched_answers(stack, boxes=GRID_BOXES, bounds=GRID_BOUNDS):
+def grouped_and_unbatched_answers(stack):
     """Per lane: the box counts, K_mu tests and Mahler-compact tests on the
     stack's bases (decided for the whole stack at once), then the shortest
     vector (its bytes, length and coefficient bytes), and the same on an
@@ -567,34 +567,12 @@ def grouped_and_unbatched_answers(stack, boxes=GRID_BOXES, bounds=GRID_BOUNDS):
 
     def answers(basis):
         short = shortest_supnorm(basis)
-        return ([count_in_box(basis, box) for box in boxes]
-                + [in_kmu(basis, mu) for mu in bounds]
-                + [in_mahler_compact(basis, eps) for eps in bounds]
+        return ([count_in_box(basis, box) for box in GRID_BOXES]
+                + [in_kmu(basis, mu) for mu in GRID_BOUNDS]
+                + [in_mahler_compact(basis, eps) for eps in GRID_BOUNDS]
                 + [short.vector.tobytes(), short.length, short.coeffs.tobytes()])
 
     return [answers(b) for b in grouped], [answers(b) for b in unbatched], grouped
-
-
-def assert_grouped_queries_match_unbatched(stack, boxes=GRID_BOXES, bounds=GRID_BOUNDS):
-    got, want, _ = grouped_and_unbatched_answers(stack, boxes, bounds)
-    assert [[(type(x), x) for x in row] for row in got] == [
-        [(type(x), x) for x in row] for row in want]
-
-
-@SETTINGS
-@given(orbit_stacks(), st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
-       st.floats(0.01, 0.99))
-def test_grouped_queries_match_unbatched_on_orbit_stacks(stack, box, mu):
-    lanes = np.concatenate([stack, np.array(HAND_LANES)])
-    assert_grouped_queries_match_unbatched(lanes, GRID_BOXES + (box,), GRID_BOUNDS + (mu,))
-
-
-@SETTINGS
-@given(unimodular_float_pairs(), st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
-       st.floats(0.01, 0.99))
-def test_grouped_queries_match_unbatched_on_random_pairs(stack, box, mu):
-    lanes = np.concatenate([stack, np.array(HAND_LANES)])
-    assert_grouped_queries_match_unbatched(lanes, GRID_BOXES + (box,), GRID_BOUNDS + (mu,))
 
 
 def test_grouped_queries_on_hand_lanes():
@@ -899,10 +877,14 @@ def outcome(query):
 
 
 def assert_stack_matches_reference(stack, boxes, bounds):
+    """Each lane of a `batch` of the stack, and an unbatched basis of its
+    columns (the one lane of its own stack), answers as the reference walk
+    of the lane alone."""
     stack = np.array(stack, dtype=float)
     for basis, cols in zip(LatticeBasis.batch(stack), stack):
-        assert (query_answers(basis, boxes, bounds, STACK_QUERIES)
-                == query_answers(LatticeBasis(cols), boxes, bounds, REFERENCE_QUERIES))
+        want = query_answers(LatticeBasis(cols), boxes, bounds, REFERENCE_QUERIES)
+        assert query_answers(basis, boxes, bounds, STACK_QUERIES) == want
+        assert query_answers(LatticeBasis(cols), boxes, bounds, STACK_QUERIES) == want
 
 
 @st.composite
@@ -922,11 +904,31 @@ def reference_orbit_stacks(draw):
     return u_embed(np.eye(n)).entries @ stack if draw(st.booleans()) else stack
 
 
-@settings(SETTINGS, max_examples=60)
-@given(reference_orbit_stacks(), st.floats(0.3, 1.5), st.floats(0.05, 0.99))
-def test_stack_queries_are_the_reference_walks_bit_for_bit(stack, w, mu):
+@st.composite
+def wide_reference_cases(draw):
+    """(stack, boxes, bounds): a `reference_orbit_stacks` stack at m = 2, 4
+    or 6, the box 0.9 and a drawn box, the bound 0.5 and a drawn one."""
+    stack = draw(reference_orbit_stacks())
     m = stack.shape[1]
-    assert_stack_matches_reference(stack, ((0.9,) * m, (w,) * (m - 1) + (0.9,)), (0.5, mu))
+    w, mu = draw(st.floats(0.3, 1.5)), draw(st.floats(0.05, 0.99))
+    return stack, ((0.9,) * m, (w,) * (m - 1) + (0.9,)), (0.5, mu)
+
+
+@st.composite
+def pair_reference_cases(draw):
+    """(stack, boxes, bounds): n = 1 orbit bases up to t = 16 or random
+    unimodular pairs, with HAND_LANES appended, on GRID_BOXES and
+    GRID_BOUNDS with one drawn box and one drawn bound."""
+    stack = draw(st.one_of(orbit_stacks(), unimodular_float_pairs()))
+    box = draw(st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)))
+    return (np.concatenate([stack, np.array(HAND_LANES)]), GRID_BOXES + (box,),
+            GRID_BOUNDS + (draw(st.floats(0.01, 0.99)),))
+
+
+@settings(SETTINGS, max_examples=120)
+@given(st.one_of(pair_reference_cases(), wide_reference_cases()))
+def test_stack_queries_are_the_reference_walks_bit_for_bit(case):
+    assert_stack_matches_reference(*case)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
