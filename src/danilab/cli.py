@@ -71,7 +71,9 @@ _PLAIN_TYPES = frozenset((int, float, str, bool, type(None)))
 
 
 def _plain(obj):
-    """Recursively coerce values to JSON types; a Fraction becomes 'p/q'."""
+    """Recursively coerce values to JSON types; a Fraction becomes 'p/q'.
+    The config's canonical form and a runner's scalars pass through it;
+    payloads are built plain and written as they are."""
     if type(obj) in _PLAIN_TYPES:
         return obj
     if isinstance(obj, dict):
@@ -397,7 +399,7 @@ def _run_genericity(config: ExperimentConfig):
     return [{
         "module": "curve",
         "op": "genericity_test",
-        "s0": p.s0,
+        "s0": _plain(p.s0),
         "m": p.m,
         "tol": p.tol,
         "generic": verdict.generic,
@@ -415,20 +417,25 @@ def _run_dirichlet_scan(config: ExperimentConfig):
 
 
 def _run_correspondence(config: ExperimentConfig):
+    """One payload per (s, N) cell; s and mu become their JSON text once (per
+    s, per config) and a witness (p, q) becomes two lists."""
     p = config.args
+    mu = _plain(p.mu)
     payloads = []
     for s in p.s_grid:
+        s_json = _plain(s)
         for N, res in zip(p.N, correspondence_row(config.curve.eval(s), p.N, p.mu)):
+            witness = res["witness"]
             payloads.append({
                 "module": "dirichlet",
                 "op": "correspondence_check",
-                "s": s,
+                "s": s_json,
                 "N": N,
-                "mu": p.mu,
+                "mu": mu,
                 "insoluble": res["insoluble"],
                 "in_kmu": res["in_kmu"],
                 "agree": res["agree"],
-                "witness": res["witness"],
+                "witness": None if witness is None else [list(witness[0]), list(witness[1])],
             })
     return payloads, None
 
@@ -456,6 +463,7 @@ def _run_rep_verify(config: ExperimentConfig):
     minus = np.eye(rep.dim)[list(reptheory.weight_split(rep).minus_idx)]
     draws = config.sampler.count
     seed = config.sampler.seed
+    s0 = _plain(p.s0)
     payloads = []
     for block, r in enumerate(p.r_list):
         # one image of u(r phi) per block, shared by its three checks
@@ -477,7 +485,7 @@ def _run_rep_verify(config: ExperimentConfig):
             "module": "reptheory",
             "op": "transport_suite",
             "rep": rep_name,
-            "s0": p.s0,
+            "s0": s0,
             "r": r,
             "dim_constrained": len(basis),
             "draws": draws,
@@ -524,19 +532,18 @@ SUBCOMMANDS = tuple(_DISPATCH)
 
 def run(config: ExperimentConfig) -> list:
     """Execute the experiment, write <output>.jsonl (and <output>.csv for
-    scan tables), and return the written records."""
+    scan tables), and return the written records.
+
+    Every runner returns JSON-plain payloads (dicts, lists, str, int, float,
+    bool, None; a rational as its 'p/q' text), so a record is exactly what
+    json.loads reads back from its line; `write_jsonl` is the one encoder,
+    and anything else left in a payload makes it raise TypeError."""
     payloads, table = _DISPATCH[config.subcommand][1](config)
     chash = config_hash(config)
     stamp = datetime.now(timezone.utc).isoformat()
-    records = []
-    for payload in payloads:
-        records.append({
-            "experiment_id": config.experiment_id,
-            "config_hash": chash,
-            "status": "ok",
-            "payload": _plain(payload),
-            "timestamp": stamp,
-        })
+    eid = config.experiment_id
+    records = [{"experiment_id": eid, "config_hash": chash, "status": "ok", "payload": payload,
+                "timestamp": stamp} for payload in payloads]
     parent = os.path.dirname(config.output)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -547,15 +554,36 @@ def run(config: ExperimentConfig) -> list:
     return records
 
 
-# One encoder for every record; json.dumps with separators builds one per call
-_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# One encoder for every record; json.dumps with separators builds one per call.
+# A record is a tree, never circular, so the encoder skips the circularity
+# bookkeeping; the bytes are those of json.dumps.
+_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+# The keys of a record `run` makes, in order: an envelope around the payload
+_ENVELOPE = ("experiment_id", "config_hash", "status", "payload", "timestamp")
 
 
 def write_jsonl(records, path: str):
+    """Write one line per record: json.dumps(record, separators=(",", ":"))
+    and a newline, byte for byte (ASCII, non-ASCII text \\u-escaped). The
+    envelope that a run's records share (`experiment_id`, `config_hash`,
+    `status` before the payload, `timestamp` after it) is encoded once per
+    file and each payload once; any other record is encoded whole. An
+    empty list writes an empty file."""
     encode = _JSONL_ENCODER.encode
+    lines = []
+    shared = head = tail = None
+    for rec in records:
+        if type(rec) is not dict or tuple(rec) != _ENVELOPE:
+            lines.append(encode(rec) + "\n")
+            continue
+        envelope = (rec["experiment_id"], rec["config_hash"], rec["status"], rec["timestamp"])
+        if envelope != shared:
+            shared = envelope
+            head = encode(dict(zip(_ENVELOPE[:3], envelope)))[:-1] + ',"payload":'
+            tail = ',"timestamp":' + encode(envelope[3]) + "}\n"
+        lines.append(head + encode(rec["payload"]) + tail)
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(encode(rec) + "\n")
+        fh.write("".join(lines))
 
 
 def _strip_timestamp(rec: dict) -> str:

@@ -91,11 +91,12 @@ class DirichletQuery:
 
     def _at_scale(self, N) -> "DirichletQuery":
         """This cell's phi, mu and `integral_phi` at scale N. Only N is
-        checked: phi and mu passed this query's own checks."""
+        checked: phi and mu passed this query's own checks. The fields go
+        straight into the new query's __dict__, where a frozen dataclass
+        keeps them (and `cached_property` its value)."""
         query = object.__new__(DirichletQuery)
-        for name, value in (("phi", self.phi), ("N", _scale(N)), ("mu", self.mu),
-                            ("integral_phi", self.integral_phi)):
-            object.__setattr__(query, name, value)
+        query.__dict__.update(phi=self.phi, N=_scale(N), mu=self.mu,
+                              integral_phi=self.integral_phi)
         return query
 
     @cached_property
@@ -232,13 +233,16 @@ def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
     group-element and the unimodular-basis condition; `_checked_triangular`
     checks it on the integer matrix. (A, D) is the query's cached
     `integral_phi`."""
-    n = query.n
     A, D = query.integral_phi
+    n = len(A)
     N = query.N
     N2 = N * N
-    cols = [(0,) * k + (N2 * D,) + (0,) * (2 * n - k - 1) for k in range(n)]
-    cols += [tuple(N2 * row[k] for row in A) + (0,) * k + (D,) + (0,) * (n - k - 1)
-             for k in range(n)]
+    top = N2 * D
+    cols = []
+    for k in range(n):
+        cols.append((0,) * k + (top,) + (0,) * (2 * n - k - 1))
+    for k in range(n):
+        cols.append(tuple([N2 * row[k] for row in A]) + (0,) * k + (D,) + (0,) * (n - k - 1))
     return _checked_triangular(tuple(cols), N * D)
 
 
@@ -248,10 +252,12 @@ def _checked_triangular(cols: tuple, den: int) -> LatticeBasis:
     determinant is the product of the diagonal, and that product must be
     den^m."""
     m = len(cols)
-    if any(any(col[j + 1:]) for j, col in enumerate(cols)):
-        raise InvariantError("closed-form basis has a nonzero entry below the diagonal; "
-                             "its det is not the product of the diagonal")
-    d = math.prod(col[j] for j, col in enumerate(cols))
+    d = 1
+    for j, col in enumerate(cols):
+        if any(col[j + 1:]):
+            raise InvariantError("closed-form basis has a nonzero entry below the diagonal; "
+                                 "its det is not the product of the diagonal")
+        d *= col[j]
     if d != den ** m:
         raise InvariantError(f"exact det = {Fraction(d, den ** m)} != 1")
     return LatticeBasis.of_checked_integral(cols, den)

@@ -68,6 +68,7 @@ _MINKOWSKI_FLOAT_TOL = 1e-9
 # which is bit-identical to `_lll` only at the same delta.
 _DELTA = 0.99
 _EXACT_DELTA = Fraction(99, 100)
+_EXACT_DELTA_RATIO = _EXACT_DELTA.as_integer_ratio()  # read once, for every exact query
 _SET = object.__setattr__
 
 
@@ -717,8 +718,8 @@ def _lll_integral(c, delta: Fraction, transform: bool = True):
     exact divisions. Unlike the float update, these are the values a
     recomputation gives, so the steps are those of recomputing rows after
     every swap. More than _MAX_LLL_STEPS stages raise InternalIdentityError."""
-    return _kernel(_lll_integral_source, len(c))(c, delta.numerator, delta.denominator,
-                                                 transform, _MAX_LLL_STEPS)
+    num, den = _EXACT_DELTA_RATIO if delta is _EXACT_DELTA else delta.as_integer_ratio()
+    return _kernel(_lll_integral_source, len(c))(c, num, den, transform, _MAX_LLL_STEPS)
 
 
 def _sup(v):
@@ -902,19 +903,22 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
 def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     """Is there a nonzero lattice vector with ||v||_inf strictly below bound?
     The callers have checked bound > 0. A float x has |x| < bound iff |x| <
-    r, for r = float(bound), or for the float after it when r < bound."""
-    if not basis.exact:
+    r, for r = float(bound), or for the float after it when r < bound. An
+    exact basis reads bound as the rational it is."""
+    int_cols = basis.int_cols
+    if int_cols is None:
         r = float(bound)
         if r < bound:
             r = math.nextafter(r, math.inf)
         return basis._stack.answer(basis._lane, ("ball", r), basis._stack.shorter, r)
     # integers x have |x| < bound * den iff |x| <= B - 1, B = ceil(bound * den)
-    bound = bound if _linalg.is_exact_scalar(bound) else Fraction(bound)
-    bound = -(-bound.numerator * basis.den // bound.denominator)
-    bred, _, lam, d = _lll_integral(basis.int_cols, _EXACT_DELTA, False)
-    if min(map(_sup, bred)) < bound:
-        return True
-    m = basis.m
+    num, den = (bound if isinstance(bound, Fraction) else Fraction(bound)).as_integer_ratio()
+    bound = -(-num * basis.den // den)
+    bred, _, lam, d = _lll_integral(int_cols, _EXACT_DELTA, False)
+    for col in bred:
+        if -bound < min(col) and max(col) < bound:
+            return True
+    m = len(int_cols)
     # the ball around the box |x_i| <= B - 1; the walk stops at its first vector
     hits, _ = _ball_walk(bred, lam, d, m * (bound - 1) ** 2, (bound - 1,) * m, True)
     return bool(hits)
@@ -922,8 +926,10 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
 
 def in_kmu(basis: LatticeBasis, mu) -> bool:
     """True iff the lattice misses the open sup-norm ball of radius mu, i.e.
-    the shortest nonzero vector has length >= mu. Requires 0 < mu < 1."""
-    if not 0 < mu < 1:
+    the shortest nonzero vector has length >= mu. Requires 0 < mu < 1 (nan
+    and every bool or int refused); a Fraction mu = p / q is checked on its
+    integers, 0 < p < q, and an exact basis decides in integers from them."""
+    if not (0 < mu.numerator < mu.denominator if isinstance(mu, Fraction) else 0 < mu < 1):
         raise DomainError(f"mu must lie in (0, 1), got {mu}")
     return not _exists_shorter(basis, mu)
 

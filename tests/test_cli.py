@@ -7,7 +7,7 @@ from danilab import Sampler, kmu_indicator, siegel_count
 from danilab.reptheory import exterior
 from danilab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, compare_to_baseline, config_hash, main,
-                         parse_config, run, serialize_config)
+                         parse_config, run, serialize_config, write_jsonl)
 from orbit_reference import reference_basis, reference_mean_stderr
 
 
@@ -253,6 +253,94 @@ def test_plain_passes_builtins_through_and_converts_the_rest():
     got = _plain(payload)
     assert got == {"k": [4, "1/3", 0.5, True], "a": [[1, 2]], "t": [[1, 2], None]}
     assert [type(x) for x in got["k"]] == [int, str, float, bool]
+
+
+QUADRATIC = {"degree": 2, "coeffs": [[[1]], [["1/2"]], [[2]]], "interval": ["0", "1"]}
+
+
+def same_json(got, want):
+    """got == want with exactly the same types at every level (nan == nan)."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(got, dict):
+        assert list(got) == list(want)
+        for key in got:
+            same_json(got[key], want[key])
+    elif isinstance(got, list):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            same_json(x, y)
+    else:
+        assert got == want or got != got and want != want, (got, want)
+
+
+@pytest.mark.parametrize("subcommand, parameters, curve, sampled", [
+    ("genericity", {"s0": "1/3"}, QUADRATIC, False),
+    ("dirichlet-scan", {"mu": "1/2", "N_range": [2, 4], "s_grid": {"count": 3}}, None, False),
+    ("correspondence", {"mu": "9/10", "N_range": [2, 4], "s_grid": ["0", "1/3", 0.25, 1]},
+     None, False),
+    ("equidist", {"t_list": [0.5, 1], "box": [1.5, 1.5]}, None, True),
+    ("nondiv", {"t_list": [1.0], "eps": 0.5}, None, True),
+    ("rep-verify", {"rep": {"kind": "adjoint"}, "r_list": [1, -0.5], "s0": "1/2"}, QUADRATIC,
+     True),
+    ("w-invariance", {"t_list": [1.0], "r": 1}, None, True),
+])
+def test_every_runner_returns_the_records_it_writes(subcommand, parameters, curve, sampled,
+                                                     tmp_path):
+    # no Fraction, tuple or numpy scalar anywhere: each returned record is
+    # what json.loads reads back from its written line, type for type
+    cfg = base_config(subcommand=subcommand, parameters=parameters,
+                      output=str(tmp_path / "r"))
+    if curve is not None:
+        cfg["curve"] = curve
+    if sampled:
+        cfg["sampler"]["count"] = 5
+    else:
+        del cfg["sampler"]
+    records = run(parse_config(json.dumps(cfg)))
+    lines = (tmp_path / "r.jsonl").read_text().splitlines()
+    assert len(lines) == len(records) >= 1
+    for record, line in zip(records, lines):
+        same_json(record, json.loads(line))
+
+
+def test_write_jsonl_of_no_records_writes_an_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("stale\n")
+    write_jsonl([], str(path))
+    assert path.read_bytes() == b""
+
+
+def test_write_jsonl_escapes_non_ascii_as_json_dumps_does(tmp_path):
+    path = tmp_path / "r.jsonl"
+    record = {"experiment_id": "düsseldorf-φ", "config_hash": "0" * 16, "status": "ok",
+              "payload": {"note": "μ ≤ 1"}, "timestamp": "t"}
+    write_jsonl([record], str(path))
+    text = path.read_bytes().decode("ascii")
+    assert '"experiment_id":"d\\u00fcsseldorf-\\u03c6"' in text
+    assert text == json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def test_write_jsonl_is_json_dumps_per_record(tmp_path):
+    # records of two envelopes, a changed timestamp and records that are no
+    # envelope at all: every line is json.dumps of its record
+    def envelope(eid, stamp, payload):
+        return {"experiment_id": eid, "config_hash": "abc", "status": "ok",
+                "payload": payload, "timestamp": stamp}
+
+    records = [envelope("a", "t0", {"x": 1}), envelope("a", "t0", [0.1, None, True]),
+               envelope("b", "t0", {}), envelope("b", "t1", "text"), {"payload": 1},
+               {"timestamp": "t0", "experiment_id": "a", "config_hash": "abc",
+                "status": "ok", "payload": 2},
+               [1, 2], envelope("a", "t0", {"inf": float("inf")})]
+    path = tmp_path / "r.jsonl"
+    write_jsonl(records, str(path))
+    assert path.read_text() == "".join(json.dumps(rec, separators=(",", ":")) + "\n"
+                                       for rec in records)
+    import numpy as np
+
+    for leftover in (Fraction(1, 2), np.int64(1), np.bool_(True)):  # not JSON-plain
+        with pytest.raises(TypeError):
+            write_jsonl([envelope("a", "t0", {"x": leftover})], str(path))
 
 
 def dirichlet_config(**params):

@@ -5,9 +5,12 @@ coefficients, s values and mu, each read as the dyadic rational it stores),
 run through `cli.run` from a scratch working directory (so `output` and
 `config_hash` are those of the committed configs), must reproduce the
 committed records in `tests/baselines/` (witnesses included) up to
-timestamps, and the scan's CSV table byte for byte."""
+timestamps, and the scan's CSV table byte for byte. The written JSONL text
+itself, timestamps blanked, must equal the committed text, so key order,
+separators and escaping are locked too."""
 
 import os
+import re
 
 import pytest
 
@@ -20,6 +23,10 @@ BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "baselines"
 def read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def blank_timestamps(text):
+    return re.sub(r'"timestamp":"[^"]*"', '"timestamp":""', text)
 
 
 def config_path(name):
@@ -40,7 +47,9 @@ def test_exact_config_reproduces_committed_baseline(config, baseline, table, tmp
     monkeypatch.chdir(tmp_path)
     records = cli.run(parsed)
     assert cli.compare_to_baseline(records, read(os.path.join(BASELINES, baseline))) is None
-    assert read(parsed.output + ".jsonl").count("\n") == len(records)
+    written = read(parsed.output + ".jsonl")
+    assert written.count("\n") == len(records)
+    assert blank_timestamps(written) == blank_timestamps(read(os.path.join(BASELINES, baseline)))
     if table is not None:
         with open(parsed.output + ".csv", "rb") as got, \
                 open(os.path.join(BASELINES, table), "rb") as want:

@@ -127,6 +127,24 @@ def test_in_kmu_examples():
     assert in_kmu(squashed, 0.5)  # boundary: lambda_1 = mu counts as inside
 
 
+REFUSED_MU = ([0, 1, Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2)]
+              + [0.0, 1.0, -0.5, 1.5, math.nan])
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_in_kmu_refuses_mu_outside_the_open_unit_interval(exact):
+    basis = (LatticeBasis.from_integral([(4, 0), (1, 1)], 2) if exact
+             else LatticeBasis(np.diag([2.0, 0.5])))
+    for mu in REFUSED_MU:
+        with pytest.raises(DomainError) as info:
+            in_kmu(basis, mu)
+        assert str(info.value) == f"mu must lie in (0, 1), got {mu}"
+    # both lattices have sup-norm minimum exactly 1/2
+    for mu in (Fraction(1, 2), 0.5):
+        assert in_kmu(basis, mu) is True
+    assert in_kmu(basis, Fraction(99, 100)) is False
+
+
 def test_in_kmu_monotone_in_mu():
     rng = np.random.default_rng(41)
     for _ in range(20):

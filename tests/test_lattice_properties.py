@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
@@ -917,16 +917,29 @@ def wide_reference_cases(draw):
 @st.composite
 def pair_reference_cases(draw):
     """(stack, boxes, bounds): n = 1 orbit bases up to t = 16 or random
-    unimodular pairs, with HAND_LANES appended, on GRID_BOXES and
-    GRID_BOUNDS with one drawn box and one drawn bound."""
-    stack = draw(st.one_of(orbit_stacks(), unimodular_float_pairs()))
+    unimodular pairs, with one to four HAND_LANES inserted among them at
+    drawn places, on GRID_BOXES and GRID_BOUNDS with one drawn box and one
+    drawn bound. The hand lanes' own answers are held to the reference by
+    `test_stack_queries_on_hand_lanes_are_the_reference_walks`; here they
+    share a stack with drawn lanes."""
+    lanes = list(draw(st.one_of(orbit_stacks(), unimodular_float_pairs())))
     box = draw(st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)))
-    return (np.concatenate([stack, np.array(HAND_LANES)]), GRID_BOXES + (box,),
-            GRID_BOUNDS + (draw(st.floats(0.01, 0.99)),))
+    bound = draw(st.floats(0.01, 0.99))
+    hand = st.sampled_from(range(len(HAND_LANES)))
+    for i in draw(st.lists(hand, min_size=1, max_size=4, unique=True)):
+        lanes.insert(draw(st.integers(0, len(lanes))), np.array(HAND_LANES[i]))
+    return np.array(lanes), GRID_BOXES + (box,), GRID_BOUNDS + (bound,)
+
+
+# one pair stack with every hand lane appended, as the drawn stacks once had
+ALL_HAND_LANES_CASE = (np.concatenate([[[[1.0, 0.3], [0.0, 1.0]], [[0.5, 1.0], [-1.0, 0.0]]],
+                                       HAND_LANES]),
+                       GRID_BOXES + ((0.4, 2.2),), GRID_BOUNDS + (0.3,))
 
 
 @settings(SETTINGS, max_examples=120)
 @given(st.one_of(pair_reference_cases(), wide_reference_cases()))
+@example(ALL_HAND_LANES_CASE)
 def test_stack_queries_are_the_reference_walks_bit_for_bit(case):
     assert_stack_matches_reference(*case)
 
