@@ -141,10 +141,15 @@ def int_det(rows) -> int:
 
 
 def inv(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Inverse with an explicit singularity guard (|det| > tol in float mode)."""
+    """Inverse with an explicit singularity guard (|det| > tol in float mode).
+    A float (..., m, m) stack is inverted matrix by matrix; the first
+    singular one raises."""
     if is_exact(a):
         return _inv_exact(a)
-    d = float(np.linalg.det(a))
+    d = np.linalg.det(a)
+    if d.ndim:  # a stack stands or falls with its first singular matrix
+        d = d.flat[np.argmax(np.abs(d) <= tol)]
+    d = float(d)
     if abs(d) <= tol:
         raise SingularMatrixError(f"matrix is numerically singular, |det| = {abs(d):.3e}", det=d)
     return np.linalg.inv(a)
@@ -195,25 +200,31 @@ def nullspace(a: np.ndarray, tol: float = 1e-9):
     Returns (dim, basis) where basis is a list of float vectors, orthonormal.
     In exact mode the dimension is computed over the rationals (RREF), so it
     cannot flicker with conditioning; the returned basis is the exact one
-    re-orthonormalized in floats.
+    re-orthonormalized in floats. In float mode this is the one-matrix case
+    of `nullspaces`.
     """
     nrows, ncols = a.shape
-    if ncols == 0:
-        return 0, []
-    if nrows == 0:
-        return ncols, [np.eye(ncols)[i] for i in range(ncols)]
-    if is_exact(a):
+    if nrows and ncols and is_exact(a):
         exact_basis = _nullspace_exact(a)
         rank, ortho = orthonormal_span(exact_basis, tol=1e-12)
         assert rank == len(exact_basis), "exact nullspace basis lost rank in float conversion"
         return len(exact_basis), ortho
-    u, s, vh = np.linalg.svd(a)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * max(smax, 1.0)))
-    return ncols - rank, [vh[i] for i in range(rank, ncols)]
+    (rank,), (vh,) = nullspaces(a[None], tol)
+    return ncols - rank, list(vh[rank:])
+
+
+def nullspaces(a: np.ndarray, tol: float = 1e-9):
+    """(ranks, vh) for a float (R, rows, cols) stack, from one stacked SVD:
+    matrix j has rank ranks[j], the number of its singular values above
+    tol * max(s_max, 1) (none when s_max = 0), and its nullspace has the
+    orthonormal basis vh[j, ranks[j]:]. A matrix without rows has the unit
+    vectors as its basis."""
+    count, nrows, ncols = a.shape
+    if not (nrows and ncols):
+        return [0] * count, np.repeat(np.eye(ncols)[None], count, axis=0)
+    _, s, vh = np.linalg.svd(a)
+    ranks = np.sum(s > tol * np.maximum(s[:, :1], 1.0), axis=1)
+    return ranks.tolist(), vh
 
 
 def _nullspace_exact(a: np.ndarray):

@@ -24,6 +24,7 @@ import numpy as np
 from . import _linalg, reptheory, stats
 from .curve import MatrixPolyCurve, genericity_test
 from .dirichlet import CONVENTIONS, correspondence_row, improvability_scan
+from .errors import HypothesisViolationError
 from .flow import sl2_copy
 from .rng import Sampler, counter_uniforms
 
@@ -454,6 +455,11 @@ def _run_nondiv(config: ExperimentConfig):
 
 
 def _run_rep_verify(config: ExperimentConfig):
+    """One payload per r of the r list, all r run as one stack: one image
+    stack of u(r phi), one stacked constrained basis and one call of each
+    verifier, on draws made in one call per kind. Block b (the b-th r) keys
+    its transport draws from 2 b k dim and its contracting ones from
+    (2 b + 1) k dim, for k draws."""
     p = config.args
     rep = p.rep
     rep_name = f"exterior({rep.n},{rep.k})" if rep.kind == "exterior" else f"adjoint({rep.n})"
@@ -464,51 +470,70 @@ def _run_rep_verify(config: ExperimentConfig):
     draws = config.sampler.count
     seed = config.sampler.seed
     s0 = _plain(p.s0)
-    payloads = []
-    for block, r in enumerate(p.r_list):
-        # one image of u(r phi) per block, shared by its three checks
-        image = reptheory.unipotent_image(rep, copy, r)
-        basis = reptheory.constrained_subspace(rep, copy, r, image=image)
-        # one verifier call per block on the stack of its draws; the fold
-        # keeps the order of the draws
-        max_transport = 0.0
-        if basis:
-            vs = _random_combinations(basis, seed, (2 * block) * draws * rep.dim, draws,
-                                      rep.dim)
-            max_transport = max([max_transport] + reptheory.verify_q0_transport(
-                rep, copy, r, vs, image=image).tolist())
-        vs = _random_combinations(minus, seed, (2 * block + 1) * draws * rep.dim, draws,
-                                  rep.dim)
-        min_nonvanish = min([math.inf] + reptheory.verify_qplus_nonvanish(
-            rep, copy, r, vs, image=image).tolist())
-        payloads.append({
-            "module": "reptheory",
-            "op": "transport_suite",
-            "rep": rep_name,
-            "s0": s0,
-            "r": r,
-            "dim_constrained": len(basis),
-            "draws": draws,
-            "max_transport_residual": max_transport,
-            "min_qplus_norm": min_nonvanish,
-        })
-    return payloads, None
+    r_list = list(p.r_list)
+    base = 2 * draws * rep.dim * np.arange(len(r_list))
+    # one image of u(r phi) per r, shared by the three checks
+    images = reptheory.unipotent_image(rep, copy, r_list)
+    bases = reptheory.constrained_subspace(rep, copy, r_list, image=images)
+    dims = [len(basis) for basis in bases]
+    spanned = [b for b, dim in enumerate(dims) if dim]
+    transport = {}
+    failures = []
+    if spanned:
+        # zero vectors pad the bases to one length: each adds +0.0 to a sum
+        # that starts at +0.0, which changes no bit
+        padded = np.zeros((len(spanned), max(dims), rep.dim))
+        for row, b in enumerate(spanned):
+            padded[row, :dims[b]] = bases[b]
+        vs = _random_combinations(padded, seed, base[spanned], draws, rep.dim)
+        try:
+            resid = reptheory.verify_q0_transport(rep, copy, [r_list[b] for b in spanned], vs,
+                                                  image=images[spanned])
+            transport = dict(zip(spanned, resid.tolist()))
+        except HypothesisViolationError as exc:
+            exc.r_index = spanned[exc.r_index]
+            failures.append(exc)
+    vs = _random_combinations(minus, seed, base + draws * rep.dim, draws, rep.dim)
+    try:
+        norms = reptheory.verify_qplus_nonvanish(rep, copy, r_list, vs, image=images).tolist()
+    except HypothesisViolationError as exc:
+        failures.append(exc)
+    if failures:
+        # the lowest failing r, its transport checks first: as one r at a time
+        raise min(failures, key=lambda exc: exc.r_index)
+    # the folds keep the order of the draws
+    return [{
+        "module": "reptheory",
+        "op": "transport_suite",
+        "rep": rep_name,
+        "s0": s0,
+        "r": r,
+        "dim_constrained": dim,
+        "draws": draws,
+        "max_transport_residual": max([0.0] + transport.get(b, [])),
+        "min_qplus_norm": min([math.inf] + norms[b]),
+    } for b, (r, dim) in enumerate(zip(r_list, dims))], None
 
 
-def _random_combinations(basis, seed: int, base_index: int, draws: int,
+def _random_combinations(basis, seed: int, base_index, draws: int,
                          stride: int) -> np.ndarray:
     """Unit-sup-norm random combinations of the basis vectors, one per row;
     draw j, coefficient i is keyed by base_index + j * stride + i. A draw of
-    sup-norm below 1e-9 falls back to the first basis vector."""
-    index = base_index + stride * np.arange(draws)[:, None] + np.arange(len(basis))
+    sup-norm below 1e-9 falls back to the first basis vector. A (B,) array
+    of base indices gives a (B, draws, dim) stack, with one family for all
+    or a (B, L, dim) stack of families."""
+    basis = np.asarray(basis, dtype=float)
+    count = basis.shape[-2]
+    index = (np.asarray(base_index)[..., None, None] + stride * np.arange(draws)[:, None]
+             + np.arange(count))
     coef = 2.0 * counter_uniforms(seed, index) - 1.0
-    v = np.zeros((draws, len(basis[0])))
-    for i, vec in enumerate(basis):
-        v = v + coef[:, i, None] * vec
-    norm = np.max(np.abs(v), axis=1)
+    v = np.zeros(index.shape[:-1] + basis.shape[-1:])
+    for i in range(count):
+        v = v + coef[..., i, None] * basis[..., None, i, :]
+    norm = np.max(np.abs(v), axis=-1)
     small = norm < 1e-9
-    out = v / np.where(small, 1.0, norm)[:, None]
-    out[small] = basis[0]
+    out = v / np.where(small, 1.0, norm)[..., None]
+    out[small] = np.broadcast_to(basis[..., None, 0, :], out.shape)[small]
     return out
 
 

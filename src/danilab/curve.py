@@ -310,20 +310,3 @@ def normalizer_error(d: float, s, tol: float = INVERTIBILITY_TOL):
             f"det(phi'(s)) = {d:.6g} < 0 at s = {s}: no real centralizer element "
             "satisfies both B phi' C^-1 = I and det(B) det(C) = 1")
     return None
-
-
-def inverse_derivative_check(curve: MatrixPolyCurve, s0, s, h: float,
-                             tol: float = INVERTIBILITY_TOL) -> float:
-    """Sup-norm residual between the central difference of s -> inverse_shift
-    and the closed form -inv(s) phi'(s) inv(s). Decreases at order h^2."""
-    if h <= 0:
-        raise DomainError("stencil width h must be positive")
-    a, b = float(curve.interval[0]), float(curve.interval[1])
-    if not (a <= s - h and s + h <= b):
-        raise DomainError(f"stencil [{s - h}, {s + h}] leaves the curve interval")
-    inv_mid = _linalg.to_float(inverse_shift(curve, s, s0, tol=tol))
-    inv_hi = _linalg.to_float(inverse_shift(curve, s + h, s0, tol=tol))
-    inv_lo = _linalg.to_float(inverse_shift(curve, s - h, s0, tol=tol))
-    analytic = -inv_mid @ _linalg.to_float(curve.derivative(s)) @ inv_mid
-    fd = (inv_hi - inv_lo) / (2 * h)
-    return _linalg.sup_norm(fd - analytic)

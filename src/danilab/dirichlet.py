@@ -157,13 +157,19 @@ def first_witnesses(integral_phi: tuple, Ns, mu, convention: str = "lattice_p_no
     a, b = (mu.numerator, mu.denominator) if _linalg.is_exact_scalar(mu) else (0, 1)
     if not 0 < a <= b:
         raise InvariantError(f"mu must be a rational in (0, 1], got {mu!r}")
-    scales = [_scale(N) for N in Ns]
+    return _first_witnesses(integral_phi, [_scale(N) for N in Ns], a, b,
+                            convention == "paper_both_nonzero")
+
+
+def _first_witnesses(integral_phi: tuple, scales: list, a: int, b: int, nonzero_q: bool
+                     ) -> list:
+    """`first_witnesses` for checked scales (ints >= 1) and mu = a / b."""
     bounds = {N: (a * N - 1) // b for N in scales}  # K_N, the largest K < mu N
     found = {N: None for N, K in bounds.items() if K < 1}
     live = sorted(N for N, K in bounds.items() if K >= 1)
     if live:
         found.update(_witness_search(integral_phi, live, [bounds[N] for N in live], a, b,
-                                     convention == "paper_both_nonzero"))
+                                     nonzero_q))
     return [found[N] for N in scales]
 
 
@@ -279,7 +285,9 @@ def correspondence_row(phi: np.ndarray, Ns, mu) -> list:
 def _correspondence_cells(queries: list) -> list:
     """`correspondence_check` of each query of one phi and mu."""
     head = queries[0]
-    witnesses = first_witnesses(head.integral_phi, [q.N for q in queries], head.mu)
+    # every query has checked its N, and mu = a / b in (0, 1]
+    witnesses = _first_witnesses(head.integral_phi, [q.N for q in queries], head.mu.numerator,
+                                 head.mu.denominator, False)
     cells = []
     for query, witness in zip(queries, witnesses):
         insoluble = witness is None

@@ -46,13 +46,20 @@ class InternalIdentityError(RuntimeError):
     """An identity that must hold by construction failed numerically."""
 
 
-def raise_first(failures, index_name: str):
-    """Raise for the lowest failing row, with the row as attribute
-    `index_name`: failures holds (bad-row mask, error of row i) in the order
-    the checks run on one row."""
+def raise_first(failures, *index_names):
+    """Raise for the lowest failing row, with its index set as the attributes
+    `index_names`: failures holds (bad-row mask, error of row i) in the order
+    the checks run on one row. The masks share one axis per index name, and
+    rows are ordered by their indices in turn; the error of a row gets i as
+    an int for one axis, as a tuple of ints for more."""
     firsts = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(failures) if bad.any()]
     if firsts:
-        i, k = min(firsts)
-        exc = failures[k][1](i)
-        setattr(exc, index_name, i)
+        flat, k = min(firsts)
+        index = []
+        for size in reversed(failures[k][0].shape):
+            flat, i = divmod(flat, size)
+            index.insert(0, i)
+        exc = failures[k][1](index[0] if len(index) == 1 else tuple(index))
+        for name, i in zip(index_names, index):
+            setattr(exc, name, i)
         raise exc

@@ -15,12 +15,18 @@ Whole-array paths: a float exterior image takes all its minors under one
 stacked np.linalg.det; an adjoint image, float or exact, forms every
 g E_ij g^-1 with one broadcast product and decomposes them together (the
 diagonal partial sums accumulate in basis order), as does the derived
-adjoint action; the verifiers take a (k, dim) stack of draws, build their
-images once per call (or take the copy unipotent's image from the caller,
-who builds it once for all three checks of one r) and check the rows in
-order. The weight split is computed once per representation. Exact
-exterior minors (one exact determinant each) and the derived exterior
-action stay entry loops.
+adjoint action. A float (R, m, m) stack of group elements maps to its
+(R, dim, dim) stack of images in the same calls. The transport suite takes
+r as a stack axis: for a sequence of R values of r, `unipotent_image`
+builds every u(r phi) as one stack (one det check) with one `rep_image`
+call, `constrained_subspace` reads all R bases off one stacked SVD, and the
+verifiers take (R, k, dim) draws, apply each r's image to its own rows and
+build rho(E_phi), which does not depend on r, once per call. A scalar r is
+the one-block case of the same code. Each check runs per r and per draw;
+the lowest failing r raises, and within it the lowest failing draw, named
+by `r_index` and `draw_index`. The weight split is computed once per
+representation. Exact exterior minors (one exact determinant each) and the
+derived exterior action stay entry loops.
 
 Images are exact when the entries they are built from are; no function
 here picks a mode of its own. `obstruction_subspace` works in the mode of
@@ -38,8 +44,8 @@ import numpy as np
 
 from . import _linalg
 from .curve import MatrixPolyCurve
-from .errors import DegenerateInputError, DomainError, HypothesisViolationError, raise_first
-from .flow import E_MAT, GroupElement, Sl2Copy, sl2_image, u_embed
+from .errors import DomainError, HypothesisViolationError, raise_first
+from .flow import E_MAT, GROUP_DET_TOL, GroupElement, Sl2Copy, _det_error, sl2_image, u_embed
 
 
 @dataclass(frozen=True)
@@ -165,19 +171,20 @@ def _entries_of(g) -> np.ndarray:
 
 def rep_image(rep: Representation, g) -> np.ndarray:
     """Matrix of the representation at g, in the labeled basis. Exact when
-    the entries of g are exact."""
+    the entries of g are exact; a float (R, m, m) stack of entries gives the
+    (R, dim, dim) stack of images."""
     a = _entries_of(g)
     m = 2 * rep.n
-    if a.shape != (m, m):
-        raise DomainError(f"group element must be {m} x {m}")
     exact = _linalg.is_exact(a)
+    if a.shape[-2:] != (m, m) or a.ndim != 2 and (exact or a.ndim != 3):
+        raise DomainError(f"group element must be {m} x {m}, or a float stack of them")
     if rep.kind == "exterior":
         if rep.k == 1:
             return a.copy()
         if not exact:
-            # minors[row, col] = a[S_row, S_col], all under one determinant
+            # minors[..., row, col] = a[..., S_row, S_col], all under one determinant
             idx = rep._subset_index
-            return np.linalg.det(a[idx[:, None, :, None], idx[None, :, None, :]])
+            return np.linalg.det(a[..., idx[:, None, :, None], idx[None, :, None, :]])
         subs = rep._subsets
         out = _linalg.zeros((rep.dim, rep.dim), exact=True)
         for bcol, t in enumerate(subs):
@@ -186,23 +193,25 @@ def rep_image(rep: Representation, g) -> np.ndarray:
                 out[arow, bcol] = _linalg.det(sub_cols[s, :])
         return out
     ginv = _linalg.inv(a)
-    # y[i, j] = outer(a[:, i], ginv[j, :]) = g E_ij g^-1
-    return _adjoint_matrix(a.T[:, None, :, None] * ginv[None, :, None, :])
+    # y[..., i, j, :, :] = outer(a[..., :, i], ginv[..., j, :]) = g E_ij g^-1
+    at = np.swapaxes(a, -1, -2)
+    return _adjoint_matrix(at[..., :, None, :, None] * ginv[..., None, :, None, :])
 
 
 def _adjoint_matrix(y: np.ndarray) -> np.ndarray:
     """Matrix in the adjoint basis of the linear map sending E_ij to the
-    trace-zero matrix y[i, j]; y has shape (m, m, m, m)."""
-    m = y.shape[0]
+    trace-zero matrix y[..., i, j]; y has shape (..., m, m, m, m)."""
+    m = y.shape[-1]
     off = ~np.eye(m, dtype=bool)
     d = np.arange(m)
-    diag = y[d, d]
+    diag = y[..., d, d, :, :]
     # basis images: E_ij (i != j) in row-major order, then E_ll - E_l+1,l+1
-    cols = np.concatenate([y[off], diag[:-1] - diag[1:]])
+    cols = np.concatenate([y[..., off, :, :], diag[..., :-1, :, :] - diag[..., 1:, :, :]],
+                          axis=-3)
     # coordinates: off-diagonal entries, then the partial sums of the diagonal
-    coords = np.concatenate([cols[:, off], np.cumsum(cols[:, d[:-1], d[:-1]], axis=1)],
-                            axis=1)
-    return np.ascontiguousarray(coords.T)
+    coords = np.concatenate([cols[..., off], np.cumsum(cols[..., d[:-1], d[:-1]], axis=-1)],
+                            axis=-1)
+    return np.ascontiguousarray(np.swapaxes(coords, -1, -2))
 
 
 def lie_image(rep: Representation, x) -> np.ndarray:
@@ -257,37 +266,57 @@ def upper_block(n: int, phi: np.ndarray) -> np.ndarray:
 
 def constrained_subspace(rep: Representation, copy: Sl2Copy, r, tol: float = 1e-9,
                          image: np.ndarray = None):
-    """Orthonormal basis of {v in V0 + V- : rho(u(r phi)) v in V0 + V-}.
+    """Orthonormal basis of {v in V0 + V- : rho(u(r phi)) v in V0 + V-}; for
+    a sequence of R values of r, the list of the R bases.
 
     Linear in v: the expanding coordinates of rho(u(r phi)) v must vanish,
     with v supported on the neutral and contracting coordinates. `image` is
     rho(u(r phi)) as `unipotent_image(rep, copy, r)` returns it; it is built
-    here when not given.
+    here when not given. Every r must be nonzero (the lowest zero raises,
+    with its position as `r_index`); the bases come from one stacked SVD.
     """
-    if r == 0:
-        raise DomainError("r must be nonzero")
+    _check_nonzero(r)
     decomp = weight_split(rep)
     img = unipotent_image(rep, copy, r) if image is None else image
-    zm = list(decomp.zero_idx) + list(decomp.minus_idx)
-    if not decomp.plus_idx:
-        rows = np.zeros((0, len(zm)))
-    else:
-        rows = img[np.ix_(decomp.plus_idx, zm)]
-    dim_null, basis = _linalg.nullspace(rows, tol=tol)
-    out = []
-    for vec in basis:
-        full = np.zeros(rep.dim)
-        full[zm] = vec
-        out.append(full)
-    return out
+    idx = decomp._index
+    zm = np.concatenate([idx["zero"], idx["minus"]])
+    ranks, vh = _linalg.nullspaces(
+        img.reshape(-1, rep.dim, rep.dim)[:, idx["plus"][:, None], zm], tol=tol)
+    full = np.zeros(vh.shape[:2] + (rep.dim,))
+    full[..., zm] = vh
+    bases = [list(f[rank:]) for f, rank in zip(full, ranks)]
+    return bases[0] if np.ndim(r) == 0 else bases
 
 
-def _draws(rep: Representation, v) -> np.ndarray:
-    """v as a (k, dim) float stack of draws: one row, or the rows of v."""
+def _check_nonzero(r):
+    """Raise unless every value of r (one, or a sequence) is nonzero: the
+    lowest zero raises, with its position as `r_index`."""
+    raise_first([(np.asarray(r, dtype=float).reshape(-1) == 0,
+                  lambda i: DomainError("r must be nonzero"))], "r_index")
+
+
+def _draws(rep: Representation, r, v):
+    """(vs, shape): v as an (R, k, dim) float stack of draws, k for each of
+    the R values of r, and the shape of the results. A scalar r takes one
+    vector (dim,), giving one result, or a (k, dim) stack; a sequence of R
+    values an (R, k, dim) stack."""
     vs = np.asarray(v, dtype=float)
-    if vs.ndim not in (1, 2) or vs.shape[-1] != rep.dim:
-        raise DomainError(f"v must have shape ({rep.dim},) or (k, {rep.dim}), got {vs.shape}")
-    return vs.reshape(-1, rep.dim)
+    if np.ndim(r) == 0:
+        if vs.ndim not in (1, 2) or vs.shape[-1] != rep.dim:
+            raise DomainError(f"v must have shape ({rep.dim},) or (k, {rep.dim}), "
+                              f"got {vs.shape}")
+    elif vs.shape[:1] != (len(r),) or vs.ndim != 3 or vs.shape[-1] != rep.dim:
+        raise DomainError(f"v must have shape ({len(r)}, k, {rep.dim}) for {len(r)} values "
+                          f"of r, got {vs.shape}")
+    shape = vs.shape[:-1]
+    return vs.reshape(len(r) if np.ndim(r) else 1, shape[-1] if shape else 1, rep.dim), shape
+
+
+def _results(values: np.ndarray, shape: tuple):
+    """The (R, k) results of a verifier in the shape of its draws: a float
+    for one vector."""
+    out = values.reshape(shape)
+    return float(out) if not shape else out
 
 
 def _row_sup(vs: np.ndarray) -> np.ndarray:
@@ -296,15 +325,28 @@ def _row_sup(vs: np.ndarray) -> np.ndarray:
 
 
 def _apply(img: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """img @ v for every row v of the stack, each as its own matrix-vector
-    product (a matrix-matrix product vs @ img.T may round differently)."""
-    return np.matmul(img, vs[..., None])[..., 0]
+    """img @ v for every row v of the (R, k, dim) stack, with one matrix or
+    one per r: each as its own matrix-vector product (a matrix-matrix
+    product vs @ img.T may round differently)."""
+    return np.matmul(img.reshape(-1, 1, *img.shape[-2:]), vs[..., None])[..., 0]
 
 
 def unipotent_image(rep: Representation, copy: Sl2Copy, r) -> np.ndarray:
-    """The float matrix of rho(u(r phi)) for the copy's phi, by one
-    `rep_image` call."""
-    return _linalg.to_float(rep_image(rep, u_embed(_linalg.to_float(copy.phi) * float(r))))
+    """The float matrix of rho(u(r phi)) for the copy's phi; for a sequence
+    of R values of r, the (R, dim, dim) stack of them. The elements u(r phi)
+    are built as one stack, each checked to have det within GROUP_DET_TOL of
+    1 (one determinant over the stack; the lowest failing r raises, with its
+    position as `r_index`), and mapped by one `rep_image` call."""
+    rs = np.asarray(r, dtype=float)
+    n = copy.n
+    g = np.zeros(rs.shape + (2 * n, 2 * n))
+    d = np.arange(2 * n)
+    g[..., d, d] = 1.0
+    g[..., :n, n:] = rs[..., None, None] * _linalg.to_float(copy.phi)
+    det = np.linalg.det(g).reshape(-1)
+    raise_first([(~(np.abs(det - 1.0) <= GROUP_DET_TOL), lambda i: _det_error(float(det[i])))],
+                "r_index")
+    return rep_image(rep, g)
 
 
 def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
@@ -313,12 +355,15 @@ def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
     q0(rho(u(r phi)) v) = rho(E_phi) q0(v), for v with v and rho(u(r phi)) v
     both in V0 + V-. Violated preconditions raise with the residual.
 
-    v is one vector (dim,), giving a float, or a (k, dim) stack of draws,
-    giving the k residuals; the images are built once per call, except
+    For a scalar r, v is one vector (dim,), giving a float, or a (k, dim)
+    stack of draws, giving the k residuals; for a sequence of R values of r,
+    v is an (R, k, dim) stack, giving the (R, k) residuals. The images are
+    built once per call (rho(E_phi) one matrix for every r), except
     rho(u(r phi)) when `image` (as `unipotent_image` returns it) is given.
-    The lowest failing draw raises, with its row as `draw_index`."""
+    The lowest failing r raises, and within it the lowest failing draw, with
+    their positions as `r_index` and `draw_index`."""
     decomp = weight_split(rep)
-    vs = _draws(rep, v)
+    vs, shape = _draws(rep, r, v)
     pre_in = _row_sup(project(decomp, "plus", vs))
     ws = _apply(unipotent_image(rep, copy, r) if image is None else image, vs)
     pre_out = _row_sup(project(decomp, "plus", ws))
@@ -330,10 +375,10 @@ def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
         (pre_out > tol * np.fmax(1.0, _row_sup(ws)), lambda i: HypothesisViolationError(
             f"rho(u(r phi)) v has expanding component {pre_out[i]:.3e} beyond tol",
             residual=float(pre_out[i]))),
-    ], "draw_index")
+    ], "r_index", "draw_index")
     e_img = _linalg.to_float(rep_image(rep, sl2_image(copy, E_MAT)))
     resid = _row_sup(project(decomp, "zero", ws) - _apply(e_img, project(decomp, "zero", vs)))
-    return float(resid[0]) if np.ndim(v) == 1 else resid
+    return _results(resid, shape)
 
 
 def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
@@ -341,14 +386,14 @@ def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
     """Sup-norm of the expanding projection of rho(u(r phi)) v for a nonzero
     contracting v; the transported dynamical statement says this is > 0.
 
-    v is one vector (dim,), giving a float, or a (k, dim) stack of draws,
-    giving the k norms; the image rho(u(r phi)) is built once per call, or
+    v is shaped as for `verify_q0_transport`, and so are the norms; every r
+    must be nonzero. The image rho(u(r phi)) is built once per call, or
     taken from `image` (as `unipotent_image` returns it). The lowest failing
-    draw raises, with its row as `draw_index`."""
-    if r == 0:
-        raise DomainError("r must be nonzero")
+    r raises, and within it the lowest failing draw, with their positions as
+    `r_index` and `draw_index`."""
+    _check_nonzero(r)
     decomp = weight_split(rep)
-    vs = _draws(rep, v)
+    vs, shape = _draws(rep, r, v)
     nv = _row_sup(vs)
     outside = _row_sup(vs - project(decomp, "minus", vs))
     raise_first([
@@ -356,10 +401,10 @@ def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
         (outside > tol * nv, lambda i: HypothesisViolationError(
             f"v has component {outside[i]:.3e} outside the contracting part",
             residual=float(outside[i]))),
-    ], "draw_index")
+    ], "r_index", "draw_index")
     img = unipotent_image(rep, copy, r) if image is None else image
     norms = _row_sup(project(decomp, "plus", _apply(img, vs)))
-    return float(norms[0]) if np.ndim(v) == 1 else norms
+    return _results(norms, shape)
 
 
 def obstruction_subspace(rep: Representation, curve: MatrixPolyCurve, samples,
@@ -426,44 +471,3 @@ def invariance_subspace(rep: Representation, decomp: WeightDecomposition, w0,
         if resid > 1e-8 * max(1.0, _linalg.sup_norm(w0)):
             verified = False
     return mats, verified
-
-
-def good_constants_estimate(xi_samples, alpha: float, min_segment: int = 32,
-                            r_count: int = 64) -> float:
-    """Empirical (C, alpha)-good constant over dyadic subintervals.
-
-    xi_samples are function values on a uniform grid (>= 1024 points). For
-    each dyadic subinterval J' and each radius r in a log grid the quantity
-    (fraction of |xi| < r on J') * (sup_J' |xi| / r)^alpha is formed; the
-    max over (J', r) estimates the smallest valid C. A segment where xi
-    vanishes identically yields inf.
-    """
-    vals = np.abs(np.asarray(xi_samples, dtype=float))
-    if vals.ndim != 1 or vals.size < 1024:
-        raise DomainError("need at least 1024 samples on a uniform grid")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    total_sup = float(vals.max())
-    if total_sup == 0.0:
-        raise DegenerateInputError("xi vanishes identically on the grid")
-    positive = vals[vals > 0]
-    r_lo = float(positive.min())
-    r_hi = total_sup * 1.001
-    r_grid = np.geomspace(min(r_lo, r_hi), r_hi, r_count)
-    best = 0.0
-    size = vals.size
-    level = 0
-    while size // (1 << level) >= min_segment:
-        pieces = 1 << level
-        width = vals.size // pieces
-        for p in range(pieces):
-            seg = vals[p * width:(p + 1) * width] if p < pieces - 1 else vals[p * width:]
-            seg_sup = float(seg.max())
-            if seg_sup == 0.0:
-                return math.inf
-            srt = np.sort(seg)
-            counts = np.searchsorted(srt, r_grid, side="left")
-            c_vals = (counts / seg.size) * (seg_sup / r_grid) ** alpha
-            best = max(best, float(c_vals.max()))
-        level += 1
-    return best

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from danilab import (MatrixPolyCurve, affine_rank, genericity_test,
-                     inverse_derivative_check, inverse_shift, normalizer)
+from danilab import (MatrixPolyCurve, affine_rank, genericity_test, inverse_shift,
+                     normalizer)
 from danilab.errors import (DegenerateInputError, DomainError, InvariantError,
                             OrientationError, SingularMatrixError)
 from danilab import _linalg
@@ -300,17 +300,3 @@ def test_normalizer_singular_derivative():
     flat = MatrixPolyCurve.from_coeffs([[[0.0]], [[0.0]], [[1.0]]], (-1.0, 1.0))
     with pytest.raises(SingularMatrixError):
         normalizer(flat, 0.0)  # phi'(0) = 0
-
-
-def test_inverse_derivative_check_second_order():
-    # residual of the central difference vs -(phi-phi0)^-1 phi' (phi-phi0)^-1
-    curve = square_curve()
-    r1 = inverse_derivative_check(curve, 0.0, 1.0, 1e-2)
-    r2 = inverse_derivative_check(curve, 0.0, 1.0, 5e-3)
-    r3 = inverse_derivative_check(curve, 0.0, 1.0, 2.5e-3)
-    assert r1 < 1e-2
-    assert 2.5 < r1 / r2 < 5.5 and 2.5 < r2 / r3 < 5.5
-
-
-def test_inverse_derivative_check_scalar_values():
-    assert inverse_derivative_check(line_curve(("0", "4")), 0.0, 2.0, 1e-3) < 1e-6

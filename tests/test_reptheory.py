@@ -6,12 +6,11 @@ import pytest
 
 from danilab import _linalg
 from danilab import (MatrixPolyCurve, a_diag, adjoint, constrained_subspace,
-                     exterior, good_constants_estimate, invariance_subspace,
+                     exterior, invariance_subspace,
                      lie_image, obstruction_subspace, project, rep_image,
                      sl2_copy, u_embed, upper_block, verify_q0_transport,
                      verify_qplus_nonvanish, weight_split)
-from danilab.errors import (DegenerateInputError, DomainError,
-                            HypothesisViolationError)
+from danilab.errors import DomainError, HypothesisViolationError
 
 ALL_REPS = [exterior(1, 1), exterior(1, 2), exterior(2, 1), exterior(2, 2),
             adjoint(1), adjoint(2)]
@@ -308,33 +307,3 @@ def test_flow_generator_acts_by_the_weight_split(n, exact):
 def test_lie_image_rejects_nonzero_trace():
     with pytest.raises(DomainError):
         lie_image(adjoint(1), np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
-def test_good_constants_linear():
-    s = np.linspace(1.0, 2.0, 4096)
-    c = good_constants_estimate(s, alpha=1.0)
-    assert 0.8 <= c <= 1.3
-
-
-def test_good_constants_constant_function():
-    c = good_constants_estimate(np.full(2048, 0.7), alpha=1.0)
-    assert c == pytest.approx(1.0, abs=0.05)
-
-
-def test_good_constants_square():
-    # continuum value is exactly 1; near the zero of s^2 the sample count of
-    # {|xi| < r} exceeds the true measure by up to one grid cell, inflating
-    # the reported max by a factor (k+1)/k at k counted points, so the
-    # discretized estimate lands in (1, 2)
-    s = np.linspace(0.0, 1.0, 8192)
-    c = good_constants_estimate(s ** 2, alpha=0.5)
-    assert 0.9 <= c <= 2.0
-
-
-def test_good_constants_validation():
-    with pytest.raises(DegenerateInputError):
-        good_constants_estimate(np.zeros(2048), alpha=1.0)
-    with pytest.raises(DomainError):
-        good_constants_estimate(np.ones(100), alpha=1.0)
-    with pytest.raises(DomainError):
-        good_constants_estimate(np.ones(2048), alpha=0.0)
