@@ -17,7 +17,8 @@ Two rules are written here once for the whole package:
   selects exact arithmetic, anything else is read in floats;
 * the unit check, `check_equals`: a computed invariant (a determinant, a
   trace) must equal its target exactly when it is a Fraction, and within a
-  tolerance otherwise, nan failing.
+  tolerance otherwise, nan failing; `unit_failures` is the same check over a
+  float stack, in the form `errors.raise_first` reads.
 """
 
 import math
@@ -25,7 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import InternalIdentityError, SingularMatrixError
+
+RANK_TOL = 1e-9  # relative rank threshold; a singular value that is 0 rounds to ~1e-15
 
 
 def is_exact(a: np.ndarray) -> bool:
@@ -46,7 +49,18 @@ def check_equals(value, target, tol: float, error, name: str) -> None:
         if value != target:
             raise error(f"exact {name} = {value} != {target}")
     elif not abs(value - target) <= tol:
-        raise error(f"{name} = {float(value)!r} deviates from {target} beyond {tol}")
+        raise _deviation(value, target, tol, error, name)
+
+
+def unit_failures(values: np.ndarray, target, tol: float, error, name: str) -> tuple:
+    """`check_equals` over a float array: (mask of the entries it refuses,
+    the error it raises for entry i), the pair `errors.raise_first` takes."""
+    bad = ~(np.abs(values - target) <= tol)
+    return bad, lambda i: _deviation(values[i], target, tol, error, name)
+
+
+def _deviation(value, target, tol: float, error, name: str):
+    return error(f"{name} = {float(value)!r} deviates from {target} beyond {tol}")
 
 
 def frac_matrix(rows) -> np.ndarray:
@@ -194,7 +208,7 @@ def _inv_exact(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def nullspace(a: np.ndarray, tol: float = 1e-9):
+def nullspace(a: np.ndarray, tol: float = RANK_TOL):
     """Nullspace of a (rows x cols) matrix.
 
     Returns (dim, basis) where basis is a list of float vectors, orthonormal.
@@ -207,13 +221,14 @@ def nullspace(a: np.ndarray, tol: float = 1e-9):
     if nrows and ncols and is_exact(a):
         exact_basis = _nullspace_exact(a)
         rank, ortho = orthonormal_span(exact_basis, tol=1e-12)
-        assert rank == len(exact_basis), "exact nullspace basis lost rank in float conversion"
+        if rank != len(exact_basis):
+            raise InternalIdentityError("exact nullspace basis lost rank in float conversion")
         return len(exact_basis), ortho
     (rank,), (vh,) = nullspaces(a[None], tol)
     return ncols - rank, list(vh[rank:])
 
 
-def nullspaces(a: np.ndarray, tol: float = 1e-9):
+def nullspaces(a: np.ndarray, tol: float = RANK_TOL):
     """(ranks, vh) for a float (R, rows, cols) stack, from one stacked SVD:
     matrix j has rank ranks[j], the number of its singular values above
     tol * max(s_max, 1) (none when s_max = 0), and its nullspace has the
@@ -242,7 +257,7 @@ def _nullspace_exact(a: np.ndarray):
     return basis
 
 
-def orthonormal_span(vectors, tol: float = 1e-9):
+def orthonormal_span(vectors, tol: float = RANK_TOL):
     """Rank and orthonormal basis of span(vectors), from one SVD of the
     vectors stacked as rows: the rank counts the singular values above
     tol * s[0], and the basis is the first rank right singular vectors.

@@ -17,7 +17,7 @@ through `eval_many`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
@@ -29,6 +29,7 @@ from .errors import (DegenerateInputError, DomainError, InvariantError,
                      OrientationError, SingularMatrixError)
 
 INVERTIBILITY_TOL = 1e-9
+CENTRALIZER_DET_TOL = 1e-10  # det(B) det(C) of a float element rounds to 1 within ~1e-15
 
 
 def _horner(coeffs: np.ndarray, s, shape) -> np.ndarray:
@@ -163,12 +164,11 @@ class CentralizerElement:
 
     B: np.ndarray
     C: np.ndarray
-    det_tol: float = field(default=1e-10, repr=False)
 
     def __post_init__(self):
         if self.B.shape != self.C.shape or self.B.shape[0] != self.B.shape[1]:
             raise InvariantError("B and C must be square of equal size")
-        _linalg.check_equals(_linalg.det(self.B) * _linalg.det(self.C), 1, self.det_tol,
+        _linalg.check_equals(_linalg.det(self.B) * _linalg.det(self.C), 1, CENTRALIZER_DET_TOL,
                              InvariantError, "det(B) det(C)")
 
     @property
@@ -188,17 +188,17 @@ class GenericityVerdict:
     samples_used: int
 
 
-def inverse_shift(curve: MatrixPolyCurve, s, s0, tol: float = INVERTIBILITY_TOL) -> np.ndarray:
+def inverse_shift(curve: MatrixPolyCurve, s, s0) -> np.ndarray:
     """(phi(s) - phi(s0))^-1, with a singularity error carrying |det|."""
     diff = curve.eval(s) - curve.eval(s0)
     d = _linalg.det(diff)
     if isinstance(d, Fraction):
         if d == 0:
             raise SingularMatrixError(f"phi(s) - phi(s0) singular at s = {s}", det=Fraction(0))
-    elif abs(d) <= tol:
+    elif abs(d) <= INVERTIBILITY_TOL:
         raise SingularMatrixError(
             f"phi(s) - phi(s0) numerically singular at s = {s}, |det| = {abs(d):.3e}", det=abs(d))
-    return _linalg.inv(diff, tol=tol)
+    return _linalg.inv(diff, tol=INVERTIBILITY_TOL)
 
 
 def affine_rank(points, tol: float = INVERTIBILITY_TOL):
@@ -280,7 +280,7 @@ def genericity_test(curve: MatrixPolyCurve, s0, m: Optional[int] = None,
                              samples_used=m)
 
 
-def normalizer(curve: MatrixPolyCurve, s, tol: float = INVERTIBILITY_TOL) -> CentralizerElement:
+def normalizer(curve: MatrixPolyCurve, s) -> CentralizerElement:
     """Centralizer element z = (B, C) with B phi'(s) C^-1 = I.
 
     Construction: B = lambda I, C = B phi'(s), lambda = det(phi'(s))^(-1/(2n)).
@@ -290,7 +290,7 @@ def normalizer(curve: MatrixPolyCurve, s, tol: float = INVERTIBILITY_TOL) -> Cen
     """
     d_mat = _linalg.to_float(curve.derivative(s))
     d = float(np.linalg.det(d_mat))
-    err = normalizer_error(d, s, tol)
+    err = normalizer_error(d, s)
     if err is not None:
         raise err
     n = curve.n
@@ -300,9 +300,9 @@ def normalizer(curve: MatrixPolyCurve, s, tol: float = INVERTIBILITY_TOL) -> Cen
     return CentralizerElement(B=B, C=C)
 
 
-def normalizer_error(d: float, s, tol: float = INVERTIBILITY_TOL):
+def normalizer_error(d: float, s):
     """The error `normalizer` raises at s when det(phi'(s)) = d, or None."""
-    if abs(d) <= tol:
+    if abs(d) <= INVERTIBILITY_TOL:
         return SingularMatrixError(f"phi'(s) singular at s = {s}, |det| = {abs(d):.3e}",
                                    det=abs(d))
     if d < 0:

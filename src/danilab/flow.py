@@ -21,13 +21,10 @@ from .errors import DomainError, InternalIdentityError, InvariantError, raise_fi
 from .lattice import LatticeBasis
 
 GROUP_DET_TOL = 1e-8
+CONJ_TOL = 1e-9  # bound on the residual of `conj_by_E`'s five-factor product (~1e-15)
 # The flow times t with e^t and e^-t both finite nonzero floats: |t| below
 # log of the largest float, about 709.78.
 _MAX_FLOW_TIME = math.log(sys.float_info.max)
-
-
-def _det_error(d: float) -> InvariantError:
-    return InvariantError(f"det = {d!r} deviates from 1 beyond {GROUP_DET_TOL}")
 
 
 @dataclass(frozen=True)
@@ -188,8 +185,7 @@ def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = 
     out[:, :n, n:] = top[:, None, None] * phi + 0.0
     with np.errstate(invalid="ignore"):  # rows of samples that failed to normalize are nan
         g_det = np.linalg.det(out)
-    failures.append((~(np.abs(g_det - 1.0) <= GROUP_DET_TOL),
-                     lambda i: _det_error(float(g_det[i]))))
+    failures.append(_linalg.unit_failures(g_det, 1, GROUP_DET_TOL, InvariantError, "det"))
     raise_first(failures, "sample_index")
     if basepoint is not None:
         out = out @ _linalg.to_float(basepoint.cols)
@@ -250,12 +246,12 @@ def sl2_image(copy: Sl2Copy, mat) -> GroupElement:
 E_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def conj_by_E(phi, z0: CentralizerElement, D, tol: float = 1e-9) -> np.ndarray:
+def conj_by_E(phi, z0: CentralizerElement, D) -> np.ndarray:
     """Conjugate z0 u(D) z0^-1 by the copy image of [[0, 1], [-1, 0]].
 
     The result must be lower unipotent: identity diagonal blocks, vanishing
     upper-right block, and lower-left block -phi^-1 (B D C^-1) phi^-1. The
-    unipotent shape is asserted to tol; the lower-left block is returned.
+    unipotent shape is asserted to CONJ_TOL; the lower-left block is returned.
     """
     copy = sl2_copy(_linalg.to_float(np.asarray(phi)))
     e_img = sl2_image(copy, E_MAT)
@@ -272,8 +268,8 @@ def conj_by_E(phi, z0: CentralizerElement, D, tol: float = 1e-9) -> np.ndarray:
     upper_right = _linalg.sup_norm(total.block(0, 1))
     diag_resid = max(_linalg.sup_norm(_linalg.to_float(total.block(0, 0)) - np.eye(n)),
                      _linalg.sup_norm(_linalg.to_float(total.block(1, 1)) - np.eye(n)))
-    if upper_right > tol or diag_resid > tol:
+    if upper_right > CONJ_TOL or diag_resid > CONJ_TOL:
         raise InternalIdentityError(
             f"conjugated element is not lower unipotent: upper-right {upper_right:.3e}, "
-            f"diagonal residual {diag_resid:.3e} (tol {tol})")
+            f"diagonal residual {diag_resid:.3e} (tol {CONJ_TOL})")
     return _linalg.to_float(total.block(1, 0))

@@ -87,24 +87,22 @@ class LatticeBasis:
     def __init__(self, cols: np.ndarray):
         if cols.ndim != 2 or not cols.shape[0] == cols.shape[1] >= 1:
             raise InvariantError(f"basis must be m x m with m >= 1, got shape {cols.shape}")
-        int_cols = den = stack = None
+        int_cols = den = None
         if _linalg.is_exact(cols):
             m = cols.shape[0]
             flat, den = _linalg.integral(cols.T.ravel().tolist())
             int_cols = tuple(tuple(flat[j * m:(j + 1) * m]) for j in range(m))
             _check_integral_det(int_cols, den)
         else:
-            d = _linalg.det(cols)
-            if not abs(abs(d) - 1.0) <= UNIMODULAR_TOL:
-                raise _det_error(d)
+            _linalg.check_equals(abs(_linalg.det(cols)), 1, UNIMODULAR_TOL, InvariantError,
+                                 "|det|")
         cols.flags.writeable = False
-        if int_cols is None:
-            stack = _Stack(cols[None], named=False)
         _SET(self, "_cols", cols)
         _SET(self, "int_cols", int_cols)
         _SET(self, "den", den)
-        _SET(self, "_stack", stack)
-        _SET(self, "_lane", 0)
+        if int_cols is None:
+            _SET(self, "_stack", _Stack(cols[None], named=False))
+            _SET(self, "_lane", 0)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LatticeBasis is immutable; cannot set {name!r}")
@@ -136,8 +134,6 @@ class LatticeBasis:
         _SET(basis, "_cols", None)
         _SET(basis, "int_cols", int_cols)
         _SET(basis, "den", den)
-        _SET(basis, "_stack", None)
-        _SET(basis, "_lane", 0)
         return basis
 
     @classmethod
@@ -151,9 +147,8 @@ class LatticeBasis:
         if cols.ndim != 3 or not cols.shape[1] == cols.shape[2] >= 1 or _linalg.is_exact(cols):
             raise InvariantError(f"batch needs an (M, m, m) float stack with m >= 1, got "
                                  f"{cols.dtype} of shape {cols.shape}")
-        d = np.linalg.det(cols)
-        raise_first([(~(np.abs(np.abs(d) - 1.0) <= UNIMODULAR_TOL),
-                      lambda i: _det_error(float(d[i])))], "sample_index")
+        raise_first([_linalg.unit_failures(np.abs(np.linalg.det(cols)), 1, UNIMODULAR_TOL,
+                                           InvariantError, "|det|")], "sample_index")
         cols.flags.writeable = False
         stack = _Stack(cols, named=True)
         # the slots' own setters, which cost less per basis than _SET
@@ -190,10 +185,6 @@ class LatticeBasis:
     @property
     def exact(self) -> bool:
         return self.int_cols is not None
-
-
-def _det_error(d: float) -> InvariantError:
-    return InvariantError(f"|det| = {abs(d)!r} deviates from 1 beyond {UNIMODULAR_TOL}")
 
 
 def _check_integral_det(int_cols: tuple, den: int) -> None:

@@ -30,8 +30,8 @@ derived exterior action stay entry loops.
 
 Images are exact when the entries they are built from are; no function
 here picks a mode of its own. `obstruction_subspace` works in the mode of
-the phi(s) that `curve.eval` returns, and the trace check of `lie_image` is
-the package's unit check (`_linalg.check_equals`).
+the phi(s) that `curve.eval` returns. The trace check of `lie_image` and
+the det check of `unipotent_image` are the package's unit check (`_linalg`).
 """
 
 import itertools
@@ -44,8 +44,10 @@ import numpy as np
 
 from . import _linalg
 from .curve import MatrixPolyCurve
-from .errors import DomainError, HypothesisViolationError, raise_first
-from .flow import E_MAT, GROUP_DET_TOL, GroupElement, Sl2Copy, _det_error, sl2_image, u_embed
+from .errors import DomainError, HypothesisViolationError, InvariantError, raise_first
+from .flow import E_MAT, GROUP_DET_TOL, GroupElement, Sl2Copy, sl2_image, u_embed
+
+VERIFY_TOL = 1e-8  # relative bound on a checked residual, which rounds to ~1e-15
 
 
 @dataclass(frozen=True)
@@ -264,8 +266,7 @@ def upper_block(n: int, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def constrained_subspace(rep: Representation, copy: Sl2Copy, r, tol: float = 1e-9,
-                         image: np.ndarray = None):
+def constrained_subspace(rep: Representation, copy: Sl2Copy, r, image: np.ndarray = None):
     """Orthonormal basis of {v in V0 + V- : rho(u(r phi)) v in V0 + V-}; for
     a sequence of R values of r, the list of the R bases.
 
@@ -280,8 +281,7 @@ def constrained_subspace(rep: Representation, copy: Sl2Copy, r, tol: float = 1e-
     img = unipotent_image(rep, copy, r) if image is None else image
     idx = decomp._index
     zm = np.concatenate([idx["zero"], idx["minus"]])
-    ranks, vh = _linalg.nullspaces(
-        img.reshape(-1, rep.dim, rep.dim)[:, idx["plus"][:, None], zm], tol=tol)
+    ranks, vh = _linalg.nullspaces(img.reshape(-1, rep.dim, rep.dim)[:, idx["plus"][:, None], zm])
     full = np.zeros(vh.shape[:2] + (rep.dim,))
     full[..., zm] = vh
     bases = [list(f[rank:]) for f, rank in zip(full, ranks)]
@@ -344,13 +344,11 @@ def unipotent_image(rep: Representation, copy: Sl2Copy, r) -> np.ndarray:
     g[..., d, d] = 1.0
     g[..., :n, n:] = rs[..., None, None] * _linalg.to_float(copy.phi)
     det = np.linalg.det(g).reshape(-1)
-    raise_first([(~(np.abs(det - 1.0) <= GROUP_DET_TOL), lambda i: _det_error(float(det[i])))],
-                "r_index")
+    raise_first([_linalg.unit_failures(det, 1, GROUP_DET_TOL, InvariantError, "det")], "r_index")
     return rep_image(rep, g)
 
 
-def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
-                        tol: float = 1e-8, image: np.ndarray = None):
+def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v, image: np.ndarray = None):
     """Residual of the neutral-projection transport identity
     q0(rho(u(r phi)) v) = rho(E_phi) q0(v), for v with v and rho(u(r phi)) v
     both in V0 + V-. Violated preconditions raise with the residual.
@@ -360,8 +358,9 @@ def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
     v is an (R, k, dim) stack, giving the (R, k) residuals. The images are
     built once per call (rho(E_phi) one matrix for every r), except
     rho(u(r phi)) when `image` (as `unipotent_image` returns it) is given.
-    The lowest failing r raises, and within it the lowest failing draw, with
-    their positions as `r_index` and `draw_index`."""
+    Every r must be nonzero. The lowest failing r raises, and within it the
+    lowest failing draw, with their positions as `r_index` and `draw_index`."""
+    _check_nonzero(r)
     decomp = weight_split(rep)
     vs, shape = _draws(rep, r, v)
     pre_in = _row_sup(project(decomp, "plus", vs))
@@ -369,10 +368,10 @@ def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
     pre_out = _row_sup(project(decomp, "plus", ws))
     # np.fmax(1.0, x) is max(1.0, x) for floats, nan included
     raise_first([
-        (pre_in > tol * np.fmax(1.0, _row_sup(vs)), lambda i: HypothesisViolationError(
+        (pre_in > VERIFY_TOL * np.fmax(1.0, _row_sup(vs)), lambda i: HypothesisViolationError(
             f"v has expanding component {pre_in[i]:.3e} beyond tol",
             residual=float(pre_in[i]))),
-        (pre_out > tol * np.fmax(1.0, _row_sup(ws)), lambda i: HypothesisViolationError(
+        (pre_out > VERIFY_TOL * np.fmax(1.0, _row_sup(ws)), lambda i: HypothesisViolationError(
             f"rho(u(r phi)) v has expanding component {pre_out[i]:.3e} beyond tol",
             residual=float(pre_out[i]))),
     ], "r_index", "draw_index")
@@ -381,8 +380,7 @@ def verify_q0_transport(rep: Representation, copy: Sl2Copy, r, v,
     return _results(resid, shape)
 
 
-def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
-                           tol: float = 1e-8, image: np.ndarray = None):
+def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v, image: np.ndarray = None):
     """Sup-norm of the expanding projection of rho(u(r phi)) v for a nonzero
     contracting v; the transported dynamical statement says this is > 0.
 
@@ -398,7 +396,7 @@ def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
     outside = _row_sup(vs - project(decomp, "minus", vs))
     raise_first([
         (nv == 0, lambda i: HypothesisViolationError("v must be nonzero", residual=0.0)),
-        (outside > tol * nv, lambda i: HypothesisViolationError(
+        (outside > VERIFY_TOL * nv, lambda i: HypothesisViolationError(
             f"v has component {outside[i]:.3e} outside the contracting part",
             residual=float(outside[i]))),
     ], "r_index", "draw_index")
@@ -407,8 +405,7 @@ def verify_qplus_nonvanish(rep: Representation, copy: Sl2Copy, r, v,
     return _results(norms, shape)
 
 
-def obstruction_subspace(rep: Representation, curve: MatrixPolyCurve, samples,
-                         tol: float = 1e-9):
+def obstruction_subspace(rep: Representation, curve: MatrixPolyCurve, samples):
     """Intersection over the samples of rho(u(phi(s)))^-1 (V0 + V-), i.e.
     vectors whose images never pick up an expanding component.
 
@@ -426,13 +423,10 @@ def obstruction_subspace(rep: Representation, curve: MatrixPolyCurve, samples,
               for s in samples]
     exact = all(_linalg.is_exact(b) for b in blocks)
     stacked = np.vstack(blocks if exact else [_linalg.to_float(b) for b in blocks])
-    dim_null, basis = _linalg.nullspace(stacked, tol=tol)
-    assert dim_null == len(basis)
-    return basis
+    return _linalg.nullspace(stacked)[1]
 
 
-def invariance_subspace(rep: Representation, decomp: WeightDecomposition, w0,
-                        tol: float = 1e-9):
+def invariance_subspace(rep: Representation, decomp: WeightDecomposition, w0):
     """Matrices phi with u(phi) fixing the neutral vector w0.
 
     Solves the linearized condition (derived action of [[0, phi], [0, 0]]
@@ -443,7 +437,8 @@ def invariance_subspace(rep: Representation, decomp: WeightDecomposition, w0,
     if w0.shape != (rep.dim,):
         raise DomainError(f"w0 must have length {rep.dim}")
     off = _linalg.sup_norm(w0 - project(decomp, "zero", w0))
-    if off > tol * max(1.0, _linalg.sup_norm(w0)):
+    # w0 must be neutral to the rank rule that solves for phi below
+    if off > _linalg.RANK_TOL * max(1.0, _linalg.sup_norm(w0)):
         raise HypothesisViolationError(
             f"w0 has component {off:.3e} outside the neutral part", residual=off)
     n = rep.n
@@ -455,7 +450,7 @@ def invariance_subspace(rep: Representation, decomp: WeightDecomposition, w0,
             l_mat = _linalg.to_float(lie_image(rep, upper_block(n, phi)))
             cols.append(l_mat @ w0)
     system = np.column_stack(cols) if cols else np.zeros((rep.dim, 0))
-    dim_null, basis = _linalg.nullspace(system, tol=tol)
+    _, basis = _linalg.nullspace(system)
     mats = [vec.reshape(n, n) for vec in basis]
 
     rng = np.random.default_rng(7)
@@ -468,6 +463,6 @@ def invariance_subspace(rep: Representation, decomp: WeightDecomposition, w0,
     for phi in candidates:
         img = _linalg.to_float(rep_image(rep, u_embed(phi)))
         resid = _linalg.sup_norm(img @ w0 - w0)
-        if resid > 1e-8 * max(1.0, _linalg.sup_norm(w0)):
+        if resid > VERIFY_TOL * max(1.0, _linalg.sup_norm(w0)):
             verified = False
     return mats, verified

@@ -13,7 +13,7 @@ from danilab import (CentralizerElement, GroupElement, LatticeBasis,
                      w_invariance_gap, z_embed)
 from danilab import _linalg
 from danilab.errors import DomainError, InvariantError
-from danilab.reptheory import adjoint, exterior, lie_image
+from danilab.reptheory import adjoint, exterior, lie_image, unipotent_image
 
 
 def random_group_element(rng, n, exact=False):
@@ -349,3 +349,30 @@ def test_unit_checks_refuse_off_target_values(case):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+# The float det checks of a basis and of the three stacks give the message of
+# the one-element check, and a stack names its failing entry: the det is nan
+# where e^t phi(s) or r phi overflows, and |det| is 1.5 for diag(-1.5, 1).
+BIG_LINE = MatrixPolyCurve.from_coeffs([[[0.0]], [[1e300]]], (0.0, 2.0))
+FLOAT_DET_CASES = {
+    "LatticeBasis": (lambda: LatticeBasis(np.diag([-1.5, 1.0])),
+                     "|det| = 1.5 deviates from 1 beyond 1e-08", None),
+    "batch": (lambda: LatticeBasis.batch(np.array([np.eye(2), np.diag([-1.5, 1.0])])),
+              "|det| = 1.5 deviates from 1 beyond 1e-08", "sample_index"),
+    "orbit_points": (lambda: orbit_points(BIG_LINE, [0.0, 1.5], 700.0),
+                     "det = nan deviates from 1 beyond 1e-08", "sample_index"),
+    "unipotent_image": (lambda: unipotent_image(exterior(1, 1), sl2_copy(np.array([[1e300]])),
+                                                [1.0, 1e10]),
+                        "det = nan deviates from 1 beyond 1e-08", "r_index"),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_DET_CASES)
+def test_float_det_checks_keep_their_text_and_index(case):
+    call, message, index_name = FLOAT_DET_CASES[case]
+    with pytest.raises(InvariantError) as info, np.errstate(over="ignore", invalid="ignore"):
+        call()
+    assert str(info.value) == message
+    if index_name is not None:
+        assert getattr(info.value, index_name) == 1

@@ -292,3 +292,12 @@ def test_exact_basis_clears_denominators_once(monkeypatch):
     assert calls == [4]
     with pytest.raises(InvariantError, match=r"exact \|det\| = 2 != 1"):
         LatticeBasis.from_rational([[2, 1], [0, -1]])
+
+
+def test_exact_basis_sets_no_float_slot():
+    # the stack and lane of a float basis are never written on an exact one
+    for basis in (LatticeBasis.from_rational([[2, 0], [0, Fraction(1, 2)]]),
+                  LatticeBasis.from_integral([(4, 0), (0, 1)], 2),
+                  LatticeBasis.of_checked_integral(((1, 0), (0, 1)), 1)):
+        assert basis.exact and not hasattr(basis, "_stack") and not hasattr(basis, "_lane")
+    assert hasattr(LatticeBasis(np.eye(2)), "_stack")

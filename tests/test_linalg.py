@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from danilab import _linalg
-from danilab.errors import InvariantError, SingularMatrixError
+from danilab.errors import InternalIdentityError, InvariantError, SingularMatrixError
 
 # zero-heavy entries: ints, Fractions with denominators <= 12, and exact floats
 ENTRY = st.one_of(st.just(0), st.integers(-9, 9),
@@ -69,6 +69,13 @@ def test_nullspace_exact_certifies_dimension():
 def test_nullspace_zero_rows_full_space():
     dim, basis = _linalg.nullspace(np.zeros((0, 3)))
     assert dim == 3 and len(basis) == 3
+
+
+def test_exact_nullspace_refuses_a_basis_that_loses_rank_in_floats(monkeypatch):
+    # the float conversion is made to drop one of the two exact basis vectors
+    monkeypatch.setattr(_linalg, "orthonormal_span", lambda vectors, tol: (1, [vectors[0]]))
+    with pytest.raises(InternalIdentityError, match="lost rank in float conversion"):
+        _linalg.nullspace(_linalg.frac_matrix([[1, 2, 3]]))
 
 
 def test_orthonormal_span_rank_and_orthogonality():
@@ -146,6 +153,41 @@ def test_check_equals_accepts_its_target():
     for value in (Fraction(1), 1, 1.0, 1 + 1e-9, np.float64(1 - 1e-9)):
         _linalg.check_equals(value, 1, 1e-8, InvariantError, "det")
     _linalg.check_equals(Fraction(0), 0, 1e-10, InvariantError, "trace")
+
+
+def unit_edges(tol: float) -> list:
+    """Floats on and one step past the edges 1 - tol and 1 + tol of the unit
+    check, their negatives (negative dets), and the non-finite values."""
+    edges = []
+    for x in (1 - tol, 1 + tol):
+        edges += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    return edges + [-x for x in edges] + [1.0, -1.0, 0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def unit_stack(draw):
+    """(tol, dets): a tolerance of the package's unit checks and a float
+    stack of determinants drawn from its edges and from any floats."""
+    tol = draw(st.sampled_from((1e-8, 1e-10)))
+    dets = draw(st.lists(st.one_of(st.sampled_from(unit_edges(tol)), st.floats(-2, 2),
+                                   st.floats()), min_size=1, max_size=12))
+    return tol, np.array(dets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(unit_stack(), st.booleans())
+def test_stacked_unit_check_refuses_what_check_equals_refuses(case, absolute):
+    tol, dets = case
+    values, name = (np.abs(dets), "|det|") if absolute else (dets, "det")
+    bad, error = _linalg.unit_failures(values, 1, tol, InvariantError, name)
+    assert bad.shape == values.shape
+    for i, value in enumerate(values.tolist()):
+        try:
+            _linalg.check_equals(value, 1, tol, InvariantError, name)
+        except InvariantError as exc:
+            assert bad[i] and type(error(i)) is InvariantError and str(error(i)) == str(exc)
+        else:
+            assert not bad[i]
 
 
 @st.composite

@@ -307,3 +307,14 @@ def test_flow_generator_acts_by_the_weight_split(n, exact):
 def test_lie_image_rejects_nonzero_trace():
     with pytest.raises(DomainError):
         lie_image(adjoint(1), np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_transport_verifier_refuses_r_zero():
+    copy = sl2_copy(np.array([[2.0]]))
+    v = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(DomainError, match="r must be nonzero") as info:
+        verify_q0_transport(adjoint(1), copy, 0, v)
+    assert info.value.r_index == 0
+    with pytest.raises(DomainError, match="r must be nonzero") as info:
+        verify_q0_transport(adjoint(1), copy, [1, 0], np.array([[v], [v]]))
+    assert info.value.r_index == 1
