@@ -574,9 +574,30 @@ def run(config: ExperimentConfig) -> list:
         os.makedirs(parent, exist_ok=True)
     write_jsonl(records, config.output + ".jsonl")
     if table is not None:
-        with open(config.output + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(table.to_csv_text())
+        _write_text(config.output + ".csv", table.to_csv_text())
     return records
+
+
+def _write_text(path: str, text: str):
+    """Write `text` (UTF-8) to `path`, the one writer of every output file.
+
+    An existing file is overwritten in place, as open(path, "w") would: the
+    same inode, through a symlink, with its mode kept. It is not truncated
+    to zero first, because on ext4 (auto_da_alloc) a file truncated to zero
+    and rewritten starts its writeback at close; here its blocks are reused
+    and the length is cut after the write. The text is encoded before the
+    file is opened, so an error there leaves the old file untouched. A
+    process killed between the write and the truncate, when the new text is
+    shorter than the old, leaves the old file's tail after the new bytes."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # One encoder for every record; json.dumps with separators builds one per call.
@@ -593,7 +614,8 @@ def write_jsonl(records, path: str):
     envelope that a run's records share (`experiment_id`, `config_hash`,
     `status` before the payload, `timestamp` after it) is encoded once per
     file and each payload once; any other record is encoded whole. An
-    empty list writes an empty file."""
+    empty list writes an empty file. The file is written by `_write_text`,
+    after every record is encoded."""
     encode = _JSONL_ENCODER.encode
     lines = []
     shared = head = tail = None
@@ -607,8 +629,7 @@ def write_jsonl(records, path: str):
             head = encode(dict(zip(_ENVELOPE[:3], envelope)))[:-1] + ',"payload":'
             tail = ',"timestamp":' + encode(envelope[3]) + "}\n"
         lines.append(head + encode(rec["payload"]) + tail)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    _write_text(path, "".join(lines))
 
 
 def _strip_timestamp(rec: dict) -> str:

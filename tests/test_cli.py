@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -338,9 +339,59 @@ def test_write_jsonl_is_json_dumps_per_record(tmp_path):
                                        for rec in records)
     import numpy as np
 
+    written = path.read_bytes()
     for leftover in (Fraction(1, 2), np.int64(1), np.bool_(True)):  # not JSON-plain
         with pytest.raises(TypeError):
             write_jsonl([envelope("a", "t0", {"x": leftover})], str(path))
+        assert path.read_bytes() == written  # refused before the file is opened
+
+
+def test_run_over_longer_stale_outputs_leaves_exactly_the_new_bytes(tmp_path):
+    cfg = base_config(subcommand="dirichlet-scan",
+                      parameters={"mu": "1/2", "N_range": [2, 4], "s_grid": {"count": 3}},
+                      output=str(tmp_path / "scan"))
+    del cfg["sampler"]
+    config = parse_config(json.dumps(cfg))
+    jsonl, csv = tmp_path / "scan.jsonl", tmp_path / "scan.csv"
+    run(config)
+    fresh_csv = csv.read_bytes()
+    for path in (jsonl, csv):
+        path.write_bytes(b"stale line\n" * (path.stat().st_size // 4 + 100))
+    records = run(config)
+    assert jsonl.read_bytes() == "".join(json.dumps(rec, separators=(",", ":")) + "\n"
+                                         for rec in records).encode("ascii")
+    assert csv.read_bytes() == fresh_csv
+
+
+def test_write_jsonl_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_text("stale\n" * 50)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    inode = target.stat().st_ino
+    write_jsonl([{"payload": 1}], str(link))
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == b'{"payload":1}\n'
+    assert target.stat().st_ino == inode
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_write_jsonl_writes_every_byte_of_short_writes(tmp_path, monkeypatch):
+    write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    records = [{"payload": list(range(30))}, {"payload": "x" * 41}]
+    path = tmp_path / "r.jsonl"
+    path.write_text("stale\n" * 100)
+    write_jsonl(records, str(path))
+    want = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records).encode()
+    assert path.read_bytes() == want
+    assert sum(sizes) == len(want) and max(sizes) == 7
 
 
 def dirichlet_config(**params):

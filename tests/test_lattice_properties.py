@@ -14,7 +14,8 @@ is held to the depth-first float walk each basis ran alone before
 (`ball_walk_reference`): equal leaves, and equal box counts, ball tests and
 shortest vectors on every lane, bit for bit. At n = 1 the shortest vector is
 also held to continued fractions (`cf_reference`), which use no LLL and no
-walk.
+walk. At n = 2 and 3, the orbit lattices of the rank-1 curve s I, direct
+sums of the n = 1 line's lattice, are held to that line plane by plane.
 """
 
 import itertools
@@ -1013,3 +1014,40 @@ def test_continued_fraction_oracle_on_hand_cases():
     assert cf_reference.lambda1(0, Fraction(1, 4)) == Fraction(1, 4)
     # phi = 1/2, E = 2: (E (phi - 0), 1/E) = (1, 1/2) against (E (2 phi - 1), 2/E) = (0, 1)
     assert cf_reference.lambda1(Fraction(1, 2), 2) == 1
+
+
+# The rank-1 curve phi(s) = s I is a direct sum: u(s I) preserves each plane
+# (x_i, y_i), so a_t u(s I) Z^2n = L + ... + L, L = a_t u(s) Z^2 the lattice
+# of the n = 1 line at the same s. Its float entries are those of L (a sum
+# with zeros is exact), so the n = 2 and 3 stacks (the m = 4 and m = 6 `_lll`
+# kernels and the stack walk) answer what the n = 1 stack (the pair kernel
+# `_lll_pair_arrays`) answers; the two routes share no LLL code.
+# Near s = 1 the planes hold ~2 e^t vectors each, and their product can pass
+# the walk's node budget, which refuses the count; such boxes are not counted.
+RANK_ONE_MAX_COUNT = 2_000
+
+
+@SETTINGS
+@given(st.integers(2, 3), st.lists(st.floats(1.0, 2.0), min_size=1, max_size=6),
+       st.floats(0.5, 8.0), st.data())
+def test_rank_one_curve_answers_as_the_n1_line_plane_by_plane(n, s, t, data):
+    """A box count of the sum is prod(c_i + 1) - 1, c_i the count of L in
+    plane i's box; K_mu and nondivergence indicators, which read lambda_1,
+    are L's; lambda_1 agrees within the recombination rounding of
+    `test_n1_lambda1_is_the_continued_fraction_oracles`, 4 e^2t (1 + |phi|)
+    ulp."""
+    box = data.draw(st.lists(st.floats(0.25, 1.5), min_size=2 * n, max_size=2 * n))
+    mu, eps = data.draw(st.floats(0.05, 0.99)), data.draw(st.floats(0.05, 0.99))
+    rank_one = MatrixPolyCurve.from_coeffs([np.zeros((n, n)), np.eye(n)], (1.0, 2.0))
+    sums = LatticeBasis.batch(orbit_points(rank_one, s, t))
+    lines = LatticeBasis.batch(orbit_points(PHI_IS_S, s, t))
+    e = math.exp(t)
+    for phi, big, line in zip(s, sums, lines):
+        want = math.prod(count_in_box(line, (box[i], box[n + i])) + 1 for i in range(n)) - 1
+        if want <= RANK_ONE_MAX_COUNT:
+            assert count_in_box(big, box) == want
+        assert in_kmu(big, mu) is in_kmu(line, mu)
+        assert in_mahler_compact(big, eps) is in_mahler_compact(line, eps)
+        rel = 4 * e * e * (1 + abs(phi)) * 2.0 ** -53
+        assert shortest_supnorm(big).length == pytest.approx(shortest_supnorm(line).length,
+                                                            rel=rel, abs=0)
