@@ -24,12 +24,15 @@ walks depth first in integers, by one generated kernel per m too
 per node.
 
 Every float basis is a lane of a `_Stack`: the bases of one
-`LatticeBasis.batch` share one, and a basis made alone has its own. The
-first query of one box or bound, or of the shortest vector, on any lane
-reduces every lane (a 2 x 2 stack at once, by a lane-masked LLL that takes
-the scalar LLL's float steps) and decides the query for every lane in one
-breadth-first walk over numpy arrays (`_stack_walk`), the one float
-enumerator, with the float operations of a depth-first walk in its order.
+`LatticeBasis.batch` share one, and a basis made alone has its own. A caller
+that reads whole answer lists (`stats.Observable.evaluate_stack`) takes the
+checked stack itself (`_checked_stack`, which `batch` wraps) and builds no
+bases. The first query of one box or bound, or of the shortest vector, on
+any lane reduces every lane (a 2 x 2 stack at once, by a lane-masked LLL
+that takes the scalar LLL's float steps) and decides the query for every
+lane in one breadth-first walk over numpy arrays (`_stack_walk`), the one
+float enumerator, with the float operations of a depth-first walk in its
+order.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -138,24 +141,15 @@ class LatticeBasis:
 
     @classmethod
     def batch(cls, cols: np.ndarray) -> tuple:
-        """The bases of an (M, m, m) float stack, frozen, each a view of it.
-        One np.linalg.det checks every |det| to 1 within UNIMODULAR_TOL; the
-        lowest failing lane raises its constructor's error, with its index as
-        `sample_index`. The bases share one `_Stack`, which decides each
-        query for every lane at once. An exact stack is refused: exact bases
-        are built one by one."""
-        if cols.ndim != 3 or not cols.shape[1] == cols.shape[2] >= 1 or _linalg.is_exact(cols):
-            raise InvariantError(f"batch needs an (M, m, m) float stack with m >= 1, got "
-                                 f"{cols.dtype} of shape {cols.shape}")
-        raise_first([_linalg.unit_failures(np.abs(np.linalg.det(cols)), 1, UNIMODULAR_TOL,
-                                           InvariantError, "|det|")], "sample_index")
-        cols.flags.writeable = False
-        stack = _Stack(cols, named=True)
+        """The bases of an (M, m, m) float stack, frozen, each a view of it
+        and a lane of its `_checked_stack`, which decides each query for
+        every lane at once."""
+        stack = _checked_stack(cols)
         # the slots' own setters, which cost less per basis than _SET
         set_cols, set_int_cols, set_den, set_stack, set_lane = (
             getattr(cls, name).__set__ for name in cls.__slots__)
         bases = []
-        for lane, view in enumerate(cols):
+        for lane, view in enumerate(stack.cols):
             basis = object.__new__(cls)
             set_cols(basis, view)
             set_int_cols(basis, None)
@@ -185,6 +179,21 @@ class LatticeBasis:
     @property
     def exact(self) -> bool:
         return self.int_cols is not None
+
+
+def _checked_stack(cols: np.ndarray) -> "_Stack":
+    """The named `_Stack` of an (M, m, m) float stack, its columns frozen.
+    One np.linalg.det checks every |det| to 1 within UNIMODULAR_TOL; the
+    lowest failing lane raises the error of `LatticeBasis(cols[lane])`, with
+    its index as `sample_index`. An exact stack is refused: exact bases are
+    built one by one."""
+    if cols.ndim != 3 or not cols.shape[1] == cols.shape[2] >= 1 or _linalg.is_exact(cols):
+        raise InvariantError(f"a stack needs an (M, m, m) float stack with m >= 1, got "
+                             f"{cols.dtype} of shape {cols.shape}")
+    raise_first([_linalg.unit_failures(np.abs(np.linalg.det(cols)), 1, UNIMODULAR_TOL,
+                                       InvariantError, "|det|")], "sample_index")
+    cols.flags.writeable = False
+    return _Stack(cols, named=True)
 
 
 def _check_integral_det(int_cols: tuple, den: int) -> None:
@@ -387,6 +396,8 @@ class _Stack:
     reduce raises. A query is decided for every lane in one walk
     (`_stack_walk`); a lane past _MAX_NODES, or whose shortest vector fails
     a check, answers with its error, and the other lanes still answer.
+    `read` gives one lane's answer, or every lane's; `below` and `minimum`
+    read the ball test and the shortest vector.
     """
 
     __slots__ = ("cols", "named", "_reduced", "_answers")
@@ -401,16 +412,35 @@ class _Stack:
         exc.sample_index = lane if self.named else None
         return exc
 
-    def answer(self, i: int, key, decide, *args):
-        """Lane i's answer to the query `key`, which decide(*args) makes for
-        every lane on its first call; an error is raised afresh, named."""
+    def read(self, lane, key, decide, *args):
+        """Lane `lane`'s answer to the query `key`, or every lane's answer
+        when lane is None; decide(*args) makes the answers of every lane on
+        the first read. An answer that is an error is raised afresh, named:
+        when every lane is read, the lowest such lane's."""
         answers = self._answers.get(key)
         if answers is None:
             answers = self._answers[key] = decide(*args)
-        x = answers[i]
+        if lane is None:  # read every lane: the lowest error, if any, is the one raised
+            lane = next((i for i, x in enumerate(answers) if isinstance(x, Exception)), None)
+            if lane is None:
+                return answers
+        x = answers[lane]
         if isinstance(x, Exception):
-            raise self._name(type(x)(*x.args), i)
+            raise self._name(type(x)(*x.args), lane)
         return x
+
+    def below(self, bound, lane=None):
+        """`_exists_shorter` of one lane (every lane when lane is None) for
+        the bound > 0. A float x has |x| < bound iff |x| < r, for r =
+        float(bound), or for the float after it when r < bound."""
+        r = float(bound)
+        if r < bound:
+            r = math.nextafter(r, math.inf)
+        return self.read(lane, ("ball", r), self.shorter, r)
+
+    def minimum(self, lane=None):
+        """`shortest_supnorm` of one lane (every lane when lane is None)."""
+        return self.read(lane, "shortest", self.shortest)
 
     def _lll_lanes(self, transform: bool) -> list:
         lanes = []
@@ -718,8 +748,10 @@ def _sup(v):
 
 
 def _budget_error() -> DegenerateInputError:
-    return DegenerateInputError("enumeration exceeds the desk-scale node budget; "
-                                "basis is too ill-conditioned after reduction")
+    return DegenerateInputError(
+        f"enumeration exceeds the desk-scale node budget of {_MAX_NODES} nodes: the box or "
+        "ball holds more lattice vectors than that, or the basis is too ill-conditioned "
+        "after reduction")
 
 
 def _minkowski_error(length) -> InvariantError:
@@ -850,7 +882,7 @@ def shortest_supnorm(basis: LatticeBasis) -> ShortVectorResult:
     down and raises InvariantError.
     """
     if not basis.exact:
-        return basis._stack.answer(basis._lane, "shortest", basis._stack.shortest)
+        return basis._stack.minimum(basis._lane)
     bred, ucols, lam, d = _lll_integral(basis.int_cols, _EXACT_DELTA, True)
     m = basis.m
     best = min(map(_sup, bred))
@@ -881,7 +913,7 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
         raise DomainError("halfwidths must be positive and finite")
     if not basis.exact:
         w = [float(x) for x in w]
-        return basis._stack.answer(basis._lane, ("box", *w), basis._stack.counts, w)
+        return basis._stack.read(basis._lane, ("box", *w), basis._stack.counts, w)
     # the box in units of 1/den; integers x have |x| <= r iff |x| <= floor(r)
     w = [(x if _linalg.is_exact_scalar(x) else Fraction(x)) * basis.den for x in w]
     r2 = sum(x * x for x in w)
@@ -893,15 +925,12 @@ def count_in_box(basis: LatticeBasis, halfwidths) -> int:
 
 def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     """Is there a nonzero lattice vector with ||v||_inf strictly below bound?
-    The callers have checked bound > 0. A float x has |x| < bound iff |x| <
-    r, for r = float(bound), or for the float after it when r < bound. An
-    exact basis reads bound as the rational it is."""
+    The callers have checked bound > 0. A float basis reads its stack's
+    answer (`_Stack.below`); an exact basis reads bound as the rational it
+    is."""
     int_cols = basis.int_cols
     if int_cols is None:
-        r = float(bound)
-        if r < bound:
-            r = math.nextafter(r, math.inf)
-        return basis._stack.answer(basis._lane, ("ball", r), basis._stack.shorter, r)
+        return basis._stack.below(bound, basis._lane)
     # integers x have |x| < bound * den iff |x| <= B - 1, B = ceil(bound * den)
     num, den = (bound if isinstance(bound, Fraction) else Fraction(bound)).as_integer_ratio()
     bound = -(-num * basis.den // den)

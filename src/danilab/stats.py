@@ -6,16 +6,18 @@ centralizer element of the curve derivative), evaluates a box-count /
 membership / shortest-vector observable, and aggregates. One kernel serves
 all of them: for a list of flow times it builds the M sample lattices of
 every flow time, and their translates when the estimator compares them, as
-one stack (`orbit_points` per flow time, joined), makes it bases
-(`LatticeBasis.batch`), evaluates the observable on each, and takes the
-mean and standard error of each flow time's values in index order. Every
-observable reads answers made for the whole stack: the first box count,
-ball test or shortest vector LLL-reduces every lane once (a box or ball at
-n = 1 all at once; the shortest vector with the transform) and decides it
-for every lane in one breadth-first walk. Per-sample values are pure
-functions of (seed, index), so a failing sample, one that fails to reduce
-in that first query included, is named by (seed, index, s) and can be rerun
-alone.
+one stack (`orbit_points` per flow time, joined), checks it once
+(`lattice._checked_stack`), and takes the mean and standard error of each
+flow time's values in index order. The first box count, ball test or
+shortest vector LLL-reduces every lane once (a box or ball at n = 1 all at
+once; the shortest vector with the transform) and decides it for every
+lane in one breadth-first walk. K_mu indicators, nondivergence and lambda1
+read that answer list in one call (`Observable.evaluate_stack`) and build
+no per-sample basis; Siegel counts still make the stack's bases
+(`LatticeBasis.batch`) and read them one sample at a time. Per-sample
+values are pure functions of (seed, index), so a failing sample, one that
+fails to reduce in that first query included, is named by (seed, index, s)
+and can be rerun alone.
 """
 
 import math
@@ -28,29 +30,38 @@ import numpy as np
 from .curve import MatrixPolyCurve
 from .errors import DomainError, InternalIdentityError
 from .flow import orbit_point, orbit_points, u_embed
-from .lattice import LatticeBasis, count_in_box, in_kmu, in_mahler_compact, shortest_supnorm
+from .lattice import (LatticeBasis, _checked_stack, count_in_box, in_kmu, in_mahler_compact,
+                      shortest_supnorm)
 from .rng import Sampler
 
 
 @dataclass(frozen=True)
 class Observable:
-    """A scalar function of a lattice basis, with a stable display name."""
+    """A scalar function of a lattice basis, with a stable display name.
+    `lambda1_below` (needs eps > 0) is 1 when the lattice has a nonzero
+    vector of sup-norm below eps: the nondivergence profile's observable,
+    which configs do not name."""
 
     kind: str
     mu: Optional[float] = None
     box: Optional[tuple] = None
+    eps: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("siegel_count", "kmu_indicator", "lambda1"):
+        if self.kind not in ("siegel_count", "kmu_indicator", "lambda1", "lambda1_below"):
             raise DomainError(f"unknown observable kind {self.kind!r}")
         if self.kind == "siegel_count" and not self.box:
             raise DomainError("siegel_count needs box halfwidths")
         if self.kind == "kmu_indicator" and not (self.mu is not None and 0 < self.mu < 1):
             raise DomainError(f"kmu_indicator needs mu in (0,1), got {self.mu}")
+        if self.kind == "lambda1_below" and not (self.eps is not None and self.eps > 0):
+            raise DomainError(f"eps must be positive, got {self.eps}")
         if self.kind != "siegel_count" and self.box is not None:
             raise DomainError(f"{self.kind} takes no box")
         if self.kind != "kmu_indicator" and self.mu is not None:
             raise DomainError(f"{self.kind} takes no mu")
+        if self.kind != "lambda1_below" and self.eps is not None:
+            raise DomainError(f"{self.kind} takes no eps")
 
     @property
     def name(self) -> str:
@@ -58,6 +69,8 @@ class Observable:
             return "siegel_count[" + ",".join(repr(float(w)) for w in self.box) + "]"
         if self.kind == "kmu_indicator":
             return f"kmu_indicator[{float(self.mu)!r}]"
+        if self.kind == "lambda1_below":
+            return f"lambda1_below[{float(self.eps)!r}]"
         return "lambda1"
 
     def evaluate(self, basis: LatticeBasis) -> float:
@@ -65,7 +78,23 @@ class Observable:
             return float(count_in_box(basis, self.box))
         if self.kind == "kmu_indicator":
             return 1.0 if in_kmu(basis, self.mu) else 0.0
+        if self.kind == "lambda1_below":
+            return 0.0 if in_mahler_compact(basis, self.eps) else 1.0
         return float(shortest_supnorm(basis).length)
+
+    def evaluate_stack(self, stack) -> np.ndarray:
+        """`evaluate` on every lane of a float stack (`lattice._checked_stack`),
+        in lane order, from one answer list: the stack's ball test below mu
+        or eps, or its shortest vectors. A failing lane raises as `evaluate`
+        on its basis would, the lowest one first, with its lane as
+        `sample_index`. Siegel counts are read per basis (`evaluate`)."""
+        if self.kind == "siegel_count":
+            raise DomainError("siegel_count is evaluated per basis")
+        if self.kind == "lambda1":
+            return np.array([x.length for x in stack.minimum()])
+        below = np.array(stack.below(self.mu if self.kind == "kmu_indicator" else self.eps),
+                         dtype=float)
+        return 1.0 - below if self.kind == "kmu_indicator" else below
 
 
 def siegel_count(box) -> Observable:
@@ -128,52 +157,54 @@ def _naming_sample(sampler: Sampler, points: np.ndarray):
         raise
 
 
-def _orbit_stats(curve: MatrixPolyCurve, t_list, sampler: Sampler, evaluate,
+def _orbit_stats(curve: MatrixPolyCurve, t_list, sampler: Sampler, observable: Observable,
                  normalize: bool = False, basepoint: LatticeBasis = None, shift=None):
-    """(mean, stderr) of evaluate over the sampled orbit lattices at each flow
-    time of the sequence t_list, in order, followed by the same for their
-    translates by the matrix `shift` when one is given; [] for no flow time.
+    """(mean, stderr) of the observable over the sampled orbit lattices at
+    each flow time of the sequence t_list, in order, followed by the same
+    for their translates by the matrix `shift` when one is given; [] for no
+    flow time.
 
     The M samples at every flow time, then their translates, are one stack:
-    lane k M + i is sample i at the k-th flow time (of the k-th block).
-    `LatticeBasis.batch` makes its bases, and the first box count, ball
-    test or shortest vector reduces the whole stack and decides it for
-    every lane. Errors report in this order: group-det failures
-    (`orbit_points`) in t order, then basis-det failures (`batch`), then
-    query failures, each the lowest failing lane's; the observables run
-    inside the same naming scope, so every one of these is named by its
-    sample. Each base lane's basis is
-    handed to the observable through `orbit_point`, with its own flow time,
-    and the observables call the lattice queries by their names here, so
-    span tracing of those names still sees one call per sample.
+    lane k M + i is sample i at the k-th flow time (of the k-th block), and
+    one det check covers it. Errors report in this order: group-det
+    failures (`orbit_points`) in t order, then basis-det failures, then
+    query failures, each the lowest failing lane's, and each named by its
+    sample.
     """
     if not t_list:
         return []
     points = sampler.points(curve.interval)
     M = len(points)
     with _naming_sample(sampler, points):
-        stack = np.concatenate([orbit_points(curve, points, t, basepoint=basepoint,
-                                             normalize=normalize) for t in t_list])
+        cols = np.concatenate([orbit_points(curve, points, t, basepoint=basepoint,
+                                            normalize=normalize) for t in t_list])
         if shift is not None:
-            stack = np.concatenate((stack, shift @ stack))
-        bases = LatticeBasis.batch(stack)
-        lanes = [(t, s) for t in t_list for s in points]
-        values = [evaluate(orbit_point(curve, s, t, basepoint=basepoint, normalize=normalize,
-                                       basis=basis))
-                  for (t, s), basis in zip(lanes, bases)]
-        values += [evaluate(basis) for basis in bases[len(lanes):]]
-    values = np.array(values, dtype=float)
+            cols = np.concatenate((cols, shift @ cols))
+        if observable.kind != "siegel_count":
+            values = observable.evaluate_stack(_checked_stack(cols))
+        else:
+            # Siegel counts still hand each base lane's basis to the observable
+            # through `orbit_point`, with its own flow time, and count it through
+            # the name `count_in_box` here: perfbench's tracer test counts one
+            # `flow.orbit_point` and one `lattice.count_in_box` span per sample.
+            # Once the benchmark traces stacks, this branch goes.
+            bases = LatticeBasis.batch(cols)
+            lanes = [(t, s) for t in t_list for s in points]
+            values = [observable.evaluate(orbit_point(curve, s, t, basepoint=basepoint,
+                                                      normalize=normalize, basis=basis))
+                      for (t, s), basis in zip(lanes, bases)]
+            values = np.array(values + [observable.evaluate(b) for b in bases[len(lanes):]])
     return [_mean_stderr(values[k:k + M]) for k in range(0, len(values), M)]
 
 
-def _profile(op: str, observable: str, curve: MatrixPolyCurve, t_list, sampler: Sampler,
-             evaluate, **orbit) -> list:
+def _profile(op: str, curve: MatrixPolyCurve, t_list, sampler: Sampler, observable: Observable,
+             **orbit) -> list:
     """One ObservableRecord per flow time of t_list, in order, from one
     `_orbit_stats` stack."""
     t_list = list(t_list)
-    return [ObservableRecord(op=op, t=float(t), observable=observable, mean=mean, stderr=se,
-                             M=sampler.count, seed=sampler.seed)
-            for t, (mean, se) in zip(t_list, _orbit_stats(curve, t_list, sampler, evaluate,
+    return [ObservableRecord(op=op, t=float(t), observable=observable.name, mean=mean,
+                             stderr=se, M=sampler.count, seed=sampler.seed)
+            for t, (mean, se) in zip(t_list, _orbit_stats(curve, t_list, sampler, observable,
                                                            **orbit))]
 
 
@@ -182,8 +213,7 @@ def siegel_average(curve: MatrixPolyCurve, t_list, box, sampler: Sampler,
     """Per flow time of t_list, the mean count of nonzero lattice vectors in
     the box along the orbit; the Haar expectation of the count is the box
     volume."""
-    obs = siegel_count(box)
-    return _profile("siegel_average", obs.name, curve, t_list, sampler, obs.evaluate,
+    return _profile("siegel_average", curve, t_list, sampler, siegel_count(box),
                     normalize=normalize, basepoint=basepoint)
 
 
@@ -191,8 +221,7 @@ def kmu_fraction(curve: MatrixPolyCurve, t_list, mu: float, sampler: Sampler,
                  normalize: bool = False) -> list:
     """Per flow time of t_list, the fraction of sampled orbit lattices
     avoiding the open mu-ball."""
-    obs = kmu_indicator(mu)
-    return _profile("kmu_fraction", obs.name, curve, t_list, sampler, obs.evaluate,
+    return _profile("kmu_fraction", curve, t_list, sampler, kmu_indicator(mu),
                     normalize=normalize)
 
 
@@ -200,10 +229,8 @@ def nondivergence_profile(curve: MatrixPolyCurve, t_list, eps: float, sampler: S
     """Per flow time of t_list, the fraction of samples whose lattice has a
     nonzero vector of sup-norm below eps (the mass outside the Mahler
     compact)."""
-    if not eps > 0:
-        raise DomainError("eps must be positive")
-    return _profile("nondivergence_profile", f"lambda1_below[{float(eps)!r}]", curve, t_list,
-                    sampler, lambda b: 0.0 if in_mahler_compact(b, eps) else 1.0)
+    return _profile("nondivergence_profile", curve, t_list, sampler,
+                    Observable(kind="lambda1_below", eps=eps))
 
 
 def w_invariance_gap(curve: MatrixPolyCurve, t_list, r: float, observable: Observable,
@@ -215,7 +242,7 @@ def w_invariance_gap(curve: MatrixPolyCurve, t_list, r: float, observable: Obser
     one stack."""
     shift = u_embed(float(r) * np.eye(curve.n)).entries
     t_list = list(t_list)
-    out = _orbit_stats(curve, t_list, sampler, observable.evaluate, normalize=True, shift=shift)
+    out = _orbit_stats(curve, t_list, sampler, observable, normalize=True, shift=shift)
     return [{
         "module": "stats",
         "op": "w_invariance_gap",

@@ -44,8 +44,9 @@ class _BallWalk:
         self.nodes += 1
         if self.nodes > lattice._MAX_NODES:
             raise DegenerateInputError(
-                "enumeration exceeds the desk-scale node budget; "
-                "basis is too ill-conditioned after reduction")
+                f"enumeration exceeds the desk-scale node budget of {lattice._MAX_NODES} nodes: "
+                "the box or ball holds more lattice vectors than that, or the basis is too "
+                "ill-conditioned after reduction")
 
     def __iter__(self):
         b, coef, weight = self.b, self.coef, self.weight

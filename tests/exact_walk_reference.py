@@ -42,8 +42,10 @@ class BallWalk:
     def _count_node(self):
         self.nodes += 1
         if self.nodes > lattice._MAX_NODES:
-            raise DegenerateInputError("enumeration exceeds the desk-scale node budget; "
-                                       "basis is too ill-conditioned after reduction")
+            raise DegenerateInputError(
+                f"enumeration exceeds the desk-scale node budget of {lattice._MAX_NODES} nodes: "
+                "the box or ball holds more lattice vectors than that, or the basis is too "
+                "ill-conditioned after reduction")
 
     def __iter__(self):
         b, coef, weight, unit = self.b, self.coef, self.weight, self.unit

@@ -558,6 +558,10 @@ def test_bools_refused_in_numeric_fields(subcommand, params, key):
      "parameters.mu: cannot parse rational '1/0'"),
     ("correspondence", {"mu": "1/2", "N_set": [2], "s_grid": ["half"]},
      "parameters.s_grid[0]: cannot parse rational 'half'"),
+    ("w-invariance", {"t_list": [1.0], "observable": {"kind": "lambda1_below"}},
+     "parameters.observable: eps must be positive, got None"),
+    ("w-invariance", {"t_list": [1.0], "observable": {"kind": "lambda1_below", "eps": 0.1}},
+     "parameters.observable.eps: unknown field"),
 ])
 def test_schema_refusals(subcommand, params, message, tmp_path, capsys):
     cfg = base_config(subcommand=subcommand, parameters=params, output=str(tmp_path / "r"))

@@ -1,13 +1,16 @@
-"""Regression lock of the exact outputs: `configs/correspondence.json` and
+"""Regression lock of the committed outputs: `configs/correspondence.json` and
 `configs/dirichlet-scan.json`, and the float-literal configs kept next to
 their baselines (`float-correspondence.json`, `float-scan.json`: float curve
 coefficients, s values and mu, each read as the dyadic rational it stores),
 run through `cli.run` from a scratch working directory (so `output` and
 `config_hash` are those of the committed configs), must reproduce the
 committed records in `tests/baselines/` (witnesses included) up to
-timestamps, and the scan's CSV table byte for byte. The written JSONL text
-itself, timestamps blanked, must equal the committed text, so key order,
-separators and escaping are locked too."""
+timestamps, and the scan's CSV table byte for byte. So must the Monte Carlo
+configs `configs/equidist.json`, `configs/nondiv.json` and
+`configs/w-invariance.json`, whose float means and standard errors are
+locked to the last bit. The written JSONL text itself, timestamps blanked,
+must equal the committed text, so key order, separators and escaping are
+locked too."""
 
 import os
 import re
@@ -35,14 +38,7 @@ def config_path(name):
     return path if os.path.exists(path) else os.path.join(BASELINES, name)
 
 
-@pytest.mark.parametrize("config, baseline, table", [
-    ("correspondence.json", "correspondence.jsonl", None),
-    ("dirichlet-scan.json", "scan.jsonl", "scan.csv"),
-    ("float-correspondence.json", "float-correspondence.jsonl", None),
-    ("float-scan.json", "float-scan.jsonl", "float-scan.csv"),
-])
-def test_exact_config_reproduces_committed_baseline(config, baseline, table, tmp_path,
-                                                    monkeypatch):
+def assert_reproduces(config, baseline, table, tmp_path, monkeypatch):
     parsed = cli.parse_config(read(config_path(config)))
     monkeypatch.chdir(tmp_path)
     records = cli.run(parsed)
@@ -54,3 +50,19 @@ def test_exact_config_reproduces_committed_baseline(config, baseline, table, tmp
         with open(parsed.output + ".csv", "rb") as got, \
                 open(os.path.join(BASELINES, table), "rb") as want:
             assert got.read() == want.read()
+
+
+@pytest.mark.parametrize("config, baseline, table", [
+    ("correspondence.json", "correspondence.jsonl", None),
+    ("dirichlet-scan.json", "scan.jsonl", "scan.csv"),
+    ("float-correspondence.json", "float-correspondence.jsonl", None),
+    ("float-scan.json", "float-scan.jsonl", "float-scan.csv"),
+])
+def test_exact_config_reproduces_committed_baseline(config, baseline, table, tmp_path,
+                                                    monkeypatch):
+    assert_reproduces(config, baseline, table, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["equidist", "nondiv", "w-invariance"])
+def test_orbit_config_reproduces_committed_baseline(name, tmp_path, monkeypatch):
+    assert_reproduces(name + ".json", name + ".jsonl", None, tmp_path, monkeypatch)

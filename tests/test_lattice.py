@@ -301,3 +301,16 @@ def test_exact_basis_sets_no_float_slot():
                   LatticeBasis.of_checked_integral(((1, 0), (0, 1)), 1)):
         assert basis.exact and not hasattr(basis, "_stack") and not hasattr(basis, "_lane")
     assert hasattr(LatticeBasis(np.eye(2)), "_stack")
+
+
+def test_node_budget_refusal_names_the_budget_and_both_causes(monkeypatch):
+    # Z^2 is as well conditioned as a lattice gets; the ball around the box of
+    # halfwidth 10 holds about 300 vectors, past a budget of 100 nodes
+    monkeypatch.setattr(lattice, "_MAX_NODES", 100)
+    for basis in (LatticeBasis(np.eye(2)), LatticeBasis.from_rational([[1, 0], [0, 1]])):
+        with pytest.raises(DegenerateInputError, match="node budget") as info:
+            count_in_box(basis, [10, 10])
+        assert str(info.value) == (
+            "enumeration exceeds the desk-scale node budget of 100 nodes: the box or ball holds "
+            "more lattice vectors than that, or the basis is too ill-conditioned after "
+            "reduction")

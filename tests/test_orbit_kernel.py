@@ -22,8 +22,8 @@ from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
                      lambda1, nondivergence_profile, orbit_point, orbit_points, reduce,
                      siegel_average, siegel_count, u_embed, w_invariance_gap)
 from danilab import lattice, stats
-from danilab.errors import (DomainError, InternalIdentityError, InvariantError,
-                            OrientationError, SingularMatrixError)
+from danilab.errors import (DegenerateInputError, DomainError, InternalIdentityError,
+                            InvariantError, OrientationError, SingularMatrixError)
 from orbit_reference import reference_basis, reference_cols
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -71,27 +71,54 @@ def test_orbit_points_equal_matrix_chain_bit_for_bit(case):
         assert one.cols.tobytes() == want.tobytes()
 
 
+def record_stacks(monkeypatch) -> list:
+    """Record every float stack made through its one det check,
+    `lattice._checked_stack`, where `LatticeBasis.batch` and the estimators
+    call it; returns the list the stacks are appended to."""
+    made = []
+    make = lattice._checked_stack
+
+    def checked(cols):
+        made.append(make(cols))
+        return made[-1]
+
+    for owner in (lattice, stats):
+        monkeypatch.setattr(owner, "_checked_stack", checked)
+    return made
+
+
 @pytest.mark.parametrize("n", (1, 2))
 @pytest.mark.parametrize("kind", ("siegel_count", "kmu_indicator", "lambda1"))
-def test_kernel_values_equal_observable_on_reference_basis(n, kind):
+def test_kernel_values_equal_observable_on_reference_basis(n, kind, monkeypatch):
     observable = {"siegel_count": siegel_count((0.9,) * (2 * n)),
                   "kmu_indicator": kmu_indicator(0.7), "lambda1": lambda1()}[kind]
     curve = MatrixPolyCurve.from_coeffs([np.eye(n) * 0.25, np.eye(n) + 0.125], (1.0, 2.0))
     sampler = Sampler(seed=3, count=12)
+    made = record_stacks(monkeypatch)
+    seen = []  # (basis, count) of each sample a Siegel count hands to `count_in_box`
+    count = stats.count_in_box
+
+    def record(basis, box):
+        value = count(basis, box)
+        seen.append((basis.cols.tobytes(), float(value)))
+        return value
+
+    monkeypatch.setattr(stats, "count_in_box", record)
     for normalize in (False, True):
-        seen = []
-
-        def record(basis):
-            value = observable.evaluate(basis)
-            seen.append((basis.cols.tobytes(), value))
-            return value
-
-        stats._orbit_stats(curve, [5.0], sampler, record, normalize=normalize)
-        want = []
-        for s in sampler.points(curve.interval):
-            basis = reference_basis(curve, s, 5.0, normalize=normalize)
-            want.append((basis.cols.tobytes(), observable.evaluate(basis)))
-        assert seen == want
+        bases = [reference_basis(curve, s, 5.0, normalize=normalize)
+                 for s in sampler.points(curve.interval)]
+        want = [observable.evaluate(basis) for basis in bases]
+        made.clear()
+        seen.clear()
+        got = stats._orbit_stats(curve, [5.0], sampler, observable, normalize=normalize)
+        (stack,) = made
+        assert [cols.tobytes() for cols in stack.cols] == [b.cols.tobytes() for b in bases]
+        assert bits(got) == bits([stats._mean_stderr(np.array(want))])
+        if kind == "siegel_count":
+            assert seen == [(b.cols.tobytes(), value) for b, value in zip(bases, want)]
+        else:  # the stack's answer list, read in one call, without a basis per sample
+            assert seen == []
+            assert bits(observable.evaluate_stack(stack)) == bits(want)
 
 
 BENT = MatrixPolyCurve.from_coeffs([[[0.0]], [[-3.0]], [[1.0]]], (1.0, 2.0))  # phi' = 2s - 3
@@ -200,7 +227,7 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
     sampler = Sampler(seed=3, count=40)
 
     def estimates():
-        out = [stats._orbit_stats(LINE, [5.0], sampler, obs.evaluate, normalize=normalize)
+        out = [stats._orbit_stats(LINE, [5.0], sampler, obs, normalize=normalize)
                for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7), lambda1())
                for normalize in (False, True)]
         out.append(w_invariance_gap(LINE, [5.0], 1.0, lambda1(), sampler)[0])
@@ -211,23 +238,80 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
     calls = []
     scalar = lattice._lll
     monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(1) or scalar(*args))
-    checked = []
-    batch = LatticeBasis.batch
-    monkeypatch.setattr(LatticeBasis, "batch",
-                        lambda cols: checked.append(len(cols)) or batch(cols))
+    made = record_stacks(monkeypatch)
     assert estimates() == want
     # one det check per stack: the six plain runs, the w-invariance stack
     # with its translates, and the nondivergence stack of both flow times
-    assert checked == [40] * 6 + [80, 80]
+    assert [len(stack.cols) for stack in made] == [40] * 6 + [80, 80]
     # box counts, ball tests and nondivergence read the batched reduction;
     # lambda1 reduces each sample's own basis once: two raw-or-normalized
     # runs and the w-invariance stack with its translates, 40 samples each
     assert len(calls) == 4 * 40
     calls.clear()
     for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7)):
-        stats._orbit_stats(LINE, [5.0], sampler, obs.evaluate)
+        stats._orbit_stats(LINE, [5.0], sampler, obs)
     nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler)
     assert calls == []
+
+
+def test_stack_estimates_build_no_lane_basis(monkeypatch):
+    # K_mu, nondivergence and lambda1 read their stack's answer list in one
+    # call: no `batch`, no basis per lane, no `orbit_point` hand-off, and one
+    # det check per stack, translates included
+    plane = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
+    sampler = Sampler(seed=3, count=20)
+
+    def estimates():
+        return [kmu_fraction(LINE, [2.0, 5.0], 0.7, sampler, normalize=True),
+                nondivergence_profile(plane, [2.0, 5.0], 0.3, sampler),
+                w_invariance_gap(LINE, [2.0, 5.0], 1.0, lambda1(), sampler),
+                w_invariance_gap(plane, [3.0], 1.0, kmu_indicator(0.7), sampler)]
+
+    want = estimates()
+    made = record_stacks(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stack estimate built a basis per lane")
+
+    for owner, name in ((LatticeBasis, "batch"), (LatticeBasis, "__init__"),
+                        (LatticeBasis, "of_checked_integral"), (stats, "orbit_point")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert estimates() == want
+    assert [(len(stack.cols), stack.cols.shape[1]) for stack in made] == [
+        (40, 2), (40, 4), (80, 2), (40, 4)]
+    with pytest.raises(DomainError, match="per basis"):
+        siegel_count((0.9, 0.9)).evaluate_stack(made[0])
+
+
+@pytest.mark.parametrize("observable, nodes", [
+    (kmu_indicator(0.7), 1),
+    (stats.Observable(kind="lambda1_below", eps=0.3), 1),
+    (lambda1(), 3),
+], ids=["kmu_indicator", "lambda1_below", "lambda1"])
+def test_lowest_failing_lane_of_a_stack_estimate_is_named(observable, nodes, monkeypatch):
+    # under a tiny node budget some lanes of the joined stack (both flow
+    # times, then their translates) fail; the estimate raises the error of
+    # the lowest one on its own basis, named by its sample
+    sampler = Sampler(seed=5, count=30)
+    points = sampler.points(LINE.interval)
+    monkeypatch.setattr(lattice, "_MAX_NODES", nodes)
+    cols = np.concatenate([orbit_points(LINE, points, t, normalize=True) for t in (2.0, 5.0)])
+    cols = np.concatenate((cols, u_embed(np.eye(1)).entries @ cols))
+    failing = []
+    for lane, lane_cols in enumerate(cols):
+        try:
+            observable.evaluate(LatticeBasis(np.array(lane_cols)))
+        except DegenerateInputError as exc:
+            failing.append((lane, str(exc)))
+    (lane, alone), *rest = failing
+    assert lane > 0 and rest and "node budget" in alone
+    index = lane % len(points)
+    with pytest.raises(DegenerateInputError) as info:
+        stats._orbit_stats(LINE, [2.0, 5.0], sampler, observable, normalize=True,
+                           shift=u_embed(np.eye(1)).entries)
+    assert info.value.sample_index == index
+    s = sampler.point(LINE.interval, index)
+    assert str(info.value) == f"sample (seed, index, s) = (5, {index}, {s!r}): {alone}"
 
 
 def test_n1_box_and_ball_queries_take_the_stack_grid(monkeypatch):
@@ -274,7 +358,7 @@ def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(lattice, name, counted)
     plane = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
-    stats._orbit_stats(plane, [3.0], Sampler(seed=3, count=6), lambda1().evaluate)
+    stats._orbit_stats(plane, [3.0], Sampler(seed=3, count=6), lambda1())
     assert calls == {"_lll": 6, "_lll_integral": 0}
     cell = correspondence_basis(DirichletQuery(phi=np.array([[Fraction(1, 2)]], dtype=object),
                                                N=4, mu=Fraction(1, 2)))
@@ -391,7 +475,7 @@ def test_one_stack_equals_per_t_stacks_bit_for_bit(case):
     curve, t_list, sampler, normalize, basepoint, shift = case
     n = curve.n
     for obs in (siegel_count((0.9,) * (2 * n)), kmu_indicator(0.7), lambda1()):
-        got = stats._orbit_stats(curve, t_list, sampler, obs.evaluate, normalize=normalize,
+        got = stats._orbit_stats(curve, t_list, sampler, obs, normalize=normalize,
                                  basepoint=basepoint, shift=shift)
         per_t = [per_t_stats(curve, t, sampler, obs.evaluate, normalize, basepoint, shift)
                  for t in t_list]
@@ -411,7 +495,7 @@ def test_one_stack_equals_per_t_stacks_bit_for_bit(case):
             records(lambda ts: nondivergence_profile(curve, ts, 0.3, sampler)),
             records(lambda ts: w_invariance_gap(curve, ts, 1.5, kmu_indicator(0.7), sampler))):
         assert [repr(rec) for rec in whole] == [repr(rec) for rec in one_t]
-    assert stats._orbit_stats(curve, [], sampler, lambda1().evaluate) == []
+    assert stats._orbit_stats(curve, [], sampler, lambda1()) == []
     assert siegel_average(curve, [], box, sampler) == []
     assert w_invariance_gap(curve, (), 1.5, lambda1(), sampler) == []
 

@@ -59,3 +59,41 @@ def test_a_run_over_longer_stale_outputs_digests_as_a_fresh_run(name, tmp_path, 
 
     monkeypatch.setattr(record_digest.cli, "run", run_over_junk)
     assert record_digest.digest(name, config) == fresh
+
+
+def test_check_names_the_first_line_that_differs(tmp_path, monkeypatch, capsys):
+    """--check FILE prints the same lines and exits 0 when each equals line k
+    of FILE; it exits 1 at the first line that differs, or that FILE or the
+    runs lack, and names it on stderr. FILE is read relative to where the
+    tool starts, before it changes into --out."""
+    names = ["configs/correspondence.json", "configs/dirichlet-scan.json"]
+    monkeypatch.setattr(record_digest, "committed_configs",
+                        lambda: ((name, COMMITTED[name]) for name in names))
+    out = str(tmp_path / "runs")
+
+    def run(*check):
+        monkeypatch.chdir(tmp_path)
+        code = record_digest.main(["--out", out, "--seeds", *check])
+        return code, capsys.readouterr()
+
+    code, io = run()
+    lines = io.out.splitlines()
+    assert code == 0 and len(lines) == 2
+
+    def check(text):
+        (tmp_path / "saved.txt").write_text(text)
+        return run("--check", "saved.txt")
+
+    code, io = check("\n".join(lines) + "\n")
+    assert (code, io.out.splitlines(), io.err) == (0, lines, "")
+    changed = lines[1][:-1] + ("1" if lines[1].endswith("0") else "0")
+    code, io = check(f"{lines[0]}\n{changed}\n")
+    assert code == 1 and io.out.splitlines() == lines
+    assert io.err == (f"record_digest: line 2 differs from saved.txt\n  saved: {changed}\n"
+                      f"  now:   {lines[1]}\n")
+    code, io = check(lines[0] + "\n")
+    assert code == 1 and io.err.startswith("record_digest: line 2 differs from saved.txt\n"
+                                           "  saved: (none: saved.txt ends at line 1)\n")
+    code, io = check("\n".join(lines + ["extra"]) + "\n")
+    assert code == 1 and io.err == ("record_digest: line 3 differs from saved.txt\n"
+                                    "  saved: extra\n  now:   (none: no run is left)\n")

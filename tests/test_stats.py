@@ -20,6 +20,7 @@ def test_observable_validation_and_names():
     assert siegel_count((0.9, 0.9)).name == "siegel_count[0.9,0.9]"
     assert kmu_indicator(0.7).name == "kmu_indicator[0.7]"
     assert lambda1().name == "lambda1"
+    assert Observable(kind="lambda1_below", eps=0.05).name == "lambda1_below[0.05]"
     with pytest.raises(DomainError):
         Observable(kind="volume")
     with pytest.raises(DomainError):
@@ -29,7 +30,10 @@ def test_observable_validation_and_names():
     for bad in (dict(kind="kmu_indicator", mu=1.0), dict(kind="kmu_indicator", mu=0.0),
                 dict(kind="lambda1", mu=0.5), dict(kind="lambda1", box=(1.0, 1.0)),
                 dict(kind="siegel_count", box=(1.0, 1.0), mu=0.5),
-                dict(kind="kmu_indicator", mu=0.5, box=(1.0, 1.0))):
+                dict(kind="kmu_indicator", mu=0.5, box=(1.0, 1.0)),
+                dict(kind="lambda1_below"), dict(kind="lambda1_below", eps=0.0),
+                dict(kind="lambda1_below", eps=float("nan")), dict(kind="lambda1", eps=0.5),
+                dict(kind="lambda1_below", eps=0.5, mu=0.5)):
         with pytest.raises(DomainError):
             Observable(**bad)
 

@@ -18,6 +18,17 @@ on where it is; a committed config hashes to its locked value in
 checkout it sits in, so to compare two checkouts, run a copy in each:
 
     python tools/record_digest.py --out /tmp/digest-a --seeds 1 7 11 > a.txt
+
+or save the lines of one and check the other against them:
+
+    python tools/record_digest.py --out /tmp/digest-b --seeds 1 7 11 --check a.txt
+
+With --check FILE the lines are still printed; the first one that differs
+from line k of FILE (or that FILE lacks, or a line of FILE that no run
+printed) is named on stderr, the runs stop there, and the exit code is 1.
+It is 0 when every line agrees. Stopping at the first drift is what a
+`diff` after the whole run does not do: a full run with workload seeds
+takes minutes, and a changed record shows as soon as its config runs.
 """
 
 import argparse
@@ -86,12 +97,32 @@ def main(argv=None) -> int:
                         help="directory the runs write into (created if missing)")
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 7, 11],
                         help="workload seeds (default: 1 7 11; none runs no workload)")
+    parser.add_argument("--check", metavar="FILE",
+                        help="saved lines to compare with; exit 1 at the first that differs")
     args = parser.parse_args(argv)
+    saved = None
+    if args.check is not None:  # read before the chdir: FILE may be relative
+        with open(args.check, encoding="utf-8") as fh:
+            saved = fh.read().splitlines()
     os.makedirs(args.out, exist_ok=True)
     os.chdir(args.out)
-    for name, config in itertools.chain(committed_configs(), workload_configs(args.seeds)):
-        print(digest(name, config), flush=True)
+    k = 0
+    for k, (name, config) in enumerate(
+            itertools.chain(committed_configs(), workload_configs(args.seeds)), 1):
+        line = digest(name, config)
+        print(line, flush=True)
+        if saved is not None and (k > len(saved) or saved[k - 1] != line):
+            want = saved[k - 1] if k <= len(saved) else f"(none: {args.check} ends at line {k - 1})"
+            return _differs(args.check, k, want, line)
+    if saved is not None and len(saved) > k:
+        return _differs(args.check, k + 1, saved[k], "(none: no run is left)")
     return 0
+
+
+def _differs(path: str, k: int, saved: str, now: str) -> int:
+    print(f"record_digest: line {k} differs from {path}\n  saved: {saved}\n  now:   {now}",
+          file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
