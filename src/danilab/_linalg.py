@@ -22,6 +22,7 @@ Two rules are written here once for the whole package:
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -108,13 +109,25 @@ def det(a: np.ndarray):
 
 def integral(entries) -> tuple:
     """(ints, den): exact entries written as ints[k] / den over their least
-    common denominator den (ints and Fractions pass through unconverted).
-    Entries that are all ints come back at once, over den 1."""
+    common denominator den, every one a Python int. Entries that are all
+    ints come back at once, over den 1. Any other integer type (numpy's
+    included), and the numerator and denominator of a Fraction that holds
+    one, is read through operator.index, so no fixed-width integer reaches
+    the exact arithmetic, where it would overflow silently."""
     if all(type(x) is int for x in entries):
         return list(entries), 1
-    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in entries]
-    den = math.lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (den // x.denominator) for x in fracs], den
+    pairs = [(x, 1) if type(x) is int else _ratio(x) for x in entries]
+    den = math.lcm(*(d for _, d in pairs))
+    return [p * (den // d) for p, d in pairs], den
+
+
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of the exact value of x, as Python ints."""
+    if isinstance(x, Fraction):
+        return operator.index(x.numerator), operator.index(x.denominator)
+    if hasattr(x, "__index__"):
+        return operator.index(x), 1
+    return Fraction(x).as_integer_ratio()
 
 
 def _det_exact(a: np.ndarray) -> Fraction:

@@ -143,50 +143,69 @@ def z_embed(z: CentralizerElement) -> GroupElement:
     return GroupElement(n, _assemble(n, z.B, zero, zero.copy(), z.C, exact))
 
 
-def orbit_points(curve: MatrixPolyCurve, s, t: float, basepoint: LatticeBasis = None,
+def orbit_points(curve: MatrixPolyCurve, s, t, basepoint: LatticeBasis = None,
                  normalize: bool = False) -> np.ndarray:
-    """(M, 2n, 2n) read-only float stack of the bases a_t [z(s)] u(phi(s))
-    [basepoint] at the float points s, for a flow time t that `a_diag`
-    accepts.
+    """(T M, 2n, 2n) read-only float stack of the bases a_t [z(s)] u(phi(s))
+    [basepoint] at the M float points s, for one flow time t (T = 1) or a
+    sequence of T flow times that `a_diag` accepts: lane k M + i is sample i
+    at the k-th flow time.
 
-    Row i equals (a_diag(t) @ z_embed(normalizer(curve, s[i])) @
+    Lane k M + i equals (a_diag(t_k) @ z_embed(normalizer(curve, s[i])) @
     u_embed(curve.eval(s[i]))).entries [@ basepoint.cols, read in floats]:
     the blocks are written in closed form with the products of that matrix
-    chain, in its order. Each sample passes the group checks of the
-    one-sample chain: s inside the interval, det(phi'(s)) > INVERTIBILITY_TOL
-    when normalizing, and det within GROUP_DET_TOL of 1 (one np.linalg.det
-    over the stack). The lowest failing sample raises the error the
-    one-sample chain raises first, with its index as `sample_index`. The
+    chain, in its order. phi(s), phi'(s) and the normalizing factor are
+    computed once per sample, for every flow time. Each lane passes the
+    group checks of the one-sample chain: s inside the interval,
+    det(phi'(s)) > INVERTIBILITY_TOL when normalizing, and det within
+    GROUP_DET_TOL of 1 (one np.linalg.det over the stack). The lowest
+    failing lane raises the error the one-sample chain raises first, with
+    its lane index as `sample_index`; a flow time `a_diag` refuses raises
+    once every lane of the flow times before it has passed. So the error is
+    the one a loop over the flow times, one stack each, raises first. The
     basis |det| is checked where the stack becomes bases (`LatticeBasis`).
     """
     s = np.asarray(s, dtype=float).reshape(-1)
-    n = curve.n
-    f = _expansion(t)
+    times = [t] if np.ndim(t) == 0 else list(t)
+    f = []
+    for t_k in times:  # the flow times before the first refused one
+        try:
+            f.append(_expansion(t_k))
+        except (TypeError, ValueError):
+            if not f:
+                raise
+            break
+    n, M, T = curve.n, len(s), len(f)
+    f = np.array(f)
     phi = curve.eval_many(s)
-    failures = [(~curve.in_float_domain(s), lambda i: DomainError(
-        f"s = {s[i]} outside the curve interval [{curve.interval[0]}, {curve.interval[1]}]"))]
+    failures = [(np.tile(~curve.in_float_domain(s), T), lambda k: DomainError(
+        f"s = {s[k % M]} outside the curve interval [{curve.interval[0]}, "
+        f"{curve.interval[1]}]"))]
     diag = np.arange(n)
-    out = np.zeros((len(s), 2 * n, 2 * n))
+    out = np.zeros((T * M, 2 * n, 2 * n))
+    lanes = out.reshape(T, M, 2 * n, 2 * n)  # a view: lanes[k, i] is lane k M + i
     # Adding 0.0 turns -0.0 into 0.0, as the sums of the matrix products do.
     if normalize:
         dphi = curve.derivative_many(s)
         d = np.linalg.det(dphi)
-        failures.append(((np.abs(d) <= INVERTIBILITY_TOL) | (d < 0),
-                         lambda i: normalizer_error(float(d[i]), s[i])))
+        failures.append((np.tile((np.abs(d) <= INVERTIBILITY_TOL) | (d < 0), T),
+                         lambda k: normalizer_error(float(d[k % M]), s[k % M])))
         # Python's scalar ** (numpy's vector power differs in the last bit).
         lam = np.array([x ** (-1.0 / (2 * n)) if x > INVERTIBILITY_TOL else math.nan
                         for x in d.tolist()])
-        top = f * lam
-        out[:, n:, n:] = (1.0 / f) * (lam[:, None, None] * dphi + 0.0) + 0.0
+        top = f[:, None] * lam
+        lanes[:, :, n:, n:] = ((1.0 / f)[:, None, None, None] * (lam[:, None, None] * dphi + 0.0)
+                               + 0.0)
     else:
-        top = np.full(len(s), f)
-        out[:, n + diag, n + diag] = 1.0 / f
-    out[:, diag, diag] = top[:, None]
-    out[:, :n, n:] = top[:, None, None] * phi + 0.0
-    with np.errstate(invalid="ignore"):  # rows of samples that failed to normalize are nan
+        top = f[:, None]
+        lanes[:, :, n + diag, n + diag] = (1.0 / f)[:, None, None]
+    lanes[:, :, diag, diag] = top[:, :, None]
+    lanes[:, :, :n, n:] = top[:, :, None, None] * phi + 0.0
+    with np.errstate(invalid="ignore"):  # lanes of samples that failed to normalize are nan
         g_det = np.linalg.det(out)
     failures.append(_linalg.unit_failures(g_det, 1, GROUP_DET_TOL, InvariantError, "det"))
     raise_first(failures, "sample_index")
+    if T < len(times):
+        _expansion(times[T])  # refused, now that every earlier lane has passed
     if basepoint is not None:
         out = out @ _linalg.to_float(basepoint.cols)
     out.flags.writeable = False

@@ -44,6 +44,7 @@ drops a lattice vector.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,8 +121,11 @@ class LatticeBasis:
     @classmethod
     def from_integral(cls, int_cols, den: int) -> "LatticeBasis":
         """The exact basis with columns int_cols[j] / den (den >= 1), checked
-        to |det| == 1 by one determinant of the integer matrix."""
-        ints = tuple(tuple(col) for col in int_cols)
+        to |det| == 1 by one determinant of the integer matrix. Entries and
+        den of any integer type (numpy's included) are read as Python ints
+        through operator.index."""
+        ints = tuple(tuple(map(operator.index, col)) for col in int_cols)
+        den = operator.index(den)
         m = len(ints)
         if den < 1 or m == 0 or any(len(col) != m for col in ints):
             raise InvariantError(f"need m >= 1 integer columns of length m over den >= 1, got "
@@ -343,18 +347,20 @@ def _lll_pair_arrays(stack: np.ndarray) -> np.ndarray:
     (M, 7) array: row i holds lane i's reduced columns b0, b1, then
     mu[1][0] and norms[0], norms[1], bit for bit as `_lll` returns them.
 
-    A stage is one pass of `_lll`'s loop. Every lane still in the loop
-    recomputes both Gram-Schmidt rows from its current columns (the first
-    pass computes row 1; after a swap `_lll` recomputes both), size-reduces
-    its second column where round(mu) != 0, and either passes the Lovasz
-    test with the stale norms[1] and leaves the loop, or swaps. The float
-    operations are `_lll`'s, in its order: dot products summed from 0,
-    np.rint rounding half to even as round does, and updates masked to the
-    lanes with q != 0, so that -0.0 entries survive as `_lll` leaves them.
-    Past _MAX_LLL_STEPS stages the lowest lane still in the loop raises,
-    with its index as `sample_index`.
+    The lanes still in the loop hold their columns b0 = (x0, y0) and
+    b1 = (x1, y1) as four contiguous 1-D coordinate arrays. A stage is one
+    pass of `_lll`'s loop. Every lane still in the loop recomputes both
+    Gram-Schmidt rows from its current columns (the first pass computes row
+    1; after a swap `_lll` recomputes both), size-reduces its second column
+    where round(mu) != 0, and either passes the Lovasz test with the stale
+    norms[1] and leaves the loop, or swaps. The float operations are
+    `_lll`'s, in its order: dot products summed from 0, np.rint rounding
+    half to even as round does, and updates masked to the lanes with
+    q != 0, so that -0.0 entries survive as `_lll` leaves them. Past
+    _MAX_LLL_STEPS stages the lowest lane still in the loop raises, with its
+    index as `sample_index`.
     """
-    b0, b1 = stack[:, :, 0], stack[:, :, 1]
+    x0, y0, x1, y1 = (np.ascontiguousarray(stack[:, i, j]) for j in (0, 1) for i in (0, 1))
     lane = np.arange(len(stack))
     out = np.empty((len(stack), 7))
     steps = 0
@@ -364,21 +370,24 @@ def _lll_pair_arrays(stack: np.ndarray) -> np.ndarray:
             exc = InternalIdentityError("LLL failed to terminate at desk scale")
             exc.sample_index = int(lane[0])
             raise exc
-        n0 = b0[:, 0] * b0[:, 0] + b0[:, 1] * b0[:, 1]
-        mu = (0.0 + b1[:, 0] * b0[:, 0] + b1[:, 1] * b0[:, 1]) / n0
-        bs = b1 - mu[:, None] * b0
-        n1 = bs[:, 0] * bs[:, 0] + bs[:, 1] * bs[:, 1]
+        n0 = x0 * x0 + y0 * y0
+        mu = (0.0 + x1 * x0 + y1 * y0) / n0
+        sx = x1 - mu * x0
+        sy = y1 - mu * y0
+        n1 = sx * sx + sy * sy
         q = np.rint(mu)
         move = q != 0
         if move.any():
-            b1 = np.where(move[:, None], b1 - q[:, None] * b0, b1)
+            x1 = np.where(move, x1 - q * x0, x1)
+            y1 = np.where(move, y1 - q * y0, y1)
             mu = np.where(move, mu - q, mu)
         done = n1 >= (_DELTA - mu * mu) * n0
         if done.any():
-            out[lane[done]] = np.column_stack((b0[done], b1[done], mu[done], n0[done], n1[done]))
+            out[lane[done]] = np.column_stack((x0[done], y0[done], x1[done], y1[done],
+                                               mu[done], n0[done], n1[done]))
             stay = ~done
-            lane, b0, b1 = lane[stay], b0[stay], b1[stay]
-        b0, b1 = b1, b0
+            lane, x0, y0, x1, y1 = lane[stay], x0[stay], y0[stay], x1[stay], y1[stay]
+        x0, y0, x1, y1 = x1, y1, x0, y0
     return out
 
 

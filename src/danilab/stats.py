@@ -5,19 +5,20 @@ the corresponding lattices through a_t (optionally normalized by the
 centralizer element of the curve derivative), evaluates a box-count /
 membership / shortest-vector observable, and aggregates. One kernel serves
 all of them: for a list of flow times it builds the M sample lattices of
-every flow time, and their translates when the estimator compares them, as
-one stack (`orbit_points` per flow time, joined), checks it once
-(`lattice._checked_stack`), and takes the mean and standard error of each
-flow time's values in index order. The first box count, ball test or
-shortest vector LLL-reduces every lane once (a box or ball at n = 1 all at
-once; the shortest vector with the transform) and decides it for every
-lane in one breadth-first walk. K_mu indicators, nondivergence and lambda1
-read that answer list in one call (`Observable.evaluate_stack`) and build
-no per-sample basis; Siegel counts still make the stack's bases
-(`LatticeBasis.batch`) and read them one sample at a time. Per-sample
-values are pure functions of (seed, index), so a failing sample, one that
-fails to reduce in that first query included, is named by (seed, index, s)
-and can be rerun alone.
+every flow time as one stack (one `orbit_points` call over the list, which
+evaluates the curve once per sample), writes their translates after them
+when the estimator compares them, checks the stack once
+(`lattice._checked_stack`), and takes the means and standard errors of
+every flow time's values in index order, in one pass over the (blocks, M)
+value array. The first box count, ball test or shortest vector LLL-reduces
+every lane once (a box or ball at n = 1 all at once; the shortest vector
+with the transform) and decides it for every lane in one breadth-first
+walk. K_mu indicators, nondivergence and lambda1 read that answer list in
+one call (`Observable.evaluate_stack`) and build no per-sample basis;
+Siegel counts still make the stack's bases (`LatticeBasis.batch`) and read
+them one sample at a time. Per-sample values are pure functions of (seed,
+index), so a failing sample, one that fails to reduce in that first query
+included, is named by (seed, index, s) and can be rerun alone.
 """
 
 import math
@@ -132,12 +133,15 @@ class ObservableRecord:
         }
 
 
-def _mean_stderr(values: np.ndarray):
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, 0.0
-    stderr = float(np.std(values, ddof=1) / math.sqrt(values.size))
-    return mean, stderr
+def _block_mean_stderr(values: np.ndarray, M: int) -> list:
+    """(mean, stderr) of each block of M consecutive values, in order: one
+    mean and one standard deviation over the (blocks, M) array, each row
+    with the bits of the same call on that row alone."""
+    blocks = values.reshape(-1, M)
+    means = np.mean(blocks, axis=1).tolist()
+    if M < 2:
+        return [(mean, 0.0) for mean in means]
+    return list(zip(means, (np.std(blocks, axis=1, ddof=1) / math.sqrt(M)).tolist()))
 
 
 @contextmanager
@@ -157,6 +161,15 @@ def _naming_sample(sampler: Sampler, points: np.ndarray):
         raise
 
 
+def _with_translates(cols: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """One new stack of the lanes of cols followed by their translates
+    shift @ cols, in lane order."""
+    out = np.empty((2 * len(cols),) + cols.shape[1:])
+    out[:len(cols)] = cols
+    np.matmul(shift, cols, out=out[len(cols):])
+    return out
+
+
 def _orbit_stats(curve: MatrixPolyCurve, t_list, sampler: Sampler, observable: Observable,
                  normalize: bool = False, basepoint: LatticeBasis = None, shift=None):
     """(mean, stderr) of the observable over the sampled orbit lattices at
@@ -165,21 +178,21 @@ def _orbit_stats(curve: MatrixPolyCurve, t_list, sampler: Sampler, observable: O
     flow time.
 
     The M samples at every flow time, then their translates, are one stack:
-    lane k M + i is sample i at the k-th flow time (of the k-th block), and
-    one det check covers it. Errors report in this order: group-det
-    failures (`orbit_points`) in t order, then basis-det failures, then
-    query failures, each the lowest failing lane's, and each named by its
-    sample.
+    one `orbit_points` call makes the samples, and `_with_translates` adds
+    the translates after them. Lane k M + i is sample i at the k-th flow
+    time (of the k-th block), and one det check covers the stack. Errors
+    report in this order: group failures (`orbit_points`) in t order, then
+    basis-det failures, then query failures, each the lowest failing lane's,
+    and each named by its sample. The means and standard errors of all
+    blocks are taken at once (`_block_mean_stderr`).
     """
     if not t_list:
         return []
     points = sampler.points(curve.interval)
-    M = len(points)
     with _naming_sample(sampler, points):
-        cols = np.concatenate([orbit_points(curve, points, t, basepoint=basepoint,
-                                            normalize=normalize) for t in t_list])
+        cols = orbit_points(curve, points, t_list, basepoint=basepoint, normalize=normalize)
         if shift is not None:
-            cols = np.concatenate((cols, shift @ cols))
+            cols = _with_translates(cols, shift)
         if observable.kind != "siegel_count":
             values = observable.evaluate_stack(_checked_stack(cols))
         else:
@@ -194,7 +207,7 @@ def _orbit_stats(curve: MatrixPolyCurve, t_list, sampler: Sampler, observable: O
                                                       normalize=normalize, basis=basis))
                       for (t, s), basis in zip(lanes, bases)]
             values = np.array(values + [observable.evaluate(b) for b in bases[len(lanes):]])
-    return [_mean_stderr(values[k:k + M]) for k in range(0, len(values), M)]
+    return _block_mean_stderr(values, len(points))
 
 
 def _profile(op: str, curve: MatrixPolyCurve, t_list, sampler: Sampler, observable: Observable,

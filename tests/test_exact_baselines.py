@@ -8,9 +8,10 @@ committed records in `tests/baselines/` (witnesses included) up to
 timestamps, and the scan's CSV table byte for byte. So must the Monte Carlo
 configs `configs/equidist.json`, `configs/nondiv.json` and
 `configs/w-invariance.json`, whose float means and standard errors are
-locked to the last bit. The written JSONL text itself, timestamps blanked,
-must equal the committed text, so key order, separators and escaping are
-locked too."""
+locked to the last bit, and `configs/genericity.json` and
+`configs/rep-verify.json`, so that every committed config is locked. The
+written JSONL text itself, timestamps blanked, must equal the committed
+text, so key order, separators and escaping are locked too."""
 
 import os
 import re
@@ -65,4 +66,9 @@ def test_exact_config_reproduces_committed_baseline(config, baseline, table, tmp
 
 @pytest.mark.parametrize("name", ["equidist", "nondiv", "w-invariance"])
 def test_orbit_config_reproduces_committed_baseline(name, tmp_path, monkeypatch):
+    assert_reproduces(name + ".json", name + ".jsonl", None, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["genericity", "rep-verify"])
+def test_genericity_and_rep_config_reproduce_committed_baseline(name, tmp_path, monkeypatch):
     assert_reproduces(name + ".json", name + ".jsonl", None, tmp_path, monkeypatch)

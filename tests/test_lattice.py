@@ -314,3 +314,26 @@ def test_node_budget_refusal_names_the_budget_and_both_causes(monkeypatch):
             "enumeration exceeds the desk-scale node budget of 100 nodes: the box or ball holds "
             "more lattice vectors than that, or the basis is too ill-conditioned after "
             "reduction")
+
+
+# Z^2, spanned by a matrix whose LLL and walk products pass 2^63.
+WIDE_Z2 = [[2 ** 31 + 1, 2 ** 31], [2 ** 31, 2 ** 31 - 1]]
+
+
+@pytest.mark.parametrize("rows", [WIDE_Z2, np.array(WIDE_Z2, dtype=np.int64)],
+                         ids=["int", "int64"])
+def test_numpy_integer_entries_give_the_exact_answers_of_python_ints(rows):
+    basis = LatticeBasis.from_rational(rows)
+    assert type(basis.den) is int and all(type(x) is int for col in basis.int_cols for x in col)
+    assert shortest_supnorm(basis).length == 1
+    assert count_in_box(basis, [Fraction(3, 2)] * 2) == 8
+    assert in_kmu(basis, Fraction(1, 2)) is True
+
+
+@pytest.mark.parametrize("den", [2 ** 40, np.int64(2 ** 40)], ids=["int", "int64"])
+def test_from_integral_reads_numpy_integers_as_python_ints(den):
+    cols = np.eye(2, dtype=np.int64) * 2 ** 40  # |det| = 2^80 over den^2 = 2^80
+    basis = LatticeBasis.from_integral(cols, den)
+    assert basis.int_cols == ((2 ** 40, 0), (0, 2 ** 40)) and basis.den == 2 ** 40
+    assert type(basis.den) is int and all(type(x) is int for col in basis.int_cols for x in col)
+    assert shortest_supnorm(basis).length == 1

@@ -233,6 +233,17 @@ def test_integral_takes_all_int_entries_as_they_are():
     assert (flat, den) == (ints, 1) and flat is not ints
     assert all(type(x) is int for x in flat)
     assert _linalg.integral([Fraction(1, 2), 3]) == ([1, 6], 2)
-    assert _linalg.integral([True, 2]) == ([1, 2], 1)  # a bool is read as a Fraction
+    assert _linalg.integral([True, 2]) == ([1, 2], 1)  # a bool is read as its int
     a = np.array([[2, 3], [1, 2]], dtype=object)
     assert _linalg.det(a) == reference_det_exact(a) == 1 and type(_linalg.det(a)) is Fraction
+
+
+def test_integral_reads_numpy_integers_as_python_ints():
+    big = 2 ** 40
+    entries = [np.int64(big), Fraction(np.int64(3), np.int64(big)), np.int32(-1), 0.5]
+    assert all(type(x.numerator) is not int for x in entries[1:2])  # a Fraction holding int64
+    flat, den = _linalg.integral(entries)
+    assert (flat, den) == ([big * big, 3, -big, big // 2], big)
+    assert type(den) is int and all(type(x) is int for x in flat)
+    # products past 64 bits stay exact
+    assert flat[0] * flat[0] == 2 ** 160

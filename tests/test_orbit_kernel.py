@@ -1,12 +1,14 @@
 """The batched orbit kernel against the one-sample matrix chain.
 
 `orbit_points` must reproduce (a_diag(t) @ z_embed(normalizer(c, s)) @
-u_embed(c.eval(s))).entries bit for bit, the estimators must hand the
-observable exactly those bases, and a failing sample must raise its
-one-sample error, named by (seed, index, s). Box counts and ball tests on a
-stack read the reduction made once per lane for the whole stack, and
-lambda1 the one it makes once per lane with the transform; an unbatched
-float basis is the one lane of a stack of its own.
+u_embed(c.eval(s))).entries bit for bit, and over a list of flow times the
+per-t stacks joined, the estimators must hand the observable exactly those
+bases, and a failing sample must raise its one-sample error, the one a loop
+over the flow times raises first, named by (seed, index, s). Block means and
+standard errors must have the bits of the one-block reference. Box counts
+and ball tests on a stack read the reduction made once per lane for the
+whole stack, and lambda1 the one it makes once per lane with the
+transform; an unbatched float basis is the one lane of a stack of its own.
 """
 
 import tracemalloc
@@ -24,7 +26,7 @@ from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
 from danilab import lattice, stats
 from danilab.errors import (DegenerateInputError, DomainError, InternalIdentityError,
                             InvariantError, OrientationError, SingularMatrixError)
-from orbit_reference import reference_basis, reference_cols
+from orbit_reference import reference_basis, reference_cols, reference_mean_stderr
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -113,7 +115,7 @@ def test_kernel_values_equal_observable_on_reference_basis(n, kind, monkeypatch)
         got = stats._orbit_stats(curve, [5.0], sampler, observable, normalize=normalize)
         (stack,) = made
         assert [cols.tobytes() for cols in stack.cols] == [b.cols.tobytes() for b in bases]
-        assert bits(got) == bits([stats._mean_stderr(np.array(want))])
+        assert bits(got) == bits([reference_mean_stderr(want)])
         if kind == "siegel_count":
             assert seen == [(b.cols.tobytes(), value) for b, value in zip(bases, want)]
         else:  # the stack's answer list, read in one call, without a basis per sample
@@ -461,7 +463,7 @@ def per_t_stats(curve, t, sampler, evaluate, normalize, basepoint, shift):
     stack = orbit_points(curve, sampler.points(curve.interval), t, basepoint=basepoint,
                          normalize=normalize)
     blocks = [stack] + ([] if shift is None else [shift @ stack])
-    return [stats._mean_stderr(np.array([evaluate(b) for b in LatticeBasis.batch(block)]))
+    return [reference_mean_stderr([evaluate(b) for b in LatticeBasis.batch(block)])
             for block in blocks]
 
 
@@ -528,3 +530,101 @@ def test_failure_in_the_translate_block_names_the_sample(monkeypatch):
     assert info.value.sample_index == 12
     assert str(info.value) == (f"sample (seed, index, s) = (5, 12, {s!r}): "
                                "LLL failed to terminate at desk scale")
+
+
+@st.composite
+def flow_times_case(draw):
+    """An `orbit_case` with a list of flow times (repeats and negative times
+    included) in place of its one time, and its basepoint, if any, in
+    floats or as the exact basis of the same dyadic entries."""
+    curve, s, _, normalize, basepoint = draw(orbit_case())
+    t_list = draw(st.lists(st.sampled_from([-1.5, 0.0, 2.0]) | st.floats(-8.0, 8.0),
+                           min_size=1, max_size=5))
+    if basepoint is not None and draw(st.booleans()):
+        basepoint = LatticeBasis.from_rational(basepoint.cols)
+    return curve, s, t_list, normalize, basepoint
+
+
+@SETTINGS
+@given(flow_times_case())
+def test_orbit_points_of_a_flow_time_list_equal_the_joined_per_t_stacks(case):
+    curve, s, t_list, normalize, basepoint = case
+    orbit = dict(basepoint=basepoint, normalize=normalize)
+    per_t = [orbit_points(curve, s, t, **orbit) for t in t_list]
+    want = np.concatenate(per_t).tobytes()
+    for times in (t_list, tuple(t_list), np.array(t_list)):
+        stack = orbit_points(curve, s, times, **orbit)
+        assert stack.shape == (len(t_list) * len(s), 2 * curve.n, 2 * curve.n)
+        assert stack.tobytes() == want and not stack.flags.writeable
+    assert orbit_points(curve, s, t_list[:1], **orbit).tobytes() == per_t[0].tobytes()
+
+
+def first_error(calls):
+    """The error the first failing call raises, as (type, text, sample_index)."""
+    for call in calls:
+        try:
+            call()
+        except (ValueError, InternalIdentityError) as exc:
+            return type(exc), str(exc), getattr(exc, "sample_index", None)
+    raise AssertionError("no call failed")
+
+
+NAN = float("nan")
+HUGE_LINE = MatrixPolyCurve.from_coeffs([[[0.0]], [[1e300]]], (0.0, 2.0))  # e^700 phi overflows
+
+
+@pytest.mark.parametrize("curve, s, t_list, normalize, lane", [
+    (LINE, [1.5, 5.0, 1.2], [2.0, NAN], False, 1),  # a domain failure, then a nan flow time
+    (LINE, [1.5, 1.2], [2.0, 3.0, NAN], False, None),  # the nan flow time, after t_0, t_1
+    (LINE, [1.5, 1.2], [NAN, 2.0], False, None),
+    (LINE, [1.5, 1.2], [2.0, -800.0, NAN], False, None),
+    (HUGE_LINE, [0.0, 1.5, 1.0], [0.0, 700.0, NAN], False, 4),  # a det failure at t_1 only
+    (BENT, [1.8, 1.2, 1.75], [2.0, 3.0], True, 1),  # a normalizer failure
+    (BENT, [1.75, 1.9, 1.5], [NAN, 3.0], True, None),
+    (BENT, [1.75, 1.9, 1.5], [3.0, NAN], True, 2),
+], ids=["domain-then-nan-t", "nan-t2", "nan-t0", "huge-t1", "det-at-t1", "orientation",
+        "nan-t0-before-normalizer", "singular-then-nan-t"])
+def test_flow_time_list_raises_the_error_of_the_per_t_loop(curve, s, t_list, normalize, lane):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = first_error([lambda t=t: orbit_points(curve, s, t, normalize=normalize)
+                            for t in t_list])
+        with pytest.raises((ValueError, InternalIdentityError)) as info:
+            orbit_points(curve, s, t_list, normalize=normalize)
+    got = info.value
+    assert (type(got), str(got)) == want[:2]
+    # the per-t loop names the sample; the stack names its lane k M + i
+    assert getattr(got, "sample_index", None) == lane
+    if lane is not None:
+        assert lane % len(s) == want[2]
+
+
+@pytest.mark.parametrize("curve, t_list, normalize", [
+    (BENT, [2.0, NAN], True),  # orientation and singular samples, then a nan flow time
+    (BENT, [NAN, 2.0], True),
+    (HUGE_LINE, [0.0, 700.0, NAN], False),  # det failures at t_1 only
+    (HUGE_LINE, [0.0, 1.0, -800.0], False),
+], ids=["normalizer-then-nan-t", "nan-t0", "det-at-t1", "huge-t2"])
+def test_estimator_names_the_sample_of_the_per_t_loop(curve, t_list, normalize):
+    sampler = Sampler(seed=13, count=25)
+    estimate = (lambda ts: kmu_fraction(curve, ts, 0.7, sampler, normalize=normalize))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = first_error([lambda t=t: estimate([t]) for t in t_list])
+        with pytest.raises((ValueError, InternalIdentityError)) as info:
+            estimate(t_list)
+    got = info.value
+    assert (type(got), str(got), getattr(got, "sample_index", None)) == want
+    if want[2] is not None:
+        s = sampler.point(curve.interval, want[2])
+        assert str(got).startswith(f"sample (seed, index, s) = (13, {want[2]}, {s!r}): ")
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 8, 9, 127, 128, 129, 1000])
+def test_block_mean_stderr_equals_the_reference_block_by_block(M):
+    # numpy's pairwise sum changes path at 8 and 128 values
+    rng = np.random.default_rng(M)
+    for values in (rng.integers(0, 9, 3 * M).astype(float),  # box counts
+                   (rng.random(3 * M) < 0.3).astype(float),  # indicators
+                   rng.random(3 * M) * 0.9 + 0.1):  # shortest vectors
+        got = stats._block_mean_stderr(values, M)
+        want = [reference_mean_stderr(values[k:k + M]) for k in range(0, 3 * M, M)]
+        assert bits(got) == bits(want)
