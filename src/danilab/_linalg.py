@@ -65,8 +65,11 @@ def _deviation(value, target, tol: float, error, name: str):
 
 
 def frac_matrix(rows) -> np.ndarray:
-    """Build an exact matrix: every entry coerced to Fraction."""
-    data = [[Fraction(x) for x in row] for row in rows]
+    """Build an exact matrix: every entry coerced to a Fraction of Python
+    ints. An integer of any type (numpy's included), and the numerator and
+    denominator of a Fraction that holds one, is read through
+    operator.index, as in `integral`."""
+    data = [[Fraction(*_ratio(x)) for x in row] for row in rows]
     out = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
     for i, row in enumerate(data):
         for j, x in enumerate(row):
@@ -75,9 +78,10 @@ def frac_matrix(rows) -> np.ndarray:
 
 
 def frac_vector(entries) -> np.ndarray:
+    """`frac_matrix` for a vector."""
     out = np.empty(len(entries), dtype=object)
     for i, x in enumerate(entries):
-        out[i] = Fraction(x)
+        out[i] = Fraction(*_ratio(x))
     return out
 
 

@@ -600,10 +600,16 @@ def _write_text(path: str, text: str):
         os.close(fd)
 
 
-# One encoder for every record; json.dumps with separators builds one per call.
+# One encoder for every record: json.dumps with separators builds a
+# JSONEncoder per call, and JSONEncoder.encode builds its C encoder per call.
+# This one is built once, with the arguments JSONEncoder.iterencode passes.
 # A record is a tree, never circular, so the encoder skips the circularity
-# bookkeeping; the bytes are those of json.dumps.
+# bookkeeping; the bytes are those of json.dumps. Without the C encoder, the
+# JSONEncoder encodes in Python.
 _JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_C_ENCODER = None if json.encoder.c_make_encoder is None else json.encoder.c_make_encoder(
+    None, _JSONL_ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",",
+    False, False, True)
 # The keys of a record `run` makes, in order: an envelope around the payload
 _ENVELOPE = ("experiment_id", "config_hash", "status", "payload", "timestamp")
 
@@ -616,7 +622,11 @@ def write_jsonl(records, path: str):
     file and each payload once; any other record is encoded whole. An
     empty list writes an empty file. The file is written by `_write_text`,
     after every record is encoded."""
-    encode = _JSONL_ENCODER.encode
+    if _C_ENCODER is None:
+        encode = _JSONL_ENCODER.encode
+    else:
+        def encode(obj, chunks=_C_ENCODER, join="".join):
+            return join(chunks(obj, 0))
     lines = []
     shared = head = tail = None
     for rec in records:

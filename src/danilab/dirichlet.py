@@ -19,10 +19,12 @@ and `improvability_scan` and `correspondence_row` search once per s point.
 `correspondence_basis` writes the basis in closed form as integer columns
 over the common denominator N D, an upper triangular matrix, and checks
 det == 1 from that form: zeros below the diagonal and a diagonal product of
-(N D)^2n. `correspondence_row` checks phi and mu once per row. The
-lattice side (`lattice.in_kmu`) reduces those integers with the integral
-LLL and walks the ball on the same integers, so no Fraction is built
-between the query and the decision.
+(N D)^2n. `correspondence_row` checks phi and mu once per row and runs one
+witness search; each of its cells writes the same closed-form columns,
+checks their det the same way and decides the lattice side on those
+integers (`lattice._exists_below`, the integral LLL and ball walk behind
+exact `lattice.in_kmu`), so no query, basis or Fraction is built between
+the row and its decisions.
 """
 
 import math
@@ -37,7 +39,7 @@ import numpy as np
 from . import _linalg
 from .curve import MatrixPolyCurve
 from .errors import DomainError, InvariantError
-from .lattice import LatticeBasis, in_kmu
+from .lattice import LatticeBasis, _check_kmu_radius, _exists_below
 
 CONVENTIONS = ("lattice_p_nonzero", "paper_both_nonzero")
 # p vectors per block of `first_witnesses`: a longer block wastes work on rows
@@ -88,16 +90,6 @@ class DirichletQuery:
     @property
     def n(self) -> int:
         return self.phi.shape[0]
-
-    def _at_scale(self, N) -> "DirichletQuery":
-        """This cell's phi, mu and `integral_phi` at scale N. Only N is
-        checked: phi and mu passed this query's own checks. The fields go
-        straight into the new query's __dict__, where a frozen dataclass
-        keeps them (and `cached_property` its value)."""
-        query = object.__new__(DirichletQuery)
-        query.__dict__.update(phi=self.phi, N=_scale(N), mu=self.mu,
-                              integral_phi=self.integral_phi)
-        return query
 
     @cached_property
     def integral_phi(self) -> tuple:
@@ -210,15 +202,16 @@ def _witness_search(integral_phi, Ns, Ks, a, b, nonzero_q) -> dict:
         ok = (far <= reach) & (size <= bound)
         if nonzero_q:  # q = 0 iff every y_i lies within D / 2 of 0
             ok &= reduce(np.logical_or, [abs(2 * y_i) >= D for y_i in y])
+        # each live scale's first admissible p (index 0 when it has none),
+        # and that p and its y, gathered as Python ints in one call
+        first = ok.argmax(axis=1)
+        hits = ok[np.arange(len(live)), first].tolist()
+        gathered = np.stack(p + y)[:, first].T.tolist()
         keep = []
-        for row, (s, hit) in enumerate(zip(live, ok.any(axis=1).tolist())):
+        for row, (s, hit, values) in enumerate(zip(live, hits, gathered)):
             if hit:
-                j = int(ok[row].argmax())
-                q = []
-                for y_i in y:
-                    x = int(y_i[j])
-                    q.append(x // D + (2 * (x % D) > D))
-                out[Ns[s]] = tuple(int(p_i[j]) for p_i in p), tuple(q)
+                out[Ns[s]] = (tuple(values[:n]),
+                              tuple([x // D + (2 * (x % D) > D) for x in values[n:]]))
             elif ends[s] <= stop:
                 out[Ns[s]] = None
             else:
@@ -235,13 +228,21 @@ def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
 
     With phi = A / D the basis [[N I, N phi], [0, I / N]] is written in
     closed form as the integer columns of [[N^2 D I, N^2 A], [0, D I]] over
-    the common denominator N D. It must have det == 1, which is both the
-    group-element and the unimodular-basis condition; `_checked_triangular`
-    checks it on the integer matrix. (A, D) is the query's cached
-    `integral_phi`."""
+    the common denominator N D (`_closed_form_cols`, which
+    `correspondence_row` writes for its cells too). It must have det == 1,
+    which is both the group-element and the unimodular-basis condition;
+    `_check_triangular` checks it on the integer matrix. (A, D) is the
+    query's cached `integral_phi`."""
     A, D = query.integral_phi
+    cols, den = _closed_form_cols(A, D, query.N), query.N * D
+    _check_triangular(cols, den)
+    return LatticeBasis.of_checked_integral(cols, den)
+
+
+def _closed_form_cols(A: tuple, D: int, N: int) -> tuple:
+    """The integer columns of [[N^2 D I, N^2 A], [0, D I]], i.e. of
+    a_log(N) u(A / D) times N D, as tuples of ints: upper triangular."""
     n = len(A)
-    N = query.N
     N2 = N * N
     top = N2 * D
     cols = []
@@ -249,14 +250,13 @@ def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
         cols.append((0,) * k + (top,) + (0,) * (2 * n - k - 1))
     for k in range(n):
         cols.append(tuple([N2 * row[k] for row in A]) + (0,) * k + (D,) + (0,) * (n - k - 1))
-    return _checked_triangular(tuple(cols), N * D)
+    return tuple(cols)
 
 
-def _checked_triangular(cols: tuple, den: int) -> LatticeBasis:
-    """The exact basis of the integer columns cols over den, checked to
-    det == 1 exactly: every entry below the diagonal must be 0, so that the
-    determinant is the product of the diagonal, and that product must be
-    den^m."""
+def _check_triangular(cols: tuple, den: int) -> None:
+    """Refuse the integer columns cols over den unless det == 1 exactly:
+    every entry below the diagonal must be 0, so that the determinant is the
+    product of the diagonal, and that product must be den^m."""
     m = len(cols)
     d = 1
     for j, col in enumerate(cols):
@@ -266,32 +266,39 @@ def _checked_triangular(cols: tuple, den: int) -> LatticeBasis:
         d *= col[j]
     if d != den ** m:
         raise InvariantError(f"exact det = {Fraction(d, den ** m)} != 1")
-    return LatticeBasis.of_checked_integral(cols, den)
 
 
 def correspondence_row(phi: np.ndarray, Ns, mu) -> list:
     """`correspondence_check` at every scale N in Ns for one phi and mu, in
-    the order of Ns. The witnesses come from one `first_witnesses` search,
-    and phi = A / D is written once for the whole row; every cell still
-    builds and tests its own basis. phi and mu are checked once, by the
-    first scale's query."""
+    the order of Ns. phi and mu are checked once, by the first scale's
+    query, which writes phi = A / D; mu = 1 is refused as `in_kmu` refuses
+    it. The witnesses come from one `first_witnesses` search. Every cell
+    writes its own closed-form integer columns (`_closed_form_cols`),
+    checks their det == 1 from the triangular form and decides the K_mu
+    side on them (`lattice._exists_below`, the integer test behind exact
+    `in_kmu`): the lattice misses the open mu-ball iff no nonzero column
+    combination has every |x_i| < mu N D, i.e. <= ceil(a N D / b) - 1 for
+    mu = a / b. No query, basis or Fraction is built per cell."""
     Ns = list(Ns)
     if not Ns:
         return []
     head = DirichletQuery(phi=phi, N=Ns[0], mu=mu)
-    return _correspondence_cells([head] + [head._at_scale(N) for N in Ns[1:]])
+    return _correspondence_cells(head.integral_phi, [head.N, *map(_scale, Ns[1:])], head.mu)
 
 
-def _correspondence_cells(queries: list) -> list:
-    """`correspondence_check` of each query of one phi and mu."""
-    head = queries[0]
-    # every query has checked its N, and mu = a / b in (0, 1]
-    witnesses = _first_witnesses(head.integral_phi, [q.N for q in queries], head.mu.numerator,
-                                 head.mu.denominator, False)
+def _correspondence_cells(integral_phi: tuple, scales: list, mu: Fraction) -> list:
+    """`correspondence_check` at each checked scale of one phi = A / D,
+    given as integral_phi = (A, D), and a Fraction mu in (0, 1]."""
+    _check_kmu_radius(mu)
+    A, D = integral_phi
+    a, b = mu.numerator, mu.denominator
     cells = []
-    for query, witness in zip(queries, witnesses):
+    for N, witness in zip(scales, _first_witnesses(integral_phi, scales, a, b, False)):
+        den = N * D
+        cols = _closed_form_cols(A, D, N)
+        _check_triangular(cols, den)
         insoluble = witness is None
-        in_ball_complement = in_kmu(correspondence_basis(query), query.mu)
+        in_ball_complement = not _exists_below(cols, -(-a * den // b))
         cells.append({
             "insoluble": insoluble,
             "in_kmu": in_ball_complement,
@@ -310,7 +317,7 @@ def correspondence_check(query: DirichletQuery) -> dict:
     lattice actually sees. Requires mu < 1 so the ball test is defined. The
     one-scale case of `correspondence_row`.
     """
-    return _correspondence_cells([query])[0]
+    return _correspondence_cells(query.integral_phi, [query.N], query.mu)[0]
 
 
 @dataclass(frozen=True)

@@ -936,30 +936,43 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     """Is there a nonzero lattice vector with ||v||_inf strictly below bound?
     The callers have checked bound > 0. A float basis reads its stack's
     answer (`_Stack.below`); an exact basis reads bound as the rational it
-    is."""
+    is, scaled by its denominator (`_exists_below`)."""
     int_cols = basis.int_cols
     if int_cols is None:
         return basis._stack.below(bound, basis._lane)
     # integers x have |x| < bound * den iff |x| <= B - 1, B = ceil(bound * den)
     num, den = (bound if isinstance(bound, Fraction) else Fraction(bound)).as_integer_ratio()
-    bound = -(-num * basis.den // den)
+    return _exists_below(int_cols, -(-num * basis.den // den))
+
+
+def _exists_below(int_cols, bound: int) -> bool:
+    """Is there a nonzero integer combination of the integer columns int_cols
+    with every coordinate strictly below the integer bound in magnitude? The
+    integral LLL reduces the columns; a reduced column inside the box
+    answers at once, and otherwise the walk of the ball around the box |x_i|
+    <= bound - 1 stops at its first vector."""
     bred, _, lam, d = _lll_integral(int_cols, _EXACT_DELTA, False)
     for col in bred:
         if -bound < min(col) and max(col) < bound:
             return True
     m = len(int_cols)
-    # the ball around the box |x_i| <= B - 1; the walk stops at its first vector
     hits, _ = _ball_walk(bred, lam, d, m * (bound - 1) ** 2, (bound - 1,) * m, True)
     return bool(hits)
 
 
-def in_kmu(basis: LatticeBasis, mu) -> bool:
-    """True iff the lattice misses the open sup-norm ball of radius mu, i.e.
-    the shortest nonzero vector has length >= mu. Requires 0 < mu < 1 (nan
-    and every bool or int refused); a Fraction mu = p / q is checked on its
-    integers, 0 < p < q, and an exact basis decides in integers from them."""
+def _check_kmu_radius(mu) -> None:
+    """Refuse a K_mu radius outside (0, 1) (nan and every bool or int
+    refused); a Fraction mu = p / q is checked on its integers, 0 < p < q."""
     if not (0 < mu.numerator < mu.denominator if isinstance(mu, Fraction) else 0 < mu < 1):
         raise DomainError(f"mu must lie in (0, 1), got {mu}")
+
+
+def in_kmu(basis: LatticeBasis, mu) -> bool:
+    """True iff the lattice misses the open sup-norm ball of radius mu, i.e.
+    the shortest nonzero vector has length >= mu. Requires 0 < mu < 1
+    (`_check_kmu_radius`); an exact basis decides in integers from the
+    numerator and denominator of a Fraction mu."""
+    _check_kmu_radius(mu)
     return not _exists_shorter(basis, mu)
 
 

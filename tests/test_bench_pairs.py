@@ -57,12 +57,59 @@ def test_summary_reads_each_metric_in_its_direction():
                for p, c in [(2.0, 1.0), (4.0, 2.0), (1.0, 1.0), (3.0, 4.0), (2.5, 2.0)]]
     assert bench_pairs.summarize(END_TO_END, results) == [
         "run_s: parent 2.5 -> change 2 s (x0.800, better in 3 of 5; lower is better; "
-        "parent quartiles 1.5-3.5)",
+        "parent quartiles 1.5-3.5; worse beyond bound 0.25: no; gain shown: no)",
         "work_per_s: parent 0.4 -> change 0.5 1/s (x1.250, better in 3 of 5; higher is better; "
-        "parent quartiles 0.291667-0.75)"]
+        "parent quartiles 0.291667-0.75; worse beyond bound 0.25: no; gain shown: no)"]
     one = bench_pairs.summarize(END_TO_END[:1], results[:1])
     assert one == ["run_s: parent 2 -> change 1 s (x0.500, better in 1 of 1; lower is better; "
-                   "parent quartiles 2-2)"]
+                   "parent quartiles 2-2; worse beyond bound 0.25: no; gain shown: yes)"]
+
+
+def verdicts(metric, parent, change):
+    """The two verdicts that end the summary line of one metric."""
+    results = [{"parent": {metric["name"]: p}, "change": {metric["name"]: c}}
+               for p, c in zip(parent, change)]
+    line = bench_pairs.summarize([metric], results)[0]
+    worse = line.split("worse beyond bound ")[1].split(";")[0].split(": ")[1]
+    return worse, line.split("gain shown: ")[1].rstrip(")")
+
+
+@pytest.mark.parametrize("metric, parent, change, worse", [
+    # more than the bound, a fraction of the parent's median, in the worse direction
+    (END_TO_END[0], [1.0] * 3, [1.3] * 3, "yes"),
+    (END_TO_END[0], [1.0] * 3, [1.2] * 3, "no"),
+    (END_TO_END[0], [1.0] * 3, [0.5] * 3, "no"),
+    (END_TO_END[1], [100.0] * 3, [74.0] * 3, "yes"),
+    (END_TO_END[1], [100.0] * 3, [75.0] * 3, "no"),  # by exactly the bound
+    (END_TO_END[1], [100.0] * 3, [200.0] * 3, "no"),
+    ({"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+     [40.0, 41.0, 42.0], [45.2, 44.0, 46.0], "yes"),
+    ({"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+     [40.0, 41.0, 42.0], [45.0, 45.0, 45.0], "no"),
+])
+def test_summary_says_whether_the_change_is_worse_beyond_the_bound(metric, parent, change,
+                                                                    worse):
+    assert verdicts(metric, parent, change)[0] == worse
+
+
+# median 100, quartiles 98.875-101.125: a spread of 2.25
+PARENT = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]
+
+
+@pytest.mark.parametrize("change, shown", [
+    ([110.0] * 9 + [90.0], "yes"),          # 9 of 10 better, medians 10 apart
+    ([110.0] * 8 + [90.0] * 2, "no"),       # 8 of 10 better
+    ([103.0] * 10, "yes"),                  # 10 of 10, medians 3 apart: beyond 2.25
+    ([102.2] * 10, "no"),                   # 10 of 10, medians 2.2 apart: not beyond
+    ([x + 0.1 for x in PARENT], "no"),     # 10 of 10, a hair apart
+    ([90.0] * 10, "no"),                    # worse
+])
+def test_summary_says_whether_a_gain_is_shown(change, shown):
+    metric = END_TO_END[1]
+    assert verdicts(metric, PARENT, change)[1] == shown
+    # the runs mirrored about 100 and read as times, where lower is better
+    times = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
+    assert verdicts(times, [200 - x for x in PARENT], [200 - x for x in change])[1] == shown
 
 
 def canned_checkouts(tmp_path):

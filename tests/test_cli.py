@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from danilab import Sampler, kmu_indicator, siegel_count
+from danilab import Sampler, cli, kmu_indicator, siegel_count
 from danilab.reptheory import exterior
 from danilab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                          ConfigError, compare_to_baseline, config_hash, main,
@@ -321,22 +321,40 @@ def test_write_jsonl_escapes_non_ascii_as_json_dumps_does(tmp_path):
     assert text == json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def test_write_jsonl_is_json_dumps_per_record(tmp_path):
+def test_write_jsonl_is_json_dumps_per_record(tmp_path, monkeypatch):
     # records of two envelopes, a changed timestamp and records that are no
     # envelope at all: every line is json.dumps of its record
     def envelope(eid, stamp, payload):
         return {"experiment_id": eid, "config_hash": "abc", "status": "ok",
                 "payload": payload, "timestamp": stamp}
 
+    odd = "quote \" backslash \\ newline \n control \x01 s\u00e9 \U0001d11e"
+    floats = [-0.0, 5e-324, 1e16, 1.5e300, float("nan"), -float("inf"), 0.1 + 0.2]
     records = [envelope("a", "t0", {"x": 1}), envelope("a", "t0", [0.1, None, True]),
                envelope("b", "t0", {}), envelope("b", "t1", "text"), {"payload": 1},
                {"timestamp": "t0", "experiment_id": "a", "config_hash": "abc",
                 "status": "ok", "payload": 2},
-               [1, 2], envelope("a", "t0", {"inf": float("inf")})]
+               [1, 2], envelope("a", "t0", {"inf": float("inf")}),
+               envelope("a", odd, {"floats": floats, "ints": [2 ** 70, -2 ** 70, 0, -1]}),
+               envelope(odd, "t2", {odd: odd, "empty": [{}, [], [[]], {"a": {}}, ""]}),
+               odd, -0.0, float("nan"), 2 ** 70, None, False, [], {}]
+    expected = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
     path = tmp_path / "r.jsonl"
     write_jsonl(records, str(path))
-    assert path.read_text() == "".join(json.dumps(rec, separators=(",", ":")) + "\n"
-                                       for rec in records)
+    assert path.read_text() == expected
+    # the C encoder is built once, not per record; without it the JSONEncoder
+    # writes the same bytes in Python
+    def refuse(*args):
+        raise AssertionError("a C encoder was built per call")
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", refuse)
+    write_jsonl(records, str(path))
+    assert path.read_text() == expected
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "_C_ENCODER", None)
+    write_jsonl(records, str(path))
+    assert path.read_text() == expected
+    monkeypatch.undo()
     import numpy as np
 
     written = path.read_bytes()

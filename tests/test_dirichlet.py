@@ -272,8 +272,11 @@ def test_mu_one_solvable_but_not_checkable():
     # the classical theorem guarantees a witness at mu = 1 for every phi
     q = DirichletQuery(phi=np.array([[0.3]]), N=7, mu=1.0)
     assert solvable(q) is not None
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^mu must lie in \(0, 1\), got 1$"):
         correspondence_check(q)
+    for mu in (1.0, 1, Fraction(1)):
+        with pytest.raises(DomainError, match=r"^mu must lie in \(0, 1\), got 1$"):
+            correspondence_row(np.array([[0.3]]), [7, 2], mu)
 
 
 def test_correspondence_examples():
@@ -328,9 +331,9 @@ def test_correspondence_row_writes_phi_once_and_builds_every_basis(monkeypatch):
     seen, bases = [], []
     integral = _linalg.integral
     monkeypatch.setattr(_linalg, "integral", lambda xs: seen.append(len(xs)) or integral(xs))
-    basis = dirichlet.correspondence_basis
-    monkeypatch.setattr(dirichlet, "correspondence_basis",
-                        lambda query, *args: bases.append(query.N) or basis(query, *args))
+    closed_form = dirichlet._closed_form_cols
+    monkeypatch.setattr(dirichlet, "_closed_form_cols",
+                        lambda A, D, N: bases.append(N) or closed_form(A, D, N))
     cells = correspondence_row(phi, [7, 2, 7, 5], Fraction(2, 3))
     assert seen.count(4) == 1 and bases == [7, 2, 7, 5]
     assert cells[0] == cells[2] and all(cell["agree"] for cell in cells)
@@ -392,7 +395,10 @@ def test_exact_correspondence_basis_checks_det_from_its_closed_form(monkeypatch)
     phi = np.array([[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]], dtype=object)
     basis = correspondence_basis(DirichletQuery(phi=phi, N=4, mu=Fraction(1, 2)))
     cols, den = basis.int_cols, basis.den
-    assert dirichlet._checked_triangular(cols, den).int_cols == cols
+    A, D = DirichletQuery(phi=phi, N=4, mu=Fraction(1, 2)).integral_phi
+    assert cols == dirichlet._closed_form_cols(A, D, 4) and den == 4 * D
+    dirichlet._check_triangular(cols, den)
+    assert correspondence_row(phi, [4], Fraction(1, 2))[0]["agree"]
     # (column, row, value): below the diagonal in the lower-left block, in
     # the top-left and in the bottom-right block; then a diagonal entry
     # doubled and negated, which keeps the matrix triangular
@@ -400,8 +406,15 @@ def test_exact_correspondence_basis_checks_det_from_its_closed_form(monkeypatch)
                         (3, 3, -cols[3][3])):
         bad = [list(col) for col in cols]
         bad[j][i] = value
+        bad = tuple(map(tuple, bad))
         with pytest.raises(InvariantError, match="det"):
-            dirichlet._checked_triangular(tuple(map(tuple, bad)), den)
+            dirichlet._check_triangular(bad, den)
+        # the row checks every cell's columns the same way
+        monkeypatch.setattr(dirichlet, "_closed_form_cols", lambda A, D, N, bad=bad: bad)
+        with pytest.raises(InvariantError, match="det"):
+            correspondence_row(phi, [4], Fraction(1, 2))
+        with pytest.raises(InvariantError, match="det"):
+            correspondence_basis(DirichletQuery(phi=phi, N=4, mu=Fraction(1, 2)))
 
 
 def test_scan_smoke_and_fraction_monotone():

@@ -29,8 +29,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
-                     correspondence_basis, count_in_box, in_kmu, in_mahler_compact,
-                     orbit_points, reduce, shortest_supnorm, siegel_average, u_embed)
+                     correspondence_basis, correspondence_row, count_in_box, in_kmu,
+                     in_mahler_compact, orbit_points, reduce, shortest_supnorm,
+                     siegel_average, u_embed)
 import ball_walk_reference
 import cf_reference
 import integral_lll_reference
@@ -321,30 +322,41 @@ def test_counts_invariant_under_recombination(rows, data):
     assert count_in_box(as_basis(recombined, False), fw) == count
 
 
-def correspondence_lattice(k, n, N, mu):
-    """The exact correspondence basis at phi = k / 37 (phi[i][j] = k_ij / 37)."""
+def k_phi(k, n):
+    """phi[i][j] = k_ij / 37, exactly."""
     phi = np.empty((n, n), dtype=object)
     for idx, x in enumerate(k):
         phi[idx // n, idx % n] = Fraction(x, 37)
-    return correspondence_basis(DirichletQuery(phi=phi, N=N, mu=mu))
+    return phi
+
+
+def correspondence_lattice(k, n, N, mu):
+    """The exact correspondence basis at phi = k / 37 (phi[i][j] = k_ij / 37)."""
+    return correspondence_basis(DirichletQuery(phi=k_phi(k, n), N=N, mu=mu))
 
 
 @st.composite
-def boundary_cells(draw):
-    """(basis, mu) with mu N an integer, so p = mu N puts the vector
-    (N (phi p - q), p / N) on the sup-norm sphere of radius mu whenever its
-    top block is no larger."""
+def boundary_rows(draw):
+    """(phi, Ns, mu) with mu N an integer at every scale N, so p = mu N puts
+    the vector (N (phi p - q), p / N) on the sup-norm sphere of radius mu
+    whenever its top block is no larger."""
     n = draw(st.sampled_from((1, 1, 2)))
     mu = draw(st.sampled_from((Fraction(1, 2), Fraction(9, 10), Fraction(3, 4), Fraction(2, 3))))
-    N = mu.denominator * draw(st.integers(1, 8 if n == 1 else 2))
+    Ns = draw(st.lists(st.integers(1, 8 if n == 1 else 2).map(lambda j: mu.denominator * j),
+                       min_size=1, max_size=3))
     k = [draw(st.integers(0, 37)) for _ in range(n * n)]
-    return correspondence_lattice(k, n, N, mu), mu
+    return k_phi(k, n), Ns, mu
 
 
 @SETTINGS
-@given(boundary_cells())
-def test_exact_queries_on_correspondence_bases_match_box_oracle(cell):
-    basis, mu = cell
+@given(boundary_rows())
+def test_exact_queries_on_correspondence_bases_match_box_oracle(row):
+    phi, Ns, mu = row
+    bases = [correspondence_basis(DirichletQuery(phi=phi, N=N, mu=mu)) for N in Ns]
+    # every cell of the row decides K_mu on its own integer columns
+    for cell, basis in zip(correspondence_row(phi, Ns, mu), bases):
+        assert cell["in_kmu"] == oracle_in_kmu(basis, mu)
+    basis = bases[0]
     w = [mu] * basis.m
     assert in_kmu(basis, mu) == oracle_in_kmu(basis, mu)
     assert in_mahler_compact(basis, mu) == oracle_in_kmu(basis, mu)

@@ -247,3 +247,20 @@ def test_integral_reads_numpy_integers_as_python_ints():
     assert type(den) is int and all(type(x) is int for x in flat)
     # products past 64 bits stay exact
     assert flat[0] * flat[0] == 2 ** 160
+
+
+def test_frac_matrix_and_vector_read_numpy_integers_as_python_ints():
+    big = 2 ** 40
+    a = _linalg.frac_matrix(np.array([[big, 1], [1, big]], dtype=np.int64))
+    assert all(type(x.numerator) is int and type(x.denominator) is int for x in a.ravel())
+    # as int64, the elimination overflows to 0 with only a RuntimeWarning
+    assert _linalg.inv(a)[0, 0] == Fraction(big, big * big - 1)
+    assert _linalg.det(a) == big * big - 1
+    v = _linalg.frac_vector(np.array([big, -3], dtype=np.int64))
+    assert v.tolist() == [big, -3]
+    assert all(type(x.numerator) is int and type(x.denominator) is int for x in v)
+    assert (v[0] * v[0]).numerator == 2 ** 80
+    held = _linalg.frac_vector([Fraction(np.int64(3), np.int64(big)), np.int32(-1), True, 0.5,
+                                "1/3"])
+    assert held.tolist() == [Fraction(3, big), -1, 1, Fraction(1, 2), Fraction(1, 3)]
+    assert all(type(x.numerator) is int and type(x.denominator) is int for x in held)

@@ -14,8 +14,18 @@ figures measure a broken run.
 For each `end_to_end` metric of the change's BENCHMARK.json it then prints
 one line: the parent's and the change's medians, their ratio change/parent,
 "better in k of N" (pairs where the change is strictly better, in the
-metric's `better` direction) and the parent's quartiles. It reads only
-`perfbench/` and `BENCHMARK.json` of each checkout, and imports neither.
+metric's `better` direction) and the parent's quartiles. Two verdicts end
+the line:
+
+- "worse beyond bound B": yes when the change's median is worse than the
+  parent's by more than the metric's `bound` B, a fraction of the parent's
+  median;
+- "gain shown": yes when the change is better in at least 9 of 10 pairs
+  (k >= 0.9 N) and its median is better than the parent's by more than the
+  spread of the parent's quartiles.
+
+It reads only `perfbench/` and `BENCHMARK.json` of each checkout, and
+imports neither.
 """
 
 import argparse
@@ -64,9 +74,14 @@ def summarize(end_to_end: list, results: list) -> list:
         better = sum(c < p if lower else c > p for p, c in zip(parent, change))
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+        gain = p_med - c_med if lower else c_med - p_med  # > 0: the change's median is better
+        worse = -gain > metric["bound"] * abs(p_med)
+        shown = 10 * better >= 9 * len(results) and gain > q3 - q1
         lines.append(f"{name}: parent {p_med:.6g} -> change {c_med:.6g} {metric['unit']} "
                      f"(x{c_med / p_med:.3f}, better in {better} of {len(results)}; "
-                     f"{metric['better']} is better; parent quartiles {q1:.6g}-{q3:.6g})")
+                     f"{metric['better']} is better; parent quartiles {q1:.6g}-{q3:.6g}; "
+                     f"worse beyond bound {metric['bound']:g}: {'yes' if worse else 'no'}; "
+                     f"gain shown: {'yes' if shown else 'no'})")
     return lines
 
 
