@@ -39,7 +39,7 @@ import numpy as np
 from . import _linalg
 from .curve import MatrixPolyCurve
 from .errors import DomainError, InvariantError
-from .lattice import LatticeBasis, _check_kmu_radius, _exists_below
+from .lattice import LatticeBasis, _check_kmu_radius, _exists_below, _kernel, _vec
 
 CONVENTIONS = ("lattice_p_nonzero", "paper_both_nonzero")
 # p vectors per block of `first_witnesses`: a longer block wastes work on rows
@@ -239,33 +239,60 @@ def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
     return LatticeBasis.of_checked_integral(cols, den)
 
 
+# The closed-form columns for m = 2n, as one tuple display: column k < n is
+# N^2 D e_k, column n + k holds N^2 A[i][k] in rows i < n and D in row n + k,
+# and every other entry is a literal 0. The rows of A are unpacked into
+# locals a<i>_<k> once.
+def _closed_form_cols_source(m: int) -> str:
+    """The text of `_closed_form_cols`' kernel for 2n x 2n bases, m = 2n."""
+    n = m // 2
+    rows = ", ".join(f"({_vec(f'a{i}_', n)})" for i in range(n)) + ("," if n == 1 else "")
+    cols = [["top" if i == k else "0" for i in range(m)] for k in range(n)]
+    cols += [[f"N2 * a{i}_{k}" for i in range(n)]
+             + ["D" if i == k else "0" for i in range(n)] for k in range(n)]
+    return "\n".join(["def kernel(A, D, N):",
+                      f"    {rows} = A",
+                      "    N2 = N * N",
+                      "    top = N2 * D",
+                      "    return (" + ", ".join(f"({', '.join(col)})" for col in cols) + ")"]
+                     ) + "\n"
+
+
 def _closed_form_cols(A: tuple, D: int, N: int) -> tuple:
     """The integer columns of [[N^2 D I, N^2 A], [0, D I]], i.e. of
-    a_log(N) u(A / D) times N D, as tuples of ints: upper triangular."""
-    n = len(A)
-    N2 = N * N
-    top = N2 * D
-    cols = []
-    for k in range(n):
-        cols.append((0,) * k + (top,) + (0,) * (2 * n - k - 1))
-    for k in range(n):
-        cols.append(tuple([N2 * row[k] for row in A]) + (0,) * k + (D,) + (0,) * (n - k - 1))
-    return tuple(cols)
+    a_log(N) u(A / D) times N D, as tuples of ints: upper triangular. One
+    generated kernel per m = 2n (`_closed_form_cols_source`), compiled once by
+    `lattice._kernel`."""
+    return _kernel(_closed_form_cols_source, 2 * len(A))(A, D, N)
+
+
+# The det == 1 check of m integer columns: every entry c<j>_<i> of column j
+# below the diagonal (i > j) is tested in one `or` chain, then the diagonal
+# product is compared with den^m.
+def _check_triangular_source(m: int) -> str:
+    """The text of `_check_triangular`'s kernel for m columns."""
+    cols = ", ".join(f"({_vec(f'c{j}_', m)})" for j in range(m)) + ("," if m == 1 else "")
+    lines = ["def kernel(cols, den):",
+             f"    {cols} = cols"]
+    if m > 1:
+        lines += ["    if " + " or ".join(f"c{j}_{i}" for j in range(m) for i in range(j + 1, m))
+                  + ":",
+                  '        raise InvariantError("closed-form basis has a nonzero entry below the '
+                  'diagonal; "',
+                  '                             "its det is not the product of the diagonal")']
+    lines += ["    d = " + " * ".join(f"c{j}_{j}" for j in range(m)),
+              f"    if d != den ** {m}:",
+              f'        raise InvariantError(f"exact det = {{Fraction(d, den ** {m})}} != 1")']
+    return "\n".join(lines) + "\n"
 
 
 def _check_triangular(cols: tuple, den: int) -> None:
     """Refuse the integer columns cols over den unless det == 1 exactly:
     every entry below the diagonal must be 0, so that the determinant is the
-    product of the diagonal, and that product must be den^m."""
-    m = len(cols)
-    d = 1
-    for j, col in enumerate(cols):
-        if any(col[j + 1:]):
-            raise InvariantError("closed-form basis has a nonzero entry below the diagonal; "
-                                 "its det is not the product of the diagonal")
-        d *= col[j]
-    if d != den ** m:
-        raise InvariantError(f"exact det = {Fraction(d, den ** m)} != 1")
+    product of the diagonal, and that product must be den^m. One generated
+    kernel per m (`_check_triangular_source`), compiled once by
+    `lattice._kernel`."""
+    _kernel(_check_triangular_source, len(cols))(cols, den)
 
 
 def correspondence_row(phi: np.ndarray, Ns, mu) -> list:

@@ -713,11 +713,11 @@ def generic_curve(n):
     return MatrixPolyCurve.from_coeffs([a, np.eye(n) + 0.25 * a.T], (1.0, 2.0))
 
 
-def stack_leaves(stack, r2):
-    """Per lane of a `_Stack`: the sorted (coefficients, vector bytes) of
-    the leaves of its walk of the squared radius r2 (one float or one per
-    lane), with the mask of lanes it drops."""
-    b, mu, norms = stack.reduced()
+def walk_leaves(walk, b, mu, norms, r2):
+    """Per lane of the reductions (b, mu, norms): the sorted (coefficients,
+    vector bytes) of the leaves that walk (`lattice._stack_walk` or
+    `_walk_lanes`) hands to visit for the squared radius r2 (one float or
+    one per lane), with the mask of lanes it drops."""
     leaves = [[] for _ in b]
 
     def visit(lane, v, coef):
@@ -725,8 +725,13 @@ def stack_leaves(stack, r2):
         for i, c, x in zip(lane.tolist(), rows, v):
             leaves[i].append((tuple(c), x.tobytes()))
 
-    dropped = lattice._stack_walk(b, mu, norms, r2, visit)
+    dropped = walk(b, mu, norms, r2, visit)
     return [sorted(lane) for lane in leaves], dropped
+
+
+def stack_leaves(stack, r2):
+    """`walk_leaves` of the stack walk of a `_Stack`'s reductions."""
+    return walk_leaves(lattice._stack_walk, *stack.reduced(), r2)
 
 
 def reference_leaves(cols, r2):
@@ -748,6 +753,77 @@ def test_stack_walk_leaves_are_the_walks_bit_for_bit(m):
         assert not dropped.any()
         assert got == [reference_leaves(cols, float(np.broadcast_to(r2, len(lanes))[i]))
                        for i, cols in enumerate(lanes)]
+
+
+# Factors of a lane's least norm: a squared radius below it skips the lane,
+# one at or above it enters the lane (the walk's slack widens it further).
+# None enters a lane by moving its least norm onto the limit itself.
+SKIP_FACTORS, ENTER_FACTORS = (0.25, 0.9), (None, 1.0, 1.5, 3.0)
+
+
+@st.composite
+def skip_walks(draw, skip):
+    """Reductions (b, mu, norms) of 1 to 6 float lanes at m = 2, 4 or 6, a
+    squared radius (one float or one per lane) that skips every lane, some
+    lanes or no lane, as `skip` says, with the mask of the lanes it skips;
+    and the mask of the lanes given a zero or a nan norm afterwards (lanes
+    the walk must enter and drop)."""
+    m = draw(st.sampled_from((2, 4, 6)))
+    lanes = draw(st.integers(2 if skip == "some" else 1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = rng.standard_normal((lanes, m, m)) @ np.diag(np.exp(rng.uniform(-1.5, 1.5, m)))
+    mats /= np.abs(np.linalg.det(mats))[:, None, None] ** (1 / m)
+    assume(np.all(np.abs(np.abs(np.linalg.det(mats)) - 1) <= lattice.UNIMODULAR_TOL))
+    b, mu, norms = (x.copy() for x in LatticeBasis.batch(mats)[0]._stack.reduced())
+    least = norms.min(axis=1)
+    if draw(st.booleans()):  # one radius per lane
+        factors = {"every": [SKIP_FACTORS] * lanes, "none": [ENTER_FACTORS] * lanes,
+                   "some": [SKIP_FACTORS, ENTER_FACTORS] + [SKIP_FACTORS + ENTER_FACTORS]
+                   * (lanes - 2)}[skip]
+        picks = [draw(st.sampled_from(f)) for f in factors]
+        r2 = least * np.array([1.0 if f is None else f for f in picks])
+        for lane in (i for i, f in enumerate(picks) if f is None):
+            norms[lane, norms[lane].argmin()] = r2[lane] * (1 + lattice._FLOAT_SLACK)
+    elif skip == "some":  # one radius between the least norms of two lanes
+        lo, hi = sorted(draw(st.permutations(least.tolist()))[:2])
+        assume(hi > 1.01 * lo)
+        r2 = (lo + hi) / 2
+    else:
+        r2 = (least.min() * draw(st.sampled_from(SKIP_FACTORS)) if skip == "every"
+              else least.max() * draw(st.sampled_from(ENTER_FACTORS[1:])))
+    planned = np.all(norms > np.reshape(r2 * (1 + lattice._FLOAT_SLACK), (-1, 1)), axis=1)
+    broken = np.zeros(lanes, dtype=bool)
+    for lane in range(lanes):
+        value = draw(st.sampled_from((None, None, 0.0, math.nan)))
+        if value is not None:
+            norms[lane, draw(st.integers(0, m - 1))] = value
+            broken[lane] = True
+    return b, mu, norms, r2, planned, broken
+
+
+@pytest.mark.parametrize("skip", ["every", "some", "none"])
+@settings(SETTINGS, max_examples=60)
+@given(data=st.data())
+def test_stack_walk_skips_only_lanes_it_cannot_enter(skip, data):
+    """The stack walk skips the lanes whose every norm exceeds its limit, and
+    returns the dropped mask and hands visit the leaves of the walk of each
+    lane alone, unskipped (`_walk_lanes`); a zero or nan norm is entered and
+    dropped."""
+    b, mu, norms, r2, planned, broken = data.draw(skip_walks(skip))
+    assert {"every": planned.all(), "none": not planned.any(),
+            "some": 0 < planned.sum() < len(b)}[skip]
+    walk_lanes = lattice._walk_lanes
+    entered = []
+    with pytest.MonkeyPatch.context() as patch, np.errstate(divide="ignore", invalid="ignore"):
+        patch.setattr(lattice, "_walk_lanes",
+                      lambda b, *args: entered.append(len(b)) or walk_lanes(b, *args))
+        got, dropped = walk_leaves(lattice._stack_walk, b, mu, norms, r2)
+        want = [walk_leaves(walk_lanes, b[i:i + 1], mu[i:i + 1], norms[i:i + 1],
+                            r2[i:i + 1] if np.ndim(r2) else r2) for i in range(len(b))]
+    assert got == [leaves[0] for leaves, _ in want]
+    assert dropped.tolist() == [x[0] for _, x in want] == broken.tolist()
+    # the walk runs once, on the lanes it enters: the unskipped and the broken
+    assert entered == ([] if (planned & ~broken).all() else [np.sum(~planned | broken)])
 
 
 def stack_queries(bases, m):

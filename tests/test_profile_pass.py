@@ -1,0 +1,33 @@
+"""Smoke test of `tools/profile_pass.py` on the rep-genericity workload."""
+
+import importlib.util
+import os
+import re
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.join(HERE, os.pardir)
+
+_spec = importlib.util.spec_from_file_location(
+    "profile_pass", os.path.join(ROOT, "tools", "profile_pass.py"))
+profile_pass = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(profile_pass)
+
+
+def test_profile_of_one_rep_genericity_pass(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert profile_pass.main(["--workload", "rep-genericity", "--seed", "7", "--top", "6",
+                              "--sort", "cumtime"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.match(r"rep-genericity, seed 7, \d+ configs: unprofiled pass median [\d.]+ s "
+                    r"over 5 passes \([\d.]+-[\d.]+ s, unscaled\); profiled pass [\d.]+ s",
+                    lines[0])
+    assert lines[1] == "top 6 by cumtime; shares are of the profiled pass:"
+    assert lines[2].split() == ["ncalls", "tottime", "share", "cumtime", "share", "function"]
+    rows = lines[3:]
+    assert len(rows) == 6
+    cumtimes = [float(row.split()[3]) for row in rows]
+    assert cumtimes == sorted(cumtimes, reverse=True)
+    # the pass itself leads by cumulative time: every share is of its time
+    assert rows[0].endswith("(run_pass)") and rows[0].split()[4] == "100.0%"
+    assert any("src/danilab/cli.py" in row for row in rows)
+    assert os.listdir(tmp_path) == []  # the runs wrote into a directory of their own
