@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from . import _linalg
 from .curve import MatrixPolyCurve
 from .errors import DomainError, InvariantError
-from .lattice import LatticeBasis, _check_kmu_radius, _exists_below, _kernel, _vec
+from .lattice import LatticeBasis, _check_kmu_radius, _compile, _exists_below, _vec
 
 CONVENTIONS = ("lattice_p_nonzero", "paper_both_nonzero")
 # p vectors per block of `first_witnesses`: a longer block wastes work on rows
@@ -77,6 +77,8 @@ class DirichletQuery:
         phi = self.phi
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise InvariantError("phi must be square")
+        if not phi.size:
+            raise InvariantError(f"phi must be n x n with n >= 1, got shape {phi.shape}")
         for k, x in enumerate(phi.flat):
             if isinstance(x, float) and not math.isfinite(x):
                 i, j = divmod(k, len(phi))
@@ -239,6 +241,12 @@ def correspondence_basis(query: DirichletQuery) -> LatticeBasis:
     return LatticeBasis.of_checked_integral(cols, den)
 
 
+# A correspondence cell's kernels, compiled once per m by `lattice._compile`,
+# for every n >= 1: the basis is written and checked whatever the walk's
+# MAX_DIM, as `correspondence_basis` always has been.
+_cell_kernel = cache(_compile)
+
+
 # The closed-form columns for m = 2n, as one tuple display: column k < n is
 # N^2 D e_k, column n + k holds N^2 A[i][k] in rows i < n and D in row n + k,
 # and every other entry is a literal 0. The rows of A are unpacked into
@@ -261,9 +269,8 @@ def _closed_form_cols_source(m: int) -> str:
 def _closed_form_cols(A: tuple, D: int, N: int) -> tuple:
     """The integer columns of [[N^2 D I, N^2 A], [0, D I]], i.e. of
     a_log(N) u(A / D) times N D, as tuples of ints: upper triangular. One
-    generated kernel per m = 2n (`_closed_form_cols_source`), compiled once by
-    `lattice._kernel`."""
-    return _kernel(_closed_form_cols_source, 2 * len(A))(A, D, N)
+    generated kernel per m = 2n (`_closed_form_cols_source`)."""
+    return _cell_kernel(_closed_form_cols_source, 2 * len(A))(A, D, N)
 
 
 # The det == 1 check of m integer columns: every entry c<j>_<i> of column j
@@ -290,9 +297,8 @@ def _check_triangular(cols: tuple, den: int) -> None:
     """Refuse the integer columns cols over den unless det == 1 exactly:
     every entry below the diagonal must be 0, so that the determinant is the
     product of the diagonal, and that product must be den^m. One generated
-    kernel per m (`_check_triangular_source`), compiled once by
-    `lattice._kernel`."""
-    _kernel(_check_triangular_source, len(cols))(cols, den)
+    kernel per m (`_check_triangular_source`)."""
+    _cell_kernel(_check_triangular_source, len(cols))(cols, den)
 
 
 def correspondence_row(phi: np.ndarray, Ns, mu) -> list:

@@ -291,26 +291,29 @@ def _lll_source(m: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _kernel(source, m: int):
-    """The function `kernel` that the text source(m) defines for m x m
-    bases, compiled on first use; source is `_lll_source`,
-    `_lll_integral_source`, `_ball_walk_source`, `_short_column_source` or
-    one of a correspondence cell's (`dirichlet._closed_form_cols_source`,
-    `dirichlet._check_triangular_source`), and the code is named after its
-    module and source, as in <lattice._lll m=3>. This is the module's one
-    size rule: m < 1 and m > MAX_DIM are refused here, for every reduction,
-    query and correspondence basis, and a cached kernel pays nothing for it."""
-    if m < 1:
-        raise InvariantError("LLL needs at least one column")
-    if m > MAX_DIM:
-        raise UnsupportedSizeError(f"dimension {m} exceeds the supported bound {MAX_DIM}")
+def _compile(source, m: int):
+    """The function `kernel` that the text source(m) defines, compiled, with
+    its code named after the module and function of source, as in
+    <lattice._lll m=3>."""
     namespace = {"InternalIdentityError": InternalIdentityError, "InvariantError": InvariantError,
                  "Fraction": Fraction, "lcm": math.lcm, "budget_error": _budget_error}
     module = source.__module__.rpartition(".")[2]
     name = source.__name__.removesuffix("_source")
     exec(compile(source(m), f"<{module}.{name} m={m}>", "exec"), namespace)
     return namespace["kernel"]
+
+
+@functools.cache
+def _kernel(source, m: int):
+    """`_compile(source, m)` for m x m bases, compiled on first use; source
+    is `_lll_source`, `_lll_integral_source` or `_ball_walk_source`. This is
+    the module's one size rule: m < 1 and m > MAX_DIM are refused here, for
+    every reduction and query, and a cached kernel pays nothing for it."""
+    if m < 1:
+        raise InvariantError("LLL needs at least one column")
+    if m > MAX_DIM:
+        raise UnsupportedSizeError(f"dimension {m} exceeds the supported bound {MAX_DIM}")
+    return _compile(source, m)
 
 
 def _lll(cols, delta: float = _DELTA, transform: bool = True):
@@ -574,25 +577,12 @@ def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> 
     The walk enters only the lanes with some norms[j] not above the limit
     r2 (1 + _FLOAT_SLACK) (r2 >= 0; a nan norm is not above it). A lane
     whose every norm exceeds the limit has at most one node per level above
-    0, the all-zero one, and no leaf: its first nonzero candidate at each
-    level, c_j = 1 below an all-zero top, already adds norms[j] to a partial
-    length of 0, and its windows are finite. So the walk would neither hand
+    0, the all-zero one, and no leaf: under an all-zero top its center is 0
+    (mu is finite), so its first nonzero candidate at each level, c_j = 1,
+    already adds norms[j] to a partial length of 0, and its windows are
+    finite. So the walk would neither hand
     it to visit nor drop it, and skipping it changes no answer.
     """
-    limit = np.reshape(r2 * (1 + _FLOAT_SLACK), (-1, 1))
-    enter = np.flatnonzero(~np.all(norms > limit, axis=1))
-    if len(enter) == len(norms):
-        return _walk_lanes(b, mu, norms, r2, visit)
-    dropped = np.zeros(len(norms), dtype=bool)
-    if len(enter):
-        dropped[enter] = _walk_lanes(b[enter], mu[enter], norms[enter],
-                                     r2[enter] if np.ndim(r2) else r2,
-                                     lambda lane, v, leaves: visit(enter[lane], v, leaves))
-    return dropped
-
-
-def _walk_lanes(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> np.ndarray:
-    """`_stack_walk` without its skip: the walk of every lane."""
     lanes, m = norms.shape
     limit = r2 * (1 + _FLOAT_SLACK)
     at = (lambda lane: limit[lane]) if np.ndim(limit) else (lambda lane: limit)
@@ -654,8 +644,9 @@ def _walk_lanes(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> 
             size[cut] -= take[cut]
             parents = tuple(x[cut:] for x in parents)
 
-    expand(m - 1, np.arange(lanes), np.zeros((lanes, m)), np.zeros(lanes),
-           np.ones(lanes, dtype=bool))
+    enter = np.flatnonzero(~np.all(norms > np.reshape(limit, (-1, 1)), axis=1))
+    expand(m - 1, enter, np.zeros((len(enter), m)), np.zeros(len(enter)),
+           np.ones(len(enter), dtype=bool))
     return dropped
 
 
@@ -970,33 +961,17 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     return _exists_below(int_cols, -(-num * basis.den // den))
 
 
-# Is one of m integer columns strictly inside the box |x_i| < bound? Each
-# column is unpacked into x0, x1, ... and tested by one chained comparison per
-# coordinate, the columns in order.
-def _short_column_source(m: int) -> str:
-    """The text of `_exists_below`'s reduced-column test for m columns."""
-    inside = _each("low < x{c} < bound", m, " and ")
-    lines = ["def kernel(b, bound):",
-             "    low = -bound"]
-    for j in range(m):
-        lines += [f"    {_vec('x', m)} = b[{j}]",
-                  f"    if {inside}:",
-                  "        return True"]
-    lines.append("    return False")
-    return "\n".join(lines) + "\n"
-
-
 def _exists_below(int_cols, bound: int) -> bool:
     """Is there a nonzero integer combination of the integer columns int_cols
     with every coordinate strictly below the integer bound in magnitude? The
     integral LLL reduces the columns; a reduced column inside the box
-    answers at once (one generated test per m, `_short_column_source`), and
-    otherwise the walk of the ball around the box |x_i| <= bound - 1 stops
-    at its first vector."""
-    m = len(int_cols)
+    answers at once, and otherwise the walk of the ball around the box |x_i|
+    <= bound - 1 stops at its first vector."""
     bred, _, lam, d = _lll_integral(int_cols, _EXACT_DELTA, False)
-    if _kernel(_short_column_source, m)(bred, bound):
-        return True
+    for col in bred:
+        if -bound < min(col) and max(col) < bound:
+            return True
+    m = len(int_cols)
     hits, _ = _ball_walk(bred, lam, d, m * (bound - 1) ** 2, (bound - 1,) * m, True)
     return bool(hits)
 

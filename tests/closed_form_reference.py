@@ -1,12 +1,11 @@
 """Reference for the per-cell steps of a correspondence cell: the closed-form
-integer columns, their det == 1 check and the reduced-column test of
-`lattice._exists_below`, as generic loops over a 2n x 2n matrix.
+integer columns and their det == 1 check, as generic loops over a 2n x 2n
+matrix.
 
-`dirichlet._closed_form_cols`, `dirichlet._check_triangular` and the
-reduced-column test of `_exists_below` each run one kernel generated per
-dimension m instead (`_closed_form_cols_source`, `_check_triangular_source`,
-`lattice._short_column_source`). They must give what these loops give: the
-same columns, the same refusals with the same text, and the same answer.
+`dirichlet._closed_form_cols` and `dirichlet._check_triangular` each run one
+kernel generated per dimension m instead (`_closed_form_cols_source`,
+`_check_triangular_source`). They must give what these loops give: the same
+columns, and the same refusals with the same text.
 """
 
 from fractions import Fraction
@@ -42,11 +41,3 @@ def check_triangular(cols: tuple, den: int) -> None:
     if d != den ** m:
         raise InvariantError(f"exact det = {Fraction(d, den ** m)} != 1")
 
-
-def short_column(bred, bound: int) -> bool:
-    """Does one of the reduced integer columns bred lie strictly inside the
-    box |x_i| < bound?"""
-    for col in bred:
-        if -bound < min(col) and max(col) < bound:
-            return True
-    return False

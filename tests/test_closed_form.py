@@ -3,23 +3,25 @@ of `closed_form_reference`.
 
 `dirichlet._closed_form_cols` writes the integer columns of [[N^2 D I,
 N^2 A], [0, D I]] and `dirichlet._check_triangular` checks det == 1 from
-their triangular form, each by one kernel generated per dimension m = 2n;
-`lattice._exists_below` tests its reduced columns against the box by one
-generated kernel per m too. For n = 1, 2 and 3 the columns must equal the
-reference columns, every single-entry corruption of them (each position
-below the diagonal, and each diagonal entry doubled or negated) must be
-refused by both checks with the same InvariantError text, and the
-reduced-column test must answer as the min / max loop on columns that hold
-+-B and +-(B - 1).
+their triangular form, each by one kernel generated per dimension m = 2n.
+For n = 1, 2 and 3 the columns must equal the reference columns, and every
+single-entry corruption of them (each position below the diagonal, and each
+diagonal entry doubled or negated) must be refused by both checks with the
+same InvariantError text. The kernels have no size bound of their own:
+`correspondence_basis` writes and checks bases past the walk's MAX_DIM, and
+an empty phi is refused where the query is made.
 """
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closed_form_reference
 from danilab import dirichlet, lattice
-from danilab.errors import InvariantError
+from danilab.errors import InvariantError, UnsupportedSizeError
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # small and large integers: the columns hold Python ints of any size
@@ -74,37 +76,40 @@ def test_every_single_entry_corruption_is_refused_with_the_reference_text(cell, 
         assert ("below the diagonal" in want) == (i > j)
 
 
-@st.composite
-def box_columns(draw):
-    """m integer columns of length m (m = 2, 4, 6) and a bound B >= 1 whose
-    entries are often +-B and +-(B - 1), the faces on either side of the
-    open box |x_i| < B."""
-    m = draw(st.sampled_from((2, 4, 6)))
-    B = draw(st.integers(1, 5) | st.integers(1, 2 ** 70))
-    entry = (st.sampled_from((B, -B, B - 1, 1 - B, 0)) | st.integers(1 - B, B - 1)
-             | st.integers(-3 * B, 3 * B))
-    return tuple(tuple(draw(entry) for _ in range(m)) for _ in range(m)), B
-
-
-@SETTINGS
-@given(box_columns())
-def test_reduced_column_test_is_the_min_max_loop(case):
-    cols, B = case
-    got = lattice._kernel(lattice._short_column_source, len(cols))(cols, B)
-    assert got is closed_form_reference.short_column(cols, B)
-
-
 @pytest.mark.parametrize("source, name", [
     (dirichlet._closed_form_cols_source, "dirichlet._closed_form_cols"),
-    (dirichlet._check_triangular_source, "dirichlet._check_triangular"),
-    (lattice._short_column_source, "lattice._short_column")])
+    (dirichlet._check_triangular_source, "dirichlet._check_triangular")])
 def test_cell_kernels_are_straight_line_and_compiled_once_per_m(source, name):
     for m in (2, 4, 6):
         text = source(m)
         assert "for " not in text and "range(" not in text and "any(" not in text
-        kernel = lattice._kernel(source, m)
-        assert kernel is lattice._kernel(source, m)
+        kernel = dirichlet._cell_kernel(source, m)
+        assert kernel is dirichlet._cell_kernel(source, m)
         assert kernel.__code__.co_filename == f"<{name} m={m}>"
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 8])
+def test_correspondence_basis_has_no_size_bound(n):
+    """The walk's MAX_DIM bounds queries, not the basis: at 2n > MAX_DIM
+    `correspondence_basis` still writes and checks the closed-form columns."""
+    phi = np.array([[Fraction(3 * i - j, 7 + i + j) for j in range(n)] for i in range(n)],
+                   dtype=object)
+    query = dirichlet.DirichletQuery(phi, 5, Fraction(1, 2))
+    A, D = query.integral_phi
+    basis = dirichlet.correspondence_basis(query)
+    assert basis.int_cols == closed_form_reference.closed_form_cols(A, D, 5)
+    assert basis.den == 5 * D
+    if 2 * n > lattice.MAX_DIM:
+        with pytest.raises(UnsupportedSizeError):
+            lattice.in_kmu(basis, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda phi: dirichlet.DirichletQuery(phi, 3, Fraction(1, 2)),
+    lambda phi: dirichlet.correspondence_row(phi, [3], Fraction(1, 2))])
+def test_an_empty_phi_is_refused_before_any_search(call):
+    with pytest.raises(InvariantError, match=r"phi must be n x n with n >= 1, got shape \(0, 0\)"):
+        call(np.zeros((0, 0), dtype=object))
 
 
 def test_cell_kernel_sources_spell_out_every_entry():
@@ -115,5 +120,3 @@ def test_cell_kernel_sources_spell_out_every_entry():
     check = dirichlet._check_triangular_source(4)
     assert "if c0_1 or c0_2 or c0_3 or c1_2 or c1_3 or c2_3:" in check
     assert "d = c0_0 * c1_1 * c2_2 * c3_3" in check and "if d != den ** 4:" in check
-    inside = lattice._short_column_source(2)
-    assert inside.count("if low < x0 < bound and low < x1 < bound:") == 2

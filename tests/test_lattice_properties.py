@@ -713,11 +713,11 @@ def generic_curve(n):
     return MatrixPolyCurve.from_coeffs([a, np.eye(n) + 0.25 * a.T], (1.0, 2.0))
 
 
-def walk_leaves(walk, b, mu, norms, r2):
+def walk_leaves(b, mu, norms, r2):
     """Per lane of the reductions (b, mu, norms): the sorted (coefficients,
-    vector bytes) of the leaves that walk (`lattice._stack_walk` or
-    `_walk_lanes`) hands to visit for the squared radius r2 (one float or
-    one per lane), with the mask of lanes it drops."""
+    vector bytes) of the leaves that `lattice._stack_walk` hands to visit for
+    the squared radius r2 (one float or one per lane), with the mask of
+    lanes it drops."""
     leaves = [[] for _ in b]
 
     def visit(lane, v, coef):
@@ -725,21 +725,26 @@ def walk_leaves(walk, b, mu, norms, r2):
         for i, c, x in zip(lane.tolist(), rows, v):
             leaves[i].append((tuple(c), x.tobytes()))
 
-    dropped = walk(b, mu, norms, r2, visit)
+    dropped = lattice._stack_walk(b, mu, norms, r2, visit)
     return [sorted(lane) for lane in leaves], dropped
 
 
 def stack_leaves(stack, r2):
-    """`walk_leaves` of the stack walk of a `_Stack`'s reductions."""
-    return walk_leaves(lattice._stack_walk, *stack.reduced(), r2)
+    """`walk_leaves` of a `_Stack`'s reductions."""
+    return walk_leaves(*stack.reduced(), r2)
+
+
+def lane_leaves(b, mu, norms, r2):
+    """The sorted (coefficients, vector bytes) of the depth-first float walk
+    of one reduction (columns b, Gram data mu and norms) alone."""
+    walk = ball_walk_reference._BallWalk(b, (mu, norms), r2)
+    return sorted((c, np.array(v, dtype=float).tobytes()) for c, v in walk)
 
 
 def reference_leaves(cols, r2):
-    """The sorted (coefficients, vector bytes) of the depth-first float walk
-    of the basis alone."""
-    b, _, gram = ball_walk_reference._prepare(LatticeBasis(np.array(cols, dtype=float)))
-    return sorted((c, np.array(v, dtype=float).tobytes())
-                  for c, v in ball_walk_reference._BallWalk(b, gram, r2))
+    """`lane_leaves` of the basis's scalar float LLL reduction."""
+    b, _, (mu, norms) = ball_walk_reference._prepare(LatticeBasis(np.array(cols, dtype=float)))
+    return lane_leaves(b, mu, norms, r2)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
@@ -805,25 +810,25 @@ def skip_walks(draw, skip):
 @settings(SETTINGS, max_examples=60)
 @given(data=st.data())
 def test_stack_walk_skips_only_lanes_it_cannot_enter(skip, data):
-    """The stack walk skips the lanes whose every norm exceeds its limit, and
-    returns the dropped mask and hands visit the leaves of the walk of each
-    lane alone, unskipped (`_walk_lanes`); a zero or nan norm is entered and
-    dropped."""
+    """The stack walk returns the dropped mask and hands visit the leaves of
+    the depth-first walk of each lane alone, and enters no lane whose every
+    norm exceeds its limit: such a lane's mu is nan here, which would drop
+    it at level m - 2. A zero or nan norm is entered and dropped."""
     b, mu, norms, r2, planned, broken = data.draw(skip_walks(skip))
     assert {"every": planned.all(), "none": not planned.any(),
             "some": 0 < planned.sum() < len(b)}[skip]
-    walk_lanes = lattice._walk_lanes
-    entered = []
-    with pytest.MonkeyPatch.context() as patch, np.errstate(divide="ignore", invalid="ignore"):
-        patch.setattr(lattice, "_walk_lanes",
-                      lambda b, *args: entered.append(len(b)) or walk_lanes(b, *args))
-        got, dropped = walk_leaves(lattice._stack_walk, b, mu, norms, r2)
-        want = [walk_leaves(walk_lanes, b[i:i + 1], mu[i:i + 1], norms[i:i + 1],
-                            r2[i:i + 1] if np.ndim(r2) else r2) for i in range(len(b))]
-    assert got == [leaves[0] for leaves, _ in want]
-    assert dropped.tolist() == [x[0] for _, x in want] == broken.tolist()
-    # the walk runs once, on the lanes it enters: the unskipped and the broken
-    assert entered == ([] if (planned & ~broken).all() else [np.sum(~planned | broken)])
+    unread = mu.copy()
+    unread[planned & ~broken] = math.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, dropped = walk_leaves(b, unread, norms, r2)
+    assert dropped.tolist() == broken.tolist()
+    for i in range(len(b)):
+        if broken[i]:
+            assert got[i] == []
+        else:
+            assert got[i] == lane_leaves(b[i].tolist(), mu[i].tolist(), norms[i].tolist(),
+                                         float(np.broadcast_to(r2, len(b))[i]))
+            assert (got[i] == []) >= planned[i]
 
 
 def stack_queries(bases, m):
