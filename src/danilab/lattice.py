@@ -40,6 +40,21 @@ and counts. Pruning compares squared lengths, so it needs no square roots:
 in the exact mode every decision is an integer comparison, and in the float
 mode the radius is widened by a small relative slack so that rounding never
 drops a lattice vector.
+
+In dimension 2 the ball test ("is there a nonzero v with every |v_i| < r")
+never walks, in either mode: it reads four vectors of the reduced pair.
+Lemma: let (b0, b1) be LLL-reduced with delta >= 3/4, so |mu| <= 1/2 and
+||b1*||^2 >= (delta - mu^2) ||b0||^2. Every nonzero lattice vector v =
+c0 b0 + c1 b1 outside +-b0, +-b1, +-(b1 + b0), +-(b1 - b0) has ||v||_inf >=
+||b0||_inf. Proof: c1 = 0 gives a multiple of b0. For |c1| >= 2, ||v||_2^2
+>= c1^2 ||b1*||^2 >= 4 (delta - 1/4) ||b0||_2^2 >= 2 ||b0||_2^2. For |c1| =
+1 and |c0| >= 2, v = (c0 + c1 mu) b0 + c1 b1* with |c0 + c1 mu| >= 3/2, so
+||v||_2^2 >= 2.25 ||b0||_2^2. In both cases ||v||_inf^2 >= ||v||_2^2 / 2 >=
+||b0||_2^2 >= ||b0||_inf^2. So if any nonzero vector lies in the open box,
+one of the four does: b0 itself when v is none of them. The float walk of
+such a pair, once neither column is inside, visits only b1 + b0 and
+b1 - b0 as leaves besides the columns, computed as 0.0 + b1 +- b0, which is
+how the float test computes them too.
 """
 
 import functools
@@ -409,8 +424,10 @@ class _Stack:
     otherwise. The shortest vector reduces each lane with `_lll` and the
     transform, which its tie-break reads. The lowest lane that fails to
     reduce raises. A query is decided for every lane in one walk
-    (`_stack_walk`); a lane past _MAX_NODES, or whose shortest vector fails
-    a check, answers with its error, and the other lanes still answer.
+    (`_stack_walk`), save a ball test at m = 2, which reads four vectors of
+    each reduced pair (`shorter`); a lane past _MAX_NODES, or whose
+    shortest vector fails a check, answers with its error, and the other
+    lanes still answer.
     `read` gives one lane's answer, or every lane's; `below` and `minimum`
     read the ball test and the shortest vector.
     """
@@ -491,12 +508,30 @@ class _Stack:
 
     def shorter(self, r: float) -> list:
         """`_exists_shorter` of every lane for the float bound r; as in one
-        basis's walk, a reduced column below r decides its lane."""
+        basis's walk, a reduced column below r decides its lane.
+
+        At m = 2 no lane with finite reduced columns and norms walks: by the
+        module's lemma, its reduced pair (b0, b1), which passed the Lovasz
+        test at delta = 0.99 with |mu| <= 1/2, has a vector below r iff one
+        of b0, b1, b1 + b0, b1 - b0 has. Once neither column is below r, the
+        walk's ball m r^2 <= 2 ||b0||^2 holds no leaf but those four, and
+        its leaf c1 = 1, c0 = +-1 is 0.0 + b1 +- b0, the same bits up to
+        the sign of a zero, so the answer is the walk's. A lane with a
+        non-finite coordinate or norm walks as before."""
         b, mu, norms = self.reduced()
-        walk = np.flatnonzero(~np.any(np.all(np.abs(b) < r, axis=2), axis=1))
-        found = np.full(len(b), True, dtype=object)
-        found[walk] = _walk_hits(b[walk], mu[walk], norms[walk], b.shape[1] * r * r,
-                                 lambda v: np.all(np.abs(v) < r, axis=1), bool)
+        found = np.any(np.all(np.abs(b) < r, axis=2), axis=1)
+        if b.shape[1] == 2:
+            finite = np.isfinite(b).all(axis=(1, 2)) & np.isfinite(norms).all(axis=1)
+            b0, b1 = b[:, 0], b[:, 1]
+            found |= finite & (np.all(np.abs(b1 + b0) < r, axis=1)
+                               | np.all(np.abs(b1 - b0) < r, axis=1))
+            walk = np.flatnonzero(~(found | finite))
+        else:
+            walk = np.flatnonzero(~found)
+        found = found.astype(object)
+        if walk.size:
+            found[walk] = _walk_hits(b[walk], mu[walk], norms[walk], b.shape[1] * r * r,
+                                     lambda v: np.all(np.abs(v) < r, axis=1), bool)
         return found.tolist()
 
     def shortest(self) -> list:
@@ -956,6 +991,8 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     int_cols = basis.int_cols
     if int_cols is None:
         return basis._stack.below(bound, basis._lane)
+    if bound == math.inf:  # every lattice vector is finite, as a float lane's test reads it
+        return True
     # integers x have |x| < bound * den iff |x| <= B - 1, B = ceil(bound * den)
     num, den = (bound if isinstance(bound, Fraction) else Fraction(bound)).as_integer_ratio()
     return _exists_below(int_cols, -(-num * basis.den // den))
@@ -966,8 +1003,17 @@ def _exists_below(int_cols, bound: int) -> bool:
     with every coordinate strictly below the integer bound in magnitude? The
     integral LLL reduces the columns; a reduced column inside the box
     answers at once, and otherwise the walk of the ball around the box |x_i|
-    <= bound - 1 stops at its first vector."""
+    <= bound - 1 stops at its first vector.
+
+    At m = 2 nothing walks: by the module's lemma, the reduced pair (b0, b1)
+    (LLL at delta = 99/100, exact, so |mu| <= 1/2 and ||b1*||^2 >= (delta -
+    mu^2) ||b0||^2) has a vector in the box iff one of b0, b1, b1 + b0,
+    b1 - b0 is in it."""
     bred, _, lam, d = _lll_integral(int_cols, _EXACT_DELTA, False)
+    if len(bred) == 2:
+        (x0, y0), (x1, y1) = bred
+        return (abs(x0) < bound > abs(y0) or abs(x1) < bound > abs(y1)
+                or abs(x1 + x0) < bound > abs(y1 + y0) or abs(x1 - x0) < bound > abs(y1 - y0))
     for col in bred:
         if -bound < min(col) and max(col) < bound:
             return True

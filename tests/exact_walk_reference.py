@@ -128,16 +128,24 @@ def count_in_box(basis, halfwidths):
     return 2 * count, walk.nodes
 
 
+def exists_below(int_cols, bound):
+    """(answer, nodes) of `lattice._exists_below`, by the walk at every m:
+    is there a nonzero integer combination of the integer columns with every
+    coordinate below the integer bound in magnitude? nodes up to the first
+    such vector."""
+    bred, _, lam, d = lll_integral(list(int_cols), lattice._EXACT_DELTA, False)
+    if any(_sup(col) < bound for col in bred):
+        return True, 0
+    walk = BallWalk(bred, (lam, d), len(bred) * (bound - 1) ** 2)
+    return any(_sup(v) < bound for _, v in walk), walk.nodes
+
+
 def in_kmu(basis, mu):
     """(in_kmu, nodes) of `lattice.in_kmu` on an exact basis: nodes up to
     the first vector of sup-norm below mu."""
     mu = Fraction(mu)
-    bound = -(-mu.numerator * basis.den // mu.denominator)
-    bred, _, gram = _prepare(basis)
-    if any(_sup(col) < bound for col in bred):
-        return False, 0
-    walk = BallWalk(bred, gram, basis.m * (bound - 1) ** 2)
-    return not any(_sup(v) < bound for _, v in walk), walk.nodes
+    found, nodes = exists_below(basis.int_cols, -(-mu.numerator * basis.den // mu.denominator))
+    return not found, nodes
 
 
 def shortest_supnorm(basis):

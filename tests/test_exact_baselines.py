@@ -11,14 +11,21 @@ configs `configs/equidist.json`, `configs/nondiv.json` and
 locked to the last bit, and `configs/genericity.json` and
 `configs/rep-verify.json`, so that every committed config is locked. The
 written JSONL text itself, timestamps blanked, must equal the committed
-text, so key order, separators and escaping are locked too."""
+text, so key order, separators and escaping are locked too.
+
+The n = 1 configs whose records rest on 2 x 2 ball tests (the correspondence
+cells' K_mu, the nondivergence and K_mu indicators) reproduce their
+baselines with the exact and the float walk refusing 2 x 2 input: those
+tests read the reduced pair and walk nothing. 2 x 2 box counts still walk."""
 
 import os
 import re
 
 import pytest
 
-from danilab import cli
+import numpy as np
+
+from danilab import LatticeBasis, cli, count_in_box, lattice
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "baselines")
@@ -72,3 +79,32 @@ def test_orbit_config_reproduces_committed_baseline(name, tmp_path, monkeypatch)
 @pytest.mark.parametrize("name", ["genericity", "rep-verify"])
 def test_genericity_and_rep_config_reproduce_committed_baseline(name, tmp_path, monkeypatch):
     assert_reproduces(name + ".json", name + ".jsonl", None, tmp_path, monkeypatch)
+
+
+def refuse_pair_walks(monkeypatch):
+    """Make the exact walk (`lattice._ball_walk`, on a list of columns) and
+    the float walk (`lattice._stack_walk`, on an (M, m, m) array) raise on
+    2 x 2 input and walk any other as before."""
+    def guard(walk, m_of):
+        def guarded(b, *args):
+            if m_of(b) == 2:
+                raise AssertionError(f"{walk.__name__} walked a 2 x 2 basis")
+            return walk(b, *args)
+        return guarded
+
+    monkeypatch.setattr(lattice, "_ball_walk", guard(lattice._ball_walk, len))
+    monkeypatch.setattr(lattice, "_stack_walk", guard(lattice._stack_walk, lambda b: b.shape[1]))
+
+
+@pytest.mark.parametrize("name", ["correspondence", "nondiv", "w-invariance"])
+def test_n1_ball_tests_reproduce_their_baselines_without_a_walk(name, tmp_path, monkeypatch):
+    refuse_pair_walks(monkeypatch)
+    assert_reproduces(name + ".json", name + ".jsonl", None, tmp_path, monkeypatch)
+
+
+def test_pair_box_counts_still_walk(monkeypatch):
+    refuse_pair_walks(monkeypatch)
+    for basis in (LatticeBasis(np.eye(2)), LatticeBasis.from_integral([(1, 0), (0, 1)], 1)):
+        with pytest.raises(AssertionError, match="walked a 2 x 2 basis"):
+            count_in_box(basis, (1.5, 1.5))
+    assert count_in_box(LatticeBasis(np.eye(4)), (1.5,) * 4) == 80  # m = 4 walks as before

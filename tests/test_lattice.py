@@ -191,6 +191,17 @@ def test_in_mahler_compact():
     assert not in_mahler_compact(flowed, 0.1)
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_infinite_mahler_bound_answers_in_both_modes(m):
+    # every lattice vector is finite, so each mode answers False; the exact
+    # mode used to raise OverflowError from Fraction(inf)
+    cols = np.eye(m, dtype=object)
+    cols[0, 1], cols[1, 1], cols[0, 0] = Fraction(3, 2), Fraction(1, 2), 2
+    for basis in (LatticeBasis(cols.copy()), LatticeBasis(cols.astype(float))):
+        assert in_mahler_compact(basis, math.inf) is False
+        assert in_mahler_compact(basis, 1e300) is False
+
+
 def test_exact_flowed_lattice_keeps_python_ints():
     # a_t u(s) at s = 1 + 1/pi with the expansion factor round(e^t): the exact
     # run used to overflow int64 at t = 8.

@@ -34,6 +34,7 @@ from danilab import (DirichletQuery, LatticeBasis, MatrixPolyCurve, Sampler,
                      siegel_average, u_embed)
 import ball_walk_reference
 import cf_reference
+import exact_walk_reference
 import integral_lll_reference
 from danilab import _linalg, lattice
 from danilab.errors import DegenerateInputError, InternalIdentityError
@@ -1144,3 +1145,156 @@ def test_rank_one_curve_answers_as_the_n1_line_plane_by_plane(n, s, t, data):
         rel = 4 * e * e * (1 + abs(phi)) * 2.0 ** -53
         assert shortest_supnorm(big).length == pytest.approx(shortest_supnorm(line).length,
                                                             rel=rel, abs=0)
+
+
+# The 2 x 2 ball test reads four vectors of the reduced pair (b0, b1): b0,
+# b1, b1 + b0 and b1 - b0 (the module's lemma). SUM_PAIR and DIFF_PAIR are
+# reduced integer pairs of det +-256 whose least sup-norm only b1 + b0,
+# respectively b1 - b0, attains (13 against 16, 17 and 21); over 16 they are
+# the dyadic float lanes SUM_LANE and DIFF_LANE. SUM_CELL and DIFF_CELL are
+# the two n = 1 correspondence cells at N = 3, mu = 9/10 (phi = 13/37 and
+# 24/37) that only b1 + b0, respectively b1 - b0, puts in the box.
+SUM_PAIR, DIFF_PAIR = ((16, 4), (-4, -17)), ((16, 4), (4, 17))
+SUM_LANE, DIFF_LANE = ([[x / 16 for x in row] for row in zip(*pair)]
+                       for pair in (SUM_PAIR, DIFF_PAIR))
+SUM_CELL, DIFF_CELL = ([13], 1, 3, Fraction(9, 10)), ([24], 1, 3, Fraction(9, 10))
+
+
+def pair_sups(b) -> dict:
+    """The sup-norms of b0, b1, b1 + b0 and b1 - b0 of a pair of integer or
+    float columns, each sum computed as the float walk computes its leaf."""
+    b0, b1 = b
+    vecs = (b0, b1, [y + x for x, y in zip(b0, b1)], [y - x for x, y in zip(b0, b1)])
+    return dict(zip(("b0", "b1", "sum", "diff"), (max(map(abs, v)) for v in vecs)))
+
+
+def shear(cols, ops):
+    """The integer columns after the column operations (dst += q src)."""
+    cols = [list(col) for col in cols]
+    for src, dst, q in ops:
+        cols[dst] = [x + q * y for x, y in zip(cols[dst], cols[src])]
+    return tuple(map(tuple, cols))
+
+
+def least_sup(cols) -> int:
+    """The least sup-norm of a nonzero integer combination of two integer
+    columns, by brute force: every coefficient pair that Cramer's rule
+    allows for a vector no longer than the shortest column, over the generic
+    integral LLL's reduced pair (a basis of the same lattice)."""
+    ((a, c), (b, d)), _, _, _ = integral_lll_reference.lll_integral(list(cols),
+                                                                    lattice._EXACT_DELTA, False)
+    det = abs(a * d - b * c)
+    top = min(max(abs(a), abs(c)), max(abs(b), abs(d)))
+    k0, k1 = ((abs(d) + abs(b)) * top // det, (abs(c) + abs(a)) * top // det)
+    return min(max(abs(x0 * a + x1 * b), abs(x0 * c + x1 * d))
+               for x0 in range(-k0, k0 + 1) for x1 in range(-k1, k1 + 1) if x0 or x1)
+
+
+@st.composite
+def integer_pairs(draw):
+    """Two integer columns of nonzero determinant: drawn entries, an exact
+    unimodular basis times its denominator, a correspondence cell, SUM_PAIR
+    or DIFF_PAIR, then sheared by up to four drawn column operations."""
+    kind = draw(st.sampled_from(("entries", "unimodular", "cell", "hand")))
+    if kind == "entries":
+        cols = [[draw(st.integers(-60, 60)) for _ in range(2)] for _ in range(2)]
+        assume(cols[0][0] * cols[1][1] != cols[0][1] * cols[1][0])
+    elif kind == "unimodular":
+        rows = draw(unimodular_rows().filter(lambda rows: len(rows) == 2))
+        cols = LatticeBasis.from_rational(rows).int_cols
+    elif kind == "cell":
+        mu = draw(st.sampled_from((Fraction(1, 2), Fraction(9, 10))))
+        cols = correspondence_lattice([draw(st.integers(0, 37))], 1, draw(st.integers(2, 50)),
+                                      mu).int_cols
+    else:
+        cols = draw(st.sampled_from((SUM_PAIR, DIFF_PAIR)))
+    ops = draw(st.lists(st.tuples(st.sampled_from(((0, 1), (1, 0))), st.integers(-3, 3)),
+                        max_size=4))
+    return shear(cols, [(src, dst, q) for (src, dst), q in ops])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(integer_pairs())
+@example(SUM_PAIR)
+@example(DIFF_PAIR)
+@example(correspondence_lattice(*SUM_CELL).int_cols)
+@example(correspondence_lattice(*DIFF_CELL).int_cols)
+def test_exact_pair_ball_test_is_the_walks_at_every_candidate_norm(cols):
+    """At m = 2 `_exists_below` answers as the walk (`exact_walk_reference`)
+    at B = s and B = s + 1 for the sup-norm s of each of the four vectors
+    of the reduced pair, and so as the least sup-norm found by brute force,
+    which one of the four attains."""
+    least = least_sup(cols)
+    sups = pair_sups(lattice._lll_integral(cols, lattice._EXACT_DELTA, False)[0])
+    assert min(sups.values()) == least
+    for s in sups.values():
+        for bound in (s, s + 1):
+            want, _ = exact_walk_reference.exists_below(cols, bound)
+            assert lattice._exists_below(cols, bound) is want is (least < bound)
+
+
+@st.composite
+def pair_stacks_with_sum_and_diff_lanes(draw):
+    """n = 1 orbit bases or random unimodular pairs, with SUM_LANE,
+    DIFF_LANE, their sheared copies and HAND_LANES inserted at drawn places."""
+    lanes = list(draw(st.one_of(orbit_stacks(), unimodular_float_pairs())))
+    extra = [SUM_LANE, DIFF_LANE] + [np.array(lane) @ np.array([[1, q], [0, 1]])
+                                     for lane in (SUM_LANE, DIFF_LANE) for q in (-2, 3)]
+    for lane in draw(st.lists(st.sampled_from(extra + HAND_LANES), min_size=1, max_size=4)):
+        lanes.insert(draw(st.integers(0, len(lanes))), np.array(lane, dtype=float))
+    return np.array(lanes)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(pair_stacks_with_sum_and_diff_lanes())
+@example(np.array([SUM_LANE, DIFF_LANE] + HAND_LANES, dtype=float))
+def test_stack_pair_ball_test_is_the_walks_at_every_candidate_norm(stack):
+    """Every lane of a 2 x 2 stack answers `below(r)` as the depth-first
+    float walk of the lane alone (`ball_walk_reference`), at r = s and at
+    the float after s, for the sup-norm s of each of the four vectors of
+    every lane's reduced pair."""
+    checked = lattice._checked_stack(stack)
+    bases = [LatticeBasis(cols) for cols in stack]
+    radii = set()
+    for b in checked.reduced()[0]:
+        for s in pair_sups(b).values():
+            radii.update((s, math.nextafter(s, math.inf)))
+    for r in sorted(radii):
+        assert checked.below(r) == [ball_walk_reference.exists_shorter(basis, r)
+                                    for basis in bases]
+
+
+@pytest.mark.parametrize("key", ["sum", "diff"])
+def test_sum_and_difference_cases_are_decided_by_that_vector_alone(key):
+    # the cases that hold the property tests to b1 + b0 and to b1 - b0: that
+    # vector is below a bound that no other of the four is below
+    cols, lane, cell = {"sum": (SUM_PAIR, SUM_LANE, SUM_CELL),
+                        "diff": (DIFF_PAIR, DIFF_LANE, DIFF_CELL)}[key]
+    sups = pair_sups(lattice._lll_integral(cols, lattice._EXACT_DELTA, False)[0])
+    s = sups.pop(key)
+    assert s < min(sups.values())
+    assert not lattice._exists_below(cols, s) and lattice._exists_below(cols, s + 1)
+    stack = lattice._checked_stack(np.array([lane]))
+    sups = pair_sups(stack.reduced()[0][0])
+    s = sups.pop(key)
+    assert s < min(sups.values())
+    assert stack.below(s) == [False] and stack.below(math.nextafter(s, math.inf)) == [True]
+    *_, mu = cell
+    basis = correspondence_lattice(*cell)
+    bound = -(-mu.numerator * basis.den // mu.denominator)
+    sups = pair_sups(lattice._lll_integral(basis.int_cols, lattice._EXACT_DELTA, False)[0])
+    assert [k for k, s in sups.items() if s < bound] == [key]
+    assert not in_kmu(basis, mu)
+
+
+def test_pair_lane_with_a_non_finite_reduction_walks_as_before():
+    # a nan norm drops the lane in the walk, as it did before the four-vector
+    # test; the finite lane beside it is decided by b1 - b0 without a walk
+    stack = lattice._checked_stack(np.array([DIFF_LANE, DIFF_LANE]))
+    b, mu, norms = (x.copy() for x in stack.reduced())
+    norms[1, 1] = math.nan
+    stack._reduced = b, mu, norms
+    r = math.nextafter(13 / 16, math.inf)
+    found, dropped = stack.shorter(r)
+    assert found is True
+    assert isinstance(dropped, DegenerateInputError) and "node budget" in str(dropped)

@@ -285,35 +285,56 @@ def test_stack_estimates_build_no_lane_basis(monkeypatch):
         siegel_count((0.9, 0.9)).evaluate_stack(made[0])
 
 
-@pytest.mark.parametrize("observable, nodes", [
-    (kmu_indicator(0.7), 1),
-    (stats.Observable(kind="lambda1_below", eps=0.3), 1),
-    (lambda1(), 3),
-], ids=["kmu_indicator", "lambda1_below", "lambda1"])
-def test_lowest_failing_lane_of_a_stack_estimate_is_named(observable, nodes, monkeypatch):
-    # under a tiny node budget some lanes of the joined stack (both flow
-    # times, then their translates) fail; the estimate raises the error of
-    # the lowest one on its own basis, named by its sample
+# An n = 2 line: its 4 x 4 ball tests still walk, where a 2 x 2 one reads its
+# reduced pair and walks no node.
+PLANE_LINE = MatrixPolyCurve.from_coeffs([[[0.25, 0.125], [0.0, 0.5]],
+                                          [[1.125, 0.0], [0.25, 1.0]]], (1.0, 2.0))
+
+
+def assert_lowest_failing_lane_is_named(curve, observable, error, message):
+    # some lanes of the joined stack (both flow times, then their
+    # translates) fail; the estimate raises the error of the lowest one on
+    # its own basis, named by its sample
     sampler = Sampler(seed=5, count=30)
-    points = sampler.points(LINE.interval)
-    monkeypatch.setattr(lattice, "_MAX_NODES", nodes)
-    cols = np.concatenate([orbit_points(LINE, points, t, normalize=True) for t in (2.0, 5.0)])
-    cols = np.concatenate((cols, u_embed(np.eye(1)).entries @ cols))
+    points = sampler.points(curve.interval)
+    shift = u_embed(np.eye(curve.n)).entries
+    cols = np.concatenate([orbit_points(curve, points, t, normalize=True) for t in (2.0, 5.0)])
+    cols = np.concatenate((cols, shift @ cols))
     failing = []
     for lane, lane_cols in enumerate(cols):
         try:
             observable.evaluate(LatticeBasis(np.array(lane_cols)))
-        except DegenerateInputError as exc:
+        except error as exc:
             failing.append((lane, str(exc)))
     (lane, alone), *rest = failing
-    assert lane > 0 and rest and "node budget" in alone
+    assert lane > 0 and rest and message in alone
     index = lane % len(points)
-    with pytest.raises(DegenerateInputError) as info:
-        stats._orbit_stats(LINE, [2.0, 5.0], sampler, observable, normalize=True,
-                           shift=u_embed(np.eye(1)).entries)
+    with pytest.raises(error) as info:
+        stats._orbit_stats(curve, [2.0, 5.0], sampler, observable, normalize=True, shift=shift)
     assert info.value.sample_index == index
-    s = sampler.point(LINE.interval, index)
+    s = sampler.point(curve.interval, index)
     assert str(info.value) == f"sample (seed, index, s) = (5, {index}, {s!r}): {alone}"
+
+
+@pytest.mark.parametrize("observable, curve, nodes", [
+    (kmu_indicator(0.7), PLANE_LINE, 1),
+    (stats.Observable(kind="lambda1_below", eps=0.3), PLANE_LINE, 5),
+    (lambda1(), LINE, 3),
+], ids=["kmu_indicator", "lambda1_below", "lambda1"])
+def test_lowest_failing_lane_of_a_stack_estimate_is_named(observable, curve, nodes, monkeypatch):
+    # under a tiny node budget
+    monkeypatch.setattr(lattice, "_MAX_NODES", nodes)
+    assert_lowest_failing_lane_is_named(curve, observable, DegenerateInputError, "node budget")
+
+
+@pytest.mark.parametrize("observable", [
+    kmu_indicator(0.7), stats.Observable(kind="lambda1_below", eps=0.3),
+], ids=["kmu_indicator", "lambda1_below"])
+def test_lowest_lane_past_the_lll_steps_of_an_n1_stack_estimate_is_named(observable,
+                                                                          monkeypatch):
+    # an n = 1 ball test walks no node, so its lanes fail only in the pair LLL
+    monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 5)
+    assert_lowest_failing_lane_is_named(LINE, observable, InternalIdentityError, "terminate")
 
 
 def test_n1_box_and_ball_queries_take_the_stack_grid(monkeypatch):

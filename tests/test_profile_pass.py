@@ -1,8 +1,11 @@
-"""Smoke test of `tools/profile_pass.py` on the rep-genericity workload."""
+"""Smoke tests of `tools/profile_pass.py` on the rep-genericity workload: a
+whole pass and one family of its configs."""
 
 import importlib.util
 import os
 import re
+
+import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.join(HERE, os.pardir)
@@ -31,3 +34,27 @@ def test_profile_of_one_rep_genericity_pass(tmp_path, monkeypatch, capsys):
     assert rows[0].endswith("(run_pass)") and rows[0].split()[4] == "100.0%"
     assert any("src/danilab/cli.py" in row for row in rows)
     assert os.listdir(tmp_path) == []  # the runs wrote into a directory of their own
+
+
+def test_profile_of_one_family_runs_only_its_configs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run = []
+    monkeypatch.setattr(profile_pass.cli, "run", lambda config: run.append(config.experiment_id))
+    assert profile_pass.main(["--workload", "rep-genericity", "--family", "genericity-n1",
+                              "--top", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.match(r"rep-genericity, seed 1, family genericity-n1, 4 configs: unprofiled pass "
+                    r"median [\d.]+ s over 5 passes", lines[0])
+    assert len(lines) == 3 + 3
+    # one warm, five unprofiled and one profiled pass, each of the family's 4 configs
+    assert run == ["genericity-n1"] * 4 * 7
+    assert os.listdir(tmp_path) == []
+
+
+def test_profile_refuses_a_family_the_workload_lacks(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        profile_pass.main(["--workload", "rep-genericity", "--family", "correspondence-n1"])
+    assert info.value.code == 2
+    assert "'correspondence-n1' is not among the workload's families" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

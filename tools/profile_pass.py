@@ -1,10 +1,14 @@
 """Print where one pass of a benchmark workload spends its time.
 
-    python tools/profile_pass.py --workload W [--seed S --top N --sort tottime|cumtime]
+    python tools/profile_pass.py --workload W [--seed S --family F --top N
+                                  --sort tottime|cumtime]
 
 A pass runs `danilab.cli.parse_config` and `danilab.cli.run` on every config
 that `perfbench.workloads.generate` makes for the workload and seed, in
-order, as `perfbench/run.py` does (without its calibration kernel). The
+order, as `perfbench/run.py` does (without its calibration kernel). With
+--family F the pass runs only the configs whose `experiment_id` is F (for
+example correspondence-n1 of exact-dirichlet), so one family is profiled at
+a time; an F that no config of the workload has is refused. The
 script runs one warm pass, then five unprofiled passes, then one pass
 under cProfile, and prints:
 
@@ -84,6 +88,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--family", help="profile only the configs of this experiment_id")
     parser.add_argument("--top", type=int, default=25, help="rows to print (default 25)")
     parser.add_argument("--sort", choices=SORTS, default="tottime")
     args = parser.parse_args(argv)
@@ -94,6 +99,12 @@ def main(argv=None) -> int:
     os.chdir(out)
     try:
         configs = workloads.generate(args.workload, args.seed, f"{args.workload}-seed{args.seed}")
+        if args.family is not None:
+            families = sorted({config["experiment_id"] for config in configs})
+            if args.family not in families:
+                parser.error(f"--family {args.family!r} is not among the workload's families "
+                             f"{families}")
+            configs = [config for config in configs if config["experiment_id"] == args.family]
         texts = [json.dumps(config) for config in configs]
         run_pass(texts)  # warm: lazy set-up and kernel compilation
         times = [run_pass(texts) for _ in range(PASSES)]
@@ -105,8 +116,9 @@ def main(argv=None) -> int:
         os.chdir(cwd)
         shutil.rmtree(out, ignore_errors=True)
     stats = pstats.Stats(profile)
-    print(f"{args.workload}, seed {args.seed}, {len(texts)} configs: unprofiled pass median "
-          f"{statistics.median(times):.4f} s over {len(times)} passes "
+    family = "" if args.family is None else f", family {args.family}"
+    print(f"{args.workload}, seed {args.seed}{family}, {len(texts)} configs: unprofiled pass "
+          f"median {statistics.median(times):.4f} s over {len(times)} passes "
           f"({min(times):.4f}-{max(times):.4f} s, unscaled); profiled pass {profiled:.4f} s")
     print(f"top {args.top} by {args.sort}; shares are of the profiled pass:")
     for line in rows(stats, args.sort, args.top):
