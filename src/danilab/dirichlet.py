@@ -22,9 +22,10 @@ det == 1 from that form: zeros below the diagonal and a diagonal product of
 (N D)^2n. `correspondence_row` checks phi and mu once per row and runs one
 witness search; each of its cells writes the same closed-form columns,
 checks their det the same way and decides the lattice side on those
-integers (`lattice._exists_below`, the integral LLL and ball walk behind
-exact `lattice.in_kmu`), so no query, basis or Fraction is built between
-the row and its decisions.
+integers (`lattice._exists_below`, the test behind exact `lattice.in_kmu`:
+a Lagrange-Gauss reduced pair at n = 1, the integral LLL and ball walk
+above), so no query, basis or Fraction is built between the row and its
+decisions.
 """
 
 import math

@@ -51,7 +51,12 @@ c0 b0 + c1 b1 outside +-b0, +-b1, +-(b1 + b0), +-(b1 - b0) has ||v||_inf >=
 1 and |c0| >= 2, v = (c0 + c1 mu) b0 + c1 b1* with |c0 + c1 mu| >= 3/2, so
 ||v||_2^2 >= 2.25 ||b0||_2^2. In both cases ||v||_inf^2 >= ||v||_2^2 / 2 >=
 ||b0||_2^2 >= ||b0||_inf^2. So if any nonzero vector lies in the open box,
-one of the four does: b0 itself when v is none of them. The float walk of
+one of the four does: b0 itself when v is none of them. A Lagrange-Gauss
+reduced pair (|mu| <= 1/2 and ||b1|| >= ||b0||, so ||b1*||^2 >= (1 -
+mu^2) ||b0||^2) is LLL-reduced for every delta <= 1, so the lemma applies
+to it: the exact test reduces its pair that way (`_lagrange`), in integers
+and with no Gram determinants, while exact box counts and shortest vectors
+keep the integral LLL, whose Gram data their walk reads. The float walk of
 such a pair, once neither column is inside, visits only b1 + b0 and
 b1 - b0 as leaves besides the columns, computed as 0.0 + b1 +- b0, which is
 how the float test computes them too.
@@ -998,6 +1003,30 @@ def _exists_shorter(basis: LatticeBasis, bound) -> bool:
     return _exists_below(int_cols, -(-num * basis.den // den))
 
 
+def _lagrange(c) -> tuple:
+    """The Lagrange-Gauss reduction of two linearly independent integer
+    columns c (Vallee 1991; Nguyen-Stehle 2009): a basis (b0, b1) of their
+    lattice, as two tuples, with |mu| <= 1/2 for mu = <b0, b1> / ||b0||^2
+    and ||b1|| >= ||b0||. Each round rounds mu to the nearest integer q (half
+    up) in integers when 2 |<b0, b1>| > ||b0||^2, subtracts q b0 from b1, and
+    swaps the two while b1 is strictly shorter. ||b0||^2 is a positive
+    integer that falls at every swap, so the loop ends with no step cap.
+    The pair is LLL-reduced for every delta <= 1: ||b1*||^2 = ||b1||^2 -
+    mu^2 ||b0||^2 >= (1 - mu^2) ||b0||^2."""
+    (x0, y0), (x1, y1) = c
+    n0 = x0 * x0 + y0 * y0
+    while True:
+        dot = x0 * x1 + y0 * y1
+        if 2 * abs(dot) > n0:
+            q = (2 * dot + n0) // (2 * n0)
+            x1 -= q * x0
+            y1 -= q * y0
+        n1 = x1 * x1 + y1 * y1
+        if n1 >= n0:
+            return (x0, y0), (x1, y1)
+        x0, y0, x1, y1, n0 = x1, y1, x0, y0, n1
+
+
 def _exists_below(int_cols, bound: int) -> bool:
     """Is there a nonzero integer combination of the integer columns int_cols
     with every coordinate strictly below the integer bound in magnitude? The
@@ -1005,15 +1034,15 @@ def _exists_below(int_cols, bound: int) -> bool:
     answers at once, and otherwise the walk of the ball around the box |x_i|
     <= bound - 1 stops at its first vector.
 
-    At m = 2 nothing walks: by the module's lemma, the reduced pair (b0, b1)
-    (LLL at delta = 99/100, exact, so |mu| <= 1/2 and ||b1*||^2 >= (delta -
-    mu^2) ||b0||^2) has a vector in the box iff one of b0, b1, b1 + b0,
-    b1 - b0 is in it."""
-    bred, _, lam, d = _lll_integral(int_cols, _EXACT_DELTA, False)
-    if len(bred) == 2:
-        (x0, y0), (x1, y1) = bred
+    At m = 2 nothing walks and no LLL runs: `_lagrange` reduces the pair,
+    and a Lagrange-reduced pair (b0, b1) is LLL-reduced for every delta <=
+    1, so by the module's lemma it has a vector in the box iff one of b0,
+    b1, b1 + b0, b1 - b0 is in it."""
+    if len(int_cols) == 2:
+        (x0, y0), (x1, y1) = _lagrange(int_cols)
         return (abs(x0) < bound > abs(y0) or abs(x1) < bound > abs(y1)
                 or abs(x1 + x0) < bound > abs(y1 + y0) or abs(x1 - x0) < bound > abs(y1 - y0))
+    bred, _, lam, d = _lll_integral(int_cols, _EXACT_DELTA, False)
     for col in bred:
         if -bound < min(col) and max(col) < bound:
             return True

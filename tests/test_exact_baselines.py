@@ -16,16 +16,23 @@ text, so key order, separators and escaping are locked too.
 The n = 1 configs whose records rest on 2 x 2 ball tests (the correspondence
 cells' K_mu, the nondivergence and K_mu indicators) reproduce their
 baselines with the exact and the float walk refusing 2 x 2 input: those
-tests read the reduced pair and walk nothing. 2 x 2 box counts still walk."""
+tests read the reduced pair and walk nothing. 2 x 2 box counts still walk.
+The exact 2 x 2 ball tests reduce their pair by Lagrange-Gauss, so the n = 1
+correspondence baseline reproduces, and exact `in_kmu` / `in_mahler_compact`
+of n = 1 cells answer as the reference walk does, with the integral LLL
+refusing 2 x 2 input too."""
 
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
 import numpy as np
 
-from danilab import LatticeBasis, cli, count_in_box, lattice
+import exact_walk_reference
+from danilab import (DirichletQuery, LatticeBasis, cli, correspondence_basis, count_in_box,
+                     in_kmu, in_mahler_compact, lattice)
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "baselines")
@@ -108,3 +115,32 @@ def test_pair_box_counts_still_walk(monkeypatch):
         with pytest.raises(AssertionError, match="walked a 2 x 2 basis"):
             count_in_box(basis, (1.5, 1.5))
     assert count_in_box(LatticeBasis(np.eye(4)), (1.5,) * 4) == 80  # m = 4 walks as before
+
+
+def refuse_pair_reductions(monkeypatch):
+    """Make the integral LLL (`lattice._lll_integral`) and the exact walk
+    (`lattice._ball_walk`) raise on 2 x 2 input and run any other as before."""
+    for name in ("_lll_integral", "_ball_walk"):
+        def guarded(c, *args, _fn=getattr(lattice, name), _name=name):
+            if len(c) == 2:
+                raise AssertionError(f"{_name} ran on a 2 x 2 basis")
+            return _fn(c, *args)
+        monkeypatch.setattr(lattice, name, guarded)
+
+
+def test_n1_cells_decide_without_the_integral_lll(tmp_path, monkeypatch):
+    refuse_pair_reductions(monkeypatch)
+    assert_reproduces("correspondence.json", "correspondence.jsonl", None, tmp_path, monkeypatch)
+    for k in range(0, 38, 3):
+        for N in (2, 3, 10, 50):
+            cell = correspondence_basis(DirichletQuery(
+                phi=np.array([[Fraction(k, 37)]], dtype=object), N=N, mu=Fraction(1, 2)))
+            for mu in (Fraction(1, 2), Fraction(9, 10), Fraction(37, 50)):
+                want, _ = exact_walk_reference.in_kmu(cell, mu)
+                assert in_kmu(cell, mu) is want
+                assert in_mahler_compact(cell, mu) is want
+    # the guard holds: a box count of the same cell still runs the integral LLL
+    with pytest.raises(AssertionError, match="_lll_integral ran on a 2 x 2 basis"):
+        count_in_box(cell, (Fraction(1, 2),) * 2)
+    assert count_in_box(LatticeBasis.from_integral([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 1),
+                        (Fraction(3, 2),) * 3) == 26  # m = 3 reduces and walks as before

@@ -16,6 +16,9 @@ shortest vectors on every lane, bit for bit. At n = 1 the shortest vector is
 also held to continued fractions (`cf_reference`), which use no LLL and no
 walk. At n = 2 and 3, the orbit lattices of the rank-1 curve s I, direct
 sums of the n = 1 line's lattice, are held to that line plane by plane.
+The exact 2 x 2 ball test, which reduces its pair by Lagrange-Gauss, is
+held to the walk on pairs that the LLL returns with ||b1|| < ||b0|| and on
+skewed pairs with entries near 10^40.
 """
 
 import itertools
@@ -1298,3 +1301,83 @@ def test_pair_lane_with_a_non_finite_reduction_walks_as_before():
     found, dropped = stack.shorter(r)
     assert found is True
     assert isinstance(dropped, DegenerateInputError) and "node budget" in str(dropped)
+
+
+def lagrange_and_lll_sups(cols) -> set:
+    """The sup-norms of the four vectors of the Lagrange-reduced pair and of
+    the pair that the generic integral LLL (delta = 99/100) reduces."""
+    lll, _, _, _ = integral_lll_reference.lll_integral(list(cols), lattice._EXACT_DELTA, False)
+    return {*pair_sups(lattice._lagrange(cols)).values(), *pair_sups(lll).values()}
+
+
+def assert_pair_ball_test_is_the_walks(cols):
+    for s in lagrange_and_lll_sups(cols):
+        for bound in (s, s + 1):
+            want, _ = exact_walk_reference.exists_below(cols, bound)
+            assert lattice._exists_below(cols, bound) is want
+
+
+def norm2(v) -> int:
+    return sum(x * x for x in v)
+
+
+@st.composite
+def lovasz_short_pairs(draw):
+    """Integer pairs (b0, b1) that the delta = 99/100 LLL returns as they
+    are although ||b1|| < ||b0||: b1 is b0 turned a quarter turn and nudged
+    shorter, so |mu| is far below 1/2 and the Lovasz test passes."""
+    scale = 10 ** draw(st.integers(4, 40))
+    a = draw(st.integers(scale // 10, scale)) * draw(st.sampled_from((1, -1)))
+    b = draw(st.integers(-scale, scale))
+    b0, b1 = (a, b), (-b + draw(st.integers(-3, 3)), a + draw(st.integers(-3, 3)))
+    assume(norm2(b1) < norm2(b0))
+    return b0, b1
+
+
+@settings(SETTINGS, max_examples=100)
+@given(lovasz_short_pairs())
+@example(((1000, 0), (0, 996)))
+def test_pair_ball_test_after_a_swap_the_lll_skips_is_the_walks(cols):
+    """Lagrange-Gauss swaps a pair that the LLL leaves with ||b1|| < ||b0||,
+    and the ball test on its reduction answers as the walk at B = s and
+    s + 1 for every candidate sup-norm s of either reduction."""
+    lll, _, _, _ = integral_lll_reference.lll_integral(list(cols), lattice._EXACT_DELTA, False)
+    assert tuple(map(tuple, lll)) == cols
+    b0, _ = lattice._lagrange(cols)
+    assert b0 in (cols[1], tuple(-x for x in cols[1]))
+    assert_pair_ball_test_is_the_walks(cols)
+
+
+@st.composite
+def skewed_pairs(draw):
+    """Integer pairs with entries near 10^40 whose lattice has short vectors:
+    either b0 of entries near 10^40 and b1 = b0 + r for a drawn r, or a small
+    integer matrix times a unimodular one built from drawn shears of at
+    least 10^6 until an entry reaches 10^39, which Lagrange-Gauss undoes
+    round by round."""
+    if not draw(st.booleans()):
+        b0 = tuple(draw(st.integers(10 ** 39, 10 ** 40)) * draw(st.sampled_from((1, -1)))
+                   for _ in range(2))
+        r = 10 ** draw(st.integers(0, 39))
+        b1 = tuple(x + draw(st.integers(-r, r)) for x in b0)
+        assume(b0[0] * b1[1] != b0[1] * b1[0])
+        return b0, b1
+    (p, q), (r, s) = u = [[1, 0], [0, 1]]
+    while max(map(abs, (p, q, r, s))) < 10 ** 39:
+        k = draw(st.integers(10 ** 6, 10 ** 12)) * draw(st.sampled_from((1, -1)))
+        if draw(st.booleans()):
+            p, q = p + k * r, q + k * s
+        else:
+            r, s = r + k * p, s + k * q
+    m = [[draw(st.integers(-60, 60)) for _ in range(2)] for _ in range(2)]
+    assume(m[0][0] * m[1][1] != m[0][1] * m[1][0])
+    return tuple(tuple(m[i][0] * x + m[i][1] * y for i in range(2)) for x, y in ((p, q), (r, s)))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(skewed_pairs())
+def test_skewed_pair_ball_test_is_the_walks(cols):
+    """On pairs with entries near 10^40 the ball test on the Lagrange-Gauss
+    reduction answers as the walk at B = s and s + 1 for every candidate
+    sup-norm s of either reduction."""
+    assert_pair_ball_test_is_the_walks(cols)

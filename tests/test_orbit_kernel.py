@@ -374,7 +374,9 @@ def test_n1_stack_grid_memory_is_bounded():
 
 
 def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
-    calls = {"_lll": 0, "_lll_integral": 0}
+    # `_lagrange` is the exact 2 x 2 ball test's reduction, counted with the
+    # integral LLL that every other exact query runs
+    calls = {"_lll": 0, "_lll_integral": 0, "_lagrange": 0}
     for name in calls:
         def counted(*args, _fn=getattr(lattice, name), _name=name):
             calls[_name] += 1
@@ -382,12 +384,13 @@ def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
         monkeypatch.setattr(lattice, name, counted)
     plane = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
     stats._orbit_stats(plane, [3.0], Sampler(seed=3, count=6), lambda1())
-    assert calls == {"_lll": 6, "_lll_integral": 0}
+    assert calls == {"_lll": 6, "_lll_integral": 0, "_lagrange": 0}
     cell = correspondence_basis(DirichletQuery(phi=np.array([[Fraction(1, 2)]], dtype=object),
                                                N=4, mu=Fraction(1, 2)))
     in_kmu(cell, Fraction(1, 2))
+    assert calls == {"_lll": 6, "_lll_integral": 0, "_lagrange": 1}
     count_in_box(cell, [Fraction(1, 2)] * 2)
-    assert calls == {"_lll": 6, "_lll_integral": 2}
+    assert calls == {"_lll": 6, "_lll_integral": 1, "_lagrange": 1}
     # an unbatched 2 x 2 basis is a one-lane stack: the pair kernel reduces it
     count_in_box(LatticeBasis(np.array([[1.0, 0.3], [0.0, 1.0]])), [0.9, 0.9])
     assert calls["_lll"] == 6

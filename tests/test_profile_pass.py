@@ -1,9 +1,13 @@
 """Smoke tests of `tools/profile_pass.py` on the rep-genericity workload: a
-whole pass and one family of its configs."""
+whole pass, one family of its configs, and a reader that closes the output
+after one line."""
 
+import fcntl
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -58,3 +62,27 @@ def test_profile_refuses_a_family_the_workload_lacks(tmp_path, monkeypatch, caps
     assert info.value.code == 2
     assert "'correspondence-n1' is not among the workload's families" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")
+def test_profile_into_a_pipe_closed_after_one_line_ends_quietly(tmp_path):
+    # as `| head -1`: the pipe holds one page, so the script is still
+    # writing its rows when the reader closes it after the first line
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(ROOT, "tools", "profile_pass.py"), "--workload",
+         "rep-genericity", "--family", "genericity-n1", "--top", "100000"],
+        stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n"):
+        byte = os.read(read_end, 1)
+        assert byte, "the script printed no line"
+        line += byte
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert line.startswith(b"rep-genericity, seed 1, family genericity-n1, 4 configs:")
+    assert err == b""
+    assert proc.returncode == 1

@@ -22,7 +22,9 @@ under cProfile, and prints:
 
 The runs write into a fresh temporary directory, removed afterwards. The
 script runs the sources of the checkout it sits in and reads perfbench's
-workload generator without changing it.
+workload generator without changing it. A reader that closes the output
+early (`| head -1`) ends it quietly, with exit status 1 and the rows
+already printed.
 """
 
 import argparse
@@ -127,4 +129,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): send what is left to devnull,
+        # so that the flush at exit raises nothing, and exit 1 as Python does
+        # on EPIPE (the recipe of the docs of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
