@@ -28,11 +28,16 @@ Every float basis is a lane of a `_Stack`: the bases of one
 that reads whole answer lists (`stats.Observable.evaluate_stack`) takes the
 checked stack itself (`_checked_stack`, which `batch` wraps) and builds no
 bases. The first query of one box or bound, or of the shortest vector, on
-any lane reduces every lane (a 2 x 2 stack at once, by a lane-masked LLL
-that takes the scalar LLL's float steps) and decides the query for every
-lane in one breadth-first walk over numpy arrays (`_stack_walk`), the one
-float enumerator, with the float operations of a depth-first walk in its
-order.
+any lane reduces every lane and decides the query for every lane in one
+breadth-first walk over numpy arrays (`_stack_walk`), the one float
+enumerator, with the float operations of a depth-first walk in its order.
+Box counts and ball tests reduce the whole stack in one call of a compiled
+C LLL (`_clll`) that does `_lll`'s IEEE-double operations in `_lll`'s order,
+with no fused multiply-add, and so returns `_lll`'s bits. It is compiled
+once per machine into the user's cache and used only after it reproduces
+`_lll` on a few fixed lanes; without a C compiler, with an unusable cache or
+after a failed check, every lane is reduced by `_lll`, and
+`float_lll_backend()` says which of the two reduces float stacks.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -88,8 +93,7 @@ _FLOAT_SLACK = 1e-9
 _STACK_CHUNK = 8_192
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
 _MINKOWSKI_FLOAT_TOL = 1e-9
-# LLL's delta for `_lll`, `reduce` and the pair kernel `_lll_pair_arrays`,
-# which is bit-identical to `_lll` only at the same delta.
+# LLL's delta for `_lll`, `reduce` and the float stacks' reductions.
 _DELTA = 0.99
 _EXACT_DELTA = Fraction(99, 100)
 _EXACT_DELTA_RATIO = _EXACT_DELTA.as_integer_ratio()  # read once, for every exact query
@@ -323,16 +327,23 @@ def _compile(source, m: int):
     return namespace["kernel"]
 
 
-@functools.cache
-def _kernel(source, m: int):
-    """`_compile(source, m)` for m x m bases, compiled on first use; source
-    is `_lll_source`, `_lll_integral_source` or `_ball_walk_source`. This is
-    the module's one size rule: m < 1 and m > MAX_DIM are refused here, for
-    every reduction and query, and a cached kernel pays nothing for it."""
+def _check_size(m: int) -> None:
+    """The module's one size rule: m < 1 and m > MAX_DIM are refused, for
+    every reduction and query (by `_kernel`, and by `_Stack.reduced` before
+    the compiled LLL reads a stack)."""
     if m < 1:
         raise InvariantError("LLL needs at least one column")
     if m > MAX_DIM:
         raise UnsupportedSizeError(f"dimension {m} exceeds the supported bound {MAX_DIM}")
+
+
+@functools.cache
+def _kernel(source, m: int):
+    """`_compile(source, m)` for m x m bases, compiled on first use; source
+    is `_lll_source`, `_lll_integral_source` or `_ball_walk_source`. The
+    size rule (`_check_size`) runs here, so a cached kernel pays nothing for
+    it."""
+    _check_size(m)
     return _compile(source, m)
 
 
@@ -368,53 +379,76 @@ def _lll(cols, delta: float = _DELTA, transform: bool = True):
     return _kernel(_lll_source, len(cols))(cols, delta, transform, _MAX_LLL_STEPS)
 
 
-def _lll_pair_arrays(stack: np.ndarray) -> np.ndarray:
-    """`_lll` on every basis of an (M, 2, 2) float stack at once, as one
-    (M, 7) array: row i holds lane i's reduced columns b0, b1, then
-    mu[1][0] and norms[0], norms[1], bit for bit as `_lll` returns them.
+# What `_lll` raises on a lane: a zero norm (ZeroDivisionError), a non-finite
+# mu to round (ValueError, OverflowError), or the step cap.
+_LLL_ERRORS = (ArithmeticError, ValueError, InternalIdentityError)
+# (reduce_stack, backend) of the float stacks' LLL, set at their first
+# reduction: the compiled stack LLL and its library's path, or None and
+# "python: <reason>" when every lane is reduced by `_lll`.
+_COMPILED = None
 
-    The lanes still in the loop hold their columns b0 = (x0, y0) and
-    b1 = (x1, y1) as four contiguous 1-D coordinate arrays. A stage is one
-    pass of `_lll`'s loop. Every lane still in the loop recomputes both
-    Gram-Schmidt rows from its current columns (the first pass computes row
-    1; after a swap `_lll` recomputes both), size-reduces its second column
-    where round(mu) != 0, and either passes the Lovasz test with the stale
-    norms[1] and leaves the loop, or swaps. The float operations are
-    `_lll`'s, in its order: dot products summed from 0, np.rint rounding
-    half to even as round does, and updates masked to the lanes with
-    q != 0, so that -0.0 entries survive as `_lll` leaves them. Past
-    _MAX_LLL_STEPS stages the lowest lane still in the loop raises, with its
-    index as `sample_index`.
-    """
-    x0, y0, x1, y1 = (np.ascontiguousarray(stack[:, i, j]) for j in (0, 1) for i in (0, 1))
-    lane = np.arange(len(stack))
-    out = np.empty((len(stack), 7))
-    steps = 0
-    while lane.size:
-        steps += 1
-        if steps > _MAX_LLL_STEPS:
-            exc = InternalIdentityError("LLL failed to terminate at desk scale")
-            exc.sample_index = int(lane[0])
-            raise exc
-        n0 = x0 * x0 + y0 * y0
-        mu = (0.0 + x1 * x0 + y1 * y0) / n0
-        sx = x1 - mu * x0
-        sy = y1 - mu * y0
-        n1 = sx * sx + sy * sy
-        q = np.rint(mu)
-        move = q != 0
-        if move.any():
-            x1 = np.where(move, x1 - q * x0, x1)
-            y1 = np.where(move, y1 - q * y0, y1)
-            mu = np.where(move, mu - q, mu)
-        done = n1 >= (_DELTA - mu * mu) * n0
-        if done.any():
-            out[lane[done]] = np.column_stack((x0[done], y0[done], x1[done], y1[done],
-                                               mu[done], n0[done], n1[done]))
-            stay = ~done
-            lane, x0, y0, x1, y1 = lane[stay], x0[stay], y0[stay], x1[stay], y1[stay]
-        x0, y0, x1, y1 = x1, y1, x0, y0
-    return out
+
+def _check_lanes() -> list:
+    """The stacks the compiled LLL must reduce as `_lll` does before it is
+    used: signed zeros (-I puts -0.0 into both products of <b1, b0>, the
+    others keep a -0.0 entry that a step with q = 0 meets), half ties (mu =
+    +-0.5, +-2.5), a lane `_lll` refuses (its first swap leaves a zero norm),
+    and the flowed n = 2 lane a_8 u(phi), which takes a long swap chain."""
+    pairs = ([[[-1.0, 0.0], [0.0, -1.0]], [[-1.0, -0.0], [-0.0, -1.0]],
+              [[-1.0, -0.0], [0.25, 1.0]], [[2.0, -0.0], [-0.5, 0.5]]]
+             + [[[2.0, x], [0.0, 0.5]] for x in (1.0, -1.0, 5.0, -5.0)]
+             + [[[1e300, 0.0], [0.0, 1e-300]]])
+    e = math.exp(8.0)
+    flowed = [[e, 0.0, e * 0.5, e * -1.25], [0.0, e, e * 0.75, e * 0.375],
+              [0.0, 0.0, 1 / e, 0.0], [0.0, 0.0, 0.0, 1 / e]]
+    return [np.array(pairs), np.array([flowed])]
+
+
+def _matches_lll(reduce_stack) -> bool:
+    """Does reduce_stack reduce every lane of `_check_lanes()` as `_lll`
+    does: the bytes of b, mu and norms, and a nonzero status exactly where
+    `_lll` raises? `_lll`'s kernel is called directly, so a caller that
+    counts or refuses `_lll` calls sees none of these."""
+    for stack in _check_lanes():
+        b, mu, norms, status, _ = reduce_stack(stack, _DELTA, _MAX_LLL_STEPS)
+        for lane, cols in enumerate(stack.transpose(0, 2, 1).tolist()):
+            try:
+                want, _, want_mu, want_norms = _kernel(_lll_source, len(cols))(
+                    cols, _DELTA, False, _MAX_LLL_STEPS)
+            except _LLL_ERRORS:
+                if not status[lane]:
+                    return False
+                continue
+            got = [x[lane].tobytes() for x in (b, mu, norms)]
+            if status[lane] or got != [np.array(x, dtype=float).tobytes()
+                                       for x in (want, want_mu, want_norms)]:
+                return False
+    return True
+
+
+def _compiled_lll():
+    """The compiled stack LLL, loaded (and compiled, on a machine's first
+    use) once per process and used only if it `_matches_lll`, or None when
+    this process reduces every lane with `_lll`; the backend and, for None,
+    the reason are recorded in `_COMPILED`."""
+    global _COMPILED
+    if _COMPILED is None:
+        from . import _clll
+        try:
+            reduce_stack, path = _clll.load()
+            if not _matches_lll(reduce_stack):
+                raise _clll.Unusable(f"{path} does not reduce the check lanes as _lll does")
+            _COMPILED = reduce_stack, path
+        except _clll.Unusable as exc:
+            _COMPILED = None, f"python: {exc}"
+    return _COMPILED[0]
+
+
+def float_lll_backend():
+    """Which LLL has reduced this process's float stacks: the compiled
+    library's path, or "python: <reason>" when `_lll` reduces every lane;
+    None before the first float stack reduction."""
+    return None if _COMPILED is None else _COMPILED[1]
 
 
 class _Stack:
@@ -425,14 +459,17 @@ class _Stack:
 
     Box counts and ball tests read one reduction per lane, without the
     transform: reduced columns b[lane, j] (column j), mu[lane, i, j] (j < i)
-    and norms[lane, j], from `_lll_pair_arrays` at m = 2 and from `_lll`
-    otherwise. The shortest vector reduces each lane with `_lll` and the
-    transform, which its tie-break reads. The lowest lane that fails to
-    reduce raises. A query is decided for every lane in one walk
-    (`_stack_walk`), save a ball test at m = 2, which reads four vectors of
-    each reduced pair (`shorter`); a lane past _MAX_NODES, or whose
-    shortest vector fails a check, answers with its error, and the other
-    lanes still answer.
+    and norms[lane, j], made for every lane by one call of the compiled
+    stack LLL (`_compiled_lll`), or lane by lane by `_lll` where that is not
+    in use or the stack is not float64; both give `_lll`'s bits. The
+    shortest vector reduces each lane with `_lll` and the transform, which
+    its tie-break reads. Whatever `_lll` raises on a lane is raised for the
+    lowest such lane, named; a lane that the compiled LLL gives a nonzero
+    status is reduced again by `_lll` to raise it. A query is decided for
+    every lane in one walk (`_stack_walk`), save a ball test at m = 2,
+    which reads four vectors of each reduced pair (`shorter`); a lane past
+    _MAX_NODES, or whose shortest vector fails a check, answers with its
+    error, and the other lanes still answer.
     `read` gives one lane's answer, or every lane's; `below` and `minimum`
     read the ball test and the shortest vector.
     """
@@ -479,30 +516,37 @@ class _Stack:
         """`shortest_supnorm` of one lane (every lane when lane is None)."""
         return self.read(lane, "shortest", self.shortest)
 
+    def _lll_lane(self, lane: int, cols: list, transform: bool):
+        """`_lll` of the lane's column list, its error named by the lane."""
+        try:
+            return _lll(cols, _DELTA, transform)
+        except _LLL_ERRORS as exc:
+            raise self._name(exc, lane)
+
     def _lll_lanes(self, transform: bool) -> list:
-        lanes = []
-        for lane, cols in enumerate(self.cols.transpose(0, 2, 1).tolist()):
-            try:
-                lanes.append(_lll(cols, _DELTA, transform))
-            except InternalIdentityError as exc:
-                raise self._name(exc, lane)
-        return lanes
+        return [self._lll_lane(lane, cols, transform)
+                for lane, cols in enumerate(self.cols.transpose(0, 2, 1).tolist())]
 
     def reduced(self) -> tuple:
         """(b, mu, norms), the reductions of every lane, made on first call."""
         if self._reduced is None:
-            size, m, _ = self.cols.shape
-            if m == 2:
-                try:
-                    out = _lll_pair_arrays(self.cols)
-                except InternalIdentityError as exc:
-                    raise self._name(exc, exc.sample_index)
-                mu = np.zeros((size, 2, 2))
-                mu[:, 1, 0] = out[:, 4]
-                self._reduced = out[:, :4].reshape(size, 2, 2), mu, out[:, 5:]
+            cols = self.cols
+            _check_size(cols.shape[1])
+            reduce_stack = _compiled_lll() if cols.dtype == np.float64 else None
+            if reduce_stack is None:  # lane by lane into the arrays: no list of every lane
+                size, m, _ = cols.shape
+                b, mu, norms = np.empty((size, m, m)), np.empty((size, m, m)), np.empty((size, m))
+                for lane in range(size):
+                    b[lane], _, mu[lane], norms[lane] = self._lll_lane(
+                        lane, cols[lane].T.tolist(), False)
+                self._reduced = b, mu, norms
             else:
-                b, _, mu, norms = zip(*self._lll_lanes(False))
-                self._reduced = np.array(b), np.array(mu, dtype=float), np.array(norms)
+                b, mu, norms, _, first = reduce_stack(cols, _DELTA, _MAX_LLL_STEPS)
+                if first >= 0:
+                    self._lll_lane(first, cols[first].T.tolist(), False)
+                    raise self._name(InternalIdentityError(
+                        "the compiled LLL refused a lane that _lll reduces"), first)
+                self._reduced = b, mu, norms
         return self._reduced
 
     def counts(self, w: list) -> list:

@@ -11,14 +11,15 @@ when the estimator compares them, checks the stack once
 (`lattice._checked_stack`), and takes the means and standard errors of
 every flow time's values in index order, in one pass over the (blocks, M)
 value array. The first box count, ball test or shortest vector LLL-reduces
-every lane once (a box or ball at n = 1 all at once; the shortest vector
-with the transform) and decides it for every lane in one breadth-first
-walk. K_mu indicators, nondivergence and lambda1 read that answer list in
-one call (`Observable.evaluate_stack`) and build no per-sample basis;
-Siegel counts still make the stack's bases (`LatticeBasis.batch`) and read
-them one sample at a time. Per-sample values are pure functions of (seed,
-index), so a failing sample, one that fails to reduce in that first query
-included, is named by (seed, index, s) and can be rerun alone.
+every lane once (a box or ball in one call of the compiled stack LLL; the
+shortest vector with the transform) and decides it for every lane in one
+breadth-first walk. K_mu indicators, nondivergence and lambda1 read that
+answer list in one call (`Observable.evaluate_stack`) and build no
+per-sample basis; Siegel counts still make the stack's bases
+(`LatticeBasis.batch`) and read them one sample at a time. Per-sample
+values are pure functions of (seed, index), so a failing sample, one that
+fails to reduce in that first query included, is named by (seed, index, s)
+and can be rerun alone.
 """
 
 import math
@@ -148,10 +149,11 @@ def _block_mean_stderr(values: np.ndarray, M: int) -> list:
 def _naming_sample(sampler: Sampler, points: np.ndarray):
     """Prefix the error of a failing lane with (seed, index, s) of its
     sample: lane i of a stack of flow times and translates is sample
-    i % M, which becomes the error's `sample_index`."""
+    i % M, which becomes the error's `sample_index`. An arithmetic error of
+    a lane's LLL (a zero norm, a non-finite mu) is named too."""
     try:
         yield
-    except (ValueError, InternalIdentityError) as exc:
+    except (ArithmeticError, ValueError, InternalIdentityError) as exc:
         i = getattr(exc, "sample_index", None)
         if i is None:
             raise

@@ -12,6 +12,12 @@ t = 14, Gaussian columns of widely spread lengths), and it must fail at the
 same step limit, also on the stage right after a k = 1 swap. Its sums, and
 the ball walk's centers, are taken left to right, so neither depends on how
 the Python at hand implements builtin sum() on floats.
+
+The compiled stack LLL (`lattice._compiled_lll`) is held to the kernel
+without the transform, bit for bit, lane by lane: on the same inputs, on
+stacks that mix orbit, Gaussian and refused lanes, and at lowered step
+limits; a lane gets a nonzero status exactly where the kernel raises, and a
+stack raises the kernel's error of its lowest such lane.
 """
 
 import builtins
@@ -206,3 +212,89 @@ def test_reductions_and_walks_do_not_depend_on_how_python_sums_floats(monkeypatc
     monkeypatch.setattr(ball_walk_reference, "sum", compensated_sum, raising=False)
     assert ([outcome(lattice._lll, cols, lattice._DELTA, True) for cols in columns],
             walks(columns)) == want
+
+
+def lane_outcome(cols, delta):
+    """`_lll`'s reduction of the column list without the transform, as the
+    bytes of b, mu and norms, or the error it raised."""
+    try:
+        b, _, mu, norms = lattice._lll(cols, delta, False)
+    except (InternalIdentityError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [np.array(x, dtype=float).tobytes() for x in (b, mu, norms)]
+
+
+def assert_stack_is_lll_lane_by_lane(reduce_stack, lanes, delta):
+    """Each lane of the compiled reduction of the lanes (column lists) is
+    `_lll`'s, a nonzero status standing for an error; at lattice._DELTA the
+    stack raises the error of its lowest refused lane, named by it."""
+    stack = np.array(lanes).transpose(0, 2, 1)  # lane i's columns as columns
+    b, mu, norms, status, first = reduce_stack(stack, delta, lattice._MAX_LLL_STEPS)
+    want = [lane_outcome(cols, delta) for cols in lanes]
+    refused = [i for i, x in enumerate(want) if isinstance(x, tuple)]
+    assert np.flatnonzero(status).tolist() == refused
+    assert first == (refused[0] if refused else -1)
+    for i, lane in enumerate(want):
+        if i not in refused:
+            assert [x[i].tobytes() for x in (b, mu, norms)] == lane
+    if delta != lattice._DELTA:
+        return
+    checked = lattice._Stack(stack, named=True)
+    if refused:
+        with pytest.raises((InternalIdentityError, ArithmeticError, ValueError)) as info:
+            checked.reduced()
+        assert (type(info.value), str(info.value)) == want[refused[0]]
+        assert info.value.sample_index == refused[0]
+    else:
+        assert [[x[i].tobytes() for x in checked.reduced()] for i in range(len(lanes))] == want
+
+
+@SETTINGS
+@given(lll_inputs(), st.one_of(st.none(), st.integers(1, 12)))
+def test_compiled_stack_lll_is_the_kernel(compiled_lll, args, limit):
+    cols, delta, _ = args
+    with step_limit(limit or lattice._MAX_LLL_STEPS):
+        assert_stack_is_lll_lane_by_lane(compiled_lll, [cols], delta)
+
+
+def refused_columns(m, where, value):
+    """Identity columns with one entry set to value (0.0 leaves a zero
+    column when it is the diagonal one), or, for value None, the columns of
+    diag(1e300, 1e-300, 1, ...), whose first swap leaves a zero norm."""
+    if value is None:
+        return [[float(i == j) * (1e300 if j == 0 else 1e-300 if j == 1 else 1.0)
+                 for i in range(m)] for j in range(m)]
+    cols = [[float(i == j) for i in range(m)] for j in range(m)]
+    cols[where // m][where % m] = value
+    return cols
+
+
+@st.composite
+def mixed_stacks(draw):
+    """1 to 6 lanes of one m = 1...8: orbit lanes (even m), Gaussian lanes
+    and lanes `_lll` refuses (a zero column, a nan or infinite entry, or a
+    zero norm after the first swap), at both deltas."""
+    m = draw(st.integers(1, 8))
+    kinds = ["gaussian", "refused"] + (["orbit"] if m % 2 == 0 else [])
+    lanes = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "orbit":
+            n = m // 2
+            phi = draw(st.lists(st.floats(-2, 2), min_size=n * n, max_size=n * n))
+            lanes.append(orbit_columns(np.reshape(phi, (n, n)), draw(st.floats(0, 12))))
+        elif kind == "gaussian":
+            lanes.append(gaussian_columns(m, draw(st.integers(0, 2 ** 32 - 1))))
+        else:
+            value = draw(st.sampled_from([0.0, math.nan, math.inf, -math.inf]
+                                         + ([None] if m >= 2 else [])))
+            lanes.append(refused_columns(m, draw(st.integers(0, m * m - 1)), value))
+    return lanes, draw(st.sampled_from([0.99, 0.75]))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(mixed_stacks(), st.one_of(st.none(), st.integers(1, 12)))
+def test_compiled_stack_lll_is_the_kernel_on_mixed_stacks(compiled_lll, args, limit):
+    lanes, delta = args
+    with step_limit(limit or lattice._MAX_LLL_STEPS):
+        assert_stack_is_lll_lane_by_lane(compiled_lll, lanes, delta)

@@ -6,9 +6,9 @@ times integer column operations, and used in both scalar modes, plus exact
 correspondence bases a_log N u(k/37) whose lattices have vectors on the
 boundary of the mu-box. The references are deliberately naive: LLL that
 recomputes Gram-Schmidt in full after every step, and a walk of the whole
-coefficient box that the inverse of the reduced basis bounds. The batched
-float LLL of 2 x 2 stacks is held to the scalar float LLL bit for bit, and
-the integral LLL, which updates its Gram rows on a swap, to the same loop
+coefficient box that the inverse of the reduced basis bounds. The compiled
+stack LLL is held to the scalar float LLL bit for bit, and the integral
+LLL, which updates its Gram rows on a swap, to the same loop
 recomputing them. The breadth-first stack walk, the one float enumerator,
 is held to the depth-first float walk each basis ran alone before
 (`ball_walk_reference`): equal leaves, and equal box counts, ball tests and
@@ -427,19 +427,32 @@ def test_exact_basis_derives_its_fraction_columns_once():
         LatticeBasis.from_integral([(4, 0), (2, 2)], 2)
 
 
-def pair_row(cols):
-    """`_lll`'s reduction of a 2 x 2 float basis laid out as a row of
-    `_lll_pair_arrays`: b0, b1, mu[1][0], norms[0], norms[1], as bytes, so
-    that equal rows are bit-identical (signed zeros included)."""
-    b, _, mu, norms = lattice._lll(lattice._float_columns(cols))
-    return np.array([*b[0], *b[1], mu[1][0], *norms], dtype=float).tobytes()
+def lane_bytes(b, mu, norms):
+    """One lane's reduction (columns, the whole mu matrix, norms) as bytes,
+    so that equal reductions are bit-identical (signed zeros included)."""
+    return [np.array(x, dtype=float).tobytes() for x in (b, mu, norms)]
 
 
-def assert_lanes_match_scalar_lll(stack):
-    stack = np.asarray(stack, dtype=float)
-    got = lattice._lll_pair_arrays(stack)
-    assert got.shape == (len(stack), 7) and got.dtype == float
-    assert [row.tobytes() for row in got] == [pair_row(cols) for cols in stack]
+def scalar_lll_bytes(cols, delta=lattice._DELTA):
+    """`lane_bytes` of `_lll`'s reduction of the m x m float basis cols."""
+    b, _, mu, norms = lattice._lll(lattice._float_columns(cols), delta, False)
+    return lane_bytes(b, mu, norms)
+
+
+def compiled_lanes(reduce_stack, stack, delta=lattice._DELTA):
+    """Per lane of the compiled stack LLL's reduction of the stack: its
+    `lane_bytes`, or None where its status is nonzero; with the lowest lane
+    it reports."""
+    b, mu, norms, status, first = reduce_stack(np.asarray(stack, dtype=float), delta,
+                                               lattice._MAX_LLL_STEPS)
+    return [None if status[i] else lane_bytes(b[i], mu[i], norms[i])
+            for i in range(len(status))], first
+
+
+def assert_lanes_match_scalar_lll(reduce_stack, stack):
+    got, first = compiled_lanes(reduce_stack, stack)
+    assert first == -1
+    assert got == [scalar_lll_bytes(cols) for cols in stack]
 
 
 @st.composite
@@ -472,14 +485,14 @@ def unimodular_float_pairs(draw):
 
 @SETTINGS
 @given(orbit_stacks())
-def test_batched_lll_matches_scalar_lll_on_orbit_stacks(stack):
-    assert_lanes_match_scalar_lll(stack)
+def test_batched_lll_matches_scalar_lll_on_orbit_stacks(compiled_lll, stack):
+    assert_lanes_match_scalar_lll(compiled_lll, stack)
 
 
 @SETTINGS
 @given(unimodular_float_pairs())
-def test_batched_lll_matches_scalar_lll_on_random_pairs(stack):
-    assert_lanes_match_scalar_lll(stack)
+def test_batched_lll_matches_scalar_lll_on_random_pairs(compiled_lll, stack):
+    assert_lanes_match_scalar_lll(compiled_lll, stack)
 
 
 # Columns b0, b1 as the columns of each matrix. -I puts -0.0 into both
@@ -499,8 +512,8 @@ SIGNED_ZERO_LANES = [
 TIE_LANES = [[[2.0, x], [0.0, 0.5]] for x in (1.0, -1.0, 5.0, -5.0)]
 
 
-def test_batched_lll_keeps_signed_zeros_and_ties_as_scalar_lll():
-    assert_lanes_match_scalar_lll(SIGNED_ZERO_LANES + TIE_LANES)
+def test_batched_lll_keeps_signed_zeros_and_ties_as_scalar_lll(compiled_lll):
+    assert_lanes_match_scalar_lll(compiled_lll, SIGNED_ZERO_LANES + TIE_LANES)
 
 
 def fibonacci_lane(k):
@@ -512,10 +525,10 @@ def fibonacci_lane(k):
     return [[float(f[k + 1]), float(f[k])], [float(f[k]), float(f[k - 1])]]
 
 
-def test_batched_lll_on_a_stack_mixing_short_and_long_reductions(monkeypatch):
+def test_batched_lll_on_a_stack_mixing_short_and_long_reductions(compiled_lll, monkeypatch):
     stack = np.array([np.eye(2), fibonacci_lane(20), [[1.0, 0.25], [0.0, 1.0]],
                       fibonacci_lane(18), [[0.0, 1.0], [-1.0, 0.0]], fibonacci_lane(14)])
-    assert_lanes_match_scalar_lll(stack)
+    assert_lanes_match_scalar_lll(compiled_lll, stack)
     monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 8)  # 7 swaps pass, 8 or more fail
     fails = []
     for i, cols in enumerate(stack):
@@ -524,17 +537,20 @@ def test_batched_lll_on_a_stack_mixing_short_and_long_reductions(monkeypatch):
         except InternalIdentityError:
             fails.append(i)
     assert fails == [1, 3]
+    got, first = compiled_lanes(compiled_lll, stack)
+    assert [i for i, lane in enumerate(got) if lane is None] == [1, 3] and first == 1
     with pytest.raises(InternalIdentityError, match="terminate") as info:
-        lattice._lll_pair_arrays(stack)
+        lattice._checked_stack(stack).reduced()
     assert info.value.sample_index == 1
-    assert_lanes_match_scalar_lll(stack[[0, 2, 4, 5]])
+    assert_lanes_match_scalar_lll(compiled_lll, stack[[0, 2, 4, 5]])
 
 
-def test_batched_lll_reduces_wide_transform_lanes_without_scalar_lll(monkeypatch):
+def test_batched_lll_reduces_wide_transform_lanes_without_scalar_lll(compiled_lll,
+                                                                    monkeypatch):
     # mu = 2^60 at the first stage: the transform leaves the range where
     # doubles hold integers exactly, but the reduced pair never reads it.
     lane = [[2.0 ** -40, 2.0 ** 20], [0.0, 2.0 ** 40]]
-    want = [pair_row(lane), pair_row(np.eye(2))]
+    want = [scalar_lll_bytes(lane), scalar_lll_bytes(np.eye(2))]
 
     def refuse(*args):
         raise AssertionError("the batched LLL ran the scalar LLL")
@@ -546,10 +562,8 @@ def test_batched_lll_reduces_wide_transform_lanes_without_scalar_lll(monkeypatch
 
 
 def stack_rows(stack):
-    """A 2 x 2 stack's reductions laid out as `_lll_pair_arrays` rows, as bytes."""
-    b, mu, norms = stack.reduced()
-    rows = np.column_stack((b.reshape(len(b), 4), mu[:, 1, 0], norms))
-    return [row.tobytes() for row in rows]
+    """A stack's reductions, lane by lane, as `lane_bytes`."""
+    return [lane_bytes(*lane) for lane in zip(*stack.reduced())]
 
 
 # Hand lanes for the stack walk at m = 2: a column exactly on the face of the
@@ -844,22 +858,30 @@ def stack_queries(bases, m):
 def test_stack_queries_build_no_ball_walk_and_reduce_each_lane_once(monkeypatch, n):
     stack = orbit_points(generic_curve(n), np.linspace(1.0, 2.0, 12), 3.0)
     want = stack_queries([LatticeBasis(cols) for cols in stack], 2 * n)
-    calls = {"_lll": 0, "_lll_pair_arrays": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(lattice, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(lattice, name, counted)
+    calls = {"_lll": 0, "library": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(lattice, "_lll", counted("_lll", lattice._lll))
+    reduce_stack = lattice._compiled_lll()
+    if reduce_stack is not None:
+        monkeypatch.setattr(lattice, "_COMPILED",
+                            (counted("library", reduce_stack), lattice.float_lll_backend()))
 
     def refuse(*args):
         raise AssertionError("a stack box or ball query ran the exact ball walk")
 
     monkeypatch.setattr(lattice, "_ball_walk", refuse)
     bases = LatticeBasis.batch(stack)
-    assert calls == {"_lll": 0, "_lll_pair_arrays": 0}  # nothing reduces before a query
+    assert calls == {"_lll": 0, "library": 0}  # nothing reduces before a query
     assert stack_queries(bases, 2 * n) == want
-    assert calls == ({"_lll": 0, "_lll_pair_arrays": 1} if n == 1
-                     else {"_lll": len(stack), "_lll_pair_arrays": 0})
+    # one library call for the whole stack; `_lll` per lane only without it
+    assert calls == ({"_lll": 0, "library": 1} if reduce_stack is not None
+                     else {"_lll": len(stack), "library": 0})
 
 
 def test_lambda1_stacks_reduce_each_sample_alone(monkeypatch):
@@ -1042,12 +1064,33 @@ def test_stack_queries_are_the_reference_walks_bit_for_bit(case):
     assert_stack_matches_reference(*case)
 
 
-@pytest.mark.parametrize("m", [2, 4, 6])
-def test_stack_queries_on_hand_lanes_are_the_reference_walks(m):
+# The same, with every lane reduced by `_lll` (`python_lll`), as on a
+# machine where the compiled stack LLL cannot be used; the fixture's state
+# stays fixed across hypothesis examples.
+@settings(SETTINGS, max_examples=120,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.one_of(pair_reference_cases(), wide_reference_cases()))
+@example(ALL_HAND_LANES_CASE)
+def test_stack_queries_are_the_reference_walks_bit_for_bit_without_the_library(python_lll,
+                                                                              case):
+    assert_stack_matches_reference(*case)
+
+
+def assert_hand_lanes_match_reference(m):
     if m == 2:
         assert_stack_matches_reference(HAND_LANES, GRID_BOXES, GRID_BOUNDS)
     else:
         assert_stack_matches_reference(block_lanes(m), wide_boxes(m), WIDE_BOUNDS)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_stack_queries_on_hand_lanes_are_the_reference_walks(m):
+    assert_hand_lanes_match_reference(m)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_stack_queries_on_hand_lanes_are_the_reference_walks_without_the_library(python_lll, m):
+    assert_hand_lanes_match_reference(m)
 
 
 # The box corner (4, 4, 4, 4) / 6 of this lattice is its sup-norm minimum,
@@ -1116,9 +1159,9 @@ def test_continued_fraction_oracle_on_hand_cases():
 # The rank-1 curve phi(s) = s I is a direct sum: u(s I) preserves each plane
 # (x_i, y_i), so a_t u(s I) Z^2n = L + ... + L, L = a_t u(s) Z^2 the lattice
 # of the n = 1 line at the same s. Its float entries are those of L (a sum
-# with zeros is exact), so the n = 2 and 3 stacks (the m = 4 and m = 6 `_lll`
-# kernels and the stack walk) answer what the n = 1 stack (the pair kernel
-# `_lll_pair_arrays`) answers; the two routes share no LLL code.
+# with zeros is exact), so the n = 2 and 3 stacks (LLL at m = 4 and m = 6,
+# and the stack walk) answer what the n = 1 stack (LLL at m = 2, and the
+# four-vector ball test) answers.
 # Near s = 1 the planes hold ~2 e^t vectors each, and their product can pass
 # the walk's node budget, which refuses the count; such boxes are not counted.
 RANK_ONE_MAX_COUNT = 2_000

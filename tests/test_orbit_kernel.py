@@ -12,6 +12,7 @@ transform; an unbatched float basis is the one lane of a stack of its own.
 """
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -237,23 +238,27 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
         return out
 
     want = estimates()
-    calls = []
+    calls = []  # the transform flag of each `_lll` call
     scalar = lattice._lll
-    monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(1) or scalar(*args))
+    monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(args[2]) or scalar(*args))
     made = record_stacks(monkeypatch)
     assert estimates() == want
     # one det check per stack: the six plain runs, the w-invariance stack
     # with its translates, and the nondivergence stack of both flow times
     assert [len(stack.cols) for stack in made] == [40] * 6 + [80, 80]
-    # box counts, ball tests and nondivergence read the batched reduction;
+    # box counts, ball tests and nondivergence read the batched reduction,
+    # made by one call of the compiled stack LLL, or by `_lll` per lane
+    # without it: two Siegel, two K_mu and the nondivergence stack;
     # lambda1 reduces each sample's own basis once: two raw-or-normalized
     # runs and the w-invariance stack with its translates, 40 samples each
-    assert len(calls) == 4 * 40
+    compiled = lattice._compiled_lll() is not None
+    assert calls.count(True) == 4 * 40
+    assert calls.count(False) == (0 if compiled else 6 * 40)
     calls.clear()
     for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7)):
         stats._orbit_stats(LINE, [5.0], sampler, obs)
     nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler)
-    assert calls == []
+    assert calls == ([] if compiled else [False] * 4 * 40)
 
 
 def test_stack_estimates_build_no_lane_basis(monkeypatch):
@@ -332,7 +337,7 @@ def test_lowest_failing_lane_of_a_stack_estimate_is_named(observable, curve, nod
 ], ids=["kmu_indicator", "lambda1_below"])
 def test_lowest_lane_past_the_lll_steps_of_an_n1_stack_estimate_is_named(observable,
                                                                           monkeypatch):
-    # an n = 1 ball test walks no node, so its lanes fail only in the pair LLL
+    # an n = 1 ball test walks no node, so its lanes fail only in the LLL
     monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 5)
     assert_lowest_failing_lane_is_named(LINE, observable, InternalIdentityError, "terminate")
 
@@ -391,14 +396,16 @@ def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
     assert calls == {"_lll": 6, "_lll_integral": 0, "_lagrange": 1}
     count_in_box(cell, [Fraction(1, 2)] * 2)
     assert calls == {"_lll": 6, "_lll_integral": 1, "_lagrange": 1}
-    # an unbatched 2 x 2 basis is a one-lane stack: the pair kernel reduces it
+    # an unbatched 2 x 2 basis is a one-lane stack: the compiled stack LLL
+    # reduces it, or `_lll` without it
+    per_stack = lattice._compiled_lll() is None
     count_in_box(LatticeBasis(np.array([[1.0, 0.3], [0.0, 1.0]])), [0.9, 0.9])
-    assert calls["_lll"] == 6
+    assert calls["_lll"] == 6 + per_stack
     (batched,) = LatticeBasis.batch(np.array([[[1.0, 0.3], [0.0, 1.0]]]))
     count_in_box(batched, [0.9, 0.9])
-    assert calls["_lll"] == 6
+    assert calls["_lll"] == 6 + 2 * per_stack
     reduce(batched)  # the public reduction stays the scalar one
-    assert calls["_lll"] == 7
+    assert calls["_lll"] == 7 + 2 * per_stack
 
 
 def test_lll_step_limit_names_the_lowest_failing_sample(monkeypatch):
@@ -456,6 +463,33 @@ def test_wide_stack_reduction_failure_names_the_lowest_failing_sample(monkeypatc
     assert info.value.sample_index == 5
     assert str(info.value) == (f"sample (seed, index, s) = (2, 5, {s!r}): "
                                "LLL failed to terminate at desk scale")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lane_refused_by_the_lll_for_a_zero_norm_is_named(n, float_lll):
+    # diag(1e300, 1e-300, 1, ...) passes the det check; its LLL swaps the
+    # first two columns and then divides by the new first norm, (1e-300)^2
+    # = 0, so `_lll` raises ZeroDivisionError at m = 2 and at m = 4 alike,
+    # and the stack raises it for its lowest such lane, named
+    m = 2 * n
+    bad = np.diag([1e300, 1e-300] + [1.0] * (m - 2))
+    with pytest.raises(ZeroDivisionError) as info:
+        lattice._lll(lattice._float_columns(bad))
+    alone = str(info.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no nan arithmetic on the way
+        with pytest.raises(ZeroDivisionError) as info:
+            lattice._checked_stack(np.array([np.eye(m), bad, np.eye(m), bad])).reduced()
+    assert str(info.value) == alone and info.value.sample_index == 1
+    # on that basepoint at t = 0 every sample fails: estimates name sample 0
+    curve = MatrixPolyCurve.from_coeffs([np.eye(n) * 0.25, np.eye(n)], (1.0, 2.0))
+    sampler = Sampler(seed=3, count=4)
+    s = sampler.point(curve.interval, 0)
+    for observable in (siegel_count((0.9,) * m), kmu_indicator(0.5)):
+        with pytest.raises(ZeroDivisionError) as info:
+            stats._orbit_stats(curve, [0.0], sampler, observable, basepoint=LatticeBasis(bad))
+        assert info.value.sample_index == 0
+        assert str(info.value) == f"sample (seed, index, s) = (3, 0, {s!r}): {alone}"
 
 
 @st.composite

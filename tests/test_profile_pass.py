@@ -1,6 +1,7 @@
 """Smoke tests of `tools/profile_pass.py` on the rep-genericity workload: a
 whole pass, one family of its configs, and a reader that closes the output
-after one line."""
+after one line; and, on orbit-n1's nondivergence family, the float LLL its
+header names."""
 
 import fcntl
 import importlib.util
@@ -62,6 +63,20 @@ def test_profile_refuses_a_family_the_workload_lacks(tmp_path, monkeypatch, caps
     assert info.value.code == 2
     assert "'correspondence-n1' is not among the workload's families" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_profile_header_names_the_float_lll(tmp_path, monkeypatch, capsys, float_lll):
+    monkeypatch.chdir(tmp_path)
+    assert profile_pass.main(["--workload", "orbit-n1", "--family", "nondiv-n1", "--top", "1"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert re.match(r"orbit-n1, seed 1, family nondiv-n1, 4 configs: unprofiled pass median ",
+                    header)
+    backend = profile_pass.lattice.float_lll_backend()
+    assert header.endswith(f" s; float LLL: {backend}")
+    if float_lll == "compiled":
+        assert backend.endswith(".so") and os.path.isfile(backend)
+    else:
+        assert backend == "python: switched off by a test"
 
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")

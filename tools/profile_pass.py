@@ -14,7 +14,10 @@ under cProfile, and prints:
 
 - the median, least and greatest unprofiled pass time, in seconds as
   measured (not rescaled to a reference machine speed, as perfbench's
-  `run_s` is), and the profiled pass time;
+  `run_s` is), the profiled pass time, and which float LLL reduced the
+  float stacks (`danilab.lattice.float_lll_backend()`): the compiled
+  library's path, "python: <reason>" when `_lll` reduced every lane, or
+  "none ran" when the pass reduced no float stack;
 - the top N rows of the profiled pass (default 25), sorted by `tottime`
   (the default) or `cumtime`: calls, tottime, cumtime, each time's share of
   the profiled pass (`run_pass`'s cumulative time), and the function as
@@ -41,7 +44,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from danilab import cli  # noqa: E402  (this checkout's sources, never an installed copy)
+from danilab import cli, lattice  # noqa: E402  (this checkout's sources, never an installed copy)
 from perfbench import workloads  # noqa: E402
 
 SORTS = ("tottime", "cumtime")
@@ -121,7 +124,8 @@ def main(argv=None) -> int:
     family = "" if args.family is None else f", family {args.family}"
     print(f"{args.workload}, seed {args.seed}{family}, {len(texts)} configs: unprofiled pass "
           f"median {statistics.median(times):.4f} s over {len(times)} passes "
-          f"({min(times):.4f}-{max(times):.4f} s, unscaled); profiled pass {profiled:.4f} s")
+          f"({min(times):.4f}-{max(times):.4f} s, unscaled); profiled pass {profiled:.4f} s; "
+          f"float LLL: {lattice.float_lll_backend() or 'none ran'}")
     print(f"top {args.top} by {args.sort}; shares are of the profiled pass:")
     for line in rows(stats, args.sort, args.top):
         print(line)
