@@ -17,29 +17,36 @@ The library is compiled with the C compiler Python was built with
 user owns it or if it is group- or world-writable. Its file name is the
 SHA-256 of the source, the flags and the platform, so a changed source never
 loads a stale library; it is written under a temporary name and moved into
-place, so a concurrent process never loads half a file. Only the first
-process pays the compile; `subprocess`, `sysconfig` and `tempfile` are
-imported only then.
+place, so a concurrent process never loads half a file, and the libraries
+of other sources or flags are then removed. Only the first process pays the
+compile; `subprocess`, `sysconfig` and `tempfile` are imported only then. A
+platform whose double arithmetic keeps excess precision (FLT_EVAL_METHOD
+not 0, as on x87) fails to compile, so `_lll` reduces every lane there.
 """
 
 import ctypes
 import os
+import re
 import sys
+from hashlib import sha256
 
 import numpy as np
 
 from .lattice import MAX_DIM
 
-try:  # CPython's own SHA-256: hashlib would first load OpenSSL, a few ms
-    from _sha256 import sha256
-except ImportError:  # renamed _sha2 in Python 3.12
-    from hashlib import sha256
 
 SOURCE = f"""
+#include <float.h>
 #include <math.h>
 
 #define MAX_DIM {MAX_DIM}
 """ + r"""
+/* Each product and sum rounded to double, as in Python: not where they are
+   kept in a wider format (x87, FLT_EVAL_METHOD 2). */
+#if FLT_EVAL_METHOD != 0
+#error "double arithmetic with excess precision"
+#endif
+
 /* Lane `in` (m x m, row-major: coordinate c of column j at in[c m + j]) as
    lattice._lll_source(m) reduces it without the transform: column j of the
    result at b[j m + c], mu[i m + j] (zero on and above the diagonal) and
@@ -185,6 +192,10 @@ def cache_dir() -> str:
     return path
 
 
+# A library's file name: the hex SHA-256 of `library_path`.
+_LIBRARY = re.compile(r"[0-9a-f]{64}\.so")
+
+
 def library_path() -> str:
     """The library's file in `cache_dir()`, named by the SHA-256 of the
     source, the flags and the platform."""
@@ -194,7 +205,10 @@ def library_path() -> str:
 
 
 def _compile(path: str) -> None:
-    """Compile SOURCE into path, through a temporary file moved into place."""
+    """Compile SOURCE into path, through a temporary file moved into place,
+    and remove the cache's libraries of other sources or flags. (A process
+    that has one of them loaded keeps it: on POSIX, removing a file leaves
+    an open mapping of it.)"""
     import shlex
     import subprocess
     import sysconfig
@@ -214,8 +228,15 @@ def _compile(path: str) -> None:
             raise Unusable(f"no C compiler ({cc[0]}: {exc.strerror})") from None
         if proc.returncode:
             lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
-            raise Unusable(f"{cc[0]} failed: {lines[-1]}")
+            error = next((line for line in lines if "error" in line), lines[-1])
+            raise Unusable(f"{cc[0]} failed: {error}")
         os.replace(target, path)
+        for name in os.listdir(folder):  # the libraries of other sources or flags
+            if _LIBRARY.fullmatch(name) and name != os.path.basename(path):
+                try:
+                    os.remove(os.path.join(folder, name))
+                except FileNotFoundError:  # removed by another process first
+                    pass
     finally:
         for name in (source, target):
             if os.path.exists(name):

@@ -461,7 +461,7 @@ class _Stack:
     transform: reduced columns b[lane, j] (column j), mu[lane, i, j] (j < i)
     and norms[lane, j], made for every lane by one call of the compiled
     stack LLL (`_compiled_lll`), or lane by lane by `_lll` where that is not
-    in use or the stack is not float64; both give `_lll`'s bits. The
+    in use; both read the columns as float64 and give `_lll`'s bits. The
     shortest vector reduces each lane with `_lll` and the transform, which
     its tie-break reads. Whatever `_lll` raises on a lane is raised for the
     lowest such lane, named; a lane that the compiled LLL gives a nonzero
@@ -530,9 +530,9 @@ class _Stack:
     def reduced(self) -> tuple:
         """(b, mu, norms), the reductions of every lane, made on first call."""
         if self._reduced is None:
-            cols = self.cols
+            cols = np.asarray(self.cols, dtype=np.float64)  # both backends read float64
             _check_size(cols.shape[1])
-            reduce_stack = _compiled_lll() if cols.dtype == np.float64 else None
+            reduce_stack = _compiled_lll()
             if reduce_stack is None:  # lane by lane into the arrays: no list of every lane
                 size, m, _ = cols.shape
                 b, mu, norms = np.empty((size, m, m)), np.empty((size, m, m)), np.empty((size, m))

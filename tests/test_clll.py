@@ -6,7 +6,9 @@ a second load reuses the file without running the compiler; wherever a C
 compiler is found, that library must pass its check against `_lll`. A missing
 compiler and a group-writable cache each leave the process on `_lll`, with
 the reason recorded in `lattice.float_lll_backend()`, and every answer
-equal to the library's.
+equal to the library's; so does a platform whose doubles keep excess
+precision, where the source refuses to compile. A compile removes the
+cache's libraries of other sources, and nothing else.
 """
 
 import os
@@ -100,6 +102,33 @@ def test_group_writable_cache_falls_back_to_lll(compiled_lll, cache, monkeypatch
     assert runs == [] and os.listdir(folder) == []
 
 
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_compile_removes_the_libraries_of_other_sources(cache, monkeypatch):
+    folder, runs = cache
+    folder.mkdir(parents=True, mode=0o700)
+    stale = "0" * 64 + ".so"
+    for name in (stale, "tmpabc123.so", "notes.txt"):  # a library; another process's temporary
+        (folder / name).write_text("")
+    _, path = _clll.load()
+    assert sorted(os.listdir(folder)) == sorted([os.path.basename(path), "tmpabc123.so",
+                                                 "notes.txt"])
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+def test_excess_precision_refuses_to_compile_and_falls_back(compiled_lll, cache, monkeypatch):
+    folder, runs = cache
+    want = answers()
+    # the platform test as it reads where doubles keep excess precision
+    monkeypatch.setattr(_clll, "SOURCE",
+                        _clll.SOURCE.replace("#if FLT_EVAL_METHOD != 0", "#if 1"))
+    first_reduction(monkeypatch)
+    assert answers() == want
+    backend = lattice.float_lll_backend()
+    assert backend.startswith("python: ") and " failed: " in backend
+    assert backend.endswith('error: #error "double arithmetic with excess precision"')
+    assert len(runs) == 1 and os.listdir(folder) == []
+
+
 def test_library_name_is_the_digest_of_source_flags_and_platform(cache, monkeypatch):
     path = _clll.library_path()
     assert os.path.basename(path)[:-3].isalnum() and len(os.path.basename(path)) == 64 + 3
@@ -112,3 +141,11 @@ def test_library_name_is_the_digest_of_source_flags_and_platform(cache, monkeypa
 def test_library_refuses_a_stack_it_cannot_read(compiled_lll, shape):
     with pytest.raises(ValueError, match="needs"):
         compiled_lll(np.ones(shape), lattice._DELTA, lattice._MAX_LLL_STEPS)
+
+
+def test_integer_stack_is_reduced_as_its_float64_copy(float_lll):
+    ints = np.array([[[2, 3], [1, 2]], [[1, 5], [0, 1]], [[-7, 2], [4, -1]]])
+    got = lattice._checked_stack(ints).reduced()
+    want = lattice._checked_stack(ints.astype(np.float64)).reduced()
+    assert [x.dtype for x in got] == [np.float64] * 3
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
