@@ -1,11 +1,12 @@
 """Experiment runner: config ingestion, dispatch, JSONL/CSV persistence.
 
 One config file = one experiment: a curve, subcommand-specific parameters
-and sampler settings. Each subcommand's parameters have one schema (a frozen
-dataclass whose fields carry their rule and default) and are read once, into
-typed arguments for the runner and into canonical parameters with defaults
-filled in, so the config hash stamped on every record is independent of key
-order and of which defaults the author spelled out.
+and sampler settings, each read once: the curve by `from_coeffs`, and the
+parameters by one schema per subcommand (a frozen dataclass whose fields
+carry their rule and default) into typed arguments and canonical JSON with
+defaults filled in. The config hash stamped on every record hashes these
+and the curve's numbers, independent of key order and of which defaults
+the author spelled out.
 """
 
 import argparse
@@ -68,24 +69,9 @@ def _finite(literal: str) -> float:
     return x
 
 
-_PLAIN_TYPES = frozenset((int, float, str, bool, type(None)))
-
-
-def _plain(obj):
-    """Recursively coerce values to JSON types; a Fraction becomes 'p/q'.
-    The config's canonical form and a runner's scalars pass through it;
-    payloads are built plain and written as they are."""
-    if type(obj) in _PLAIN_TYPES:
-        return obj
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj.item() if isinstance(obj, np.generic) else obj
+def _plain(x):
+    """A typed scalar as JSON: a Fraction as its 'p/q' text, the rest as is."""
+    return str(x) if isinstance(x, Fraction) else x
 
 
 # Field rules. A rule `rule(value, where, curve)` checks one JSON value,
@@ -316,17 +302,14 @@ def _parse_curve(raw, n: int) -> MatrixPolyCurve:
     coeffs = _require(raw, "coeffs", list, "curve.")
     if len(coeffs) != degree + 1:
         raise ConfigError(f"curve.coeffs: expected degree+1 = {degree + 1} matrices, got {len(coeffs)}")
-    mats = []
-    for k, mat in enumerate(coeffs):
-        if not isinstance(mat, list) or len(mat) != n or any(
-                not isinstance(row, list) or len(row) != n for row in mat):
-            raise ConfigError(f"curve.coeffs[{k}]: expected {n}x{n} row-major matrix")
-        mats.append([[_RATIONAL(x, f"curve.coeffs[{k}]", None) for x in row] for row in mat])
     interval = _require(raw, "interval", list, "curve.")
-    if len(interval) != 2:
-        raise ConfigError("curve.interval: expected [a, b]")
-    return _built("curve", MatrixPolyCurve.from_coeffs, mats,
-                  [_RATIONAL(x, "curve.interval", None) for x in interval])
+    try:
+        curve = MatrixPolyCurve.from_coeffs(coeffs, interval)
+    except ValueError as exc:
+        raise ConfigError(f"curve.{exc}") from exc
+    if curve.n != n:
+        raise ConfigError(f"curve.coeffs[0]: expected {n}x{n} row-major matrix")
+    return curve
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -369,18 +352,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _canonical_dict(config: ExperimentConfig) -> dict:
+    """The config as JSON; the parameters are canonical JSON already."""
     curve, sampler = config.curve, config.sampler
     out = {
         "experiment_id": config.experiment_id,
         "subcommand": config.subcommand,
         "n": config.n,
-        "curve": {"degree": curve.degree, "coeffs": curve.coeffs, "interval": curve.interval},
+        "curve": {"degree": curve.degree, "interval": [_plain(x) for x in curve.interval],
+                  "coeffs": (curve.coeffs.astype(str) if curve.exact else curve.coeffs).tolist()},
         "parameters": config.parameters,
         "output": config.output,
     }
     if sampler is not None:
         out["sampler"] = {"seed": sampler.seed, "count": sampler.count, "scheme": sampler.scheme}
-    return _plain(out)
+    return out
 
 
 def serialize_config(config: ExperimentConfig) -> str:

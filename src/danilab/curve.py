@@ -6,17 +6,19 @@ family of shifted inverses s -> (phi(s) - phi(s0))^-1 sit inside matrix
 space near s0? Full affine span (rank n^2) is the generic case; anything
 lower is a witness of degeneracy.
 
-phi(s) and phi'(s), at one point or at a float stack of points, come from
-one Horner kernel, `_horner`, over coefficient stacks each curve makes
-once. `MatrixPolyCurve._at` picks the stacks of one point by the package's
-mode rule (`_linalg.is_exact_scalar`): Fractions when the curve is exact and
-s is an int or Fraction, floats otherwise. No caller picks a mode of its
+A curve holds one coefficient stack, whose entries `from_coeffs` reads once
+each. phi(s) and phi'(s) come from one Horner kernel, `_horner`, over the
+stacks of a mode, built on the mode's first use, so an exact curve evaluated
+only exactly makes no float. `_at` picks the mode of one point by the
+package's rule (`_linalg.is_exact_scalar`): Fractions when the curve is exact
+and s is an int or Fraction, floats otherwise. No caller picks a mode of its
 own: `reptheory.obstruction_subspace` works in the mode of the matrices
 `eval` returns, and `genericity_test` reads its nodes and s0 in floats
 through `eval_many`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -44,76 +46,91 @@ def _horner(coeffs: np.ndarray, s, shape) -> np.ndarray:
     return out
 
 
+def _horner_stacks(cs: np.ndarray) -> tuple:
+    """(cs, the stack of phi'), read-only: phi' has coefficients k cs[k], k an int."""
+    ds = (np.array([c * k for k, c in enumerate(cs[1:], 1)]) if len(cs) > 1
+          else _linalg.zeros(cs.shape, _linalg.is_exact(cs)))
+    cs.flags.writeable = ds.flags.writeable = False
+    return cs, ds
+
+
+def _number(x, where: str):
+    """A curve entry or end: a "p/q" string as a Fraction, another real (no bool) as is."""
+    if isinstance(x, bool) or not isinstance(x, (str, numbers.Real)):
+        raise DomainError(f"{where}: expected int/float/str, got {type(x).__name__}")
+    try:
+        return Fraction(x) if isinstance(x, str) else x
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"{where}: cannot parse rational {x!r}") from exc
+
+
 @dataclass(frozen=True)
 class MatrixPolyCurve:
     """Polynomial curve phi(s) = sum_k coeffs[k] s^k on [a, b].
 
-    coeffs[k] is the n x n coefficient of s^k. If every entry of every
-    coefficient is an int/Fraction the curve is exact. phi and phi' have
-    one evaluator, `_horner` over the coefficient stacks of `_stacks`; the
-    mode rule in `_at` picks the stacks: Fractions when the curve is exact
-    and s is an int or Fraction, floats otherwise.
+    coeffs is one read-only (degree + 1, n, n) stack, coeffs[k] the
+    coefficient of s^k: Fractions (object dtype) for an exact curve, float64
+    otherwise. A refusal names its field (`coeffs[k]`, `interval`) first.
     """
 
     n: int
     degree: int
-    coeffs: tuple
+    coeffs: np.ndarray
     interval: tuple
 
     def __post_init__(self):
         a, b = self.interval
         if not a < b:
-            raise DomainError(f"curve interval must satisfy a < b, got [{a}, {b}]")
-        if self.degree != len(self.coeffs) - 1:
-            raise InvariantError("degree must equal len(coeffs) - 1")
-        for c in self.coeffs:
-            if c.shape != (self.n, self.n):
-                raise InvariantError(f"coefficient shape {c.shape} != ({self.n}, {self.n})")
+            raise DomainError(f"interval: expected a < b, got [{a}, {b}]")
+        c = self.coeffs
+        if not (isinstance(c, np.ndarray) and c.dtype in (np.float64, object)
+                and c.shape == (self.degree + 1, self.n, self.n)):
+            raise InvariantError(f"coeffs: expected a float64 or Fraction array of shape "
+                                 f"({self.degree + 1}, {self.n}, {self.n})")
+        c.flags.writeable = False
 
     @classmethod
     def from_coeffs(cls, coeffs, interval) -> "MatrixPolyCurve":
-        """Build a curve from per-power n x n array-likes (outer index = power).
-
-        All-rational entries (int/Fraction/"p/q" strings) give an exact curve;
-        any float demotes the whole curve to float mode. Every coefficient
-        must be n x n, with n the row count of the first one.
-        """
-        vals = []
+        """Build a curve from per-power n x n matrices (outer index = power),
+        each a list, tuple or array of rows, n the row count of the first.
+        Entries and ends are read by `_number`. Ints and Fractions alone give
+        an exact curve; any float gives a float one, which refuses an entry
+        beyond the doubles by its `coeffs[k]`."""
+        vals, n, exact, seq = [], None, True, (list, tuple, np.ndarray)
         for k, c in enumerate(coeffs):
-            rows = [[Fraction(x) if isinstance(x, str) or _linalg.is_exact_scalar(x) else x
-                     for x in row] for row in c]
-            n = len(vals[0]) if vals else len(rows)
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise InvariantError(f"coefficient of s^{k} is not {n} x {n}")
+            rows = list(c) if isinstance(c, seq) else []
+            n = n or len(rows) or 1
+            if len(rows) != n or any(not isinstance(r, seq) or len(r) != n for r in rows):
+                raise InvariantError(f"coeffs[{k}]: coefficient of s^{k} is not {n} x {n}")
+            rows = [[_number(x, f"coeffs[{k}]") for x in row] for row in rows]
+            exact = exact and all(isinstance(x, (int, Fraction)) for row in rows for x in row)
             vals.append(rows)
         if not vals:
-            raise InvariantError("a curve needs at least one coefficient")
-        exact = all(isinstance(x, Fraction) for rows in vals for row in rows for x in row)
-        stack = np.array(vals, dtype=object if exact else float)
-        stack.flags.writeable = False
-        a, b = interval
-        a = Fraction(a) if isinstance(a, str) else a
-        b = Fraction(b) if isinstance(b, str) else b
-        return cls(n=n, degree=len(vals) - 1, coeffs=tuple(stack), interval=(a, b))
+            raise InvariantError("coeffs: a curve needs at least one coefficient")
+        if len(interval) != 2:
+            raise DomainError("interval: expected [a, b]")
+        a, b = (_number(x, "interval") for x in interval)
+        mats = []
+        for k, rows in enumerate(vals):
+            if exact:
+                rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+            try:
+                mats.append(np.array(rows, dtype=object if exact else float))
+            except OverflowError as exc:
+                raise DomainError(f"coeffs[{k}]: number too large for a float") from exc
+        return cls(n=n, degree=len(vals) - 1, coeffs=np.array(mats), interval=(a, b))
 
-    @cached_property
+    @property
     def exact(self) -> bool:
-        return all(_linalg.is_exact(c) for c in self.coeffs)
+        return _linalg.is_exact(self.coeffs)
 
     @cached_property
-    def _stacks(self) -> dict:
-        """{exact: (stack of phi, stack of phi')}, the read-only coefficient
-        stacks (outer index = power) in floats, and for an exact curve also in
-        Fractions, made once per curve. phi' has coefficients k coeffs[k] with
-        Python-int k; a constant curve's phi' is one zero coefficient."""
-        table = {}
-        for exact in {False, self.exact}:
-            cs = np.array(self.coeffs, dtype=object if exact else float)
-            ds = (np.array([c * k for k, c in enumerate(cs[1:], 1)]) if self.degree
-                  else _linalg.zeros(cs.shape, exact))
-            cs.flags.writeable = ds.flags.writeable = False
-            table[exact] = cs, ds
-        return table
+    def _exact_stacks(self) -> tuple:
+        return _horner_stacks(self.coeffs)
+
+    @cached_property
+    def _float_stacks(self) -> tuple:
+        return _horner_stacks(np.array(self.coeffs, dtype=float) if self.exact else self.coeffs)
 
     def in_float_domain(self, s):
         """Whether the float point(s) s lie in the interval, widened by a
@@ -129,8 +146,8 @@ class MatrixPolyCurve:
         a, b = self.interval
         if not (a <= Fraction(s) <= b if exact else self.in_float_domain(float(s))):
             raise DomainError(f"s = {s} outside the curve interval [{a}, {b}]")
-        return _horner(self._stacks[exact][order], s if exact else float(s),
-                       (self.n, self.n))
+        stacks = self._exact_stacks if exact else self._float_stacks
+        return _horner(stacks[order], s if exact else float(s), (self.n, self.n))
 
     def eval(self, s) -> np.ndarray:
         """phi(s) by Horner evaluation."""
@@ -142,20 +159,17 @@ class MatrixPolyCurve:
 
     def eval_many(self, s: np.ndarray) -> np.ndarray:
         """(M, n, n) stack of phi at the float points s (no domain check)."""
-        return _horner(self._stacks[False][0], s[:, None, None], (len(s), self.n, self.n))
+        return _horner(self._float_stacks[0], s[:, None, None], (len(s), self.n, self.n))
 
     def derivative_many(self, s: np.ndarray) -> np.ndarray:
         """(M, n, n) stack of phi' at the float points s (no domain check)."""
-        return _horner(self._stacks[False][1], s[:, None, None], (len(s), self.n, self.n))
+        return _horner(self._float_stacks[1], s[:, None, None], (len(s), self.n, self.n))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixPolyCurve):
             return NotImplemented
-        return (self.n == other.n and self.degree == other.degree
-                and self.interval == other.interval
-                and all(np.array_equal(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    __hash__ = None
+        # the stack's shape is (degree + 1, n, n)
+        return self.interval == other.interval and np.array_equal(self.coeffs, other.coeffs)
 
 
 @dataclass(frozen=True)
@@ -256,8 +270,8 @@ def genericity_test(curve: MatrixPolyCurve, s0, m: Optional[int] = None,
     if not a <= s0f <= b:
         raise DomainError(f"s0 = {s0} outside curve interval [{a}, {b}]")
     left_room, right_room = s0f - a, b - s0f
-    r = min(x for x in (left_room, right_room) if x > 0) if (left_room > 0 and right_room > 0) \
-        else max(left_room, right_room)
+    rooms = (left_room, right_room)
+    r = min(rooms) if min(rooms) > 0 else max(rooms)
     if r <= 0:
         raise DomainError("curve interval has no room around s0")
 

@@ -244,16 +244,13 @@ def test_repeat_runs_byte_identical_modulo_timestamp(tmp_path):
 
 
 def test_plain_passes_builtins_through_and_converts_the_rest():
-    import numpy as np
-
+    # the typed scalars of a parse (s0, mu, s, an interval end): the rest of
+    # a canonical config and every payload are built as JSON already
     from danilab.cli import _plain
-    for x in (3, -2.5, "s", True, False, None):
+    for x in (3, -2.5, "s", True, False, None, 2 ** 70):
         assert _plain(x) is x
-    payload = {"k": (np.int64(4), Fraction(1, 3), np.float64(0.5), np.bool_(True)),
-               "a": np.array([[1, 2]]), "t": [(1, 2), None]}
-    got = _plain(payload)
-    assert got == {"k": [4, "1/3", 0.5, True], "a": [[1, 2]], "t": [[1, 2], None]}
-    assert [type(x) for x in got["k"]] == [int, str, float, bool]
+    for x, text in ((Fraction(1, 3), "1/3"), (Fraction(-4), "-4"), (Fraction(6, 4), "3/2")):
+        assert _plain(x) == text and type(_plain(x)) is str
 
 
 QUADRATIC = {"degree": 2, "coeffs": [[[1]], [["1/2"]], [[2]]], "interval": ["0", "1"]}
@@ -506,6 +503,51 @@ def curve_config(degree, coeffs, interval=("0", "1")):
     return base_config(curve={"degree": degree, "coeffs": coeffs, "interval": list(interval)})
 
 
+@pytest.mark.parametrize("subcommand, parameters", [
+    ("correspondence", {"mu": "1/2", "N_range": [2, 6], "s_grid": ["0", "1/3", "1/2", "1"]}),
+    ("dirichlet-scan", {"mu": "1/2", "N_range": [2, 6], "s_grid": {"count": 3}}),
+])
+def test_exact_curve_beyond_the_doubles_runs_exactly(subcommand, parameters, tmp_path):
+    # phi(s) = 1/3 + 10^400 (s^2 - s), no coefficient a double; at the scan's
+    # s = 0, 1/2 and 1 it is 1/3 plus an integer, so the scan's rows agree
+    cfg = curve_config(2, [[["1/3"]], [[-HUGE]], [[HUGE]]])
+    cfg.update(subcommand=subcommand, parameters=parameters, output=str(tmp_path / "r"))
+    del cfg["sampler"]
+    config = parse_config(json.dumps(cfg))
+    run(config)
+    assert "_float_stacks" not in vars(config.curve)  # no coefficient was made a float
+    assert main([subcommand, "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    payloads = [json.loads(line)["payload"]
+                for line in (tmp_path / "r.jsonl").read_text().splitlines()]
+    if subcommand == "correspondence":
+        assert len(payloads) == 4 * 5 and all(p["agree"] for p in payloads)
+    else:
+        rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        insoluble = [row.split(",")[1:] for row in rows]
+        assert len(rows) == 3 * 5 and insoluble[:5] == insoluble[5:10] == insoluble[10:]
+
+
+@pytest.mark.parametrize("coeffs, interval", [
+    ([[["1/3", "-2/7"], [5, "1"]], [["3/4", 0], ["1/8", "9/5"]]], ["1", "2"]),
+    ([[["1/3", 0.25], [5, "1"]], [["3/4", 0], ["1/8", "9/5"]]], ["1", 2]),
+])
+def test_parse_and_hash_make_one_fraction_per_curve_number_at_most(coeffs, interval,
+                                                                   monkeypatch):
+    cfg = base_config(n=2, curve={"degree": 1, "coeffs": coeffs, "interval": interval},
+                      parameters={"t_list": [1.0], "box": [1.5] * 4})
+    text = json.dumps(cfg)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    cli.config_hash(parse_config(text))
+    assert len(made) <= 2 * 2 * 2 + 2  # one per entry and end, at most
+
+
 @pytest.mark.parametrize("cfg, message", [
     ([base_config()], "config root must be an object"),
     ({k: v for k, v in base_config().items() if k != "experiment_id"},
@@ -515,7 +557,21 @@ def curve_config(degree, coeffs, interval=("0", "1")):
     (curve_config(-1, []), "curve.degree: must be >= 0"),
     (curve_config(1, [[[1]]]), "curve.coeffs: expected degree+1 = 2 matrices, got 1"),
     (curve_config(1, [[[0]], [[1]]], ("0", "1/2", "1")), "curve.interval: expected [a, b]"),
-], ids=["root", "experiment_id", "n", "output", "degree", "coeffs", "interval"])
+    (curve_config(1, [[[0.5]], [[HUGE]]]), "curve.coeffs[1]: number too large for a float"),
+    (curve_config(1, [[[f"{HUGE}/3"]], [[0.5]]]), "curve.coeffs[0]: number too large for a float"),
+    (curve_config(0, [[[True]]]), "curve.coeffs[0]: expected int/float/str, got bool"),
+    (curve_config(1, [[[0]], [[None]]]), "curve.coeffs[1]: expected int/float/str, got NoneType"),
+    (curve_config(1, [[[0]], [["1/0"]]]), "curve.coeffs[1]: cannot parse rational '1/0'"),
+    (curve_config(1, [[[0]], ["1"]]), "curve.coeffs[1]: coefficient of s^1 is not 1 x 1"),
+    (curve_config(0, ["1"]), "curve.coeffs[0]: coefficient of s^0 is not 1 x 1"),
+    (curve_config(0, [[[1, 0], [0, 1]]]), "curve.coeffs[0]: expected 1x1 row-major matrix"),
+    (curve_config(0, [[[1]]], ("0", [1])), "curve.interval: expected int/float/str, got list"),
+    (curve_config(0, [[[1]]], ("0", "one")), "curve.interval: cannot parse rational 'one'"),
+    (curve_config(0, [[[1]]], ("1", 0.5)), "curve.interval: expected a < b, got [1, 0.5]"),
+], ids=["root", "experiment_id", "n", "output", "degree", "coeffs", "interval",
+        "float-entry-huge", "float-entry-huge-rational", "entry-bool", "entry-null",
+        "entry-bad-rational", "row-not-list", "matrix-not-list", "n-mismatch",
+        "interval-list-end", "interval-bad-rational", "interval-reversed"])
 def test_config_refusals(cfg, message, tmp_path, capsys):
     with pytest.raises(ConfigError) as info:
         parse_config(json.dumps(cfg))

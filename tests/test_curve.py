@@ -37,9 +37,13 @@ def test_float_eval_of_exact_curve_uses_cached_coefficients():
     curve = MatrixPolyCurve.from_coeffs([[["1/3", "-2/7"], ["5/9", "1"]],
                                          [["3/4", "0"], ["1/8", "9/5"]],
                                          [["-1/6", "2/3"], ["1/5", "1/11"]]], ("0", "2"))
-    cached = curve._stacks
-    assert cached is curve._stacks and set(cached) == {False, True}
-    assert not any(c.flags.writeable for stacks in cached.values() for c in stacks)
+    assert "_float_stacks" not in vars(curve)  # built on the first float evaluation
+    curve.eval(0.5)
+    cached = curve._float_stacks
+    assert cached is curve._float_stacks and "_exact_stacks" not in vars(curve)
+    assert not any(c.flags.writeable for c in cached + curve._exact_stacks)
+    assert all(c.dtype == float for c in cached)
+    assert curve._exact_stacks[0] is curve.coeffs  # the exact mode reads the one stack
     for s in (0.0, 0.3, 1.7, 2.0):
         cs = [np.asarray(c, dtype=float) for c in curve.coeffs]
         want = cs[2] * s + cs[1]
@@ -87,11 +91,37 @@ def test_one_evaluator_in_both_modes(curve, s, x):
 
 
 @pytest.mark.parametrize("coeffs", [[[[1, 2], [3]]], [[[1], [3, 4]]], [[[1.0, 2.0], [3.0]]],
-                                    [[["1"]], [["1/2", "0"]]], [np.eye(2), np.eye(3)]])
+                                    [[["1"]], [["1/2", "0"]]], [np.eye(2), np.eye(3)],
+                                    [["12", "34"]]])
 def test_from_coeffs_refuses_ragged_coefficients(coeffs):
     k = len(coeffs) - 1
     with pytest.raises(InvariantError, match=rf"s\^{k} is not"):
         MatrixPolyCurve.from_coeffs(coeffs, (0, 1))
+
+
+def test_from_coeffs_holds_one_stack_of_the_entries_read_once():
+    exact = MatrixPolyCurve.from_coeffs([[[1, "2/4"], (Fraction(3), "-1")]], (0, "1/2"))
+    assert exact.exact and exact.coeffs.shape == (1, 2, 2) and not exact.coeffs.flags.writeable
+    assert exact.coeffs.tolist() == [[[1, Fraction(1, 2)], [3, -1]]]
+    assert all(type(x) is Fraction for x in exact.coeffs.flat)
+    assert exact.interval == (0, Fraction(1, 2)) and type(exact.interval[0]) is int
+    mixed = MatrixPolyCurve.from_coeffs([np.eye(2), ((1, "1/3"), [0, 1])], ("0", 1.5))
+    assert not mixed.exact and mixed.coeffs.dtype == float
+    assert mixed.coeffs[1].tolist() == [[1.0, 1 / 3], [0.0, 1.0]]
+    assert mixed.interval == (Fraction(0), 1.5)
+
+
+@pytest.mark.parametrize("coeffs, interval, error, text", [
+    ([[[np.bool_(True)]]], (0, 1), DomainError, "coeffs[0]: expected int/float/str, got bool"),
+    ([[[0]], [[0.5]], [[10 ** 400]]], (0, 1), DomainError,
+     "coeffs[2]: number too large for a float"),
+    ([[[0]]], (0, 1, 2), DomainError, "interval: expected [a, b]"),
+    ([[[0]]], (0, "1/x"), DomainError, "interval: cannot parse rational '1/x'"),
+])
+def test_from_coeffs_refusals_name_their_field(coeffs, interval, error, text):
+    with pytest.raises(error) as info:
+        MatrixPolyCurve.from_coeffs(coeffs, interval)
+    assert str(info.value) == text
 
 
 def test_eval_outside_interval_raises():

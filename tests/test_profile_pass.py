@@ -26,9 +26,16 @@ def test_profile_of_one_rep_genericity_pass(tmp_path, monkeypatch, capsys):
     assert profile_pass.main(["--workload", "rep-genericity", "--seed", "7", "--top", "6",
                               "--sort", "cumtime"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert re.match(r"rep-genericity, seed 7, \d+ configs: unprofiled pass median [\d.]+ s "
-                    r"over 5 passes \([\d.]+-[\d.]+ s, unscaled\); profiled pass [\d.]+ s",
+    head = re.match(r"rep-genericity, seed 7, (\d+) configs: unprofiled pass median ([\d.]+) s "
+                    r"over 5 passes \([\d.]+-[\d.]+ s, unscaled\), parse_config \+ config_hash "
+                    r"median ([\d.]+) s \(([\d.]+) us per config\); profiled pass [\d.]+ s",
                     lines[0])
+    assert head
+    configs, pass_s, config_s, per_config_us = map(float, head.groups())
+    # the config layer is a part of the pass, and its per-config figure is
+    # its time over the configs, to the rounding of the two printed figures
+    assert 0 < config_s < pass_s
+    assert abs(per_config_us * configs * 1e-6 - config_s) <= 5e-5 + 5e-8 * configs
     assert lines[1] == "top 6 by cumtime; shares are of the profiled pass:"
     assert lines[2].split() == ["ncalls", "tottime", "share", "cumtime", "share", "function"]
     rows = lines[3:]

@@ -9,12 +9,15 @@ order, as `perfbench/run.py` does (without its calibration kernel). With
 --family F the pass runs only the configs whose `experiment_id` is F (for
 example correspondence-n1 of exact-dirichlet), so one family is profiled at
 a time; an F that no config of the workload has is refused. The
-script runs one warm pass, then five unprofiled passes, then one pass
-under cProfile, and prints:
+script runs one warm pass, then five unprofiled passes, then five
+unprofiled passes of the config layer alone (`parse_config` and
+`config_hash` of every config, the work of a pass before and around its
+runs), then one pass under cProfile, and prints:
 
 - the median, least and greatest unprofiled pass time, in seconds as
   measured (not rescaled to a reference machine speed, as perfbench's
-  `run_s` is), the profiled pass time, and which float LLL reduced the
+  `run_s` is), the median time of the config layer per pass and per
+  config, the profiled pass time, and which float LLL reduced the
   float stacks (`danilab.lattice.float_lll_backend()`): the compiled
   library's path, "python: <reason>" when `_lll` reduced every lane, or
   "none ran" when the pass reduced no float stack;
@@ -56,6 +59,14 @@ def run_pass(texts: list) -> float:
     start = perf_counter()
     for text in texts:
         cli.run(cli.parse_config(text))
+    return perf_counter() - start
+
+
+def config_pass(texts: list) -> float:
+    """Parse and hash every config text once, as a pass does; the time in s."""
+    start = perf_counter()
+    for text in texts:
+        cli.config_hash(cli.parse_config(text))
     return perf_counter() - start
 
 
@@ -113,6 +124,7 @@ def main(argv=None) -> int:
         texts = [json.dumps(config) for config in configs]
         run_pass(texts)  # warm: lazy set-up and kernel compilation
         times = [run_pass(texts) for _ in range(PASSES)]
+        config_time = statistics.median(config_pass(texts) for _ in range(PASSES))
         profile = cProfile.Profile()
         start = perf_counter()
         profile.runcall(run_pass, texts)
@@ -124,7 +136,9 @@ def main(argv=None) -> int:
     family = "" if args.family is None else f", family {args.family}"
     print(f"{args.workload}, seed {args.seed}{family}, {len(texts)} configs: unprofiled pass "
           f"median {statistics.median(times):.4f} s over {len(times)} passes "
-          f"({min(times):.4f}-{max(times):.4f} s, unscaled); profiled pass {profiled:.4f} s; "
+          f"({min(times):.4f}-{max(times):.4f} s, unscaled), parse_config + config_hash "
+          f"median {config_time:.4f} s ({config_time / len(texts) * 1e6:.1f} us per config); "
+          f"profiled pass {profiled:.4f} s; "
           f"float LLL: {lattice.float_lll_backend() or 'none ran'}")
     print(f"top {args.top} by {args.sort}; shares are of the profiled pass:")
     for line in rows(stats, args.sort, args.top):
