@@ -1,15 +1,18 @@
 """The float LLL of a whole stack, as compiled C.
 
 `SOURCE` is one C function that reduces every lane of a C-contiguous
-(M, m, m) float64 stack (m <= lattice.MAX_DIM) with the IEEE-double operations of
-`lattice._lll_source(m)`, in their order: every dot product is 0.0 + a0 z0
-+ a1 z1 + ..., summed left to right; q = nearbyint(mu) rounds half to even,
-as round() does; the Lovasz test at delta and the recomputation of row 0
-after a swap at k = 1 are the kernel's. Compiled with -ffp-contract=off and
-no -ffast-math, so that no product is fused into an FMA and no sum is
-reordered, it returns the bits `_lll(cols, delta, False)` returns. Each lane
-gets a status, nonzero exactly where `_lll` raises: past max_steps stages
-(1), a division by a zero norm (2) or the rounding of a non-finite mu (3).
+(M, m, m) float64 stack (m <= lattice.MAX_DIM) with the IEEE-double
+operations of `lattice._lll`, in their order: every dot product is 0.0 + a0
+z0 + a1 z1 + ..., summed left to right; q = nearbyint(mu) rounds half to
+even, as round() does; the Lovasz test at delta is `_lll`'s, and row 0,
+which `_lll` recomputes at the stage after a swap at k = 1, is recomputed
+at that swap. Compiled with -ffp-contract=off and no -ffast-math, so that
+no product is fused into an FMA and no sum is reordered, it returns `_lll`'s
+bits of the reduced columns, mu and norms, and its transform U as int64.
+A lane's status is nonzero where `_lll` raises: past max_steps stages (1),
+at a division by a zero norm (2) or the rounding of a non-finite mu (3); it
+is 4 where U left int64 (|q| >= 2^63, or an update overflowed), and `_lll`
+gives that lane's U.
 
 The library is compiled with the C compiler Python was built with
 (sysconfig's CC, else cc) into the user's cache, $XDG_CACHE_HOME/danilab
@@ -21,7 +24,9 @@ place, so a concurrent process never loads half a file, and the libraries
 of other sources or flags are then removed. Only the first process pays the
 compile; `subprocess`, `sysconfig` and `tempfile` are imported only then. A
 platform whose double arithmetic keeps excess precision (FLT_EVAL_METHOD
-not 0, as on x87) fails to compile, so `_lll` reduces every lane there.
+not 0, as on x87) fails to compile, and a compiler without the checked
+integer builtins (`__builtin_mul_overflow`, in GCC since 5 and in Clang)
+leaves no library that loads: `_lll` then reduces every lane.
 """
 
 import ctypes
@@ -38,6 +43,7 @@ from .lattice import MAX_DIM
 SOURCE = f"""
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
 
 #define MAX_DIM {MAX_DIM}
 """ + r"""
@@ -48,21 +54,24 @@ SOURCE = f"""
 #endif
 
 /* Lane `in` (m x m, row-major: coordinate c of column j at in[c m + j]) as
-   lattice._lll_source(m) reduces it without the transform: column j of the
-   result at b[j m + c], mu[i m + j] (zero on and above the diagonal) and
-   norms[i]. Returns 0, or the status of the first step _lll would raise at. */
+   lattice._lll reduces it: column j of the result at b[j m + c], mu[i m + j]
+   (zero on and above the diagonal), norms[i] and column j of U at
+   u[j m + i]. Returns 0; the status of the first step _lll would raise at;
+   or 4 when U left int64, and u is then not U. */
 static inline __attribute__((always_inline)) int
 reduce_lane(int m, const double *in, double delta, long max_steps, double *bo,
-            double *muo, double *no)
+            double *muo, double *no, int64_t *uo)
 {
     double b[MAX_DIM][MAX_DIM], z[MAX_DIM][MAX_DIM], mu[MAX_DIM][MAX_DIM];
     double n[MAX_DIM], a[MAX_DIM], t[MAX_DIM], s, x, q;
-    int i, j, c, k = 1;
+    int64_t u[MAX_DIM][MAX_DIM], w, p;
+    int i, j, c, k = 1, wide = 0;
     long steps = 0;
     for (j = 0; j < m; j++)
         for (c = 0; c < m; c++) {
             b[j][c] = in[c * m + j];
             mu[j][c] = 0.0;
+            u[j][c] = j == c;
         }
     s = 0.0;
     for (c = 0; c < m; c++) {
@@ -102,6 +111,11 @@ reduce_lane(int m, const double *in, double delta, long max_steps, double *bo,
                 for (i = 0; i < j; i++)
                     mu[k][i] = mu[k][i] - q * mu[j][i];
                 mu[k][j] = x - q;
+                /* u_k -= q u_j in int64 while every step fits */
+                wide = wide || !(fabs(q) < 0x1p63);
+                for (c = 0; c < m && !wide; c++)
+                    wide = __builtin_mul_overflow((int64_t)q, u[j][c], &p)
+                           || __builtin_sub_overflow(u[k][c], p, &u[k][c]);
             }
         }
         x = mu[k][k - 1];
@@ -112,6 +126,9 @@ reduce_lane(int m, const double *in, double delta, long max_steps, double *bo,
                 t[c] = b[k - 1][c];
                 b[k - 1][c] = b[k][c];
                 b[k][c] = t[c];
+                w = u[k - 1][c];
+                u[k - 1][c] = u[k][c];
+                u[k][c] = w;
             }
             if (k == 1) {
                 s = 0.0;
@@ -130,27 +147,28 @@ reduce_lane(int m, const double *in, double delta, long max_steps, double *bo,
         for (c = 0; c < m; c++) {
             bo[i * m + c] = b[i][c];
             muo[i * m + c] = mu[i][c];
+            uo[i * m + c] = u[i][c];
         }
     }
-    return 0;
+    return wide ? 4 : 0;
 }
 
-/* Every lane of the stack (1 <= m <= MAX_DIM); returns the lowest lane with
-   a nonzero status, or -1. Each m has its own copy of the lane loop, in
-   which reduce_lane's coordinate loops have a constant length. */
+/* Every lane of the stack (1 <= m <= MAX_DIM); returns the lowest lane that
+   _lll refuses (status 1 to 3), or -1. Each m has its own copy of the lane
+   loop, in which reduce_lane's coordinate loops have a constant length. */
 #define LANES(M)                                                            \
     for (lane = 0; lane < lanes; lane++) {                                  \
         status[lane] = reduce_lane(M, cols + lane * mm, delta, max_steps,   \
                                    b + lane * mm, mu + lane * mm,           \
-                                   norms + lane * M);                       \
-        if (status[lane] && first < 0)                                      \
+                                   norms + lane * M, u + lane * mm);        \
+        if (status[lane] && status[lane] < 4 && first < 0)                  \
             first = lane;                                                   \
     }                                                                       \
     break;
 
 long danilab_lll_stack(const double *cols, long lanes, int m, double delta,
                        long max_steps, double *b, double *mu, double *norms,
-                       int *status)
+                       int64_t *u, int *status)
 {
     long lane, first = -1, mm = (long)m * m;
     switch (m) {
@@ -246,8 +264,9 @@ def _compile(path: str) -> None:
 def load():
     """(reduce_stack, path): the library of `library_path()`, compiled
     first if it is not there, and its stack reduction as
-    reduce_stack(cols, delta, max_steps) -> (b, mu, norms, status, first),
-    first the lowest lane with a nonzero status or -1; it refuses a stack
+    reduce_stack(cols, delta, max_steps) -> (b, u, mu, norms, status,
+    first), u the int64 transforms and first the lowest lane with a status
+    from 1 to 3, or -1; it refuses a stack
     that is not (M, m, m) with 1 <= m <= MAX_DIM (ValueError) before the
     library reads it. Raises Unusable."""
     path = library_path()
@@ -262,7 +281,7 @@ def load():
         raise Unusable(f"cannot load {path}: {exc}") from None
     pointer = ctypes.c_void_p
     fn.argtypes = (pointer, ctypes.c_long, ctypes.c_int, ctypes.c_double, ctypes.c_long,
-                   pointer, pointer, pointer, pointer)
+                   pointer, pointer, pointer, pointer, pointer)
     fn.restype = ctypes.c_long
 
     def reduce_stack(cols: np.ndarray, delta: float, max_steps: int):
@@ -274,9 +293,10 @@ def load():
         b = np.empty((size, m, m))
         mu = np.empty((size, m, m))
         norms = np.empty((size, m))
+        u = np.empty((size, m, m), dtype=np.int64)
         status = np.empty(size, dtype=np.intc)
         first = fn(cols.ctypes.data, size, m, delta, max_steps, b.ctypes.data, mu.ctypes.data,
-                   norms.ctypes.data, status.ctypes.data)
-        return b, mu, norms, status, first
+                   norms.ctypes.data, u.ctypes.data, status.ctypes.data)
+        return b, u, mu, norms, status, first
 
     return reduce_stack, path

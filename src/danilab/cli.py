@@ -164,8 +164,11 @@ def _s_grid(value, where, curve):
     a, b = curve.interval
     if m == 1:
         return (a,)
-    step = (b - a) / (m - 1)
-    return tuple(a + k * step for k in range(m))
+    try:
+        step = (b - a) / (m - 1)
+        return tuple(a + k * step for k in range(m))
+    except OverflowError as exc:  # int ends beyond the doubles
+        raise ConfigError(f"{where}: number too large for a float") from exc
 
 
 # The top power k = 2n is the trivial representation: its V- is empty, and
@@ -200,7 +203,10 @@ def _observable_json(obs) -> dict:
 
 def _midpoint(curve):
     a, b = curve.interval
-    return _plain((a + b) / 2)
+    try:
+        return _plain((a + b) / 2)
+    except OverflowError as exc:  # int ends beyond the doubles
+        raise ConfigError("parameters.s0: number too large for a float") from exc
 
 
 def _field(rule, default=MISSING, canonical=None):
@@ -337,6 +343,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("output: must be a nonempty path stem")
     schema, _, sampled = _DISPATCH[subcommand]
     args, params = _parse_parameters(schema, raw.get("parameters", {}), curve)
+    try:  # the runs that read the ends as floats: `genericity_test` and the samplers
+        if subcommand in ("genericity", "equidist", "nondiv", "w-invariance"):
+            list(map(float, curve.interval))
+    except OverflowError as exc:  # int or 'p/q' ends beyond the doubles
+        raise ConfigError("curve.interval: number too large for a float") from exc
     sampler = None
     if "sampler" in raw:
         spec = _require(raw, "sampler", dict, "")

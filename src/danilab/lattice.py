@@ -13,30 +13,31 @@ bound scaled by den once.
 
 A query that walks LLL-reduces the basis once and enumerates the Euclidean
 ball ||v||_2 <= R (Fincke-Pohst; each level is tried outward from its
-projected center, as in Schnorr-Euchner). LLL tracks its transform only for
-the callers that read it (`reduce`, `shortest_supnorm`). Each LLL, float
-and integral, is one kernel per dimension m, generated with one branch per
-stage index, its Gram data in locals and every coordinate loop written out,
-and compiled once per m. The float dot products are summed left to right
-from 0.0, so a reduction has the same bits on every Python. The exact mode
-walks depth first in integers, by one generated kernel per m too
-(`_ball_walk`): one nested sweep per level, with no generator and no call
-per node.
+projected center, as in Schnorr-Euchner). The float LLL always tracks its
+transform U; the integral LLL tracks it only for the callers that read it
+(`reduce`, `shortest_supnorm`), and is one kernel per dimension m,
+generated with one branch per stage index, its Gram data in locals and
+every coordinate loop written out, and compiled once per m. The exact mode
+walks depth first in integers, by one generated kernel per m
+too (`_ball_walk`): one nested sweep per level, with no generator and no
+call per node.
 
 Every float basis is a lane of a `_Stack`: the bases of one
 `LatticeBasis.batch` share one, and a basis made alone has its own. A caller
 that reads whole answer lists (`stats.Observable.evaluate_stack`) takes the
 checked stack itself (`_checked_stack`, which `batch` wraps) and builds no
-bases. The first query of one box or bound, or of the shortest vector, on
-any lane reduces every lane and decides the query for every lane in one
-breadth-first walk over numpy arrays (`_stack_walk`), the one float
-enumerator, with the float operations of a depth-first walk in its order.
-Box counts and ball tests reduce the whole stack in one call of a compiled
-C LLL (`_clll`) that does `_lll`'s IEEE-double operations in `_lll`'s order,
-with no fused multiply-add, and so returns `_lll`'s bits. It is compiled
+bases. The first query on any lane reduces every lane once, with U, and
+each query of one box or bound, or of the shortest vector, is decided for
+every lane in one breadth-first walk over numpy arrays (`_stack_walk`), the
+one float enumerator, with the float operations of a depth-first walk in
+its order. The float LLL exists twice: `_lll`, a plain loop whose dot
+products are summed left to right from 0.0, so a reduction has the same
+bits on every Python; and a compiled C LLL (`_clll`) that reduces a whole
+stack in one call with `_lll`'s IEEE-double operations in `_lll`'s order
+and U in int64 (`_lll` gives the U of a lane past int64). It is compiled
 once per machine into the user's cache and used only after it reproduces
-`_lll` on a few fixed lanes; without a C compiler, with an unusable cache or
-after a failed check, every lane is reduced by `_lll`, and
+`_lll` on a few fixed lanes; without a C compiler, with an unusable cache
+or after a failed check, every lane is reduced by `_lll`, and
 `float_lll_backend()` says which of the two reduces float stacks.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
@@ -259,62 +260,6 @@ def _each(fmt, m: int, sep="; ") -> str:
     return sep.join(fmt.format(c=c) for c in range(m))
 
 
-# The float LLL for m x m bases, as one branch per stage index k. Stage k
-# recomputes only Gram-Schmidt row k (`_lll` says why); the k = 1 branch
-# recomputes row 0 at its swap. Each branch spells out row k, the size
-# reduction against j = k - 1, ..., 0 and the Lovasz test, with every
-# coordinate loop written out. Row i of the Gram-Schmidt data is held in
-# locals: b*_i in zi_0, zi_1, ..., mu[i][j] in mi_j and ||b*_i||^2 in ni. A
-# dot product reads 0.0 + a0 * z0_0 + a1 * z0_1 + ..., summed left to right
-# as builtin sum() did before Python 3.12. The columns stay tuples and the
-# transform rows lists: only `reduce` and `shortest_supnorm` track the
-# transform.
-def _lll_source(m: int) -> str:
-    """The text of `_lll`'s kernel for m x m bases."""
-    row0 = [f"{_vec('z0_', m)} = b[0]", f"n0 = 0.0 + {_dot('z0_', 'z0_', m)}"]
-    lines = ["def kernel(cols, delta, transform, max_steps):",
-             "    b = [tuple(col) for col in cols]",
-             f"    u = [[1 if i == j else 0 for i in range({m})] for j in range({m})] "
-             "if transform else None",
-             *("    " + line for line in row0),
-             "    k = 1",
-             "    steps = 0",
-             f"    while k < {m}:",
-             "        steps += 1",
-             "        if steps > max_steps:",
-             '            raise InternalIdentityError("LLL failed to terminate at desk scale")']
-    for k in range(1, m):
-        z = f"z{k}_"
-        lines += [f"        {'if' if k == 1 else 'elif'} k == {k}:",
-                  f"            {_vec('a', m)} = {_vec(z, m)} = b[{k}]"]
-        for j in range(k):
-            lines += [f"            m{k}_{j} = (0.0 + {_dot('a', f'z{j}_', m)}) / n{j}",
-                      "            " + _each(f"{z}{{c}} -= m{k}_{j} * z{j}_{{c}}", m)]
-        lines.append(f"            n{k} = 0.0 + {_dot(z, z, m)}")
-        for j in range(k - 1, -1, -1):
-            lines += [f"            if not -0.5 <= m{k}_{j} <= 0.5:  # round(mu) != 0",
-                      f"                q = round(m{k}_{j})",
-                      f"                {_vec('s', m)} = b[{j}]",
-                      "                " + _each("a{c} -= q * s{c}", m),
-                      f"                b[{k}] = {_vec('a', m)}",
-                      "                if transform:",
-                      f"                    u[{k}] = [x - q * y for x, y in zip(u[{k}], u[{j}])]",
-                      *(f"                m{k}_{i} -= q * m{j}_{i}" for i in range(j)),
-                      f"                m{k}_{j} -= q"]
-        lines += [f"            if n{k} >= (delta - m{k}_{k - 1} * m{k}_{k - 1}) * n{k - 1}:",
-                  f"                k = {k + 1}",
-                  "            else:",
-                  f"                b[{k - 1}], b[{k}] = b[{k}], b[{k - 1}]",
-                  "                if transform:",
-                  f"                    u[{k - 1}], u[{k}] = u[{k}], u[{k - 1}]",
-                  *(["                " + line for line in row0] if k == 1 else
-                    [f"                k = {k - 1}"])]
-    mu = ", ".join("[" + ", ".join(f"m{i}_{j}" if j < i else "0" for j in range(m)) + "]"
-                   for i in range(m))
-    lines.append(f"    return b, u, [{mu}], [{', '.join(f'n{i}' for i in range(m))}]")
-    return "\n".join(lines) + "\n"
-
-
 def _compile(source, m: int):
     """The function `kernel` that the text source(m) defines, compiled, with
     its code named after the module and function of source, as in
@@ -329,8 +274,8 @@ def _compile(source, m: int):
 
 def _check_size(m: int) -> None:
     """The module's one size rule: m < 1 and m > MAX_DIM are refused, for
-    every reduction and query (by `_kernel`, and by `_Stack.reduced` before
-    the compiled LLL reads a stack)."""
+    every reduction and query (by `_kernel`, and by `_reduce_lanes` before
+    a float stack is reduced)."""
     if m < 1:
         raise InvariantError("LLL needs at least one column")
     if m > MAX_DIM:
@@ -340,43 +285,82 @@ def _check_size(m: int) -> None:
 @functools.cache
 def _kernel(source, m: int):
     """`_compile(source, m)` for m x m bases, compiled on first use; source
-    is `_lll_source`, `_lll_integral_source` or `_ball_walk_source`. The
-    size rule (`_check_size`) runs here, so a cached kernel pays nothing for
-    it."""
+    is `_lll_integral_source` or `_ball_walk_source`. The size rule
+    (`_check_size`) runs here, so a cached kernel pays nothing for it."""
     _check_size(m)
     return _compile(source, m)
 
 
-def _lll(cols, delta: float = _DELTA, transform: bool = True):
+def _fdot(x, y) -> float:
+    """sum_i x_i y_i, summed left to right from 0.0 (builtin sum()
+    compensates float sums since Python 3.12)."""
+    return functools.reduce(operator.add, map(operator.mul, x, y), 0.0)
+
+
+def _lll(cols, delta: float = _DELTA):
     """LLL reduction of the float column list; returns (reduced columns, U
-    columns, mu, norms) with reduced[j] = sum_i original[i] * U[j][i], and
-    mu[i][j] (j < i) and norms[i] = ||b*_i||^2 the Gram-Schmidt data of the
-    reduced columns. The reduced columns are tuples and U, mu and norms
-    lists. With transform false U is not tracked and None comes back in its
-    place; the other three are the same.
+    columns, mu, norms) as lists, with reduced[j] = sum_i original[i] *
+    U[j][i], U in Python ints, and mu[i][j] (j < i) and norms[i] =
+    ||b*_i||^2 the Gram-Schmidt data of the reduced columns: the reference
+    the compiled stack LLL is held to (`_matches_lll`).
 
-    The work is done by one kernel per dimension m, `_lll_source(m)`
-    compiled once per m by `_kernel`. Gram-Schmidt row i holds mu[i][j] =
-    <b_i, b*_j> / ||b*_j||^2 and b*_i = b_i - sum_j mu[i][j] b*_j,
-    subtracted in j order; every dot product is summed left to right
-    from 0.0, so each reduction has the same bits on every Python (builtin
-    sum() compensates float sums since 3.12).
-
-    A size-reduction step updates row k of mu in place. A swap invalidates
-    the Gram-Schmidt rows from k-1 up, and a row is recomputed from the
-    current columns only when the stage index reaches it again. So every
-    stage at index k recomputes exactly row k, and row 0 is recomputed only
-    after a swap at k = 1, which leaves k at 1: the kernel holds one branch
-    per k, with the Gram-Schmidt data in locals and every loop written out,
-    and recomputes row 0 at that swap, by the same arithmetic. The two-row
-    swap update (Cohen, Alg. 2.6.3) would avoid those recomputations, but in
-    floats it drifts away from the columns: on flowed lattices a_t u(phi) at
-    n = 2, t = 8 its ||b*||^2 are off by several percent. The exact mode
-    runs the same steps on integer Gram data (`_lll_integral`, one
-    generated kernel per m as well), where the swap update is exact. More
-    than _MAX_LLL_STEPS stages raise InternalIdentityError.
+    Gram-Schmidt row i holds mu[i][j] = <b_i, b*_j> / ||b*_j||^2 and b*_i =
+    b_i - sum_j mu[i][j] b*_j, subtracted in j order; every dot product is
+    summed left to right from 0.0 (`_fdot`), so each reduction has the same
+    bits on every Python. A size-reduction step updates row k of mu in
+    place. A swap invalidates the Gram-Schmidt rows from k-1 up, and a row
+    is recomputed from the current columns only when the stage index
+    reaches it again. The two-row swap update (Cohen, Alg. 2.6.3) would
+    avoid those recomputations, but in floats it drifts away from the
+    columns: on flowed lattices a_t u(phi) at n = 2, t = 8 its ||b*||^2 are
+    off by several percent. The exact mode runs the same steps on integer
+    Gram data (`_lll_integral`), where the swap update is exact. More than
+    _MAX_LLL_STEPS stages raise InternalIdentityError.
     """
-    return _kernel(_lll_source, len(cols))(cols, delta, transform, _MAX_LLL_STEPS)
+    m = len(cols)
+    b = [list(col) for col in cols]
+    u = [[int(i == j) for i in range(m)] for j in range(m)]
+    mu = [[0.0] * m for _ in range(m)]
+    bstar = [None] * m
+    norms = [0.0] * m
+
+    def gram_schmidt_row(i):
+        v = b[i]
+        row = mu[i]
+        for j in range(i):
+            row[j] = x = _fdot(b[i], bstar[j]) / norms[j]
+            v = [y - x * z for y, z in zip(v, bstar[j])]
+        bstar[i] = v
+        norms[i] = _fdot(v, v)
+
+    gram_schmidt_row(0)
+    fresh = 1  # Gram-Schmidt rows below `fresh` match the current columns
+    k = 1
+    steps = 0
+    while k < m:
+        steps += 1
+        if steps > _MAX_LLL_STEPS:
+            raise InternalIdentityError("LLL failed to terminate at desk scale")
+        while fresh <= k:
+            gram_schmidt_row(fresh)
+            fresh += 1
+        row = mu[k]
+        for j in range(k - 1, -1, -1):
+            q = round(row[j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                for i in range(j):
+                    row[i] -= q * mu[j][i]
+                row[j] -= q
+        if norms[k] >= (delta - row[k - 1] * row[k - 1]) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            fresh = k - 1
+            k = max(k - 1, 1)
+    return b, u, mu, norms
 
 
 # What `_lll` raises on a lane: a zero norm (ZeroDivisionError), a non-finite
@@ -392,36 +376,43 @@ def _check_lanes() -> list:
     """The stacks the compiled LLL must reduce as `_lll` does before it is
     used: signed zeros (-I puts -0.0 into both products of <b1, b0>, the
     others keep a -0.0 entry that a step with q = 0 meets), half ties (mu =
-    +-0.5, +-2.5), a lane `_lll` refuses (its first swap leaves a zero norm),
-    and the flowed n = 2 lane a_8 u(phi), which takes a long swap chain."""
+    +-0.5, +-2.5), a lane `_lll` refuses (its first swap leaves a zero
+    norm), a Fibonacci pair whose 5 swaps each follow a size reduction, a
+    pair whose quotient 2^70 and an m = 3 lane whose U entry 2^80 leave
+    int64, and the flowed n = 2 lane a_8 u(phi), which takes a long swap
+    chain."""
     pairs = ([[[-1.0, 0.0], [0.0, -1.0]], [[-1.0, -0.0], [-0.0, -1.0]],
               [[-1.0, -0.0], [0.25, 1.0]], [[2.0, -0.0], [-0.5, 0.5]]]
              + [[[2.0, x], [0.0, 0.5]] for x in (1.0, -1.0, 5.0, -5.0)]
-             + [[[1e300, 0.0], [0.0, 1e-300]]])
+             + [[[1e300, 0.0], [0.0, 1e-300]], [[89.0, 55.0], [55.0, 34.0]],
+                [[1.0, 2.0 ** 70], [0.0, 1.0]]])
     e = math.exp(8.0)
     flowed = [[e, 0.0, e * 0.5, e * -1.25], [0.0, e, e * 0.75, e * 0.375],
               [0.0, 0.0, 1 / e, 0.0], [0.0, 0.0, 0.0, 1 / e]]
-    return [np.array(pairs), np.array([flowed])]
+    chain = [[1.0, 2.0 ** 40, 0.0], [0.0, 1.0, 2.0 ** 40], [0.0, 0.0, 1.0]]
+    return [np.array(pairs), np.array([chain]), np.array([flowed])]
 
 
 def _matches_lll(reduce_stack) -> bool:
     """Does reduce_stack reduce every lane of `_check_lanes()` as `_lll`
-    does: the bytes of b, mu and norms, and a nonzero status exactly where
-    `_lll` raises? `_lll`'s kernel is called directly, so a caller that
-    counts or refuses `_lll` calls sees none of these."""
+    does: a status from 1 to 3 exactly where `_lll` raises, and elsewhere
+    the bytes of b, mu and norms, and U as integers where the status is 0?
+    (Status 4, U past int64, is allowed on any lane `_lll` reduces: an
+    update of U may overflow where the final U fits.)"""
     for stack in _check_lanes():
-        b, mu, norms, status, _ = reduce_stack(stack, _DELTA, _MAX_LLL_STEPS)
+        b, u, mu, norms, status, _ = reduce_stack(stack, _DELTA, _MAX_LLL_STEPS)
         for lane, cols in enumerate(stack.transpose(0, 2, 1).tolist()):
             try:
-                want, _, want_mu, want_norms = _kernel(_lll_source, len(cols))(
-                    cols, _DELTA, False, _MAX_LLL_STEPS)
+                want, want_u, want_mu, want_norms = _lll(cols)
             except _LLL_ERRORS:
-                if not status[lane]:
+                if not 1 <= status[lane] <= 3:
                     return False
                 continue
             got = [x[lane].tobytes() for x in (b, mu, norms)]
-            if status[lane] or got != [np.array(x, dtype=float).tobytes()
-                                       for x in (want, want_mu, want_norms)]:
+            if (status[lane] not in (0, 4)
+                    or got != [np.array(x, dtype=float).tobytes()
+                               for x in (want, want_mu, want_norms)]
+                    or status[lane] == 0 and u[lane].tolist() != want_u):
                 return False
     return True
 
@@ -451,35 +442,77 @@ def float_lll_backend():
     return None if _COMPILED is None else _COMPILED[1]
 
 
+def _reduce_lanes(cols: np.ndarray, delta: float, name) -> tuple:
+    """(b, u, mu, norms): `_lll` of every lane of the (M, m, m) float64
+    stack cols at delta, as arrays: b[lane, j] and u[lane, j] are columns
+    of the reduced basis and of U. One call of the compiled stack LLL
+    (`_compiled_lll`) makes them, or `_lll` lane by lane where that is not
+    in use. u is int64, or holds Python ints (dtype object) where a lane's
+    U leaves int64; `_lll` gives that lane's U. Whatever `_lll` raises on a
+    lane is raised for the lowest such lane as name(error, lane); a lane
+    the library refuses is reduced again by `_lll` to raise its error."""
+    def lll(lane):
+        try:
+            return _lll(_float_columns(cols[lane]), delta)
+        except _LLL_ERRORS as exc:
+            raise name(exc, lane)
+
+    _check_size(cols.shape[1])
+    reduce_stack = _compiled_lll()
+    if reduce_stack is None:  # lane by lane into the arrays: no list of every lane
+        size, m, _ = cols.shape
+        b, mu, norms = np.empty((size, m, m)), np.empty((size, m, m)), np.empty((size, m))
+        u = np.empty((size, m, m), dtype=np.int64)
+        wide = []
+        for lane in range(size):
+            b[lane], ucols, mu[lane], norms[lane] = lll(lane)
+            try:
+                u[lane] = ucols
+            except OverflowError:
+                wide.append((lane, ucols))
+    else:
+        b, u, mu, norms, status, first = reduce_stack(cols, delta, _MAX_LLL_STEPS)
+        if first >= 0:
+            lll(first)
+            raise name(InternalIdentityError("the compiled LLL refused a lane that _lll reduces"),
+                       first)
+        wide = [(lane, lll(lane)[1]) for lane in np.flatnonzero(status).tolist()]  # status 4
+    if wide:
+        u = u.astype(object)
+        for lane, ucols in wide:
+            u[lane] = ucols
+    return b, u, mu, norms
+
+
 class _Stack:
     """The lanes of one float stack: its (M, m, m) columns, their LLL
     reductions and the answers of its queries for every lane, each made on
     first use. A `batch` stack is `named`: a lane that fails raises with its
     index as `sample_index`; the stack of a lone basis names none.
 
-    Box counts and ball tests read one reduction per lane, without the
-    transform: reduced columns b[lane, j] (column j), mu[lane, i, j] (j < i)
-    and norms[lane, j], made for every lane by one call of the compiled
-    stack LLL (`_compiled_lll`), or lane by lane by `_lll` where that is not
-    in use; both read the columns as float64 and give `_lll`'s bits. The
-    shortest vector reduces each lane with `_lll` and the transform, which
-    its tie-break reads. Whatever `_lll` raises on a lane is raised for the
-    lowest such lane, named; a lane that the compiled LLL gives a nonzero
-    status is reduced again by `_lll` to raise it. A query is decided for
-    every lane in one walk (`_stack_walk`), save a ball test at m = 2,
-    which reads four vectors of each reduced pair (`shorter`); a lane past
-    _MAX_NODES, or whose shortest vector fails a check, answers with its
-    error, and the other lanes still answer.
+    Every query reads one reduction per lane, made for every lane on the
+    first query by `_reduce_lanes` (one call of the compiled stack LLL, or
+    `_lll` lane by lane where that is not in use; both read the columns as
+    float64 and give `_lll`'s bits): reduced columns b[lane, j] (column
+    j), mu[lane, i, j] (j < i) and norms[lane, j], which `reduced` gives,
+    and the transform columns `_transform[lane, j]`, which the tie-break of
+    the shortest vector reads. Whatever `_lll` raises on a lane is raised
+    for the lowest such lane, named. A query is decided for every lane in
+    one walk (`_stack_walk`), save a ball test at m = 2, which reads four
+    vectors of each reduced pair (`shorter`); a lane past _MAX_NODES, or
+    whose shortest vector fails a check, answers with its error, and the
+    other lanes still answer.
     `read` gives one lane's answer, or every lane's; `below` and `minimum`
     read the ball test and the shortest vector.
     """
 
-    __slots__ = ("cols", "named", "_reduced", "_answers")
+    __slots__ = ("cols", "named", "_reduced", "_transform", "_answers")
 
     def __init__(self, cols: np.ndarray, named: bool):
         self.cols = cols
         self.named = named
         self._reduced = None
+        self._transform = None
         self._answers = {}
 
     def _name(self, exc: Exception, lane: int) -> Exception:
@@ -516,37 +549,13 @@ class _Stack:
         """`shortest_supnorm` of one lane (every lane when lane is None)."""
         return self.read(lane, "shortest", self.shortest)
 
-    def _lll_lane(self, lane: int, cols: list, transform: bool):
-        """`_lll` of the lane's column list, its error named by the lane."""
-        try:
-            return _lll(cols, _DELTA, transform)
-        except _LLL_ERRORS as exc:
-            raise self._name(exc, lane)
-
-    def _lll_lanes(self, transform: bool) -> list:
-        return [self._lll_lane(lane, cols, transform)
-                for lane, cols in enumerate(self.cols.transpose(0, 2, 1).tolist())]
-
     def reduced(self) -> tuple:
-        """(b, mu, norms), the reductions of every lane, made on first call."""
+        """(b, mu, norms), the reductions of every lane, made with their
+        transforms (`_transform`) on first call."""
         if self._reduced is None:
             cols = np.asarray(self.cols, dtype=np.float64)  # both backends read float64
-            _check_size(cols.shape[1])
-            reduce_stack = _compiled_lll()
-            if reduce_stack is None:  # lane by lane into the arrays: no list of every lane
-                size, m, _ = cols.shape
-                b, mu, norms = np.empty((size, m, m)), np.empty((size, m, m)), np.empty((size, m))
-                for lane in range(size):
-                    b[lane], _, mu[lane], norms[lane] = self._lll_lane(
-                        lane, cols[lane].T.tolist(), False)
-                self._reduced = b, mu, norms
-            else:
-                b, mu, norms, _, first = reduce_stack(cols, _DELTA, _MAX_LLL_STEPS)
-                if first >= 0:
-                    self._lll_lane(first, cols[first].T.tolist(), False)
-                    raise self._name(InternalIdentityError(
-                        "the compiled LLL refused a lane that _lll reduces"), first)
-                self._reduced = b, mu, norms
+            b, self._transform, mu, norms = _reduce_lanes(cols, _DELTA, self._name)
+            self._reduced = b, mu, norms
         return self._reduced
 
     def counts(self, w: list) -> list:
@@ -588,8 +597,7 @@ class _Stack:
         sup-norm of its shortest reduced column, walked once, holds its every
         vector of sup-norm <= L; the ties, recombination and checks are then
         those of one basis, in its order."""
-        b, ucols, mu, norms = zip(*self._lll_lanes(True))
-        b = np.array(b)
+        b, mu, norms = self.reduced()
         size, m, _ = b.shape
         short = np.abs(b).max(axis=2).min(axis=1)
         walk = np.flatnonzero(short > 0)
@@ -602,7 +610,7 @@ class _Stack:
                                 leaves(keep).astype(np.int64).tolist()):
                 found[k].append(leaf)
 
-        dropped = set(walk[_stack_walk(b[walk], np.array(mu, dtype=float)[walk], np.array(norms)[walk],
+        dropped = set(walk[_stack_walk(b[walk], mu[walk], norms[walk],
                                        m * short[walk] * short[walk], visit)].tolist())
         out = []
         for i in range(size):
@@ -615,7 +623,8 @@ class _Stack:
             else:
                 best = min(found[i])[0]
                 ties = [c for length, c in found[i] if length == best]
-                coeffs = np.array(_first_original(ucols[i], ties), dtype=np.int64)
+                coeffs = np.array(_first_original(self._transform[i].tolist(), ties),
+                                  dtype=np.int64)
                 vector = np.asarray(self.cols[i] @ coeffs, dtype=float)
                 length = float(max(abs(x) for x in vector))
                 out.append(_minkowski_error(length) if length > 1 + _MINKOWSKI_FLOAT_TOL
@@ -734,9 +743,9 @@ def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> 
     return dropped
 
 
-# The integral LLL for m x m bases, as one branch per stage index k, in the
-# idiom of `_lll_source`: lam[i][j] is held in li_j and d[i] in di (d[0] = 1
-# is never written). Branch k computes row k if `fresh` (the number of rows
+# The integral LLL for m x m bases, as one branch per stage index k: the
+# Gram data held in locals, lam[i][j] in li_j and d[i] in di (d[0] = 1 is
+# never written), and every coordinate loop written out. Branch k computes row k if `fresh` (the number of rows
 # computed) says it is new, then spells out the size reduction with round(lam
 # / d) half to even inline, the Lovasz test and the swap, whose update of row
 # i > k is emitted under `if fresh > i`.
@@ -970,8 +979,9 @@ def reduce(basis: LatticeBasis, delta: float = None):
         b, u, _, _ = _lll_integral(basis.int_cols, delta)
         reduced = LatticeBasis.from_integral(b, basis.den)
     else:
-        b, u, _, _ = _lll(_float_columns(basis.cols), _DELTA if delta is None else delta)
-        reduced = LatticeBasis(np.array(b, dtype=float).T)
+        b, u, _, _ = _reduce_lanes(np.asarray(basis.cols, dtype=np.float64)[None],
+                                   _DELTA if delta is None else float(delta), lambda exc, _: exc)
+        reduced, u = LatticeBasis(b[0].T), u[0].tolist()
     m = basis.m
     transform = np.array([[u[j][i] for j in range(m)] for i in range(m)],
                          dtype=object if exact else np.int64)

@@ -11,9 +11,9 @@ when the estimator compares them, checks the stack once
 (`lattice._checked_stack`), and takes the means and standard errors of
 every flow time's values in index order, in one pass over the (blocks, M)
 value array. The first box count, ball test or shortest vector LLL-reduces
-every lane once (a box or ball in one call of the compiled stack LLL; the
-shortest vector with the transform) and decides it for every lane in one
-breadth-first walk. K_mu indicators, nondivergence and lambda1 read that
+every lane once, with its transform, in one call of the compiled stack LLL
+(or lane by lane without it), and each query is decided for every lane in
+one breadth-first walk. K_mu indicators, nondivergence and lambda1 read that
 answer list in one call (`Observable.evaluate_stack`) and build no
 per-sample basis; Siegel counts still make the stack's bases
 (`LatticeBasis.batch`) and read them one sample at a time. Per-sample

@@ -109,14 +109,13 @@ class _BallWalk:
                 x += direction
 
 
-def _prepare(basis, transform: bool = False):
+def _prepare(basis):
     """(reduced columns, transform columns, (mu, norms)) of the basis's
-    scalar float LLL reduction; the transform is None unless asked for."""
+    scalar float LLL reduction."""
     if basis.m > lattice.MAX_DIM:
         raise UnsupportedSizeError(
             f"dimension {basis.m} exceeds the supported bound {lattice.MAX_DIM}")
-    b, u, mu, norms = lattice._lll(lattice._float_columns(basis.cols), lattice._DELTA,
-                                   transform)
+    b, u, mu, norms = lattice._lll(lattice._float_columns(basis.cols))
     return b, u, (mu, norms)
 
 
@@ -125,7 +124,7 @@ def shortest_supnorm(basis) -> ShortVectorResult:
     reduced column L, shrunk to m L'^2 whenever a shorter vector L' turns
     up; ties go to the lexicographically smallest sign-normalized
     coefficient vector in the input basis."""
-    bred, ucols, gram = _prepare(basis, True)
+    bred, ucols, gram = _prepare(basis)
     m = basis.m
     best = min(_sup(col) for col in bred)
     if best == 0:

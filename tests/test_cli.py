@@ -473,6 +473,37 @@ def test_integers_beyond_the_doubles_refused_by_name(subcommand, parameters, whe
     assert not (tmp_path / "r.jsonl").exists()
 
 
+# Each subcommand on the interval [0, HUGE]: refused by the field that reads
+# an end as a float, or run (where None) when no end is read as a float.
+@pytest.mark.parametrize("subcommand, parameters, where", [
+    ("genericity", {}, "parameters.s0"),
+    ("genericity", {"s0": 1}, "curve.interval"),
+    ("rep-verify", {"rep": {"kind": "adjoint"}}, "parameters.s0"),
+    ("rep-verify", {"rep": {"kind": "adjoint"}, "s0": 1}, None),
+    ("dirichlet-scan", {"mu": "1/2", "N_set": [2], "s_grid": {"count": 3}}, "parameters.s_grid"),
+    ("dirichlet-scan", {"mu": "1/2", "N_set": [2], "s_grid": {"count": 1}}, None),
+    ("correspondence", {"mu": "1/2", "N_set": [2, 3], "s_grid": [0, "1/2"]}, None),
+    ("equidist", {"t_list": [1.0], "box": [1.5, 1.5]}, "curve.interval"),
+    ("nondiv", {"t_list": [1.0], "eps": 0.125}, "curve.interval"),
+    ("w-invariance", {"t_list": [1.0]}, "curve.interval"),
+])
+def test_interval_end_beyond_the_doubles_refused_where_read_as_a_float(subcommand, parameters,
+                                                                     where, tmp_path, capsys):
+    cfg = base_config(subcommand=subcommand, parameters=parameters, output=str(tmp_path / "r"))
+    cfg["curve"]["interval"] = [0, HUGE]
+    if subcommand in ("genericity", "dirichlet-scan", "correspondence"):
+        del cfg["sampler"]
+    code = main([subcommand, "--config", str(write_config(tmp_path, cfg))])
+    if where is None:
+        assert code == EXIT_OK and (tmp_path / "r.jsonl").exists()
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(cfg))
+    assert str(info.value) == f"{where}: number too large for a float"
+    assert code == EXIT_CONFIG and not (tmp_path / "r.jsonl").exists()
+    assert capsys.readouterr().err == f"danilab: {where}: number too large for a float\n"
+
+
 @pytest.mark.parametrize("cfg, where", [
     (base_config(parameters={"t_list": [1.0], "box": [1.5, 1.5], "normalise": True}),
      "parameters.normalise"),

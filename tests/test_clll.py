@@ -3,12 +3,14 @@ fallback of `lattice` to `_lll` per lane.
 
 A fresh cache directory gets the library compiled once, with mode 0700, and
 a second load reuses the file without running the compiler; wherever a C
-compiler is found, that library must pass its check against `_lll`. A missing
-compiler and a group-writable cache each leave the process on `_lll`, with
-the reason recorded in `lattice.float_lll_backend()`, and every answer
-equal to the library's; so does a platform whose doubles keep excess
-precision, where the source refuses to compile. A compile removes the
-cache's libraries of other sources, and nothing else.
+compiler is found, that library must pass its check against `_lll`, whose
+lanes reach every status and a transform made by size reductions and swaps.
+A missing compiler, a group-writable cache and a library that returns one
+wrong transform entry each leave the process on `_lll`, with the reason
+recorded in `lattice.float_lll_backend()`, and every answer equal to the
+library's; so does a platform whose doubles keep excess precision, where
+the source refuses to compile. A compile removes the cache's libraries of
+other sources, and nothing else.
 """
 
 import os
@@ -100,6 +102,31 @@ def test_group_writable_cache_falls_back_to_lll(compiled_lll, cache, monkeypatch
     assert answers() == want
     assert lattice.float_lll_backend() == f"python: cache {folder} is group- or world-writable"
     assert runs == [] and os.listdir(folder) == []
+
+
+def test_library_with_a_wrong_transform_falls_back_to_lll(compiled_lll, monkeypatch):
+    # the check lanes reach status 2 (a zero norm) and 4 (a quotient 2^70
+    # and an m = 3 U entry 2^80 leave int64); one wrong U entry, of the
+    # flowed check lane, leaves the process on `_lll`
+    assert [compiled_lll(stack, lattice._DELTA, lattice._MAX_LLL_STEPS)[4].tolist()
+            for stack in lattice._check_lanes()] == [[0] * 8 + [2, 0, 4], [4], [0]]
+    want = answers()
+    load = _clll.load
+
+    def load_wrong():
+        reduce_stack, path = load()
+
+        def reduce_wrong(cols, delta, max_steps):
+            b, u, mu, norms, status, first = reduce_stack(cols, delta, max_steps)
+            u[0, 0, 0] += cols.shape[1] == 4
+            return b, u, mu, norms, status, first
+        return reduce_wrong, path
+
+    monkeypatch.setattr(_clll, "load", load_wrong)
+    first_reduction(monkeypatch)
+    assert answers() == want
+    assert lattice.float_lll_backend() == (
+        f"python: {_clll.library_path()} does not reduce the check lanes as _lll does")
 
 
 @pytest.mark.skipif(not have_compiler(), reason="no C compiler")

@@ -435,7 +435,7 @@ def lane_bytes(b, mu, norms):
 
 def scalar_lll_bytes(cols, delta=lattice._DELTA):
     """`lane_bytes` of `_lll`'s reduction of the m x m float basis cols."""
-    b, _, mu, norms = lattice._lll(lattice._float_columns(cols), delta, False)
+    b, _, mu, norms = lattice._lll(lattice._float_columns(cols), delta)
     return lane_bytes(b, mu, norms)
 
 
@@ -443,8 +443,8 @@ def compiled_lanes(reduce_stack, stack, delta=lattice._DELTA):
     """Per lane of the compiled stack LLL's reduction of the stack: its
     `lane_bytes`, or None where its status is nonzero; with the lowest lane
     it reports."""
-    b, mu, norms, status, first = reduce_stack(np.asarray(stack, dtype=float), delta,
-                                               lattice._MAX_LLL_STEPS)
+    b, _, mu, norms, status, first = reduce_stack(np.asarray(stack, dtype=float), delta,
+                                                  lattice._MAX_LLL_STEPS)
     return [None if status[i] else lane_bytes(b[i], mu[i], norms[i])
             for i in range(len(status))], first
 
@@ -854,10 +854,9 @@ def stack_queries(bases, m):
             + [in_mahler_compact(b, 0.05) for b in bases])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_stack_queries_build_no_ball_walk_and_reduce_each_lane_once(monkeypatch, n):
-    stack = orbit_points(generic_curve(n), np.linspace(1.0, 2.0, 12), 3.0)
-    want = stack_queries([LatticeBasis(cols) for cols in stack], 2 * n)
+def count_reductions(monkeypatch) -> dict:
+    """The calls of `_lll` and of the compiled stack LLL, where it is in
+    use, counted from now on."""
     calls = {"_lll": 0, "library": 0}
 
     def counted(name, fn):
@@ -867,10 +866,17 @@ def test_stack_queries_build_no_ball_walk_and_reduce_each_lane_once(monkeypatch,
         return call
 
     monkeypatch.setattr(lattice, "_lll", counted("_lll", lattice._lll))
-    reduce_stack = lattice._compiled_lll()
-    if reduce_stack is not None:
-        monkeypatch.setattr(lattice, "_COMPILED",
-                            (counted("library", reduce_stack), lattice.float_lll_backend()))
+    if lattice._compiled_lll() is not None:
+        monkeypatch.setattr(lattice, "_COMPILED", (counted("library", lattice._compiled_lll()),
+                                                   lattice.float_lll_backend()))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stack_queries_build_no_ball_walk_and_reduce_each_lane_once(monkeypatch, n):
+    stack = orbit_points(generic_curve(n), np.linspace(1.0, 2.0, 12), 3.0)
+    want = stack_queries([LatticeBasis(cols) for cols in stack], 2 * n)
+    calls = count_reductions(monkeypatch)
 
     def refuse(*args):
         raise AssertionError("a stack box or ball query ran the exact ball walk")
@@ -880,21 +886,26 @@ def test_stack_queries_build_no_ball_walk_and_reduce_each_lane_once(monkeypatch,
     assert calls == {"_lll": 0, "library": 0}  # nothing reduces before a query
     assert stack_queries(bases, 2 * n) == want
     # one library call for the whole stack; `_lll` per lane only without it
-    assert calls == ({"_lll": 0, "library": 1} if reduce_stack is not None
+    assert calls == ({"_lll": 0, "library": 1} if lattice._compiled_lll() is not None
                      else {"_lll": len(stack), "library": 0})
 
 
-def test_lambda1_stacks_reduce_each_sample_alone(monkeypatch):
-    curve = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
-    bases = LatticeBasis.batch(orbit_points(curve, np.linspace(1.0, 2.0, 5), 3.0))
-    calls = []
-    scalar = lattice._lll
-    monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(args[2:]) or scalar(*args))
-    want = [shortest_supnorm(LatticeBasis(np.array(b.cols))).length for b in bases]
-    calls.clear()
-    assert [shortest_supnorm(b).length for b in bases] == want
-    assert calls == [(True,)] * 5  # one `_lll` per sample, transform tracked
-    assert bases[0]._stack._reduced is None
+def test_one_reduction_per_lane_serves_box_ball_and_shortest_vector(float_lll, monkeypatch):
+    # a box count, a ball test and the shortest vector of one stack read one
+    # reduction of each lane, made by one library call or by `_lll` per
+    # lane; each answer is that of a fresh stack asked only that query
+    def shortest(basis):
+        x = shortest_supnorm(basis)
+        return x.vector.tobytes(), x.length, x.coeffs.tobytes()
+
+    stack = orbit_points(generic_curve(2), np.linspace(1.0, 2.0, 5), 3.0)
+    queries = (lambda b: count_in_box(b, (0.9,) * 4), lambda b: in_kmu(b, 0.7), shortest)
+    want = [[query(b) for b in LatticeBasis.batch(stack)] for query in queries]
+    calls = count_reductions(monkeypatch)
+    bases = LatticeBasis.batch(stack)
+    assert [[query(b) for b in bases] for query in queries] == want
+    assert calls == ({"_lll": 0, "library": 1} if float_lll == "compiled"
+                     else {"_lll": len(stack), "library": 0})
 
 
 def test_lane_past_the_node_cap_walks_and_raises_per_sample(monkeypatch):
@@ -1122,8 +1133,8 @@ PHI_IS_S = MatrixPolyCurve.from_coeffs([[[0.0]], [[1.0]]], (-2.0, 2.0))
 @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
        st.sampled_from((2.0, 4.0, 6.0, 8.0)))
 def test_n1_lambda1_is_the_continued_fraction_oracles(s, t):
-    """The float shortest vector, of each basis alone (the generated m = 2
-    LLL kernel with the transform) and of each lane of a `batch` stack, is
+    """The float shortest vector, of each basis alone (a one-lane stack)
+    and of each lane of a `batch` stack, is
     within the rounding of its recombination from the input columns: terms
     near E q |phi| <= E^2 lambda_1 |phi| cancel, so the relative error is a
     few e^2t (1 + |phi|) ulp (up to 1.6e-9 measured at t = 8, and 6e-15 at

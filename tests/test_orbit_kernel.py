@@ -5,10 +5,10 @@ u_embed(c.eval(s))).entries bit for bit, and over a list of flow times the
 per-t stacks joined, the estimators must hand the observable exactly those
 bases, and a failing sample must raise its one-sample error, the one a loop
 over the flow times raises first, named by (seed, index, s). Block means and
-standard errors must have the bits of the one-block reference. Box counts
-and ball tests on a stack read the reduction made once per lane for the
-whole stack, and lambda1 the one it makes once per lane with the
-transform; an unbatched float basis is the one lane of a stack of its own.
+standard errors must have the bits of the one-block reference. Box counts,
+ball tests and lambda1 on a stack read the reduction made once per lane,
+with the transform, for the whole stack; an unbatched float basis is the
+one lane of a stack of its own.
 """
 
 import tracemalloc
@@ -238,27 +238,25 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
         return out
 
     want = estimates()
-    calls = []  # the transform flag of each `_lll` call
+    calls = []  # the lanes `_lll` reduces
     scalar = lattice._lll
-    monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(args[2]) or scalar(*args))
+    monkeypatch.setattr(lattice, "_lll", lambda *args: calls.append(args) or scalar(*args))
     made = record_stacks(monkeypatch)
     assert estimates() == want
     # one det check per stack: the six plain runs, the w-invariance stack
     # with its translates, and the nondivergence stack of both flow times
     assert [len(stack.cols) for stack in made] == [40] * 6 + [80, 80]
-    # box counts, ball tests and nondivergence read the batched reduction,
-    # made by one call of the compiled stack LLL, or by `_lll` per lane
-    # without it: two Siegel, two K_mu and the nondivergence stack;
-    # lambda1 reduces each sample's own basis once: two raw-or-normalized
-    # runs and the w-invariance stack with its translates, 40 samples each
-    compiled = lattice._compiled_lll() is not None
-    assert calls.count(True) == 4 * 40
-    assert calls.count(False) == (0 if compiled else 6 * 40)
+    # every query reads the batched reduction, made by one call of the
+    # compiled stack LLL, or by `_lll` per lane without it: two Siegel, two
+    # K_mu and two lambda1 stacks of 40 lanes, and the w-invariance and
+    # nondivergence stacks of 80
+    per_lane = lattice._compiled_lll() is None
+    assert len(calls) == per_lane * 10 * 40
     calls.clear()
     for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7)):
         stats._orbit_stats(LINE, [5.0], sampler, obs)
     nondivergence_profile(LINE, [2.0, 5.0], 0.3, sampler)
-    assert calls == ([] if compiled else [False] * 4 * 40)
+    assert len(calls) == per_lane * 4 * 40
 
 
 def test_stack_estimates_build_no_lane_basis(monkeypatch):
@@ -387,25 +385,26 @@ def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(lattice, name, counted)
+    # a float stack, lambda1's included, is reduced by the compiled stack
+    # LLL, or by `_lll` per lane without it
+    per_lane = lattice._compiled_lll() is None
     plane = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
     stats._orbit_stats(plane, [3.0], Sampler(seed=3, count=6), lambda1())
-    assert calls == {"_lll": 6, "_lll_integral": 0, "_lagrange": 0}
+    assert calls == {"_lll": 6 * per_lane, "_lll_integral": 0, "_lagrange": 0}
     cell = correspondence_basis(DirichletQuery(phi=np.array([[Fraction(1, 2)]], dtype=object),
                                                N=4, mu=Fraction(1, 2)))
     in_kmu(cell, Fraction(1, 2))
-    assert calls == {"_lll": 6, "_lll_integral": 0, "_lagrange": 1}
+    assert calls == {"_lll": 6 * per_lane, "_lll_integral": 0, "_lagrange": 1}
     count_in_box(cell, [Fraction(1, 2)] * 2)
-    assert calls == {"_lll": 6, "_lll_integral": 1, "_lagrange": 1}
-    # an unbatched 2 x 2 basis is a one-lane stack: the compiled stack LLL
-    # reduces it, or `_lll` without it
-    per_stack = lattice._compiled_lll() is None
+    assert calls == {"_lll": 6 * per_lane, "_lll_integral": 1, "_lagrange": 1}
+    # an unbatched 2 x 2 basis is a one-lane stack
     count_in_box(LatticeBasis(np.array([[1.0, 0.3], [0.0, 1.0]])), [0.9, 0.9])
-    assert calls["_lll"] == 6 + per_stack
+    assert calls["_lll"] == 7 * per_lane
     (batched,) = LatticeBasis.batch(np.array([[[1.0, 0.3], [0.0, 1.0]]]))
     count_in_box(batched, [0.9, 0.9])
-    assert calls["_lll"] == 6 + 2 * per_stack
-    reduce(batched)  # the public reduction stays the scalar one
-    assert calls["_lll"] == 7 + 2 * per_stack
+    assert calls["_lll"] == 8 * per_lane
+    reduce(batched)  # the public reduction reduces the basis afresh, the same way
+    assert calls["_lll"] == 9 * per_lane
 
 
 def test_lll_step_limit_names_the_lowest_failing_sample(monkeypatch):
@@ -427,8 +426,8 @@ def test_lll_step_limit_names_the_lowest_failing_sample(monkeypatch):
 
 
 def test_lambda1_step_limit_names_the_lowest_failing_sample(monkeypatch):
-    # lambda1 reduces every lane of the stack, base and translated, with its
-    # transform; the lowest lane past the step limit is sample 5 at t = 2
+    # lambda1 reduces every lane of the stack, base and translated; the
+    # lowest lane past the step limit is sample 5 at t = 2
     sampler = Sampler(seed=5, count=30)
     monkeypatch.setattr(lattice, "_MAX_LLL_STEPS", 3)
     with pytest.raises(InternalIdentityError) as info:

@@ -79,11 +79,15 @@ def test_profile_header_names_the_float_lll(tmp_path, monkeypatch, capsys, float
     assert re.match(r"orbit-n1, seed 1, family nondiv-n1, 4 configs: unprofiled pass median ",
                     header)
     backend = profile_pass.lattice.float_lll_backend()
-    assert header.endswith(f" s; float LLL: {backend}")
+    lanes = re.fullmatch(rf".* s; float LLL: {re.escape(backend)}; _lll lanes: (\d+)", header)
+    assert lanes
+    # the library reduces every lane; without it `_lll` reduces each one
     if float_lll == "compiled":
         assert backend.endswith(".so") and os.path.isfile(backend)
+        assert lanes.group(1) == "0"
     else:
         assert backend == "python: switched off by a test"
+        assert int(lanes.group(1)) > 0
 
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")

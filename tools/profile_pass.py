@@ -17,10 +17,12 @@ runs), then one pass under cProfile, and prints:
 - the median, least and greatest unprofiled pass time, in seconds as
   measured (not rescaled to a reference machine speed, as perfbench's
   `run_s` is), the median time of the config layer per pass and per
-  config, the profiled pass time, and which float LLL reduced the
-  float stacks (`danilab.lattice.float_lll_backend()`): the compiled
-  library's path, "python: <reason>" when `_lll` reduced every lane, or
-  "none ran" when the pass reduced no float stack;
+  config, the profiled pass time, which float LLL reduced the float
+  stacks (`danilab.lattice.float_lll_backend()`): the compiled library's
+  path, "python: <reason>" when `_lll` reduced every lane, or "none ran"
+  when the pass reduced no float stack; and how many lanes the Python
+  `_lll` reduced in the profiled pass, read from the profile's call count
+  of `danilab.lattice._lll`;
 - the top N rows of the profiled pass (default 25), sorted by `tottime`
   (the default) or `cumtime`: calls, tottime, cumtime, each time's share of
   the profiled pass (`run_pass`'s cumulative time), and the function as
@@ -86,6 +88,13 @@ def _where(key: tuple) -> str:
     return f"{path}:{line}({name})"
 
 
+def calls(stats: pstats.Stats, fn) -> int:
+    """How many times the profile saw the function fn called."""
+    code = fn.__code__
+    entry = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+    return 0 if entry is None else entry[1]
+
+
 def rows(stats: pstats.Stats, sort: str, top: int) -> list:
     """The header and the top rows of stats, sorted by sort, as text lines;
     each share is of the cumulative time of the profiled `run_pass`."""
@@ -139,7 +148,8 @@ def main(argv=None) -> int:
           f"({min(times):.4f}-{max(times):.4f} s, unscaled), parse_config + config_hash "
           f"median {config_time:.4f} s ({config_time / len(texts) * 1e6:.1f} us per config); "
           f"profiled pass {profiled:.4f} s; "
-          f"float LLL: {lattice.float_lll_backend() or 'none ran'}")
+          f"float LLL: {lattice.float_lll_backend() or 'none ran'}; "
+          f"_lll lanes: {calls(stats, lattice._lll)}")
     print(f"top {args.top} by {args.sort}; shares are of the profiled pass:")
     for line in rows(stats, args.sort, args.top):
         print(line)
