@@ -343,11 +343,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("output: must be a nonempty path stem")
     schema, _, sampled = _DISPATCH[subcommand]
     args, params = _parse_parameters(schema, raw.get("parameters", {}), curve)
-    try:  # the runs that read the ends as floats: `genericity_test` and the samplers
-        if subcommand in ("genericity", "equidist", "nondiv", "w-invariance"):
+    if subcommand in ("genericity", "equidist", "nondiv", "w-invariance"):
+        try:  # `genericity_test` and the samplers read the ends as floats
             list(map(float, curve.interval))
-    except OverflowError as exc:  # int or 'p/q' ends beyond the doubles
-        raise ConfigError("curve.interval: number too large for a float") from exc
+        except OverflowError as exc:  # int or 'p/q' ends beyond the doubles
+            raise ConfigError("curve.interval: number too large for a float") from exc
     sampler = None
     if "sampler" in raw:
         spec = _require(raw, "sampler", dict, "")
