@@ -1,18 +1,44 @@
-"""The float LLL of a whole stack, as compiled C.
+"""The float LLL and the float walk of a whole stack, as compiled C.
 
-`SOURCE` is one C function that reduces every lane of a C-contiguous
-(M, m, m) float64 stack (m <= lattice.MAX_DIM) with the IEEE-double
-operations of `lattice._lll`, in their order: every dot product is 0.0 + a0
-z0 + a1 z1 + ..., summed left to right; q = nearbyint(mu) rounds half to
-even, as round() does; the Lovasz test at delta is `_lll`'s, and row 0,
-which `_lll` recomputes at the stage after a swap at k = 1, is recomputed
-at that swap. Compiled with -ffp-contract=off and no -ffast-math, so that
-no product is fused into an FMA and no sum is reordered, it returns `_lll`'s
-bits of the reduced columns, mu and norms, and its transform U as int64.
-A lane's status is nonzero where `_lll` raises: past max_steps stages (1),
-at a division by a zero norm (2) or the rounding of a non-finite mu (3); it
-is 4 where U left int64 (|q| >= 2^63, or an update overflowed), and `_lll`
-gives that lane's U.
+`SOURCE` holds two C functions, compiled with -ffp-contract=off and no
+-ffast-math, so that no product is fused into an FMA and no sum is
+reordered: each does the IEEE-double operations of its Python twin in
+`lattice`, in their order, and so returns its bits.
+
+`danilab_lll_stack` reduces every lane of a C-contiguous (M, m, m) float64
+stack (m <= lattice.MAX_DIM) as `lattice._lll` does: every dot product is
+0.0 + a0 z0 + a1 z1 + ..., summed left to right; q = nearbyint(mu) rounds
+half to even, as round() does; the Lovasz test at delta is `_lll`'s, and
+row 0, which `_lll` recomputes at the stage after a swap at k = 1, is
+recomputed at that swap. It returns the reduced columns, mu and norms, and
+the transform U as int64. A lane's status is nonzero where `_lll` raises:
+past max_steps stages (1), at a division by a zero norm (2) or the rounding
+of a non-finite mu (3); it is 4 where U left int64 (|q| >= 2^63, or an
+update overflowed), and `_lll` gives that lane's U.
+
+`danilab_walk_stack` walks every lane of the reductions (b, mu, norms)
+within its limit (r2 (1 + _FLOAT_SLACK), computed by the caller) and
+answers one query for it, as `lattice._stack_walk` with its visit
+functions in `lattice._walk_lanes` answers it. A lane whose every norm
+exceeds the limit is skipped, with no leaf. The others are walked depth
+first, every lane to its end, from level m - 1 down to 0, and at each node
+of level j:
+  the center ctr = -(0.0 + c_{j+1} mu[j+1][j] + ... + c_{m-1} mu[m-1][j]),
+  summed upward in i, the coefficients above counted zero or not;
+  the window lo ... lo + size - 1, lo = mid - half and size = mid + half -
+  lo + 1 (0 if negative) for mid = nearbyint(ctr) and half = floor(sqrt((limit
+  - partial) / norms[j]) + 0.5) + 1, except lo = 0 (1 at level 0) while every
+  coefficient above is zero; a window with !(size <= 2^62) drops the lane;
+  each c = lo + k of the window, in order, is a node iff partial + (d d)
+  norms[j] <= limit for d = c - ctr, and a node past max_nodes drops the
+  lane;
+  a leaf (a node at level 0) is v = (0.0 + c_{m-1} b_{m-1} + ... + c_1 b_1)
+  + c_0 b_0, coordinate by coordinate.
+Query 0 counts the leaves with every |v_i| <= w_i, query 1 those with
+every |v_i| < r, and query 2 keeps the least sup-norm (nan if a coordinate
+is) among the leaves with sup-norm <= the lane's bound, and the
+coefficients of every leaf that has it. A lane the walk drops answers with
+the node-budget error, whatever leaves it saw.
 
 The library is compiled with the C compiler Python was built with
 (sysconfig's CC, else cc) into the user's cache, $XDG_CACHE_HOME/danilab
@@ -26,7 +52,8 @@ compile; `subprocess`, `sysconfig` and `tempfile` are imported only then. A
 platform whose double arithmetic keeps excess precision (FLT_EVAL_METHOD
 not 0, as on x87) fails to compile, and a compiler without the checked
 integer builtins (`__builtin_mul_overflow`, in GCC since 5 and in Clang)
-leaves no library that loads: `_lll` then reduces every lane.
+leaves no library that loads: `_lll` then reduces every lane and
+`_stack_walk` walks them.
 """
 
 import ctypes
@@ -34,6 +61,7 @@ import os
 import re
 import sys
 from hashlib import sha256
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -175,6 +203,131 @@ long danilab_lll_stack(const double *cols, long lanes, int m, double delta,
 """ + "".join(f"    case {m}: LANES({m})\n" for m in range(1, MAX_DIM + 1)) + r"""    }
     return first;
 }
+
+/* The walk of one lane's reduction (b[j m + c]: coordinate c of column j;
+   mu[i m + j]; norms[j]) as lattice._stack_walk walks it, depth first,
+   every level's window tried in full. query 0 counts the leaves with every
+   |v_c| <= bound[c] into *hits; query 1 those with every |v_c| < bound[0];
+   query 2 keeps the least sup-norm among the leaves with sup-norm <=
+   bound[0], and their number in *hits, the coefficients of the first `room`
+   of them in ties (m doubles each). Returns 1 where _stack_walk drops the
+   lane: past max_nodes nodes, or at a window of no finite size. */
+static inline __attribute__((always_inline)) int
+walk_lane(int m, const double *b, const double *mu, const double *norms, double limit,
+          int query, const double *bound, long max_nodes, int64_t *hits, double *ties,
+          int64_t room)
+{
+    double c[MAX_DIM], ctr[MAX_DIM], lo[MAX_DIM], part[MAX_DIM + 1];
+    double vec[MAX_DIM + 1][MAX_DIM], s, x, d, cj, best = INFINITY;
+    int64_t size[MAX_DIM], next[MAX_DIM], nodes = 0, n = 0;
+    int top[MAX_DIM + 1], i, j, k, in;
+    *hits = 0;
+    for (j = 0; j < m && norms[j] > limit; j++)
+        ;
+    if (j == m)  /* every norm above the limit: no leaf */
+        return 0;
+    part[m] = 0.0;
+    top[m] = 1;
+    for (k = 0; k < m; k++)
+        vec[m][k] = 0.0;
+    j = m - 1;
+    for (;;) {
+        /* level j under the node above: its center and window */
+        s = 0.0;
+        for (i = j + 1; i < m; i++)
+            s = s + c[i] * mu[i * m + j];
+        ctr[j] = -s;
+        x = nearbyint(ctr[j]);
+        d = floor(sqrt((limit - part[j + 1]) / norms[j]) + 0.5) + 1;
+        lo[j] = top[j + 1] ? (double)(j == 0) : x - d;
+        x = x + d - lo[j] + 1;
+        if (!(x <= 0x1p62))
+            return 1;
+        size[j] = x > 0 ? (int64_t)x : 0;
+        next[j] = 0;
+        /* the next node of level j (a leaf at j = 0), or up once it is done */
+        for (;;) {
+            if (next[j] == size[j]) {
+                if (++j == m) {
+                    *hits = n;
+                    return 0;
+                }
+                continue;
+            }
+            cj = lo[j] + (double)next[j]++;
+            d = cj - ctr[j];
+            x = part[j + 1] + d * d * norms[j];
+            if (!(x <= limit))
+                continue;
+            if (++nodes > max_nodes)
+                return 1;
+            if (j) {
+                c[j] = cj;
+                part[j] = x;
+                top[j] = top[j + 1] && cj == 0;
+                for (k = 0; k < m; k++)
+                    vec[j][k] = vec[j + 1][k] + cj * b[j * m + k];
+                j--;
+                break;
+            }
+            in = 1;
+            s = 0.0;  /* the sup-norm: nan if a coordinate is */
+            for (k = 0; k < m; k++) {
+                x = fabs(vec[1][k] + cj * b[k]);
+                if (query == 0)
+                    in = in && x <= bound[k];
+                else if (query == 1)
+                    in = in && x < bound[0];
+                else
+                    s = x > s || x != x ? x : s;
+            }
+            if (query < 2) {
+                n += in;
+            } else if (s <= bound[0]) {
+                if (s < best) {
+                    best = s;
+                    n = 0;
+                }
+                if (s == best && n++ < room) {
+                    c[0] = cj;
+                    for (k = 0; k < m; k++)
+                        ties[(n - 1) * m + k] = c[k];
+                }
+            }
+        }
+    }
+}
+
+/* Every lane of the stack (1 <= m <= MAX_DIM), walked within limit[lane]:
+   dropped[lane] is walk_lane's return and hits[lane] its count. Query 2
+   reads bound[lane] and writes a lane's ties after the last lane's, from
+   ties[first[lane] m] on, while they fit in cap rows; first[lane] is -1
+   where they do not. */
+#define WALKS(M)                                                            \
+    for (lane = 0; lane < lanes; lane++) {                                  \
+        room = query == 2 ? cap - used : 0;                                 \
+        dropped[lane] = walk_lane(M, b + lane * mm, mu + lane * mm,         \
+                                  norms + lane * M, limit[lane], query,     \
+                                  query == 2 ? bound + lane : bound,        \
+                                  max_nodes, hits + lane,                   \
+                                  query == 2 ? ties + used * M : ties,      \
+                                  room);                                    \
+        first[lane] = hits[lane] <= room ? used : -1;                       \
+        if (query == 2 && !dropped[lane] && first[lane] >= 0)              \
+            used += hits[lane];                                             \
+    }                                                                       \
+    break;
+
+void danilab_walk_stack(const double *b, const double *mu, const double *norms, long lanes,
+                        int m, const double *limit, int query, const double *bound,
+                        long max_nodes, int64_t *hits, int *dropped, double *ties,
+                        long cap, int64_t *first)
+{
+    long lane, mm = (long)m * m;
+    int64_t used = 0, room;
+    switch (m) {
+""" + "".join(f"    case {m}: WALKS({m})\n" for m in range(1, MAX_DIM + 1)) + r"""    }
+}
 """
 
 # -ffp-contract=off: no a * b + c fused into one rounding; no -ffast-math,
@@ -261,14 +414,35 @@ def _compile(path: str) -> None:
                 os.remove(name)
 
 
+class Library(NamedTuple):
+    """The library's two entry points, as `load` wraps them."""
+    lll: Callable
+    walk: Callable
+
+
+# The walk's queries, by their code in danilab_walk_stack.
+QUERIES = ("box", "ball", "shortest")
+
+
 def load():
-    """(reduce_stack, path): the library of `library_path()`, compiled
-    first if it is not there, and its stack reduction as
-    reduce_stack(cols, delta, max_steps) -> (b, u, mu, norms, status,
-    first), u the int64 transforms and first the lowest lane with a status
-    from 1 to 3, or -1; it refuses a stack
-    that is not (M, m, m) with 1 <= m <= MAX_DIM (ValueError) before the
-    library reads it. Raises Unusable."""
+    """(library, path): the `Library` of `library_path()`, compiled first
+    if it is not there. Raises Unusable.
+
+    library.lll(cols, delta, max_steps) -> (b, u, mu, norms, status, first)
+    reduces an (M, m, m) stack: u holds the int64 transforms and first is
+    the lowest lane with a status from 1 to 3, or -1.
+
+    library.walk(b, mu, norms, limit, query, bound, max_nodes) -> (found,
+    dropped) walks every lane of the reductions (b, mu, norms) within its
+    limit[lane] for the query "box" (bound: m halfwidths), "ball" (bound:
+    one radius) or "shortest" (bound: one sup-norm per lane). found is the
+    int64 array of each lane's leaves in the box or the open ball, or, for
+    "shortest", per lane the int64 coefficient lists of its leaves of least
+    sup-norm within the lane's bound, in no set order; dropped is the bool
+    mask of the lanes the walk drops.
+
+    Both refuse arrays of other shapes, or m outside 1...MAX_DIM
+    (ValueError), before the library reads them."""
     path = library_path()
     if not os.path.exists(path):
         try:
@@ -276,13 +450,17 @@ def load():
         except OSError as exc:
             raise Unusable(f"cannot write the library into the cache: {exc}") from None
     try:
-        fn = ctypes.CDLL(path).danilab_lll_stack
+        lib = ctypes.CDLL(path)
+        lll, walk = lib.danilab_lll_stack, lib.danilab_walk_stack
     except (OSError, AttributeError) as exc:
         raise Unusable(f"cannot load {path}: {exc}") from None
-    pointer = ctypes.c_void_p
-    fn.argtypes = (pointer, ctypes.c_long, ctypes.c_int, ctypes.c_double, ctypes.c_long,
-                   pointer, pointer, pointer, pointer, pointer)
-    fn.restype = ctypes.c_long
+    pointer, long = ctypes.c_void_p, ctypes.c_long
+    lll.argtypes = (pointer, long, ctypes.c_int, ctypes.c_double, long,
+                    pointer, pointer, pointer, pointer, pointer)
+    lll.restype = long
+    walk.argtypes = (pointer, pointer, pointer, long, ctypes.c_int, pointer, ctypes.c_int,
+                     pointer, long, pointer, pointer, pointer, long, pointer)
+    walk.restype = None
 
     def reduce_stack(cols: np.ndarray, delta: float, max_steps: int):
         size, m, k = cols.shape
@@ -295,8 +473,48 @@ def load():
         norms = np.empty((size, m))
         u = np.empty((size, m, m), dtype=np.int64)
         status = np.empty(size, dtype=np.intc)
-        first = fn(cols.ctypes.data, size, m, delta, max_steps, b.ctypes.data, mu.ctypes.data,
-                   norms.ctypes.data, u.ctypes.data, status.ctypes.data)
+        first = lll(cols.ctypes.data, size, m, delta, max_steps, b.ctypes.data, mu.ctypes.data,
+                    norms.ctypes.data, u.ctypes.data, status.ctypes.data)
         return b, u, mu, norms, status, first
 
-    return reduce_stack, path
+    def walk_lanes(b, mu, norms, limit, query, bound, max_nodes, cap):
+        """(hits, dropped, first, ties) of one library call on C-contiguous
+        float64 arrays, with room for cap ties."""
+        size, m = norms.shape
+        hits = np.empty(size, dtype=np.int64)
+        dropped = np.empty(size, dtype=np.intc)
+        first = np.empty(size, dtype=np.int64)
+        ties = np.zeros((cap, m))  # the rows no lane fills are read as ints too
+        walk(b.ctypes.data, mu.ctypes.data, norms.ctypes.data, size, m, limit.ctypes.data,
+             QUERIES.index(query), bound.ctypes.data, max_nodes, hits.ctypes.data,
+             dropped.ctypes.data, ties.ctypes.data, cap, first.ctypes.data)
+        return hits, dropped.astype(bool), first, ties
+
+    def walk_stack(b, mu, norms, limit, query, bound, max_nodes):
+        b, mu, norms, limit, bound = (np.ascontiguousarray(x, dtype=np.float64)
+                                      for x in (b, mu, norms, limit, bound))
+        size, m = norms.shape
+        want = {"box": (m,), "ball": (1,), "shortest": (size,)}[query]
+        if (not 1 <= m <= MAX_DIM or not b.shape == mu.shape == (size, m, m)
+                or limit.shape != (size,) or bound.shape != want):
+            raise ValueError(f"the stack walk needs (M, m, m) reductions with 1 <= m <= "
+                             f"{MAX_DIM}, M limits and {want} bounds, got {b.shape}, "
+                             f"{mu.shape}, {norms.shape}, {limit.shape} and {bound.shape}")
+        if query != "shortest":
+            hits, dropped, _, _ = walk_lanes(b, mu, norms, limit, query, bound, max_nodes, 0)
+            return hits, dropped
+        # room for one tie per lane first; a lane with more walks again, with room for all
+        hits, dropped, first, ties = walk_lanes(b, mu, norms, limit, query, bound, max_nodes,
+                                                size)
+        ties = ties.astype(np.int64).tolist()
+        found = [ties[i:i + h] for i, h in zip(first.tolist(), hits.tolist())]
+        redo = np.flatnonzero((first < 0) & ~dropped)
+        if redo.size:
+            more, _, at, ties = walk_lanes(b[redo], mu[redo], norms[redo], limit[redo], query,
+                                           bound[redo], max_nodes, int(hits[redo].sum()))
+            ties = ties.astype(np.int64).tolist()
+            for lane, i, h in zip(redo.tolist(), at.tolist(), more.tolist()):
+                found[lane] = ties[i:i + h]
+        return found, dropped
+
+    return Library(reduce_stack, walk_stack), path

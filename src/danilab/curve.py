@@ -19,6 +19,7 @@ through `eval_many`.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -52,6 +53,16 @@ def _horner_stacks(cs: np.ndarray) -> tuple:
           else _linalg.zeros(cs.shape, _linalg.is_exact(cs)))
     cs.flags.writeable = ds.flags.writeable = False
     return cs, ds
+
+
+def _float_at_most(x: Fraction) -> float:
+    """The greatest float <= x: -inf below the doubles, the greatest double
+    above them."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return sys.float_info.max if x > 0 else -math.inf
+    return f if f <= x else math.nextafter(f, -math.inf)
 
 
 def _number(x, where: str):
@@ -134,8 +145,17 @@ class MatrixPolyCurve:
 
     def in_float_domain(self, s):
         """Whether the float point(s) s lie in the interval, widened by a
-        relative 1e-12 because float samplers may land one ulp outside."""
-        lo, hi = float(self.interval[0]), float(self.interval[1])
+        relative 1e-12 because float samplers may land one ulp outside.
+        Where an end is beyond the doubles, the widened ends are exact, a - w
+        and b + w for w = (b - a) / 10^12, and s is compared with the floats
+        just inside them, which decides every float s as the exact ends do."""
+        a, b = self.interval
+        try:
+            lo, hi = float(a), float(b)
+        except OverflowError:
+            a, b = Fraction(a), Fraction(b)
+            w = (b - a) / 10**12
+            return (-_float_at_most(w - a) <= s) & (s <= _float_at_most(b + w))
         slack = (hi - lo) * 1e-12
         return (lo - slack <= s) & (s <= hi + slack)
 

@@ -28,17 +28,21 @@ that reads whole answer lists (`stats.Observable.evaluate_stack`) takes the
 checked stack itself (`_checked_stack`, which `batch` wraps) and builds no
 bases. The first query on any lane reduces every lane once, with U, and
 each query of one box or bound, or of the shortest vector, is decided for
-every lane in one breadth-first walk over numpy arrays (`_stack_walk`), the
-one float enumerator, with the float operations of a depth-first walk in
-its order. The float LLL exists twice: `_lll`, a plain loop whose dot
-products are summed left to right from 0.0, so a reduction has the same
-bits on every Python; and a compiled C LLL (`_clll`) that reduces a whole
-stack in one call with `_lll`'s IEEE-double operations in `_lll`'s order
-and U in int64 (`_lll` gives the U of a lane past int64). It is compiled
-once per machine into the user's cache and used only after it reproduces
-`_lll` on a few fixed lanes; without a C compiler, with an unusable cache
-or after a failed check, every lane is reduced by `_lll`, and
-`float_lll_backend()` says which of the two reduces float stacks.
+every lane by one float walk (`_walk`, the one float enumerator), which
+gives each lane the leaves of its depth-first walk alone, with that walk's
+float operations in its order. The float LLL and the float walk each exist
+twice. In a compiled C library (`_clll`), one call reduces a whole stack
+with `_lll`'s IEEE-double operations in `_lll`'s order and U in int64
+(`_lll` gives the U of a lane past int64), and one call walks a whole
+stack for one query, depth first, with `_stack_walk`'s operations in its
+order. In Python, `_lll` is a plain loop whose dot products are summed left
+to right from 0.0, so a reduction has the same bits on every Python, and
+`_stack_walk` walks every lane at once, breadth first, over numpy arrays.
+The library is compiled once per machine into the user's cache and used
+only after it reproduces `_lll` and `_stack_walk` on a few fixed lanes;
+without a C compiler, with an unusable cache or after a failed check, every
+lane is reduced by `_lll` and walked by `_stack_walk`, and
+`float_lll_backend()` says which of the two backends runs.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -88,9 +92,10 @@ _MAX_LLL_STEPS = 20_000
 # the rounding in the Gram-Schmidt data, which stays near 1e-12 on flowed
 # lattices up to t = 14.
 _FLOAT_SLACK = 1e-9
-# The stack walk (`_stack_walk`) expands each level in chunks of at most
+# The numpy stack walk (`_stack_walk`) expands each level in chunks of at most
 # _STACK_CHUNK candidate nodes, so it holds a few MB of numpy temporaries at
 # most, however many lanes the stack has and however many nodes a ball holds.
+# The compiled walk holds one lane's path at a time.
 _STACK_CHUNK = 8_192
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
 _MINKOWSKI_FLOAT_TOL = 1e-9
@@ -366,9 +371,9 @@ def _lll(cols, delta: float = _DELTA):
 # What `_lll` raises on a lane: a zero norm (ZeroDivisionError), a non-finite
 # mu to round (ValueError, OverflowError), or the step cap.
 _LLL_ERRORS = (ArithmeticError, ValueError, InternalIdentityError)
-# (reduce_stack, backend) of the float stacks' LLL, set at their first
-# reduction: the compiled stack LLL and its library's path, or None and
-# "python: <reason>" when every lane is reduced by `_lll`.
+# (library, backend) of the float stacks' LLL and walk, set at their first
+# reduction: the compiled library (`_clll.Library`) and its path, or None and
+# "python: <reason>" when `_lll` reduces every lane and `_stack_walk` walks.
 _COMPILED = None
 
 
@@ -417,28 +422,96 @@ def _matches_lll(reduce_stack) -> bool:
     return True
 
 
-def _compiled_lll():
-    """The compiled stack LLL, loaded (and compiled, on a machine's first
-    use) once per process and used only if it `_matches_lll`, or None when
-    this process reduces every lane with `_lll`; the backend and, for None,
-    the reason are recorded in `_COMPILED`."""
+def _check_walks() -> list:
+    """The walks the compiled walk must answer as `_stack_walk` does before
+    it is used, as (b, mu, norms, r2, query, bound): a box count, a ball
+    test and the shortest vectors of `_lll`'s reductions of the pairs of
+    `_check_lanes()` (signed zeros, half ties, vectors on the box's faces)
+    and of a pair with mu = 1/2, whose leaf -4 b0 + b1 is at the edge of its
+    window, then of pairs that test one step each: a leaf on the limit, a
+    lane whose every norm is above the limit (skipped, its nan mu unread), a
+    leaf with a nan coordinate, a zero norm and a nan norm (both dropped);
+    the same of m = 4 lanes, two of the signed-zero and tie pairs each, with
+    +-0.0 off the blocks; and the shortest vectors of Z^6, whose 364 ties of
+    sup-norm 1 are more than the library first has room for."""
+    pairs = _check_lanes()[0]
+    half_mu = [[1 / math.sqrt(0.9), 0.5 / math.sqrt(0.9)], [0.0, math.sqrt(0.9)]]
+    blocks = np.zeros((8, 4, 4))
+    for k, lane in enumerate(blocks):
+        lane[:] = -0.0 if k % 2 else 0.0
+        lane[:2, :2], lane[2:, 2:] = pairs[k], pairs[(k + 1) % 8]
+    limit, nan = 1 + _FLOAT_SLACK, math.nan
+    steps = [([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [limit, limit]),
+             ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [nan, 0.0]], [4.0, 4.0]),
+             ([[1.0, nan], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+             ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0]),
+             ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [nan, 1.0])]
+    cases = []
+    for stack, box, r in ((np.concatenate([pairs, [half_mu]]), [3.9, 1.3], 1.5),
+                          (blocks, [1.0] * 4, 0.75)):
+        lanes = []
+        for cols in stack.transpose(0, 2, 1).tolist():
+            try:
+                b, _, mu, norms = _lll(cols)
+            except _LLL_ERRORS:
+                continue
+            lanes.append((b, mu, norms))
+        m = len(box)
+        short = [min(max(map(abs, col)) for col in b) for b, _, _ in lanes]
+        r2 = {"box": [_fdot(box, box)] * len(lanes), "ball": [m * r * r] * len(lanes),
+              "shortest": [m * x * x for x in short]}
+        if m == 2:
+            lanes += steps
+            for query in r2:
+                r2[query] += [1.0, 1.0, 2.0, 1.0, 1.0]
+            short += [1.0] * len(steps)
+        b, mu, norms = (np.array(x, dtype=float) for x in zip(*lanes))
+        bounds = {"box": np.array(box), "ball": np.array([r]), "shortest": np.array(short)}
+        cases += [(b, mu, norms, np.array(r2[query]), query, bounds[query]) for query in r2]
+    eye = np.eye(6)[None]
+    return cases + [(eye, np.zeros_like(eye), np.ones((1, 6)), 6.0, "shortest", np.ones(1))]
+
+
+def _matches_walk(walk) -> bool:
+    """Does the library's walk answer every `_check_walks()` case as
+    `_stack_walk` does: the same lanes dropped, and on every other lane the
+    same count of leaves or the same ties (in any order)?"""
+    for case in _check_walks():
+        with np.errstate(divide="ignore", invalid="ignore"):  # the zero and nan norms
+            got, want = _walk_lanes(walk, *case), _walk_lanes(None, *case)
+        if case[4] == "shortest":
+            got, want = ([None if x is None else sorted(x) for x in y] for y in (got, want))
+        if got != want:
+            return False
+    return True
+
+
+def _compiled():
+    """The compiled library (`_clll.Library`), loaded (and compiled, on a
+    machine's first use) once per process and used only if its LLL
+    `_matches_lll` and its walk `_matches_walk`, or None when this process
+    reduces every lane with `_lll` and walks with `_stack_walk`; the backend
+    and, for None, the reason are recorded in `_COMPILED`."""
     global _COMPILED
     if _COMPILED is None:
         from . import _clll
         try:
-            reduce_stack, path = _clll.load()
-            if not _matches_lll(reduce_stack):
+            library, path = _clll.load()
+            if not _matches_lll(library.lll):
                 raise _clll.Unusable(f"{path} does not reduce the check lanes as _lll does")
-            _COMPILED = reduce_stack, path
+            if not _matches_walk(library.walk):
+                raise _clll.Unusable(f"{path} does not walk the check lanes as _stack_walk does")
+            _COMPILED = library, path
         except _clll.Unusable as exc:
             _COMPILED = None, f"python: {exc}"
     return _COMPILED[0]
 
 
 def float_lll_backend():
-    """Which LLL has reduced this process's float stacks: the compiled
-    library's path, or "python: <reason>" when `_lll` reduces every lane;
-    None before the first float stack reduction."""
+    """Which backend has reduced and walked this process's float stacks:
+    the compiled library's path, or "python: <reason>" when `_lll` reduces
+    every lane and `_stack_walk` walks them; None before the first float
+    stack reduction."""
     return None if _COMPILED is None else _COMPILED[1]
 
 
@@ -446,7 +519,7 @@ def _reduce_lanes(cols: np.ndarray, delta: float, name) -> tuple:
     """(b, u, mu, norms): `_lll` of every lane of the (M, m, m) float64
     stack cols at delta, as arrays: b[lane, j] and u[lane, j] are columns
     of the reduced basis and of U. One call of the compiled stack LLL
-    (`_compiled_lll`) makes them, or `_lll` lane by lane where that is not
+    (`_compiled`) makes them, or `_lll` lane by lane where that is not
     in use. u is int64, or holds Python ints (dtype object) where a lane's
     U leaves int64; `_lll` gives that lane's U. Whatever `_lll` raises on a
     lane is raised for the lowest such lane as name(error, lane); a lane
@@ -458,8 +531,8 @@ def _reduce_lanes(cols: np.ndarray, delta: float, name) -> tuple:
             raise name(exc, lane)
 
     _check_size(cols.shape[1])
-    reduce_stack = _compiled_lll()
-    if reduce_stack is None:  # lane by lane into the arrays: no list of every lane
+    library = _compiled()
+    if library is None:  # lane by lane into the arrays: no list of every lane
         size, m, _ = cols.shape
         b, mu, norms = np.empty((size, m, m)), np.empty((size, m, m)), np.empty((size, m))
         u = np.empty((size, m, m), dtype=np.int64)
@@ -471,7 +544,7 @@ def _reduce_lanes(cols: np.ndarray, delta: float, name) -> tuple:
             except OverflowError:
                 wide.append((lane, ucols))
     else:
-        b, u, mu, norms, status, first = reduce_stack(cols, delta, _MAX_LLL_STEPS)
+        b, u, mu, norms, status, first = library.lll(cols, delta, _MAX_LLL_STEPS)
         if first >= 0:
             lll(first)
             raise name(InternalIdentityError("the compiled LLL refused a lane that _lll reduces"),
@@ -498,10 +571,10 @@ class _Stack:
     and the transform columns `_transform[lane, j]`, which the tie-break of
     the shortest vector reads. Whatever `_lll` raises on a lane is raised
     for the lowest such lane, named. A query is decided for every lane in
-    one walk (`_stack_walk`), save a ball test at m = 2, which reads four
-    vectors of each reduced pair (`shorter`); a lane past _MAX_NODES, or
-    whose shortest vector fails a check, answers with its error, and the
-    other lanes still answer.
+    one walk (`_walk`: one call of the compiled walk, or `_stack_walk`),
+    save a ball test at m = 2, which reads four vectors of each reduced pair
+    (`shorter`); a lane past _MAX_NODES, or whose shortest vector fails a
+    check, answers with its error, and the other lanes still answer.
     `read` gives one lane's answer, or every lane's; `below` and `minimum`
     read the ball test and the shortest vector.
     """
@@ -560,9 +633,8 @@ class _Stack:
 
     def counts(self, w: list) -> list:
         """`count_in_box` of every lane for the float halfwidths w."""
-        box = np.array(w)
-        return _walk_hits(*self.reduced(), sum(x * x for x in w),
-                          lambda v: np.all(np.abs(v) <= box, axis=1), lambda h: 2 * h)
+        return [_budget_error() if h is None else 2 * h
+                for h in _walk(*self.reduced(), sum(x * x for x in w), "box", np.array(w))]
 
     def shorter(self, r: float) -> list:
         """`_exists_shorter` of every lane for the float bound r; as in one
@@ -588,8 +660,9 @@ class _Stack:
             walk = np.flatnonzero(~found)
         found = found.astype(object)
         if walk.size:
-            found[walk] = _walk_hits(b[walk], mu[walk], norms[walk], b.shape[1] * r * r,
-                                     lambda v: np.all(np.abs(v) < r, axis=1), bool)
+            found[walk] = [_budget_error() if h is None else h > 0
+                           for h in _walk(b[walk], mu[walk], norms[walk], b.shape[1] * r * r,
+                                          "ball", np.array([r]))]
         return found.tolist()
 
     def shortest(self) -> list:
@@ -601,29 +674,19 @@ class _Stack:
         size, m, _ = b.shape
         short = np.abs(b).max(axis=2).min(axis=1)
         walk = np.flatnonzero(short > 0)
-        found = [[] for _ in range(size)]  # per lane: (sup-norm, c) of each leaf within L
-
-        def visit(lane, v, leaves):
-            sup = np.abs(v).max(axis=1)
-            keep = sup <= short[walk[lane]]
-            for k, *leaf in zip(walk[lane[keep]].tolist(), sup[keep].tolist(),
-                                leaves(keep).astype(np.int64).tolist()):
-                found[k].append(leaf)
-
-        dropped = set(walk[_stack_walk(b[walk], mu[walk], norms[walk],
-                                       m * short[walk] * short[walk], visit)].tolist())
+        found = dict(zip(walk.tolist(), _walk(b[walk], mu[walk], norms[walk],
+                                              m * short[walk] * short[walk], "shortest",
+                                              short[walk])))
         out = []
         for i in range(size):
             if not short[i] > 0:
                 out.append(InvariantError("reduced basis contains the zero vector"))
-            elif i in dropped:
+            elif found[i] is None:
                 out.append(_budget_error())
             elif not found[i]:
                 out.append(InternalIdentityError("enumeration missed the shortest reduced column"))
             else:
-                best = min(found[i])[0]
-                ties = [c for length, c in found[i] if length == best]
-                coeffs = np.array(_first_original(self._transform[i].tolist(), ties),
+                coeffs = np.array(_first_original(self._transform[i].tolist(), found[i]),
                                   dtype=np.int64)
                 vector = np.asarray(self.cols[i] @ coeffs, dtype=float)
                 length = float(max(abs(x) for x in vector))
@@ -632,15 +695,51 @@ class _Stack:
         return out
 
 
-def _walk_hits(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2: float, inside,
-               value) -> list:
-    """Per lane of the reductions (b, mu, norms): value(h) for the number h
-    of leaves of `_stack_walk` whose vector v (an (m,) row) passes `inside`,
-    or the node-budget error of a lane the walk drops."""
-    hit = [np.zeros(0, dtype=np.int64)]
-    dropped = _stack_walk(b, mu, norms, r2, lambda lane, v, _: hit.append(lane[inside(v)]))
-    hits = np.bincount(np.concatenate(hit), minlength=len(b))
-    return [_budget_error() if x else value(h) for h, x in zip(hits.tolist(), dropped.tolist())]
+def _walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, query: str,
+          bound: np.ndarray) -> list:
+    """Per lane of the reductions (b, mu, norms), walked within the squared
+    radius r2 (a float, or one per lane): None where the walk drops the lane
+    (past _MAX_NODES nodes, or at a window of no finite size), and otherwise
+    the answer to the query: for "box", the number of leaves with every
+    |v_i| <= bound[i]; for "ball", the number with every |v_i| < bound[0];
+    for "shortest", the int64 coefficient lists of the leaves of least
+    sup-norm among those with sup-norm <= bound[lane], in no set order. The
+    one float walk of every query: one call of the compiled library's walk,
+    or `_stack_walk` where the library is not in use; both walk every lane
+    to its end and give the leaves of its depth-first walk alone."""
+    library = _compiled()
+    return _walk_lanes(None if library is None else library.walk, b, mu, norms, r2, query,
+                       bound)
+
+
+def _walk_lanes(walk, b, mu, norms, r2, query: str, bound) -> list:
+    """`_walk` by the library's walk, or by `_stack_walk` when walk is None."""
+    if walk is not None:
+        found, dropped = walk(b, mu, norms, np.broadcast_to(r2 * (1 + _FLOAT_SLACK), len(b)),
+                              query, bound, _MAX_NODES)
+    elif query == "shortest":
+        found = [[] for _ in b]  # per lane: (sup-norm, c) of each leaf within its bound
+
+        def visit(lane, v, leaves):
+            sup = np.abs(v).max(axis=1)
+            keep = sup <= bound[lane]
+            for k, *leaf in zip(lane[keep].tolist(), sup[keep].tolist(),
+                                leaves(keep).astype(np.int64).tolist()):
+                found[k].append(leaf)
+
+        dropped = _stack_walk(b, mu, norms, r2, visit)
+        for leaves in found:
+            best = min(leaves)[0] if leaves else None
+            leaves[:] = [c for length, c in leaves if length == best]
+    else:
+        inside = ((lambda v: np.all(np.abs(v) <= bound, axis=1)) if query == "box"
+                  else lambda v: np.all(np.abs(v) < bound[0], axis=1))
+        hit = [np.zeros(0, dtype=np.int64)]
+        dropped = _stack_walk(b, mu, norms, r2, lambda lane, v, _: hit.append(lane[inside(v)]))
+        found = np.bincount(np.concatenate(hit), minlength=len(b))
+    if query != "shortest":
+        found = found.tolist()
+    return [None if x else y for x, y in zip(dropped.tolist(), found)]
 
 
 def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> np.ndarray:
@@ -650,7 +749,9 @@ def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> 
     (an (m,) row), and leaves(mask), the coefficients c of the masked leaves.
     Returns the mask of the lanes dropped, whose leaves visit may have seen
     in part: those with more than _MAX_NODES nodes in the ball, or a window
-    of no finite size (a zero norm).
+    of no finite size (a zero norm). `_walk` runs it where the compiled
+    library is not in use, and `_matches_walk` holds the library's walk to
+    it.
 
     The leaves are those of the depth-first walk of each lane alone, bit for
     bit. That walk sweeps each level outward from the integer nearest its
@@ -963,7 +1064,7 @@ def _ball_walk(b, lam, d, r2, box, first: bool = False):
     integers, compared with floor(r2 L). The walk is one kernel per
     dimension m, `_ball_walk_source(m)` compiled once per m by `_kernel`.
     More than _MAX_NODES nodes inside the ball raise DegenerateInputError.
-    The float mode walks a stack instead (`_stack_walk`)."""
+    The float mode walks a stack instead (`_walk`)."""
     return _kernel(_ball_walk_source, len(b))(b, lam, d, r2, box, first, _MAX_NODES)
 
 

@@ -1,6 +1,6 @@
-"""Fixtures for the float stacks' LLL: the compiled stack LLL itself, `_lll`
-lane by lane in its place, and both in turn, for the properties that hold
-either way."""
+"""Fixtures for the float stacks' LLL and walk: the compiled library's stack
+LLL itself, `_lll` lane by lane and `_stack_walk` in the library's place, and
+both in turn, for the properties that hold either way."""
 
 import pytest
 
@@ -9,18 +9,20 @@ from danilab import lattice
 
 @pytest.fixture(scope="session")
 def compiled_lll():
-    """The compiled stack LLL (`lattice._compiled_lll`). Where it cannot be
-    used the test is skipped, with the reason recorded for the process."""
-    reduce_stack = lattice._compiled_lll()
-    if reduce_stack is None:
+    """The compiled stack LLL (of `lattice._compiled()`). Where the library
+    cannot be used the test is skipped, with the reason recorded for the
+    process."""
+    library = lattice._compiled()
+    if library is None:
         pytest.skip(lattice.float_lll_backend())
-    return reduce_stack
+    return library.lll
 
 
 @pytest.fixture
 def python_lll(monkeypatch):
-    """Every lane of a float stack reduced by `_lll`, as on a machine where
-    the compiled stack LLL cannot be used."""
+    """Every lane of a float stack reduced by `_lll` and walked by
+    `_stack_walk`, as on a machine where the compiled library cannot be
+    used."""
     monkeypatch.setattr(lattice, "_COMPILED", (None, "python: switched off by a test"))
 
 

@@ -504,6 +504,29 @@ def test_interval_end_beyond_the_doubles_refused_where_read_as_a_float(subcomman
     assert capsys.readouterr().err == f"danilab: {where}: number too large for a float\n"
 
 
+# Runs that evaluate the curve at a float s on the interval [0, HUGE]: s is
+# compared with the exact ends, so each runs; on [HUGE, 2 HUGE], which holds
+# no double, the same s is refused.
+@pytest.mark.parametrize("subcommand, parameters, coeffs", [
+    ("correspondence", {"mu": "1/2", "N_set": [2, 3], "s_grid": [0.5]}, [[[0]], [[1]]]),
+    ("rep-verify", {"rep": {"kind": "adjoint"}, "s0": 0.5}, [[[0]], [[1]]]),
+    ("rep-verify", {"rep": {"kind": "adjoint"}, "s0": 1}, [[[0.0]], [[1.0]]]),
+])
+def test_float_point_on_an_interval_beyond_the_doubles_runs(subcommand, parameters, coeffs,
+                                                             tmp_path, capsys):
+    cfg = base_config(subcommand=subcommand, parameters=parameters, output=str(tmp_path / "r"))
+    cfg["curve"].update(coeffs=coeffs, interval=[0, HUGE])
+    if subcommand == "correspondence":
+        del cfg["sampler"]
+    assert main([subcommand, "--config", str(write_config(tmp_path, cfg))]) == EXIT_OK
+    assert (tmp_path / "r.jsonl").exists()
+    cfg["curve"]["interval"] = [HUGE, 2 * HUGE]
+    cfg["output"] = str(tmp_path / "outside")
+    assert main([subcommand, "--config", str(write_config(tmp_path, cfg))]) == EXIT_RUNTIME
+    assert "outside the curve interval" in capsys.readouterr().err
+    assert not (tmp_path / "outside.jsonl").exists()
+
+
 @pytest.mark.parametrize("cfg, where", [
     (base_config(parameters={"t_list": [1.0], "box": [1.5, 1.5], "normalise": True}),
      "parameters.normalise"),

@@ -1,14 +1,14 @@
-"""The compiled stack LLL's build and load (`danilab._clll`) and the
-fallback of `lattice` to `_lll` per lane.
+"""The compiled library's build and load (`danilab._clll`) and the fallback
+of `lattice` to `_lll` per lane and `_stack_walk`.
 
 A fresh cache directory gets the library compiled once, with mode 0700, and
 a second load reuses the file without running the compiler; wherever a C
 compiler is found, that library must pass its check against `_lll`, whose
 lanes reach every status and a transform made by size reductions and swaps.
-A missing compiler, a group-writable cache and a library that returns one
-wrong transform entry each leave the process on `_lll`, with the reason
-recorded in `lattice.float_lll_backend()`, and every answer equal to the
-library's; so does a platform whose doubles keep excess precision, where
+A missing compiler, a group-writable cache, a library that returns one
+wrong transform entry and one whose walk returns one wrong box count each
+leave the process on `_lll` and `_stack_walk`, with the reason recorded in
+`lattice.float_lll_backend()`, and every answer equal to the library's; so does a platform whose doubles keep excess precision, where
 the source refuses to compile. A compile removes the cache's libraries of
 other sources, and nothing else.
 """
@@ -67,14 +67,14 @@ def have_compiler():
 def test_fresh_cache_compiles_once_and_reuses_the_library(cache, monkeypatch):
     folder, runs = cache
     want = answers()  # by the backend this process chose first
-    reduce_stack, path = _clll.load()
+    library, path = _clll.load()
     assert len(runs) == 1 and os.path.dirname(path) == str(folder)
     assert stat.S_IMODE(os.stat(folder).st_mode) == 0o700
     assert os.listdir(folder) == [os.path.basename(path)]  # no temporary file left
-    assert lattice._matches_lll(reduce_stack)
+    assert lattice._matches_lll(library.lll) and lattice._matches_walk(library.walk)
     again, same = _clll.load()
     assert same == path and len(runs) == 1  # the second load compiles nothing
-    assert lattice._matches_lll(again)
+    assert lattice._matches_lll(again.lll) and lattice._matches_walk(again.walk)
     first_reduction(monkeypatch)
     assert answers() == want
     assert lattice.float_lll_backend() == path and len(runs) == 1
@@ -114,19 +114,63 @@ def test_library_with_a_wrong_transform_falls_back_to_lll(compiled_lll, monkeypa
     load = _clll.load
 
     def load_wrong():
-        reduce_stack, path = load()
+        library, path = load()
 
         def reduce_wrong(cols, delta, max_steps):
-            b, u, mu, norms, status, first = reduce_stack(cols, delta, max_steps)
+            b, u, mu, norms, status, first = library.lll(cols, delta, max_steps)
             u[0, 0, 0] += cols.shape[1] == 4
             return b, u, mu, norms, status, first
-        return reduce_wrong, path
+        return library._replace(lll=reduce_wrong), path
 
     monkeypatch.setattr(_clll, "load", load_wrong)
     first_reduction(monkeypatch)
     assert answers() == want
     assert lattice.float_lll_backend() == (
         f"python: {_clll.library_path()} does not reduce the check lanes as _lll does")
+
+
+def test_library_with_a_wrong_walk_falls_back(compiled_lll, monkeypatch):
+    # one wrong box count, on the first check lane, leaves the process on
+    # `_lll` and `_stack_walk` for every float stack
+    want = answers()
+    load = _clll.load
+
+    def load_wrong():
+        library, path = load()
+
+        def walk_wrong(b, mu, norms, limit, query, bound, max_nodes):
+            found, dropped = library.walk(b, mu, norms, limit, query, bound, max_nodes)
+            if query == "box":
+                found[0] += 1
+            return found, dropped
+        return library._replace(walk=walk_wrong), path
+
+    monkeypatch.setattr(_clll, "load", load_wrong)
+    first_reduction(monkeypatch)
+    assert lattice._compiled() is None
+    assert lattice.float_lll_backend() == (
+        f"python: {_clll.library_path()} does not walk the check lanes as _stack_walk does")
+    calls = {"_lll": 0, "_stack_walk": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(lattice, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lattice, name, counted)
+    assert answers() == want
+    assert calls["_lll"] == 2 * 9 and calls["_stack_walk"] > 0
+
+
+@pytest.mark.parametrize("shapes, query", [
+    (((2, 9, 9), (2, 9, 9), (2, 9), (2,), (9,)), "box"),
+    (((2, 2, 2), (2, 2, 3), (2, 2), (2,), (2,)), "box"),
+    (((2, 2, 2), (2, 2, 2), (2, 2), (1,), (2,)), "box"),
+    (((2, 2, 2), (2, 2, 2), (2, 2), (2,), (2,)), "ball"),
+    (((2, 2, 2), (2, 2, 2), (2, 2), (2,), (1,)), "shortest"),
+])
+def test_library_walk_refuses_arrays_it_cannot_read(compiled_lll, shapes, query):
+    b, mu, norms, limit, bound = map(np.ones, shapes)
+    with pytest.raises(ValueError, match="needs"):
+        lattice._compiled().walk(b, mu, norms, limit, query, bound, lattice._MAX_NODES)
 
 
 @pytest.mark.skipif(not have_compiler(), reason="no C compiler")

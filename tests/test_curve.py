@@ -330,3 +330,22 @@ def test_normalizer_singular_derivative():
     flat = MatrixPolyCurve.from_coeffs([[[0.0]], [[0.0]], [[1.0]]], (-1.0, 1.0))
     with pytest.raises(SingularMatrixError):
         normalizer(flat, 0.0)  # phi'(0) = 0
+
+
+def test_float_domain_of_an_interval_beyond_the_doubles_is_exact():
+    # the greatest float <= x, for x within, above and below the doubles
+    at_most = curve_module._float_at_most
+    assert at_most(Fraction(1, 10)) == math.nextafter(0.1, 0) < Fraction(1, 10) < 0.1
+    assert at_most(Fraction(1, 3)) == 1 / 3 < Fraction(1, 3)
+    huge = 10 ** 400
+    assert at_most(Fraction(huge)) == 1.7976931348623157e308 and at_most(-huge) == -math.inf
+    # [0, 10^400] widened by 10^388 holds every finite float; [10^400, 2
+    # 10^400] holds none, and inf lies above both
+    s = np.array([-1.7976931348623157e308, -1.0, 0.5, 1e308, math.inf, -math.inf, math.nan])
+    line = MatrixPolyCurve.from_coeffs([[[0]], [[1]]], (0, huge))
+    assert line.in_float_domain(s).tolist() == [True] * 4 + [False] * 3
+    assert not MatrixPolyCurve.from_coeffs([[[0]], [[1]]], (huge, 2 * huge)).in_float_domain(
+        s).any()
+    # an interval within the doubles keeps its float ends and slack
+    assert MatrixPolyCurve.from_coeffs([[[0]], [[1]]], (0, 1)).in_float_domain(
+        np.array([-1e-12, -2e-12, 1 + 1e-12, 1 + 2e-12])).tolist() == [True, False, True, False]

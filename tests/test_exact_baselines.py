@@ -90,8 +90,9 @@ def test_genericity_and_rep_config_reproduce_committed_baseline(name, tmp_path, 
 
 def refuse_pair_walks(monkeypatch):
     """Make the exact walk (`lattice._ball_walk`, on a list of columns) and
-    the float walk (`lattice._stack_walk`, on an (M, m, m) array) raise on
-    2 x 2 input and walk any other as before."""
+    the float walk (`lattice._walk`, on an (M, m, m) array, the entry of the
+    compiled walk and of `_stack_walk` alike) raise on 2 x 2 input and walk
+    any other as before."""
     def guard(walk, m_of):
         def guarded(b, *args):
             if m_of(b) == 2:
@@ -100,7 +101,7 @@ def refuse_pair_walks(monkeypatch):
         return guarded
 
     monkeypatch.setattr(lattice, "_ball_walk", guard(lattice._ball_walk, len))
-    monkeypatch.setattr(lattice, "_stack_walk", guard(lattice._stack_walk, lambda b: b.shape[1]))
+    monkeypatch.setattr(lattice, "_walk", guard(lattice._walk, lambda b: b.shape[1]))
 
 
 @pytest.mark.parametrize("name", ["correspondence", "nondiv", "w-invariance"])

@@ -3,7 +3,7 @@
 `_lll` is the float LLL written once, as a loop over the coordinates: its
 dot products are summed left to right from 0.0, so neither it nor the ball
 walk's centers depend on how the Python at hand implements builtin sum() on
-floats. The compiled stack LLL (`lattice._compiled_lll`) must reduce each
+floats. The compiled stack LLL (of `lattice._compiled()`) must reduce each
 lane as `_lll` does, lane by lane: the bytes of the reduced columns, mu and
 norms, and the transform U as integers, on flowed orbit bases and Gaussian
 bases at m = 1 to 8, at both deltas, through long swap chains (orbit bases

@@ -9,10 +9,11 @@ recomputes Gram-Schmidt in full after every step, and a walk of the whole
 coefficient box that the inverse of the reduced basis bounds. The compiled
 stack LLL is held to the scalar float LLL bit for bit, and the integral
 LLL, which updates its Gram rows on a swap, to the same loop
-recomputing them. The breadth-first stack walk, the one float enumerator,
-is held to the depth-first float walk each basis ran alone before
-(`ball_walk_reference`): equal leaves, and equal box counts, ball tests and
-shortest vectors on every lane, bit for bit. At n = 1 the shortest vector is
+recomputing them. The float walk, the one float enumerator, is held to the
+depth-first float walk each basis ran alone before (`ball_walk_reference`):
+the breadth-first numpy walk `_stack_walk` leaf for leaf, and both it and
+the compiled walk with equal box counts, ball tests, shortest vectors and
+dropped lanes on every lane, bit for bit. At n = 1 the shortest vector is
 also held to continued fractions (`cf_reference`), which use no LLL and no
 walk. At n = 2 and 3, the orbit lattices of the rank-1 curve s I, direct
 sums of the n = 1 line's lattice, are held to that line plane by plane.
@@ -713,13 +714,22 @@ def block_lanes(m):
 
 
 @pytest.mark.parametrize("m", [4, 6])
-def test_stack_walk_on_signed_zero_tie_and_face_lanes(m):
+def test_stack_walk_on_signed_zero_tie_and_face_lanes(m, monkeypatch):
     lanes = block_lanes(m)
     boxes = wide_boxes(m) + ((0.9,) * (m - 2) + (0.6, 0.9),)
     assert_stack_answers_match_unbatched(lanes, boxes)
     # the box (0.9, ...) holds +-(0.9, 0, ...) of the box-face lane on its face
     face = next(k for k, x in enumerate(lanes) if x[0, 0] == 0.9 and x[1, 1] == 1 / 0.9)
     assert count_in_box(LatticeBasis.batch(np.array(lanes))[face], (0.9,) * m) >= 2
+    # the compiled library, where it is in use, answers every query as
+    # `_lll` and `_stack_walk` do
+    def answers():
+        return [query_answers(basis, boxes, WIDE_BOUNDS, STACK_QUERIES)
+                for basis in LatticeBasis.batch(np.array(lanes))]
+
+    want = answers()
+    monkeypatch.setattr(lattice, "_COMPILED", (None, "python: switched off by a test"))
+    assert answers() == want
 
 
 def generic_curve(n):
@@ -831,7 +841,10 @@ def test_stack_walk_skips_only_lanes_it_cannot_enter(skip, data):
     """The stack walk returns the dropped mask and hands visit the leaves of
     the depth-first walk of each lane alone, and enters no lane whose every
     norm exceeds its limit: such a lane's mu is nan here, which would drop
-    it at level m - 2. A zero or nan norm is entered and dropped."""
+    it at level m - 2. A zero or nan norm is entered and dropped. The
+    compiled walk, where the library is in use, and `_stack_walk` answer a
+    box count, a ball test and the shortest vectors from those leaves, and
+    drop the same lanes."""
     b, mu, norms, r2, planned, broken = data.draw(skip_walks(skip))
     assert {"every": planned.all(), "none": not planned.any(),
             "some": 0 < planned.sum() < len(b)}[skip]
@@ -847,6 +860,32 @@ def test_stack_walk_skips_only_lanes_it_cannot_enter(skip, data):
             assert got[i] == lane_leaves(b[i].tolist(), mu[i].tolist(), norms[i].tolist(),
                                          float(np.broadcast_to(r2, len(b))[i]))
             assert (got[i] == []) >= planned[i]
+    m = b.shape[1]
+    box, short = np.full(m, 0.6), np.sqrt(np.broadcast_to(r2, len(b)) / m)
+    queries = (("box", box), ("ball", np.array([0.6])), ("shortest", short))
+    want = {query: [None if broken[i] else leaf_answer(got[i], query, bound, i)
+                    for i in range(len(b))] for query, bound in queries}
+    library = lattice._compiled()
+    for walk in {None, None if library is None else library.walk}:
+        for query, bound in queries:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                answers = lattice._walk_lanes(walk, b, unread, norms, r2, query, bound)
+            assert [x if query != "shortest" or x is None else sorted(x)
+                    for x in answers] == want[query]
+
+
+def leaf_answer(leaves, query, bound, lane):
+    """The answer of `lattice._walk` to the query from a lane's sorted
+    leaves (coefficients, vector bytes), as `walk_leaves` gives them; the
+    shortest vectors' coefficients sorted."""
+    sups = [(np.abs(np.frombuffer(v)), list(c)) for c, v in leaves]
+    if query == "box":
+        return sum(bool(np.all(v <= bound)) for v, _ in sups)
+    if query == "ball":
+        return sum(bool(np.all(v < bound[0])) for v, _ in sups)
+    sups = [(v.max(), c) for v, c in sups if v.max() <= bound[lane]]
+    best = min(sups)[0] if sups else None
+    return sorted(c for x, c in sups if x == best)
 
 
 def stack_queries(bases, m):
@@ -866,9 +905,10 @@ def count_reductions(monkeypatch) -> dict:
         return call
 
     monkeypatch.setattr(lattice, "_lll", counted("_lll", lattice._lll))
-    if lattice._compiled_lll() is not None:
-        monkeypatch.setattr(lattice, "_COMPILED", (counted("library", lattice._compiled_lll()),
-                                                   lattice.float_lll_backend()))
+    library = lattice._compiled()
+    if library is not None:
+        library = library._replace(lll=counted("library", library.lll))
+        monkeypatch.setattr(lattice, "_COMPILED", (library, lattice.float_lll_backend()))
     return calls
 
 
@@ -886,7 +926,7 @@ def test_stack_queries_build_no_ball_walk_and_reduce_each_lane_once(monkeypatch,
     assert calls == {"_lll": 0, "library": 0}  # nothing reduces before a query
     assert stack_queries(bases, 2 * n) == want
     # one library call for the whole stack; `_lll` per lane only without it
-    assert calls == ({"_lll": 0, "library": 1} if lattice._compiled_lll() is not None
+    assert calls == ({"_lll": 0, "library": 1} if lattice._compiled() is not None
                      else {"_lll": len(stack), "library": 0})
 
 
@@ -933,6 +973,52 @@ def test_lane_past_the_node_cap_walks_and_raises_per_sample(monkeypatch):
     monkeypatch.setattr(lattice, "_MAX_NODES", 278)  # the budget itself still answers
     assert (count_in_box(LatticeBasis(skew), (0.95,) * 4)
             == ball_walk_reference.count_in_box(LatticeBasis(skew), (0.95,) * 4) == 36)
+
+
+def test_walk_drops_lanes_past_the_budget_or_at_a_zero_or_nan_norm(float_lll, monkeypatch):
+    # lane 0 is the reduced skew lane of the test above: 278 nodes in the
+    # ball around the box (0.95, ...), whose leaves hit every query; lanes 1
+    # and 2 are Z^4 with a zero and with a nan norm. Past a budget of 277
+    # nodes, lane 0 answers None (the budget error) to every query, the ball
+    # test that has hits included, as the reference walk raises.
+    b, mu, norms = (np.concatenate([x, x]) for x in
+                    LatticeBasis.batch(np.array([np.diag([0.05, 20.0, 1.0, 1.0]),
+                                                 np.eye(4)]))[0]._stack.reduced())
+    b, mu, norms = b[:3], mu[:3], norms[:3].copy()
+    norms[1, 2], norms[2, 0] = 0.0, math.nan
+    r2 = sum(x * x for x in (0.95,) * 4)
+    queries = (("box", np.full(4, 0.95)), ("ball", np.array([0.95])),
+               ("shortest", np.full(3, 0.95)))
+
+    def walk():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [lattice._walk(b, mu, norms, r2, query, bound) for query, bound in queries]
+
+    leaves = lane_leaves(b[0].tolist(), mu[0].tolist(), norms[0].tolist(), r2)
+    want = [leaf_answer(leaves, query, bound, 0) for query, bound in queries]
+    got = walk()
+    assert [x[1:] for x in got] == [[None, None]] * 3
+    assert [got[0][0], got[1][0], sorted(got[2][0])] == want
+    assert want[:2] == [18, 18] and len(want[2]) == 1  # +-k (0.05, 0, 0, 0) for k <= 18
+    monkeypatch.setattr(lattice, "_MAX_NODES", 277)
+    with pytest.raises(DegenerateInputError, match="node budget"):
+        lane_leaves(b[0].tolist(), mu[0].tolist(), norms[0].tolist(), r2)
+    assert walk() == [[None] * 3] * 3
+
+
+def test_z6_shortest_vector_is_read_from_its_364_ties(float_lll):
+    # the ball 6 of Z^6 holds 364 leaves of sup-norm 1, one of each +-v
+    # pair of {-1, 0, 1}^6, more than the library first has room for
+    eye = np.eye(6)
+    ties = lattice._walk(eye[None], np.zeros((1, 6, 6)), np.ones((1, 6)), 6.0, "shortest",
+                         np.ones(1))[0]
+    leaves = lane_leaves(eye.tolist(), np.zeros((6, 6)).tolist(), [1.0] * 6, 6.0)
+    assert len(ties) == 364 and sorted(ties) == leaf_answer(leaves, "shortest", [1.0], 0)
+    for basis in (LatticeBasis(eye), *LatticeBasis.batch(np.array([eye, -eye]))):
+        want = ball_walk_reference.shortest_supnorm(LatticeBasis(basis.cols))
+        got = shortest_supnorm(basis)
+        assert (got.vector.tobytes(), got.length, got.coeffs.tobytes()) == (
+            want.vector.tobytes(), want.length, want.coeffs.tobytes())
 
 
 def test_lane_past_the_node_budget_is_named_by_its_sample(monkeypatch):

@@ -250,7 +250,7 @@ def test_n1_queries_read_the_batched_reduction(monkeypatch):
     # compiled stack LLL, or by `_lll` per lane without it: two Siegel, two
     # K_mu and two lambda1 stacks of 40 lanes, and the w-invariance and
     # nondivergence stacks of 80
-    per_lane = lattice._compiled_lll() is None
+    per_lane = lattice._compiled() is None
     assert len(calls) == per_lane * 10 * 40
     calls.clear()
     for obs in (siegel_count((0.9, 0.9)), kmu_indicator(0.7)):
@@ -387,7 +387,7 @@ def test_exact_wider_and_unbatched_bases_reduce_in_each_query(monkeypatch):
         monkeypatch.setattr(lattice, name, counted)
     # a float stack, lambda1's included, is reduced by the compiled stack
     # LLL, or by `_lll` per lane without it
-    per_lane = lattice._compiled_lll() is None
+    per_lane = lattice._compiled() is None
     plane = MatrixPolyCurve.from_coeffs([np.eye(2) * 0.25, np.eye(2) + 0.125], (1.0, 2.0))
     stats._orbit_stats(plane, [3.0], Sampler(seed=3, count=6), lambda1())
     assert calls == {"_lll": 6 * per_lane, "_lll_integral": 0, "_lagrange": 0}

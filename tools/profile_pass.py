@@ -20,9 +20,12 @@ runs), then one pass under cProfile, and prints:
   config, the profiled pass time, which float LLL reduced the float
   stacks (`danilab.lattice.float_lll_backend()`): the compiled library's
   path, "python: <reason>" when `_lll` reduced every lane, or "none ran"
-  when the pass reduced no float stack; and how many lanes the Python
-  `_lll` reduced in the profiled pass, read from the profile's call count
-  of `danilab.lattice._lll`;
+  when the pass reduced no float stack; how many lanes the Python `_lll`
+  reduced in the profiled pass, read from the profile's call count of
+  `danilab.lattice._lll`; and how many lanes the numpy walk
+  `danilab.lattice._stack_walk` walked in it, counted by a wrapper around
+  that function for the profiled pass (it runs only without the compiled
+  library);
 - the top N rows of the profiled pass (default 25), sorted by `tottime`
   (the default) or `cumtime`: calls, tottime, cumtime, each time's share of
   the profiled pass (`run_pass`'s cumulative time), and the function as
@@ -134,9 +137,15 @@ def main(argv=None) -> int:
         run_pass(texts)  # warm: lazy set-up and kernel compilation
         times = [run_pass(texts) for _ in range(PASSES)]
         config_time = statistics.median(config_pass(texts) for _ in range(PASSES))
+        walked = []  # the lanes of each `_stack_walk` call of the profiled pass
+        stack_walk = lattice._stack_walk
+        lattice._stack_walk = lambda b, *args: walked.append(len(b)) or stack_walk(b, *args)
         profile = cProfile.Profile()
         start = perf_counter()
-        profile.runcall(run_pass, texts)
+        try:
+            profile.runcall(run_pass, texts)
+        finally:
+            lattice._stack_walk = stack_walk
         profiled = perf_counter() - start
     finally:
         os.chdir(cwd)
@@ -149,7 +158,7 @@ def main(argv=None) -> int:
           f"median {config_time:.4f} s ({config_time / len(texts) * 1e6:.1f} us per config); "
           f"profiled pass {profiled:.4f} s; "
           f"float LLL: {lattice.float_lll_backend() or 'none ran'}; "
-          f"_lll lanes: {calls(stats, lattice._lll)}")
+          f"_lll lanes: {calls(stats, lattice._lll)}; _stack_walk lanes: {sum(walked)}")
     print(f"top {args.top} by {args.sort}; shares are of the profiled pass:")
     for line in rows(stats, args.sort, args.top):
         print(line)
