@@ -17,9 +17,10 @@ of a non-finite mu (3); it is 4 where U left int64 (|q| >= 2^63, or an
 update overflowed), and `_lll` gives that lane's U.
 
 `danilab_walk_stack` walks every lane of the reductions (b, mu, norms)
-within its limit (r2 (1 + _FLOAT_SLACK), computed by the caller) and
-answers one query for it, as `lattice._stack_walk` with its visit
-functions in `lattice._walk_lanes` answers it. A lane whose every norm
+within its limit (r2 (1 + _FLOAT_SLACK), computed by the caller) as
+`lattice._walk_lane` walks it, line for line, and answers one query from
+its leaves as `lattice._answer` does; a lane the walk drops answers with
+the node-budget error, whatever leaves it saw. A lane whose every norm
 exceeds the limit is skipped, with no leaf. The others are walked depth
 first, every lane to its end, from level m - 1 down to 0, and at each node
 of level j:
@@ -34,11 +35,6 @@ of level j:
   lane;
   a leaf (a node at level 0) is v = (0.0 + c_{m-1} b_{m-1} + ... + c_1 b_1)
   + c_0 b_0, coordinate by coordinate.
-Query 0 counts the leaves with every |v_i| <= w_i, query 1 those with
-every |v_i| < r, and query 2 keeps the least sup-norm (nan if a coordinate
-is) among the leaves with sup-norm <= the lane's bound, and the
-coefficients of every leaf that has it. A lane the walk drops answers with
-the node-budget error, whatever leaves it saw.
 
 The library is compiled with the C compiler Python was built with
 (sysconfig's CC, else cc) into the user's cache, $XDG_CACHE_HOME/danilab
@@ -53,7 +49,7 @@ platform whose double arithmetic keeps excess precision (FLT_EVAL_METHOD
 not 0, as on x87) fails to compile, and a compiler without the checked
 integer builtins (`__builtin_mul_overflow`, in GCC since 5 and in Clang)
 leaves no library that loads: `_lll` then reduces every lane and
-`_stack_walk` walks them.
+`_walk_lane` walks each.
 """
 
 import ctypes
@@ -205,13 +201,13 @@ long danilab_lll_stack(const double *cols, long lanes, int m, double delta,
 }
 
 /* The walk of one lane's reduction (b[j m + c]: coordinate c of column j;
-   mu[i m + j]; norms[j]) as lattice._stack_walk walks it, depth first,
-   every level's window tried in full. query 0 counts the leaves with every
-   |v_c| <= bound[c] into *hits; query 1 those with every |v_c| < bound[0];
-   query 2 keeps the least sup-norm among the leaves with sup-norm <=
-   bound[0], and their number in *hits, the coefficients of the first `room`
-   of them in ties (m doubles each). Returns 1 where _stack_walk drops the
-   lane: past max_nodes nodes, or at a window of no finite size. */
+   mu[i m + j]; norms[j]) as lattice._walk_lane walks it, line for line:
+   depth first, every level's window tried in full. query 0 counts the
+   leaves with every |v_c| <= bound[c] into *hits; query 1 those with every
+   |v_c| < bound[0]; query 2 keeps the least sup-norm among the leaves with
+   sup-norm <= bound[0], and their number in *hits, the coefficients of the
+   first `room` of them in ties (m doubles each). Returns 1 where _walk_lane
+   drops the lane: past max_nodes nodes, or at a window of no finite size. */
 static inline __attribute__((always_inline)) int
 walk_lane(int m, const double *b, const double *mu, const double *norms, double limit,
           int query, const double *bound, long max_nodes, int64_t *hits, double *ties,
@@ -434,12 +430,9 @@ def load():
 
     library.walk(b, mu, norms, limit, query, bound, max_nodes) -> (found,
     dropped) walks every lane of the reductions (b, mu, norms) within its
-    limit[lane] for the query "box" (bound: m halfwidths), "ball" (bound:
-    one radius) or "shortest" (bound: one sup-norm per lane). found is the
-    int64 array of each lane's leaves in the box or the open ball, or, for
-    "shortest", per lane the int64 coefficient lists of its leaves of least
-    sup-norm within the lane's bound, in no set order; dropped is the bool
-    mask of the lanes the walk drops.
+    limit[lane]: found holds `lattice._walk`'s answers to the query (an
+    int64 array for "box" and "ball"), in no set order for "shortest", and
+    dropped is the bool mask of the lanes the walk drops.
 
     Both refuse arrays of other shapes, or m outside 1...MAX_DIM
     (ValueError), before the library reads them."""

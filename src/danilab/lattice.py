@@ -23,26 +23,23 @@ too (`_ball_walk`): one nested sweep per level, with no generator and no
 call per node.
 
 Every float basis is a lane of a `_Stack`: the bases of one
-`LatticeBasis.batch` share one, and a basis made alone has its own. A caller
-that reads whole answer lists (`stats.Observable.evaluate_stack`) takes the
-checked stack itself (`_checked_stack`, which `batch` wraps) and builds no
-bases. The first query on any lane reduces every lane once, with U, and
-each query of one box or bound, or of the shortest vector, is decided for
-every lane by one float walk (`_walk`, the one float enumerator), which
-gives each lane the leaves of its depth-first walk alone, with that walk's
-float operations in its order. The float LLL and the float walk each exist
-twice. In a compiled C library (`_clll`), one call reduces a whole stack
-with `_lll`'s IEEE-double operations in `_lll`'s order and U in int64
-(`_lll` gives the U of a lane past int64), and one call walks a whole
-stack for one query, depth first, with `_stack_walk`'s operations in its
-order. In Python, `_lll` is a plain loop whose dot products are summed left
-to right from 0.0, so a reduction has the same bits on every Python, and
-`_stack_walk` walks every lane at once, breadth first, over numpy arrays.
-The library is compiled once per machine into the user's cache and used
-only after it reproduces `_lll` and `_stack_walk` on a few fixed lanes;
+`LatticeBasis.batch` share one, and a basis made alone has its own. A
+caller that reads whole answer lists (`stats.Observable.evaluate_stack`)
+takes the checked stack itself (`_checked_stack`, which `batch` wraps) and
+builds no bases. The first query on any lane reduces every lane once, with
+U, and each query of one box or bound, or of the shortest vector, is
+decided for every lane by one float walk (`_walk`, the one float
+enumerator), depth first. The float LLL and the float walk each exist
+twice, written the same way: as one Python loop over one lane, `_lll` (dot
+products summed left to right from 0.0) and `_walk_lane`, and in a compiled
+C library (`_clll`) whose one call reduces a whole stack (U in int64;
+`_lll` gives the U of a lane past int64) or walks it, with their
+IEEE-double operations in their order, so both give the same bits on every
+Python. The library is compiled once per machine into the user's cache and
+used only after it reproduces `_lll` and `_walk_lane` on a few fixed lanes;
 without a C compiler, with an unusable cache or after a failed check, every
-lane is reduced by `_lll` and walked by `_stack_walk`, and
-`float_lll_backend()` says which of the two backends runs.
+lane is reduced by `_lll` and walked by `_walk_lane`, and
+`float_lll_backend()` says which runs.
 
 A box of halfwidths w lies inside the ball of radius ||w||_2, so walking
 that ball and testing each vector exactly against the box gives exact minima
@@ -92,11 +89,6 @@ _MAX_LLL_STEPS = 20_000
 # the rounding in the Gram-Schmidt data, which stays near 1e-12 on flowed
 # lattices up to t = 14.
 _FLOAT_SLACK = 1e-9
-# The numpy stack walk (`_stack_walk`) expands each level in chunks of at most
-# _STACK_CHUNK candidate nodes, so it holds a few MB of numpy temporaries at
-# most, however many lanes the stack has and however many nodes a ball holds.
-# The compiled walk holds one lane's path at a time.
-_STACK_CHUNK = 8_192
 # Minkowski: a unimodular lattice has a nonzero vector of sup-norm <= 1.
 _MINKOWSKI_FLOAT_TOL = 1e-9
 # LLL's delta for `_lll`, `reduce` and the float stacks' reductions.
@@ -373,7 +365,7 @@ def _lll(cols, delta: float = _DELTA):
 _LLL_ERRORS = (ArithmeticError, ValueError, InternalIdentityError)
 # (library, backend) of the float stacks' LLL and walk, set at their first
 # reduction: the compiled library (`_clll.Library`) and its path, or None and
-# "python: <reason>" when `_lll` reduces every lane and `_stack_walk` walks.
+# "python: <reason>" when `_lll` reduces every lane and `_walk_lane` walks it.
 _COMPILED = None
 
 
@@ -423,7 +415,7 @@ def _matches_lll(reduce_stack) -> bool:
 
 
 def _check_walks() -> list:
-    """The walks the compiled walk must answer as `_stack_walk` does before
+    """The walks the compiled walk must answer as `_walk_lane` does before
     it is used, as (b, mu, norms, r2, query, bound): a box count, a ball
     test and the shortest vectors of `_lll`'s reductions of the pairs of
     `_check_lanes()` (signed zeros, half ties, vectors on the box's faces)
@@ -474,11 +466,10 @@ def _check_walks() -> list:
 
 def _matches_walk(walk) -> bool:
     """Does the library's walk answer every `_check_walks()` case as
-    `_stack_walk` does: the same lanes dropped, and on every other lane the
+    `_walk_lane` does: the same lanes dropped, and on every other lane the
     same count of leaves or the same ties (in any order)?"""
     for case in _check_walks():
-        with np.errstate(divide="ignore", invalid="ignore"):  # the zero and nan norms
-            got, want = _walk_lanes(walk, *case), _walk_lanes(None, *case)
+        got, want = _walk_lanes(walk, *case), _walk_lanes(None, *case)
         if case[4] == "shortest":
             got, want = ([None if x is None else sorted(x) for x in y] for y in (got, want))
         if got != want:
@@ -490,7 +481,7 @@ def _compiled():
     """The compiled library (`_clll.Library`), loaded (and compiled, on a
     machine's first use) once per process and used only if its LLL
     `_matches_lll` and its walk `_matches_walk`, or None when this process
-    reduces every lane with `_lll` and walks with `_stack_walk`; the backend
+    reduces every lane with `_lll` and walks it with `_walk_lane`; the backend
     and, for None, the reason are recorded in `_COMPILED`."""
     global _COMPILED
     if _COMPILED is None:
@@ -500,7 +491,7 @@ def _compiled():
             if not _matches_lll(library.lll):
                 raise _clll.Unusable(f"{path} does not reduce the check lanes as _lll does")
             if not _matches_walk(library.walk):
-                raise _clll.Unusable(f"{path} does not walk the check lanes as _stack_walk does")
+                raise _clll.Unusable(f"{path} does not walk the check lanes as _walk_lane does")
             _COMPILED = library, path
         except _clll.Unusable as exc:
             _COMPILED = None, f"python: {exc}"
@@ -510,7 +501,7 @@ def _compiled():
 def float_lll_backend():
     """Which backend has reduced and walked this process's float stacks:
     the compiled library's path, or "python: <reason>" when `_lll` reduces
-    every lane and `_stack_walk` walks them; None before the first float
+    every lane and `_walk_lane` walks each; None before the first float
     stack reduction."""
     return None if _COMPILED is None else _COMPILED[1]
 
@@ -570,9 +561,9 @@ class _Stack:
     j), mu[lane, i, j] (j < i) and norms[lane, j], which `reduced` gives,
     and the transform columns `_transform[lane, j]`, which the tie-break of
     the shortest vector reads. Whatever `_lll` raises on a lane is raised
-    for the lowest such lane, named. A query is decided for every lane in
-    one walk (`_walk`: one call of the compiled walk, or `_stack_walk`),
-    save a ball test at m = 2, which reads four vectors of each reduced pair
+    for the lowest such lane, named. A query is decided for every lane by
+    `_walk` (one call of the compiled walk, or `_walk_lane` per lane), save
+    a ball test at m = 2, which reads four vectors of each reduced pair
     (`shorter`); a lane past _MAX_NODES, or whose shortest vector fails a
     check, answers with its error, and the other lanes still answer.
     `read` gives one lane's answer, or every lane's; `below` and `minimum`
@@ -702,146 +693,112 @@ def _walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, query: str,
     (past _MAX_NODES nodes, or at a window of no finite size), and otherwise
     the answer to the query: for "box", the number of leaves with every
     |v_i| <= bound[i]; for "ball", the number with every |v_i| < bound[0];
-    for "shortest", the int64 coefficient lists of the leaves of least
+    for "shortest", the integer coefficient lists of the leaves of least
     sup-norm among those with sup-norm <= bound[lane], in no set order. The
-    one float walk of every query: one call of the compiled library's walk,
-    or `_stack_walk` where the library is not in use; both walk every lane
-    to its end and give the leaves of its depth-first walk alone."""
+    one float walk of every query: the compiled library's walk in one call,
+    or `_walk_lane` lane by lane where the library is not in use."""
     library = _compiled()
     return _walk_lanes(None if library is None else library.walk, b, mu, norms, r2, query,
                        bound)
 
 
 def _walk_lanes(walk, b, mu, norms, r2, query: str, bound) -> list:
-    """`_walk` by the library's walk, or by `_stack_walk` when walk is None."""
+    """`_walk` by the library's walk, or lane by lane when walk is None."""
+    limit = np.broadcast_to(r2 * (1 + _FLOAT_SLACK), len(b))
     if walk is not None:
-        found, dropped = walk(b, mu, norms, np.broadcast_to(r2 * (1 + _FLOAT_SLACK), len(b)),
-                              query, bound, _MAX_NODES)
-    elif query == "shortest":
-        found = [[] for _ in b]  # per lane: (sup-norm, c) of each leaf within its bound
-
-        def visit(lane, v, leaves):
-            sup = np.abs(v).max(axis=1)
-            keep = sup <= bound[lane]
-            for k, *leaf in zip(lane[keep].tolist(), sup[keep].tolist(),
-                                leaves(keep).astype(np.int64).tolist()):
-                found[k].append(leaf)
-
-        dropped = _stack_walk(b, mu, norms, r2, visit)
-        for leaves in found:
-            best = min(leaves)[0] if leaves else None
-            leaves[:] = [c for length, c in leaves if length == best]
-    else:
-        inside = ((lambda v: np.all(np.abs(v) <= bound, axis=1)) if query == "box"
-                  else lambda v: np.all(np.abs(v) < bound[0], axis=1))
-        hit = [np.zeros(0, dtype=np.int64)]
-        dropped = _stack_walk(b, mu, norms, r2, lambda lane, v, _: hit.append(lane[inside(v)]))
-        found = np.bincount(np.concatenate(hit), minlength=len(b))
-    if query != "shortest":
-        found = found.tolist()
-    return [None if x else y for x, y in zip(dropped.tolist(), found)]
+        found, dropped = walk(b, mu, norms, limit, query, bound, _MAX_NODES)
+        if query != "shortest":
+            found = found.tolist()
+        return [None if x else y for x, y in zip(dropped.tolist(), found)]
+    limit, bound = limit.tolist(), bound.tolist()
+    out = []
+    for lane in range(len(b)):  # one lane's lists at a time: no list of every lane
+        leaves = _walk_lane(b[lane].tolist(), mu[lane].tolist(), norms[lane].tolist(),
+                            limit[lane])
+        try:
+            out.append(_answer(leaves, query, [bound[lane]] if query == "shortest" else bound))
+        except DegenerateInputError:  # the walk dropped the lane
+            out.append(None)
+    return out
 
 
-def _stack_walk(b: np.ndarray, mu: np.ndarray, norms: np.ndarray, r2, visit) -> np.ndarray:
-    """Walk the ball of squared radius r2 (a float, or one per lane) of every
-    lane of the reductions (b, mu, norms) and hand its leaves to `visit`,
-    chunk by chunk, as visit(lane, v, leaves): each leaf's lane and vector v
-    (an (m,) row), and leaves(mask), the coefficients c of the masked leaves.
-    Returns the mask of the lanes dropped, whose leaves visit may have seen
-    in part: those with more than _MAX_NODES nodes in the ball, or a window
-    of no finite size (a zero norm). `_walk` runs it where the compiled
-    library is not in use, and `_matches_walk` holds the library's walk to
-    it.
+def _answer(leaves, query: str, bound: list):
+    """One lane's answer to the query, as `_walk` gives it, from the leaves
+    (c, v) of its walk; the shortest vectors in the walk's order."""
+    if query == "box":
+        return sum(all(abs(x) <= w for x, w in zip(v, bound)) for _, v in leaves)
+    if query == "ball":
+        return sum(all(abs(x) < bound[0] for x in v) for _, v in leaves)
+    best, ties = math.inf, []
+    for c, v in leaves:
+        v = [abs(x) for x in v]
+        if all(x <= bound[0] for x in v):  # no nan coordinate, so max is the sup-norm
+            sup = max(v)
+            if sup < best:
+                best, ties = sup, []
+            if sup == best:
+                ties.append([int(x) for x in c])
+    return ties
 
-    The leaves are those of the depth-first walk of each lane alone, bit for
-    bit. That walk sweeps each level outward from the integer nearest its
-    center, stopping at the first failure of a test monotone along the
-    sweep, so its nodes at level j are the c_j, under a node above, with
-      partial + (c_j - ctr)^2 norms[j] <= limit,
-      c_j >= 0 while every coefficient above is zero, and c_0 >= 1 there,
-    where partial is the parent's length and ctr = -(0.0 + sum_{i>j} c_i
-    mu[i][j]), summed upward in i; a leaf's vector is 0.0 + c_{m-1} b_{m-1}
-    + ... + c_0 b_0 from the top column down. Skipping the zero terms of
-    these sums, as that walk does, changes no bits. A node tries the window
-    |c_j - round(ctr)| <= floor(sqrt((limit - partial) / norms[j]) + 1/2) + 1
-    (from 0 or 1 at the top), which holds every c_j passing the test despite
-    the rounding. Each level expands in chunks of at most _STACK_CHUNK
-    candidates, each walked to its leaves before the next.
 
-    The walk enters only the lanes with some norms[j] not above the limit
-    r2 (1 + _FLOAT_SLACK) (r2 >= 0; a nan norm is not above it). A lane
-    whose every norm exceeds the limit has at most one node per level above
-    0, the all-zero one, and no leaf: under an all-zero top its center is 0
-    (mu is finite), so its first nonzero candidate at each level, c_j = 1,
-    already adds norms[j] to a partial length of 0, and its windows are
-    finite. So the walk would neither hand
-    it to visit nor drop it, and skipping it changes no answer.
-    """
-    lanes, m = norms.shape
-    limit = r2 * (1 + _FLOAT_SLACK)
-    at = (lambda lane: limit[lane]) if np.ndim(limit) else (lambda lane: limit)
-    nodes = np.zeros(lanes, dtype=np.int64)
-    dropped = np.zeros(lanes, dtype=bool)
-
-    def expand(j, node, coef, partial, top):
-        if not len(node):
-            return
-        ctr = np.zeros(len(node))
+def _walk_lane(b: list, mu: list, norms: list, limit: float):
+    """Yield the leaves (c, v) of one lane's walk within the limit, float
+    coefficients and vector, for the reduced columns b[j], mu[i][j] (j < i)
+    and norms[j]: `_clll`'s walk_lane line for line (its docstring spells
+    out the IEEE-double operations). Raises the budget error where that
+    walk drops the lane. The window round(ctr) +- (floor(sqrt((limit -
+    partial) / norms[j]) + 0.5) + 1) holds every c_j with partial + (c_j -
+    ctr)^2 norms[j] <= limit despite the rounding; a lane whose every norm
+    exceeds the limit has no leaf (under an all-zero top, c_j = 1 already
+    adds norms[j] to a length of 0) and is not entered."""
+    m = len(norms)
+    if all(x > limit for x in norms):  # every norm above the limit: no leaf
+        return
+    c, ctr, lo, size, done = [0.0] * m, [0.0] * m, [0.0] * m, [0] * m, [0] * m
+    part, top, vec = [0.0] * (m + 1), [True] * (m + 1), [None] * m + [[0.0] * m]
+    nodes, j = 0, m - 1
+    while True:
+        # level j under the node above: its center and window
+        s = 0.0
         for i in range(j + 1, m):
-            ctr = ctr + coef[:, i] * mu[node, i, j]
-        ctr = -ctr
-        mid = np.rint(ctr)
-        norm = norms[node, j]
-        half = np.floor(np.sqrt((at(node) - partial) / norm) + 0.5) + 1
-        lo = np.where(top, float(j == 0), mid - half)
-        size = np.maximum(mid + half - lo + 1, 0)
-        wild = ~(size <= 2.0 ** 62)  # nan at a zero norm; int64 holds the rest
-        dropped[node[wild]] = True
-        size[wild] = 0
-        parents = node, coef, partial, top, ctr, norm, lo, size.astype(np.int64)
-        del mid, half, size, wild  # held no deeper into the walk
+            s = s + c[i] * mu[i][j]
+        ctr[j] = -s
+        x = round(ctr[j], 0)
+        try:  # raises exactly where C's half is nan or infinite, which drops the lane
+            d = math.floor(math.sqrt((limit - part[j + 1]) / norms[j]) + 0.5) + 1.0
+        except (ArithmeticError, ValueError):
+            raise _budget_error() from None
+        lo[j] = float(j == 0) if top[j + 1] else x - d
+        x = x + d - lo[j] + 1
+        if not x <= 2.0 ** 62:
+            raise _budget_error()
+        size[j] = int(x) if x > 0 else 0
+        done[j] = 0
+        # the next node of level j (a leaf at j = 0), or up once it is done
         while True:
-            if dropped.any():
-                parents = tuple(x[~dropped[parents[0]]] for x in parents)
-            node, coef, partial, top, ctr, norm, lo, size = parents
-            ends = np.cumsum(size)
-            cut = int(np.searchsorted(ends, _STACK_CHUNK, side="right"))  # parents wholly in
-            start = ends[:cut + 1] - size[:cut + 1]
-            take = np.minimum(size[:cut + 1], _STACK_CHUNK - start)
-            pick = np.repeat(np.arange(len(take)), take)
-            c = np.repeat(lo[:cut + 1] - start, take) + np.arange(pick.size)
-            d = c - ctr[pick]
-            length = partial[pick] + d * d * norm[pick]
-            ok = length <= at(node[pick])
-            pick, c, length = pick[ok], c[ok], length[ok]
-            lane = node[pick]
-            np.add(nodes, np.bincount(lane, minlength=lanes), out=nodes)
-            dropped[nodes > _MAX_NODES] = True
+            if done[j] == size[j]:
+                j += 1
+                if j == m:
+                    return
+                continue
+            cj = lo[j] + done[j]
+            done[j] += 1
+            d = cj - ctr[j]
+            x = part[j + 1] + d * d * norms[j]
+            if not x <= limit:
+                continue
+            nodes += 1
+            if nodes > _MAX_NODES:
+                raise _budget_error()
             if j:
-                child = coef[pick]
-                child[:, j] = c
-                expand(j - 1, lane, child, length, top[pick] & (c == 0))
-            else:
-                v = np.zeros((len(take), m))  # each parent's sum of c_i b_i from the top down
-                for i in range(m - 1, 0, -1):
-                    v = v + coef[:len(take), i, None] * b[node[:len(take)], i]
-
-                def leaves(keep, coef=coef, pick=pick, c=c):
-                    out = coef[pick[keep]]
-                    out[:, 0] = c[keep]
-                    return out
-
-                visit(lane, v[pick] + c[:, None] * b[lane, 0], leaves)
-            if cut >= len(node):
-                return
-            lo[cut] += take[cut]
-            size[cut] -= take[cut]
-            parents = tuple(x[cut:] for x in parents)
-
-    enter = np.flatnonzero(~np.all(norms > np.reshape(limit, (-1, 1)), axis=1))
-    expand(m - 1, enter, np.zeros((len(enter), m)), np.zeros(len(enter)),
-           np.ones(len(enter), dtype=bool))
-    return dropped
+                c[j] = cj
+                part[j] = x
+                top[j] = top[j + 1] and cj == 0
+                vec[j] = [p + cj * q for p, q in zip(vec[j + 1], b[j])]
+                j -= 1
+                break
+            c[0] = cj
+            yield c[:], [p + cj * q for p, q in zip(vec[1], b[0])]
 
 
 # The integral LLL for m x m bases, as one branch per stage index k: the

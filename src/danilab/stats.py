@@ -11,11 +11,11 @@ when the estimator compares them, checks the stack once
 (`lattice._checked_stack`), and takes the means and standard errors of
 every flow time's values in index order, in one pass over the (blocks, M)
 value array. The first box count, ball test or shortest vector LLL-reduces
-every lane once, with its transform, in one call of the compiled stack LLL
-(or lane by lane without it), and each query is decided for every lane in
-one breadth-first walk. K_mu indicators, nondivergence and lambda1 read that
-answer list in one call (`Observable.evaluate_stack`) and build no
-per-sample basis; Siegel counts still make the stack's bases
+every lane once, with its transform, in one call of the compiled stack LLL,
+and each query is decided for every lane in one call of the compiled walk
+(both lane by lane without the library). K_mu indicators, nondivergence and
+lambda1 read that answer list in one call (`Observable.evaluate_stack`) and
+build no per-sample basis; Siegel counts still make the stack's bases
 (`LatticeBasis.batch`) and read them one sample at a time. Per-sample
 values are pure functions of (seed, index), so a failing sample, one that
 fails to reduce in that first query included, is named by (seed, index, s)

@@ -1,5 +1,5 @@
 """Fixtures for the float stacks' LLL and walk: the compiled library's stack
-LLL itself, `_lll` lane by lane and `_stack_walk` in the library's place, and
+LLL itself, `_lll` and `_walk_lane` lane by lane in the library's place, and
 both in turn, for the properties that hold either way."""
 
 import pytest
@@ -21,7 +21,7 @@ def compiled_lll():
 @pytest.fixture
 def python_lll(monkeypatch):
     """Every lane of a float stack reduced by `_lll` and walked by
-    `_stack_walk`, as on a machine where the compiled library cannot be
+    `_walk_lane`, as on a machine where the compiled library cannot be
     used."""
     monkeypatch.setattr(lattice, "_COMPILED", (None, "python: switched off by a test"))
 

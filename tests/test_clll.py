@@ -1,5 +1,5 @@
 """The compiled library's build and load (`danilab._clll`) and the fallback
-of `lattice` to `_lll` per lane and `_stack_walk`.
+of `lattice` to `_lll` and `_walk_lane` per lane.
 
 A fresh cache directory gets the library compiled once, with mode 0700, and
 a second load reuses the file without running the compiler; wherever a C
@@ -7,7 +7,7 @@ compiler is found, that library must pass its check against `_lll`, whose
 lanes reach every status and a transform made by size reductions and swaps.
 A missing compiler, a group-writable cache, a library that returns one
 wrong transform entry and one whose walk returns one wrong box count each
-leave the process on `_lll` and `_stack_walk`, with the reason recorded in
+leave the process on `_lll` and `_walk_lane`, with the reason recorded in
 `lattice.float_lll_backend()`, and every answer equal to the library's; so does a platform whose doubles keep excess precision, where
 the source refuses to compile. A compile removes the cache's libraries of
 other sources, and nothing else.
@@ -131,7 +131,7 @@ def test_library_with_a_wrong_transform_falls_back_to_lll(compiled_lll, monkeypa
 
 def test_library_with_a_wrong_walk_falls_back(compiled_lll, monkeypatch):
     # one wrong box count, on the first check lane, leaves the process on
-    # `_lll` and `_stack_walk` for every float stack
+    # `_lll` and `_walk_lane` for every float stack
     want = answers()
     load = _clll.load
 
@@ -149,15 +149,15 @@ def test_library_with_a_wrong_walk_falls_back(compiled_lll, monkeypatch):
     first_reduction(monkeypatch)
     assert lattice._compiled() is None
     assert lattice.float_lll_backend() == (
-        f"python: {_clll.library_path()} does not walk the check lanes as _stack_walk does")
-    calls = {"_lll": 0, "_stack_walk": 0}
+        f"python: {_clll.library_path()} does not walk the check lanes as _walk_lane does")
+    calls = {"_lll": 0, "_walk_lane": 0}
     for name in calls:
         def counted(*args, _fn=getattr(lattice, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(lattice, name, counted)
     assert answers() == want
-    assert calls["_lll"] == 2 * 9 and calls["_stack_walk"] > 0
+    assert calls["_lll"] == 2 * 9 and calls["_walk_lane"] > 0
 
 
 @pytest.mark.parametrize("shapes, query", [

@@ -91,7 +91,7 @@ def test_genericity_and_rep_config_reproduce_committed_baseline(name, tmp_path, 
 def refuse_pair_walks(monkeypatch):
     """Make the exact walk (`lattice._ball_walk`, on a list of columns) and
     the float walk (`lattice._walk`, on an (M, m, m) array, the entry of the
-    compiled walk and of `_stack_walk` alike) raise on 2 x 2 input and walk
+    compiled walk and of `_walk_lane` alike) raise on 2 x 2 input and walk
     any other as before."""
     def guard(walk, m_of):
         def guarded(b, *args):

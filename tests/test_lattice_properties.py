@@ -11,7 +11,7 @@ stack LLL is held to the scalar float LLL bit for bit, and the integral
 LLL, which updates its Gram rows on a swap, to the same loop
 recomputing them. The float walk, the one float enumerator, is held to the
 depth-first float walk each basis ran alone before (`ball_walk_reference`):
-the breadth-first numpy walk `_stack_walk` leaf for leaf, and both it and
+the Python walk of one lane `_walk_lane` leaf for leaf, and both it and
 the compiled walk with equal box counts, ball tests, shortest vectors and
 dropped lanes on every lane, bit for bit. At n = 1 the shortest vector is
 also held to continued fractions (`cf_reference`), which use no LLL and no
@@ -722,7 +722,7 @@ def test_stack_walk_on_signed_zero_tie_and_face_lanes(m, monkeypatch):
     face = next(k for k, x in enumerate(lanes) if x[0, 0] == 0.9 and x[1, 1] == 1 / 0.9)
     assert count_in_box(LatticeBasis.batch(np.array(lanes))[face], (0.9,) * m) >= 2
     # the compiled library, where it is in use, answers every query as
-    # `_lll` and `_stack_walk` do
+    # `_lll` and `_walk_lane` do
     def answers():
         return [query_answers(basis, boxes, WIDE_BOUNDS, STACK_QUERIES)
                 for basis in LatticeBasis.batch(np.array(lanes))]
@@ -743,18 +743,22 @@ def generic_curve(n):
 
 def walk_leaves(b, mu, norms, r2):
     """Per lane of the reductions (b, mu, norms): the sorted (coefficients,
-    vector bytes) of the leaves that `lattice._stack_walk` hands to visit for
-    the squared radius r2 (one float or one per lane), with the mask of
-    lanes it drops."""
-    leaves = [[] for _ in b]
-
-    def visit(lane, v, coef):
-        rows = coef(np.ones(len(lane), dtype=bool)).astype(np.int64).tolist()
-        for i, c, x in zip(lane.tolist(), rows, v):
-            leaves[i].append((tuple(c), x.tobytes()))
-
-    dropped = lattice._stack_walk(b, mu, norms, r2, visit)
-    return [sorted(lane) for lane in leaves], dropped
+    vector bytes) of the leaves that `lattice._walk_lane` yields for the
+    squared radius r2 (one float or one per lane), none for a lane it drops,
+    with the mask of the lanes it drops."""
+    limit = np.broadcast_to(r2 * (1 + lattice._FLOAT_SLACK), len(b)).tolist()
+    leaves, dropped = [], []
+    for lane in range(len(b)):
+        walk = lattice._walk_lane(b[lane].tolist(), mu[lane].tolist(), norms[lane].tolist(),
+                                  limit[lane])
+        try:
+            leaves.append(sorted((tuple(map(int, c)), np.array(v, dtype=float).tobytes())
+                                 for c, v in walk))
+            dropped.append(False)
+        except DegenerateInputError:
+            leaves.append([])
+            dropped.append(True)
+    return leaves, np.array(dropped)
 
 
 def stack_leaves(stack, r2):
@@ -786,6 +790,24 @@ def test_stack_walk_leaves_are_the_walks_bit_for_bit(m):
         assert not dropped.any()
         assert got == [reference_leaves(cols, float(np.broadcast_to(r2, len(lanes))[i]))
                        for i, cols in enumerate(lanes)]
+
+
+def test_walk_window_reaches_a_leaf_past_the_rounded_radius():
+    # at level 0 under c_1 = 1 the center is -0.5, whose round is 0, and
+    # (limit - partial) / norm = 4.1 - 1.85 = 2.2499999999999996 in floats,
+    # just under 1.5^2, so floor(sqrt(.) + 0.5) = 1; yet c_0 = -2 passes
+    # the node test, 1.85 + 1.5^2 = 4.1 <= 4.1, and only the window's + 1
+    # reaches it
+    b, mu, norms = [[1.0, 0.0], [0.5, math.sqrt(1.85)]], [[0.0, 0.0], [0.5, 0.0]], [1.0, 1.85]
+    r2 = 4.1 / (1 + lattice._FLOAT_SLACK)
+    assert r2 * (1 + lattice._FLOAT_SLACK) == 4.1
+    lane = [np.array([x]) for x in (b, mu, norms)]
+    got, dropped = walk_leaves(*lane, r2)
+    assert not dropped.any() and got == [lane_leaves(b, mu, norms, r2)]
+    assert (-2, 1) in [c for c, _ in got[0]]
+    library = lattice._compiled()
+    for walk in {None, None if library is None else library.walk}:  # the box holds the ball
+        assert lattice._walk_lanes(walk, *lane, r2, "box", np.array([2.1, 2.1])) == [len(got[0])]
 
 
 # Factors of a lane's least norm: a squared radius below it skips the lane,
@@ -838,13 +860,12 @@ def skip_walks(draw, skip):
 @settings(SETTINGS, max_examples=60)
 @given(data=st.data())
 def test_stack_walk_skips_only_lanes_it_cannot_enter(skip, data):
-    """The stack walk returns the dropped mask and hands visit the leaves of
-    the depth-first walk of each lane alone, and enters no lane whose every
-    norm exceeds its limit: such a lane's mu is nan here, which would drop
-    it at level m - 2. A zero or nan norm is entered and dropped. The
-    compiled walk, where the library is in use, and `_stack_walk` answer a
-    box count, a ball test and the shortest vectors from those leaves, and
-    drop the same lanes."""
+    """The Python walk yields the leaves of the depth-first walk of each lane
+    alone, drops the lanes with a zero or nan norm, which it enters, and
+    enters no lane whose every norm exceeds its limit: such a lane's mu is
+    nan here, which would drop it at level m - 2. The compiled walk, where
+    the library is in use, and `_walk_lane` answer a box count, a ball test
+    and the shortest vectors from those leaves, and drop the same lanes."""
     b, mu, norms, r2, planned, broken = data.draw(skip_walks(skip))
     assert {"every": planned.all(), "none": not planned.any(),
             "some": 0 < planned.sum() < len(b)}[skip]
@@ -1042,9 +1063,9 @@ def test_lane_past_the_node_budget_is_named_by_its_sample(monkeypatch):
 
 
 def test_wide_stack_walk_memory_is_bounded():
-    # 2,000 lanes at n = 2, t = 8: with each level of the stack walk
-    # expanded in chunks of at most _STACK_CHUNK candidate nodes, the
-    # queries peak near 2.3 MB of the 4 MB bound (12 MB unchunked)
+    # 2,000 lanes at n = 2, t = 8: the queries peak near 0.3 MB of the 4 MB
+    # bound with the compiled walk and with `_walk_lane`, which holds one
+    # lane's lists and leaves at a time
     bases = LatticeBasis.batch(orbit_points(generic_curve(2), np.linspace(1.0, 2.0, 2_000),
                                             8.0))
     bases[0]._stack.reduced()  # the reduction's arrays: 2,000 x 21 floats

@@ -360,9 +360,9 @@ def test_n1_box_and_ball_queries_take_the_stack_grid(monkeypatch):
 
 
 def test_n1_stack_grid_memory_is_bounded():
-    # 10^4 lanes at t = 8: with each level of the stack walk expanded in
-    # chunks of at most _STACK_CHUNK candidate nodes, the run peaks near
-    # 5.2 MB of the 6 MB bound (8.7 MB unchunked).
+    # 10^4 lanes at t = 8: the run peaks near 4.1 MB of the 6 MB bound with
+    # the compiled walk and near 4.05 MB with `_walk_lane`, which reads one
+    # lane's lists at a time (11.3 MB when it converts the whole stack at once).
     points = Sampler(seed=3, count=10_000).points(LINE.interval)
     tracemalloc.start()
     try:

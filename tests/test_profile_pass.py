@@ -1,7 +1,7 @@
 """Smoke tests of `tools/profile_pass.py` on the rep-genericity workload: a
 whole pass, one family of its configs, and a reader that closes the output
 after one line; on orbit-n1's nondivergence family, the float LLL its
-header names; and on orbit-n23's n = 3 family, the lanes of the numpy walk."""
+header names; and on orbit-n23's n = 3 family, the lanes of the Python walk."""
 
 import fcntl
 import importlib.util
@@ -80,7 +80,7 @@ def test_profile_header_names_the_float_lll(tmp_path, monkeypatch, capsys, float
                     header)
     backend = profile_pass.lattice.float_lll_backend()
     lanes = re.fullmatch(rf".* s; float LLL: {re.escape(backend)}; _lll lanes: (\d+); "
-                         r"_stack_walk lanes: \d+", header)
+                         r"_walk_lane lanes: \d+", header)
     assert lanes
     # the library reduces every lane; without it `_lll` reduces each one
     if float_lll == "compiled":
@@ -94,19 +94,19 @@ def test_profile_header_names_the_float_lll(tmp_path, monkeypatch, capsys, float
 def test_profile_header_counts_the_lanes_of_the_numpy_walk(tmp_path, monkeypatch, capsys,
                                                           float_lll):
     # the library walks every float stack of orbit-n23's n = 3 box counts
-    # and lambda1; without it `_stack_walk` walks their lanes
+    # and lambda1; without it `_walk_lane` walks their lanes
     monkeypatch.chdir(tmp_path)
     assert profile_pass.main(["--workload", "orbit-n23", "--family", "equidist-n3",
                               "--top", "1"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     lanes = re.fullmatch(r"orbit-n23, seed 1, family equidist-n3, 8 configs: .*; _lll lanes: "
-                         r"\d+; _stack_walk lanes: (\d+)", header)
+                         r"\d+; _walk_lane lanes: (\d+)", header)
     assert lanes
     if float_lll == "compiled":
         assert lanes.group(1) == "0"
     else:
         assert int(lanes.group(1)) > 0
-    assert profile_pass.lattice._stack_walk.__name__ == "_stack_walk"  # the wrapper is gone
+    assert profile_pass.lattice._walk_lane.__name__ == "_walk_lane"  # the wrapper is gone
 
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")

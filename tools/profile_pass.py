@@ -22,8 +22,8 @@ runs), then one pass under cProfile, and prints:
   path, "python: <reason>" when `_lll` reduced every lane, or "none ran"
   when the pass reduced no float stack; how many lanes the Python `_lll`
   reduced in the profiled pass, read from the profile's call count of
-  `danilab.lattice._lll`; and how many lanes the numpy walk
-  `danilab.lattice._stack_walk` walked in it, counted by a wrapper around
+  `danilab.lattice._lll`; and how many lanes the Python walk
+  `danilab.lattice._walk_lane` walked in it, counted by a wrapper around
   that function for the profiled pass (it runs only without the compiled
   library);
 - the top N rows of the profiled pass (default 25), sorted by `tottime`
@@ -137,15 +137,15 @@ def main(argv=None) -> int:
         run_pass(texts)  # warm: lazy set-up and kernel compilation
         times = [run_pass(texts) for _ in range(PASSES)]
         config_time = statistics.median(config_pass(texts) for _ in range(PASSES))
-        walked = []  # the lanes of each `_stack_walk` call of the profiled pass
-        stack_walk = lattice._stack_walk
-        lattice._stack_walk = lambda b, *args: walked.append(len(b)) or stack_walk(b, *args)
+        walked = []  # one entry per `_walk_lane` call, one lane, of the profiled pass
+        walk_lane = lattice._walk_lane
+        lattice._walk_lane = lambda *args: walked.append(1) or walk_lane(*args)
         profile = cProfile.Profile()
         start = perf_counter()
         try:
             profile.runcall(run_pass, texts)
         finally:
-            lattice._stack_walk = stack_walk
+            lattice._walk_lane = walk_lane
         profiled = perf_counter() - start
     finally:
         os.chdir(cwd)
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
           f"median {config_time:.4f} s ({config_time / len(texts) * 1e6:.1f} us per config); "
           f"profiled pass {profiled:.4f} s; "
           f"float LLL: {lattice.float_lll_backend() or 'none ran'}; "
-          f"_lll lanes: {calls(stats, lattice._lll)}; _stack_walk lanes: {sum(walked)}")
+          f"_lll lanes: {calls(stats, lattice._lll)}; _walk_lane lanes: {len(walked)}")
     print(f"top {args.top} by {args.sort}; shares are of the profiled pass:")
     for line in rows(stats, args.sort, args.top):
         print(line)
